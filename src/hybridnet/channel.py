@@ -26,18 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def linear_to_db(x):
-    """10*log10, with 0 mapping to -inf."""
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(x)
-
-
 def db_to_linear(x_db):
     return np.power(10.0, np.asarray(x_db, dtype=float) / 10.0)
-
-
-def dbm_to_mw(p_dbm):
-    return np.power(10.0, np.asarray(p_dbm, dtype=float) / 10.0)
 
 
 class ObstacleClass(enum.Enum):

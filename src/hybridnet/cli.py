@@ -3,8 +3,10 @@
 Commands: ``plan``, ``zones``, ``experiment``, ``trace``, ``indoor-sim``.
 Common flags (``--config``, ``--seed``, ``--out``, ``--samples``) fall back
 to ``HYBRIDNET_CONFIG``, ``HYBRIDNET_SEED``, ``HYBRIDNET_OUT`` and
-``HYBRIDNET_SAMPLES``. Exit codes: 0 success, 2 validation failure,
-3 runtime failure.
+``HYBRIDNET_SAMPLES``. Every command reads the config file; ``--room``,
+``--radius``, ``--samples`` and ``--per-hop-ms`` fall back to its
+``zoning`` and ``protocol`` keys. Exit codes: 0 success, 2 validation
+failure, 3 runtime failure.
 
 All CSV output uses '.' decimals, repr-exact floats and newline-terminated
 rows, so a command rerun with the same configuration and seed is
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -80,8 +83,9 @@ def _parse_room(text: str) -> tuple[float, float]:
         raise ValueError(f"room must look like 24x24, got {text!r}") from exc
 
 
-def _env_default(name: str, fallback=None):
-    return os.environ.get(f"HYBRIDNET_{name}", fallback)
+def _env_default(name: str, parse=str, fallback=None):
+    value = os.environ.get(f"HYBRIDNET_{name}")
+    return fallback if value is None else parse(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,22 +93,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hybridnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples_default=None):
+    def common(p):
         p.add_argument("--config", default=_env_default("CONFIG"), help="YAML scenario file")
-        p.add_argument("--seed", type=int, default=int(_env_default("SEED", 0)))
+        p.add_argument("--seed", type=int, default=_env_default("SEED", int, 0))
         p.add_argument("--out", default=_env_default("OUT"), help="output directory or file")
-        if samples_default is not None:
-            p.add_argument("--samples", type=int, default=int(_env_default("SAMPLES", samples_default)))
 
-    p_plan = sub.add_parser("plan", help="grid plan and zone-area report")
-    p_plan.add_argument("--room", default="24x24")
-    p_plan.add_argument("--radius", type=float, default=5.0)
-    common(p_plan, samples_default=1 << 20)
-
-    p_zones = sub.add_parser("zones", help="zone model as CSV")
-    p_zones.add_argument("--room", default="24x24")
-    p_zones.add_argument("--radius", type=float, default=5.0)
-    common(p_zones, samples_default=1 << 20)
+    for name, help_text in (("plan", "grid plan and zone-area report"), ("zones", "zone model as CSV")):
+        p_zoning = sub.add_parser(name, help=help_text)
+        p_zoning.add_argument("--room", help="AxB in metres (default: zoning.room_x_m/room_y_m)")
+        p_zoning.add_argument("--radius", type=float, help="default: zoning.coverage_radius_m")
+        p_zoning.add_argument("--samples", type=int, default=_env_default("SAMPLES", int),
+                              help="default: zoning.mc_samples")
+        common(p_zoning)
 
     p_exp = sub.add_parser("experiment", help="figure-reproduction run")
     p_exp.add_argument("name", choices=EXPERIMENTS)
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="execute one handover call flow")
     p_trace.add_argument("kind", choices=sorted(TRACE_KINDS))
-    p_trace.add_argument("--per-hop-ms", type=float, default=5.0)
+    p_trace.add_argument("--per-hop-ms", type=float, help="default: protocol.per_hop_latency_s")
     p_trace.add_argument("--drop-step", type=int, default=None)
     common(p_trace)
 
@@ -121,8 +121,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _zoning_args(args) -> tuple[float, float]:
+    """Room sides; an unset --radius or --samples takes the config's zoning value."""
+    z = cfgmod.load_config(args.config)["zoning"]
+    if args.radius is None:
+        args.radius = z["coverage_radius_m"]
+    if args.samples is None:
+        args.samples = z["mc_samples"]
+    return _parse_room(args.room) if args.room is not None else (z["room_x_m"], z["room_y_m"])
+
+
 def cmd_plan(args) -> int:
-    a, b = _parse_room(args.room)
+    a, b = _zoning_args(args)
     plan = zoning.plan_grid(a, b, args.radius)
     model = zoning.monte_carlo_zone_model(plan, args.samples, seed=args.seed)
     print(f"room: {a} m x {b} m, coverage radius {args.radius} m")
@@ -141,7 +151,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_zones(args) -> int:
-    a, b = _parse_room(args.room)
+    a, b = _zoning_args(args)
     plan = zoning.plan_grid(a, b, args.radius)
     model = zoning.monte_carlo_zone_model(plan, args.samples, seed=args.seed)
     text = _csv_text(("zone", "analytic_area_m2", "mc_area_m2", "probability"), model.csv_rows())
@@ -153,30 +163,36 @@ def cmd_zones(args) -> int:
 
 
 def _experiment_rows(name: str, config: dict, seed: int):
+    build = functools.partial(cfgmod.build, config)
+    room = build("zoning")
     if name == "fig16":
-        cfg, counts = cfgmod.idle_experiment_config(config, seed)
+        cfg = build("engine.fig16", room=room, lifi_slots=config["policy"]["lifi_slots"], seed=seed)
+        counts = list(range(config["engine"]["fig16"]["user_count_max"] + 1))
         rows, _model = engine.idle_probability_experiment(cfg, counts)
         return ("active_users", "empirical_idle_prob", "eq_idle_prob"), rows
     if name == "fig17":
-        results = engine.femto_sinr_experiment(cfgmod.femto_sinr_config(config, seed), cfgmod.rf_params(config))
+        results = engine.femto_sinr_experiment(build("engine.fig17", room=room, seed=seed), build("channel.rf"))
         rows = [(r.scheme, r.frf, r.mean_db, r.p5_db, r.p50_db, r.p95_db) for r in results]
         return ("scheme", "frf", "mean_sinr_db", "p5_sinr_db", "p50_sinr_db", "p95_sinr_db"), rows
     if name == "fig18":
-        cfg, spacings = cfgmod.handover_success_inputs(config, seed)
+        cfg = build("engine.fig18", coverage_radius_m=room.coverage_radius_m, seed=seed)
+        spacings = cfgmod.sweep(config["engine"]["fig18"], "spacing", "m")
         return ("ap_distance_m", "lifi_only_success", "hybrid_success"), engine.handover_success_experiment(cfg, spacings)
     if name == "fig19":
         rows = transport.capacity_sweep(
-            cfgmod.macro_distances_km(config, "fig19"), cfgmod.vehicle_link(config),
-            cfgmod.optical_params(config), cfgmod.rf_params(config),
+            cfgmod.sweep(config["transport"]["fig19"], "distance", "km"), build("transport.vehicle"),
+            build("channel.optical"), build("channel.rf"),
         )
         return ("mbs_distance_km", "direct_bps", "relayed_bps"), rows
     if name == "fig20":
         rows = transport.outage_sweep(
-            cfgmod.macro_distances_km(config, "fig20"), cfgmod.vehicle_link(config), cfgmod.rf_params(config)
+            cfgmod.sweep(config["transport"]["fig20"], "distance", "km"), build("transport.vehicle"), build("channel.rf")
         )
         return ("mbs_distance_km", "p_out_direct", "p_out_relayed"), rows
     if name == "fig21":
-        rows = transport.reliability_sweep(cfgmod.car_distances_m(config), cfgmod.car_scenario(config))
+        rows = transport.reliability_sweep(
+            cfgmod.sweep(config["transport"]["fig21"], "distance", "m"), build("transport.fig21")
+        )
         return ("inter_vehicle_distance_m", "rf_only", "owc_only", "hybrid"), rows
     raise ValueError(f"unknown experiment {name!r}")
 
@@ -204,11 +220,16 @@ def cmd_experiment(args) -> int:
 
 def cmd_trace(args) -> int:
     started = time.monotonic()
+    config = cfgmod.load_config(args.config)
     kind = TRACE_KINDS[args.kind]
-    if args.per_hop_ms < 0:
+    per_hop_s = config["protocol"]["per_hop_latency_s"] if args.per_hop_ms is None else args.per_hop_ms / 1000.0
+    if per_hop_s < 0:
         raise ValueError("per-hop latency must be >= 0")
+    steps = len(protocol.canonical_sequence(kind))
+    if args.drop_step is not None and not 1 <= args.drop_step <= steps:
+        raise ValueError(f"--drop-step must lie in 1..{steps} for {args.kind}, got {args.drop_step}")
     fault_plan = FaultPlan(drop_counts={args.drop_step: 1}) if args.drop_step is not None else FaultPlan()
-    trace = protocol.run_handover(kind, latency_model=FixedLatency(args.per_hop_ms / 1000.0), fault_plan=fault_plan)
+    trace = protocol.run_handover(kind, latency_model=FixedLatency(per_hop_s), fault_plan=fault_plan)
     text = protocol.trace_to_csv(trace)
     outcome = {"outcome": trace.outcome, "failed_step": trace.failed_step, "latency_s": trace.latency_s}
     if args.out:
@@ -218,7 +239,7 @@ def cmd_trace(args) -> int:
         csv_path.write_text(text)
         manifest = RunManifest(
             command=f"trace {args.kind}",
-            config_digest=cfgmod.config_digest(cfgmod.load_config(args.config)),
+            config_digest=cfgmod.config_digest(config),
             seed=args.seed,
             outputs=[csv_path.name],
             duration_s=time.monotonic() - started,

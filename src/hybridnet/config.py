@@ -1,17 +1,23 @@
-"""Scenario configuration: defaults, YAML overrides and config digests.
+"""Scenario configuration: defaults, strict YAML overrides and config digests.
 
 One YAML file configures everything; its sections mirror the module names
-(channel, zoning, selection, policy, protocol, engine, transport). Every
-evaluation constant is a named key carrying its reference value as the
-default, so an empty file reproduces the baseline setup. User files are
-deep-merged over the defaults.
+(channel, zoning, selection, policy, protocol, engine, transport). Most
+sections hold the fields of one dataclass, and the dataclass defaults are
+the only place a default is written: ``DEFAULT_CONFIG`` is derived from
+them, so an empty file reproduces the baseline setup. A user file is merged
+over the defaults strictly and then checked whole, whichever command reads
+it; a bad key or value raises ValueError naming its dotted path.
 """
 
 from __future__ import annotations
 
 import copy
+import enum
+import functools
 import hashlib
 import json
+import math
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,150 +25,166 @@ import yaml
 
 from .channel import OpticalParams, RfParams
 from .engine import (
-    FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig,
+    DEFAULT_AHP_MATRIX, FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig,
     MobilityConfig, PolicyConfig, RoomConfig, ScenarioConfig, TrafficConfig,
 )
-from .policy import TrafficClass
-from .selection import CriteriaSet, build_criteria
-from .transport import AccessKind, CarFollowScenario, VehicleLink
+from .selection import CONSISTENCY_LIMIT, derive_weights
+from .transport import CarFollowScenario, VehicleLink
 
-DEFAULT_CONFIG: dict = {
-    "channel": {
-        "optical": {
-            "half_intensity_angle_deg": 60.0,
-            "fov_semi_angle_deg": 90.0,
-            "pd_area_m2": 1.0e-4,
-            "filter_gain": 1.0,
-            "refractive_index": 1.5,
-            "tx_optical_power_W": 6.0,
-            "responsivity_A_per_W": 0.53,
-            "noise_psd_A2_per_Hz": 1.0e-21,
-            "bandwidth_Hz": 20.0e6,
-            "ap_height_m": 2.0,
-        },
-        "rf": {
-            "center_freq_MHz": 1800.0,
-            "mbs_height_m": 50.0,
-            "terminal_height_m": 1.0,
-            "mbs_tx_dBm": 46.0,
-            "fap_tx_dBm": 7.0,
-            "building_wall_loss_dB": 20.0,
-            "vehicle_wall_loss_dB": 10.0,
-            "femto_loss_coeff": 28.0,
-            "wall_count": 0,
-            "noise_psd_dBm_per_Hz": -174.0,
-            "macro_bandwidth_Hz": 10.0e6,
-            "femto_bandwidth_Hz": 10.0e6,
-        },
-    },
-    "zoning": {
-        "room_x_m": 24.0,
-        "room_y_m": 24.0,
-        "coverage_radius_m": 5.0,
-        "mc_samples": 1 << 20,
-    },
-    "selection": {
-        "criteria": ["data_rate", "sinr_margin", "mobility_support", "current_load"],
-        "pairwise_matrix": [
-            [1.0, 2.0, 2.0, 4.0],
-            [0.5, 1.0, 1.0, 2.0],
-            [0.5, 1.0, 1.0, 2.0],
-            [0.25, 0.5, 0.5, 1.0],
-        ],
-    },
-    "policy": {
-        "t_h_s": 2.0,
-        "t_h1_s": 2.0,
-        "fap_slots": 8,
-        "lifi_slots": 10,
-    },
-    "protocol": {
-        "per_hop_latency_s": 0.005,
-    },
-    "engine": {
-        "user_count": 10,
-        "duration_s": 120.0,
-        "mobility": {
-            "speed_min_mps": 0.5,
-            "speed_max_mps": 1.5,
-            "pause_min_s": 0.0,
-            "pause_max_s": 5.0,
-            "tick_s": 0.1,
-        },
-        "traffic": {
-            "arrival_rate_per_min": 0.5,
-            "mean_holding_s": 120.0,
-            "voice_fraction": 0.3,
-        },
-        "fig16": {
-            "placements": 100_000,
-            "zone_samples": 1 << 20,
-            "user_count_max": 20,
-        },
-        "fig17": {
-            "fap_count": 50,
-            "deployment_radius_m": 100.0,
-            "user_distance_m": 8.0,
-            "drops": 2000,
-            "interferer_wall_count": 1,
-            "hybrid_users_per_home": 5,
-            "min_link_distance_m": 1.0,
-            "zone_samples": 1 << 20,
-        },
-        "fig18": {
-            "crossings": 20_000,
-            "spacing_start_m": 0.0,
-            "spacing_stop_m": 12.0,
-            "spacing_count": 25,
-        },
-    },
-    "transport": {
-        "vehicle": {
-            "shadowing_sigma_dB": 8.0,
-            "sinr_threshold_user_dB": 9.0,
-            "sinr_threshold_relay_dB": 5.0,
-            "in_vehicle_access": "lifi",
-            "access_horizontal_distance_m": 0.0,
-            "access_femto_distance_m": 2.0,
-        },
-        "fig19": {"distance_start_km": 0.1, "distance_stop_km": 1.0, "distance_count": 100},
-        "fig20": {"distance_start_km": 0.1, "distance_stop_km": 1.0, "distance_count": 100},
-        "fig21": {
-            "distance_start_m": 5.0,
-            "distance_stop_m": 50.0,
-            "distance_count": 100,
-            "rf_range_m": 30.0,
-            "uturn_radius_m": 10.0,
-            "speed_kmh": 40.0,
-            "owc_fov_semi_angle_deg": 30.0,
-            "window_s": 30.0,
-            "uturn_start_s": 10.0,
-        },
-    },
+# Sections whose keys are the fields of one dataclass, less the listed
+# fields: those are context passed to `build` (the seed, a value from
+# another section) or the variable a sweep steps over. Dataclass-valued
+# fields (room, mobility, ...) are never keys. `protocol` carries the one
+# PolicyConfig field that the protocol layer reads.
+SECTIONS = {
+    "channel.optical": (OpticalParams, ()),
+    "channel.rf": (RfParams, ()),
+    "zoning": (RoomConfig, ()),
+    "policy": (PolicyConfig, ("per_hop_latency_s",)),
+    "protocol": (PolicyConfig, ("t_h_s", "t_h1_s", "fap_slots", "lifi_slots")),
+    "engine": (ScenarioConfig, ("seed", "ahp_pairwise", "initial_positions", "start_in_call")),
+    "engine.mobility": (MobilityConfig, ()),
+    "engine.traffic": (TrafficConfig, ()),
+    "engine.fig16": (IdleExperimentConfig, ("lifi_slots", "seed")),
+    "engine.fig17": (FemtoSinrConfig, ("seed",)),
+    "engine.fig18": (HandoverSuccessConfig, ("coverage_radius_m", "seed")),
+    "transport.vehicle": (VehicleLink, ("mbs_distance_km",)),
+    "transport.fig21": (CarFollowScenario, ("inter_vehicle_distance_m",)),
+}
+
+# Keys that no dataclass carries: sweep ranges, counts and the AHP matrix.
+EXTRA_KEYS = {
+    "zoning": {"mc_samples": 1 << 20},
+    "selection": {"pairwise_matrix": [list(row) for row in DEFAULT_AHP_MATRIX]},
+    "engine.fig16": {"user_count_max": 20},
+    "engine.fig18": {"spacing_start_m": 0.0, "spacing_stop_m": 12.0, "spacing_count": 25},
+    "transport.fig19": {"distance_start_km": 0.1, "distance_stop_km": 1.0, "distance_count": 100},
+    "transport.fig20": {"distance_start_km": 0.1, "distance_stop_km": 1.0, "distance_count": 100},
+    "transport.fig21": {"distance_start_m": 5.0, "distance_stop_m": 50.0, "distance_count": 100},
 }
 
 
-def deep_merge(base: dict, override: dict) -> dict:
+def _key_fields(cls, skip):
+    return [f for f in fields(cls) if f.name not in skip and not is_dataclass(f.default)]
+
+
+def _new_section(config: dict, path: str) -> dict:
+    for part in path.split("."):
+        config = config.setdefault(part, {})
+    return config
+
+
+def _default_config() -> dict:
+    config: dict = {}
+    for path, (cls, skip) in SECTIONS.items():
+        section = _new_section(config, path)
+        for f in _key_fields(cls, skip):
+            section[f.name] = f.default.value if isinstance(f.default, enum.Enum) else f.default
+    for path, keys in EXTRA_KEYS.items():
+        _new_section(config, path).update(copy.deepcopy(keys))
+    return config
+
+
+DEFAULT_CONFIG: dict = _default_config()
+
+
+def _leaf(path: str, default, value):
+    """``value`` checked against the type of ``default``; floats also take ints and numeric strings."""
+    if isinstance(default, float):
+        if isinstance(value, str):  # PyYAML reads 2.0e7 and 1e-4 as strings
+            try:
+                value = float(value)
+            except ValueError:
+                pass
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+        raise ValueError(f"{path}: expected a finite number, got {value!r}")
+    if isinstance(default, list):
+        if isinstance(value, list) and all(isinstance(row, list) for row in value):
+            return [[_leaf(path, 0.0, v) for v in row] for row in value]
+        raise ValueError(f"{path}: expected a list of rows, got {value!r}")
+    if type(value) is not type(default):  # exact type: a YAML bool is no int
+        raise ValueError(f"{path}: expected {type(default).__name__}, got {value!r}")
+    return value
+
+
+def _merge(base: dict, override, prefix: str) -> dict:
+    if not isinstance(override, dict):
+        raise ValueError(f"{prefix.rstrip('.') or 'config file'}: expected a mapping, got {override!r}")
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = deep_merge(out[key], value)
+        path = f"{prefix}{key}"
+        if key not in base:
+            raise ValueError(f"{path}: unknown key")
+        if isinstance(base[key], dict):
+            out[key] = _merge(base[key], value, path + ".")
         else:
-            out[key] = copy.deepcopy(value)
+            out[key] = _leaf(path, base[key], value)
     return out
 
 
+def deep_merge(base: dict, override: dict) -> dict:
+    """``override`` laid over a copy of ``base``, strictly.
+
+    Every key of ``override`` must exist in ``base`` with the same shape: a
+    mapping over a mapping, a leaf of the base leaf's type over a leaf.
+    Float leaves also take ints and numeric strings. A violation raises
+    ValueError naming the dotted key.
+    """
+    return _merge(base, override, "")
+
+
+def build(config: dict, path: str, **context):
+    """The dataclass of section ``path`` from its keys plus ``context``.
+
+    Context supplies fields the section does not carry; a field in neither
+    keeps its dataclass default. A value outside its enum, or one the
+    dataclass rejects, raises ValueError naming the key or the section.
+    """
+    cls, skip = SECTIONS[path]
+    section = functools.reduce(dict.__getitem__, path.split("."), config)
+    values = {}
+    for f in _key_fields(cls, skip):
+        value = section[f.name]
+        if isinstance(f.default, enum.Enum):
+            choices = [member.value for member in type(f.default)]
+            if value not in choices:
+                raise ValueError(f"{path}.{f.name}: expected one of {choices}, got {value!r}")
+            value = type(f.default)(value)
+        values[f.name] = value
+    try:
+        return cls(**values, **context)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _check_pairwise(matrix) -> None:
+    try:
+        _weights, cr = derive_weights(matrix)
+    except ValueError as exc:
+        raise ValueError(f"selection.pairwise_matrix: {exc}") from None
+    if cr > CONSISTENCY_LIMIT:
+        raise ValueError(f"selection.pairwise_matrix: consistency ratio {cr!r} exceeds {CONSISTENCY_LIMIT}")
+
+
 def load_config(path: str | Path | None) -> dict:
-    """Resolved configuration: defaults overridden by the YAML file, if any."""
+    """Resolved configuration: defaults overridden by the YAML file, if any.
+
+    The whole file is checked, whatever the caller reads of it: every
+    section is built once, and the AHP matrix must be a valid comparison
+    matrix whose consistency ratio is within ``CONSISTENCY_LIMIT``.
+    """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
-    text = Path(path).read_text()
-    data = yaml.safe_load(text)
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ValueError("config file must contain a mapping at the top level")
-    return deep_merge(DEFAULT_CONFIG, data)
+    try:
+        data = yaml.safe_load(Path(path).read_text())
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: not valid YAML: {exc}") from None
+    config = deep_merge(DEFAULT_CONFIG, {} if data is None else data)
+    for section in SECTIONS:
+        build(config, section)
+    _check_pairwise(config["selection"]["pairwise_matrix"])
+    return config
 
 
 def config_digest(config: dict) -> str:
@@ -171,115 +193,18 @@ def config_digest(config: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
-# Typed builders -----------------------------------------------------------
-
-
-def optical_params(config: dict) -> OpticalParams:
-    return OpticalParams(**config["channel"]["optical"])
-
-
-def rf_params(config: dict) -> RfParams:
-    return RfParams(**config["channel"]["rf"])
-
-
-def room_config(config: dict) -> RoomConfig:
-    z = config["zoning"]
-    return RoomConfig(a_m=z["room_x_m"], b_m=z["room_y_m"], coverage_radius_m=z["coverage_radius_m"])
-
-
-def criteria_set(config: dict) -> CriteriaSet:
-    """Parse the inline pairwise-comparison table from the selection section."""
-    s = config["selection"]
-    return build_criteria(s["criteria"], s["pairwise_matrix"])
+def sweep(section: dict, name: str, unit: str) -> list[float]:
+    """Evenly spaced values from a section's ``<name>_start_<unit>``, ``<name>_stop_<unit>`` and ``<name>_count``."""
+    values = np.linspace(section[f"{name}_start_{unit}"], section[f"{name}_stop_{unit}"], section[f"{name}_count"])
+    return [float(v) for v in values]
 
 
 def scenario_config(config: dict, seed: int) -> ScenarioConfig:
-    e = config["engine"]
-    pol = config["policy"]
-    start = e.get("start_in_call")
-    return ScenarioConfig(
-        room=room_config(config),
-        user_count=e["user_count"],
-        duration_s=e["duration_s"],
-        seed=seed,
-        mobility=MobilityConfig(**e["mobility"]),
-        traffic=TrafficConfig(**e["traffic"]),
-        policy=PolicyConfig(
-            t_h_s=pol["t_h_s"], t_h1_s=pol["t_h1_s"],
-            fap_slots=pol["fap_slots"], lifi_slots=pol["lifi_slots"],
-            per_hop_latency_s=config["protocol"]["per_hop_latency_s"],
-        ),
-        optical=optical_params(config),
-        rf=rf_params(config),
-        ahp_pairwise=tuple(tuple(float(v) for v in row) for row in config["selection"]["pairwise_matrix"]),
-        initial_positions=tuple(map(tuple, e["initial_positions"])) if e.get("initial_positions") else None,
-        start_in_call=TrafficClass(start) if start else None,
+    """The indoor scenario, assembled from the sections it spans."""
+    return build(
+        config, "engine", seed=seed, room=build(config, "zoning"),
+        mobility=build(config, "engine.mobility"), traffic=build(config, "engine.traffic"),
+        policy=build(config, "policy", per_hop_latency_s=config["protocol"]["per_hop_latency_s"]),
+        optical=build(config, "channel.optical"), rf=build(config, "channel.rf"),
+        ahp_pairwise=tuple(tuple(row) for row in config["selection"]["pairwise_matrix"]),
     )
-
-
-def idle_experiment_config(config: dict, seed: int) -> tuple[IdleExperimentConfig, list[int]]:
-    f = config["engine"]["fig16"]
-    cfg = IdleExperimentConfig(
-        room=room_config(config),
-        placements=f["placements"],
-        zone_samples=f["zone_samples"],
-        lifi_slots=config["policy"]["lifi_slots"],
-        fap_slots=config["policy"]["fap_slots"],
-        seed=seed,
-    )
-    return cfg, list(range(0, f["user_count_max"] + 1))
-
-
-def femto_sinr_config(config: dict, seed: int) -> FemtoSinrConfig:
-    f = config["engine"]["fig17"]
-    return FemtoSinrConfig(
-        fap_count=f["fap_count"],
-        deployment_radius_m=f["deployment_radius_m"],
-        user_distance_m=f["user_distance_m"],
-        drops=f["drops"],
-        interferer_wall_count=f["interferer_wall_count"],
-        hybrid_users_per_home=f["hybrid_users_per_home"],
-        min_link_distance_m=f["min_link_distance_m"],
-        room=room_config(config),
-        zone_samples=f["zone_samples"],
-        seed=seed,
-    )
-
-
-def handover_success_inputs(config: dict, seed: int) -> tuple[HandoverSuccessConfig, list[float]]:
-    f = config["engine"]["fig18"]
-    cfg = HandoverSuccessConfig(
-        coverage_radius_m=config["zoning"]["coverage_radius_m"],
-        crossings=f["crossings"],
-        seed=seed,
-    )
-    spacings = [float(v) for v in np.linspace(f["spacing_start_m"], f["spacing_stop_m"], f["spacing_count"])]
-    return cfg, spacings
-
-
-def vehicle_link(config: dict) -> VehicleLink:
-    v = dict(config["transport"]["vehicle"])
-    v["in_vehicle_access"] = AccessKind(v["in_vehicle_access"])
-    return VehicleLink(**v)
-
-
-def macro_distances_km(config: dict, figure: str) -> list[float]:
-    f = config["transport"][figure]
-    return [float(v) for v in np.linspace(f["distance_start_km"], f["distance_stop_km"], f["distance_count"])]
-
-
-def car_scenario(config: dict) -> CarFollowScenario:
-    f = config["transport"]["fig21"]
-    return CarFollowScenario(
-        rf_range_m=f["rf_range_m"],
-        uturn_radius_m=f["uturn_radius_m"],
-        speed_kmh=f["speed_kmh"],
-        owc_fov_semi_angle_deg=f["owc_fov_semi_angle_deg"],
-        window_s=f["window_s"],
-        uturn_start_s=f["uturn_start_s"],
-    )
-
-
-def car_distances_m(config: dict) -> list[float]:
-    f = config["transport"]["fig21"]
-    return [float(v) for v in np.linspace(f["distance_start_m"], f["distance_stop_m"], f["distance_count"])]

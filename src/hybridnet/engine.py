@@ -40,12 +40,12 @@ from .zoning import GridPlan, Zone, classify_points, monte_carlo_zone_model, pla
 
 @dataclass(frozen=True)
 class RoomConfig:
-    a_m: float = 24.0
-    b_m: float = 24.0
+    room_x_m: float = 24.0
+    room_y_m: float = 24.0
     coverage_radius_m: float = 5.0
 
     def plan(self) -> GridPlan:
-        return plan_grid(self.a_m, self.b_m, self.coverage_radius_m)
+        return plan_grid(self.room_x_m, self.room_y_m, self.coverage_radius_m)
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,8 @@ class PolicyConfig:
             raise ValueError("slot counts must be positive")
         if self.t_h_s <= 0 or self.t_h1_s <= 0:
             raise ValueError("dwell thresholds must be positive")
+        if self.per_hop_latency_s < 0:
+            raise ValueError("per-hop latency must be >= 0")
 
 
 DEFAULT_AHP_MATRIX = (
@@ -218,8 +220,8 @@ class _IndoorSim:
             if cfg.initial_positions is not None:
                 x, y = cfg.initial_positions[i]
             else:
-                x = float(placement.uniform(0.0, cfg.room.a_m))
-                y = float(placement.uniform(0.0, cfg.room.b_m))
+                x = float(placement.uniform(0.0, cfg.room.room_x_m))
+                y = float(placement.uniform(0.0, cfg.room.room_y_m))
             t = _Terminal(index=i, x=x, y=y, timers=timers())
             t.next_arrival_s = 0.0 if cfg.start_in_call is not None else self._draw_interarrival()
             terminals.append(t)
@@ -256,7 +258,7 @@ class _IndoorSim:
             if now < t.pause_until:
                 return
             gen = self.streams["mobility"]
-            t.waypoint = (float(gen.uniform(0.0, room.a_m)), float(gen.uniform(0.0, room.b_m)))
+            t.waypoint = (float(gen.uniform(0.0, room.room_x_m)), float(gen.uniform(0.0, room.room_y_m)))
             t.speed = float(gen.uniform(cfg.speed_min_mps, cfg.speed_max_mps))
         step = t.speed * cfg.tick_s
         dx, dy = t.waypoint[0] - t.x, t.waypoint[1] - t.y
@@ -499,8 +501,7 @@ class IdleExperimentConfig:
     room: RoomConfig = RoomConfig()
     placements: int = 100_000
     zone_samples: int = 1 << 20
-    lifi_slots: int = 10
-    fap_slots: int = 8
+    lifi_slots: int = PolicyConfig.lifi_slots
     seed: int = 0
 
 
@@ -523,7 +524,9 @@ def lifi_assignment_idle(codes: np.ndarray, nearest: np.ndarray, ap_count: int, 
     return ~any_fap & ~overflow
 
 
-def placement_idle_reference(zones: list[Zone], lifi_slots: int = 10, fap_slots: int = 8) -> bool:
+def placement_idle_reference(
+    zones: list[Zone], lifi_slots: int = PolicyConfig.lifi_slots, fap_slots: int = PolicyConfig.fap_slots
+) -> bool:
     """Idle outcome of one placement, driven through the policy module.
 
     Users arrive in list order as data calls against a fresh, idle
@@ -565,7 +568,9 @@ def placement_idle_reference(zones: list[Zone], lifi_slots: int = 10, fap_slots:
             return False
 
 
-def enumerate_idle_probability(zone_probs, p_users: int, lifi_slots: int = 10, fap_slots: int = 8) -> float:
+def enumerate_idle_probability(
+    zone_probs, p_users: int, lifi_slots: int = PolicyConfig.lifi_slots, fap_slots: int = PolicyConfig.fap_slots
+) -> float:
     """Exact idle probability by summing over all zone assignments (4^p)."""
     zones = list(Zone)
     total = 0.0
@@ -702,7 +707,7 @@ def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams | None = None) -
 
 @dataclass(frozen=True)
 class HandoverSuccessConfig:
-    coverage_radius_m: float = 5.0
+    coverage_radius_m: float = RoomConfig.coverage_radius_m
     crossings: int = 20_000
     seed: int = 0
 

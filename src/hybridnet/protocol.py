@@ -191,7 +191,6 @@ class Entity:
     identity: str
     role: Role
     state: str = "attached"
-    pending_timers: tuple[float, ...] = ()
 
 
 def build_topology(kind: HandoverKind) -> dict[str, Entity]:

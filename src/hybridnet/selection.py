@@ -18,22 +18,7 @@ RANDOM_INDEX = (0.0, 0.0, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45)
 
 CONSISTENCY_LIMIT = 0.1
 
-DEFAULT_CRITERIA = ("data_rate", "sinr_margin", "mobility_support", "current_load")
-
 LIFI, FEMTO = 0, 1
-
-
-@dataclass(frozen=True)
-class CriteriaSet:
-    names: tuple[str, ...]
-    pairwise_matrix: tuple[tuple[float, ...], ...]
-    weights: tuple[float, ...]
-    consistency_ratio: float
-
-    @property
-    def flagged(self) -> bool:
-        """True when the comparisons look too inconsistent to trust."""
-        return self.consistency_ratio > CONSISTENCY_LIMIT
 
 
 @dataclass(frozen=True)
@@ -87,8 +72,8 @@ def derive_weights(pairwise_matrix) -> tuple[tuple[float, ...], float]:
     """Principal-eigenvector weights and consistency ratio of a comparison matrix.
 
     Power iteration runs to a relative tolerance of 1e-10. The consistency
-    ratio is ``((lambda_max - N) / (N - 1)) / RI(N)``; values above 0.1 are
-    flagged by callers, not rejected here.
+    ratio is ``((lambda_max - N) / (N - 1)) / RI(N)``; it is not checked
+    here: loading a config rejects a matrix above ``CONSISTENCY_LIMIT``.
     """
     matrix = np.asarray(pairwise_matrix, dtype=float)
     _validate_reciprocal(matrix)
@@ -106,12 +91,6 @@ def derive_weights(pairwise_matrix) -> tuple[tuple[float, ...], float]:
     ri = RANDOM_INDEX[n - 1]
     cr = 0.0 if ri == 0.0 else ci / ri
     return tuple(float(x) for x in w), cr
-
-
-def build_criteria(names, pairwise_matrix) -> CriteriaSet:
-    weights, cr = derive_weights(pairwise_matrix)
-    matrix = tuple(tuple(float(v) for v in row) for row in np.asarray(pairwise_matrix, dtype=float))
-    return CriteriaSet(names=tuple(names), pairwise_matrix=matrix, weights=weights, consistency_ratio=cr)
 
 
 def rank_networks(scores: AlternativeScores, weights) -> tuple[float, float, str]:

@@ -36,7 +36,6 @@ class AccessKind(enum.Enum):
 @dataclass(frozen=True)
 class VehicleLink:
     mbs_distance_km: float = 0.5
-    relay_mounted: bool = True
     in_vehicle_access: AccessKind = AccessKind.LIFI
     shadowing_sigma_dB: float = 8.0
     sinr_threshold_user_dB: float = 9.0

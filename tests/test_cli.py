@@ -1,6 +1,7 @@
 """Command-line surface tests: schemas, exit codes and byte determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +56,15 @@ class TestPlan:
         cli.main(args)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_reads_zoning_from_config(self, tmp_path, capsys):
+        path = tmp_path / "floor.yaml"
+        path.write_text("zoning: {room_x_m: 100.0, room_y_m: 100.0, mc_samples: 16384}\n")
+        assert cli.main(["plan", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "ap_count: 121" in out and "(16384 samples" in out
+        assert cli.main(["plan", "--config", str(path), "--room", "24x24"]) == 0
+        assert "ap_count: 9" in capsys.readouterr().out
 
 
 class TestZones:
@@ -115,10 +125,36 @@ class TestExperiments:
             cli.main(["experiment", "fig99"])
         assert excinfo.value.code == 2
 
-    def test_unparsable_config_is_validation_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv,text,key",
+        [
+            (["experiment", "fig18"], "zoning: [not, a, mapping]\n", "zoning"),
+            (["indoor-sim"], "engine: {user_cont: 50}\n", "engine.user_cont"),
+            (["indoor-sim"], "engine: {user_count: true}\n", "engine.user_count"),
+            (["indoor-sim"], "engine: {user_count: 2.5}\n", "engine.user_count"),
+            (["indoor-sim"], "engine: {mobility: 3}\n", "engine.mobility"),
+            (["experiment", "fig19"], "transport: {vehicle: {in_vehicle_access: wifi}}\n",
+             "transport.vehicle.in_vehicle_access"),
+            (["experiment", "fig19"], "engine: {mobility: {tick_s: 0}}\n", "engine.mobility"),
+            (["indoor-sim"], "selection: {pairwise_matrix: [[1.0, 2.0], [0.6, 1.0]]}\n", "selection.pairwise_matrix"),
+            (["plan"], None, None),
+        ],
+        ids=["not-a-mapping", "unknown-key", "bool-for-int", "float-for-int", "leaf-for-mapping",
+             "bad-enum", "range-checked-everywhere", "non-reciprocal-ahp", "missing-file"],
+    )
+    def test_unparsable_config_is_validation_error(self, tmp_path, capsys, argv, text, key):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("zoning: [not, a, mapping]\n")
-        assert cli.main(["experiment", "fig18", "--config", str(bad)]) == 2
+        if text is not None:
+            bad.write_text(text)
+        assert cli.main([*argv, "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert key is None or key in capsys.readouterr().err
+
+    def test_readme_example_config_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "example.yaml"
+        path.write_text(example)
+        assert cli.main(["indoor-sim", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 class TestTrace:
@@ -136,6 +172,11 @@ class TestTrace:
         manifest = json.loads((out / "trace_femto_to_lifi.manifest.json").read_text())
         assert manifest["outcome"] == "failed"
         assert manifest["failed_step"] == 11
+
+    @pytest.mark.parametrize("step", ["0", "-3", "28"])
+    def test_drop_step_out_of_range_is_validation_error(self, capsys, step):
+        assert cli.main(["trace", "lifi-to-lifi", "--drop-step", step]) == 2
+        assert "1..27" in capsys.readouterr().err
 
     def test_invalid_kind_exits_nonzero(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -172,21 +213,17 @@ class TestConfig:
         resolved = load_config(None)
         assert resolved == DEFAULT_CONFIG
         assert resolved is not DEFAULT_CONFIG
+        assert config_digest(resolved) == "sha256:4a153ff6975930baec170d3ff9e132de9eaa21242d4aef7aae60b2eab6b9f844"
 
     def test_inline_criteria_table_parses(self, tmp_path):
-        from hybridnet.config import criteria_set, scenario_config
+        from hybridnet.config import scenario_config
 
         path = tmp_path / "crit.yaml"
         path.write_text(
             "selection:\n"
-            "  criteria: [rate, load]\n"
             "  pairwise_matrix: [[1.0, 3.0], [0.3333333333333333, 1.0]]\n"
         )
         resolved = load_config(str(path))
-        criteria = criteria_set(resolved)
-        assert criteria.names == ("rate", "load")
-        assert criteria.weights[0] == pytest.approx(0.75, abs=1e-9)
-        assert not criteria.flagged
         scenario = scenario_config(resolved, seed=1)
         assert scenario.ahp_pairwise[0][1] == 3.0
 

@@ -1,13 +1,14 @@
 """AHP weight derivation and network-ranking tests."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridnet.selection import (
-    AlternativeScores, RANDOM_INDEX, build_criteria, derive_weights, rank_networks,
-)
+from hybridnet.config import load_config
+from hybridnet.selection import AlternativeScores, RANDOM_INDEX, derive_weights, rank_networks
 
 
 def ratio_matrix(values):
@@ -66,12 +67,15 @@ class TestDeriveWeights:
         with pytest.raises(ValueError):
             derive_weights(ratio_matrix(list(range(1, 11))))
 
-    def test_flagging_threshold(self):
+    def test_flagging_threshold(self, tmp_path):
+        path = tmp_path / "ahp.yaml"
         inconsistent = np.array([[1.0, 9.0, 1 / 9], [1 / 9, 1.0, 9.0], [9.0, 1 / 9, 1.0]])
-        criteria = build_criteria(("a", "b", "c"), inconsistent)
-        assert criteria.flagged
-        consistent = build_criteria(("a", "b", "c"), ratio_matrix([3.0, 2.0, 1.0]))
-        assert not consistent.flagged
+        path.write_text(json.dumps({"selection": {"pairwise_matrix": inconsistent.tolist()}}))
+        with pytest.raises(ValueError, match="selection.pairwise_matrix: consistency ratio"):
+            load_config(path)
+        consistent = ratio_matrix([3.0, 2.0, 1.0])
+        path.write_text(json.dumps({"selection": {"pairwise_matrix": consistent.tolist()}}))
+        assert load_config(path)["selection"]["pairwise_matrix"] == consistent.tolist()
 
 
 class TestRankNetworks:
