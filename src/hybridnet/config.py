@@ -25,11 +25,12 @@ import yaml
 
 from .channel import OpticalParams, RfParams
 from .engine import (
-    DEFAULT_AHP_MATRIX, FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig,
+    AHP_CRITERIA, DEFAULT_AHP_MATRIX, FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig,
     MobilityConfig, PolicyConfig, RoomConfig, ScenarioConfig, TrafficConfig,
 )
 from .selection import CONSISTENCY_LIMIT, derive_weights
 from .transport import CarFollowScenario, VehicleLink
+from .zoning import MIN_MC_SAMPLES
 
 # Sections whose keys are the fields of one dataclass, less the listed
 # fields: those are context passed to `build` (the seed, a value from
@@ -63,9 +64,23 @@ EXTRA_KEYS = {
     "transport.fig21": {"distance_start_m": 5.0, "distance_stop_m": 50.0, "distance_count": 100},
 }
 
+# Lower bounds of the EXTRA_KEYS counts, by dotted key.
+EXTRA_MINIMA = {
+    "zoning.mc_samples": MIN_MC_SAMPLES,
+    "engine.fig16.user_count_max": 0,
+    "engine.fig18.spacing_count": 1,
+    "transport.fig19.distance_count": 1,
+    "transport.fig20.distance_count": 1,
+    "transport.fig21.distance_count": 1,
+}
+
 
 def _key_fields(cls, skip):
     return [f for f in fields(cls) if f.name not in skip and not is_dataclass(f.default)]
+
+
+def _section(config: dict, path: str) -> dict:
+    return functools.reduce(dict.__getitem__, path.split("."), config)
 
 
 def _new_section(config: dict, path: str) -> dict:
@@ -142,7 +157,7 @@ def build(config: dict, path: str, **context):
     dataclass rejects, raises ValueError naming the key or the section.
     """
     cls, skip = SECTIONS[path]
-    section = functools.reduce(dict.__getitem__, path.split("."), config)
+    section = _section(config, path)
     values = {}
     for f in _key_fields(cls, skip):
         value = section[f.name]
@@ -159,6 +174,10 @@ def build(config: dict, path: str, **context):
 
 
 def _check_pairwise(matrix) -> None:
+    n = len(AHP_CRITERIA)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError(f"selection.pairwise_matrix: expected {n}x{n}, one row and column per criterion "
+                         f"({', '.join(name for name, _mode in AHP_CRITERIA)})")
     try:
         _weights, cr = derive_weights(matrix)
     except ValueError as exc:
@@ -171,8 +190,10 @@ def load_config(path: str | Path | None) -> dict:
     """Resolved configuration: defaults overridden by the YAML file, if any.
 
     The whole file is checked, whatever the caller reads of it: every
-    section is built once, and the AHP matrix must be a valid comparison
-    matrix whose consistency ratio is within ``CONSISTENCY_LIMIT``.
+    section is built once, every count of ``EXTRA_MINIMA`` must reach its
+    minimum, and the AHP matrix must be a valid comparison matrix with one
+    row per criterion of ``AHP_CRITERIA`` and a consistency ratio within
+    ``CONSISTENCY_LIMIT``.
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
@@ -183,6 +204,11 @@ def load_config(path: str | Path | None) -> dict:
     config = deep_merge(DEFAULT_CONFIG, {} if data is None else data)
     for section in SECTIONS:
         build(config, section)
+    for key, minimum in EXTRA_MINIMA.items():
+        path, name = key.rsplit(".", 1)
+        value = _section(config, path)[name]
+        if value < minimum:
+            raise ValueError(f"{key}: must be at least {minimum}, got {value!r}")
     _check_pairwise(config["selection"]["pairwise_matrix"])
     return config
 

@@ -128,16 +128,36 @@ class ScenarioConfig:
 ADMISSION_KEYS = tuple(d.value for d in AdmissionDecision)
 HANDOVER_KEYS = tuple(k.value for k in HandoverKind)
 
+# The criteria each network is scored on, in the row order of the AHP
+# pairwise matrix, with their normalization modes.
+AHP_CRITERIA = (("capacity", "benefit"), ("sinr", "benefit"), ("mobility", "benefit"), ("load", "cost"))
+
+
+@dataclass
+class RunningMean:
+    """Count and left-to-right sum of a sample stream."""
+
+    count: int = 0
+    total: float = 0.0
+
+    def add(self, value: float) -> None:
+        self.count += 1
+        self.total += value
+
+    @property
+    def value(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
 
 @dataclass
 class Metrics:
     admissions: dict[str, int] = field(default_factory=lambda: {k: 0 for k in ADMISSION_KEYS})
     handovers: dict[str, int] = field(default_factory=lambda: {k: 0 for k in HANDOVER_KEYS})
     handovers_rejected: int = 0
-    handover_latency_s: list[float] = field(default_factory=list)
+    handover_latency_s: RunningMean = field(default_factory=RunningMean)
     fap_idle_fraction: float = 0.0
-    sinr_samples_db: list[float] = field(default_factory=list)
-    capacity_samples_bps: list[float] = field(default_factory=list)
+    sinr_db: RunningMean = field(default_factory=RunningMean)
+    capacity_bps: RunningMean = field(default_factory=RunningMean)
     calls_released: int = 0
     active_at_end: int = 0
     ahp_rank: tuple[float, float, str] | None = None
@@ -150,10 +170,10 @@ class Metrics:
         for key in HANDOVER_KEYS:
             rows.append((f"handovers.{key}", repr(self.handovers[key])))
         rows.append(("handovers.rejected", repr(self.handovers_rejected)))
-        rows.append(("handover_latency_mean_s", repr(_mean(self.handover_latency_s))))
+        rows.append(("handover_latency_mean_s", repr(self.handover_latency_s.value)))
         rows.append(("fap_idle_fraction", repr(self.fap_idle_fraction)))
-        rows.append(("sinr_mean_db", repr(_mean(self.sinr_samples_db))))
-        rows.append(("capacity_mean_bps", repr(_mean(self.capacity_samples_bps))))
+        rows.append(("sinr_mean_db", repr(self.sinr_db.value)))
+        rows.append(("capacity_mean_bps", repr(self.capacity_bps.value)))
         rows.append(("calls_released", repr(self.calls_released)))
         rows.append(("active_at_end", repr(self.active_at_end)))
         if self.ahp_rank is not None:
@@ -161,10 +181,6 @@ class Metrics:
             rows.append(("ahp.r_femto", repr(self.ahp_rank[1])))
             rows.append(("ahp.chosen", self.ahp_rank[2]))
         return rows
-
-
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
 
 
 @dataclass
@@ -191,13 +207,16 @@ class _Terminal:
     last_handover_s: float = float("-inf")
 
 
+def _lifi_index(ap_id: str) -> int:
+    return int(ap_id.removeprefix("lifi"))
+
+
 class _IndoorSim:
     """Single-run state; use :func:`simulate_indoor`."""
 
     def __init__(self, config: ScenarioConfig):
         self.cfg = config
         self.plan = config.room.plan()
-        self.centers = self.plan.centers_array()
         self.streams = spawn_streams(config.seed)
         self.state = NetworkState()
         self.state.add(ApState("fap", NetworkKind.FAP, ApMode.IDLE, config.policy.fap_slots, 0))
@@ -206,14 +225,11 @@ class _IndoorSim:
         self.metrics = Metrics()
         self.latency = FixedLatency(config.policy.per_hop_latency_s)
         self._next_call_id = 0
-        self._by_kind: dict[NetworkKind, list[tuple[float, float]]] = {
-            NetworkKind.LIFI: [], NetworkKind.FAP: [],
-        }
+        self._by_kind = {kind: (RunningMean(), RunningMean()) for kind in NetworkKind}
         self._terminals = self._init_terminals()
 
     def _init_terminals(self) -> list[_Terminal]:
         cfg = self.cfg
-        timers = lambda: DwellTimers(t_h_s=cfg.policy.t_h_s, t_h1_s=cfg.policy.t_h1_s)
         terminals = []
         placement = self.streams["placement"]
         for i in range(cfg.user_count):
@@ -222,17 +238,9 @@ class _IndoorSim:
             else:
                 x = float(placement.uniform(0.0, cfg.room.room_x_m))
                 y = float(placement.uniform(0.0, cfg.room.room_y_m))
-            t = _Terminal(index=i, x=x, y=y, timers=timers())
+            t = _Terminal(index=i, x=x, y=y, timers=DwellTimers(t_h_s=cfg.policy.t_h_s, t_h1_s=cfg.policy.t_h1_s))
             t.next_arrival_s = 0.0 if cfg.start_in_call is not None else self._draw_interarrival()
             terminals.append(t)
-        if terminals:
-            codes = classify_points(self.plan, np.asarray([(t.x, t.y) for t in terminals]))
-            for t, code in zip(terminals, codes):
-                t.zone = Zone(int(code))
-                if t.zone is Zone.Z4:
-                    t.timers.zone4_entry_time_s = 0.0
-                elif t.zone is Zone.Z3:
-                    t.timers.zone3_entry_time_s = 0.0
         return terminals
 
     def _draw_interarrival(self) -> float:
@@ -249,7 +257,7 @@ class _IndoorSim:
             return TrafficClass.RT_VOICE
         return TrafficClass.DATA
 
-    # Mobility -----------------------------------------------------------
+    # Mobility and location ----------------------------------------------
 
     def _move(self, t: _Terminal, now: float) -> None:
         cfg = self.cfg.mobility
@@ -271,27 +279,27 @@ class _IndoorSim:
             t.x += dx / dist * step
             t.y += dy / dist * step
 
-    def _update_zone(self, t: _Terminal, now: float) -> None:
-        new_zone = Zone(int(classify_points(self.plan, np.asarray([(t.x, t.y)]))[0]))
-        if new_zone is not t.zone:
-            t.timers.zone4_entry_time_s = now if new_zone is Zone.Z4 else None
-            t.timers.zone3_entry_time_s = now if new_zone is Zone.Z3 else None
-            t.zone = new_zone
+    def _locate(self, now: float) -> None:
+        """Zones, AP distances and coverage of every terminal at its current position."""
+        pts = np.asarray([(t.x, t.y) for t in self._terminals], dtype=float).reshape(-1, 2)
+        d2 = self.plan.sq_distances(pts)
+        self._dist = np.sqrt(d2)
+        self._nearest_first = np.argsort(self._dist, axis=1, kind="stable").tolist()
+        self._covered = self.plan.covered(d2).tolist()
+        for t, code in zip(self._terminals, classify_points(self.plan, pts).tolist()):
+            zone = Zone(code)
+            if zone is not t.zone:
+                t.timers.zone4_entry_time_s = now if zone is Zone.Z4 else None
+                t.timers.zone3_entry_time_s = now if zone is Zone.Z3 else None
+                t.zone = zone
 
-    # Coverage helpers ---------------------------------------------------
+    def _covering(self, t: _Terminal) -> list[str]:
+        """Identities of the LiFi APs covering the terminal, nearest first."""
+        covered = self._covered[t.index]
+        return [f"lifi{i}" for i in self._nearest_first[t.index] if covered[i]]
 
-    def _lifi_distances(self, t: _Terminal) -> np.ndarray:
-        d = self.centers - np.asarray([t.x, t.y])
-        return np.sqrt((d * d).sum(axis=1))
-
-    def _covering_lifi(self, t: _Terminal) -> list[tuple[int, float]]:
-        """(ap index, horizontal distance) covering the terminal, nearest first."""
-        dists = self._lifi_distances(t)
-        order = np.argsort(dists, kind="stable")
-        r = self.cfg.room.coverage_radius_m
-        return [(int(i), float(dists[i])) for i in order if dists[i] <= r]
-
-    def _optical_rx_dB(self, horizontal_m: float) -> float:
+    def _optical_rx_dB(self, t: _Terminal, ap_id: str) -> float:
+        horizontal_m = float(self._dist[t.index, _lifi_index(ap_id)])
         gain = channel.optical_channel_gain(
             channel.LinkGeometry(horizontal_distance_m=horizontal_m), self.cfg.optical
         )
@@ -301,32 +309,19 @@ class _IndoorSim:
 
     # Call lifecycle -----------------------------------------------------
 
-    def _occupy(self, ap_id: str) -> None:
-        ap = self.state.aps[ap_id]
-        if ap.mode is ApMode.IDLE:
-            ap.mode = ApMode.ACTIVE
-        ap.occupied_slots += 1
-        ap.check()
-
-    def _release(self, ap_id: str) -> None:
-        ap = self.state.aps[ap_id]
-        ap.occupied_slots -= 1
-        ap.check()
-
     def _try_start_call(self, t: _Terminal, now: float, traffic_class: TrafficClass) -> None:
-        candidates = [f"lifi{i}" for i, _ in self._covering_lifi(t)]
         request = CallRequest(self._next_call_id, t.index, traffic_class, t.zone, now)
         self._next_call_id += 1
-        result = policy.admit_new_call(request, self.state, candidates)
+        result = policy.admit_new_call(request, self.state, self._covering(t))
         self.metrics.admissions[result.decision.value] += 1
         if result.decision is AdmissionDecision.BLOCKED:
             t.next_arrival_s = now + self._draw_interarrival()
             return
-        self._occupy(result.ap_id)
+        self.state.aps[result.ap_id].occupy()
         t.call = _Call(request.call_id, traffic_class, result.network, result.ap_id, now + self._draw_holding())
 
     def _release_call(self, t: _Terminal, now: float) -> None:
-        self._release(t.call.serving_ap)
+        self.state.aps[t.call.serving_ap].release()
         t.call = None
         self.metrics.calls_released += 1
         t.next_arrival_s = now + self._draw_interarrival()
@@ -334,12 +329,19 @@ class _IndoorSim:
     def _execute_handover(self, t: _Terminal, now: float, kind: HandoverKind, target_ap: str) -> None:
         trace = run_handover(kind, latency_model=self.latency)
         self.metrics.handovers[kind.value] += 1
-        self.metrics.handover_latency_s.append(trace.latency_s)
-        self._release(t.call.serving_ap)
-        self._occupy(target_ap)
+        self.metrics.handover_latency_s.add(trace.latency_s)
+        self.state.aps[t.call.serving_ap].release()
+        self.state.aps[target_ap].occupy()
         t.call.serving_ap = target_ap
         t.call.serving_kind = self.state.aps[target_ap].kind
         t.last_handover_s = now
+
+    def _to_covering_lifi(self, t: _Terminal, now: float) -> bool:
+        """Hand the terminal to the nearest covering LiFi AP with a free slot, if any."""
+        ap = self.state.first_free(NetworkKind.LIFI, self._covering(t))
+        if ap is not None:
+            self._execute_handover(t, now, HandoverKind.FEMTO_TO_LIFI, ap.identity)
+        return ap is not None
 
     def _evaluate_handover(self, t: _Terminal, now: float) -> None:
         call = t.call
@@ -349,18 +351,14 @@ class _IndoorSim:
             return  # voice stays pinned to the femtocell
         s_serving = float("-inf")
         s_target = float("-inf")
-        target_idx: int | None = None
+        target = None
         if call.serving_kind is NetworkKind.LIFI and t.zone is Zone.Z4:
-            serving_idx = int(call.serving_ap.removeprefix("lifi"))
-            dists = self._lifi_distances(t)
-            r = self.cfg.room.coverage_radius_m
-            if dists[serving_idx] <= r:
-                s_serving = self._optical_rx_dB(float(dists[serving_idx]))
-            for i, _d in self._covering_lifi(t):
-                if i != serving_idx:
-                    target_idx = i
-                    s_target = self._optical_rx_dB(float(_d))
-                    break
+            covering = self._covering(t)
+            if call.serving_ap in covering:
+                s_serving = self._optical_rx_dB(t, call.serving_ap)
+            target = next((ap for ap in covering if ap != call.serving_ap), None)
+            if target is not None:
+                s_target = self._optical_rx_dB(t, target)
         decision = policy.handover_decision(call.serving_kind, t.zone, s_serving, s_target, t.timers, now)
         if decision is HandoverDecision.STAY:
             return
@@ -370,32 +368,20 @@ class _IndoorSim:
                 self._execute_handover(t, now, HandoverKind.LIFI_TO_FEMTO, fap.identity)
             else:
                 self.metrics.handovers_rejected += 1
-            return
-        if decision is HandoverDecision.TO_TARGET_LIFI:
-            if target_idx is not None and self.state.aps[f"lifi{target_idx}"].free_slots > 0:
-                self._execute_handover(t, now, HandoverKind.LIFI_TO_LIFI, f"lifi{target_idx}")
+        elif decision is HandoverDecision.TO_TARGET_LIFI:
+            if target is not None and self.state.aps[target].free_slots > 0:
+                self._execute_handover(t, now, HandoverKind.LIFI_TO_LIFI, target)
             else:
                 self.metrics.handovers_rejected += 1
-            return
-        # TO_LIFI from the femtocell
-        for i, _d in self._covering_lifi(t):
-            ap = self.state.aps[f"lifi{i}"]
-            if ap.free_slots > 0:
-                self._execute_handover(t, now, HandoverKind.FEMTO_TO_LIFI, ap.identity)
-                return
-        self.metrics.handovers_rejected += 1
+        elif not self._to_covering_lifi(t, now):  # TO_LIFI from the femtocell
+            self.metrics.handovers_rejected += 1
 
     def _apply_idle_mode(self, now: float) -> None:
         fap = self.state.fap()
         served = [(t.index, t.zone) for t in self._terminals if t.call is not None and t.call.serving_ap == fap.identity]
         update = policy.fap_mode_update(fap, served)
         for terminal_id in update.shift_to_lifi:
-            t = self._terminals[terminal_id]
-            for i, _d in self._covering_lifi(t):
-                ap = self.state.aps[f"lifi{i}"]
-                if ap.free_slots > 0:
-                    self._execute_handover(t, now, HandoverKind.FEMTO_TO_LIFI, ap.identity)
-                    break
+            self._to_covering_lifi(self._terminals[terminal_id], now)
         if fap.occupied_slots == 0 and fap.mode is ApMode.ACTIVE:
             fap.mode = ApMode.IDLE
 
@@ -404,11 +390,10 @@ class _IndoorSim:
         if call is None:
             return
         if call.serving_kind is NetworkKind.LIFI:
-            dists = self._lifi_distances(t)
             gains = channel.optical_channel_gain(
-                channel.LinkGeometry(horizontal_distance_m=dists), self.cfg.optical
+                channel.LinkGeometry(horizontal_distance_m=self._dist[t.index]), self.cfg.optical
             )
-            serving_idx = int(call.serving_ap.removeprefix("lifi"))
+            serving_idx = _lifi_index(call.serving_ap)
             interferers = [float(g) for i, g in enumerate(gains) if i != serving_idx and g > 0]
             sinr = channel.optical_sinr(float(gains[serving_idx]), interferers, self.cfg.optical)
             bandwidth = self.cfg.optical.bandwidth_Hz
@@ -419,9 +404,11 @@ class _IndoorSim:
             sinr = channel.rf_sinr(rx, [], self.cfg.rf.noise_dBm(self.cfg.rf.femto_bandwidth_Hz))
             bandwidth = self.cfg.rf.femto_bandwidth_Hz
         capacity = channel.shannon_capacity(sinr.linear, bandwidth)
-        self.metrics.sinr_samples_db.append(sinr.db)
-        self.metrics.capacity_samples_bps.append(capacity)
-        self._by_kind[call.serving_kind].append((sinr.db, capacity))
+        self.metrics.sinr_db.add(sinr.db)
+        self.metrics.capacity_bps.add(capacity)
+        kind_sinr, kind_capacity = self._by_kind[call.serving_kind]
+        kind_sinr.add(sinr.db)
+        kind_capacity.add(capacity)
 
     def _check_slot_balance(self) -> None:
         active = sum(1 for t in self._terminals if t.call is not None)
@@ -437,7 +424,7 @@ class _IndoorSim:
             now = step * cfg.mobility.tick_s
             for t in self._terminals:
                 self._move(t, now)
-                self._update_zone(t, now)
+            self._locate(now)
             for t in self._terminals:
                 if t.call is not None and t.call.end_time_s <= now:
                     self._release_call(t, now)
@@ -462,27 +449,21 @@ class _IndoorSim:
 
     def _rank_networks(self) -> None:
         """Score the two networks from run aggregates and attach the ranking."""
-        if not self.metrics.capacity_samples_bps:
+        if not self.metrics.capacity_bps.count:
             return
-        lifi_aps = self.state.of_kind(NetworkKind.LIFI)
+        lifi_load = RunningMean()
+        for ap in self.state.of_kind(NetworkKind.LIFI):
+            lifi_load.add(ap.occupied_slots / ap.capacity_slots)
         fap = self.state.fap()
-        lifi_load = _mean([ap.occupied_slots / ap.capacity_slots for ap in lifi_aps])
         fap_load = fap.occupied_slots / fap.capacity_slots
-
-        def summarize(kind: NetworkKind) -> tuple[float, float]:
-            samples = self._by_kind[kind]
-            if not samples:
-                return 0.0, 0.0
-            return max(_mean([s for s, _ in samples]), 0.0), _mean([c for _, c in samples])
-
-        lifi_sinr, lifi_cap = summarize(NetworkKind.LIFI)
-        fap_sinr, fap_cap = summarize(NetworkKind.FAP)
+        lifi_sinr, lifi_cap = self._by_kind[NetworkKind.LIFI]
+        fap_sinr, fap_cap = self._by_kind[NetworkKind.FAP]
         scores = selection.AlternativeScores(
             values=(
-                (lifi_cap, lifi_sinr, 0.3, max(lifi_load, 1e-6)),
-                (fap_cap, fap_sinr, 0.7, max(fap_load, 1e-6)),
+                (lifi_cap.value, max(lifi_sinr.value, 0.0), 0.3, max(lifi_load.value, 1e-6)),
+                (fap_cap.value, max(fap_sinr.value, 0.0), 0.7, max(fap_load, 1e-6)),
             ),
-            modes=("benefit", "benefit", "benefit", "cost"),
+            modes=tuple(mode for _name, mode in AHP_CRITERIA),
         )
         weights, _cr = selection.derive_weights(self.cfg.ahp_pairwise)
         self.metrics.ahp_rank = selection.rank_networks(scores, weights)
@@ -543,10 +524,7 @@ def placement_idle_reference(
         result = policy.admit_new_call(request, state, ["lifi0"])
         if result.decision is AdmissionDecision.BLOCKED:
             continue
-        ap = state.aps[result.ap_id]
-        if ap.mode is ApMode.IDLE:
-            ap.mode = ApMode.ACTIVE
-        ap.occupied_slots += 1
+        state.aps[result.ap_id].occupy()
         if result.network is NetworkKind.FAP:
             fap_users.append((uid, zone))
     fap = state.aps["fap"]
@@ -560,8 +538,8 @@ def placement_idle_reference(
         for uid in update.shift_to_lifi:
             lifi = state.aps["lifi0"]
             if lifi.free_slots > 0:
-                lifi.occupied_slots += 1
-                fap.occupied_slots -= 1
+                lifi.occupy()
+                fap.release()
                 fap_users = [(u, z) for u, z in fap_users if u != uid]
                 shifted = True
         if not shifted:
@@ -601,7 +579,6 @@ def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[
     streams = spawn_streams(config.seed)
     model = monte_carlo_zone_model(plan, config.zone_samples, seed=config.seed)
     gen = streams["placement"]
-    centers = plan.centers_array()
     chunk = 20_000
     rows = []
     for p in user_counts:
@@ -620,8 +597,7 @@ def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[
             pts[..., 1] *= plan.room_y_m
             flat = pts.reshape(-1, 2)
             codes = classify_points(plan, flat).reshape(n, p)
-            d2 = ((flat[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            nearest = np.argmin(d2, axis=1).reshape(n, p)
+            nearest = np.argmin(plan.sq_distances(flat), axis=1).reshape(n, p)
             idle = lifi_assignment_idle(codes, nearest, plan.ap_count, config.lifi_slots)
             idle_count += int(idle.sum())
         empirical = idle_count / config.placements

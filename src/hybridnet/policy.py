@@ -85,6 +85,16 @@ class ApState:
     def free_slots(self) -> int:
         return self.capacity_slots - self.occupied_slots
 
+    def occupy(self) -> None:
+        """Take one slot, waking the AP if it idles."""
+        self.mode = ApMode.ACTIVE
+        self.occupied_slots += 1
+        self.check()
+
+    def release(self) -> None:
+        self.occupied_slots -= 1
+        self.check()
+
 
 @dataclass
 class NetworkState:

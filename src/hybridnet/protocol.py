@@ -20,8 +20,6 @@ import enum
 import io
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 class HandoverKind(enum.Enum):
     LIFI_TO_FEMTO = "lifi_to_femto"
@@ -48,23 +46,8 @@ class MessageKind(enum.Enum):
     LINK_DELETE = "link_delete"
 
 
-class Role(enum.Enum):
-    UE = "ue"
-    LIFI_AP = "lifi_ap"
-    FAP = "fap"
-    GATEWAY = "gateway"
-
-
 # Participant labels used by the step tables.
 UE, SERVING_LIFI, TARGET_LIFI, FAP, GW = "ue", "serving_lifi", "target_lifi", "fap", "gw"
-
-ROLE_OF_LABEL = {
-    UE: Role.UE,
-    SERVING_LIFI: Role.LIFI_AP,
-    TARGET_LIFI: Role.LIFI_AP,
-    FAP: Role.FAP,
-    GW: Role.GATEWAY,
-}
 
 K = MessageKind
 
@@ -177,27 +160,6 @@ def canonical_sequence(kind: HandoverKind) -> tuple[StepDescriptor, ...]:
     return tuple(StepDescriptor(n, k, s, r) for n, k, s, r in _TABLES[kind])
 
 
-def participants(kind: HandoverKind) -> tuple[str, ...]:
-    labels: list[str] = []
-    for n, k, s, r in _TABLES[kind]:
-        for label in (s, r):
-            if label not in labels:
-                labels.append(label)
-    return tuple(labels)
-
-
-@dataclass
-class Entity:
-    identity: str
-    role: Role
-    state: str = "attached"
-
-
-def build_topology(kind: HandoverKind) -> dict[str, Entity]:
-    """One entity per participant label of the flow."""
-    return {label: Entity(identity=label, role=ROLE_OF_LABEL[label]) for label in participants(kind)}
-
-
 @dataclass(frozen=True)
 class ProtocolMessage:
     step_number: int
@@ -212,35 +174,16 @@ class ProtocolMessage:
             raise ValueError("deliver time must not precede send time")
 
 
-class LatencyModel:
-    """Per-hop delay assignment; subclasses must be deterministic."""
-
-    def delay_s(self, step: StepDescriptor) -> float:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class FixedLatency(LatencyModel):
+class FixedLatency:
+    """The same delay on every hop."""
+
     per_hop_s: float = 0.005
 
     def delay_s(self, step: StepDescriptor) -> float:
         if self.per_hop_s < 0:
             raise ValueError("per-hop latency must be >= 0")
         return self.per_hop_s
-
-
-class SeededJitterLatency(LatencyModel):
-    """Uniform per-hop delay in [low, high), drawn from a seeded stream."""
-
-    def __init__(self, seed: int, low_s: float = 0.001, high_s: float = 0.01):
-        if low_s < 0 or high_s < low_s:
-            raise ValueError("need 0 <= low <= high")
-        self._gen = np.random.Generator(np.random.PCG64(seed))
-        self._low = low_s
-        self._high = high_s
-
-    def delay_s(self, step: StepDescriptor) -> float:
-        return float(self._gen.uniform(self._low, self._high))
 
 
 @dataclass(frozen=True)
@@ -276,8 +219,7 @@ class HandoverTrace:
 
 def run_handover(
     kind: HandoverKind,
-    topology: dict[str, Entity] | None = None,
-    latency_model: LatencyModel | None = None,
+    latency_model: FixedLatency | None = None,
     fault_plan: FaultPlan | None = None,
 ) -> HandoverTrace:
     """Execute one handover flow and return its trace.
@@ -288,10 +230,6 @@ def run_handover(
     already delivered stays in the trace.
     """
     steps = canonical_sequence(kind)
-    topo = build_topology(kind) if topology is None else topology
-    missing = [label for label in participants(kind) if label not in topo]
-    if missing:
-        raise ValueError(f"topology lacks required entities: {missing}")
     latency = latency_model if latency_model is not None else FixedLatency()
     faults = fault_plan if fault_plan is not None else FaultPlan()
 
@@ -306,7 +244,6 @@ def run_handover(
         send_time = clock
         if drops > allowed:
             # The failed attempts still burn time, then the run aborts.
-            topo[step.sender].state = f"failed_at_step_{step.step_number}"
             first_send = messages[0].send_time_s if messages else send_time
             fail_time = send_time + (allowed + 1) * delay
             return HandoverTrace(
@@ -328,8 +265,6 @@ def run_handover(
                 deliver_time_s=deliver_time,
             )
         )
-        topo[step.sender].state = f"sent_{step.kind.value}@{step.step_number}"
-        topo[step.receiver].state = f"got_{step.kind.value}@{step.step_number}"
         clock = deliver_time
     latency_total = messages[-1].deliver_time_s - messages[0].send_time_s if messages else 0.0
     return HandoverTrace(kind=kind, messages=tuple(messages), outcome="complete", failed_step=None, latency_s=latency_total)

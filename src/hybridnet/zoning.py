@@ -28,6 +28,9 @@ from .rng import substreams
 
 _MC_CHUNK = 1 << 18
 
+# Fewest samples the Monte Carlo zone model accepts.
+MIN_MC_SAMPLES = 10**4
+
 
 class Zone(enum.Enum):
     Z1 = 1
@@ -68,6 +71,15 @@ class GridPlan:
 
     def centers_array(self) -> np.ndarray:
         return np.asarray(self.ap_centers, dtype=float)
+
+    def sq_distances(self, points: np.ndarray) -> np.ndarray:
+        """(N, K) squared horizontal distances from (N, 2) points to the K LiFi APs."""
+        pts = np.asarray(points, dtype=float)
+        return ((pts[:, None, :] - self.centers_array()[None, :, :]) ** 2).sum(axis=2)
+
+    def covered(self, sq_distances: np.ndarray) -> np.ndarray:
+        """Which squared distances lie within the coverage radius."""
+        return sq_distances <= self.coverage_radius_m**2
 
 
 def plan_grid(a: float, b: float, r: float) -> GridPlan:
@@ -139,12 +151,9 @@ def classify_points(plan: GridPlan, points: np.ndarray) -> np.ndarray:
     a, b = plan.room_x_m, plan.room_y_m
     if np.any(pts[:, 0] < 0) or np.any(pts[:, 0] > a) or np.any(pts[:, 1] < 0) or np.any(pts[:, 1] > b):
         raise ValueError("point outside the room rectangle")
-    centers = plan.centers_array()
-    r2 = plan.coverage_radius_m**2
     inner2 = plan.inner_radius_m**2
-    d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    covered = d2 <= r2
-    n_cov = covered.sum(axis=1)
+    d2 = plan.sq_distances(pts)
+    n_cov = plan.covered(d2).sum(axis=1)
     d2_min = d2.min(axis=1)
     codes = np.where(n_cov >= 2, 4, np.where(n_cov == 0, 1, np.where(d2_min <= inner2, 2, 3)))
     return codes.astype(np.int8)
@@ -189,10 +198,10 @@ def monte_carlo_zone_model(plan: GridPlan, sample_count: int = 10**6, seed: int 
 
     Sampling is sharded into fixed-size chunks with independent substreams
     spawned from the seed and merged in shard order, so results are
-    reproducible and memory-bounded. Requires at least 10^4 samples.
+    reproducible and memory-bounded. Requires at least ``MIN_MC_SAMPLES``.
     """
-    if sample_count < 10**4:
-        raise ValueError("sample_count must be at least 10^4")
+    if sample_count < MIN_MC_SAMPLES:
+        raise ValueError(f"sample_count must be at least {MIN_MC_SAMPLES}")
     a, b = plan.room_x_m, plan.room_y_m
     n_chunks = (sample_count + _MC_CHUNK - 1) // _MC_CHUNK
     counts = np.zeros(4, dtype=np.int64)

@@ -1,5 +1,6 @@
 """Command-line surface tests: schemas, exit codes and byte determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -136,11 +137,22 @@ class TestExperiments:
             (["experiment", "fig19"], "transport: {vehicle: {in_vehicle_access: wifi}}\n",
              "transport.vehicle.in_vehicle_access"),
             (["experiment", "fig19"], "engine: {mobility: {tick_s: 0}}\n", "engine.mobility"),
-            (["indoor-sim"], "selection: {pairwise_matrix: [[1.0, 2.0], [0.6, 1.0]]}\n", "selection.pairwise_matrix"),
+            (["indoor-sim"], "selection: {pairwise_matrix: [[1.0, 2.0, 1.0, 1.0], [0.6, 1.0, 1.0, 1.0], "
+             "[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]}\n", "selection.pairwise_matrix"),
+            (["indoor-sim"], "selection: {pairwise_matrix: [[1.0, 3.0], [0.3333333333333333, 1.0]]}\n",
+             "selection.pairwise_matrix"),
             (["plan"], None, None),
+            (["experiment", "fig18"], "zoning: {mc_samples: 0}\n", "zoning.mc_samples"),
+            (["experiment", "fig19"], "transport: {fig19: {distance_count: -1}}\n", "transport.fig19.distance_count"),
+            (["experiment", "fig20"], "transport: {fig20: {distance_count: 0}}\n", "transport.fig20.distance_count"),
+            (["experiment", "fig21"], "transport: {fig21: {distance_count: 0}}\n", "transport.fig21.distance_count"),
+            (["experiment", "fig18"], "engine: {fig18: {spacing_count: 0}}\n", "engine.fig18.spacing_count"),
+            (["experiment", "fig16"], "engine: {fig16: {user_count_max: -1}}\n", "engine.fig16.user_count_max"),
         ],
         ids=["not-a-mapping", "unknown-key", "bool-for-int", "float-for-int", "leaf-for-mapping",
-             "bad-enum", "range-checked-everywhere", "non-reciprocal-ahp", "missing-file"],
+             "bad-enum", "range-checked-everywhere", "non-reciprocal-ahp", "ahp-not-4x4", "missing-file",
+             "mc-samples-below-minimum", "fig19-count-negative", "fig20-count-zero", "fig21-count-zero",
+             "fig18-count-zero", "fig16-user-max-negative"],
     )
     def test_unparsable_config_is_validation_error(self, tmp_path, capsys, argv, text, key):
         bad = tmp_path / "bad.yaml"
@@ -195,6 +207,27 @@ class TestIndoorSim:
         assert lines[0] == "metric,value"
         assert any(l.startswith("fap_idle_fraction,") for l in lines)
 
+    # sha256 of indoor_sim.csv as written under Python 3.11; the bytes must
+    # not depend on the Python version that runs the simulation.
+    @pytest.mark.parametrize(
+        "text,seed,digest",
+        [
+            (None, 0, "ff092e28f68416b74280d16040454ef60827e802dd7e16eda5d4e5cf3671796e"),
+            (None, 1, "6bd4675c0fb19641a7f6bc7ae6075635844c7fdb783617f3989c4630385728d1"),
+            ("engine:\n  user_count: 60\n  duration_s: 20.0\n"
+             "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 300.0}\n", 0,
+             "96d6ed1cdea75cfe07268d72b861b584ef932cefdf0392ff5d72f7768f8bd795"),
+        ],
+        ids=["default-seed0", "default-seed1", "loaded-20s-seed0"],
+    )
+    def test_golden_digest(self, tmp_path, text, seed, digest):
+        argv = ["indoor-sim", "--seed", str(seed), "--out", str(tmp_path)]
+        if text is not None:
+            (tmp_path / "scenario.yaml").write_text(text)
+            argv += ["--config", str(tmp_path / "scenario.yaml")]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256((tmp_path / "indoor_sim.csv").read_bytes()).hexdigest() == digest
+
     def test_env_seed_override(self, tmp_path, small_config, monkeypatch, capsys):
         out = tmp_path / "env"
         monkeypatch.setenv("HYBRIDNET_SEED", "123")
@@ -221,7 +254,8 @@ class TestConfig:
         path = tmp_path / "crit.yaml"
         path.write_text(
             "selection:\n"
-            "  pairwise_matrix: [[1.0, 3.0], [0.3333333333333333, 1.0]]\n"
+            "  pairwise_matrix: [[1.0, 3.0, 3.0, 3.0], [0.3333333333333333, 1.0, 1.0, 1.0],\n"
+            "                    [0.3333333333333333, 1.0, 1.0, 1.0], [0.3333333333333333, 1.0, 1.0, 1.0]]\n"
         )
         resolved = load_config(str(path))
         scenario = scenario_config(resolved, seed=1)

@@ -52,7 +52,7 @@ class TestSimulateIndoor:
         m1 = simulate_indoor(BUSY)
         m2 = simulate_indoor(BUSY)
         assert m1.csv_rows() == m2.csv_rows()
-        assert m1.sinr_samples_db == m2.sinr_samples_db
+        assert (m1.sinr_db, m1.capacity_bps) == (m2.sinr_db, m2.capacity_bps)
 
     def test_different_seeds_differ(self):
         m1 = simulate_indoor(BUSY)
@@ -64,7 +64,8 @@ class TestSimulateIndoor:
         metrics = simulate_indoor(BUSY)
         assert sum(metrics.admissions.values()) > 10
         assert metrics.calls_released > 0
-        assert metrics.sinr_samples_db
+        assert metrics.sinr_db.count > 0 and metrics.capacity_bps.count == metrics.sinr_db.count
+        assert metrics.handover_latency_s.count == sum(metrics.handovers.values())
 
     def test_zone_matches_position_after_run(self):
         sim = _IndoorSim(BUSY)

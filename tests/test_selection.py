@@ -69,11 +69,13 @@ class TestDeriveWeights:
 
     def test_flagging_threshold(self, tmp_path):
         path = tmp_path / "ahp.yaml"
-        inconsistent = np.array([[1.0, 9.0, 1 / 9], [1 / 9, 1.0, 9.0], [9.0, 1 / 9, 1.0]])
+        inconsistent = np.array(
+            [[1.0, 9.0, 1 / 9, 1.0], [1 / 9, 1.0, 9.0, 1.0], [9.0, 1 / 9, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]
+        )
         path.write_text(json.dumps({"selection": {"pairwise_matrix": inconsistent.tolist()}}))
         with pytest.raises(ValueError, match="selection.pairwise_matrix: consistency ratio"):
             load_config(path)
-        consistent = ratio_matrix([3.0, 2.0, 1.0])
+        consistent = ratio_matrix([4.0, 3.0, 2.0, 1.0])
         path.write_text(json.dumps({"selection": {"pairwise_matrix": consistent.tolist()}}))
         assert load_config(path)["selection"]["pairwise_matrix"] == consistent.tolist()
 
