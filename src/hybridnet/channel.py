@@ -201,7 +201,9 @@ def optical_sinr(serving_gain: float, interferer_gains, params: OpticalParams) -
         return SinrResult(0.0)
     scale = params.responsivity_A_per_W * params.tx_optical_power_W
     signal = (scale * serving_gain) ** 2
-    interference = sum((scale * g) ** 2 for g in interferer_gains)
+    interference = 0.0
+    for g in interferer_gains:  # left to right: float sum() is compensated from Python 3.12
+        interference += (scale * g) ** 2
     noise = params.noise_psd_A2_per_Hz * params.bandwidth_Hz
     return SinrResult(signal / (noise + interference))
 
@@ -252,6 +254,8 @@ def rf_sinr(serving_rx_dBm: float, interferer_rx_dBm, noise_dBm: float) -> SinrR
     if not math.isfinite(serving_rx_dBm) or not math.isfinite(noise_dBm):
         raise ValueError("powers must be finite dBm values")
     signal_mw = 10.0 ** (serving_rx_dBm / 10.0)
-    interference_mw = sum(10.0 ** (p / 10.0) for p in interferer_rx_dBm)
+    interference_mw = 0.0
+    for p in interferer_rx_dBm:  # left to right, as in optical_sinr
+        interference_mw += 10.0 ** (p / 10.0)
     noise_mw = 10.0 ** (noise_dBm / 10.0)
     return SinrResult(signal_mw / (noise_mw + interference_mw))

@@ -145,7 +145,8 @@ def cmd_plan(args) -> int:
     print(f"zone areas (m^2), analytic vs monte carlo ({args.samples} samples, seed {args.seed}):")
     for name, analytic, mc, prob in model.csv_rows():
         print(f"  {name}: analytic={analytic!r} mc={mc!r} prob={prob!r}")
-    residual = sum(model.analytic_areas_m2) - (a * b + model.analytic_areas_m2[3])
+    z1, z2, z3, z4 = model.analytic_areas_m2
+    residual = (z1 + z2 + z3 + z4) - (a * b + z4)  # not sum(): compensated from Python 3.12
     print(f"analytic residual (sum - ab - A_Z4): {residual!r}")
     return EXIT_OK
 

@@ -54,24 +54,15 @@ SECTIONS = {
 }
 
 # Keys that no dataclass carries: sweep ranges, counts and the AHP matrix.
+# A count is written as a (default, minimum) pair.
 EXTRA_KEYS = {
-    "zoning": {"mc_samples": 1 << 20},
+    "zoning": {"mc_samples": (1 << 20, MIN_MC_SAMPLES)},
     "selection": {"pairwise_matrix": [list(row) for row in DEFAULT_AHP_MATRIX]},
-    "engine.fig16": {"user_count_max": 20},
-    "engine.fig18": {"spacing_start_m": 0.0, "spacing_stop_m": 12.0, "spacing_count": 25},
-    "transport.fig19": {"distance_start_km": 0.1, "distance_stop_km": 1.0, "distance_count": 100},
-    "transport.fig20": {"distance_start_km": 0.1, "distance_stop_km": 1.0, "distance_count": 100},
-    "transport.fig21": {"distance_start_m": 5.0, "distance_stop_m": 50.0, "distance_count": 100},
-}
-
-# Lower bounds of the EXTRA_KEYS counts, by dotted key.
-EXTRA_MINIMA = {
-    "zoning.mc_samples": MIN_MC_SAMPLES,
-    "engine.fig16.user_count_max": 0,
-    "engine.fig18.spacing_count": 1,
-    "transport.fig19.distance_count": 1,
-    "transport.fig20.distance_count": 1,
-    "transport.fig21.distance_count": 1,
+    "engine.fig16": {"user_count_max": (20, 0)},
+    "engine.fig18": {"spacing_start_m": 0.0, "spacing_stop_m": 12.0, "spacing_count": (25, 1)},
+    "transport.fig19": {"distance_start_km": 0.1, "distance_stop_km": 1.0, "distance_count": (100, 1)},
+    "transport.fig20": {"distance_start_km": 0.1, "distance_stop_km": 1.0, "distance_count": (100, 1)},
+    "transport.fig21": {"distance_start_m": 5.0, "distance_stop_m": 50.0, "distance_count": (100, 1)},
 }
 
 
@@ -96,7 +87,9 @@ def _default_config() -> dict:
         for f in _key_fields(cls, skip):
             section[f.name] = f.default.value if isinstance(f.default, enum.Enum) else f.default
     for path, keys in EXTRA_KEYS.items():
-        _new_section(config, path).update(copy.deepcopy(keys))
+        section = _new_section(config, path)
+        for name, value in keys.items():
+            section[name] = value[0] if isinstance(value, tuple) else copy.deepcopy(value)
     return config
 
 
@@ -190,7 +183,7 @@ def load_config(path: str | Path | None) -> dict:
     """Resolved configuration: defaults overridden by the YAML file, if any.
 
     The whole file is checked, whatever the caller reads of it: every
-    section is built once, every count of ``EXTRA_MINIMA`` must reach its
+    section is built once, every count of ``EXTRA_KEYS`` must reach its
     minimum, and the AHP matrix must be a valid comparison matrix with one
     row per criterion of ``AHP_CRITERIA`` and a consistency ratio within
     ``CONSISTENCY_LIMIT``.
@@ -204,11 +197,11 @@ def load_config(path: str | Path | None) -> dict:
     config = deep_merge(DEFAULT_CONFIG, {} if data is None else data)
     for section in SECTIONS:
         build(config, section)
-    for key, minimum in EXTRA_MINIMA.items():
-        path, name = key.rsplit(".", 1)
-        value = _section(config, path)[name]
-        if value < minimum:
-            raise ValueError(f"{key}: must be at least {minimum}, got {value!r}")
+    for section_path, keys in EXTRA_KEYS.items():
+        for name, spec in keys.items():
+            value = _section(config, section_path)[name]
+            if isinstance(spec, tuple) and value < spec[1]:
+                raise ValueError(f"{section_path}.{name}: must be at least {spec[1]}, got {value!r}")
     _check_pairwise(config["selection"]["pairwise_matrix"])
     return config
 

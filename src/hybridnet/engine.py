@@ -207,10 +207,6 @@ class _Terminal:
     last_handover_s: float = float("-inf")
 
 
-def _lifi_index(ap_id: str) -> int:
-    return int(ap_id.removeprefix("lifi"))
-
-
 class _IndoorSim:
     """Single-run state; use :func:`simulate_indoor`."""
 
@@ -220,8 +216,10 @@ class _IndoorSim:
         self.streams = spawn_streams(config.seed)
         self.state = NetworkState()
         self.state.add(ApState("fap", NetworkKind.FAP, ApMode.IDLE, config.policy.fap_slots, 0))
-        for i in range(self.plan.ap_count):
-            self.state.add(ApState(f"lifi{i}", NetworkKind.LIFI, ApMode.ACTIVE, config.policy.lifi_slots, 0))
+        self._lifi_ids = [f"lifi{i}" for i in range(self.plan.ap_count)]
+        self._lifi_index = {ap_id: i for i, ap_id in enumerate(self._lifi_ids)}
+        for ap_id in self._lifi_ids:
+            self.state.add(ApState(ap_id, NetworkKind.LIFI, ApMode.ACTIVE, config.policy.lifi_slots, 0))
         self.metrics = Metrics()
         self.latency = FixedLatency(config.policy.per_hop_latency_s)
         self._next_call_id = 0
@@ -296,10 +294,10 @@ class _IndoorSim:
     def _covering(self, t: _Terminal) -> list[str]:
         """Identities of the LiFi APs covering the terminal, nearest first."""
         covered = self._covered[t.index]
-        return [f"lifi{i}" for i in self._nearest_first[t.index] if covered[i]]
+        return [self._lifi_ids[i] for i in self._nearest_first[t.index] if covered[i]]
 
     def _optical_rx_dB(self, t: _Terminal, ap_id: str) -> float:
-        horizontal_m = float(self._dist[t.index, _lifi_index(ap_id)])
+        horizontal_m = float(self._dist[t.index, self._lifi_index[ap_id]])
         gain = channel.optical_channel_gain(
             channel.LinkGeometry(horizontal_distance_m=horizontal_m), self.cfg.optical
         )
@@ -393,7 +391,7 @@ class _IndoorSim:
             gains = channel.optical_channel_gain(
                 channel.LinkGeometry(horizontal_distance_m=self._dist[t.index]), self.cfg.optical
             )
-            serving_idx = _lifi_index(call.serving_ap)
+            serving_idx = self._lifi_index[call.serving_ap]
             interferers = [float(g) for i, g in enumerate(gains) if i != serving_idx and g > 0]
             sinr = channel.optical_sinr(float(gains[serving_idx]), interferers, self.cfg.optical)
             bandwidth = self.cfg.optical.bandwidth_Hz
