@@ -162,8 +162,8 @@ def build(config: dict, path: str, **context):
         values[f.name] = value
     try:
         return cls(**values, **context)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:  # a message that starts with a key's name names the key
+        raise ValueError(f"{path}{'.' if str(exc).split(':')[0] in values else ': '}{exc}") from None
 
 
 def _check_pairwise(matrix) -> None:

@@ -35,7 +35,14 @@ from .policy import (
 )
 from .protocol import FixedLatency, HandoverKind, run_handover
 from .rng import spawn_streams
-from .zoning import GridPlan, Zone, classify_points, monte_carlo_zone_model, plan_grid
+from .zoning import MIN_MC_SAMPLES, GridPlan, Zone, classify_points, monte_carlo_zone_model, plan_grid
+
+
+def _check_minima(config, **minima: int) -> None:
+    """Raise ValueError, naming the field, if a count of ``config`` is below its minimum."""
+    for name, minimum in minima.items():
+        if getattr(config, name) < minimum:
+            raise ValueError(f"{name}: must be at least {minimum}, got {getattr(config, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -87,8 +94,7 @@ class PolicyConfig:
     per_hop_latency_s: float = 0.005
 
     def __post_init__(self):
-        if self.fap_slots <= 0 or self.lifi_slots <= 0:
-            raise ValueError("slot counts must be positive")
+        _check_minima(self, fap_slots=1, lifi_slots=1)
         if self.t_h_s <= 0 or self.t_h1_s <= 0:
             raise ValueError("dwell thresholds must be positive")
         if self.per_hop_latency_s < 0:
@@ -284,7 +290,7 @@ class _IndoorSim:
         self._dist = np.sqrt(d2)
         self._nearest_first = np.argsort(self._dist, axis=1, kind="stable").tolist()
         self._covered = self.plan.covered(d2).tolist()
-        for t, code in zip(self._terminals, classify_points(self.plan, pts).tolist()):
+        for t, code in zip(self._terminals, classify_points(self.plan, pts, d2).tolist()):
             zone = Zone(code)
             if zone is not t.zone:
                 t.timers.zone4_entry_time_s = now if zone is Zone.Z4 else None
@@ -483,24 +489,24 @@ class IdleExperimentConfig:
     lifi_slots: int = PolicyConfig.lifi_slots
     seed: int = 0
 
+    def __post_init__(self):
+        _check_minima(self, placements=1, zone_samples=MIN_MC_SAMPLES)
+
 
 def lifi_assignment_idle(codes: np.ndarray, nearest: np.ndarray, ap_count: int, lifi_slots: int) -> np.ndarray:
-    """Vectorized idle outcome for batches of user placements.
+    """Vectorized idle outcome of every user-count prefix of batched placements.
 
-    ``codes`` and ``nearest`` have shape (placements, users). The femtocell
-    ends idle exactly when no user sits in Zone 1 or Zone 4 and no covering
-    LiFi AP is asked for more users than it has slots; this matches the
-    sequential admission plus idle-mode pipeline, which tests verify.
+    ``codes``, ``nearest`` and the result have shape (placements, users);
+    entry (i, k) holds for users 0..k of placement i. The femtocell ends
+    idle exactly when none of them sits in Zone 1 or Zone 4 (a running OR)
+    and no covering LiFi AP is asked for more users than it has slots (a
+    running per-AP load, checked at the AP each user adds to); this matches
+    the sequential admission plus idle-mode pipeline, which tests verify.
     """
-    needs_fap = (codes == 1) | (codes == 4)
-    any_fap = needs_fap.any(axis=1)
-    on_lifi = (codes == 2) | (codes == 3)
-    n_place = codes.shape[0]
-    loads = np.zeros((n_place, ap_count), dtype=np.int64)
-    rows = np.repeat(np.arange(n_place), codes.shape[1])
-    np.add.at(loads, (rows, nearest.ravel()), on_lifi.ravel().astype(np.int64))
-    overflow = (loads > lifi_slots).any(axis=1)
-    return ~any_fap & ~overflow
+    needs_fap = np.logical_or.accumulate((codes == 1) | (codes == 4), axis=1)
+    on_ap = ((codes == 2) | (codes == 3))[..., None] & (nearest[..., None] == np.arange(ap_count))
+    load_at_ap = np.take_along_axis(np.cumsum(on_ap, axis=1, dtype=np.int32), nearest[..., None], axis=2)[..., 0]
+    return ~(needs_fap | np.logical_or.accumulate(load_at_ap > lifi_slots, axis=1))
 
 
 def placement_idle_reference(
@@ -570,36 +576,28 @@ def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[
     The empirical column places users uniformly at random and applies the
     admission and idle-mode rules; the closed-form column evaluates the
     two-term binomial bound on the same Monte Carlo zone probabilities.
+    Common random numbers: each chunk of placements draws the largest user
+    count's users in turn from its own generator, and p users are the first
+    p of them; so the empirical column is non-increasing in p, and no row
+    depends on the other counts requested.
     """
-    if not user_counts:
-        raise ValueError("user_counts must be non-empty")
+    if not user_counts or min(user_counts) < 0:
+        raise ValueError("user_counts must be non-empty and >= 0")
     plan = config.room.plan()
-    streams = spawn_streams(config.seed)
     model = monte_carlo_zone_model(plan, config.zone_samples, seed=config.seed)
-    gen = streams["placement"]
-    chunk = 20_000
-    rows = []
-    for p in user_counts:
-        if p < 0:
-            raise ValueError("user counts must be >= 0")
-        if p == 0:
-            rows.append((0, 1.0, 1.0))
-            continue
-        idle_count = 0
-        done = 0
-        while done < config.placements:
-            n = min(chunk, config.placements - done)
-            done += n
-            pts = gen.random((n, p, 2))
-            pts[..., 0] *= plan.room_x_m
-            pts[..., 1] *= plan.room_y_m
-            flat = pts.reshape(-1, 2)
-            codes = classify_points(plan, flat).reshape(n, p)
-            nearest = np.argmin(plan.sq_distances(flat), axis=1).reshape(n, p)
-            idle = lifi_assignment_idle(codes, nearest, plan.ap_count, config.lifi_slots)
-            idle_count += int(idle.sum())
-        empirical = idle_count / config.placements
-        rows.append((p, empirical, policy.fap_idle_probability(p, model.zone_probs)))
+    p_max, chunk = max(user_counts), 20_000
+    idle_counts = np.zeros(p_max + 1, dtype=np.int64)
+    idle_counts[0] = config.placements  # no active user: always idle
+    n_chunks = (config.placements + chunk - 1) // chunk
+    for i, gen in enumerate(spawn_streams(config.seed)["placement"].spawn(n_chunks)):
+        n = min(chunk, config.placements - i * chunk)
+        pts = (gen.random((p_max, n, 2)) * (plan.room_x_m, plan.room_y_m)).reshape(-1, 2)
+        d2 = plan.sq_distances(pts)
+        codes = classify_points(plan, pts, d2).reshape(p_max, n).T
+        nearest = d2.argmin(axis=1).reshape(p_max, n).T
+        idle_counts[1:] += lifi_assignment_idle(codes, nearest, plan.ap_count, config.lifi_slots).sum(axis=0)
+    rows = [(p, int(idle_counts[p]) / config.placements, policy.fap_idle_probability(p, model.zone_probs))
+            for p in user_counts]
     return rows, model
 
 
@@ -615,6 +613,9 @@ class FemtoSinrConfig:
     room: RoomConfig = RoomConfig()
     zone_samples: int = 1 << 20
     seed: int = 0
+
+    def __post_init__(self):
+        _check_minima(self, drops=1, zone_samples=MIN_MC_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -637,8 +638,6 @@ def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams | None = None) -
     All schemes share positions and thinning draws, so hybrid can never
     fall below pure on any drop.
     """
-    if config.drops < 1:
-        raise ValueError("at least one drop is required")
     rf = rf if rf is not None else RfParams()
     plan = config.room.plan()
     model = monte_carlo_zone_model(plan, config.zone_samples, seed=config.seed)
@@ -684,6 +683,9 @@ class HandoverSuccessConfig:
     coverage_radius_m: float = RoomConfig.coverage_radius_m
     crossings: int = 20_000
     seed: int = 0
+
+    def __post_init__(self):
+        _check_minima(self, crossings=1)
 
 
 def lifi_crossing_success_exact(ap_distance_m: float, coverage_radius_m: float) -> float:

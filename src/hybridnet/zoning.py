@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import substreams
+from .rng import spawn_streams
 
 _MC_CHUNK = 1 << 18
 
@@ -73,9 +73,10 @@ class GridPlan:
         return np.asarray(self.ap_centers, dtype=float)
 
     def sq_distances(self, points: np.ndarray) -> np.ndarray:
-        """(N, K) squared horizontal distances from (N, 2) points to the K LiFi APs."""
-        pts = np.asarray(points, dtype=float)
-        return ((pts[:, None, :] - self.centers_array()[None, :, :]) ** 2).sum(axis=2)
+        """(N, K) squared horizontal distances from (N, 2) points to the K LiFi APs, as ``dx*dx + dy*dy``."""
+        pts, centers = np.asarray(points, dtype=float), self.centers_array()
+        dx, dy = pts[:, 0, None] - centers[:, 0], pts[:, 1, None] - centers[:, 1]
+        return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
 
     def covered(self, sq_distances: np.ndarray) -> np.ndarray:
         """Which squared distances lie within the coverage radius."""
@@ -140,19 +141,20 @@ def analytic_zone_areas(plan: GridPlan) -> tuple[float, float, float, float]:
     return a_z1, a_z2, a_z3, a_z4
 
 
-def classify_points(plan: GridPlan, points: np.ndarray) -> np.ndarray:
+def classify_points(plan: GridPlan, points: np.ndarray, sq_distances: np.ndarray | None = None) -> np.ndarray:
     """Zone codes (1..4) for an (N, 2) array of in-room points.
 
     Precedence: two or more covering APs make Z4 regardless of the inner
     disk; a single covering AP splits Z2/Z3 on the inner radius; no
-    coverage is Z1.
+    coverage is Z1. A caller that also reads the AP distances passes
+    ``plan.sq_distances(points)``, so they are computed once.
     """
     pts = np.asarray(points, dtype=float)
     a, b = plan.room_x_m, plan.room_y_m
     if np.any(pts[:, 0] < 0) or np.any(pts[:, 0] > a) or np.any(pts[:, 1] < 0) or np.any(pts[:, 1] > b):
         raise ValueError("point outside the room rectangle")
     inner2 = plan.inner_radius_m**2
-    d2 = plan.sq_distances(pts)
+    d2 = plan.sq_distances(pts) if sq_distances is None else sq_distances
     n_cov = plan.covered(d2).sum(axis=1)
     d2_min = d2.min(axis=1)
     codes = np.where(n_cov >= 2, 4, np.where(n_cov == 0, 1, np.where(d2_min <= inner2, 2, 3)))
@@ -196,9 +198,10 @@ class ZoneModel:
 def monte_carlo_zone_model(plan: GridPlan, sample_count: int = 10**6, seed: int = 0) -> ZoneModel:
     """Estimate zone areas by classifying uniform samples over the room.
 
-    Sampling is sharded into fixed-size chunks with independent substreams
-    spawned from the seed and merged in shard order, so results are
-    reproducible and memory-bounded. Requires at least ``MIN_MC_SAMPLES``.
+    Sampling is sharded into fixed-size chunks, each with its own generator
+    spawned from the seed's ``zones`` stream, and merged in shard order, so
+    results are reproducible and memory-bounded. Requires at least
+    ``MIN_MC_SAMPLES``.
     """
     if sample_count < MIN_MC_SAMPLES:
         raise ValueError(f"sample_count must be at least {MIN_MC_SAMPLES}")
@@ -206,12 +209,10 @@ def monte_carlo_zone_model(plan: GridPlan, sample_count: int = 10**6, seed: int 
     n_chunks = (sample_count + _MC_CHUNK - 1) // _MC_CHUNK
     counts = np.zeros(4, dtype=np.int64)
     remaining = sample_count
-    for gen in substreams(seed, n_chunks):
+    for gen in spawn_streams(seed)["zones"].spawn(n_chunks):
         n = min(_MC_CHUNK, remaining)
         remaining -= n
-        pts = gen.random((n, 2))
-        pts[:, 0] *= a
-        pts[:, 1] *= b
+        pts = gen.random((n, 2)) * (a, b)
         codes = classify_points(plan, pts)
         counts += np.bincount(codes, minlength=5)[1:5]
     c = [int(v) for v in counts]

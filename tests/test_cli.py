@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hybridnet import cli
@@ -115,6 +116,29 @@ class TestExperiments:
             cli.main(["experiment", name, "--config", small_config, "--seed", "5", "--out", str(b)])
             assert (a / f"{name}.csv").read_bytes() == (b / f"{name}.csv").read_bytes()
 
+    @pytest.mark.parametrize("name", ["fig16", "fig17"])
+    def test_every_stream_of_a_run_is_distinct(self, tmp_path, monkeypatch, name):
+        # Record the seed sequence of every generator the run draws from, the
+        # ones Generator.spawn makes included; two equal (entropy, spawn key)
+        # pairs would draw the same numbers. Holding each generator keeps its id unique.
+        drawn = {}
+
+        class RecordingGenerator(np.random.Generator):
+            def __getattribute__(self, attr):
+                if not attr.startswith("_") and attr not in ("spawn", "bit_generator"):
+                    seq = super().__getattribute__("bit_generator").seed_seq
+                    drawn[id(self)] = (self, (seq.entropy, seq.spawn_key))
+                return super().__getattribute__(attr)
+
+        monkeypatch.setattr(np.random, "Generator", RecordingGenerator)
+        big = tmp_path / "big.yaml"  # four zone-model chunks, two placement chunks
+        big.write_text(SMALL_OVERRIDES.replace("16384", str(3 * (1 << 18) + 1))
+                       .replace("placements: 2000", "placements: 20001"))
+        assert cli.main(["experiment", name, "--config", str(big), "--out", str(tmp_path / "out")]) == 0
+        keys = [key for _gen, key in drawn.values()]
+        assert len(set(keys)) == len(keys), sorted(keys)
+        assert len(keys) == (6 if name == "fig16" else 5)
+
     def test_fig21_hybrid_dominates_row_wise(self, tmp_path, small_config):
         out = tmp_path / "fig21"
         cli.main(["experiment", "fig21", "--config", small_config, "--out", str(out)])
@@ -150,11 +174,20 @@ class TestExperiments:
             (["experiment", "fig21"], "transport: {fig21: {distance_count: 0}}\n", "transport.fig21.distance_count"),
             (["experiment", "fig18"], "engine: {fig18: {spacing_count: 0}}\n", "engine.fig18.spacing_count"),
             (["experiment", "fig16"], "engine: {fig16: {user_count_max: -1}}\n", "engine.fig16.user_count_max"),
+            (["experiment", "fig18"], "engine: {fig17: {zone_samples: 5}}\n", "engine.fig17.zone_samples"),
+            (["experiment", "fig17"], "engine: {fig17: {zone_samples: 5}}\n", "engine.fig17.zone_samples"),
+            (["experiment", "fig17"], "engine: {fig17: {drops: 0}}\n", "engine.fig17.drops"),
+            (["experiment", "fig16"], "engine: {fig16: {placements: 0}}\n", "engine.fig16.placements"),
+            (["indoor-sim"], "engine: {fig16: {zone_samples: 9999}}\n", "engine.fig16.zone_samples"),
+            (["experiment", "fig18"], "engine: {fig18: {crossings: 0}}\n", "engine.fig18.crossings"),
+            (["indoor-sim"], "policy: {lifi_slots: 0}\n", "policy.lifi_slots"),
         ],
         ids=["not-a-mapping", "unknown-key", "bool-for-int", "float-for-int", "leaf-for-mapping",
              "bad-enum", "range-checked-everywhere", "non-reciprocal-ahp", "ahp-not-4x4", "missing-file",
              "mc-samples-below-minimum", "fig19-count-negative", "fig20-count-zero", "fig21-count-zero",
-             "fig18-count-zero", "fig16-user-max-negative"],
+             "fig18-count-zero", "fig16-user-max-negative", "fig17-zone-samples-checked-everywhere",
+             "fig17-zone-samples-below-minimum", "fig17-drops-zero", "fig16-placements-zero",
+             "fig16-zone-samples-below-minimum", "fig18-crossings-zero", "lifi-slots-zero"],
     )
     def test_unparsable_config_is_validation_error(self, tmp_path, capsys, argv, text, key):
         bad = tmp_path / "bad.yaml"

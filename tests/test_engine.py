@@ -115,11 +115,24 @@ class TestIdleProbabilityExperiment:
         assert rows[0] == (0, 1.0, 1.0)
 
     def test_columns_monotone_non_increasing(self):
-        rows, _ = idle_probability_experiment(self.CFG, [0, 2, 5, 10, 15])
+        # Every user count reads the same placements, so the empirical
+        # column is monotone exactly, not just within sampling noise.
+        rows, _ = idle_probability_experiment(self.CFG, list(range(21)))
         empirical = [r[1] for r in rows]
         closed = [r[2] for r in rows]
         assert all(a >= b for a, b in zip(empirical, empirical[1:]))
         assert all(a >= b for a, b in zip(closed, closed[1:]))
+        assert empirical[0] == 1.0 and empirical[-1] < empirical[1]
+
+    def test_row_does_not_depend_on_the_other_counts(self):
+        cfg = IdleExperimentConfig(placements=45_000, zone_samples=16_384, seed=3)  # three chunks, the last partial
+        rows = {}
+        for counts in ([3], [1, 3, 6, 12], list(range(21))):
+            got, _ = idle_probability_experiment(cfg, counts)
+            rows[tuple(counts)] = {p: (empirical, bound) for p, empirical, bound in got}
+        assert rows[(3,)][3] == rows[(1, 3, 6, 12)][3] == rows[tuple(range(21))][3]
+        for p in (1, 6, 12):
+            assert rows[(1, 3, 6, 12)][p] == rows[tuple(range(21))][p]
 
     def test_empirical_below_closed_form_bound(self):
         rows, _ = idle_probability_experiment(self.CFG, [1, 3, 6, 12])
@@ -138,7 +151,18 @@ class TestIdleProbabilityExperiment:
             d2 = ((pts[:, None, :] - plan.centers_array()[None, :, :]) ** 2).sum(axis=2)
             nearest = np.argmin(d2, axis=1)
             fast = lifi_assignment_idle(codes[None, :], nearest[None, :], plan.ap_count, 10)[0]
-            assert bool(fast) == placement_idle_reference(zones, lifi_slots=10, fap_slots=8)
+            assert fast.shape == (p,)
+            for k in range(1, p + 1):  # every prefix of the users is a placement of k users
+                assert bool(fast[k - 1]) == placement_idle_reference(zones[:k], lifi_slots=10, fap_slots=8)
+
+    def test_prefix_overflow_of_one_ap(self):
+        # Three users in Zone 2 under AP 0 with two LiFi slots: the third overflows,
+        # and every longer prefix stays non-idle even when the next user fits elsewhere.
+        codes = np.array([[2, 2, 2, 3]])
+        nearest = np.array([[0, 0, 0, 1]])
+        idle = lifi_assignment_idle(codes, nearest, ap_count=2, lifi_slots=2)
+        assert idle.tolist() == [[True, True, False, False]]
+        assert lifi_assignment_idle(codes, np.array([[0, 1, 0, 1]]), 2, 2).tolist() == [[True] * 4]
 
     def test_exhaustive_enumeration_matches_closed_form(self):
         model = monte_carlo_zone_model(plan_grid(24.0, 24.0, 5.0), 65_536, seed=5)
