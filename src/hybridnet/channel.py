@@ -14,7 +14,7 @@ Conventions:
   * dB/linear conversion is always ``10 * log10``.
 
 All functions are pure and accept floats or numpy arrays for the distance
-arguments.
+arguments; the SINR functions also take a batch of links.
 """
 
 from __future__ import annotations
@@ -171,41 +171,67 @@ def optical_channel_gain(geometry: LinkGeometry, params: OpticalParams):
     return float(out) if np.isscalar(geometry.horizontal_distance_m) else out
 
 
+def _to_db(linear: float) -> float:
+    return 10.0 * math.log10(linear) if linear > 0 else float("-inf")
+
+
 class SinrResult(tuple):
-    """(linear, dB) pair; dB is -inf when the linear ratio is 0."""
+    """(linear, dB) pair; dB is -inf when the linear ratio is 0.
+
+    For a batch of links the linear part is an array and the dB part a list,
+    each value from ``math.log10``: ``np.log10`` can differ from it in the
+    last bit.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, linear: float):
-        db = 10.0 * math.log10(linear) if linear > 0 else float("-inf")
+    def __new__(cls, linear):
+        db = [_to_db(v) for v in linear.tolist()] if isinstance(linear, np.ndarray) else _to_db(linear)
         return super().__new__(cls, (linear, db))
 
     @property
-    def linear(self) -> float:
+    def linear(self):
         return self[0]
 
     @property
-    def db(self) -> float:
+    def db(self):
         return self[1]
 
 
-def optical_sinr(serving_gain: float, interferer_gains, params: OpticalParams) -> SinrResult:
+def _sinr(signal, interference_terms, noise) -> SinrResult:
+    """Signal over noise plus interference, for one link or a batch of links.
+
+    ``interference_terms`` holds one row of terms per link. They are added
+    column by column, left to right, so a batch equals per-link calls bit
+    for bit: numpy's pairwise ``sum`` reorders eight or more terms, and a
+    float ``sum()`` is compensated from Python 3.12.
+    """
+    interference = np.zeros(np.shape(signal))
+    for term in np.moveaxis(interference_terms, -1, 0):
+        interference = interference + term
+    linear = signal / (noise + interference)
+    return SinrResult(linear if np.ndim(linear) else float(linear))
+
+
+def optical_sinr(serving_gain, interferer_gains, params: OpticalParams) -> SinrResult:
     """Electrical-domain SINR: squared signal over noise plus squared interference.
 
     Signal and each interference term are ``(responsivity * P_t * H)^2``;
-    the noise floor is ``N_0 * B_o``.
+    the noise floor is ``N_0 * B_o``. A batch of M links passes an (M,)
+    array of serving gains and an (M, K) array of interferer gains, one row
+    per link; a zero gain adds nothing.
     """
-    if serving_gain < 0 or any(g < 0 for g in interferer_gains):
+    serving = np.asarray(serving_gain, dtype=float)
+    interferers = np.asarray(interferer_gains, dtype=float)
+    if np.any(serving < 0) or np.any(interferers < 0):
         raise ValueError("channel gains must be >= 0")
-    if serving_gain == 0.0:
-        return SinrResult(0.0)
     scale = params.responsivity_A_per_W * params.tx_optical_power_W
-    signal = (scale * serving_gain) ** 2
-    interference = 0.0
-    for g in interferer_gains:  # left to right: float sum() is compensated from Python 3.12
-        interference += (scale * g) ** 2
-    noise = params.noise_psd_A2_per_Hz * params.bandwidth_Hz
-    return SinrResult(signal / (noise + interference))
+    # float_power(x, 2.0) is libm's pow, as Python's x**2 is; np.square is x*x and can differ in the last bit.
+    return _sinr(
+        np.float_power(scale * serving, 2.0),
+        np.float_power(scale * interferers, 2.0),
+        params.noise_psd_A2_per_Hz * params.bandwidth_Hz,
+    )
 
 
 def shannon_capacity(sinr_linear, bandwidth_Hz):
@@ -249,13 +275,18 @@ def femto_path_loss(distance_m, rf: RfParams, wall_count: int | None = None):
     return float(loss) if np.isscalar(distance_m) else loss
 
 
-def rf_sinr(serving_rx_dBm: float, interferer_rx_dBm, noise_dBm: float) -> SinrResult:
-    """Compose received powers into an SINR: linear signal over noise plus interference."""
-    if not math.isfinite(serving_rx_dBm) or not math.isfinite(noise_dBm):
+def rf_sinr(serving_rx_dBm, interferer_rx_dBm, noise_dBm: float) -> SinrResult:
+    """Compose received powers into an SINR: linear signal over noise plus interference.
+
+    Batches like :func:`optical_sinr`: an (M,) array of serving powers with
+    one row of interferer powers per link.
+    """
+    serving = np.asarray(serving_rx_dBm, dtype=float)
+    if not np.all(np.isfinite(serving)) or not math.isfinite(noise_dBm):
         raise ValueError("powers must be finite dBm values")
-    signal_mw = 10.0 ** (serving_rx_dBm / 10.0)
-    interference_mw = 0.0
-    for p in interferer_rx_dBm:  # left to right, as in optical_sinr
-        interference_mw += 10.0 ** (p / 10.0)
-    noise_mw = 10.0 ** (noise_dBm / 10.0)
-    return SinrResult(signal_mw / (noise_mw + interference_mw))
+    # float_power(10, x) is libm's pow, as Python's 10.0 ** x is.
+    return _sinr(
+        np.float_power(10.0, serving / 10.0),
+        np.float_power(10.0, np.asarray(interferer_rx_dBm, dtype=float) / 10.0),
+        np.float_power(10.0, noise_dBm / 10.0),
+    )

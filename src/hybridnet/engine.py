@@ -389,30 +389,46 @@ class _IndoorSim:
         if fap.occupied_slots == 0 and fap.mode is ApMode.ACTIVE:
             fap.mode = ApMode.IDLE
 
-    def _sample_link_quality(self, t: _Terminal) -> None:
-        call = t.call
-        if call is None:
-            return
-        if call.serving_kind is NetworkKind.LIFI:
-            gains = channel.optical_channel_gain(
-                channel.LinkGeometry(horizontal_distance_m=self._dist[t.index]), self.cfg.optical
-            )
-            serving_idx = self._lifi_index[call.serving_ap]
-            interferers = [float(g) for i, g in enumerate(gains) if i != serving_idx and g > 0]
-            sinr = channel.optical_sinr(float(gains[serving_idx]), interferers, self.cfg.optical)
-            bandwidth = self.cfg.optical.bandwidth_Hz
-        else:
-            fx, fy = self.plan.fap_center
-            dist = max(math.hypot(t.x - fx, t.y - fy), 0.1)
-            rx = self.cfg.rf.fap_tx_dBm - channel.femto_path_loss(dist, self.cfg.rf, wall_count=0)
-            sinr = channel.rf_sinr(rx, [], self.cfg.rf.noise_dBm(self.cfg.rf.femto_bandwidth_Hz))
-            bandwidth = self.cfg.rf.femto_bandwidth_Hz
-        capacity = channel.shannon_capacity(sinr.linear, bandwidth)
-        self.metrics.sinr_db.add(sinr.db)
-        self.metrics.capacity_bps.add(capacity)
-        kind_sinr, kind_capacity = self._by_kind[call.serving_kind]
-        kind_sinr.add(sinr.db)
-        kind_capacity.add(capacity)
+    def _sample_link_quality(self) -> None:
+        """Add the SINR and capacity of every in-call terminal to the run means, in terminal order.
+
+        The links of each network are sampled in one batched channel pass,
+        which equals per-link calls bit for bit (README, Determinism).
+        """
+        in_call = [t for t in self._terminals if t.call is not None]
+        samples = {}
+        for kind, links in ((NetworkKind.LIFI, self._lifi_links), (NetworkKind.FAP, self._femto_links)):
+            served = [t for t in in_call if t.call.serving_kind is kind]
+            if served:
+                sinr, bandwidth = links(served)
+                capacities = channel.shannon_capacity(sinr.linear, bandwidth).tolist()
+                samples.update(zip((t.index for t in served), zip(sinr.db, capacities)))
+        for t in in_call:
+            sinr_db, capacity = samples[t.index]
+            self.metrics.sinr_db.add(sinr_db)
+            self.metrics.capacity_bps.add(capacity)
+            kind_sinr, kind_capacity = self._by_kind[t.call.serving_kind]
+            kind_sinr.add(sinr_db)
+            kind_capacity.add(capacity)
+
+    def _lifi_links(self, served: list[_Terminal]) -> tuple[channel.SinrResult, float]:
+        """SINRs of LiFi-served terminals from their (M, K) gain rows; every other AP interferes."""
+        links = np.arange(len(served))
+        serving_idx = [self._lifi_index[t.call.serving_ap] for t in served]
+        gains = channel.optical_channel_gain(
+            channel.LinkGeometry(horizontal_distance_m=self._dist[[t.index for t in served]]), self.cfg.optical
+        )
+        serving = gains[links, serving_idx]
+        gains[links, serving_idx] = 0.0
+        return channel.optical_sinr(serving, gains, self.cfg.optical), self.cfg.optical.bandwidth_Hz
+
+    def _femto_links(self, served: list[_Terminal]) -> tuple[channel.SinrResult, float]:
+        """SINRs of femtocell-served terminals; the femtocell has no interferer indoors."""
+        rf = self.cfg.rf
+        fx, fy = self.plan.fap_center
+        dist = np.asarray([max(math.hypot(t.x - fx, t.y - fy), 0.1) for t in served])
+        rx = rf.fap_tx_dBm - channel.femto_path_loss(dist, rf, wall_count=0)
+        return channel.rf_sinr(rx, [], rf.noise_dBm(rf.femto_bandwidth_Hz)), rf.femto_bandwidth_Hz
 
     def _check_slot_balance(self) -> None:
         active = sum(1 for t in self._terminals if t.call is not None)
@@ -441,8 +457,7 @@ class _IndoorSim:
             for t in self._terminals:
                 self._evaluate_handover(t, now)
             self._apply_idle_mode(now)
-            for t in self._terminals:
-                self._sample_link_quality(t)
+            self._sample_link_quality()
             self._check_slot_balance()
             if self.state.fap().mode is ApMode.IDLE:
                 idle_ticks += 1
@@ -712,7 +727,7 @@ def handover_success_experiment(config: HandoverSuccessConfig, spacings: list[fl
     """
     if not spacings or any(d < 0 for d in spacings):
         raise ValueError("spacings must be non-empty and non-negative")
-    gen = spawn_streams(config.seed)["drops"]
+    gen = spawn_streams(config.seed)["crossings"]
     r = config.coverage_radius_m
     rows = []
     for d_apart in spacings:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 # Fixed label order; appending new labels keeps existing streams stable.
-STREAM_LABELS = ("mobility", "traffic", "drops", "placement", "zones")
+STREAM_LABELS = ("mobility", "traffic", "drops", "placement", "zones", "crossings")
 
 
 def spawn_streams(seed: int) -> dict[str, np.random.Generator]:

@@ -27,6 +27,9 @@ import numpy as np
 from .rng import spawn_streams
 
 _MC_CHUNK = 1 << 18
+# Points classified at once within a chunk: bounds the (points, APs)
+# distance matrices, about 16 MB each at 121 APs.
+_CLASSIFY_SLICE = 1 << 14
 
 # Fewest samples the Monte Carlo zone model accepts.
 MIN_MC_SAMPLES = 10**4
@@ -195,13 +198,13 @@ class ZoneModel:
         ]
 
 
-def monte_carlo_zone_model(plan: GridPlan, sample_count: int = 10**6, seed: int = 0) -> ZoneModel:
+def monte_carlo_zone_model(plan: GridPlan, sample_count: int, seed: int = 0) -> ZoneModel:
     """Estimate zone areas by classifying uniform samples over the room.
 
     Sampling is sharded into fixed-size chunks, each with its own generator
     spawned from the seed's ``zones`` stream, and merged in shard order, so
-    results are reproducible and memory-bounded. Requires at least
-    ``MIN_MC_SAMPLES``.
+    results are reproducible. Each chunk is classified in slices, so memory
+    stays bounded at large AP counts. Requires at least ``MIN_MC_SAMPLES``.
     """
     if sample_count < MIN_MC_SAMPLES:
         raise ValueError(f"sample_count must be at least {MIN_MC_SAMPLES}")
@@ -213,8 +216,9 @@ def monte_carlo_zone_model(plan: GridPlan, sample_count: int = 10**6, seed: int 
         n = min(_MC_CHUNK, remaining)
         remaining -= n
         pts = gen.random((n, 2)) * (a, b)
-        codes = classify_points(plan, pts)
-        counts += np.bincount(codes, minlength=5)[1:5]
+        for start in range(0, n, _CLASSIFY_SLICE):
+            codes = classify_points(plan, pts[start:start + _CLASSIFY_SLICE])
+            counts += np.bincount(codes, minlength=5)[1:5]
     c = [int(v) for v in counts]
     # Close the partition on Z4: the first three probabilities are the
     # exact count ratios and the last is 1 minus their running float sum,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +131,65 @@ class TestOpticalSinr:
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):
             optical_sinr(-1e-9, [], TABLE)
+
+
+class TestBatchedSinr:
+    """A batch of links equals one call per link, bit for bit."""
+
+    def test_optical_rows_equal_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        gains = optical_channel_gain(LinkGeometry(rng.uniform(0.0, 12.0, size=(2_000, 9))), TABLE)
+        gains[rng.random(gains.shape) < 0.2] = 0.0
+        serving = rng.uniform(0.0, 1e-5, size=2_000)
+        serving[:5] = 0.0
+        batch = optical_sinr(serving, gains, TABLE)
+        scale = TABLE.responsivity_A_per_W * TABLE.tx_optical_power_W
+        for i, (h, row) in enumerate(zip(serving.tolist(), gains.tolist())):
+            single = optical_sinr(h, [g for g in row if g > 0], TABLE)
+            assert (batch.linear[i], batch.db[i]) == (single.linear, single.db)
+            interference = 0.0  # the formula on Python floats, terms left to right
+            for g in row:
+                interference += (scale * g) ** 2
+            assert single.linear == (scale * h) ** 2 / (TABLE.noise_psd_A2_per_Hz * TABLE.bandwidth_Hz + interference)
+        assert batch.linear[0] == 0.0 and batch.db[0] == float("-inf")
+
+    def test_rf_rows_equal_scalar_calls(self):
+        serving = np.random.default_rng(4).uniform(-110.0, -30.0, size=500)
+        batch = rf_sinr(serving, [], -104.0)
+        for i, rx in enumerate(serving.tolist()):
+            single = rf_sinr(rx, [], -104.0)
+            assert (batch.linear[i], batch.db[i]) == (single.linear, single.db)
+            assert single.linear == 10.0 ** (rx / 10.0) / 10.0 ** (-104.0 / 10.0)
+
+
+class TestFloatRules:
+    """Platform assumptions the batched link sampler relies on to keep its bytes.
+
+    A numpy build that breaks one of them moves ``indoor_sim.csv``; these
+    tests name the rule that broke.
+    """
+
+    def test_float_power_square_is_python_square(self):
+        x = np.random.default_rng(5).uniform(0.0, 1e-4, size=20_000) * 3.18
+        assert np.float_power(x, 2.0).tolist() == [v**2 for v in x.tolist()]
+
+    def test_float_power_of_ten_is_python_power(self):
+        y = np.random.default_rng(6).uniform(-20.0, 5.0, size=20_000)
+        assert np.float_power(10.0, y).tolist() == [10.0**v for v in y.tolist()]
+
+    def test_gain_matrix_rows_are_row_gains(self):
+        dist = np.random.default_rng(7).uniform(0.0, 20.0, size=(2_000, 9))
+        matrix = optical_channel_gain(LinkGeometry(dist), TABLE)
+        for row, gains in zip(dist, matrix):
+            assert optical_channel_gain(LinkGeometry(row), TABLE).tolist() == gains.tolist()
+
+    def test_vector_femto_loss_is_scalar_loss(self):
+        z = np.random.default_rng(9).uniform(0.1, 20.0, size=20_000)
+        assert femto_path_loss(z, RF, wall_count=0).tolist() == [femto_path_loss(v, RF, wall_count=0) for v in z.tolist()]
+
+    def test_vector_log2_is_scalar_log2(self):
+        x = np.random.default_rng(8).uniform(0.0, 1e6, size=20_000)
+        assert shannon_capacity(x, 20e6).tolist() == [shannon_capacity(v, 20e6) for v in x.tolist()]
 
 
 class TestShannonCapacity:

@@ -116,9 +116,9 @@ class TestExperiments:
             cli.main(["experiment", name, "--config", small_config, "--seed", "5", "--out", str(b)])
             assert (a / f"{name}.csv").read_bytes() == (b / f"{name}.csv").read_bytes()
 
-    @pytest.mark.parametrize("name", ["fig16", "fig17"])
-    def test_every_stream_of_a_run_is_distinct(self, tmp_path, monkeypatch, name):
-        # Record the seed sequence of every generator the run draws from, the
+    @staticmethod
+    def _record_streams(monkeypatch) -> dict:
+        # Record the seed sequence of every generator a run draws from, the
         # ones Generator.spawn makes included; two equal (entropy, spawn key)
         # pairs would draw the same numbers. Holding each generator keeps its id unique.
         drawn = {}
@@ -131,6 +131,11 @@ class TestExperiments:
                 return super().__getattribute__(attr)
 
         monkeypatch.setattr(np.random, "Generator", RecordingGenerator)
+        return drawn
+
+    @pytest.mark.parametrize("name", ["fig16", "fig17"])
+    def test_every_stream_of_a_run_is_distinct(self, tmp_path, monkeypatch, name):
+        drawn = self._record_streams(monkeypatch)
         big = tmp_path / "big.yaml"  # four zone-model chunks, two placement chunks
         big.write_text(SMALL_OVERRIDES.replace("16384", str(3 * (1 << 18) + 1))
                        .replace("placements: 2000", "placements: 20001"))
@@ -138,6 +143,14 @@ class TestExperiments:
         keys = [key for _gen, key in drawn.values()]
         assert len(set(keys)) == len(keys), sorted(keys)
         assert len(keys) == (6 if name == "fig16" else 5)
+
+    def test_fig17_and_fig18_draw_from_distinct_streams(self, tmp_path, monkeypatch, small_config):
+        drawn = self._record_streams(monkeypatch)
+        for name in ("fig17", "fig18"):
+            argv = ["experiment", name, "--config", small_config, "--seed", "3", "--out", str(tmp_path / name)]
+            assert cli.main(argv) == 0
+        keys = [key for _gen, key in drawn.values()]
+        assert len(set(keys)) == len(keys), sorted(keys)
 
     def test_fig21_hybrid_dominates_row_wise(self, tmp_path, small_config):
         out = tmp_path / "fig21"
@@ -255,8 +268,11 @@ class TestIndoorSim:
             ("engine:\n  user_count: 60\n  duration_s: 20.0\n"
              "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 300.0}\n", 0,
              "96d6ed1cdea75cfe07268d72b861b584ef932cefdf0392ff5d72f7768f8bd795"),
+            ("engine:\n  user_count: 100\n  duration_s: 20.0\n"
+             "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 300.0}\n", 0,
+             "b72ef50a288cc40d3b1ae5ccecd8de5a915b80ab53f0a90360d86fd399666f81"),
         ],
-        ids=["default-seed0", "default-seed1", "loaded-20s-seed0"],
+        ids=["default-seed0", "default-seed1", "loaded-20s-seed0", "lifi-heavy-100-users-20s-seed0"],
     )
     def test_golden_digest(self, tmp_path, monkeypatch, text, seed, digest, exact_float_sum):
         if exact_float_sum:
