@@ -82,7 +82,6 @@ class RfParams:
     building_wall_loss_dB: float = 20.0
     vehicle_wall_loss_dB: float = 10.0
     femto_loss_coeff: float = 28.0
-    wall_count: int = 0
     noise_psd_dBm_per_Hz: float = -174.0
     macro_bandwidth_Hz: float = 10e6
     femto_bandwidth_Hz: float = 10e6
@@ -107,25 +106,6 @@ class RfParams:
         return self.noise_psd_dBm_per_Hz + 10.0 * math.log10(bandwidth_Hz)
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Relative geometry of one link.
-
-    ``vertical_offset_m`` of None falls back to the AP height carried by
-    the optical parameters.
-    """
-
-    horizontal_distance_m: float = 0.0
-    vertical_offset_m: float | None = None
-    obstacle_class: ObstacleClass = ObstacleClass.NONE
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.horizontal_distance_m) < 0):
-            raise ValueError("horizontal distance must be >= 0")
-        if self.vertical_offset_m is not None and self.vertical_offset_m < 0:
-            raise ValueError("vertical offset must be >= 0")
-
-
 def lambertian_index(half_intensity_angle_deg: float) -> float:
     """Emission order of a Lambertian LED: ln 2 / ln(1 / cos(theta_1/2)).
 
@@ -148,17 +128,18 @@ def concentrator_gain(incidence_angle_deg, params: OpticalParams):
     return float(out) if np.isscalar(incidence_angle_deg) else out
 
 
-def optical_channel_gain(geometry: LinkGeometry, params: OpticalParams):
+def optical_channel_gain(horizontal_distance_m, params: OpticalParams):
     """LOS optical channel gain for a down-facing AP over an up-facing PD.
 
     Returns ``(m+1) A / (2 pi d^2) * g * T_s * cos^m(phi) * cos(theta)``
-    with ``d^2 = l^2 + h^2`` when the incidence angle is inside the FOV,
-    and exactly 0 beyond it. ``horizontal_distance_m`` may be an array.
+    with ``d^2 = l^2 + h^2`` and ``h = params.ap_height_m`` when the
+    incidence angle is inside the FOV, and exactly 0 beyond it.
+    ``horizontal_distance_m`` may be an array; every entry must be >= 0.
     """
-    h = params.ap_height_m if geometry.vertical_offset_m is None else geometry.vertical_offset_m
-    if h <= 0:
-        raise ValueError("degenerate geometry: AP and receiver planes coincide")
-    l = np.asarray(geometry.horizontal_distance_m, dtype=float)
+    h = params.ap_height_m
+    l = np.asarray(horizontal_distance_m, dtype=float)
+    if np.any(l < 0):
+        raise ValueError("horizontal distance must be >= 0")
     m = lambertian_index(params.half_intensity_angle_deg)
     d2 = l * l + h * h
     cos_theta = h / np.sqrt(d2)
@@ -168,7 +149,7 @@ def optical_channel_gain(geometry: LinkGeometry, params: OpticalParams):
     gain = (m + 1.0) * params.pd_area_m2 / (2.0 * math.pi * d2)
     gain = gain * g * params.filter_gain * cos_theta**m * cos_theta
     out = np.where(cos_theta >= cos_fov, gain, 0.0)
-    return float(out) if np.isscalar(geometry.horizontal_distance_m) else out
+    return float(out) if np.isscalar(horizontal_distance_m) else out
 
 
 def _to_db(linear: float) -> float:
@@ -265,12 +246,12 @@ def macro_path_loss(distance_km, rf: RfParams, obstacle: ObstacleClass = Obstacl
     return float(loss) if np.isscalar(distance_km) else loss
 
 
-def femto_path_loss(distance_m, rf: RfParams, wall_count: int | None = None):
-    """Indoor femtocell path loss ``20 log f + N log z + 4 q^2 - 28`` in dB."""
+def femto_path_loss(distance_m, rf: RfParams, wall_count: int):
+    """Indoor femtocell path loss ``20 log f + N log z + 4 q^2 - 28`` in dB through ``q = wall_count`` walls."""
     z = np.asarray(distance_m, dtype=float)
     if np.any(z <= 0):
         raise ValueError("femto distance must be > 0 m")
-    q = rf.wall_count if wall_count is None else wall_count
+    q = wall_count
     loss = 20.0 * math.log10(rf.center_freq_MHz) + rf.femto_loss_coeff * np.log10(z) + 4.0 * q * q - 28.0
     return float(loss) if np.isscalar(distance_m) else loss
 

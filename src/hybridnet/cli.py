@@ -5,8 +5,9 @@ Common flags (``--config``, ``--seed``, ``--out``, ``--samples``) fall back
 to ``HYBRIDNET_CONFIG``, ``HYBRIDNET_SEED``, ``HYBRIDNET_OUT`` and
 ``HYBRIDNET_SAMPLES``. Every command reads the config file; ``--room``,
 ``--radius``, ``--samples`` and ``--per-hop-ms`` fall back to its
-``zoning`` and ``protocol`` keys. Exit codes: 0 success, 2 validation
-failure, 3 runtime failure.
+``zoning`` and ``protocol`` keys. ``trace`` checks every trace against
+the protocol's safety rules before writing it. Exit codes: 0 success, 2
+validation failure, 3 runtime failure (such as a trace that breaks a rule).
 
 All CSV output uses '.' decimals, repr-exact floats and newline-terminated
 rows, so a command rerun with the same configuration and seed is
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import CSV_SCHEMA_VERSION, __version__, config as cfgmod, engine, protocol, transport, zoning
-from .protocol import FaultPlan, FixedLatency, HandoverKind
+from .protocol import FaultPlan, HandoverKind
 
 EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME = 0, 2, 3
 
@@ -224,13 +225,14 @@ def cmd_trace(args) -> int:
     config = cfgmod.load_config(args.config)
     kind = TRACE_KINDS[args.kind]
     per_hop_s = config["protocol"]["per_hop_latency_s"] if args.per_hop_ms is None else args.per_hop_ms / 1000.0
-    if per_hop_s < 0:
-        raise ValueError("per-hop latency must be >= 0")
     steps = len(protocol.canonical_sequence(kind))
     if args.drop_step is not None and not 1 <= args.drop_step <= steps:
         raise ValueError(f"--drop-step must lie in 1..{steps} for {args.kind}, got {args.drop_step}")
     fault_plan = FaultPlan(drop_counts={args.drop_step: 1}) if args.drop_step is not None else FaultPlan()
-    trace = protocol.run_handover(kind, latency_model=FixedLatency(per_hop_s), fault_plan=fault_plan)
+    trace = protocol.run_handover(kind, per_hop_s, fault_plan)
+    violation = protocol.validate_trace(trace)
+    if violation is not None:
+        raise RuntimeError(f"{args.kind} trace breaks the protocol at step {violation.step}: {violation.reason}")
     text = protocol.trace_to_csv(trace)
     outcome = {"outcome": trace.outcome, "failed_step": trace.failed_step, "latency_s": trace.latency_s}
     if args.out:
@@ -302,7 +304,7 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # e.g. a trace that fails validation
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -43,7 +43,7 @@ SECTIONS = {
     "zoning": (RoomConfig, ()),
     "policy": (PolicyConfig, ("per_hop_latency_s",)),
     "protocol": (PolicyConfig, ("t_h_s", "t_h1_s", "fap_slots", "lifi_slots")),
-    "engine": (ScenarioConfig, ("seed", "ahp_pairwise", "initial_positions", "start_in_call")),
+    "engine": (ScenarioConfig, ("seed", "ahp_pairwise")),
     "engine.mobility": (MobilityConfig, ()),
     "engine.traffic": (TrafficConfig, ()),
     "engine.fig16": (IdleExperimentConfig, ("lifi_slots", "seed")),

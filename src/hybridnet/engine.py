@@ -33,7 +33,7 @@ from .policy import (
     AdmissionDecision, ApMode, ApState, CallRequest, DwellTimers,
     HandoverDecision, NetworkKind, NetworkState, TrafficClass,
 )
-from .protocol import FixedLatency, HandoverKind, run_handover
+from .protocol import HandoverKind, run_handover
 from .rng import spawn_streams
 from .zoning import MIN_MC_SAMPLES, GridPlan, Zone, classify_points, monte_carlo_zone_model, plan_grid
 
@@ -121,14 +121,10 @@ class ScenarioConfig:
     optical: OpticalParams = OpticalParams()
     rf: RfParams = RfParams()
     ahp_pairwise: tuple[tuple[float, ...], ...] = DEFAULT_AHP_MATRIX
-    initial_positions: tuple[tuple[float, float], ...] | None = None
-    start_in_call: TrafficClass | None = None
 
     def __post_init__(self):
         if self.user_count < 0 or self.duration_s <= 0:
             raise ValueError("user count must be >= 0 and duration positive")
-        if self.initial_positions is not None and len(self.initial_positions) != self.user_count:
-            raise ValueError("one initial position per user is required")
 
 
 ADMISSION_KEYS = tuple(d.value for d in AdmissionDecision)
@@ -227,7 +223,6 @@ class _IndoorSim:
         for ap_id in self._lifi_ids:
             self.state.add(ApState(ap_id, NetworkKind.LIFI, ApMode.ACTIVE, config.policy.lifi_slots, 0))
         self.metrics = Metrics()
-        self.latency = FixedLatency(config.policy.per_hop_latency_s)
         self._next_call_id = 0
         self._by_kind = {kind: (RunningMean(), RunningMean()) for kind in NetworkKind}
         self._terminals = self._init_terminals()
@@ -237,13 +232,10 @@ class _IndoorSim:
         terminals = []
         placement = self.streams["placement"]
         for i in range(cfg.user_count):
-            if cfg.initial_positions is not None:
-                x, y = cfg.initial_positions[i]
-            else:
-                x = float(placement.uniform(0.0, cfg.room.room_x_m))
-                y = float(placement.uniform(0.0, cfg.room.room_y_m))
+            x = float(placement.uniform(0.0, cfg.room.room_x_m))
+            y = float(placement.uniform(0.0, cfg.room.room_y_m))
             t = _Terminal(index=i, x=x, y=y, timers=DwellTimers(t_h_s=cfg.policy.t_h_s, t_h1_s=cfg.policy.t_h1_s))
-            t.next_arrival_s = 0.0 if cfg.start_in_call is not None else self._draw_interarrival()
+            t.next_arrival_s = self._draw_interarrival()
             terminals.append(t)
         return terminals
 
@@ -284,11 +276,12 @@ class _IndoorSim:
             t.y += dy / dist * step
 
     def _locate(self, now: float) -> None:
-        """Zones, AP distances and coverage of every terminal at its current position."""
+        """Zones, AP distances, optical gains and coverage of every terminal at its current position."""
         pts = np.asarray([(t.x, t.y) for t in self._terminals], dtype=float).reshape(-1, 2)
         d2 = self.plan.sq_distances(pts)
-        self._dist = np.sqrt(d2)
-        self._nearest_first = np.argsort(self._dist, axis=1, kind="stable").tolist()
+        dist = np.sqrt(d2)
+        self._gain = channel.optical_channel_gain(dist, self.cfg.optical)
+        self._nearest_first = np.argsort(dist, axis=1, kind="stable").tolist()
         self._covered = self.plan.covered(d2).tolist()
         for t, code in zip(self._terminals, classify_points(self.plan, pts, d2).tolist()):
             zone = Zone(code)
@@ -303,17 +296,15 @@ class _IndoorSim:
         return [self._lifi_ids[i] for i in self._nearest_first[t.index] if covered[i]]
 
     def _optical_rx_dB(self, t: _Terminal, ap_id: str) -> float:
-        horizontal_m = float(self._dist[t.index, self._lifi_index[ap_id]])
-        gain = channel.optical_channel_gain(
-            channel.LinkGeometry(horizontal_distance_m=horizontal_m), self.cfg.optical
-        )
+        gain = float(self._gain[t.index, self._lifi_index[ap_id]])
         if gain <= 0:
             return float("-inf")
         return 10.0 * math.log10(self.cfg.optical.tx_optical_power_W * gain)
 
     # Call lifecycle -----------------------------------------------------
 
-    def _try_start_call(self, t: _Terminal, now: float, traffic_class: TrafficClass) -> None:
+    def _try_start_call(self, t: _Terminal, now: float) -> None:
+        traffic_class = self._draw_class()
         request = CallRequest(self._next_call_id, t.index, traffic_class, t.zone, now)
         self._next_call_id += 1
         result = policy.admit_new_call(request, self.state, self._covering(t))
@@ -331,7 +322,7 @@ class _IndoorSim:
         t.next_arrival_s = now + self._draw_interarrival()
 
     def _execute_handover(self, t: _Terminal, now: float, kind: HandoverKind, target_ap: str) -> None:
-        trace = run_handover(kind, latency_model=self.latency)
+        trace = run_handover(kind, self.cfg.policy.per_hop_latency_s)
         self.metrics.handovers[kind.value] += 1
         self.metrics.handover_latency_s.add(trace.latency_s)
         self.state.aps[t.call.serving_ap].release()
@@ -415,9 +406,7 @@ class _IndoorSim:
         """SINRs of LiFi-served terminals from their (M, K) gain rows; every other AP interferes."""
         links = np.arange(len(served))
         serving_idx = [self._lifi_index[t.call.serving_ap] for t in served]
-        gains = channel.optical_channel_gain(
-            channel.LinkGeometry(horizontal_distance_m=self._dist[[t.index for t in served]]), self.cfg.optical
-        )
+        gains = self._gain[[t.index for t in served]]  # a copy: zeroing the serving column stays local
         serving = gains[links, serving_idx]
         gains[links, serving_idx] = 0.0
         return channel.optical_sinr(serving, gains, self.cfg.optical), self.cfg.optical.bandwidth_Hz
@@ -450,10 +439,7 @@ class _IndoorSim:
                     self._release_call(t, now)
             for t in self._terminals:
                 if t.call is None and t.next_arrival_s <= now:
-                    if cfg.start_in_call is not None and now == 0.0:
-                        self._try_start_call(t, now, cfg.start_in_call)
-                    else:
-                        self._try_start_call(t, now, self._draw_class())
+                    self._try_start_call(t, now)
             for t in self._terminals:
                 self._evaluate_handover(t, now)
             self._apply_idle_mode(now)
@@ -522,67 +508,6 @@ def lifi_assignment_idle(codes: np.ndarray, nearest: np.ndarray, ap_count: int, 
     on_ap = ((codes == 2) | (codes == 3))[..., None] & (nearest[..., None] == np.arange(ap_count))
     load_at_ap = np.take_along_axis(np.cumsum(on_ap, axis=1, dtype=np.int32), nearest[..., None], axis=2)[..., 0]
     return ~(needs_fap | np.logical_or.accumulate(load_at_ap > lifi_slots, axis=1))
-
-
-def placement_idle_reference(
-    zones: list[Zone], lifi_slots: int = PolicyConfig.lifi_slots, fap_slots: int = PolicyConfig.fap_slots
-) -> bool:
-    """Idle outcome of one placement, driven through the policy module.
-
-    Users arrive in list order as data calls against a fresh, idle
-    femtocell; the idle-mode rule then runs to a fixed point. Positions are
-    abstracted to zones, so all Zone 2/3 users share one LiFi AP; exact for
-    user counts at or below the LiFi slot count.
-    """
-    state = NetworkState()
-    state.add(ApState("fap", NetworkKind.FAP, ApMode.IDLE, fap_slots, 0))
-    state.add(ApState("lifi0", NetworkKind.LIFI, ApMode.ACTIVE, lifi_slots, 0))
-    fap_users: list[tuple[int, Zone]] = []
-    for uid, zone in enumerate(zones):
-        request = CallRequest(uid, uid, TrafficClass.DATA, zone, 0.0)
-        result = policy.admit_new_call(request, state, ["lifi0"])
-        if result.decision is AdmissionDecision.BLOCKED:
-            continue
-        state.aps[result.ap_id].occupy()
-        if result.network is NetworkKind.FAP:
-            fap_users.append((uid, zone))
-    fap = state.aps["fap"]
-    while True:
-        update = policy.fap_mode_update(fap, fap_users)
-        if not update.shift_to_lifi:
-            if fap.occupied_slots == 0:
-                fap.mode = ApMode.IDLE
-            return update.mode is ApMode.IDLE and fap.occupied_slots == 0
-        shifted = False
-        for uid in update.shift_to_lifi:
-            lifi = state.aps["lifi0"]
-            if lifi.free_slots > 0:
-                lifi.occupy()
-                fap.release()
-                fap_users = [(u, z) for u, z in fap_users if u != uid]
-                shifted = True
-        if not shifted:
-            return False
-
-
-def enumerate_idle_probability(
-    zone_probs, p_users: int, lifi_slots: int = PolicyConfig.lifi_slots, fap_slots: int = PolicyConfig.fap_slots
-) -> float:
-    """Exact idle probability by summing over all zone assignments (4^p)."""
-    zones = list(Zone)
-    total = 0.0
-    stack: list[tuple[list[Zone], float]] = [([], 1.0)]
-    while stack:
-        prefix, weight = stack.pop()
-        if len(prefix) == p_users:
-            if placement_idle_reference(prefix, lifi_slots, fap_slots):
-                total += weight
-            continue
-        for zone in zones:
-            w = weight * zone_probs[zone.value - 1]
-            if w > 0.0:
-                stack.append((prefix + [zone], w))
-    return total
 
 
 def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[int]):

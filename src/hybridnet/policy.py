@@ -23,7 +23,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .zoning import Zone
+from .zoning import Zone, occupancy_probability
 
 
 class TrafficClass(enum.Enum):
@@ -276,5 +276,5 @@ def fap_idle_probability(p_users: int, zone_probs) -> float:
     q = probs[0] + probs[2]
     total = 0.0
     for k in range(min(1, p_users) + 1):
-        total += math.comb(p_users, k) * q**k * (1.0 - q) ** (p_users - k)
+        total += occupancy_probability(p_users, q, k)
     return total

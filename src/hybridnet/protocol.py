@@ -175,18 +175,6 @@ class ProtocolMessage:
 
 
 @dataclass(frozen=True)
-class FixedLatency:
-    """The same delay on every hop."""
-
-    per_hop_s: float = 0.005
-
-    def delay_s(self, step: StepDescriptor) -> float:
-        if self.per_hop_s < 0:
-            raise ValueError("per-hop latency must be >= 0")
-        return self.per_hop_s
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """Message drops to inject: step number -> how many sends to swallow.
 
@@ -217,35 +205,29 @@ class HandoverTrace:
         return self.outcome == "complete"
 
 
-def run_handover(
-    kind: HandoverKind,
-    latency_model: FixedLatency | None = None,
-    fault_plan: FaultPlan | None = None,
-) -> HandoverTrace:
+def run_handover(kind: HandoverKind, per_hop_s: float = 0.005, fault_plan: FaultPlan | None = None) -> HandoverTrace:
     """Execute one handover flow and return its trace.
 
-    With an empty fault plan the trace reproduces the canonical sequence in
-    order and its latency is the per-step delay sum. A dropped message
-    beyond its retry budget fails the run at that step; every message
-    already delivered stays in the trace.
+    Every hop takes ``per_hop_s``. With an empty fault plan the trace
+    reproduces the canonical sequence in order and its latency is the
+    per-step delay sum. A dropped message beyond its retry budget fails the
+    run at that step; every message already delivered stays in the trace.
     """
+    if per_hop_s < 0:
+        raise ValueError("per-hop latency must be >= 0")
     steps = canonical_sequence(kind)
-    latency = latency_model if latency_model is not None else FixedLatency()
     faults = fault_plan if fault_plan is not None else FaultPlan()
 
     messages: list[ProtocolMessage] = []
     clock = 0.0
     for step in steps:
-        delay = latency.delay_s(step)
-        if delay < 0:
-            raise ValueError("per-hop delay must be >= 0")
         drops = faults.drops_at(step.step_number)
         allowed = faults.retries_for(step.kind)
         send_time = clock
         if drops > allowed:
             # The failed attempts still burn time, then the run aborts.
             first_send = messages[0].send_time_s if messages else send_time
-            fail_time = send_time + (allowed + 1) * delay
+            fail_time = send_time + (allowed + 1) * per_hop_s
             return HandoverTrace(
                 kind=kind,
                 messages=tuple(messages),
@@ -254,7 +236,7 @@ def run_handover(
                 latency_s=fail_time - first_send,
             )
         attempts = drops + 1
-        deliver_time = send_time + attempts * delay
+        deliver_time = send_time + attempts * per_hop_s
         messages.append(
             ProtocolMessage(
                 step_number=step.step_number,
@@ -349,27 +331,3 @@ def trace_to_csv(trace: HandoverTrace) -> str:
              repr(msg.send_time_s), repr(msg.deliver_time_s))
         )
     return buf.getvalue()
-
-
-def trace_from_csv(text: str, kind: HandoverKind, outcome: str = "complete", failed_step: int | None = None) -> HandoverTrace:
-    """Rebuild a trace from its CSV form for replay validation."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != TRACE_CSV_HEADER:
-        raise ValueError(f"unexpected trace header: {header}")
-    messages = []
-    for row in reader:
-        if not row:
-            continue
-        messages.append(
-            ProtocolMessage(
-                step_number=int(row[0]),
-                kind=MessageKind(row[1]),
-                sender=row[2],
-                receiver=row[3],
-                send_time_s=float(row[4]),
-                deliver_time_s=float(row[5]),
-            )
-        )
-    latency = messages[-1].deliver_time_s - messages[0].send_time_s if messages else 0.0
-    return HandoverTrace(kind=kind, messages=tuple(messages), outcome=outcome, failed_step=failed_step, latency_s=latency)

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import channel
 from .channel import ObstacleClass, OpticalParams, RfParams
-from .protocol import HandoverKind, canonical_sequence
 
 
 class AccessKind(enum.Enum):
@@ -76,9 +75,7 @@ def macro_snr_dB(distance_km, rf: RfParams, obstacle: ObstacleClass):
 def access_capacity_bps(link: VehicleLink, optical: OpticalParams, rf: RfParams) -> float:
     """Capacity of the in-vehicle hop (LiFi AP or femtocell, no interferers)."""
     if link.in_vehicle_access is AccessKind.LIFI:
-        gain = channel.optical_channel_gain(
-            channel.LinkGeometry(horizontal_distance_m=link.access_horizontal_distance_m), optical
-        )
+        gain = channel.optical_channel_gain(link.access_horizontal_distance_m, optical)
         sinr = channel.optical_sinr(gain, [], optical)
         return channel.shannon_capacity(sinr.linear, optical.bandwidth_Hz)
     rx = rf.fap_tx_dBm - channel.femto_path_loss(link.access_femto_distance_m, rf, wall_count=0)
@@ -152,29 +149,6 @@ def car_link_reliability(scenario: CarFollowScenario, dt_s: float = 1e-3) -> tup
     return float(rf_up.mean()), float(owc_up.mean()), float(hybrid_up.mean())
 
 
-@dataclass(frozen=True)
-class SignalingCount:
-    individual_messages: int
-    group_messages: int
-
-    @property
-    def savings_ratio(self) -> float:
-        return 1.0 - self.group_messages / self.individual_messages
-
-
-def group_handover_signaling(p_users: int, kind: HandoverKind) -> SignalingCount:
-    """Message counts for per-user handovers vs one group handover.
-
-    Handing over each of ``p`` onboard users individually costs ``p``
-    full protocol runs; the relay performs a single run regardless of the
-    passenger count.
-    """
-    if p_users < 1:
-        raise ValueError("at least one user is required")
-    steps = len(canonical_sequence(kind))
-    return SignalingCount(individual_messages=p_users * steps, group_messages=steps)
-
-
 # Figure sweeps ------------------------------------------------------------
 
 
@@ -199,13 +173,11 @@ def outage_sweep(distances_km, link: VehicleLink | None = None, rf: RfParams | N
     return rows
 
 
-def reliability_sweep(distances_m, scenario: CarFollowScenario | None = None, dt_s: float = 1e-3):
+def reliability_sweep(distances_m, scenario: CarFollowScenario | None = None):
     """Rows of (inter_vehicle_distance_m, rf_only, owc_only, hybrid)."""
     base = scenario if scenario is not None else CarFollowScenario()
     rows = []
     for d in distances_m:
-        rf_only, owc_only, hybrid = car_link_reliability(
-            replace(base, inter_vehicle_distance_m=float(d)), dt_s
-        )
+        rf_only, owc_only, hybrid = car_link_reliability(replace(base, inter_vehicle_distance_m=float(d)))
         rows.append((float(d), rf_only, owc_only, hybrid))
     return rows

@@ -164,12 +164,6 @@ def classify_points(plan: GridPlan, points: np.ndarray, sq_distances: np.ndarray
     return codes.astype(np.int8)
 
 
-def classify_point(plan: GridPlan, point: tuple[float, float]) -> Zone:
-    """Zone of a single point inside the room."""
-    code = classify_points(plan, np.asarray([point], dtype=float))[0]
-    return Zone(int(code))
-
-
 @dataclass(frozen=True)
 class ZoneModel:
     """Zone areas and occupancy probabilities for one grid plan.
@@ -186,9 +180,6 @@ class ZoneModel:
     sample_counts: tuple[int, int, int, int]
     sample_count: int
     seed: int
-
-    def prob(self, zone: Zone) -> float:
-        return self.zone_probs[zone.value - 1]
 
     def csv_rows(self) -> list[tuple[str, float, float, float]]:
         """(zone, analytic_area, mc_area, probability) per zone."""

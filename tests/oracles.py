@@ -1,0 +1,102 @@
+"""Reference oracles the tests compare the simulator against.
+
+``placement_idle_reference`` drives one placement through the policy
+module user by user, and ``enumerate_idle_probability`` sums it over every
+zone assignment; the vectorized fig16 rule and the closed-form bound are
+checked against them. ``trace_from_csv`` reads a written trace back for
+replay validation.
+"""
+
+import csv
+import io
+
+from hybridnet import policy
+from hybridnet.engine import PolicyConfig
+from hybridnet.policy import ApMode, ApState, AdmissionDecision, CallRequest, NetworkKind, NetworkState, TrafficClass
+from hybridnet.protocol import TRACE_CSV_HEADER, HandoverKind, HandoverTrace, MessageKind, ProtocolMessage
+from hybridnet.zoning import Zone
+
+
+def placement_idle_reference(
+    zones: list[Zone], lifi_slots: int = PolicyConfig.lifi_slots, fap_slots: int = PolicyConfig.fap_slots
+) -> bool:
+    """Idle outcome of one placement, driven through the policy module.
+
+    Users arrive in list order as data calls against a fresh, idle
+    femtocell; the idle-mode rule then runs to a fixed point. Positions are
+    abstracted to zones, so all Zone 2/3 users share one LiFi AP; exact for
+    user counts at or below the LiFi slot count.
+    """
+    state = NetworkState()
+    state.add(ApState("fap", NetworkKind.FAP, ApMode.IDLE, fap_slots, 0))
+    state.add(ApState("lifi0", NetworkKind.LIFI, ApMode.ACTIVE, lifi_slots, 0))
+    fap_users: list[tuple[int, Zone]] = []
+    for uid, zone in enumerate(zones):
+        request = CallRequest(uid, uid, TrafficClass.DATA, zone, 0.0)
+        result = policy.admit_new_call(request, state, ["lifi0"])
+        if result.decision is AdmissionDecision.BLOCKED:
+            continue
+        state.aps[result.ap_id].occupy()
+        if result.network is NetworkKind.FAP:
+            fap_users.append((uid, zone))
+    fap = state.aps["fap"]
+    while True:
+        update = policy.fap_mode_update(fap, fap_users)
+        if not update.shift_to_lifi:
+            if fap.occupied_slots == 0:
+                fap.mode = ApMode.IDLE
+            return update.mode is ApMode.IDLE and fap.occupied_slots == 0
+        shifted = False
+        for uid in update.shift_to_lifi:
+            lifi = state.aps["lifi0"]
+            if lifi.free_slots > 0:
+                lifi.occupy()
+                fap.release()
+                fap_users = [(u, z) for u, z in fap_users if u != uid]
+                shifted = True
+        if not shifted:
+            return False
+
+
+def enumerate_idle_probability(
+    zone_probs, p_users: int, lifi_slots: int = PolicyConfig.lifi_slots, fap_slots: int = PolicyConfig.fap_slots
+) -> float:
+    """Exact idle probability by summing over all zone assignments (4^p)."""
+    zones = list(Zone)
+    total = 0.0
+    stack: list[tuple[list[Zone], float]] = [([], 1.0)]
+    while stack:
+        prefix, weight = stack.pop()
+        if len(prefix) == p_users:
+            if placement_idle_reference(prefix, lifi_slots, fap_slots):
+                total += weight
+            continue
+        for zone in zones:
+            w = weight * zone_probs[zone.value - 1]
+            if w > 0.0:
+                stack.append((prefix + [zone], w))
+    return total
+
+
+def trace_from_csv(text: str, kind: HandoverKind, outcome: str = "complete", failed_step: int | None = None) -> HandoverTrace:
+    """Rebuild a trace from its CSV form for replay validation."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if tuple(header) != TRACE_CSV_HEADER:
+        raise ValueError(f"unexpected trace header: {header}")
+    messages = []
+    for row in reader:
+        if not row:
+            continue
+        messages.append(
+            ProtocolMessage(
+                step_number=int(row[0]),
+                kind=MessageKind(row[1]),
+                sender=row[2],
+                receiver=row[3],
+                send_time_s=float(row[4]),
+                deliver_time_s=float(row[5]),
+            )
+        )
+    latency = messages[-1].deliver_time_s - messages[0].send_time_s if messages else 0.0
+    return HandoverTrace(kind=kind, messages=tuple(messages), outcome=outcome, failed_step=failed_step, latency_s=latency)

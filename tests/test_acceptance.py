@@ -13,19 +13,18 @@ import pytest
 
 from hybridnet import cli
 from hybridnet.channel import (
-    LinkGeometry, ObstacleClass, OpticalParams, RfParams,
+    ObstacleClass, OpticalParams, RfParams,
     femto_path_loss, lambertian_index, macro_path_loss,
     optical_channel_gain, optical_sinr, shannon_capacity,
 )
 from hybridnet.engine import (
-    FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig,
-    enumerate_idle_probability, femto_sinr_experiment,
+    FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig, femto_sinr_experiment,
     handover_success_experiment, idle_probability_experiment,
     lifi_crossing_success_exact,
 )
 from hybridnet.policy import fap_idle_probability
 from hybridnet.protocol import (
-    FaultPlan, FixedLatency, HandoverKind, MessageKind, run_handover, validate_trace,
+    FaultPlan, HandoverKind, MessageKind, run_handover, validate_trace,
 )
 from hybridnet.transport import (
     CarFollowScenario, VehicleLink, macro_snr_dB, outage_sweep, reliability_sweep,
@@ -33,6 +32,7 @@ from hybridnet.transport import (
 from hybridnet.zoning import (
     analytic_zone_areas, monte_carlo_zone_model, occupancy_probability, plan_grid,
 )
+from oracles import enumerate_idle_probability
 
 TABLE = OpticalParams()
 RF = RfParams()
@@ -58,10 +58,10 @@ def test_criterion_2_formula_oracles():
     g = 1.5**2  # FOV 90 degrees
     h0 = (m + 1) * 1e-4 / (2 * math.pi * 4.0) * g
     assert h0 == pytest.approx(1.7905e-5, abs=1e-9)
-    assert optical_channel_gain(LinkGeometry(0.0), TABLE) == pytest.approx(h0, rel=1e-9)
+    assert optical_channel_gain(0.0, TABLE) == pytest.approx(h0, rel=1e-9)
     cos_t = 2.0 / math.sqrt(8.0)
     h2 = (m + 1) * 1e-4 / (2 * math.pi * 8.0) * g * cos_t**m * cos_t
-    assert optical_channel_gain(LinkGeometry(2.0), TABLE) == pytest.approx(h2, rel=1e-9)
+    assert optical_channel_gain(2.0, TABLE) == pytest.approx(h2, rel=1e-9)
 
     # electrical SINR and capacity
     sinr = (0.53 * 6.0 * h0) ** 2 / (1e-21 * 20e6)
@@ -79,7 +79,7 @@ def test_criterion_2_formula_oracles():
     # femto path loss
     femto8 = 20 * log_f + 28 * math.log10(8.0) - 28
     assert femto8 == pytest.approx(62.39, abs=0.005)
-    assert femto_path_loss(8.0, RF) == pytest.approx(femto8, rel=1e-9)
+    assert femto_path_loss(8.0, RF, wall_count=0) == pytest.approx(femto8, rel=1e-9)
 
     # zone-2 closed-form area
     a_z2 = analytic_zone_areas(plan_grid(24.0, 24.0, 5.0))[1]
@@ -197,7 +197,7 @@ def test_criterion_7_protocol_conformance():
         HandoverKind.LIFI_TO_LIFI: 27,
     }
     for kind, count in expected_counts.items():
-        trace = run_handover(kind, latency_model=FixedLatency(0.005))
+        trace = run_handover(kind, per_hop_s=0.005)
         assert trace.complete and len(trace.messages) == count
         assert validate_trace(trace) is None
         kinds = [m.kind for m in trace.messages]

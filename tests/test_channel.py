@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridnet.channel import (
-    LinkGeometry, ObstacleClass, OpticalParams, RfParams,
+    ObstacleClass, OpticalParams, RfParams,
     concentrator_gain, femto_path_loss, lambertian_index, macro_path_loss,
     optical_channel_gain, optical_sinr, rf_sinr, shannon_capacity,
 )
@@ -72,22 +72,23 @@ class TestOpticalChannelGain:
     def test_directly_below_ap(self):
         expected = _gain_oracle(0.0, 2.0, TABLE)
         assert expected == pytest.approx(1.7905e-05, rel=1e-4)
-        assert optical_channel_gain(LinkGeometry(0.0), TABLE) == pytest.approx(expected, rel=1e-9)
+        assert optical_channel_gain(0.0, TABLE) == pytest.approx(expected, rel=1e-9)
 
     def test_two_meters_out(self):
         expected = _gain_oracle(2.0, 2.0, TABLE)
         assert expected == pytest.approx(4.476e-06, rel=1e-3)
-        assert optical_channel_gain(LinkGeometry(2.0), TABLE) == pytest.approx(expected, rel=1e-9)
+        assert optical_channel_gain(2.0, TABLE) == pytest.approx(expected, rel=1e-9)
 
     def test_fov_cutoff(self):
         params = OpticalParams(fov_semi_angle_deg=45.0)
-        assert optical_channel_gain(LinkGeometry(1.99), params) > 0.0
-        assert optical_channel_gain(LinkGeometry(2.01), params) == 0.0
+        assert optical_channel_gain(1.99, params) > 0.0
+        assert optical_channel_gain(2.01, params) == 0.0
         assert _gain_oracle(1.99, 2.0, params) > 0.0 and _gain_oracle(2.01, 2.0, params) == 0.0
 
     def test_degenerate_height(self):
+        # The gain always uses the AP height, so a zero height is caught where it is set.
         with pytest.raises(ValueError):
-            optical_channel_gain(LinkGeometry(1.0, vertical_offset_m=0.0), TABLE)
+            OpticalParams(ap_height_m=0.0)
 
     @given(
         l1=st.floats(min_value=0.0, max_value=10.0),
@@ -95,8 +96,8 @@ class TestOpticalChannelGain:
     )
     @settings(max_examples=200)
     def test_strictly_decreasing_in_horizontal_distance(self, l1, delta):
-        g1 = optical_channel_gain(LinkGeometry(l1), TABLE)
-        g2 = optical_channel_gain(LinkGeometry(l1 + delta), TABLE)
+        g1 = optical_channel_gain(l1, TABLE)
+        g2 = optical_channel_gain(l1 + delta, TABLE)
         assert g1 > g2 >= 0.0
 
 
@@ -138,7 +139,7 @@ class TestBatchedSinr:
 
     def test_optical_rows_equal_scalar_calls(self):
         rng = np.random.default_rng(3)
-        gains = optical_channel_gain(LinkGeometry(rng.uniform(0.0, 12.0, size=(2_000, 9))), TABLE)
+        gains = optical_channel_gain(rng.uniform(0.0, 12.0, size=(2_000, 9)), TABLE)
         gains[rng.random(gains.shape) < 0.2] = 0.0
         serving = rng.uniform(0.0, 1e-5, size=2_000)
         serving[:5] = 0.0
@@ -179,9 +180,9 @@ class TestFloatRules:
 
     def test_gain_matrix_rows_are_row_gains(self):
         dist = np.random.default_rng(7).uniform(0.0, 20.0, size=(2_000, 9))
-        matrix = optical_channel_gain(LinkGeometry(dist), TABLE)
+        matrix = optical_channel_gain(dist, TABLE)
         for row, gains in zip(dist, matrix):
-            assert optical_channel_gain(LinkGeometry(row), TABLE).tolist() == gains.tolist()
+            assert optical_channel_gain(row, TABLE).tolist() == gains.tolist()
 
     def test_vector_femto_loss_is_scalar_loss(self):
         z = np.random.default_rng(9).uniform(0.1, 20.0, size=20_000)
@@ -265,7 +266,7 @@ class TestFemtoPathLoss:
     def test_eight_meters(self):
         expected = 20 * math.log10(1800.0) + 28 * math.log10(8.0) - 28
         assert expected == pytest.approx(62.39, abs=0.005)
-        assert femto_path_loss(8.0, RF) == pytest.approx(expected, rel=1e-9)
+        assert femto_path_loss(8.0, RF, wall_count=0) == pytest.approx(expected, rel=1e-9)
 
     def test_one_wall_adds_four_db(self):
         no_wall = femto_path_loss(8.0, RF, wall_count=0)
@@ -275,11 +276,11 @@ class TestFemtoPathLoss:
     def test_one_meter(self):
         expected = 20 * math.log10(1800.0) - 28
         assert expected == pytest.approx(37.11, abs=0.005)
-        assert femto_path_loss(1.0, RF) == pytest.approx(expected, rel=1e-9)
+        assert femto_path_loss(1.0, RF, wall_count=0) == pytest.approx(expected, rel=1e-9)
 
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValueError):
-            femto_path_loss(0.0, RF)
+            femto_path_loss(0.0, RF, wall_count=0)
 
 
 class TestRfSinr:
@@ -306,9 +307,9 @@ class TestPurity:
     def test_bit_identical_repeat_calls(self):
         calls = [
             lambda: lambertian_index(33.3),
-            lambda: optical_channel_gain(LinkGeometry(1.7), TABLE),
+            lambda: optical_channel_gain(1.7, TABLE),
             lambda: macro_path_loss(0.77, RF, ObstacleClass.BUILDING_WALL),
-            lambda: femto_path_loss(3.3, RF),
+            lambda: femto_path_loss(3.3, RF, wall_count=0),
             lambda: optical_sinr(1e-5, [1e-6, 2e-6], TABLE).linear,
         ]
         for call in calls:
@@ -332,4 +333,6 @@ class TestParamValidation:
 
     def test_geometry_invariants(self):
         with pytest.raises(ValueError):
-            LinkGeometry(-1.0)
+            optical_channel_gain(-1.0, TABLE)
+        with pytest.raises(ValueError):
+            optical_channel_gain(np.array([[1.0, -0.5]]), TABLE)

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridnet import cli
+from hybridnet import cli, protocol
 from hybridnet.config import DEFAULT_CONFIG, config_digest, deep_merge, load_config
+from hybridnet.protocol import HandoverKind, MessageKind
 
 SMALL_OVERRIDES = """
 zoning:
@@ -194,13 +195,14 @@ class TestExperiments:
             (["indoor-sim"], "engine: {fig16: {zone_samples: 9999}}\n", "engine.fig16.zone_samples"),
             (["experiment", "fig18"], "engine: {fig18: {crossings: 0}}\n", "engine.fig18.crossings"),
             (["indoor-sim"], "policy: {lifi_slots: 0}\n", "policy.lifi_slots"),
+            (["experiment", "fig17"], "channel: {rf: {wall_count: 3}}\n", "channel.rf.wall_count: unknown key"),
         ],
         ids=["not-a-mapping", "unknown-key", "bool-for-int", "float-for-int", "leaf-for-mapping",
              "bad-enum", "range-checked-everywhere", "non-reciprocal-ahp", "ahp-not-4x4", "missing-file",
              "mc-samples-below-minimum", "fig19-count-negative", "fig20-count-zero", "fig21-count-zero",
              "fig18-count-zero", "fig16-user-max-negative", "fig17-zone-samples-checked-everywhere",
              "fig17-zone-samples-below-minimum", "fig17-drops-zero", "fig16-placements-zero",
-             "fig16-zone-samples-below-minimum", "fig18-crossings-zero", "lifi-slots-zero"],
+             "fig16-zone-samples-below-minimum", "fig18-crossings-zero", "lifi-slots-zero", "rf-wall-count-unknown"],
     )
     def test_unparsable_config_is_validation_error(self, tmp_path, capsys, argv, text, key):
         bad = tmp_path / "bad.yaml"
@@ -237,6 +239,21 @@ class TestTrace:
     def test_drop_step_out_of_range_is_validation_error(self, capsys, step):
         assert cli.main(["trace", "lifi-to-lifi", "--drop-step", step]) == 2
         assert "1..27" in capsys.readouterr().err
+
+    def test_negative_per_hop_latency_is_validation_error(self, tmp_path, capsys):
+        assert cli.main(["trace", "lifi-to-lifi", "--per-hop-ms", "-1", "--out", str(tmp_path)]) == 2
+        assert "per-hop latency" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_invalid_trace_is_runtime_error_and_not_written(self, tmp_path, monkeypatch, capsys):
+        steps = list(protocol._TABLES[HandoverKind.LIFI_TO_LIFI])
+        cac = next(i for i, step in enumerate(steps) if step[1] is MessageKind.CAC_CHECK)
+        (n1, *cac_rest), (n2, *response_rest) = steps[cac], steps[cac + 1]
+        steps[cac], steps[cac + 1] = (n1, *response_rest), (n2, *cac_rest)  # HO_RESPONSE before CAC_CHECK
+        monkeypatch.setitem(protocol._TABLES, HandoverKind.LIFI_TO_LIFI, tuple(steps))
+        assert cli.main(["trace", "lifi-to-lifi", "--out", str(tmp_path)]) == 3
+        assert "handover response before CAC check" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_kind_exits_nonzero(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -310,7 +327,7 @@ class TestConfig:
         resolved = load_config(None)
         assert resolved == DEFAULT_CONFIG
         assert resolved is not DEFAULT_CONFIG
-        assert config_digest(resolved) == "sha256:4a153ff6975930baec170d3ff9e132de9eaa21242d4aef7aae60b2eab6b9f844"
+        assert config_digest(resolved) == "sha256:7ecea9679620c0e42a38b398c491d9f5e9b27df6eca997e8f9c8c7196c896725"
 
     def test_inline_criteria_table_parses(self, tmp_path):
         from hybridnet.config import scenario_config

@@ -8,14 +8,13 @@ import pytest
 from hybridnet.engine import (
     FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig,
     MobilityConfig, PolicyConfig, RoomConfig, ScenarioConfig, TrafficConfig,
-    _IndoorSim, enumerate_idle_probability, femto_sinr_experiment,
+    _IndoorSim, femto_sinr_experiment,
     handover_success_experiment, idle_probability_experiment,
-    lifi_assignment_idle, lifi_crossing_success_exact,
-    placement_idle_reference, simulate_indoor,
+    lifi_assignment_idle, lifi_crossing_success_exact, simulate_indoor,
 )
-from hybridnet.channel import RfParams, femto_path_loss
-from hybridnet.policy import TrafficClass
+from hybridnet.channel import RfParams, femto_path_loss, optical_channel_gain
 from hybridnet.zoning import Zone, classify_points, monte_carlo_zone_model, plan_grid
+from oracles import enumerate_idle_probability, placement_idle_reference
 
 BUSY = ScenarioConfig(
     user_count=8,
@@ -39,10 +38,12 @@ class TestSimulateIndoor:
             seed=3,
             mobility=MobilityConfig(speed_min_mps=0.0, speed_max_mps=0.0),
             traffic=TrafficConfig(arrival_rate_per_min=0.0001, mean_holding_s=1e9, voice_fraction=0.0),
-            initial_positions=((4.0, 0.5),),  # Zone 2 of the 24x24 plan
-            start_in_call=TrafficClass.DATA,
         )
-        metrics = simulate_indoor(config)
+        sim = _IndoorSim(config)
+        terminal = sim._terminals[0]
+        terminal.x, terminal.y = 4.0, 0.5  # Zone 2 of the 24x24 plan
+        terminal.next_arrival_s = 0.0  # a data call arrives on the first tick
+        metrics = sim.run()
         assert metrics.admissions["accept_on_lifi"] == 1
         assert sum(metrics.handovers.values()) == 0
         assert metrics.active_at_end == 1
@@ -75,6 +76,14 @@ class TestSimulateIndoor:
         for t, code in zip(sim._terminals, codes):
             assert t.zone is Zone(int(code))
 
+    def test_gain_matrix_matches_position_after_run(self):
+        # Handover evaluation and link sampling both read this one matrix.
+        sim = _IndoorSim(BUSY)
+        sim.run()
+        pts = np.asarray([(t.x, t.y) for t in sim._terminals])
+        gains = optical_channel_gain(np.sqrt(sim.plan.sq_distances(pts)), BUSY.optical)
+        assert sim._gain.tolist() == gains.tolist()
+
     def test_mobility_keeps_terminals_in_room(self):
         sim = _IndoorSim(BUSY)
         sim.run()
@@ -97,8 +106,6 @@ class TestSimulateIndoor:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig(user_count=-1)
-        with pytest.raises(ValueError):
-            ScenarioConfig(user_count=2, initial_positions=((1.0, 1.0),))
         with pytest.raises(ValueError):
             TrafficConfig(mean_holding_s=0.0)
         with pytest.raises(ValueError):

@@ -5,10 +5,11 @@ import dataclasses
 import pytest
 
 from hybridnet.protocol import (
-    FaultPlan, FixedLatency, HandoverKind, HandoverTrace, MessageKind,
-    ProtocolMessage, canonical_sequence, run_handover, trace_from_csv,
+    FaultPlan, HandoverKind, HandoverTrace, MessageKind,
+    ProtocolMessage, canonical_sequence, run_handover,
     trace_to_csv, validate_trace,
 )
+from oracles import trace_from_csv
 
 STEP_COUNTS = {
     HandoverKind.LIFI_TO_FEMTO: 25,
@@ -54,18 +55,22 @@ class TestCanonicalSequences:
 
 class TestRunHandover:
     def test_zero_latency_bus(self):
-        trace = run_handover(HandoverKind.LIFI_TO_LIFI, latency_model=FixedLatency(0.0))
+        trace = run_handover(HandoverKind.LIFI_TO_LIFI, per_hop_s=0.0)
         assert trace.complete
         assert len(trace.messages) == 27
         assert trace.latency_s == 0.0
 
     def test_uniform_latency_sums_per_hop(self):
-        trace = run_handover(HandoverKind.LIFI_TO_FEMTO, latency_model=FixedLatency(0.005))
+        trace = run_handover(HandoverKind.LIFI_TO_FEMTO, per_hop_s=0.005)
         assert trace.latency_s == pytest.approx(25 * 0.005, rel=1e-12)
+
+    def test_negative_per_hop_rejected(self):
+        with pytest.raises(ValueError, match="per-hop latency"):
+            run_handover(HandoverKind.LIFI_TO_LIFI, per_hop_s=-0.001)
 
     def test_fault_free_traces_validate(self):
         for kind in HandoverKind:
-            trace = run_handover(kind, latency_model=FixedLatency(0.001))
+            trace = run_handover(kind, per_hop_s=0.001)
             assert trace.complete
             assert validate_trace(trace) is None
 
@@ -80,7 +85,7 @@ class TestRunHandover:
 
     def test_retry_budget_recovers_single_drop(self):
         plan = FaultPlan(drop_counts={7: 1}, retry_budget={MessageKind.HO_REQUEST: 1})
-        trace = run_handover(HandoverKind.LIFI_TO_LIFI, latency_model=FixedLatency(0.005), fault_plan=plan)
+        trace = run_handover(HandoverKind.LIFI_TO_LIFI, per_hop_s=0.005, fault_plan=plan)
         assert trace.complete
         assert trace.latency_s == pytest.approx(28 * 0.005, rel=1e-12)  # one resend adds a hop
 
@@ -99,7 +104,7 @@ def _renumber(messages):
 
 class TestValidateTrace:
     def base(self, kind=HandoverKind.LIFI_TO_LIFI):
-        return run_handover(kind, latency_model=FixedLatency(0.001))
+        return run_handover(kind, per_hop_s=0.001)
 
     def test_detach_before_response_violates(self):
         trace = self.base()
@@ -184,7 +189,7 @@ class TestRandomizedFaultSafety:
 
 class TestTraceCsv:
     def test_round_trip(self):
-        trace = run_handover(HandoverKind.FEMTO_TO_LIFI, latency_model=FixedLatency(0.002))
+        trace = run_handover(HandoverKind.FEMTO_TO_LIFI, per_hop_s=0.002)
         text = trace_to_csv(trace)
         assert text.splitlines()[0] == "step,kind,from,to,t_send,t_deliver"
         assert len(text.splitlines()) == 27  # header + 26 steps

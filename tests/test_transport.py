@@ -1,4 +1,4 @@
-"""Vehicle capacity, outage, car-following reliability and signaling tests."""
+"""Vehicle capacity, outage and car-following reliability tests."""
 
 import math
 from dataclasses import replace
@@ -7,10 +7,9 @@ from statistics import NormalDist
 import pytest
 
 from hybridnet.channel import ObstacleClass, OpticalParams, RfParams
-from hybridnet.protocol import HandoverKind
 from hybridnet.transport import (
     AccessKind, CarFollowScenario, VehicleLink, capacity_sweep,
-    car_link_reliability, group_handover_signaling, macro_snr_dB,
+    car_link_reliability, macro_snr_dB,
     outage_sweep, reliability_sweep, vehicle_downlink_capacity, vehicle_outage,
 )
 
@@ -147,32 +146,6 @@ class TestCarLinkReliability:
             CarFollowScenario(window_s=0.0)
         with pytest.raises(ValueError):
             car_link_reliability(CarFollowScenario(), dt_s=0.0)
-
-
-class TestGroupHandoverSignaling:
-    def test_single_user_has_no_savings(self):
-        count = group_handover_signaling(1, HandoverKind.LIFI_TO_FEMTO)
-        assert count.individual_messages == count.group_messages == 25
-        assert count.savings_ratio == 0.0
-
-    def test_twenty_users(self):
-        count = group_handover_signaling(20, HandoverKind.LIFI_TO_FEMTO)
-        assert count.individual_messages == 500
-        assert count.group_messages == 25
-        assert count.savings_ratio == pytest.approx(1 - 1 / 20, rel=1e-12)
-
-    def test_group_count_independent_of_users(self):
-        counts = {group_handover_signaling(p, HandoverKind.LIFI_TO_LIFI).group_messages for p in (1, 5, 50)}
-        assert counts == {27}
-
-    def test_savings_identity(self):
-        for p in (2, 7, 33):
-            count = group_handover_signaling(p, HandoverKind.FEMTO_TO_LIFI)
-            assert count.savings_ratio == pytest.approx(1 - 1 / p, rel=1e-12)
-
-    def test_requires_a_user(self):
-        with pytest.raises(ValueError):
-            group_handover_signaling(0, HandoverKind.LIFI_TO_LIFI)
 
 
 class TestSweeps:
