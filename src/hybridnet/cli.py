@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import CSV_SCHEMA_VERSION, __version__, config as cfgmod, engine, protocol, transport, zoning
@@ -51,29 +50,24 @@ def _csv_text(header: tuple[str, ...], rows) -> str:
     return buf.getvalue()
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config_digest: str
-    seed: int
-    tool_version: str = __version__
-    csv_schema_version: int = CSV_SCHEMA_VERSION
-    outputs: list[str] = field(default_factory=list)
-    duration_s: float = 0.0
-    extra: dict = field(default_factory=dict)
-
-    def write(self, path: Path) -> None:
-        payload = {
-            "command": self.command,
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "csv_schema_version": self.csv_schema_version,
-            "outputs": self.outputs,
-            "duration_s": self.duration_s,
-            **self.extra,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_run(args, config: dict, started: float, stem: str, command: str, text: str, **extra) -> Path:
+    """Write ``<stem>.csv`` and its JSON run manifest into ``--out`` (default: the working directory)."""
+    out_dir = Path(args.out) if args.out else Path.cwd()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / f"{stem}.csv"
+    csv_path.write_text(text)
+    manifest = {
+        "command": command,
+        "config_digest": cfgmod.config_digest(config),
+        "seed": args.seed,
+        "tool_version": __version__,
+        "csv_schema_version": CSV_SCHEMA_VERSION,
+        "outputs": [csv_path.name],
+        "duration_s": time.monotonic() - started,
+        **extra,
+    }
+    (out_dir / f"{stem}.manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return csv_path
 
 
 def _parse_room(text: str) -> tuple[float, float]:
@@ -203,19 +197,7 @@ def cmd_experiment(args) -> int:
     started = time.monotonic()
     config = cfgmod.load_config(args.config)
     header, rows = _experiment_rows(args.name, config, args.seed)
-    text = _csv_text(header, rows)
-    out_dir = Path(args.out) if args.out else Path.cwd()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{args.name}.csv"
-    csv_path.write_text(text)
-    manifest = RunManifest(
-        command=f"experiment {args.name}",
-        config_digest=cfgmod.config_digest(config),
-        seed=args.seed,
-        outputs=[csv_path.name],
-        duration_s=time.monotonic() - started,
-    )
-    manifest.write(out_dir / f"{args.name}.manifest.json")
+    csv_path = _write_run(args, config, started, args.name, f"experiment {args.name}", _csv_text(header, rows))
     print(f"wrote {csv_path}")
     return EXIT_OK
 
@@ -236,19 +218,7 @@ def cmd_trace(args) -> int:
     text = protocol.trace_to_csv(trace)
     outcome = {"outcome": trace.outcome, "failed_step": trace.failed_step, "latency_s": trace.latency_s}
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = out_dir / f"trace_{kind.value}.csv"
-        csv_path.write_text(text)
-        manifest = RunManifest(
-            command=f"trace {args.kind}",
-            config_digest=cfgmod.config_digest(config),
-            seed=args.seed,
-            outputs=[csv_path.name],
-            duration_s=time.monotonic() - started,
-            extra=outcome,
-        )
-        manifest.write(out_dir / f"trace_{kind.value}.manifest.json")
+        csv_path = _write_run(args, config, started, f"trace_{kind.value}", f"trace {args.kind}", text, **outcome)
         print(f"wrote {csv_path} ({trace.outcome})")
     else:
         sys.stdout.write(text)
@@ -263,18 +233,7 @@ def cmd_indoor_sim(args) -> int:
     metrics = engine.simulate_indoor(scenario)
     text = _csv_text(("metric", "value"), metrics.csv_rows())
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = out_dir / "indoor_sim.csv"
-        csv_path.write_text(text)
-        manifest = RunManifest(
-            command="indoor-sim",
-            config_digest=cfgmod.config_digest(config),
-            seed=args.seed,
-            outputs=[csv_path.name],
-            duration_s=time.monotonic() - started,
-        )
-        manifest.write(out_dir / "indoor_sim.manifest.json")
+        csv_path = _write_run(args, config, started, "indoor_sim", "indoor-sim", text)
         print(f"wrote {csv_path}")
     else:
         sys.stdout.write(text)

@@ -29,10 +29,7 @@ import numpy as np
 
 from . import channel, policy, selection
 from .channel import OpticalParams, RfParams
-from .policy import (
-    AdmissionDecision, ApMode, ApState, CallRequest, DwellTimers,
-    HandoverDecision, NetworkKind, NetworkState, TrafficClass,
-)
+from .policy import AdmissionDecision, ApMode, ApState, HandoverDecision, NetworkKind, TrafficClass
 from .protocol import HandoverKind, run_handover
 from .rng import spawn_streams
 from .zoning import MIN_MC_SAMPLES, GridPlan, Zone, classify_points, monte_carlo_zone_model, plan_grid
@@ -187,10 +184,8 @@ class Metrics:
 
 @dataclass
 class _Call:
-    call_id: int
     traffic_class: TrafficClass
-    serving_kind: NetworkKind
-    serving_ap: str
+    serving: ApState
     end_time_s: float
 
 
@@ -203,7 +198,7 @@ class _Terminal:
     speed: float = 0.0
     pause_until: float = 0.0
     zone: Zone = Zone.Z1
-    timers: DwellTimers = field(default_factory=DwellTimers)
+    zone_entry_s: float = 0.0
     call: _Call | None = None
     next_arrival_s: float = 0.0
     last_handover_s: float = float("-inf")
@@ -216,14 +211,9 @@ class _IndoorSim:
         self.cfg = config
         self.plan = config.room.plan()
         self.streams = spawn_streams(config.seed)
-        self.state = NetworkState()
-        self.state.add(ApState("fap", NetworkKind.FAP, ApMode.IDLE, config.policy.fap_slots, 0))
-        self._lifi_ids = [f"lifi{i}" for i in range(self.plan.ap_count)]
-        self._lifi_index = {ap_id: i for i, ap_id in enumerate(self._lifi_ids)}
-        for ap_id in self._lifi_ids:
-            self.state.add(ApState(ap_id, NetworkKind.LIFI, ApMode.ACTIVE, config.policy.lifi_slots, 0))
+        self.fap = ApState(NetworkKind.FAP, None, config.policy.fap_slots, ApMode.IDLE)
+        self.lifi = [ApState(NetworkKind.LIFI, j, config.policy.lifi_slots) for j in range(self.plan.ap_count)]
         self.metrics = Metrics()
-        self._next_call_id = 0
         self._by_kind = {kind: (RunningMean(), RunningMean()) for kind in NetworkKind}
         self._terminals = self._init_terminals()
 
@@ -234,7 +224,7 @@ class _IndoorSim:
         for i in range(cfg.user_count):
             x = float(placement.uniform(0.0, cfg.room.room_x_m))
             y = float(placement.uniform(0.0, cfg.room.room_y_m))
-            t = _Terminal(index=i, x=x, y=y, timers=DwellTimers(t_h_s=cfg.policy.t_h_s, t_h1_s=cfg.policy.t_h1_s))
+            t = _Terminal(index=i, x=x, y=y)
             t.next_arrival_s = self._draw_interarrival()
             terminals.append(t)
         return terminals
@@ -286,17 +276,16 @@ class _IndoorSim:
         for t, code in zip(self._terminals, classify_points(self.plan, pts, d2).tolist()):
             zone = Zone(code)
             if zone is not t.zone:
-                t.timers.zone4_entry_time_s = now if zone is Zone.Z4 else None
-                t.timers.zone3_entry_time_s = now if zone is Zone.Z3 else None
                 t.zone = zone
+                t.zone_entry_s = now
 
-    def _covering(self, t: _Terminal) -> list[str]:
-        """Identities of the LiFi APs covering the terminal, nearest first."""
+    def _covering(self, t: _Terminal) -> list[ApState]:
+        """The LiFi APs covering the terminal, nearest first."""
         covered = self._covered[t.index]
-        return [self._lifi_ids[i] for i in self._nearest_first[t.index] if covered[i]]
+        return [self.lifi[j] for j in self._nearest_first[t.index] if covered[j]]
 
-    def _optical_rx_dB(self, t: _Terminal, ap_id: str) -> float:
-        gain = float(self._gain[t.index, self._lifi_index[ap_id]])
+    def _optical_rx_dB(self, t: _Terminal, ap: ApState) -> float:
+        gain = float(self._gain[t.index, ap.column])
         if gain <= 0:
             return float("-inf")
         return 10.0 * math.log10(self.cfg.optical.tx_optical_power_W * gain)
@@ -305,66 +294,65 @@ class _IndoorSim:
 
     def _try_start_call(self, t: _Terminal, now: float) -> None:
         traffic_class = self._draw_class()
-        request = CallRequest(self._next_call_id, t.index, traffic_class, t.zone, now)
-        self._next_call_id += 1
-        result = policy.admit_new_call(request, self.state, self._covering(t))
+        result = policy.admit_new_call(t.zone, traffic_class, self.fap, self._covering(t))
         self.metrics.admissions[result.decision.value] += 1
         if result.decision is AdmissionDecision.BLOCKED:
             t.next_arrival_s = now + self._draw_interarrival()
             return
-        self.state.aps[result.ap_id].occupy()
-        t.call = _Call(request.call_id, traffic_class, result.network, result.ap_id, now + self._draw_holding())
+        result.ap.occupy()
+        t.call = _Call(traffic_class, result.ap, now + self._draw_holding())
 
     def _release_call(self, t: _Terminal, now: float) -> None:
-        self.state.aps[t.call.serving_ap].release()
+        t.call.serving.release()
         t.call = None
         self.metrics.calls_released += 1
         t.next_arrival_s = now + self._draw_interarrival()
 
-    def _execute_handover(self, t: _Terminal, now: float, kind: HandoverKind, target_ap: str) -> None:
+    def _execute_handover(self, t: _Terminal, now: float, kind: HandoverKind, target: ApState) -> None:
         trace = run_handover(kind, self.cfg.policy.per_hop_latency_s)
         self.metrics.handovers[kind.value] += 1
         self.metrics.handover_latency_s.add(trace.latency_s)
-        self.state.aps[t.call.serving_ap].release()
-        self.state.aps[target_ap].occupy()
-        t.call.serving_ap = target_ap
-        t.call.serving_kind = self.state.aps[target_ap].kind
+        t.call.serving.release()
+        target.occupy()
+        t.call.serving = target
         t.last_handover_s = now
 
     def _to_covering_lifi(self, t: _Terminal, now: float) -> bool:
         """Hand the terminal to the nearest covering LiFi AP with a free slot, if any."""
-        ap = self.state.first_free(NetworkKind.LIFI, self._covering(t))
+        ap = policy.first_free(self._covering(t))
         if ap is not None:
-            self._execute_handover(t, now, HandoverKind.FEMTO_TO_LIFI, ap.identity)
+            self._execute_handover(t, now, HandoverKind.FEMTO_TO_LIFI, ap)
         return ap is not None
 
     def _evaluate_handover(self, t: _Terminal, now: float) -> None:
         call = t.call
         if call is None or now - t.last_handover_s < self.cfg.policy.t_h_s:
             return
-        if call.serving_kind is NetworkKind.FAP and call.traffic_class is TrafficClass.RT_VOICE:
+        serving = call.serving
+        if serving.kind is NetworkKind.FAP and call.traffic_class is TrafficClass.RT_VOICE:
             return  # voice stays pinned to the femtocell
         s_serving = float("-inf")
         s_target = float("-inf")
         target = None
-        if call.serving_kind is NetworkKind.LIFI and t.zone is Zone.Z4:
+        if serving.kind is NetworkKind.LIFI and t.zone is Zone.Z4:
             covering = self._covering(t)
-            if call.serving_ap in covering:
-                s_serving = self._optical_rx_dB(t, call.serving_ap)
-            target = next((ap for ap in covering if ap != call.serving_ap), None)
+            if serving in covering:
+                s_serving = self._optical_rx_dB(t, serving)
+            target = next((ap for ap in covering if ap is not serving), None)
             if target is not None:
                 s_target = self._optical_rx_dB(t, target)
-        decision = policy.handover_decision(call.serving_kind, t.zone, s_serving, s_target, t.timers, now)
+        decision = policy.handover_decision(
+            serving.kind, t.zone, s_serving, s_target, now - t.zone_entry_s, self.cfg.policy
+        )
         if decision is HandoverDecision.STAY:
             return
         if decision is HandoverDecision.TO_FAP:
-            fap = self.state.fap()
-            if fap.free_slots > 0:
-                self._execute_handover(t, now, HandoverKind.LIFI_TO_FEMTO, fap.identity)
+            if self.fap.free_slots > 0:
+                self._execute_handover(t, now, HandoverKind.LIFI_TO_FEMTO, self.fap)
             else:
                 self.metrics.handovers_rejected += 1
         elif decision is HandoverDecision.TO_TARGET_LIFI:
-            if target is not None and self.state.aps[target].free_slots > 0:
+            if target is not None and target.free_slots > 0:
                 self._execute_handover(t, now, HandoverKind.LIFI_TO_LIFI, target)
             else:
                 self.metrics.handovers_rejected += 1
@@ -372,12 +360,12 @@ class _IndoorSim:
             self.metrics.handovers_rejected += 1
 
     def _apply_idle_mode(self, now: float) -> None:
-        fap = self.state.fap()
-        served = [(t.index, t.zone) for t in self._terminals if t.call is not None and t.call.serving_ap == fap.identity]
-        update = policy.fap_mode_update(fap, served)
-        for terminal_id in update.shift_to_lifi:
+        """Shift the femtocell's lone Zone 3 user to LiFi if it can; the femtocell idles once it holds no slot."""
+        fap = self.fap
+        served = [(t.index, t.zone) for t in self._terminals if t.call is not None and t.call.serving is fap]
+        for terminal_id in policy.fap_mode_update(fap, served):
             self._to_covering_lifi(self._terminals[terminal_id], now)
-        if fap.occupied_slots == 0 and fap.mode is ApMode.ACTIVE:
+        if fap.occupied_slots == 0:
             fap.mode = ApMode.IDLE
 
     def _sample_link_quality(self) -> None:
@@ -389,7 +377,7 @@ class _IndoorSim:
         in_call = [t for t in self._terminals if t.call is not None]
         samples = {}
         for kind, links in ((NetworkKind.LIFI, self._lifi_links), (NetworkKind.FAP, self._femto_links)):
-            served = [t for t in in_call if t.call.serving_kind is kind]
+            served = [t for t in in_call if t.call.serving.kind is kind]
             if served:
                 sinr, bandwidth = links(served)
                 capacities = channel.shannon_capacity(sinr.linear, bandwidth).tolist()
@@ -398,14 +386,14 @@ class _IndoorSim:
             sinr_db, capacity = samples[t.index]
             self.metrics.sinr_db.add(sinr_db)
             self.metrics.capacity_bps.add(capacity)
-            kind_sinr, kind_capacity = self._by_kind[t.call.serving_kind]
+            kind_sinr, kind_capacity = self._by_kind[t.call.serving.kind]
             kind_sinr.add(sinr_db)
             kind_capacity.add(capacity)
 
     def _lifi_links(self, served: list[_Terminal]) -> tuple[channel.SinrResult, float]:
         """SINRs of LiFi-served terminals from their (M, K) gain rows; every other AP interferes."""
         links = np.arange(len(served))
-        serving_idx = [self._lifi_index[t.call.serving_ap] for t in served]
+        serving_idx = [t.call.serving.column for t in served]
         gains = self._gain[[t.index for t in served]]  # a copy: zeroing the serving column stays local
         serving = gains[links, serving_idx]
         gains[links, serving_idx] = 0.0
@@ -421,7 +409,7 @@ class _IndoorSim:
 
     def _check_slot_balance(self) -> None:
         active = sum(1 for t in self._terminals if t.call is not None)
-        occupied = sum(ap.occupied_slots for ap in self.state.aps.values())
+        occupied = self.fap.occupied_slots + sum(ap.occupied_slots for ap in self.lifi)
         if active != occupied:
             raise RuntimeError(f"slot leak: {occupied} occupied for {active} active calls")
 
@@ -445,7 +433,7 @@ class _IndoorSim:
             self._apply_idle_mode(now)
             self._sample_link_quality()
             self._check_slot_balance()
-            if self.state.fap().mode is ApMode.IDLE:
+            if self.fap.mode is ApMode.IDLE:
                 idle_ticks += 1
         self.metrics.fap_idle_fraction = idle_ticks / ticks if ticks else 1.0
         self.metrics.active_at_end = sum(1 for t in self._terminals if t.call is not None)
@@ -457,10 +445,9 @@ class _IndoorSim:
         if not self.metrics.capacity_bps.count:
             return
         lifi_load = RunningMean()
-        for ap in self.state.of_kind(NetworkKind.LIFI):
+        for ap in self.lifi:
             lifi_load.add(ap.occupied_slots / ap.capacity_slots)
-        fap = self.state.fap()
-        fap_load = fap.occupied_slots / fap.capacity_slots
+        fap_load = self.fap.occupied_slots / self.fap.capacity_slots
         lifi_sinr, lifi_cap = self._by_kind[NetworkKind.LIFI]
         fap_sinr, fap_cap = self._by_kind[NetworkKind.FAP]
         scores = selection.AlternativeScores(

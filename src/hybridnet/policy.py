@@ -15,13 +15,20 @@ LiFi.
 
 The femtocell idles when it serves nobody, or serves exactly one user who
 sits in Zone 3 and can be shifted to LiFi first.
+
+Each AP is one ``ApState`` slot ledger. The indoor simulator keeps the
+femtocell's ledger and a list of LiFi ledgers whose index is the AP's
+column in the grid plan and in the gain matrix, and each call holds its
+serving ledger. A terminal keeps one zone-entry clock, reset whenever it
+changes zone, so the dwell a handover decision reads is the time spent
+in the current zone.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .zoning import Zone, occupancy_probability
 
@@ -55,21 +62,18 @@ class HandoverDecision(enum.Enum):
     TO_LIFI = "to_lifi"
 
 
-@dataclass(frozen=True)
-class CallRequest:
-    call_id: int
-    terminal_id: int
-    traffic_class: TrafficClass
-    zone: Zone
-    arrival_time_s: float
-
-
-@dataclass
+@dataclass(eq=False)
 class ApState:
-    identity: str
+    """Slot ledger of one AP; equality is identity.
+
+    ``column`` is a LiFi AP's index in the grid plan and in the simulator's
+    gain matrix, and None for the femtocell.
+    """
+
     kind: NetworkKind
+    column: int | None
+    capacity_slots: int
     mode: ApMode = ApMode.ACTIVE
-    capacity_slots: int = 8
     occupied_slots: int = 0
 
     def __post_init__(self):
@@ -96,57 +100,23 @@ class ApState:
         self.check()
 
 
-@dataclass
-class NetworkState:
-    """All APs reachable inside one room, keyed by identity."""
-
-    aps: dict[str, ApState] = field(default_factory=dict)
-
-    def add(self, ap: ApState) -> None:
-        self.aps[ap.identity] = ap
-
-    def of_kind(self, kind: NetworkKind) -> list[ApState]:
-        return [ap for ap in self.aps.values() if ap.kind is kind]
-
-    def first_free(self, kind: NetworkKind, candidates: list[str] | None = None) -> ApState | None:
-        pool = self.of_kind(kind) if candidates is None else [self.aps[i] for i in candidates if i in self.aps]
-        for ap in pool:
-            if ap.kind is kind and ap.free_slots > 0:
-                return ap
-        return None
-
-    def fap(self) -> ApState | None:
-        faps = self.of_kind(NetworkKind.FAP)
-        return faps[0] if faps else None
-
-
-@dataclass
-class DwellTimers:
-    """Zone-entry clocks plus the two dwell thresholds (seconds)."""
-
-    t_h_s: float = 2.0
-    t_h1_s: float = 2.0
-    zone4_entry_time_s: float | None = None
-    zone3_entry_time_s: float | None = None
-
-    def __post_init__(self):
-        if self.t_h_s <= 0 or self.t_h1_s <= 0:
-            raise ValueError("dwell thresholds must be positive")
+def first_free(aps) -> ApState | None:
+    """The first AP of ``aps`` (in preference order) with a free slot, if any."""
+    return next((ap for ap in aps if ap.free_slots > 0), None)
 
 
 @dataclass(frozen=True)
 class AdmissionResult:
     decision: AdmissionDecision
-    network: NetworkKind | None
-    ap_id: str | None
+    ap: ApState | None
 
 
-def _preferred_network(request: CallRequest, fap_idle: bool) -> NetworkKind:
-    if request.traffic_class is TrafficClass.RT_VOICE:
+def _preferred_network(zone: Zone, traffic_class: TrafficClass, fap_idle: bool) -> NetworkKind:
+    if traffic_class is TrafficClass.RT_VOICE:
         return NetworkKind.FAP
-    if request.zone in (Zone.Z1, Zone.Z4):
+    if zone in (Zone.Z1, Zone.Z4):
         return NetworkKind.FAP
-    if request.zone is Zone.Z3:
+    if zone is Zone.Z3:
         return NetworkKind.LIFI if fap_idle else NetworkKind.FAP
     return NetworkKind.LIFI  # Z2
 
@@ -158,43 +128,26 @@ def feasible_networks(zone: Zone, traffic_class: TrafficClass) -> tuple[NetworkK
     return (NetworkKind.FAP, NetworkKind.LIFI)
 
 
-def admit_new_call(
-    request: CallRequest,
-    state: NetworkState,
-    lifi_candidates: list[str] | None = None,
-) -> AdmissionResult:
-    """Route a newly originating call.
+def admit_new_call(zone: Zone, traffic_class: TrafficClass, fap: ApState, covering_lifi: list[ApState]) -> AdmissionResult:
+    """Route a newly originating call of ``traffic_class`` in ``zone``.
 
-    ``lifi_candidates`` restricts LiFi placement to the APs actually
-    covering the terminal (in preference order); by default any LiFi AP
-    with a free slot qualifies. Overflow redirects a data call to the other
-    feasible network; a full system blocks the call.
+    ``covering_lifi`` holds the LiFi APs covering the terminal, in
+    preference order; the call takes the first with a free slot. Overflow
+    redirects a data call to the other feasible network; a full system
+    blocks the call.
     """
-    fap = state.fap()
-    fap_idle = fap is not None and fap.mode is ApMode.IDLE
-    preferred = _preferred_network(request, fap_idle)
-    feasible = feasible_networks(request.zone, request.traffic_class)
-
-    def try_place(kind: NetworkKind) -> AdmissionResult | None:
-        if kind is NetworkKind.FAP:
-            if fap is not None and fap.free_slots > 0:
-                return AdmissionResult(AdmissionDecision.ACCEPT_ON_FAP, kind, fap.identity)
-            return None
-        ap = state.first_free(NetworkKind.LIFI, lifi_candidates)
-        if ap is not None:
-            return AdmissionResult(AdmissionDecision.ACCEPT_ON_LIFI, kind, ap.identity)
-        return None
-
-    placed = try_place(preferred)
-    if placed is not None:
-        return placed
-    for alternative in feasible:
-        if alternative is preferred:
-            continue
-        placed = try_place(alternative)
-        if placed is not None:
-            return AdmissionResult(AdmissionDecision.REDIRECTED, alternative, placed.ap_id)
-    return AdmissionResult(AdmissionDecision.BLOCKED, None, None)
+    preferred = _preferred_network(zone, traffic_class, fap.mode is ApMode.IDLE)
+    pools = {NetworkKind.FAP: (fap,), NetworkKind.LIFI: covering_lifi}
+    ap = first_free(pools[preferred])
+    if ap is not None:
+        accepted = AdmissionDecision.ACCEPT_ON_FAP if preferred is NetworkKind.FAP else AdmissionDecision.ACCEPT_ON_LIFI
+        return AdmissionResult(accepted, ap)
+    for alternative in feasible_networks(zone, traffic_class):
+        if alternative is not preferred:
+            ap = first_free(pools[alternative])
+            if ap is not None:
+                return AdmissionResult(AdmissionDecision.REDIRECTED, ap)
+    return AdmissionResult(AdmissionDecision.BLOCKED, None)
 
 
 def handover_decision(
@@ -202,15 +155,18 @@ def handover_decision(
     zone: Zone,
     s_serving_dB: float,
     s_target_dB: float,
-    timers: DwellTimers,
-    now_s: float,
+    dwell_s: float,
+    thresholds,
 ) -> HandoverDecision:
     """Evaluate the handover rules for an in-call terminal in ``zone``.
 
-    LiFi-served: Zone 1 or 3 hands straight to the femtocell; Zone 4 hands
-    to the stronger target LiFi AP, or to the femtocell once the dwell
-    exceeds ``T_h`` with no stronger target. Femtocell-served: Zone 2 hands
-    to LiFi immediately, Zone 3 after dwelling ``T_h1``.
+    ``dwell_s`` is the time since the terminal entered ``zone``, and
+    ``thresholds`` carries ``t_h_s`` and ``t_h1_s`` (the engine's
+    ``PolicyConfig``). LiFi-served: Zone 1 or 3 hands straight to the
+    femtocell; Zone 4 hands to the stronger target LiFi AP, or to the
+    femtocell once the dwell exceeds ``T_h`` with no stronger target.
+    Femtocell-served: Zone 2 hands to LiFi immediately, Zone 3 after
+    dwelling ``T_h1``.
     """
     if not isinstance(serving_kind, NetworkKind) or not isinstance(zone, Zone):
         raise ValueError("unknown serving network or zone")
@@ -220,40 +176,31 @@ def handover_decision(
         if zone is Zone.Z4:
             if s_target_dB > s_serving_dB:
                 return HandoverDecision.TO_TARGET_LIFI
-            if timers.zone4_entry_time_s is not None and now_s - timers.zone4_entry_time_s > timers.t_h_s:
+            if dwell_s > thresholds.t_h_s:
                 return HandoverDecision.TO_FAP
         return HandoverDecision.STAY
     # femtocell-served
     if zone is Zone.Z2:
         return HandoverDecision.TO_LIFI
-    if zone is Zone.Z3:
-        if timers.zone3_entry_time_s is not None and now_s - timers.zone3_entry_time_s > timers.t_h1_s:
-            return HandoverDecision.TO_LIFI
+    if zone is Zone.Z3 and dwell_s > thresholds.t_h1_s:
+        return HandoverDecision.TO_LIFI
     return HandoverDecision.STAY
 
 
-@dataclass(frozen=True)
-class ModeUpdate:
-    mode: ApMode
-    shift_to_lifi: tuple[int, ...]  # terminal ids to move before idling
+def fap_mode_update(fap_state: ApState, connected_users_with_zones: list[tuple[int, Zone]]) -> tuple[int, ...]:
+    """Terminals to shift to LiFi so that one femtocell AP can idle.
 
-
-def fap_mode_update(fap_state: ApState, connected_users_with_zones: list[tuple[int, Zone]]) -> ModeUpdate:
-    """Idle-mode selection for one femtocell AP.
-
-    No connected users puts the AP to idle; a single user sitting in
-    Zone 3 is shifted to LiFi and the AP then idles; anything else keeps
-    it active. Users outside Zone 3 are never shifted.
+    A single user sitting in Zone 3 is shifted; with no connected user, or
+    any other set of users, nobody is. Users outside Zone 3 are never
+    shifted. The femtocell idles once it holds no slot.
     """
     if fap_state.kind is not NetworkKind.FAP:
         raise ValueError("mode update applies to femtocell APs")
     if len(connected_users_with_zones) != fap_state.occupied_slots:
         raise ValueError("user list does not match occupancy")
-    if not connected_users_with_zones:
-        return ModeUpdate(ApMode.IDLE, ())
     if len(connected_users_with_zones) == 1 and connected_users_with_zones[0][1] is Zone.Z3:
-        return ModeUpdate(ApMode.IDLE, (connected_users_with_zones[0][0],))
-    return ModeUpdate(ApMode.ACTIVE, ())
+        return (connected_users_with_zones[0][0],)
+    return ()
 
 
 def fap_idle_probability(p_users: int, zone_probs) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 from dataclasses import dataclass, field
 
 
@@ -205,7 +206,7 @@ class HandoverTrace:
         return self.outcome == "complete"
 
 
-def run_handover(kind: HandoverKind, per_hop_s: float = 0.005, fault_plan: FaultPlan | None = None) -> HandoverTrace:
+def run_handover(kind: HandoverKind, per_hop_s: float, fault_plan: FaultPlan | None = None) -> HandoverTrace:
     """Execute one handover flow and return its trace.
 
     Every hop takes ``per_hop_s``. With an empty fault plan the trace
@@ -213,8 +214,8 @@ def run_handover(kind: HandoverKind, per_hop_s: float = 0.005, fault_plan: Fault
     per-step delay sum. A dropped message beyond its retry budget fails the
     run at that step; every message already delivered stays in the trace.
     """
-    if per_hop_s < 0:
-        raise ValueError("per-hop latency must be >= 0")
+    if not 0.0 <= per_hop_s < math.inf:
+        raise ValueError(f"per-hop latency must be finite and >= 0, got {per_hop_s!r}")
     steps = canonical_sequence(kind)
     faults = fault_plan if fault_plan is not None else FaultPlan()
 
@@ -262,8 +263,8 @@ def validate_trace(trace: HandoverTrace) -> Violation | None:
     """Check a trace against the canonical table and the safety rules.
 
     Returns None when the trace is valid, otherwise the first violation.
-    Safety rules hold for both complete and failed (prefix) traces: serial
-    timing, CAC before any handover response, no detach before a handover
+    Safety rules hold for both complete and failed (prefix) traces: finite,
+    serial timing, CAC before any handover response, no detach before a handover
     response, at most one handover-complete message (exactly one when
     complete) and no serving-link delete before sync and completion.
     """
@@ -276,6 +277,8 @@ def validate_trace(trace: HandoverTrace) -> Violation | None:
     for i, msg in enumerate(trace.messages):
         if msg.step_number != i + 1:
             return Violation(msg.step_number, "step numbers must increase contiguously from 1")
+        if not (math.isfinite(msg.send_time_s) and math.isfinite(msg.deliver_time_s)):
+            return Violation(msg.step_number, "send and delivery times must be finite")
         if msg.deliver_time_s < msg.send_time_s:
             return Violation(msg.step_number, "delivery precedes send")
         if prev_deliver is not None and msg.send_time_s < prev_deliver:

@@ -12,7 +12,7 @@ import io
 
 from hybridnet import policy
 from hybridnet.engine import PolicyConfig
-from hybridnet.policy import ApMode, ApState, AdmissionDecision, CallRequest, NetworkKind, NetworkState, TrafficClass
+from hybridnet.policy import ApMode, ApState, AdmissionDecision, NetworkKind, TrafficClass
 from hybridnet.protocol import TRACE_CSV_HEADER, HandoverKind, HandoverTrace, MessageKind, ProtocolMessage
 from hybridnet.zoning import Zone
 
@@ -27,28 +27,24 @@ def placement_idle_reference(
     abstracted to zones, so all Zone 2/3 users share one LiFi AP; exact for
     user counts at or below the LiFi slot count.
     """
-    state = NetworkState()
-    state.add(ApState("fap", NetworkKind.FAP, ApMode.IDLE, fap_slots, 0))
-    state.add(ApState("lifi0", NetworkKind.LIFI, ApMode.ACTIVE, lifi_slots, 0))
+    fap = ApState(NetworkKind.FAP, None, fap_slots, ApMode.IDLE)
+    lifi = ApState(NetworkKind.LIFI, 0, lifi_slots)
     fap_users: list[tuple[int, Zone]] = []
     for uid, zone in enumerate(zones):
-        request = CallRequest(uid, uid, TrafficClass.DATA, zone, 0.0)
-        result = policy.admit_new_call(request, state, ["lifi0"])
+        result = policy.admit_new_call(zone, TrafficClass.DATA, fap, [lifi])
         if result.decision is AdmissionDecision.BLOCKED:
             continue
-        state.aps[result.ap_id].occupy()
-        if result.network is NetworkKind.FAP:
+        result.ap.occupy()
+        if result.ap is fap:
             fap_users.append((uid, zone))
-    fap = state.aps["fap"]
     while True:
-        update = policy.fap_mode_update(fap, fap_users)
-        if not update.shift_to_lifi:
+        shift_to_lifi = policy.fap_mode_update(fap, fap_users)
+        if not shift_to_lifi:
             if fap.occupied_slots == 0:
                 fap.mode = ApMode.IDLE
-            return update.mode is ApMode.IDLE and fap.occupied_slots == 0
+            return fap.mode is ApMode.IDLE
         shifted = False
-        for uid in update.shift_to_lifi:
-            lifi = state.aps["lifi0"]
+        for uid in shift_to_lifi:
             if lifi.free_slots > 0:
                 lifi.occupy()
                 fap.release()

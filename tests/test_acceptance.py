@@ -212,7 +212,7 @@ def test_criterion_7_protocol_conformance():
         drops = {int(gen.integers(1, n_steps + 1)): int(gen.integers(1, 4))
                  for _ in range(int(gen.integers(0, 4)))}
         budget = {MessageKind(list(MessageKind)[int(gen.integers(len(MessageKind)))].value): int(gen.integers(0, 3))}
-        trace = run_handover(kind, fault_plan=FaultPlan(drops, budget))
+        trace = run_handover(kind, per_hop_s=0.005, fault_plan=FaultPlan(drops, budget))
         assert validate_trace(trace) is None
         completes = [m for m in trace.messages if m.kind is MessageKind.HO_COMPLETE]
         assert len(completes) <= 1

@@ -240,8 +240,9 @@ class TestTrace:
         assert cli.main(["trace", "lifi-to-lifi", "--drop-step", step]) == 2
         assert "1..27" in capsys.readouterr().err
 
-    def test_negative_per_hop_latency_is_validation_error(self, tmp_path, capsys):
-        assert cli.main(["trace", "lifi-to-lifi", "--per-hop-ms", "-1", "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("per_hop_ms", ["-1", "nan", "inf"])
+    def test_negative_per_hop_latency_is_validation_error(self, tmp_path, capsys, per_hop_ms):
+        assert cli.main(["trace", "lifi-to-lifi", "--per-hop-ms", per_hop_ms, "--out", str(tmp_path)]) == 2
         assert "per-hop latency" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -288,8 +289,14 @@ class TestIndoorSim:
             ("engine:\n  user_count: 100\n  duration_s: 20.0\n"
              "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 300.0}\n", 0,
              "b72ef50a288cc40d3b1ae5ccecd8de5a915b80ab53f0a90360d86fd399666f81"),
+            # Slot-starved: redirects 7 calls, blocks 19, rejects 496 handover
+            # ticks and runs all three handover kinds.
+            ("policy: {fap_slots: 2, lifi_slots: 1}\nengine:\n  user_count: 20\n  duration_s: 30.0\n"
+             "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 20.0}\n", 0,
+             "0e1447c6a80776b3aceb21726793183265930f487193ceba5b04a7059608f471"),
         ],
-        ids=["default-seed0", "default-seed1", "loaded-20s-seed0", "lifi-heavy-100-users-20s-seed0"],
+        ids=["default-seed0", "default-seed1", "loaded-20s-seed0", "lifi-heavy-100-users-20s-seed0",
+             "slot-starved-30s-seed0"],
     )
     def test_golden_digest(self, tmp_path, monkeypatch, text, seed, digest, exact_float_sum):
         if exact_float_sum:

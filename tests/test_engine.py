@@ -13,6 +13,7 @@ from hybridnet.engine import (
     lifi_assignment_idle, lifi_crossing_success_exact, simulate_indoor,
 )
 from hybridnet.channel import RfParams, femto_path_loss, optical_channel_gain
+from hybridnet.policy import ApMode
 from hybridnet.zoning import Zone, classify_points, monte_carlo_zone_model, plan_grid
 from oracles import enumerate_idle_probability, placement_idle_reference
 
@@ -48,6 +49,21 @@ class TestSimulateIndoor:
         assert sum(metrics.handovers.values()) == 0
         assert metrics.active_at_end == 1
         assert metrics.fap_idle_fraction == 1.0
+
+    def test_fap_idles_once_its_last_slot_is_freed(self):
+        sim = _IndoorSim(ScenarioConfig(user_count=1, seed=3))
+        terminal = sim._terminals[0]
+        terminal.x, terminal.y = 0.0, 0.0  # Zone 1: only the femtocell covers it
+        sim._locate(0.0)
+        assert sim.fap.mode is ApMode.IDLE
+        sim._try_start_call(terminal, 0.0)
+        assert terminal.call.serving is sim.fap and sim.fap.mode is ApMode.ACTIVE
+        sim._apply_idle_mode(0.0)
+        assert sim.fap.mode is ApMode.ACTIVE  # a Zone 1 user is never shifted
+        sim._release_call(terminal, 1.0)
+        assert sim.fap.occupied_slots == 0 and sim.fap.mode is ApMode.ACTIVE
+        sim._apply_idle_mode(1.0)
+        assert sim.fap.mode is ApMode.IDLE
 
     def test_bit_identical_reruns(self):
         m1 = simulate_indoor(BUSY)

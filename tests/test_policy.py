@@ -7,72 +7,75 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridnet.engine import PolicyConfig
 from hybridnet.policy import (
-    AdmissionDecision, ApMode, ApState, CallRequest, DwellTimers,
-    HandoverDecision, ModeUpdate, NetworkKind, NetworkState, TrafficClass,
-    admit_new_call, fap_idle_probability, fap_mode_update, feasible_networks,
-    handover_decision,
+    AdmissionDecision, ApMode, ApState, HandoverDecision, NetworkKind,
+    TrafficClass, admit_new_call, fap_idle_probability, fap_mode_update,
+    feasible_networks, handover_decision,
 )
 from hybridnet.zoning import Zone
 
 
-def make_state(fap_free=8, lifi_free=10, fap_mode=ApMode.ACTIVE):
-    state = NetworkState()
+def make_aps(fap_free=8, lifi_free=10, fap_mode=ApMode.ACTIVE):
+    """A femtocell with 8 slots and one LiFi AP with 10, with the given free slots."""
     fap_occ = 8 - fap_free
     mode = ApMode.IDLE if fap_mode is ApMode.IDLE and fap_occ == 0 else ApMode.ACTIVE
-    state.add(ApState("fap", NetworkKind.FAP, mode, 8, fap_occ))
-    state.add(ApState("lifi0", NetworkKind.LIFI, ApMode.ACTIVE, 10, 10 - lifi_free))
-    return state
+    return ApState(NetworkKind.FAP, None, 8, mode, fap_occ), ApState(NetworkKind.LIFI, 0, 10, ApMode.ACTIVE, 10 - lifi_free)
 
 
-def request(zone, traffic=TrafficClass.DATA):
-    return CallRequest(0, 0, traffic, zone, 0.0)
+def admit(zone, aps, traffic=TrafficClass.DATA):
+    fap, lifi = aps
+    return admit_new_call(zone, traffic, fap, [lifi])
 
 
 class TestAdmission:
     def test_zone1_data_goes_to_fap(self):
-        result = admit_new_call(request(Zone.Z1), make_state())
+        aps = make_aps()
+        result = admit(Zone.Z1, aps)
         assert result.decision is AdmissionDecision.ACCEPT_ON_FAP
-        assert result.network is NetworkKind.FAP
+        assert result.ap is aps[0]
 
     def test_voice_in_zone2_goes_to_fap(self):
-        result = admit_new_call(request(Zone.Z2, TrafficClass.RT_VOICE), make_state())
+        result = admit(Zone.Z2, make_aps(), TrafficClass.RT_VOICE)
         assert result.decision is AdmissionDecision.ACCEPT_ON_FAP
 
     def test_zone3_idle_fap_prefers_lifi(self):
-        result = admit_new_call(request(Zone.Z3), make_state(fap_mode=ApMode.IDLE))
+        result = admit(Zone.Z3, make_aps(fap_mode=ApMode.IDLE))
         assert result.decision is AdmissionDecision.ACCEPT_ON_LIFI
 
     def test_zone3_active_fap_prefers_fap(self):
-        result = admit_new_call(request(Zone.Z3), make_state())
+        result = admit(Zone.Z3, make_aps())
         assert result.decision is AdmissionDecision.ACCEPT_ON_FAP
 
     def test_zone3_overflow_redirects_to_fap(self):
-        result = admit_new_call(request(Zone.Z3), make_state(lifi_free=0, fap_mode=ApMode.IDLE))
+        aps = make_aps(lifi_free=0, fap_mode=ApMode.IDLE)
+        result = admit(Zone.Z3, aps)
         assert result.decision is AdmissionDecision.REDIRECTED
-        assert result.network is NetworkKind.FAP
+        assert result.ap is aps[0]
 
     def test_zone2_goes_to_lifi(self):
-        result = admit_new_call(request(Zone.Z2), make_state())
+        result = admit(Zone.Z2, make_aps())
         assert result.decision is AdmissionDecision.ACCEPT_ON_LIFI
 
     def test_zone4_goes_to_fap(self):
-        result = admit_new_call(request(Zone.Z4), make_state())
+        result = admit(Zone.Z4, make_aps())
         assert result.decision is AdmissionDecision.ACCEPT_ON_FAP
 
     def test_voice_blocks_rather_than_overflowing(self):
-        result = admit_new_call(request(Zone.Z2, TrafficClass.RT_VOICE), make_state(fap_free=0))
+        result = admit(Zone.Z2, make_aps(fap_free=0), TrafficClass.RT_VOICE)
         assert result.decision is AdmissionDecision.BLOCKED
 
     def test_zone1_blocks_when_fap_full(self):
-        result = admit_new_call(request(Zone.Z1), make_state(fap_free=0, lifi_free=10))
+        result = admit(Zone.Z1, make_aps(fap_free=0, lifi_free=10))
         assert result.decision is AdmissionDecision.BLOCKED
 
     def test_lifi_candidate_ordering_respected(self):
-        state = make_state()
-        state.add(ApState("lifi1", NetworkKind.LIFI, ApMode.ACTIVE, 10, 0))
-        result = admit_new_call(request(Zone.Z2), state, lifi_candidates=["lifi1", "lifi0"])
-        assert result.ap_id == "lifi1"
+        fap, lifi0 = make_aps()
+        lifi1 = ApState(NetworkKind.LIFI, 1, 10)
+        result = admit_new_call(Zone.Z2, TrafficClass.DATA, fap, [lifi1, lifi0])
+        assert result.ap is lifi1
+        lifi1.occupied_slots = lifi1.capacity_slots  # a full candidate is passed over
+        assert admit_new_call(Zone.Z2, TrafficClass.DATA, fap, [lifi1, lifi0]).ap is lifi0
 
     def test_exhaustive_decision_table_invariants(self):
         zones = list(Zone)
@@ -80,20 +83,19 @@ class TestAdmission:
         for zone, traffic, fap_free, lifi_free, fap_idle in product(
             zones, classes, (0, 1, 8), (0, 1, 10), (False, True)
         ):
-            state = make_state(fap_free, lifi_free, ApMode.IDLE if fap_idle and fap_free == 8 else ApMode.ACTIVE)
-            result = admit_new_call(request(zone, traffic), state)
+            fap, lifi = aps = make_aps(fap_free, lifi_free, ApMode.IDLE if fap_idle and fap_free == 8 else ApMode.ACTIVE)
+            result = admit(zone, aps, traffic)
             feasible = feasible_networks(zone, traffic)
             if result.decision is AdmissionDecision.BLOCKED:
                 # blocked only when every feasible network is full
                 assert all(
-                    (state.aps["fap"].free_slots == 0) if kind is NetworkKind.FAP
-                    else (state.aps["lifi0"].free_slots == 0)
+                    (fap.free_slots == 0) if kind is NetworkKind.FAP else (lifi.free_slots == 0)
                     for kind in feasible
                 )
             else:
-                assert result.network in feasible
+                assert result.ap.kind in feasible
                 if traffic is TrafficClass.RT_VOICE or zone is Zone.Z1:
-                    assert result.network is NetworkKind.FAP
+                    assert result.ap is fap
 
     @given(
         zone=st.sampled_from(list(Zone)),
@@ -103,81 +105,81 @@ class TestAdmission:
     )
     @settings(max_examples=300)
     def test_no_voice_or_zone1_on_lifi(self, zone, traffic, fap_free, lifi_free):
-        result = admit_new_call(request(zone, traffic), make_state(fap_free, lifi_free))
+        result = admit(zone, make_aps(fap_free, lifi_free), traffic)
         if traffic is TrafficClass.RT_VOICE or zone is Zone.Z1:
-            assert result.network is not NetworkKind.LIFI
+            assert result.ap is None or result.ap.kind is not NetworkKind.LIFI
 
     def test_deterministic(self):
-        results = {admit_new_call(request(Zone.Z3), make_state(3, 4)).decision for _ in range(5)}
+        results = {admit(Zone.Z3, make_aps(3, 4)).decision for _ in range(5)}
         assert len(results) == 1
 
 
 class TestHandoverDecision:
-    def timers(self, z4_entry=None, z3_entry=None):
-        return DwellTimers(t_h_s=2.0, t_h1_s=2.0, zone4_entry_time_s=z4_entry, zone3_entry_time_s=z3_entry)
+    POLICY = PolicyConfig(t_h_s=2.0, t_h1_s=2.0)
 
     def test_lifi_user_entering_zone1_or_zone3(self):
         for zone in (Zone.Z1, Zone.Z3):
-            decision = handover_decision(NetworkKind.LIFI, zone, -40.0, -50.0, self.timers(), 0.0)
+            decision = handover_decision(NetworkKind.LIFI, zone, -40.0, -50.0, 0.0, self.POLICY)
             assert decision is HandoverDecision.TO_FAP
 
     def test_zone4_stronger_target_wins(self):
-        decision = handover_decision(NetworkKind.LIFI, Zone.Z4, -45.0, -40.0, self.timers(z4_entry=0.0), 0.5)
+        decision = handover_decision(NetworkKind.LIFI, Zone.Z4, -45.0, -40.0, 0.5, self.POLICY)
         assert decision is HandoverDecision.TO_TARGET_LIFI
 
     def test_zone4_dwell_expiry_hands_to_fap(self):
-        timers = self.timers(z4_entry=0.0)
-        assert handover_decision(NetworkKind.LIFI, Zone.Z4, -40.0, -45.0, timers, 1.9) is HandoverDecision.STAY
-        assert handover_decision(NetworkKind.LIFI, Zone.Z4, -40.0, -45.0, timers, 2.0 + 1e-6) is HandoverDecision.TO_FAP
+        assert handover_decision(NetworkKind.LIFI, Zone.Z4, -40.0, -45.0, 1.9, self.POLICY) is HandoverDecision.STAY
+        assert handover_decision(NetworkKind.LIFI, Zone.Z4, -40.0, -45.0, 2.0 + 1e-6, self.POLICY) is HandoverDecision.TO_FAP
 
     def test_lifi_user_in_zone2_stays(self):
-        assert handover_decision(NetworkKind.LIFI, Zone.Z2, -40.0, -90.0, self.timers(), 0.0) is HandoverDecision.STAY
+        assert handover_decision(NetworkKind.LIFI, Zone.Z2, -40.0, -90.0, 100.0, self.POLICY) is HandoverDecision.STAY
 
     def test_fap_user_entering_zone2(self):
-        assert handover_decision(NetworkKind.FAP, Zone.Z2, -60.0, -40.0, self.timers(), 0.0) is HandoverDecision.TO_LIFI
+        assert handover_decision(NetworkKind.FAP, Zone.Z2, -60.0, -40.0, 0.0, self.POLICY) is HandoverDecision.TO_LIFI
 
     def test_fap_user_zone3_dwell(self):
-        timers = self.timers(z3_entry=0.0)
-        assert handover_decision(NetworkKind.FAP, Zone.Z3, -60.0, -45.0, timers, 1.0) is HandoverDecision.STAY
-        assert handover_decision(NetworkKind.FAP, Zone.Z3, -60.0, -45.0, timers, 2.5) is HandoverDecision.TO_LIFI
+        assert handover_decision(NetworkKind.FAP, Zone.Z3, -60.0, -45.0, 1.0, self.POLICY) is HandoverDecision.STAY
+        assert handover_decision(NetworkKind.FAP, Zone.Z3, -60.0, -45.0, 2.5, self.POLICY) is HandoverDecision.TO_LIFI
+
+    def test_each_zone_reads_its_own_threshold(self):
+        thresholds = PolicyConfig(t_h_s=1.0, t_h1_s=5.0)
+        assert handover_decision(NetworkKind.LIFI, Zone.Z4, -40.0, -45.0, 2.0, thresholds) is HandoverDecision.TO_FAP
+        assert handover_decision(NetworkKind.FAP, Zone.Z3, -60.0, -45.0, 2.0, thresholds) is HandoverDecision.STAY
 
     def test_fap_user_zone1_or_zone4_stays(self):
         for zone in (Zone.Z1, Zone.Z4):
-            assert handover_decision(NetworkKind.FAP, zone, -60.0, -45.0, self.timers(), 0.0) is HandoverDecision.STAY
+            assert handover_decision(NetworkKind.FAP, zone, -60.0, -45.0, 100.0, self.POLICY) is HandoverDecision.STAY
 
     def test_unknown_inputs_rejected(self):
         with pytest.raises(ValueError):
-            handover_decision("wifi", Zone.Z2, -60.0, -45.0, self.timers(), 0.0)
+            handover_decision("wifi", Zone.Z2, -60.0, -45.0, 0.0, self.POLICY)
         with pytest.raises(ValueError):
-            handover_decision(NetworkKind.LIFI, "Z9", -60.0, -45.0, self.timers(), 0.0)
+            handover_decision(NetworkKind.LIFI, "Z9", -60.0, -45.0, 0.0, self.POLICY)
 
 
 class TestFapModeUpdate:
     def fap(self, occupied):
-        return ApState("fap", NetworkKind.FAP, ApMode.ACTIVE, 8, occupied)
+        return ApState(NetworkKind.FAP, None, 8, ApMode.ACTIVE, occupied)
 
     def test_empty_fap_idles(self):
-        update = fap_mode_update(self.fap(0), [])
-        assert update.mode is ApMode.IDLE and update.shift_to_lifi == ()
+        # Nobody to shift; the engine then idles the empty femtocell
+        # (test_engine: test_fap_idles_once_its_last_slot_is_freed).
+        assert fap_mode_update(self.fap(0), []) == ()
 
     def test_single_zone3_user_is_shifted(self):
-        update = fap_mode_update(self.fap(1), [(7, Zone.Z3)])
-        assert update == ModeUpdate(ApMode.IDLE, (7,))
+        assert fap_mode_update(self.fap(1), [(7, Zone.Z3)]) == (7,)
 
     def test_single_zone1_user_keeps_fap_active(self):
-        update = fap_mode_update(self.fap(1), [(7, Zone.Z1)])
-        assert update.mode is ApMode.ACTIVE and update.shift_to_lifi == ()
+        assert fap_mode_update(self.fap(1), [(7, Zone.Z1)]) == ()
 
     def test_two_users_keep_fap_active(self):
-        update = fap_mode_update(self.fap(2), [(1, Zone.Z3), (2, Zone.Z3)])
-        assert update.mode is ApMode.ACTIVE
+        assert fap_mode_update(self.fap(2), [(1, Zone.Z3), (2, Zone.Z3)]) == ()
 
     def test_occupancy_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fap_mode_update(self.fap(2), [(1, Zone.Z3)])
 
     def test_wrong_kind_rejected(self):
-        lifi = ApState("lifi0", NetworkKind.LIFI, ApMode.ACTIVE, 10, 0)
+        lifi = ApState(NetworkKind.LIFI, 0, 10)
         with pytest.raises(ValueError):
             fap_mode_update(lifi, [])
 
@@ -185,8 +187,7 @@ class TestFapModeUpdate:
     @settings(max_examples=200)
     def test_never_shifts_outside_zone3(self, zones):
         users = list(enumerate(zones))
-        update = fap_mode_update(self.fap(len(users)), users)
-        for uid in update.shift_to_lifi:
+        for uid in fap_mode_update(self.fap(len(users)), users):
             assert dict(users)[uid] is Zone.Z3
 
 

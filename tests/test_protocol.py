@@ -1,6 +1,7 @@
 """Handover call-flow conformance, fault injection and trace replay tests."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -64,9 +65,10 @@ class TestRunHandover:
         trace = run_handover(HandoverKind.LIFI_TO_FEMTO, per_hop_s=0.005)
         assert trace.latency_s == pytest.approx(25 * 0.005, rel=1e-12)
 
-    def test_negative_per_hop_rejected(self):
+    @pytest.mark.parametrize("per_hop_s", [-1.0, math.nan, math.inf])
+    def test_negative_per_hop_rejected(self, per_hop_s):
         with pytest.raises(ValueError, match="per-hop latency"):
-            run_handover(HandoverKind.LIFI_TO_LIFI, per_hop_s=-0.001)
+            run_handover(HandoverKind.LIFI_TO_LIFI, per_hop_s=per_hop_s)
 
     def test_fault_free_traces_validate(self):
         for kind in HandoverKind:
@@ -76,7 +78,7 @@ class TestRunHandover:
 
     def test_dropped_response_fails_and_preserves_serving_link(self):
         plan = FaultPlan(drop_counts={11: 1})
-        trace = run_handover(HandoverKind.FEMTO_TO_LIFI, fault_plan=plan)
+        trace = run_handover(HandoverKind.FEMTO_TO_LIFI, per_hop_s=0.005, fault_plan=plan)
         assert trace.outcome == "failed"
         assert trace.failed_step == 11
         assert len(trace.messages) == 10
@@ -91,7 +93,7 @@ class TestRunHandover:
 
     def test_retry_budget_exhausts(self):
         plan = FaultPlan(drop_counts={7: 2}, retry_budget={MessageKind.HO_REQUEST: 1})
-        trace = run_handover(HandoverKind.LIFI_TO_LIFI, fault_plan=plan)
+        trace = run_handover(HandoverKind.LIFI_TO_LIFI, per_hop_s=0.005, fault_plan=plan)
         assert trace.outcome == "failed" and trace.failed_step == 7
 
 
@@ -159,6 +161,15 @@ class TestValidateTrace:
         violation = validate_trace(bad)
         assert violation is not None
 
+    @pytest.mark.parametrize("time_s", [math.nan, math.inf])
+    def test_non_finite_time_violates(self, time_s):
+        trace = self.base()
+        msgs = list(trace.messages)
+        msgs[-1] = dataclasses.replace(msgs[-1], send_time_s=time_s, deliver_time_s=time_s)
+        violation = validate_trace(dataclasses.replace(trace, messages=tuple(msgs)))
+        assert violation is not None
+        assert "finite" in violation.reason
+
     def test_wrong_sender_violates(self):
         trace = self.base()
         msgs = list(trace.messages)
@@ -178,7 +189,7 @@ class TestRandomizedFaultSafety:
             n_steps = STEP_COUNTS[kind]
             drops = {int(gen.integers(1, n_steps + 1)): int(gen.integers(1, 3)) for _ in range(int(gen.integers(0, 3)))}
             budget = {MessageKind.HO_REQUEST: int(gen.integers(0, 2)), MessageKind.LINK_SETUP: int(gen.integers(0, 2))}
-            trace = run_handover(kind, fault_plan=FaultPlan(drops, budget))
+            trace = run_handover(kind, per_hop_s=0.005, fault_plan=FaultPlan(drops, budget))
             assert validate_trace(trace) is None
             completes = [m for m in trace.messages if m.kind is MessageKind.HO_COMPLETE]
             assert len(completes) <= 1
