@@ -34,6 +34,8 @@ from .protocol import HandoverKind, run_handover
 from .rng import spawn_streams
 from .zoning import MIN_MC_SAMPLES, GridPlan, Zone, classify_points, monte_carlo_zone_model, plan_grid
 
+_ZONE_OF_CODE = (None, *Zone)  # indexed by classify_points code: no enum call per terminal
+
 
 def _check_minima(config, **minima: int) -> None:
     """Raise ValueError, naming the field, if a count of ``config`` is below its minimum."""
@@ -268,13 +270,15 @@ class _IndoorSim:
     def _locate(self, now: float) -> None:
         """Zones, AP distances, optical gains and coverage of every terminal at its current position."""
         pts = np.asarray([(t.x, t.y) for t in self._terminals], dtype=float).reshape(-1, 2)
-        d2 = self.plan.sq_distances(pts)
+        plan = self.plan
+        window = plan.sq_distances(pts, width=max(plan.n_x, plan.n_y))  # the whole lattice: every AP's gain
+        d2 = np.ascontiguousarray(window[0].reshape(plan.ap_count, -1).T)
         dist = np.sqrt(d2)
         self._gain = channel.optical_channel_gain(dist, self.cfg.optical)
         self._nearest_first = np.argsort(dist, axis=1, kind="stable").tolist()
-        self._covered = self.plan.covered(d2).tolist()
-        for t, code in zip(self._terminals, classify_points(self.plan, pts, d2).tolist()):
-            zone = Zone(code)
+        self._covered = plan.covered(d2).tolist()
+        for t, code in zip(self._terminals, classify_points(plan, pts, window).tolist()):
+            zone = _ZONE_OF_CODE[code]
             if zone is not t.zone:
                 t.zone = zone
                 t.zone_entry_s = now
@@ -519,9 +523,9 @@ def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[
     for i, gen in enumerate(spawn_streams(config.seed)["placement"].spawn(n_chunks)):
         n = min(chunk, config.placements - i * chunk)
         pts = (gen.random((p_max, n, 2)) * (plan.room_x_m, plan.room_y_m)).reshape(-1, 2)
-        d2 = plan.sq_distances(pts)
-        codes = classify_points(plan, pts, d2).reshape(p_max, n).T
-        nearest = d2.argmin(axis=1).reshape(p_max, n).T
+        window = plan.sq_distances(pts)
+        codes = classify_points(plan, pts, window).reshape(p_max, n).T
+        nearest = plan.nearest(window).reshape(p_max, n).T
         idle_counts[1:] += lifi_assignment_idle(codes, nearest, plan.ap_count, config.lifi_slots).sum(axis=0)
     rows = [(p, int(idle_counts[p]) / config.placements, policy.fap_idle_probability(p, model.zone_probs))
             for p in user_counts]

@@ -27,8 +27,8 @@ import numpy as np
 from .rng import spawn_streams
 
 _MC_CHUNK = 1 << 18
-# Points classified at once within a chunk: bounds the (points, APs)
-# distance matrices, about 16 MB each at 121 APs.
+# Points classified at once within a chunk, sized for cache: a slice's 3x3
+# window is 1.2 MB; a whole chunk at once runs about 2x slower in 37 MB more.
 _CLASSIFY_SLICE = 1 << 14
 
 # Fewest samples the Monte Carlo zone model accepts.
@@ -44,7 +44,12 @@ class Zone(enum.Enum):
 
 @dataclass(frozen=True)
 class GridPlan:
-    """AP grid geometry for one room; build with :func:`plan_grid`."""
+    """AP grid geometry for one room; build with :func:`plan_grid`.
+
+    The lattice window of :meth:`sq_distances` needs ``ap_centers`` to be the
+    row-major product of x and y lines ``d_x_m`` and ``d_y_m`` apart, and that
+    pitch to be at least the coverage radius on an axis of three or more lines.
+    """
 
     room_x_m: float
     room_y_m: float
@@ -58,28 +63,48 @@ class GridPlan:
     ap_centers: tuple[tuple[float, float], ...]
     fap_center: tuple[float, float]
 
+    def __post_init__(self):
+        xs, ys = [x for x, _ in self.ap_centers[:self.n_x]], [y for _, y in self.ap_centers[::max(self.n_x, 1)]]
+        if min(self.n_x, self.n_y) < 1 or len(ys) != self.n_y or self.ap_centers != tuple((x, y) for y in ys for x in xs):
+            raise ValueError("ap_centers: not the row-major product of n_x x lines and n_y y lines")
+        for axis, lines, pitch in (("x", xs, self.d_x_m), ("y", ys, self.d_y_m)):
+            if not (pitch > 0 and np.allclose(np.diff(lines), pitch, rtol=1e-9, atol=0.0)):
+                raise ValueError(f"ap_centers: the {axis} lines are not d_{axis}_m = {pitch!r} apart")
+            if len(lines) >= 3 and pitch < self.coverage_radius_m:
+                raise ValueError(f"d_{axis}_m: pitch {pitch!r} is below the coverage radius on {len(lines)} lines")
+        object.__setattr__(self, "_lines", (np.array(xs), np.array(ys)))
+
     @property
     def ap_count(self) -> int:
         return len(self.ap_centers)
 
     @property
-    def overlap_depth_m(self) -> float:
-        """l_z, the larger of the two per-axis overlap depths."""
-        return max(self.l_x_m, self.l_y_m)
-
-    @property
     def inner_radius_m(self) -> float:
-        """Radius of the Zone 2 disk around each AP."""
-        return self.coverage_radius_m - self.overlap_depth_m / 2.0
+        """Radius of the Zone 2 disk around each AP: ``r - l_z/2``, l_z the larger per-axis overlap depth."""
+        return self.coverage_radius_m - max(self.l_x_m, self.l_y_m) / 2.0
 
-    def centers_array(self) -> np.ndarray:
-        return np.asarray(self.ap_centers, dtype=float)
+    def sq_distances(self, points: np.ndarray, width: int = 3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Squared distances from (N, 2) points to the APs of each point's window of ``min(width, lines)`` lines per axis.
 
-    def sq_distances(self, points: np.ndarray) -> np.ndarray:
-        """(N, K) squared horizontal distances from (N, 2) points to the K LiFi APs, as ``dx*dx + dy*dy``."""
-        pts, centers = np.asarray(points, dtype=float), self.centers_array()
-        dx, dy = pts[:, 0, None] - centers[:, 0], pts[:, 1, None] - centers[:, 1]
-        return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+        Returns ``(d2, col0, row0)``: ``d2[j, i, p]`` is ``dx*dx + dy*dy`` from
+        point ``p`` to the AP in row ``row0[p] + j``, column ``col0[p] + i``.
+        The line at or below a point is the second of its window, clipped to the walls.
+        """
+        window = []
+        for lines, pitch, p in zip(self._lines, (self.d_x_m, self.d_y_m), np.asarray(points, dtype=float).T):
+            w = min(width, len(lines))
+            first = np.minimum(np.maximum(np.floor((p - lines[0]) / pitch).astype(np.intp) - 1, 0), len(lines) - w)
+            offset = p - lines.take(first + np.arange(w)[:, None])
+            window.append((np.square(offset, out=offset), first))
+        (dx2, col0), (dy2, row0) = window
+        return dy2[:, None, :] + dx2[None, :, :], col0, row0
+
+    def nearest(self, window: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        """Row-major index of each point's nearest AP, from its :meth:`sq_distances` window; a tie goes to the lower index."""
+        d2, col0, row0 = window
+        w_y, w_x, n = d2.shape
+        k = d2.reshape(w_y * w_x, n).argmin(axis=0)
+        return (row0 + k // w_x) * self.n_x + col0 + k % w_x
 
     def covered(self, sq_distances: np.ndarray) -> np.ndarray:
         """Which squared distances lie within the coverage radius."""
@@ -144,12 +169,13 @@ def analytic_zone_areas(plan: GridPlan) -> tuple[float, float, float, float]:
     return a_z1, a_z2, a_z3, a_z4
 
 
-def classify_points(plan: GridPlan, points: np.ndarray, sq_distances: np.ndarray | None = None) -> np.ndarray:
+def classify_points(plan: GridPlan, points: np.ndarray, window: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Zone codes (1..4) for an (N, 2) array of in-room points.
 
     Precedence: two or more covering APs make Z4 regardless of the inner
     disk; a single covering AP splits Z2/Z3 on the inner radius; no
-    coverage is Z1. A caller that also reads the AP distances passes
+    coverage is Z1. Each point is measured against its 3x3 lattice window
+    of APs; a caller that also reads those distances passes
     ``plan.sq_distances(points)``, so they are computed once.
     """
     pts = np.asarray(points, dtype=float)
@@ -157,9 +183,9 @@ def classify_points(plan: GridPlan, points: np.ndarray, sq_distances: np.ndarray
     if np.any(pts[:, 0] < 0) or np.any(pts[:, 0] > a) or np.any(pts[:, 1] < 0) or np.any(pts[:, 1] > b):
         raise ValueError("point outside the room rectangle")
     inner2 = plan.inner_radius_m**2
-    d2 = plan.sq_distances(pts) if sq_distances is None else sq_distances
-    n_cov = plan.covered(d2).sum(axis=1)
-    d2_min = d2.min(axis=1)
+    d2 = (plan.sq_distances(pts) if window is None else window)[0]
+    n_cov = plan.covered(d2).sum(axis=(0, 1))
+    d2_min = d2.min(axis=(0, 1))
     codes = np.where(n_cov >= 2, 4, np.where(n_cov == 0, 1, np.where(d2_min <= inner2, 2, 3)))
     return codes.astype(np.int8)
 

@@ -3,18 +3,22 @@
 ``placement_idle_reference`` drives one placement through the policy
 module user by user, and ``enumerate_idle_probability`` sums it over every
 zone assignment; the vectorized fig16 rule and the closed-form bound are
-checked against them. ``trace_from_csv`` reads a written trace back for
-replay validation.
+checked against them. ``classify_against_every_ap`` measures each point
+against every AP of a plan, the brute force the lattice-window zone lookup
+must reproduce. ``trace_from_csv`` reads a written trace back for replay
+validation.
 """
 
 import csv
 import io
 
+import numpy as np
+
 from hybridnet import policy
 from hybridnet.engine import PolicyConfig
 from hybridnet.policy import ApMode, ApState, AdmissionDecision, NetworkKind, TrafficClass
 from hybridnet.protocol import TRACE_CSV_HEADER, HandoverKind, HandoverTrace, MessageKind, ProtocolMessage
-from hybridnet.zoning import Zone
+from hybridnet.zoning import GridPlan, Zone
 
 
 def placement_idle_reference(
@@ -72,6 +76,28 @@ def enumerate_idle_probability(
             if w > 0.0:
                 stack.append((prefix + [zone], w))
     return total
+
+
+def sq_distances_to_every_ap(plan: GridPlan, points) -> np.ndarray:
+    """(N, K) squared horizontal distances from (N, 2) points to all K APs, as ``dx*dx + dy*dy``."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    centers = np.asarray(plan.ap_centers, dtype=float)
+    dx = pts[:, 0, None] - centers[:, 0]
+    dy = pts[:, 1, None] - centers[:, 1]
+    return dx * dx + dy * dy
+
+
+def classify_against_every_ap(plan: GridPlan, points) -> tuple[np.ndarray, np.ndarray]:
+    """Zone code and nearest AP (``argmin``: lowest index on a tie) of each point, one point at a time."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    r2, inner2 = plan.coverage_radius_m**2, plan.inner_radius_m**2
+    codes, nearest = [], []
+    for start in range(0, len(pts), 32):  # 32 rows of distances at a time bound the memory
+        for d2 in sq_distances_to_every_ap(plan, pts[start:start + 32]):
+            covering = int(np.count_nonzero(d2 <= r2))
+            codes.append(4 if covering >= 2 else 1 if covering == 0 else 2 if d2.min() <= inner2 else 3)
+            nearest.append(int(d2.argmin()))
+    return np.array(codes, dtype=np.int8), np.array(nearest, dtype=np.intp)
 
 
 def trace_from_csv(text: str, kind: HandoverKind, outcome: str = "complete", failed_step: int | None = None) -> HandoverTrace:

@@ -84,6 +84,22 @@ class TestZones:
         assert cli.main(["zones", "--samples", "16384", "--out", str(out)]) == 0
         assert out.read_text().startswith("zone,")
 
+    # sha256 of zones.csv at seed 0. The zone lookup may change how it finds
+    # a point's APs, never which zone a point lands in.
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ([], "48e4e446dd1a426d25f90673b74a065cf58aea1d96534fb38f87ce22e6b908bf"),
+            (["--room", "100x100", "--radius", "5", "--samples", "1048576"],
+             "e2aa793d604c3e4427e408bf1291cc37313192dffed6c3cfecb58abc34a38fee"),
+        ],
+        ids=["default-24x24", "100x100-121-aps"],
+    )
+    def test_golden_digest(self, tmp_path, argv, digest):
+        out = tmp_path / "zones.csv"
+        assert cli.main(["zones", *argv, "--seed", "0", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestExperiments:
     @pytest.mark.parametrize(
@@ -160,6 +176,19 @@ class TestExperiments:
         for row in rows:
             _, rf_only, owc_only, hybrid = (float(v) for v in row.split(","))
             assert hybrid >= max(rf_only, owc_only)
+
+    # sha256 of the default-config CSVs at seed 0: fig16 classifies and
+    # assigns every placed user to its nearest AP, fig17 reads the zone model.
+    @pytest.mark.parametrize(
+        "name,digest",
+        [
+            ("fig16", "64341a3dbce83b1e00eff2081da8979212f4eca514b028fe29edbd85e3652df2"),
+            ("fig17", "06c3ae3a77266b1550eeea7618d52a1d54a9e9aa3d6786ee4051555f51bce0e9"),
+        ],
+    )
+    def test_golden_digest(self, tmp_path, name, digest):
+        assert cli.main(["experiment", name, "--seed", "0", "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest
 
     def test_unknown_name_exits_nonzero(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -15,7 +15,9 @@ from hybridnet.engine import (
 from hybridnet.channel import RfParams, femto_path_loss, optical_channel_gain
 from hybridnet.policy import ApMode
 from hybridnet.zoning import Zone, classify_points, monte_carlo_zone_model, plan_grid
-from oracles import enumerate_idle_probability, placement_idle_reference
+from oracles import (
+    classify_against_every_ap, enumerate_idle_probability, placement_idle_reference, sq_distances_to_every_ap,
+)
 
 BUSY = ScenarioConfig(
     user_count=8,
@@ -97,7 +99,7 @@ class TestSimulateIndoor:
         sim = _IndoorSim(BUSY)
         sim.run()
         pts = np.asarray([(t.x, t.y) for t in sim._terminals])
-        gains = optical_channel_gain(np.sqrt(sim.plan.sq_distances(pts)), BUSY.optical)
+        gains = optical_channel_gain(np.sqrt(sq_distances_to_every_ap(sim.plan, pts)), BUSY.optical)
         assert sim._gain.tolist() == gains.tolist()
 
     def test_mobility_keeps_terminals_in_room(self):
@@ -169,10 +171,8 @@ class TestIdleProbabilityExperiment:
         for _ in range(60):
             p = int(gen.integers(1, 5))
             pts = gen.random((p, 2)) * 24.0
-            codes = classify_points(plan, pts)
+            codes, nearest = classify_against_every_ap(plan, pts)
             zones = [Zone(int(c)) for c in codes]
-            d2 = ((pts[:, None, :] - plan.centers_array()[None, :, :]) ** 2).sum(axis=2)
-            nearest = np.argmin(d2, axis=1)
             fast = lifi_assignment_idle(codes[None, :], nearest[None, :], plan.ap_count, 10)[0]
             assert fast.shape == (p,)
             for k in range(1, p + 1):  # every prefix of the users is a placement of k users

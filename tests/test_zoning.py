@@ -1,5 +1,6 @@
 """Grid planning and zone-partition tests with independent geometry oracles."""
 
+import dataclasses
 import math
 from itertools import product
 
@@ -13,6 +14,7 @@ from hybridnet.zoning import (
     classify_points, min_ap_count, monte_carlo_zone_model,
     occupancy_probability, plan_grid,
 )
+from oracles import classify_against_every_ap, sq_distances_to_every_ap
 
 PLAN_24 = plan_grid(24.0, 24.0, 5.0)
 
@@ -67,6 +69,52 @@ class TestPlanGrid:
         assert plan.l_x_m == pytest.approx(2 * r - plan.d_x_m, rel=1e-9, abs=1e-9)
         assert plan.l_x_m >= -1e-12 and plan.l_y_m >= -1e-12
         assert len(plan.ap_centers) == plan.n_x * plan.n_y
+
+
+class TestLatticePrecondition:
+    @given(
+        a=st.floats(min_value=0.01, max_value=200.0),
+        b=st.floats(min_value=0.01, max_value=200.0),
+        r=st.floats(min_value=0.5, max_value=50.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_planned_grid_is_a_lattice_at_pitch_r(self, a, b, r):
+        plan = plan_grid(a, b, r)  # GridPlan checks the precondition at construction
+        assert dataclasses.replace(plan) == plan
+        for n, pitch, coords in ((plan.n_x, plan.d_x_m, [x for x, _ in plan.ap_centers]),
+                                 (plan.n_y, plan.d_y_m, [y for _, y in plan.ap_centers])):
+            lines = sorted(set(coords))
+            assert len(lines) == n
+            if n >= 3:
+                assert pitch >= 4.0 * r / 3.0 * (1 - 1e-12) and min(np.diff(lines)) >= r
+
+    def test_column_major_centers_rejected(self):
+        transposed = tuple((x, y) for x in (4.0, 12.0, 20.0) for y in (4.0, 12.0, 20.0))
+        assert sorted(transposed) == sorted(PLAN_24.ap_centers)
+        with pytest.raises(ValueError, match="row-major"):
+            dataclasses.replace(PLAN_24, ap_centers=transposed)
+
+    def test_line_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="row-major"):
+            dataclasses.replace(PLAN_24, n_x=2)
+        with pytest.raises(ValueError, match="row-major"):
+            dataclasses.replace(PLAN_24, ap_centers=PLAN_24.ap_centers[:8])
+
+    def test_uneven_lines_rejected(self):
+        centers = tuple((x, y) for y in (4.0, 12.0, 20.0) for x in (4.0, 11.0, 20.0))
+        with pytest.raises(ValueError, match="x lines are not d_x_m"):
+            dataclasses.replace(PLAN_24, ap_centers=centers)
+        with pytest.raises(ValueError, match="y lines are not d_y_m"):
+            dataclasses.replace(PLAN_24, d_y_m=8.5)
+
+    def test_pitch_below_radius_rejected(self):
+        # Three x lines 4 m apart at r = 5: a 3-line window could miss a covering AP.
+        centers = tuple((x, y) for y in (4.0, 12.0, 20.0) for x in (8.0, 12.0, 16.0))
+        with pytest.raises(ValueError, match="d_x_m: pitch 4.0 is below the coverage radius"):
+            dataclasses.replace(PLAN_24, d_x_m=4.0, ap_centers=centers)
+        # Two lines need no window, so any positive pitch is a lattice.
+        two = tuple((x, y) for y in (4.0, 12.0, 20.0) for x in (11.0, 13.0))
+        assert dataclasses.replace(PLAN_24, n_x=2, d_x_m=2.0, ap_centers=two).n_x == 2
 
 
 class TestMinApCount:
@@ -162,6 +210,53 @@ class TestClassifyPoint:
             assert zone is Zone.Z1
         else:
             assert zone is (Zone.Z2 if min(d) <= 4.0 else Zone.Z3)
+
+
+def _adversarial_points(plan: GridPlan, gen: np.random.Generator, count: int) -> np.ndarray:
+    """Corners plus points whose x and y each sit on an AP line, a midpoint between
+    adjacent lines, a coverage or inner-disk boundary of a line, or a wall."""
+    axes = []
+    for side, coords in ((plan.room_x_m, [x for x, _ in plan.ap_centers]), (plan.room_y_m, [y for _, y in plan.ap_centers])):
+        lines = np.array(sorted(set(coords)))
+        special = np.concatenate([
+            lines, (lines[:-1] + lines[1:]) / 2.0, [0.0, side],
+            lines + plan.coverage_radius_m, lines - plan.coverage_radius_m,
+            lines + plan.inner_radius_m, lines - plan.inner_radius_m,
+        ])
+        axes.append(special[(special >= 0.0) & (special <= side)])
+    corners = [(0.0, 0.0), (plan.room_x_m, 0.0), (0.0, plan.room_y_m), (plan.room_x_m, plan.room_y_m)]
+    return np.vstack([corners, np.column_stack([gen.choice(axes[0], count), gen.choice(axes[1], count)])])
+
+
+class TestLatticeWindow:
+    @given(
+        a=st.floats(min_value=1.0, max_value=200.0),
+        b=st.floats(min_value=1.0, max_value=200.0),
+        r=st.floats(min_value=0.5, max_value=25.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_window_matches_every_ap_oracle(self, a, b, r, seed):
+        plan = plan_grid(a, b, r)
+        gen = np.random.default_rng(seed)
+        pts = np.vstack([gen.random((64, 2)) * (a, b), _adversarial_points(plan, gen, 64)])
+        codes, nearest = classify_against_every_ap(plan, pts)
+        window = plan.sq_distances(pts)
+        assert classify_points(plan, pts).tolist() == codes.tolist()
+        assert classify_points(plan, pts, window).tolist() == codes.tolist()
+        assert plan.nearest(window).tolist() == nearest.tolist()
+
+    def test_whole_lattice_window_holds_every_distance_in_row_major_order(self):
+        plan = plan_grid(60.0, 35.0, 3.0)
+        pts = np.random.default_rng(2).random((50, 2)) * (60.0, 35.0)
+        d2, col0, row0 = plan.sq_distances(pts, width=max(plan.n_x, plan.n_y))
+        assert d2.shape == (plan.n_y, plan.n_x, 50) and not col0.any() and not row0.any()
+        assert d2.reshape(plan.ap_count, -1).T.tolist() == sq_distances_to_every_ap(plan, pts).tolist()
+
+    def test_tie_goes_to_lower_ap_index(self):
+        # (8, 4) is the midpoint of AP 0 at (4, 4) and AP 1 at (12, 4).
+        assert PLAN_24.ap_centers[:2] == ((4.0, 4.0), (12.0, 4.0))
+        assert PLAN_24.nearest(PLAN_24.sq_distances([(8.0, 4.0)])).tolist() == [0]
 
 
 class TestMonteCarlo:
