@@ -22,6 +22,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -70,12 +71,18 @@ def _write_run(args, config: dict, started: float, stem: str, command: str, text
     return csv_path
 
 
+def _positive(flag: str, value: float) -> float:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{flag}: must be a positive finite number, got {value!r}")
+    return value
+
+
 def _parse_room(text: str) -> tuple[float, float]:
     try:
-        a, b = text.lower().split("x")
-        return float(a), float(b)
-    except Exception as exc:
-        raise ValueError(f"room must look like 24x24, got {text!r}") from exc
+        a, b = (float(side) for side in text.lower().split("x"))
+    except ValueError as exc:
+        raise ValueError(f"--room: must look like 24x24, got {text!r}") from exc
+    return _positive("--room", a), _positive("--room", b)
 
 
 def _env_default(name: str, parse=str, fallback=None):
@@ -119,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _zoning_args(args) -> tuple[float, float]:
     """Room sides; an unset --radius or --samples takes the config's zoning value."""
     z = cfgmod.load_config(args.config)["zoning"]
-    if args.radius is None:
-        args.radius = z["coverage_radius_m"]
-    if args.samples is None:
-        args.samples = z["mc_samples"]
+    args.radius = z["coverage_radius_m"] if args.radius is None else _positive("--radius", args.radius)
+    args.samples = z["mc_samples"] if args.samples is None else args.samples
+    if args.samples < zoning.MIN_MC_SAMPLES:
+        raise ValueError(f"--samples: must be at least {zoning.MIN_MC_SAMPLES}, got {args.samples}")
     return _parse_room(args.room) if args.room is not None else (z["room_x_m"], z["room_y_m"])
 
 

@@ -32,7 +32,7 @@ from .channel import OpticalParams, RfParams
 from .policy import AdmissionDecision, ApMode, ApState, HandoverDecision, NetworkKind, TrafficClass
 from .protocol import HandoverKind, run_handover
 from .rng import spawn_streams
-from .zoning import MIN_MC_SAMPLES, GridPlan, Zone, classify_points, monte_carlo_zone_model, plan_grid
+from .zoning import _CLASSIFY_SLICE, MIN_MC_SAMPLES, GridPlan, Zone, classify_points, monte_carlo_zone_model, plan_grid
 
 _ZONE_OF_CODE = (None, *Zone)  # indexed by classify_points code: no enum call per terminal
 
@@ -271,12 +271,12 @@ class _IndoorSim:
         """Zones, AP distances, optical gains and coverage of every terminal at its current position."""
         pts = np.asarray([(t.x, t.y) for t in self._terminals], dtype=float).reshape(-1, 2)
         plan = self.plan
-        window = plan.sq_distances(pts, width=max(plan.n_x, plan.n_y))  # the whole lattice: every AP's gain
-        d2 = np.ascontiguousarray(window[0].reshape(plan.ap_count, -1).T)
+        dx2, dy2, _, _ = window = plan.sq_distances(pts, width=max(plan.n_x, plan.n_y))  # the whole lattice: every AP's gain
+        d2 = (dy2.T[:, :, None] + dx2.T[:, None, :]).reshape(len(pts), plan.ap_count)  # row-major AP order
         dist = np.sqrt(d2)
         self._gain = channel.optical_channel_gain(dist, self.cfg.optical)
         self._nearest_first = np.argsort(dist, axis=1, kind="stable").tolist()
-        self._covered = plan.covered(d2).tolist()
+        self._covered = (d2 <= plan.coverage_radius_m**2).tolist()
         for t, code in zip(self._terminals, classify_points(plan, pts, window).tolist()):
             zone = _ZONE_OF_CODE[code]
             if zone is not t.zone:
@@ -490,15 +490,19 @@ def lifi_assignment_idle(codes: np.ndarray, nearest: np.ndarray, ap_count: int, 
 
     ``codes``, ``nearest`` and the result have shape (placements, users);
     entry (i, k) holds for users 0..k of placement i. The femtocell ends
-    idle exactly when none of them sits in Zone 1 or Zone 4 (a running OR)
-    and no covering LiFi AP is asked for more users than it has slots (a
-    running per-AP load, checked at the AP each user adds to); this matches
-    the sequential admission plus idle-mode pipeline, which tests verify.
+    idle exactly when all of them sit in Zone 2 or 3 and no LiFi AP is asked
+    for more users than it has slots (users join a per-AP load column by
+    column, checked at the AP each one adds to); this matches the sequential
+    admission plus idle-mode pipeline, which tests verify.
     """
-    needs_fap = np.logical_or.accumulate((codes == 1) | (codes == 4), axis=1)
-    on_ap = ((codes == 2) | (codes == 3))[..., None] & (nearest[..., None] == np.arange(ap_count))
-    load_at_ap = np.take_along_axis(np.cumsum(on_ap, axis=1, dtype=np.int32), nearest[..., None], axis=2)[..., 0]
-    return ~(needs_fap | np.logical_or.accumulate(load_at_ap > lifi_slots, axis=1))
+    n, p = codes.shape
+    row_start, load = np.arange(n) * ap_count, np.zeros(n * ap_count, dtype=np.int32)  # a flat (n, ap_count) load
+    idle, out = np.ones(n, dtype=bool), np.empty((p, n), dtype=bool)
+    for u in range(p):
+        on_lifi, cell = (codes[:, u] == 2) | (codes[:, u] == 3), row_start + nearest[:, u]
+        load[cell] += on_lifi
+        out[u] = idle = idle & on_lifi & (load[cell] <= lifi_slots)
+    return out.T
 
 
 def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[int]):
@@ -523,9 +527,11 @@ def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[
     for i, gen in enumerate(spawn_streams(config.seed)["placement"].spawn(n_chunks)):
         n = min(chunk, config.placements - i * chunk)
         pts = (gen.random((p_max, n, 2)) * (plan.room_x_m, plan.room_y_m)).reshape(-1, 2)
-        window = plan.sq_distances(pts)
-        codes = classify_points(plan, pts, window).reshape(p_max, n).T
-        nearest = plan.nearest(window).reshape(p_max, n).T
+        codes, nearest = np.empty(len(pts), dtype=np.int8), np.empty(len(pts), dtype=np.intp)
+        for part in (slice(s, s + _CLASSIFY_SLICE) for s in range(0, len(pts), _CLASSIFY_SLICE)):
+            window = plan.sq_distances(pts[part])
+            codes[part], nearest[part] = classify_points(plan, pts[part], window), plan.nearest(window)
+        codes, nearest = codes.reshape(p_max, n).T, nearest.reshape(p_max, n).T  # (placements, users)
         idle_counts[1:] += lifi_assignment_idle(codes, nearest, plan.ap_count, config.lifi_slots).sum(axis=0)
     rows = [(p, int(idle_counts[p]) / config.placements, policy.fap_idle_probability(p, model.zone_probs))
             for p in user_counts]

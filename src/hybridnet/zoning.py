@@ -13,7 +13,10 @@ they are approximations (the pairwise-overlap term is counted once per AP
 rather than once per adjacent pair, and wall clipping is ignored), so their
 sum equals ``a*b + A_Z4`` instead of ``a*b``. The Monte Carlo model and the
 exact point classifier are the geometric ground truth; downstream
-probability consumers use the Monte Carlo zone probabilities.
+probability consumers use the Monte Carlo zone probabilities. The
+classifier reads each point's per-axis window, its squared offsets to the
+three lattice lines around it on each axis: the two smallest per axis fix
+its nearest and second-nearest AP distance, which decide its zone.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import numpy as np
 from .rng import spawn_streams
 
 _MC_CHUNK = 1 << 18
-# Points classified at once within a chunk, sized for cache: a slice's 3x3
-# window is 1.2 MB; a whole chunk at once runs about 2x slower in 37 MB more.
+# Points classified at once, by the zone model and fig16, sized for cache: a
+# slice's window is 0.8 MB; a whole fig16 chunk at once runs 1.4x slower in 40 MB more.
 _CLASSIFY_SLICE = 1 << 14
 
 # Fewest samples the Monte Carlo zone model accepts.
@@ -83,12 +86,12 @@ class GridPlan:
         """Radius of the Zone 2 disk around each AP: ``r - l_z/2``, l_z the larger per-axis overlap depth."""
         return self.coverage_radius_m - max(self.l_x_m, self.l_y_m) / 2.0
 
-    def sq_distances(self, points: np.ndarray, width: int = 3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Squared distances from (N, 2) points to the APs of each point's window of ``min(width, lines)`` lines per axis.
+    def sq_distances(self, points: np.ndarray, width: int = 3) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-axis window of (N, 2) points: their squared offsets to ``min(width, lines)`` lines on each axis.
 
-        Returns ``(d2, col0, row0)``: ``d2[j, i, p]`` is ``dx*dx + dy*dy`` from
-        point ``p`` to the AP in row ``row0[p] + j``, column ``col0[p] + i``.
-        The line at or below a point is the second of its window, clipped to the walls.
+        Returns ``(dx2, dy2, col0, row0)``: ``dx2[i, p]`` is point ``p``'s squared offset from x line ``col0[p] + i``
+        and ``dy2[j, p]`` from y line ``row0[p] + j``, so ``dy2[j, p] + dx2[i, p]`` is its squared distance to the AP
+        in that row and column. The line at or below a point is the second of its window, clipped to the walls.
         """
         window = []
         for lines, pitch, p in zip(self._lines, (self.d_x_m, self.d_y_m), np.asarray(points, dtype=float).T):
@@ -97,18 +100,17 @@ class GridPlan:
             offset = p - lines.take(first + np.arange(w)[:, None])
             window.append((np.square(offset, out=offset), first))
         (dx2, col0), (dy2, row0) = window
-        return dy2[:, None, :] + dx2[None, :, :], col0, row0
+        return dx2, dy2, col0, row0
 
-    def nearest(self, window: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-        """Row-major index of each point's nearest AP, from its :meth:`sq_distances` window; a tie goes to the lower index."""
-        d2, col0, row0 = window
-        w_y, w_x, n = d2.shape
-        k = d2.reshape(w_y * w_x, n).argmin(axis=0)
-        return (row0 + k // w_x) * self.n_x + col0 + k % w_x
+    def nearest(self, window: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        """Row-major index of each point's nearest AP in its :meth:`sq_distances` window; a tie goes to the lower index.
 
-    def covered(self, sq_distances: np.ndarray) -> np.ndarray:
-        """Which squared distances lie within the coverage radius."""
-        return sq_distances <= self.coverage_radius_m**2
+        Row ``j`` comes nearest at ``dy2[j] + min(dx2)`` (IEEE addition is monotone), so the first row reaching
+        the least of those, then its first nearest column, is the window's row-major ``argmin``.
+        """
+        dx2, dy2, col0, row0 = window
+        row = _first_argmin(dy2 + dx2.min(axis=0))
+        return (row0 + row) * self.n_x + col0 + _first_argmin(dy2[row, np.arange(len(row))] + dx2)
 
 
 def plan_grid(a: float, b: float, r: float) -> GridPlan:
@@ -119,8 +121,8 @@ def plan_grid(a: float, b: float, r: float) -> GridPlan:
     ``r - l/2`` from the wall so overhang is symmetric. The femtocell AP is
     placed at the room center.
     """
-    if a <= 0 or b <= 0 or r <= 0:
-        raise ValueError("room dimensions and coverage radius must be positive")
+    if not all(x > 0 and math.isfinite(x) for x in (a, b, r)):
+        raise ValueError(f"room dimensions and coverage radius must be positive and finite, got {a!r}, {b!r}, {r!r}")
     n_x = math.floor(a / (2.0 * r) + 1.0)
     n_y = math.floor(b / (2.0 * r) + 1.0)
     d_x = a / math.floor((a + 2.0 * r) / (2.0 * r))
@@ -139,8 +141,8 @@ def plan_grid(a: float, b: float, r: float) -> GridPlan:
 
 def min_ap_count(a: float, b: float, r: float) -> int:
     """Sparsest grid that still tiles the room: floor(a/2r) * floor(b/2r)."""
-    if a <= 0 or b <= 0 or r <= 0:
-        raise ValueError("room dimensions and coverage radius must be positive")
+    if not all(x > 0 and math.isfinite(x) for x in (a, b, r)):
+        raise ValueError(f"room dimensions and coverage radius must be positive and finite, got {a!r}, {b!r}, {r!r}")
     return math.floor(a / (2.0 * r)) * math.floor(b / (2.0 * r))
 
 
@@ -169,25 +171,42 @@ def analytic_zone_areas(plan: GridPlan) -> tuple[float, float, float, float]:
     return a_z1, a_z2, a_z3, a_z4
 
 
-def classify_points(plan: GridPlan, points: np.ndarray, window: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def _two_smallest(rows: np.ndarray):
+    """Smallest and second-smallest entry of each column of a (w, N) window axis; a one-line axis has no second (inf)."""
+    least, second = rows[0], np.inf
+    for row in rows[1:]:  # three rows (the default window): the min and the median of three
+        least, second = np.minimum(least, row), np.minimum(second, np.maximum(least, row))
+    return least, second
+
+
+def _first_argmin(rows: np.ndarray) -> np.ndarray:
+    """``rows.argmin(axis=0)`` of a (w, N) array, one row at a time instead of through a transposed copy."""
+    arg, least = np.zeros(rows.shape[1], dtype=np.intp), rows[0]
+    for j in range(1, len(rows)):
+        arg, least = np.where(rows[j] < least, j, arg), np.minimum(least, rows[j])
+    return arg
+
+
+def classify_points(plan: GridPlan, points: np.ndarray, window: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Zone codes (1..4) for an (N, 2) array of in-room points.
 
     Precedence: two or more covering APs make Z4 regardless of the inner
     disk; a single covering AP splits Z2/Z3 on the inner radius; no
-    coverage is Z1. Each point is measured against its 3x3 lattice window
-    of APs; a caller that also reads those distances passes
-    ``plan.sq_distances(points)``, so they are computed once.
+    coverage is Z1. The codes read the per-axis window ``plan.sq_distances(points)``
+    (a caller that also reads it passes it): with ``s1 <= s2`` the two smallest
+    squared offsets on each axis, the nearest AP is ``s1y + s1x`` away and the
+    second nearest ``min(s1y + s2x, s2y + s1x)``, both exact as IEEE addition is monotone.
     """
     pts = np.asarray(points, dtype=float)
     a, b = plan.room_x_m, plan.room_y_m
     if np.any(pts[:, 0] < 0) or np.any(pts[:, 0] > a) or np.any(pts[:, 1] < 0) or np.any(pts[:, 1] > b):
         raise ValueError("point outside the room rectangle")
-    inner2 = plan.inner_radius_m**2
-    d2 = (plan.sq_distances(pts) if window is None else window)[0]
-    n_cov = plan.covered(d2).sum(axis=(0, 1))
-    d2_min = d2.min(axis=(0, 1))
-    codes = np.where(n_cov >= 2, 4, np.where(n_cov == 0, 1, np.where(d2_min <= inner2, 2, 3)))
-    return codes.astype(np.int8)
+    dx2, dy2 = (plan.sq_distances(pts) if window is None else window)[:2]
+    (s1x, s2x), (s1y, s2y) = _two_smallest(dx2), _two_smallest(dy2)
+    dmin, second, r2 = s1y + s1x, np.minimum(s1y + s2x, s2y + s1x), plan.coverage_radius_m**2
+    in_disk = (dmin <= plan.inner_radius_m**2).view(np.int8)
+    # Z1 is 1; a covering AP adds 2 (Z3), less 1 in its inner disk (Z2); a second adds 1 + in_disk (Z4).
+    return np.int8(1) + np.int8(2) * (dmin <= r2) - in_disk + (second <= r2) * (in_disk + np.int8(1))
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@
 ``placement_idle_reference`` drives one placement through the policy
 module user by user, and ``enumerate_idle_probability`` sums it over every
 zone assignment; the vectorized fig16 rule and the closed-form bound are
-checked against them. ``classify_against_every_ap`` measures each point
-against every AP of a plan, the brute force the lattice-window zone lookup
-must reproduce. ``trace_from_csv`` reads a written trace back for replay
-validation.
+checked against them. ``lifi_assignment_idle_one_hot`` is the all-users-at-once
+(one-hot cumulative load) form of that rule, the reference for the
+column-by-column form the simulator runs. ``classify_against_every_ap``
+measures each point against every AP of a plan, the brute force the
+lattice-window zone lookup must reproduce. ``trace_from_csv`` reads a
+written trace back for replay validation.
 """
 
 import csv
@@ -98,6 +100,19 @@ def classify_against_every_ap(plan: GridPlan, points) -> tuple[np.ndarray, np.nd
             codes.append(4 if covering >= 2 else 1 if covering == 0 else 2 if d2.min() <= inner2 else 3)
             nearest.append(int(d2.argmin()))
     return np.array(codes, dtype=np.int8), np.array(nearest, dtype=np.intp)
+
+
+def lifi_assignment_idle_one_hot(codes: np.ndarray, nearest: np.ndarray, ap_count: int, lifi_slots: int) -> np.ndarray:
+    """Idle outcome of every user-count prefix, as ``engine.lifi_assignment_idle`` computes it, all users at once.
+
+    A running OR marks a prefix with a Zone 1 or Zone 4 user; the running
+    load of every AP is the cumulative sum of an (n, p, K) one-hot array of
+    Zone 2/3 users, read back at the AP each user adds to.
+    """
+    needs_fap = np.logical_or.accumulate((codes == 1) | (codes == 4), axis=1)
+    on_ap = ((codes == 2) | (codes == 3))[..., None] & (nearest[..., None] == np.arange(ap_count))
+    load_at_ap = np.take_along_axis(np.cumsum(on_ap, axis=1, dtype=np.int32), nearest[..., None], axis=2)[..., 0]
+    return ~(needs_fap | np.logical_or.accumulate(load_at_ap > lifi_slots, axis=1))
 
 
 def trace_from_csv(text: str, kind: HandoverKind, outcome: str = "complete", failed_step: int | None = None) -> HandoverTrace:

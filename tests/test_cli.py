@@ -72,6 +72,22 @@ class TestPlan:
         assert "ap_count: 9" in capsys.readouterr().out
 
 
+class TestZoningFlags:
+    @pytest.mark.parametrize("command", ["plan", "zones"])
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--room", "infx24"], "--room"), (["--room", "nanx24"], "--room"), (["--room", "24xinf"], "--room"),
+            (["--radius", "inf"], "--radius"), (["--radius", "nan"], "--radius"), (["--radius", "0"], "--radius"),
+            (["--samples", "5"], "--samples"),
+        ],
+        ids=["room-inf", "room-nan", "room-y-inf", "radius-inf", "radius-nan", "radius-zero", "samples-5"],
+    )
+    def test_bad_value_exits_2_naming_the_flag(self, capsys, command, argv, flag):
+        assert cli.main([command, *argv]) == 2
+        assert flag in capsys.readouterr().err
+
+
 class TestZones:
     def test_csv_schema(self, capsys):
         assert cli.main(["zones", "--room", "10x10", "--radius", "5", "--samples", "16384"]) == 0

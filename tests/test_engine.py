@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hybridnet import engine, zoning
 from hybridnet.engine import (
     FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig,
     MobilityConfig, PolicyConfig, RoomConfig, ScenarioConfig, TrafficConfig,
@@ -16,7 +17,8 @@ from hybridnet.channel import RfParams, femto_path_loss, optical_channel_gain
 from hybridnet.policy import ApMode
 from hybridnet.zoning import Zone, classify_points, monte_carlo_zone_model, plan_grid
 from oracles import (
-    classify_against_every_ap, enumerate_idle_probability, placement_idle_reference, sq_distances_to_every_ap,
+    classify_against_every_ap, enumerate_idle_probability, lifi_assignment_idle_one_hot, placement_idle_reference,
+    sq_distances_to_every_ap,
 )
 
 BUSY = ScenarioConfig(
@@ -186,6 +188,36 @@ class TestIdleProbabilityExperiment:
         idle = lifi_assignment_idle(codes, nearest, ap_count=2, lifi_slots=2)
         assert idle.tolist() == [[True, True, False, False]]
         assert lifi_assignment_idle(codes, np.array([[0, 1, 0, 1]]), 2, 2).tolist() == [[True] * 4]
+
+    @pytest.mark.parametrize("ap_count", [1, 2, 9, 121])
+    def test_column_loop_matches_one_hot_reference(self, ap_count):
+        # Mostly Zone 2/3 users, so long all-LiFi prefixes pile onto few slots and overflow is common.
+        gen = np.random.default_rng(ap_count)
+        overflowed = 0
+        for p in (0, 1, 7, 25):
+            for lifi_slots in (1, 2, 3):
+                codes = gen.choice(np.arange(1, 5, dtype=np.int8), size=(400, p), p=[0.03, 0.47, 0.47, 0.03])
+                nearest = gen.integers(0, ap_count, size=(400, p))
+                expected = lifi_assignment_idle_one_hot(codes, nearest, ap_count, lifi_slots)
+                got = lifi_assignment_idle(codes, nearest, ap_count, lifi_slots)
+                assert got.shape == (400, p) and got.tolist() == expected.tolist()
+                all_lifi = np.logical_and.accumulate((codes == 2) | (codes == 3), axis=1)
+                overflowed += int(np.count_nonzero(all_lifi & ~expected))
+        assert overflowed > 100
+
+    def test_fig16_classifies_in_cache_sized_slices(self, monkeypatch):
+        cfg = IdleExperimentConfig(placements=45_000, zone_samples=16_384, seed=3)  # three chunks, the last partial
+        expected, _ = idle_probability_experiment(cfg, list(range(21)))
+        sizes = []
+
+        def counting_classify(plan, points, window=None):
+            sizes.append(len(points))
+            return classify_points(plan, points, window)
+
+        monkeypatch.setattr(engine, "classify_points", counting_classify)
+        got, _ = idle_probability_experiment(cfg, list(range(21)))
+        assert max(sizes) <= zoning._CLASSIFY_SLICE and sum(sizes) == 20 * 45_000
+        assert got == expected
 
     def test_exhaustive_enumeration_matches_closed_form(self):
         model = monte_carlo_zone_model(plan_grid(24.0, 24.0, 5.0), 65_536, seed=5)

@@ -56,6 +56,14 @@ class TestPlanGrid:
             with pytest.raises(ValueError):
                 plan_grid(a, b, r)
 
+    @pytest.mark.parametrize("a,b,r", [(math.inf, 24, 5), (math.nan, 24, 5), (24, math.inf, 5), (24, 24, math.inf),
+                                       (24, 24, math.nan)])
+    def test_non_finite_sizes_rejected(self, a, b, r):
+        with pytest.raises(ValueError, match="positive and finite"):
+            plan_grid(a, b, r)
+        with pytest.raises(ValueError, match="positive and finite"):
+            min_ap_count(a, b, r)
+
     @given(
         a=st.floats(min_value=1.0, max_value=200.0),
         b=st.floats(min_value=1.0, max_value=200.0),
@@ -249,9 +257,43 @@ class TestLatticeWindow:
     def test_whole_lattice_window_holds_every_distance_in_row_major_order(self):
         plan = plan_grid(60.0, 35.0, 3.0)
         pts = np.random.default_rng(2).random((50, 2)) * (60.0, 35.0)
-        d2, col0, row0 = plan.sq_distances(pts, width=max(plan.n_x, plan.n_y))
-        assert d2.shape == (plan.n_y, plan.n_x, 50) and not col0.any() and not row0.any()
-        assert d2.reshape(plan.ap_count, -1).T.tolist() == sq_distances_to_every_ap(plan, pts).tolist()
+        dx2, dy2, col0, row0 = plan.sq_distances(pts, width=max(plan.n_x, plan.n_y))
+        assert dx2.shape == (plan.n_x, 50) and dy2.shape == (plan.n_y, 50) and not col0.any() and not row0.any()
+        d2 = dy2.T[:, :, None] + dx2.T[:, None, :]
+        assert d2.reshape(50, plan.ap_count).tolist() == sq_distances_to_every_ap(plan, pts).tolist()
+
+    @pytest.mark.parametrize(
+        "xs,ys,r,pitch",
+        [
+            ([1.0, 3.0, 5.0], [1.0, 3.0, 5.0], 2.0, (2.0, 2.0)),  # pitch exactly r, lines exact in binary
+            ([0.35 + i * 0.7 for i in range(3)], [0.35 + i * 0.7 for i in range(3)], 0.7, (0.7, 0.7)),  # lines rounded
+            ([1.5], [1.0, 3.0, 5.0], 2.0, (3.0, 2.0)),  # one x line; its pitch is the room's width
+            ([1.0, 2.5], [1.0, 3.0, 5.0], 2.0, (1.5, 2.0)),  # two x lines, closer than r
+        ],
+        ids=["pitch-r-exact", "pitch-r-rounded", "one-line-axis", "two-line-axis"],
+    )
+    def test_knife_edges_of_hand_built_plans(self, xs, ys, r, pitch):
+        # A point on a line is exactly r from the lines beside it; the order-statistic
+        # codes and the window's nearest AP must still match the every-AP oracle there,
+        # one float either side of it, and on every coverage and inner-disk circle.
+        room = (xs[-1] + xs[0], ys[-1] + ys[0])
+        plan = GridPlan(
+            room_x_m=room[0], room_y_m=room[1], coverage_radius_m=r, n_x=len(xs), n_y=len(ys),
+            d_x_m=pitch[0], d_y_m=pitch[1], l_x_m=0.8 * r, l_y_m=0.8 * r,
+            ap_centers=tuple((x, y) for y in ys for x in xs), fap_center=(room[0] / 2.0, room[1] / 2.0),
+        )
+        axes = []
+        for lines, side in ((np.array(xs), room[0]), (np.array(ys), room[1])):
+            edges = np.concatenate([lines + offset for offset in (0.0, r, -r, plan.inner_radius_m, -plan.inner_radius_m)])
+            edges = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+            axes.append(np.unique(np.clip(edges, 0.0, side)))
+        pts = np.array(list(product(*axes)))
+        codes, nearest = classify_against_every_ap(plan, pts)
+        window = plan.sq_distances(pts)
+        assert {2, 3, 4} <= set(codes.tolist())  # a lattice at pitch r leaves no Zone 1 hole
+        assert classify_points(plan, pts).tolist() == codes.tolist()
+        assert classify_points(plan, pts, window).tolist() == codes.tolist()
+        assert plan.nearest(window).tolist() == nearest.tolist()
 
     def test_tie_goes_to_lower_ap_index(self):
         # (8, 4) is the midpoint of AP 0 at (4, 4) and AP 1 at (12, 4).
