@@ -125,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _zoning_args(args) -> tuple[float, float]:
     """Room sides; an unset --radius or --samples takes the config's zoning value."""
-    z = cfgmod.load_config(args.config)["zoning"]
+    config = cfgmod.load_config(args.config)
+    cfgmod.build(config, "zoning")  # range-checks the room and radius, naming the key
+    z = config["zoning"]
     args.radius = z["coverage_radius_m"] if args.radius is None else _positive("--radius", args.radius)
     args.samples = z["mc_samples"] if args.samples is None else args.samples
     if args.samples < zoning.MIN_MC_SAMPLES:

@@ -2,9 +2,11 @@
 
 ``simulate_indoor`` runs a tick-driven loop (default 100 ms) over a room:
 random-waypoint mobility, Poisson call arrivals with exponential holding
-times, zone tracking, the admission/handover/idle-mode policies and one
-protocol run per accepted handover. Runs are bit-identical for a fixed
-(config, seed) pair; every random draw comes from a labeled substream.
+times, zone tracking and the admission/handover/idle-mode policies. Each
+handover kind's call flow is replayed once per run, and every executed
+handover adds its kind's latency to the mean. Runs are bit-identical for
+a fixed (config, seed) pair; every random draw comes from a labeled
+substream.
 
 The experiment entry points reproduce the published comparisons:
 
@@ -49,6 +51,11 @@ class RoomConfig:
     room_x_m: float = 24.0
     room_y_m: float = 24.0
     coverage_radius_m: float = 5.0
+
+    def __post_init__(self):
+        for name in ("room_x_m", "room_y_m", "coverage_radius_m"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be positive and finite, got {getattr(self, name)!r}")
 
     def plan(self) -> GridPlan:
         return plan_grid(self.room_x_m, self.room_y_m, self.coverage_radius_m)
@@ -217,6 +224,9 @@ class _IndoorSim:
         self.lifi = [ApState(NetworkKind.LIFI, j, config.policy.lifi_slots) for j in range(self.plan.ap_count)]
         self.metrics = Metrics()
         self._by_kind = {kind: (RunningMean(), RunningMean()) for kind in NetworkKind}
+        # A fault-free flow's latency depends on its kind and the per-hop delay alone.
+        per_hop_s = config.policy.per_hop_latency_s
+        self._handover_latency_s = {kind: run_handover(kind, per_hop_s).latency_s for kind in HandoverKind}
         self._terminals = self._init_terminals()
 
     def _init_terminals(self) -> list[_Terminal]:
@@ -313,9 +323,8 @@ class _IndoorSim:
         t.next_arrival_s = now + self._draw_interarrival()
 
     def _execute_handover(self, t: _Terminal, now: float, kind: HandoverKind, target: ApState) -> None:
-        trace = run_handover(kind, self.cfg.policy.per_hop_latency_s)
         self.metrics.handovers[kind.value] += 1
-        self.metrics.handover_latency_s.add(trace.latency_s)
+        self.metrics.handover_latency_s.add(self._handover_latency_s[kind])
         t.call.serving.release()
         target.occupy()
         t.call.serving = target

@@ -1,10 +1,14 @@
 """Handover call flows as message-driven state machines on a simulated bus.
 
 Three flows are modeled: LiFi-to-femtocell (25 steps), femtocell-to-LiFi
-(26 steps) and LiFi-to-LiFi (27 steps). Each canonical step table maps a
-step number to one message kind and a (sender, receiver) pair; local
-actions such as signal sensing, CAC and link teardown appear as
-self-addressed messages so that per-step latency accounting stays uniform.
+(26 steps) and LiFi-to-LiFi (27 steps). They are one 27-step call flow
+over a serving and a target role, bound per kind: neighbour search runs
+only when a LiFi AP serves, and the gateway auth-check pair only when the
+target is a LiFi AP. Each kind's step table is built from it once, at
+import, and maps a step number to one message kind and a (sender,
+receiver) pair; local actions such as signal sensing, CAC and link
+teardown appear as self-addressed messages so that per-step latency
+accounting stays uniform.
 
 Execution is strictly serial: a step is sent only after the previous step
 delivers, so the end-to-end latency of a fault-free run is the sum of the
@@ -49,100 +53,49 @@ class MessageKind(enum.Enum):
 
 # Participant labels used by the step tables.
 UE, SERVING_LIFI, TARGET_LIFI, FAP, GW = "ue", "serving_lifi", "target_lifi", "fap", "gw"
+# Symbolic roles of the call flow, bound per kind by _ROLES.
+SERVING, TARGET = "serving", "target"
 
 K = MessageKind
 
-_LIFI_TO_FEMTO_STEPS = (
-    (1, K.MEASUREMENT_REPORT, UE, UE),
-    (2, K.MEASUREMENT_REPORT, UE, SERVING_LIFI),
-    (3, K.NEIGHBOR_SEARCH, UE, UE),
-    (4, K.AP_SELECT, UE, SERVING_LIFI),
-    (5, K.PRE_AUTH, UE, FAP),
-    (6, K.HO_DECISION, UE, SERVING_LIFI),
-    (7, K.HO_REQUEST, SERVING_LIFI, GW),
-    (8, K.HO_REQUEST, GW, FAP),
-    (9, K.CAC_CHECK, FAP, FAP),
-    (10, K.HO_RESPONSE, FAP, GW),
-    (11, K.HO_RESPONSE, GW, SERVING_LIFI),
-    (12, K.LINK_SETUP, GW, FAP),
-    (13, K.LINK_SETUP, FAP, GW),
-    (14, K.LINK_SETUP, GW, FAP),
-    (15, K.DATA_FORWARD, GW, FAP),
-    (16, K.CHANNEL_REESTABLISH, UE, FAP),
-    (17, K.CHANNEL_REESTABLISH, FAP, UE),
-    (18, K.DETACH, UE, SERVING_LIFI),
-    (19, K.SYNC, UE, FAP),
-    (20, K.SYNC, FAP, UE),
-    (21, K.HO_COMPLETE, UE, GW),
-    (22, K.DATA_FORWARD, GW, FAP),
-    (23, K.LINK_DELETE, GW, SERVING_LIFI),
-    (24, K.LINK_DELETE, SERVING_LIFI, SERVING_LIFI),
-    (25, K.LINK_DELETE, SERVING_LIFI, GW),
+# The one call flow: (message, sender, receiver, when). ``when`` names the
+# role that must be a LiFi AP for the step to run (None: always): neighbour
+# search runs only when LiFi serves, the auth-check pair only when the
+# target is LiFi.
+_CALL_FLOW = (
+    (K.MEASUREMENT_REPORT, UE, UE, None),
+    (K.MEASUREMENT_REPORT, UE, SERVING, None),
+    (K.NEIGHBOR_SEARCH, UE, UE, SERVING),
+    (K.AP_SELECT, UE, SERVING, None),
+    (K.PRE_AUTH, UE, TARGET, None),
+    (K.HO_DECISION, UE, SERVING, None),
+    (K.HO_REQUEST, SERVING, GW, None),
+    (K.HO_REQUEST, GW, TARGET, None),
+    (K.AUTH_CHECK, TARGET, GW, TARGET),
+    (K.AUTH_CHECK, GW, TARGET, TARGET),
+    (K.CAC_CHECK, TARGET, TARGET, None),
+    (K.HO_RESPONSE, TARGET, GW, None),
+    (K.HO_RESPONSE, GW, SERVING, None),
+    (K.LINK_SETUP, GW, TARGET, None),
+    (K.LINK_SETUP, TARGET, GW, None),
+    (K.LINK_SETUP, GW, TARGET, None),
+    (K.DATA_FORWARD, GW, TARGET, None),
+    (K.CHANNEL_REESTABLISH, UE, TARGET, None),
+    (K.CHANNEL_REESTABLISH, TARGET, UE, None),
+    (K.DETACH, UE, SERVING, None),
+    (K.SYNC, UE, TARGET, None),
+    (K.SYNC, TARGET, UE, None),
+    (K.HO_COMPLETE, UE, GW, None),
+    (K.DATA_FORWARD, GW, TARGET, None),
+    (K.LINK_DELETE, GW, SERVING, None),
+    (K.LINK_DELETE, SERVING, SERVING, None),
+    (K.LINK_DELETE, SERVING, GW, None),
 )
 
-_FEMTO_TO_LIFI_STEPS = (
-    (1, K.MEASUREMENT_REPORT, UE, UE),
-    (2, K.MEASUREMENT_REPORT, UE, FAP),
-    (3, K.AP_SELECT, UE, FAP),
-    (4, K.PRE_AUTH, UE, TARGET_LIFI),
-    (5, K.HO_DECISION, UE, FAP),
-    (6, K.HO_REQUEST, FAP, GW),
-    (7, K.HO_REQUEST, GW, TARGET_LIFI),
-    (8, K.AUTH_CHECK, TARGET_LIFI, GW),
-    (9, K.AUTH_CHECK, GW, TARGET_LIFI),
-    (10, K.CAC_CHECK, TARGET_LIFI, TARGET_LIFI),
-    (11, K.HO_RESPONSE, TARGET_LIFI, GW),
-    (12, K.HO_RESPONSE, GW, FAP),
-    (13, K.LINK_SETUP, GW, TARGET_LIFI),
-    (14, K.LINK_SETUP, TARGET_LIFI, GW),
-    (15, K.LINK_SETUP, GW, TARGET_LIFI),
-    (16, K.DATA_FORWARD, GW, TARGET_LIFI),
-    (17, K.CHANNEL_REESTABLISH, UE, TARGET_LIFI),
-    (18, K.CHANNEL_REESTABLISH, TARGET_LIFI, UE),
-    (19, K.DETACH, UE, FAP),
-    (20, K.SYNC, UE, TARGET_LIFI),
-    (21, K.SYNC, TARGET_LIFI, UE),
-    (22, K.HO_COMPLETE, UE, GW),
-    (23, K.DATA_FORWARD, GW, TARGET_LIFI),
-    (24, K.LINK_DELETE, GW, FAP),
-    (25, K.LINK_DELETE, FAP, FAP),
-    (26, K.LINK_DELETE, FAP, GW),
-)
-
-_LIFI_TO_LIFI_STEPS = (
-    (1, K.MEASUREMENT_REPORT, UE, UE),
-    (2, K.MEASUREMENT_REPORT, UE, SERVING_LIFI),
-    (3, K.NEIGHBOR_SEARCH, UE, UE),
-    (4, K.AP_SELECT, UE, SERVING_LIFI),
-    (5, K.PRE_AUTH, UE, TARGET_LIFI),
-    (6, K.HO_DECISION, UE, SERVING_LIFI),
-    (7, K.HO_REQUEST, SERVING_LIFI, GW),
-    (8, K.HO_REQUEST, GW, TARGET_LIFI),
-    (9, K.AUTH_CHECK, TARGET_LIFI, GW),
-    (10, K.AUTH_CHECK, GW, TARGET_LIFI),
-    (11, K.CAC_CHECK, TARGET_LIFI, TARGET_LIFI),
-    (12, K.HO_RESPONSE, TARGET_LIFI, GW),
-    (13, K.HO_RESPONSE, GW, SERVING_LIFI),
-    (14, K.LINK_SETUP, GW, TARGET_LIFI),
-    (15, K.LINK_SETUP, TARGET_LIFI, GW),
-    (16, K.LINK_SETUP, GW, TARGET_LIFI),
-    (17, K.DATA_FORWARD, GW, TARGET_LIFI),
-    (18, K.CHANNEL_REESTABLISH, UE, TARGET_LIFI),
-    (19, K.CHANNEL_REESTABLISH, TARGET_LIFI, UE),
-    (20, K.DETACH, UE, SERVING_LIFI),
-    (21, K.SYNC, UE, TARGET_LIFI),
-    (22, K.SYNC, TARGET_LIFI, UE),
-    (23, K.HO_COMPLETE, UE, GW),
-    (24, K.DATA_FORWARD, GW, TARGET_LIFI),
-    (25, K.LINK_DELETE, GW, SERVING_LIFI),
-    (26, K.LINK_DELETE, SERVING_LIFI, SERVING_LIFI),
-    (27, K.LINK_DELETE, SERVING_LIFI, GW),
-)
-
-_TABLES = {
-    HandoverKind.LIFI_TO_FEMTO: _LIFI_TO_FEMTO_STEPS,
-    HandoverKind.FEMTO_TO_LIFI: _FEMTO_TO_LIFI_STEPS,
-    HandoverKind.LIFI_TO_LIFI: _LIFI_TO_LIFI_STEPS,
+_ROLES = {
+    HandoverKind.LIFI_TO_FEMTO: {SERVING: SERVING_LIFI, TARGET: FAP},
+    HandoverKind.FEMTO_TO_LIFI: {SERVING: FAP, TARGET: TARGET_LIFI},
+    HandoverKind.LIFI_TO_LIFI: {SERVING: SERVING_LIFI, TARGET: TARGET_LIFI},
 }
 
 
@@ -154,11 +107,20 @@ class StepDescriptor:
     receiver: str
 
 
+def _bind(roles: dict[str, str]) -> tuple[StepDescriptor, ...]:
+    """The call flow with ``roles`` bound, its conditional steps kept or dropped, numbered from 1."""
+    rows = [(k, roles.get(s, s), roles.get(r, r)) for k, s, r, when in _CALL_FLOW if when is None or roles[when] != FAP]
+    return tuple(StepDescriptor(n, *row) for n, row in enumerate(rows, 1))
+
+
+_SEQUENCES = {kind: _bind(roles) for kind, roles in _ROLES.items()}
+
+
 def canonical_sequence(kind: HandoverKind) -> tuple[StepDescriptor, ...]:
-    """The ordered step table for one handover flow."""
-    if kind not in _TABLES:
+    """The ordered step table for one handover flow, built once at import."""
+    if kind not in _SEQUENCES:
         raise ValueError(f"unknown handover kind {kind!r}")
-    return tuple(StepDescriptor(n, k, s, r) for n, k, s, r in _TABLES[kind])
+    return _SEQUENCES[kind]
 
 
 @dataclass(frozen=True)
@@ -186,12 +148,6 @@ class FaultPlan:
     drop_counts: dict[int, int] = field(default_factory=dict)
     retry_budget: dict[MessageKind, int] = field(default_factory=dict)
 
-    def drops_at(self, step_number: int) -> int:
-        return self.drop_counts.get(step_number, 0)
-
-    def retries_for(self, kind: MessageKind) -> int:
-        return self.retry_budget.get(kind, 0)
-
 
 @dataclass(frozen=True)
 class HandoverTrace:
@@ -216,41 +172,20 @@ def run_handover(kind: HandoverKind, per_hop_s: float, fault_plan: FaultPlan | N
     """
     if not 0.0 <= per_hop_s < math.inf:
         raise ValueError(f"per-hop latency must be finite and >= 0, got {per_hop_s!r}")
-    steps = canonical_sequence(kind)
     faults = fault_plan if fault_plan is not None else FaultPlan()
 
     messages: list[ProtocolMessage] = []
-    clock = 0.0
-    for step in steps:
-        drops = faults.drops_at(step.step_number)
-        allowed = faults.retries_for(step.kind)
-        send_time = clock
+    clock = 0.0  # the first message is sent at 0, so the clock is the latency so far
+    for step in canonical_sequence(kind):
+        drops = faults.drop_counts.get(step.step_number, 0)
+        allowed = faults.retry_budget.get(step.kind, 0)
         if drops > allowed:
             # The failed attempts still burn time, then the run aborts.
-            first_send = messages[0].send_time_s if messages else send_time
-            fail_time = send_time + (allowed + 1) * per_hop_s
-            return HandoverTrace(
-                kind=kind,
-                messages=tuple(messages),
-                outcome="failed",
-                failed_step=step.step_number,
-                latency_s=fail_time - first_send,
-            )
-        attempts = drops + 1
-        deliver_time = send_time + attempts * per_hop_s
-        messages.append(
-            ProtocolMessage(
-                step_number=step.step_number,
-                kind=step.kind,
-                sender=step.sender,
-                receiver=step.receiver,
-                send_time_s=send_time,
-                deliver_time_s=deliver_time,
-            )
-        )
+            return HandoverTrace(kind, tuple(messages), "failed", step.step_number, clock + (allowed + 1) * per_hop_s)
+        deliver_time = clock + (drops + 1) * per_hop_s
+        messages.append(ProtocolMessage(step.step_number, step.kind, step.sender, step.receiver, clock, deliver_time))
         clock = deliver_time
-    latency_total = messages[-1].deliver_time_s - messages[0].send_time_s if messages else 0.0
-    return HandoverTrace(kind=kind, messages=tuple(messages), outcome="complete", failed_step=None, latency_s=latency_total)
+    return HandoverTrace(kind, tuple(messages), "complete", None, clock)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line surface tests: schemas, exit codes and byte determinism."""
 
 import builtins
+import dataclasses
 import hashlib
 import json
 import math
@@ -241,13 +242,17 @@ class TestExperiments:
             (["experiment", "fig18"], "engine: {fig18: {crossings: 0}}\n", "engine.fig18.crossings"),
             (["indoor-sim"], "policy: {lifi_slots: 0}\n", "policy.lifi_slots"),
             (["experiment", "fig17"], "channel: {rf: {wall_count: 3}}\n", "channel.rf.wall_count: unknown key"),
+            (["experiment", "fig19"], "zoning: {room_x_m: 0.0}\n", "zoning.room_x_m"),
+            (["experiment", "fig18"], "zoning: {coverage_radius_m: -1.0}\n", "zoning.coverage_radius_m"),
+            (["plan"], "zoning: {room_y_m: -3.0}\n", "zoning.room_y_m"),
         ],
         ids=["not-a-mapping", "unknown-key", "bool-for-int", "float-for-int", "leaf-for-mapping",
              "bad-enum", "range-checked-everywhere", "non-reciprocal-ahp", "ahp-not-4x4", "missing-file",
              "mc-samples-below-minimum", "fig19-count-negative", "fig20-count-zero", "fig21-count-zero",
              "fig18-count-zero", "fig16-user-max-negative", "fig17-zone-samples-checked-everywhere",
              "fig17-zone-samples-below-minimum", "fig17-drops-zero", "fig16-placements-zero",
-             "fig16-zone-samples-below-minimum", "fig18-crossings-zero", "lifi-slots-zero", "rf-wall-count-unknown"],
+             "fig16-zone-samples-below-minimum", "fig18-crossings-zero", "lifi-slots-zero", "rf-wall-count-unknown",
+             "room-side-zero", "coverage-radius-negative", "plan-room-side-negative"],
     )
     def test_unparsable_config_is_validation_error(self, tmp_path, capsys, argv, text, key):
         bad = tmp_path / "bad.yaml"
@@ -272,6 +277,22 @@ class TestTrace:
         data_lines = [l for l in out.splitlines() if l and not l.startswith(("step,", "#"))]
         assert len(data_lines) == rows
 
+    # sha256 of `trace <kind>` stdout; pins every row of each step table.
+    @pytest.mark.parametrize(
+        "kind,drop,digest",
+        [
+            ("lifi-to-femto", [], "050eeecb622e5c777884c04c4879071f95369beb9f78310cca16f78d5ee4065d"),
+            ("lifi-to-femto", ["--drop-step", "11"], "10134b0032289c497d5a4bde3cab1c20c57377243fa70eb4023d54f084a625af"),
+            ("femto-to-lifi", [], "87e1f3868b40969ef9dc7348b23e97b92181c3be2dd301e723c9efbf1be1ce29"),
+            ("femto-to-lifi", ["--drop-step", "11"], "aa542f7b30da8e65273835d027272dc906ee48785cd8bfc749562a12aa1825f2"),
+            ("lifi-to-lifi", [], "42edb68f59701c54153a8680696991272be5eea316a65932d0c02d3a3a6b660e"),
+            ("lifi-to-lifi", ["--drop-step", "11"], "eaebd5e2c97c373e99bf3bedd3da68da869b824b0c67f532f8b18e7873166d85"),
+        ],
+    )
+    def test_golden_digest(self, capsys, kind, drop, digest):
+        assert cli.main(["trace", kind, *drop]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_drop_step_recorded_in_manifest(self, tmp_path):
         out = tmp_path / "t"
         code = cli.main(["trace", "femto-to-lifi", "--drop-step", "11", "--out", str(out)])
@@ -292,11 +313,12 @@ class TestTrace:
         assert list(tmp_path.iterdir()) == []
 
     def test_invalid_trace_is_runtime_error_and_not_written(self, tmp_path, monkeypatch, capsys):
-        steps = list(protocol._TABLES[HandoverKind.LIFI_TO_LIFI])
-        cac = next(i for i, step in enumerate(steps) if step[1] is MessageKind.CAC_CHECK)
-        (n1, *cac_rest), (n2, *response_rest) = steps[cac], steps[cac + 1]
-        steps[cac], steps[cac + 1] = (n1, *response_rest), (n2, *cac_rest)  # HO_RESPONSE before CAC_CHECK
-        monkeypatch.setitem(protocol._TABLES, HandoverKind.LIFI_TO_LIFI, tuple(steps))
+        steps = list(protocol._SEQUENCES[HandoverKind.LIFI_TO_LIFI])
+        cac = next(i for i, step in enumerate(steps) if step.kind is MessageKind.CAC_CHECK)
+        cac_step, response_step = steps[cac], steps[cac + 1]
+        steps[cac] = dataclasses.replace(response_step, step_number=cac_step.step_number)  # HO_RESPONSE before CAC_CHECK
+        steps[cac + 1] = dataclasses.replace(cac_step, step_number=response_step.step_number)
+        monkeypatch.setitem(protocol._SEQUENCES, HandoverKind.LIFI_TO_LIFI, tuple(steps))
         assert cli.main(["trace", "lifi-to-lifi", "--out", str(tmp_path)]) == 3
         assert "handover response before CAC check" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []

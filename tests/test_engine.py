@@ -15,6 +15,7 @@ from hybridnet.engine import (
 )
 from hybridnet.channel import RfParams, femto_path_loss, optical_channel_gain
 from hybridnet.policy import ApMode
+from hybridnet.protocol import HandoverKind, run_handover
 from hybridnet.zoning import Zone, classify_points, monte_carlo_zone_model, plan_grid
 from oracles import (
     classify_against_every_ap, enumerate_idle_probability, lifi_assignment_idle_one_hot, placement_idle_reference,
@@ -26,6 +27,15 @@ BUSY = ScenarioConfig(
     duration_s=60.0,
     seed=7,
     traffic=TrafficConfig(arrival_rate_per_min=20.0, mean_holding_s=30.0, voice_fraction=0.3),
+)
+
+
+MOBILE = ScenarioConfig(
+    user_count=6,
+    duration_s=120.0,
+    seed=11,
+    mobility=MobilityConfig(speed_min_mps=1.0, speed_max_mps=1.5, pause_max_s=1.0),
+    traffic=TrafficConfig(arrival_rate_per_min=30.0, mean_holding_s=200.0, voice_fraction=0.0),
 )
 
 
@@ -111,17 +121,22 @@ class TestSimulateIndoor:
             assert 0.0 <= t.x <= 24.0 and 0.0 <= t.y <= 24.0
 
     def test_handovers_occur_with_mobile_users(self):
-        config = ScenarioConfig(
-            user_count=6,
-            duration_s=120.0,
-            seed=11,
-            mobility=MobilityConfig(speed_min_mps=1.0, speed_max_mps=1.5, pause_max_s=1.0),
-            traffic=TrafficConfig(arrival_rate_per_min=30.0, mean_holding_s=200.0, voice_fraction=0.0),
-        )
-        metrics = simulate_indoor(config)
+        metrics = simulate_indoor(MOBILE)
         assert sum(metrics.handovers.values()) > 0
         assert all(v >= 0 for v in metrics.handovers.values())
         assert metrics.ahp_rank is not None
+
+    def test_each_handover_kind_replays_once_per_run(self, monkeypatch):
+        replayed = []
+
+        def counting_run_handover(kind, per_hop_s):
+            replayed.append(kind)
+            return run_handover(kind, per_hop_s)
+
+        monkeypatch.setattr(engine, "run_handover", counting_run_handover)
+        metrics = simulate_indoor(MOBILE)
+        assert sum(metrics.handovers.values()) > len(HandoverKind)
+        assert sorted(replayed, key=list(HandoverKind).index) == list(HandoverKind)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -132,6 +147,10 @@ class TestSimulateIndoor:
             MobilityConfig(tick_s=0.0)
         with pytest.raises(ValueError):
             PolicyConfig(fap_slots=0)
+        for side in (0.0, -1.0, math.inf, math.nan):
+            for name in ("room_x_m", "room_y_m", "coverage_radius_m"):
+                with pytest.raises(ValueError, match=f"^{name}: "):
+                    RoomConfig(**{name: side})
 
 
 class TestIdleProbabilityExperiment:

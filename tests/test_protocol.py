@@ -25,6 +25,7 @@ class TestCanonicalSequences:
         steps = canonical_sequence(kind)
         assert len(steps) == count
         assert [s.step_number for s in steps] == list(range(1, count + 1))
+        assert canonical_sequence(kind) is steps  # built once, at import
 
     @pytest.mark.parametrize("kind", list(HandoverKind))
     def test_exactly_one_complete_message(self, kind):

@@ -1,8 +1,8 @@
 """Guard: ``src/`` holds no API that only the tests use.
 
-Every module-level function and class of ``src/hybridnet``, and every
-public method, must be referenced somewhere in ``src/hybridnet`` outside
-its own definition. A reference is a name or an attribute of that name,
+Every module-level function, class and assigned name of
+``src/hybridnet``, and every public method, must be referenced somewhere
+in ``src/hybridnet`` outside its own definition. A reference is a name or an attribute of that name,
 so a same-named local also counts: the check catches what nothing in
 ``src/`` could be calling, not every unused definition. Reference
 oracles belong in ``tests/oracles.py``.
@@ -21,13 +21,19 @@ EXEMPT = {
 
 
 def _definitions(tree: ast.Module):
+    """(name, defining node) of each definition the guard covers."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield item
+                    yield item.name, item
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):  # X = ..., X: T = ... and A, B = ...
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
 
 
 def test_every_definition_is_referenced_in_src():
@@ -41,8 +47,8 @@ def test_every_definition_is_referenced_in_src():
                 references[node.attr].add(id(node))
     unreferenced = []
     for module, tree in trees.items():
-        for definition in _definitions(tree):
+        for name, definition in _definitions(tree):
             own = {id(node) for node in ast.walk(definition)}
-            if definition.name not in EXEMPT and not references[definition.name] - own:
-                unreferenced.append(f"{module}:{definition.name}")
+            if name not in EXEMPT and not references[name] - own:
+                unreferenced.append(f"{module}:{name}")
     assert not unreferenced, f"nothing in src/ references: {unreferenced}"
