@@ -117,15 +117,9 @@ def lambertian_index(half_intensity_angle_deg: float) -> float:
     return math.log(2.0) / math.log(1.0 / math.cos(math.radians(half_intensity_angle_deg)))
 
 
-def concentrator_gain(incidence_angle_deg, params: OpticalParams):
-    """Idealized concentrator gain: n^2 / sin^2(FOV) inside the FOV, else 0."""
-    angle = np.asarray(incidence_angle_deg, dtype=float)
-    if np.any(angle < 0):
-        raise ValueError("incidence angle must be >= 0")
-    in_fov = angle <= params.fov_semi_angle_deg
-    g = params.refractive_index**2 / math.sin(math.radians(params.fov_semi_angle_deg)) ** 2
-    out = np.where(in_fov, g, 0.0)
-    return float(out) if np.isscalar(incidence_angle_deg) else out
+def concentrator_gain(params: OpticalParams) -> float:
+    """Idealized concentrator gain inside the FOV: n^2 / sin^2(FOV)."""
+    return params.refractive_index**2 / math.sin(math.radians(params.fov_semi_angle_deg)) ** 2
 
 
 def optical_channel_gain(horizontal_distance_m, params: OpticalParams):
@@ -145,7 +139,7 @@ def optical_channel_gain(horizontal_distance_m, params: OpticalParams):
     cos_theta = h / np.sqrt(d2)
     # In-FOV test on cosines: theta <= FOV  <=>  cos(theta) >= cos(FOV).
     cos_fov = math.cos(math.radians(params.fov_semi_angle_deg))
-    g = concentrator_gain(0.0, params)  # constant inside the FOV
+    g = concentrator_gain(params)  # constant inside the FOV
     gain = (m + 1.0) * params.pd_area_m2 / (2.0 * math.pi * d2)
     gain = gain * g * params.filter_gain * cos_theta**m * cos_theta
     out = np.where(cos_theta >= cos_fov, gain, 0.0)
@@ -224,7 +218,7 @@ def shannon_capacity(sinr_linear, bandwidth_Hz):
     return float(out) if np.isscalar(sinr_linear) else out
 
 
-def macro_path_loss(distance_km, rf: RfParams, obstacle: ObstacleClass = ObstacleClass.NONE):
+def macro_path_loss(distance_km, rf: RfParams, obstacle: ObstacleClass):
     """Okumura-Hata urban path loss in dB, plus obstacle wall penetration.
 
     ``distance_km`` may be a float or array; every entry must be > 0.

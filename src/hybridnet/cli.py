@@ -262,8 +262,6 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-    except SystemExit:
-        raise
     except (ValueError, TypeError) as exc:  # e.g. a malformed env override
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

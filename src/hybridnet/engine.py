@@ -139,6 +139,9 @@ HANDOVER_KEYS = tuple(k.value for k in HandoverKind)
 # The criteria each network is scored on, in the row order of the AHP
 # pairwise matrix, with their normalization modes.
 AHP_CRITERIA = (("capacity", "benefit"), ("sinr", "benefit"), ("mobility", "benefit"), ("load", "cost"))
+# Fixed mobility scores; the load floor keeps an empty network's cost inversion finite.
+AHP_MOBILITY = {NetworkKind.LIFI: 0.3, NetworkKind.FAP: 0.7}
+AHP_LOAD_FLOOR = 1e-6
 
 
 @dataclass
@@ -465,8 +468,10 @@ class _IndoorSim:
         fap_sinr, fap_cap = self._by_kind[NetworkKind.FAP]
         scores = selection.AlternativeScores(
             values=(
-                (lifi_cap.value, max(lifi_sinr.value, 0.0), 0.3, max(lifi_load.value, 1e-6)),
-                (fap_cap.value, max(fap_sinr.value, 0.0), 0.7, max(fap_load, 1e-6)),
+                (lifi_cap.value, max(lifi_sinr.value, 0.0), AHP_MOBILITY[NetworkKind.LIFI],
+                 max(lifi_load.value, AHP_LOAD_FLOOR)),
+                (fap_cap.value, max(fap_sinr.value, 0.0), AHP_MOBILITY[NetworkKind.FAP],
+                 max(fap_load, AHP_LOAD_FLOOR)),
             ),
             modes=tuple(mode for _name, mode in AHP_CRITERIA),
         )
@@ -574,7 +579,7 @@ class FemtoSinrResult:
     p95_db: float
 
 
-def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams | None = None) -> list[FemtoSinrResult]:
+def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams) -> list[FemtoSinrResult]:
     """Monte Carlo femtocell SINR for pure and hybrid operation at FRF 1 and 4.
 
     One reference user sits at a fixed distance from its serving femtocell;
@@ -584,7 +589,6 @@ def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams | None = None) -
     All schemes share positions and thinning draws, so hybrid can never
     fall below pure on any drop.
     """
-    rf = rf if rf is not None else RfParams()
     plan = config.room.plan()
     model = monte_carlo_zone_model(plan, config.zone_samples, seed=config.seed)
     p_idle = policy.fap_idle_probability(config.hybrid_users_per_home, model.zone_probs)

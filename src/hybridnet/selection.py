@@ -30,7 +30,7 @@ class AlternativeScores:
     """
 
     values: tuple[tuple[float, ...], tuple[float, ...]]
-    modes: tuple[str, ...] | None = None
+    modes: tuple[str, ...]
 
     def normalized(self) -> np.ndarray:
         raw = np.asarray(self.values, dtype=float)
@@ -38,11 +38,10 @@ class AlternativeScores:
             raise ValueError("exactly two alternatives are supported")
         if np.any(raw < 0):
             raise ValueError("scores must be non-negative")
-        modes = self.modes or ("benefit",) * raw.shape[1]
-        if len(modes) != raw.shape[1]:
+        if len(self.modes) != raw.shape[1]:
             raise ValueError("one normalization mode per criterion")
         cols = raw.copy()
-        for i, mode in enumerate(modes):
+        for i, mode in enumerate(self.modes):
             if mode == "cost":
                 with np.errstate(divide="ignore"):
                     cols[:, i] = np.where(cols[:, i] > 0, 1.0 / cols[:, i], 0.0)

@@ -83,17 +83,13 @@ def access_capacity_bps(link: VehicleLink, optical: OpticalParams, rf: RfParams)
     return channel.shannon_capacity(sinr.linear, rf.femto_bandwidth_Hz)
 
 
-def vehicle_downlink_capacity(
-    link: VehicleLink, optical: OpticalParams | None = None, rf: RfParams | None = None
-) -> tuple[float, float]:
+def vehicle_downlink_capacity(link: VehicleLink, optical: OpticalParams, rf: RfParams) -> tuple[float, float]:
     """(direct, relayed) downlink rates in bit/s for one in-vehicle user.
 
     Direct connectivity pays the vehicle-wall penetration loss; the relayed
     path removes it on the backhaul and is bounded by the in-vehicle access
     hop: ``relayed = min(backhaul, access)``.
     """
-    optical = optical if optical is not None else OpticalParams()
-    rf = rf if rf is not None else RfParams()
     direct_snr = macro_snr_dB(link.mbs_distance_km, rf, ObstacleClass.VEHICLE_WALL)
     backhaul_snr = macro_snr_dB(link.mbs_distance_km, rf, ObstacleClass.NONE)
     direct = channel.shannon_capacity(channel.db_to_linear(direct_snr), rf.macro_bandwidth_Hz)
@@ -106,7 +102,7 @@ def _normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def vehicle_outage(link: VehicleLink, rf: RfParams | None = None) -> tuple[float, float]:
+def vehicle_outage(link: VehicleLink, rf: RfParams) -> tuple[float, float]:
     """(direct, relayed) outage probabilities at one MBS distance.
 
     Log-normal shadowing with the configured sigma rides on the macro
@@ -115,7 +111,6 @@ def vehicle_outage(link: VehicleLink, rf: RfParams | None = None) -> tuple[float
     and pays the wall loss; the relayed path uses the relay threshold and
     does not.
     """
-    rf = rf if rf is not None else RfParams()
     mean_direct = macro_snr_dB(link.mbs_distance_km, rf, ObstacleClass.VEHICLE_WALL)
     mean_relay = macro_snr_dB(link.mbs_distance_km, rf, ObstacleClass.NONE)
     sigma = link.shadowing_sigma_dB
@@ -152,32 +147,28 @@ def car_link_reliability(scenario: CarFollowScenario, dt_s: float = 1e-3) -> tup
 # Figure sweeps ------------------------------------------------------------
 
 
-def capacity_sweep(distances_km, link: VehicleLink | None = None,
-                   optical: OpticalParams | None = None, rf: RfParams | None = None):
+def capacity_sweep(distances_km, link: VehicleLink, optical: OpticalParams, rf: RfParams):
     """Rows of (distance_km, direct_bps, relayed_bps)."""
-    base = link if link is not None else VehicleLink()
     rows = []
     for d in distances_km:
-        direct, relayed = vehicle_downlink_capacity(replace(base, mbs_distance_km=float(d)), optical, rf)
+        direct, relayed = vehicle_downlink_capacity(replace(link, mbs_distance_km=float(d)), optical, rf)
         rows.append((float(d), direct, relayed))
     return rows
 
 
-def outage_sweep(distances_km, link: VehicleLink | None = None, rf: RfParams | None = None):
+def outage_sweep(distances_km, link: VehicleLink, rf: RfParams):
     """Rows of (distance_km, p_out_direct, p_out_relayed)."""
-    base = link if link is not None else VehicleLink()
     rows = []
     for d in distances_km:
-        p_direct, p_relayed = vehicle_outage(replace(base, mbs_distance_km=float(d)), rf)
+        p_direct, p_relayed = vehicle_outage(replace(link, mbs_distance_km=float(d)), rf)
         rows.append((float(d), p_direct, p_relayed))
     return rows
 
 
-def reliability_sweep(distances_m, scenario: CarFollowScenario | None = None):
+def reliability_sweep(distances_m, scenario: CarFollowScenario):
     """Rows of (inter_vehicle_distance_m, rf_only, owc_only, hybrid)."""
-    base = scenario if scenario is not None else CarFollowScenario()
     rows = []
     for d in distances_m:
-        rf_only, owc_only, hybrid = car_link_reliability(replace(base, inter_vehicle_distance_m=float(d)))
+        rf_only, owc_only, hybrid = car_link_reliability(replace(scenario, inter_vehicle_distance_m=float(d)))
         rows.append((float(d), rf_only, owc_only, hybrid))
     return rows

@@ -116,7 +116,7 @@ class GridPlan:
 def plan_grid(a: float, b: float, r: float) -> GridPlan:
     """Lay out the densest regular AP grid for an ``a x b`` room.
 
-    Per-axis AP count is ``floor(a/2r + 1)``, pitch ``a / floor((a+2r)/2r)``
+    Per-axis AP count is ``n = floor(a/2r + 1)``, pitch ``a / n``
     and overlap depth ``(2 r n - a) / n``; the first row/column center sits
     ``r - l/2`` from the wall so overhang is symmetric. The femtocell AP is
     placed at the room center.
@@ -125,8 +125,8 @@ def plan_grid(a: float, b: float, r: float) -> GridPlan:
         raise ValueError(f"room dimensions and coverage radius must be positive and finite, got {a!r}, {b!r}, {r!r}")
     n_x = math.floor(a / (2.0 * r) + 1.0)
     n_y = math.floor(b / (2.0 * r) + 1.0)
-    d_x = a / math.floor((a + 2.0 * r) / (2.0 * r))
-    d_y = b / math.floor((b + 2.0 * r) / (2.0 * r))
+    d_x = a / n_x  # not a / floor((a + 2r) / 2r): its rounding can disagree with n_x
+    d_y = b / n_y
     l_x = (2.0 * r * n_x - a) / n_x
     l_y = (2.0 * r * n_y - b) / n_y
     xs = [(r - l_x / 2.0) + i * (2.0 * r - l_x) for i in range(n_x)]
@@ -234,7 +234,7 @@ class ZoneModel:
         ]
 
 
-def monte_carlo_zone_model(plan: GridPlan, sample_count: int, seed: int = 0) -> ZoneModel:
+def monte_carlo_zone_model(plan: GridPlan, sample_count: int, seed: int) -> ZoneModel:
     """Estimate zone areas by classifying uniform samples over the room.
 
     Sampling is sharded into fixed-size chunks, each with its own generator

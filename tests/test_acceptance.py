@@ -167,7 +167,7 @@ def test_criterion_5_femto_sinr_orderings():
     for seed in range(5):
         cfg = FemtoSinrConfig(fap_count=50, deployment_radius_m=100.0, user_distance_m=8.0,
                               drops=1000, zone_samples=1 << 18, seed=seed)
-        means = {(r.scheme, r.frf): r.mean_db for r in femto_sinr_experiment(cfg)}
+        means = {(r.scheme, r.frf): r.mean_db for r in femto_sinr_experiment(cfg, RF)}
         assert means[("hybrid", 1)] >= means[("pure", 1)], f"seed {seed}"
         assert means[("hybrid", 4)] >= means[("pure", 4)], f"seed {seed}"
         assert means[("pure", 4)] >= means[("pure", 1)], f"seed {seed}"
@@ -227,9 +227,9 @@ def test_criterion_8_transport_orderings():
     for d in distances:
         gap = macro_snr_dB(d, RF, ObstacleClass.NONE) - macro_snr_dB(d, RF, ObstacleClass.VEHICLE_WALL)
         assert abs(gap - 10.0) <= 1e-12
-    for _, p_direct, p_relayed in outage_sweep(distances):
+    for _, p_direct, p_relayed in outage_sweep(distances, VehicleLink(), RF):
         assert p_relayed <= p_direct
-    sweep = reliability_sweep([5.0 + 0.45 * i for i in range(100)])
+    sweep = reliability_sweep([5.0 + 0.45 * i for i in range(100)], CarFollowScenario())
     assert len(sweep) == 100
     for _, rf_only, owc_only, hybrid in sweep:
         assert hybrid >= max(rf_only, owc_only)

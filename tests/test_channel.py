@@ -41,20 +41,13 @@ class TestLambertianIndex:
 
 class TestConcentratorGain:
     def test_normal_incidence_fov_90(self):
-        assert concentrator_gain(0.0, TABLE) == pytest.approx(1.5**2 / 1.0, rel=1e-12)
-
-    def test_beyond_fov_is_zero(self):
-        assert concentrator_gain(91.0, TABLE) == 0.0
+        assert concentrator_gain(TABLE) == pytest.approx(1.5**2 / 1.0, rel=1e-12)
 
     def test_narrow_fov(self):
         params = OpticalParams(fov_semi_angle_deg=60.0)
         expected = 1.5**2 / math.sin(math.radians(60.0)) ** 2
         assert expected == pytest.approx(3.0, rel=1e-12)
-        assert concentrator_gain(30.0, params) == pytest.approx(expected, rel=1e-12)
-
-    def test_negative_angle_rejected(self):
-        with pytest.raises(ValueError):
-            concentrator_gain(-1.0, TABLE)
+        assert concentrator_gain(params) == pytest.approx(expected, rel=1e-12)
 
 
 def _gain_oracle(l: float, h: float, params: OpticalParams) -> float:
@@ -249,9 +242,9 @@ class TestMacroPathLoss:
 
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValueError):
-            macro_path_loss(0.0, RF)
+            macro_path_loss(0.0, RF, ObstacleClass.NONE)
         with pytest.raises(ValueError):
-            macro_path_loss(-1.0, RF)
+            macro_path_loss(-1.0, RF, ObstacleClass.NONE)
 
     @given(
         d1=st.floats(min_value=0.05, max_value=20.0),
@@ -259,7 +252,7 @@ class TestMacroPathLoss:
     )
     @settings(max_examples=100)
     def test_strictly_increasing_in_distance(self, d1, factor):
-        assert macro_path_loss(d1 * factor, RF) > macro_path_loss(d1, RF)
+        assert macro_path_loss(d1 * factor, RF, ObstacleClass.NONE) > macro_path_loss(d1, RF, ObstacleClass.NONE)
 
 
 class TestFemtoPathLoss:

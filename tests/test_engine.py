@@ -264,7 +264,7 @@ class TestFemtoSinrExperiment:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_orderings_hold_per_seed(self, seed):
         cfg = FemtoSinrConfig(drops=1000, zone_samples=16_384, seed=seed)
-        results = {(r.scheme, r.frf): r.mean_db for r in femto_sinr_experiment(cfg)}
+        results = {(r.scheme, r.frf): r.mean_db for r in femto_sinr_experiment(cfg, RfParams())}
         assert results[("hybrid", 1)] >= results[("pure", 1)]
         assert results[("hybrid", 4)] >= results[("pure", 4)]
         assert results[("pure", 4)] >= results[("pure", 1)]
@@ -281,11 +281,11 @@ class TestFemtoSinrExperiment:
 
     def test_determinism(self):
         cfg = FemtoSinrConfig(drops=200, zone_samples=16_384, seed=4)
-        assert femto_sinr_experiment(cfg) == femto_sinr_experiment(cfg)
+        assert femto_sinr_experiment(cfg, RfParams()) == femto_sinr_experiment(cfg, RfParams())
 
     def test_drop_floor(self):
         with pytest.raises(ValueError):
-            femto_sinr_experiment(FemtoSinrConfig(drops=0))
+            femto_sinr_experiment(FemtoSinrConfig(drops=0), RfParams())
 
 
 class TestHandoverSuccessExperiment:

@@ -82,18 +82,18 @@ class TestDeriveWeights:
 
 class TestRankNetworks:
     def test_disjoint_columns(self):
-        scores = AlternativeScores(values=((1.0, 0.0), (0.0, 1.0)))
+        scores = AlternativeScores(values=((1.0, 0.0), (0.0, 1.0)), modes=("benefit",) * 2)
         r_lifi, r_femto, chosen = rank_networks(scores, (0.7, 0.3))
         assert (r_lifi, r_femto) == pytest.approx((0.7, 0.3), abs=1e-12)
         assert chosen == "lifi"
 
     def test_tie_prefers_femtocell(self):
-        scores = AlternativeScores(values=((1.0, 2.0), (1.0, 2.0)))
+        scores = AlternativeScores(values=((1.0, 2.0), (1.0, 2.0)), modes=("benefit",) * 2)
         _, _, chosen = rank_networks(scores, (0.5, 0.5))
         assert chosen == "femtocell"
 
     def test_hand_multiplied_example(self):
-        scores = AlternativeScores(values=((0.6, 0.2), (0.4, 0.8)))
+        scores = AlternativeScores(values=((0.6, 0.2), (0.4, 0.8)), modes=("benefit",) * 2)
         r_lifi, r_femto, chosen = rank_networks(scores, (0.5, 0.5))
         assert (r_lifi, r_femto) == pytest.approx((0.4, 0.6), abs=1e-12)
         assert chosen == "femtocell"
@@ -106,7 +106,7 @@ class TestRankNetworks:
         assert chosen == "lifi"
 
     def test_dimension_mismatch_rejected(self):
-        scores = AlternativeScores(values=((0.5, 0.5), (0.5, 0.5)))
+        scores = AlternativeScores(values=((0.5, 0.5), (0.5, 0.5)), modes=("benefit",) * 2)
         with pytest.raises(ValueError):
             rank_networks(scores, (1.0,))
 
@@ -118,7 +118,7 @@ class TestRankNetworks:
     )
     @settings(max_examples=100)
     def test_choice_invariant_under_weight_scaling(self, a, b, w, scale):
-        scores = AlternativeScores(values=(tuple(a), tuple(b)))
+        scores = AlternativeScores(values=(tuple(a), tuple(b)), modes=("benefit",) * 3)
         _, _, chosen = rank_networks(scores, w)
         _, _, chosen_scaled = rank_networks(scores, [scale * x for x in w])
         assert chosen == chosen_scaled
@@ -130,7 +130,7 @@ class TestRankNetworks:
     @settings(max_examples=100)
     def test_ranks_sum_to_one_with_normalized_inputs(self, a, b):
         n = min(len(a), len(b))
-        scores = AlternativeScores(values=(tuple(a[:n]), tuple(b[:n])))
+        scores = AlternativeScores(values=(tuple(a[:n]), tuple(b[:n])), modes=("benefit",) * n)
         weights = np.full(n, 1.0 / n)
         r_lifi, r_femto, _ = rank_networks(scores, weights)
         assert r_lifi + r_femto == pytest.approx(1.0, abs=1e-9)

@@ -1,14 +1,27 @@
-"""Guard: ``src/`` holds no API that only the tests use.
+"""Guard: ``src/`` holds no API and no parameter default that only the tests use.
 
-Every module-level function, class and assigned name of
+Reference rule: every module-level function, class and assigned name of
 ``src/hybridnet``, and every public method, must be referenced somewhere
 in ``src/hybridnet`` outside its own definition. A reference is a name or an attribute of that name,
 so a same-named local also counts: the check catches what nothing in
 ``src/`` could be calling, not every unused definition. Reference
 oracles belong in ``tests/oracles.py``.
+
+Default rule: a function's parameter default must be left out by at least
+one ``src/`` call of that function. A default that every call passes is a
+second default path that only the tests take, and a caller that forgot
+the argument would silently run on it instead of the configured value.
+Calls are matched by bare name, as references are. A parameter counts as
+passed when a call gives it positionally or by keyword; a call that
+unpacks ``*args`` or ``**kwargs`` counts as passing every parameter, so
+only a call that leaves the argument out keeps a default. The first
+parameter of a method (``self`` or ``cls``) is not counted. A function that ``src/`` never calls
+is left to the reference rule. Dataclass field defaults are not covered:
+``config.py`` derives ``DEFAULT_CONFIG`` from them.
 """
 
 import ast
+import textwrap
 from collections import defaultdict
 from pathlib import Path
 
@@ -20,8 +33,12 @@ EXEMPT = {
 }
 
 
+def _parse(src: Path) -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+
+
 def _definitions(tree: ast.Module):
-    """(name, defining node) of each definition the guard covers."""
+    """(name, defining node) of each definition the reference rule covers."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
@@ -37,7 +54,7 @@ def _definitions(tree: ast.Module):
 
 
 def test_every_definition_is_referenced_in_src():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _parse(SRC)
     references = defaultdict(set)  # name -> ids of the Name and Attribute nodes that use it
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -52,3 +69,83 @@ def test_every_definition_is_referenced_in_src():
             if name not in EXEMPT and not references[name] - own:
                 unreferenced.append(f"{module}:{name}")
     assert not unreferenced, f"nothing in src/ references: {unreferenced}"
+
+
+def _functions(tree: ast.Module):
+    """(def, its positional parameter names) of every function, a method's ``self``/``cls`` dropped."""
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            positional = [a.arg for a in node.args.posonlyargs + node.args.args]
+            yield node, positional[1:] if id(node) in methods else positional
+
+
+def _passes(call: ast.Call, positional: list[str], param: str) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    return param in positional[:len(call.args)] or any(k.arg == param for k in call.keywords)
+
+
+def always_passed_defaults(src: Path) -> list[str]:
+    """``module:function(parameter)`` of each default that every call in ``src`` passes."""
+    trees = _parse(src)
+    calls = defaultdict(list)  # bare called name -> its call nodes
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls[func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)].append(node)
+    found = []
+    for module, tree in trees.items():
+        for function, positional in _functions(tree):
+            args, sites = function.args, calls[function.name]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [f"{module}:{function.name}({param})" for param in defaulted
+                      if sites and all(_passes(call, positional, param) for call in sites)]
+    return found
+
+
+def test_no_default_is_passed_by_every_src_call():
+    found = always_passed_defaults(SRC)
+    assert not found, f"every src/ call passes these defaults, so make the parameters required: {found}"
+
+
+def test_default_rule_on_small_modules(tmp_path):
+    (tmp_path / "lib.py").write_text(textwrap.dedent("""
+        def omitted(x, y=1):
+            return x + y
+
+        def passed(x, y=1, *, z=2):
+            return x + y + z
+
+        class Box:
+            def method(self, a=0):
+                return a
+
+        def unpacked(a=0, b=0):
+            return a + b
+
+        def unpacked_and_omitted(a=0):
+            return a
+
+        def uncalled(a=0):
+            return a
+    """))
+    (tmp_path / "app.py").write_text(textwrap.dedent("""
+        from lib import Box, omitted, passed, unpacked, unpacked_and_omitted
+
+        def run(args, options):
+            omitted(1, 2)
+            omitted(3)
+            passed(1, 2, z=3)
+            passed(1, y=2, z=3)
+            Box().method(5)
+            unpacked(*args)
+            unpacked(**options)
+            unpacked_and_omitted(*args)
+            unpacked_and_omitted()
+    """))
+    assert sorted(always_passed_defaults(tmp_path)) == [
+        "lib.py:method(a)", "lib.py:passed(y)", "lib.py:passed(z)", "lib.py:unpacked(a)", "lib.py:unpacked(b)",
+    ]

@@ -14,7 +14,9 @@ from hybridnet.transport import (
 )
 
 RF = RfParams()
+OPTICAL = OpticalParams()
 LINK = VehicleLink()
+CAR = CarFollowScenario()
 
 
 def _hata_db(d_km: float, wall_db: float) -> float:
@@ -36,21 +38,21 @@ class TestVehicleCapacity:
         assert direct_oracle == pytest.approx(58e6, rel=0.01)
         assert backhaul_oracle == pytest.approx(91e6, rel=0.01)
 
-        direct, relayed = vehicle_downlink_capacity(LINK)
+        direct, relayed = vehicle_downlink_capacity(LINK, OPTICAL, RF)
         assert direct == pytest.approx(direct_oracle, rel=1e-9)
         # the 6 W LiFi access link is far above the backhaul, so it is not the bottleneck
         assert relayed == pytest.approx(backhaul_oracle, rel=1e-9)
 
     def test_relayed_beats_direct_when_access_is_not_bottleneck(self):
         for d in (0.2, 0.5, 1.0, 2.0):
-            direct, relayed = vehicle_downlink_capacity(replace(LINK, mbs_distance_km=d))
+            direct, relayed = vehicle_downlink_capacity(replace(LINK, mbs_distance_km=d), OPTICAL, RF)
             assert relayed >= direct
 
     def test_access_link_can_bottleneck(self):
         # a weak femto access hop caps the relayed rate
         weak_rf = RfParams(fap_tx_dBm=-60.0)
         link = replace(LINK, in_vehicle_access=AccessKind.FAP, access_femto_distance_m=8.0)
-        _, relayed = vehicle_downlink_capacity(link, rf=weak_rf)
+        _, relayed = vehicle_downlink_capacity(link, OPTICAL, weak_rf)
         backhaul = 10e6 * math.log2(1 + 10 ** ((46.0 - _hata_db(0.5, 0.0) + 104.0) / 10))
         assert relayed < backhaul
 
@@ -77,7 +79,7 @@ class TestVehicleOutage:
         oracle = NormalDist()
         for d in (0.2, 0.5, 1.5):
             link = replace(LINK, mbs_distance_km=d)
-            p_direct, p_relayed = vehicle_outage(link)
+            p_direct, p_relayed = vehicle_outage(link, RF)
             mean_direct = macro_snr_dB(d, RF, ObstacleClass.VEHICLE_WALL)
             mean_relay = macro_snr_dB(d, RF, ObstacleClass.NONE)
             assert p_direct == pytest.approx(oracle.cdf((9.0 - mean_direct) / 8.0), rel=1e-12)
@@ -87,22 +89,22 @@ class TestVehicleOutage:
         # choose the threshold 20 dB below the mean: outage = Phi(-2.5)
         mean = macro_snr_dB(0.5, RF, ObstacleClass.VEHICLE_WALL)
         link = replace(LINK, sinr_threshold_user_dB=mean - 20.0)
-        p_direct, _ = vehicle_outage(link)
+        p_direct, _ = vehicle_outage(link, RF)
         assert p_direct == pytest.approx(0.0062, abs=5e-5)
         assert p_direct == pytest.approx(NormalDist().cdf(-2.5), rel=1e-12)
 
     def test_relay_never_worse(self):
-        for d, p_direct, p_relayed in outage_sweep([0.1 + 0.05 * i for i in range(40)]):
+        for d, p_direct, p_relayed in outage_sweep([0.1 + 0.05 * i for i in range(40)], LINK, RF):
             assert p_relayed <= p_direct
 
     def test_monotone_in_distance(self):
-        rows = outage_sweep([0.1 + 0.1 * i for i in range(20)])
+        rows = outage_sweep([0.1 + 0.1 * i for i in range(20)], LINK, RF)
         for (_, d1, r1), (_, d2, r2) in zip(rows, rows[1:]):
             assert d2 >= d1 and r2 >= r1
 
     def test_vanishing_shadowing(self):
         link = replace(LINK, mbs_distance_km=0.1, shadowing_sigma_dB=1e-9)
-        p_direct, p_relayed = vehicle_outage(link)
+        p_direct, p_relayed = vehicle_outage(link, RF)
         assert p_direct == pytest.approx(0.0, abs=1e-12)
         assert p_relayed == pytest.approx(0.0, abs=1e-12)
 
@@ -129,7 +131,7 @@ class TestCarLinkReliability:
         assert hybrid == 1.0  # RF bridges the turn at a 20 m gap
 
     def test_hybrid_dominates_components(self):
-        for _, rf_only, owc_only, hybrid in reliability_sweep([5.0 + 0.5 * i for i in range(60)]):
+        for _, rf_only, owc_only, hybrid in reliability_sweep([5.0 + 0.5 * i for i in range(60)], CAR):
             assert 0.0 <= rf_only <= 1.0 and 0.0 <= owc_only <= 1.0
             assert hybrid >= max(rf_only, owc_only)
             assert hybrid <= 1.0
@@ -150,10 +152,10 @@ class TestCarLinkReliability:
 
 class TestSweeps:
     def test_capacity_sweep_shape(self):
-        rows = capacity_sweep([0.2, 0.4, 0.6])
+        rows = capacity_sweep([0.2, 0.4, 0.6], LINK, OPTICAL, RF)
         assert len(rows) == 3
         assert all(len(r) == 3 for r in rows)
 
     def test_sweeps_are_deterministic(self):
-        assert outage_sweep([0.3, 0.6]) == outage_sweep([0.3, 0.6])
-        assert reliability_sweep([10.0, 35.0]) == reliability_sweep([10.0, 35.0])
+        assert outage_sweep([0.3, 0.6], LINK, RF) == outage_sweep([0.3, 0.6], LINK, RF)
+        assert reliability_sweep([10.0, 35.0], CAR) == reliability_sweep([10.0, 35.0], CAR)

@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridnet.zoning import (
@@ -69,6 +69,7 @@ class TestPlanGrid:
         b=st.floats(min_value=1.0, max_value=200.0),
         r=st.floats(min_value=0.5, max_value=25.0),
     )
+    @example(a=1.0, b=199.99999999999997, r=25.0)  # b/2r is just below 4, yet b/2r + 1 rounds up to 5
     @settings(max_examples=200)
     def test_spacing_overlap_consistency(self, a, b, r):
         plan = plan_grid(a, b, r)
