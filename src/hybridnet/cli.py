@@ -85,9 +85,18 @@ def _parse_room(text: str) -> tuple[float, float]:
     return _positive("--room", a), _positive("--room", b)
 
 
+def _seed(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _env_default(name: str, parse=str, fallback=None):
     value = os.environ.get(f"HYBRIDNET_{name}")
-    return fallback if value is None else parse(value)
+    try:
+        return fallback if value is None else parse(value)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"HYBRIDNET_{name}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", default=_env_default("CONFIG"), help="YAML scenario file")
-        p.add_argument("--seed", type=int, default=_env_default("SEED", int, 0))
+        p.add_argument("--seed", type=_seed, default=_env_default("SEED", _seed, 0))
         p.add_argument("--out", default=_env_default("OUT"), help="output directory or file")
 
     for name, help_text in (("plan", "grid plan and zone-area report"), ("zones", "zone model as CSV")):
@@ -176,8 +185,7 @@ def _experiment_rows(name: str, config: dict, seed: int):
         rows, _model = engine.idle_probability_experiment(cfg, counts)
         return ("active_users", "empirical_idle_prob", "eq_idle_prob"), rows
     if name == "fig17":
-        results = engine.femto_sinr_experiment(build("engine.fig17", room=room, seed=seed), build("channel.rf"))
-        rows = [(r.scheme, r.frf, r.mean_db, r.p5_db, r.p50_db, r.p95_db) for r in results]
+        rows = engine.femto_sinr_experiment(build("engine.fig17", room=room, seed=seed), build("channel.rf"))
         return ("scheme", "frf", "mean_sinr_db", "p5_sinr_db", "p50_sinr_db", "p95_sinr_db"), rows
     if name == "fig18":
         cfg = build("engine.fig18", coverage_radius_m=room.coverage_radius_m, seed=seed)

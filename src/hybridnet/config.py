@@ -34,9 +34,9 @@ from .zoning import MIN_MC_SAMPLES
 
 # Sections whose keys are the fields of one dataclass, less the listed
 # fields: those are context passed to `build` (the seed, a value from
-# another section) or the variable a sweep steps over. Dataclass-valued
-# fields (room, mobility, ...) are never keys. `protocol` carries the one
-# PolicyConfig field that the protocol layer reads.
+# another section). Dataclass-valued fields (room, mobility, ...) are never
+# keys. `protocol` carries the one PolicyConfig field that the protocol
+# layer reads.
 SECTIONS = {
     "channel.optical": (OpticalParams, ()),
     "channel.rf": (RfParams, ()),
@@ -49,8 +49,8 @@ SECTIONS = {
     "engine.fig16": (IdleExperimentConfig, ("lifi_slots", "seed")),
     "engine.fig17": (FemtoSinrConfig, ("seed",)),
     "engine.fig18": (HandoverSuccessConfig, ("coverage_radius_m", "seed")),
-    "transport.vehicle": (VehicleLink, ("mbs_distance_km",)),
-    "transport.fig21": (CarFollowScenario, ("inter_vehicle_distance_m",)),
+    "transport.vehicle": (VehicleLink, ()),
+    "transport.fig21": (CarFollowScenario, ()),
 }
 
 # Keys that no dataclass carries: sweep ranges, counts and the AHP matrix.

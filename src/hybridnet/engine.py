@@ -195,14 +195,9 @@ class Metrics:
 
 
 @dataclass
-class _Call:
-    traffic_class: TrafficClass
-    serving: ApState
-    end_time_s: float
-
-
-@dataclass
 class _Terminal:
+    """One user; ``serving`` is None between calls, when ``traffic_class`` and ``call_end_s`` go unread."""
+
     index: int
     x: float
     y: float
@@ -211,7 +206,9 @@ class _Terminal:
     pause_until: float = 0.0
     zone: Zone = Zone.Z1
     zone_entry_s: float = 0.0
-    call: _Call | None = None
+    serving: ApState | None = None
+    traffic_class: TrafficClass = TrafficClass.DATA
+    call_end_s: float = 0.0
     next_arrival_s: float = 0.0
     last_handover_s: float = float("-inf")
 
@@ -311,26 +308,26 @@ class _IndoorSim:
 
     def _try_start_call(self, t: _Terminal, now: float) -> None:
         traffic_class = self._draw_class()
-        result = policy.admit_new_call(t.zone, traffic_class, self.fap, self._covering(t))
-        self.metrics.admissions[result.decision.value] += 1
-        if result.decision is AdmissionDecision.BLOCKED:
+        decision, ap = policy.admit_new_call(t.zone, traffic_class, self.fap, self._covering(t))
+        self.metrics.admissions[decision.value] += 1
+        if decision is AdmissionDecision.BLOCKED:
             t.next_arrival_s = now + self._draw_interarrival()
             return
-        result.ap.occupy()
-        t.call = _Call(traffic_class, result.ap, now + self._draw_holding())
+        ap.occupy()
+        t.serving, t.traffic_class, t.call_end_s = ap, traffic_class, now + self._draw_holding()
 
     def _release_call(self, t: _Terminal, now: float) -> None:
-        t.call.serving.release()
-        t.call = None
+        t.serving.release()
+        t.serving = None
         self.metrics.calls_released += 1
         t.next_arrival_s = now + self._draw_interarrival()
 
     def _execute_handover(self, t: _Terminal, now: float, kind: HandoverKind, target: ApState) -> None:
         self.metrics.handovers[kind.value] += 1
         self.metrics.handover_latency_s.add(self._handover_latency_s[kind])
-        t.call.serving.release()
+        t.serving.release()
         target.occupy()
-        t.call.serving = target
+        t.serving = target
         t.last_handover_s = now
 
     def _to_covering_lifi(self, t: _Terminal, now: float) -> bool:
@@ -341,11 +338,10 @@ class _IndoorSim:
         return ap is not None
 
     def _evaluate_handover(self, t: _Terminal, now: float) -> None:
-        call = t.call
-        if call is None or now - t.last_handover_s < self.cfg.policy.t_h_s:
+        serving = t.serving
+        if serving is None or now - t.last_handover_s < self.cfg.policy.t_h_s:
             return
-        serving = call.serving
-        if serving.kind is NetworkKind.FAP and call.traffic_class is TrafficClass.RT_VOICE:
+        if serving.kind is NetworkKind.FAP and t.traffic_class is TrafficClass.RT_VOICE:
             return  # voice stays pinned to the femtocell
         s_serving = float("-inf")
         s_target = float("-inf")
@@ -378,7 +374,7 @@ class _IndoorSim:
     def _apply_idle_mode(self, now: float) -> None:
         """Shift the femtocell's lone Zone 3 user to LiFi if it can; the femtocell idles once it holds no slot."""
         fap = self.fap
-        served = [(t.index, t.zone) for t in self._terminals if t.call is not None and t.call.serving is fap]
+        served = [(t.index, t.zone) for t in self._terminals if t.serving is fap]
         for terminal_id in policy.fap_mode_update(fap, served):
             self._to_covering_lifi(self._terminals[terminal_id], now)
         if fap.occupied_slots == 0:
@@ -390,10 +386,10 @@ class _IndoorSim:
         The links of each network are sampled in one batched channel pass,
         which equals per-link calls bit for bit (README, Determinism).
         """
-        in_call = [t for t in self._terminals if t.call is not None]
+        in_call = [t for t in self._terminals if t.serving is not None]
         samples = {}
         for kind, links in ((NetworkKind.LIFI, self._lifi_links), (NetworkKind.FAP, self._femto_links)):
-            served = [t for t in in_call if t.call.serving.kind is kind]
+            served = [t for t in in_call if t.serving.kind is kind]
             if served:
                 sinr, bandwidth = links(served)
                 capacities = channel.shannon_capacity(sinr.linear, bandwidth).tolist()
@@ -402,14 +398,14 @@ class _IndoorSim:
             sinr_db, capacity = samples[t.index]
             self.metrics.sinr_db.add(sinr_db)
             self.metrics.capacity_bps.add(capacity)
-            kind_sinr, kind_capacity = self._by_kind[t.call.serving.kind]
+            kind_sinr, kind_capacity = self._by_kind[t.serving.kind]
             kind_sinr.add(sinr_db)
             kind_capacity.add(capacity)
 
     def _lifi_links(self, served: list[_Terminal]) -> tuple[channel.SinrResult, float]:
         """SINRs of LiFi-served terminals from their (M, K) gain rows; every other AP interferes."""
         links = np.arange(len(served))
-        serving_idx = [t.call.serving.column for t in served]
+        serving_idx = [t.serving.column for t in served]
         gains = self._gain[[t.index for t in served]]  # a copy: zeroing the serving column stays local
         serving = gains[links, serving_idx]
         gains[links, serving_idx] = 0.0
@@ -424,7 +420,7 @@ class _IndoorSim:
         return channel.rf_sinr(rx, [], rf.noise_dBm(rf.femto_bandwidth_Hz)), rf.femto_bandwidth_Hz
 
     def _check_slot_balance(self) -> None:
-        active = sum(1 for t in self._terminals if t.call is not None)
+        active = sum(1 for t in self._terminals if t.serving is not None)
         occupied = self.fap.occupied_slots + sum(ap.occupied_slots for ap in self.lifi)
         if active != occupied:
             raise RuntimeError(f"slot leak: {occupied} occupied for {active} active calls")
@@ -439,10 +435,10 @@ class _IndoorSim:
                 self._move(t, now)
             self._locate(now)
             for t in self._terminals:
-                if t.call is not None and t.call.end_time_s <= now:
+                if t.serving is not None and t.call_end_s <= now:
                     self._release_call(t, now)
             for t in self._terminals:
-                if t.call is None and t.next_arrival_s <= now:
+                if t.serving is None and t.next_arrival_s <= now:
                     self._try_start_call(t, now)
             for t in self._terminals:
                 self._evaluate_handover(t, now)
@@ -452,7 +448,7 @@ class _IndoorSim:
             if self.fap.mode is ApMode.IDLE:
                 idle_ticks += 1
         self.metrics.fap_idle_fraction = idle_ticks / ticks if ticks else 1.0
-        self.metrics.active_at_end = sum(1 for t in self._terminals if t.call is not None)
+        self.metrics.active_at_end = sum(1 for t in self._terminals if t.serving is not None)
         self._rank_networks()
         return self.metrics
 
@@ -466,17 +462,15 @@ class _IndoorSim:
         fap_load = self.fap.occupied_slots / self.fap.capacity_slots
         lifi_sinr, lifi_cap = self._by_kind[NetworkKind.LIFI]
         fap_sinr, fap_cap = self._by_kind[NetworkKind.FAP]
-        scores = selection.AlternativeScores(
-            values=(
-                (lifi_cap.value, max(lifi_sinr.value, 0.0), AHP_MOBILITY[NetworkKind.LIFI],
-                 max(lifi_load.value, AHP_LOAD_FLOOR)),
-                (fap_cap.value, max(fap_sinr.value, 0.0), AHP_MOBILITY[NetworkKind.FAP],
-                 max(fap_load, AHP_LOAD_FLOOR)),
-            ),
-            modes=tuple(mode for _name, mode in AHP_CRITERIA),
+        values = (
+            (lifi_cap.value, max(lifi_sinr.value, 0.0), AHP_MOBILITY[NetworkKind.LIFI],
+             max(lifi_load.value, AHP_LOAD_FLOOR)),
+            (fap_cap.value, max(fap_sinr.value, 0.0), AHP_MOBILITY[NetworkKind.FAP],
+             max(fap_load, AHP_LOAD_FLOOR)),
         )
         weights, _cr = selection.derive_weights(self.cfg.ahp_pairwise)
-        self.metrics.ahp_rank = selection.rank_networks(scores, weights)
+        modes = tuple(mode for _name, mode in AHP_CRITERIA)
+        self.metrics.ahp_rank = selection.rank_networks(values, modes, weights)
 
 
 def simulate_indoor(config: ScenarioConfig) -> Metrics:
@@ -566,21 +560,17 @@ class FemtoSinrConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_minima(self, drops=1, zone_samples=MIN_MC_SAMPLES)
+        _check_minima(self, fap_count=0, drops=1, interferer_wall_count=0, hybrid_users_per_home=0,
+                      zone_samples=MIN_MC_SAMPLES)
+        for name in ("user_distance_m", "min_link_distance_m"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be positive and finite, got {getattr(self, name)!r}")
+        if not 0.0 <= self.deployment_radius_m < math.inf:
+            raise ValueError(f"deployment_radius_m: must be non-negative and finite, got {self.deployment_radius_m!r}")
 
 
-@dataclass(frozen=True)
-class FemtoSinrResult:
-    scheme: str
-    frf: int
-    mean_db: float
-    p5_db: float
-    p50_db: float
-    p95_db: float
-
-
-def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams) -> list[FemtoSinrResult]:
-    """Monte Carlo femtocell SINR for pure and hybrid operation at FRF 1 and 4.
+def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams):
+    """Rows of (scheme, frf, mean, p5, p50, p95 SINR in dB) for pure and hybrid operation at FRF 1 and 4.
 
     One reference user sits at a fixed distance from its serving femtocell;
     interfering femtocells drop uniformly over a disk and are thinned two
@@ -607,7 +597,7 @@ def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams) -> list[FemtoSi
     signal_dbm = rf.fap_tx_dBm - channel.femto_path_loss(config.user_distance_m, rf, wall_count=0)
     interf_mw = 10.0 ** ((rf.fap_tx_dBm - channel.femto_path_loss(dist, rf, wall_count=config.interferer_wall_count)) / 10.0)
 
-    results = []
+    rows = []
     for frf in (1, 4):
         co_channel = u_band < (1.0 / frf)
         noise_mw = 10.0 ** (rf.noise_dBm(rf.femto_bandwidth_Hz / frf) / 10.0)
@@ -615,17 +605,9 @@ def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams) -> list[FemtoSi
             mask = co_channel & (u_idle >= p_idle) if scheme == "hybrid" else co_channel
             total_interf = (interf_mw * mask).sum(axis=1)
             sinr_db = signal_dbm - 10.0 * np.log10(noise_mw + total_interf)
-            results.append(
-                FemtoSinrResult(
-                    scheme=scheme,
-                    frf=frf,
-                    mean_db=float(sinr_db.mean()),
-                    p5_db=float(np.percentile(sinr_db, 5)),
-                    p50_db=float(np.percentile(sinr_db, 50)),
-                    p95_db=float(np.percentile(sinr_db, 95)),
-                )
-            )
-    return results
+            rows.append((scheme, frf, float(sinr_db.mean()), float(np.percentile(sinr_db, 5)),
+                         float(np.percentile(sinr_db, 50)), float(np.percentile(sinr_db, 95))))
+    return rows
 
 
 @dataclass(frozen=True)

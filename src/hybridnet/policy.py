@@ -18,10 +18,10 @@ sits in Zone 3 and can be shifted to LiFi first.
 
 Each AP is one ``ApState`` slot ledger. The indoor simulator keeps the
 femtocell's ledger and a list of LiFi ledgers whose index is the AP's
-column in the grid plan and in the gain matrix, and each call holds its
-serving ledger. A terminal keeps one zone-entry clock, reset whenever it
-changes zone, so the dwell a handover decision reads is the time spent
-in the current zone.
+column in the grid plan and in the gain matrix, and a terminal in a call
+holds its serving ledger. A terminal keeps one zone-entry clock, reset
+whenever it changes zone, so the dwell a handover decision reads is the
+time spent in the current zone.
 """
 
 from __future__ import annotations
@@ -105,12 +105,6 @@ def first_free(aps) -> ApState | None:
     return next((ap for ap in aps if ap.free_slots > 0), None)
 
 
-@dataclass(frozen=True)
-class AdmissionResult:
-    decision: AdmissionDecision
-    ap: ApState | None
-
-
 def _preferred_network(zone: Zone, traffic_class: TrafficClass, fap_idle: bool) -> NetworkKind:
     if traffic_class is TrafficClass.RT_VOICE:
         return NetworkKind.FAP
@@ -128,26 +122,28 @@ def feasible_networks(zone: Zone, traffic_class: TrafficClass) -> tuple[NetworkK
     return (NetworkKind.FAP, NetworkKind.LIFI)
 
 
-def admit_new_call(zone: Zone, traffic_class: TrafficClass, fap: ApState, covering_lifi: list[ApState]) -> AdmissionResult:
-    """Route a newly originating call of ``traffic_class`` in ``zone``.
+def admit_new_call(
+    zone: Zone, traffic_class: TrafficClass, fap: ApState, covering_lifi: list[ApState]
+) -> tuple[AdmissionDecision, ApState | None]:
+    """Route a newly originating call of ``traffic_class`` in ``zone``: ``(decision, ap)``.
 
     ``covering_lifi`` holds the LiFi APs covering the terminal, in
     preference order; the call takes the first with a free slot. Overflow
     redirects a data call to the other feasible network; a full system
-    blocks the call.
+    blocks the call, and ``ap`` is None.
     """
     preferred = _preferred_network(zone, traffic_class, fap.mode is ApMode.IDLE)
     pools = {NetworkKind.FAP: (fap,), NetworkKind.LIFI: covering_lifi}
     ap = first_free(pools[preferred])
     if ap is not None:
         accepted = AdmissionDecision.ACCEPT_ON_FAP if preferred is NetworkKind.FAP else AdmissionDecision.ACCEPT_ON_LIFI
-        return AdmissionResult(accepted, ap)
+        return accepted, ap
     for alternative in feasible_networks(zone, traffic_class):
         if alternative is not preferred:
             ap = first_free(pools[alternative])
             if ap is not None:
-                return AdmissionResult(AdmissionDecision.REDIRECTED, ap)
-    return AdmissionResult(AdmissionDecision.BLOCKED, None)
+                return AdmissionDecision.REDIRECTED, ap
+    return AdmissionDecision.BLOCKED, None
 
 
 def handover_decision(

@@ -9,8 +9,6 @@ femtocell because it is the safer choice for mobile users.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Saaty random-index table, N = 1..9.
@@ -19,38 +17,6 @@ RANDOM_INDEX = (0.0, 0.0, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45)
 CONSISTENCY_LIMIT = 0.1
 
 LIFI, FEMTO = 0, 1
-
-
-@dataclass(frozen=True)
-class AlternativeScores:
-    """Raw per-criterion scores, row 0 = LiFi, row 1 = femtocell.
-
-    ``modes[i]`` is "benefit" (bigger is better) or "cost" (smaller is
-    better; scores are inverted before normalization).
-    """
-
-    values: tuple[tuple[float, ...], tuple[float, ...]]
-    modes: tuple[str, ...]
-
-    def normalized(self) -> np.ndarray:
-        raw = np.asarray(self.values, dtype=float)
-        if raw.shape[0] != 2:
-            raise ValueError("exactly two alternatives are supported")
-        if np.any(raw < 0):
-            raise ValueError("scores must be non-negative")
-        if len(self.modes) != raw.shape[1]:
-            raise ValueError("one normalization mode per criterion")
-        cols = raw.copy()
-        for i, mode in enumerate(self.modes):
-            if mode == "cost":
-                with np.errstate(divide="ignore"):
-                    cols[:, i] = np.where(cols[:, i] > 0, 1.0 / cols[:, i], 0.0)
-            elif mode != "benefit":
-                raise ValueError(f"unknown normalization mode {mode!r}")
-            total = cols[:, i].sum()
-            if total > 0:
-                cols[:, i] /= total
-        return cols
 
 
 def _validate_reciprocal(matrix: np.ndarray) -> None:
@@ -92,13 +58,32 @@ def derive_weights(pairwise_matrix) -> tuple[tuple[float, ...], float]:
     return tuple(float(x) for x in w), cr
 
 
-def rank_networks(scores: AlternativeScores, weights) -> tuple[float, float, str]:
+def rank_networks(values, modes, weights) -> tuple[float, float, str]:
     """Global ranking (R_lifi, R_femto, chosen network name).
 
-    ``chosen`` is "lifi" or "femtocell"; an exact tie picks the femtocell.
+    ``values`` holds the raw per-criterion scores, row 0 = LiFi, row 1 =
+    femtocell. ``modes[i]`` is "benefit" (bigger is better) or "cost"
+    (smaller is better; scores are inverted before normalization). Each
+    column is normalized to sum to 1. ``chosen`` is "lifi" or "femtocell";
+    an exact tie picks the femtocell.
     """
+    cols = np.array(values, dtype=float)
+    if cols.shape[0] != 2:
+        raise ValueError("exactly two alternatives are supported")
+    if np.any(cols < 0):
+        raise ValueError("scores must be non-negative")
+    if len(modes) != cols.shape[1]:
+        raise ValueError("one normalization mode per criterion")
+    for i, mode in enumerate(modes):
+        if mode == "cost":
+            with np.errstate(divide="ignore"):
+                cols[:, i] = np.where(cols[:, i] > 0, 1.0 / cols[:, i], 0.0)
+        elif mode != "benefit":
+            raise ValueError(f"unknown normalization mode {mode!r}")
+        total = cols[:, i].sum()
+        if total > 0:
+            cols[:, i] /= total
     w = np.asarray(weights, dtype=float)
-    cols = scores.normalized()
     if cols.shape[1] != w.shape[0]:
         raise ValueError("score columns and weights disagree in length")
     r = cols @ w

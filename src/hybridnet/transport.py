@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class AccessKind(enum.Enum):
 
 @dataclass(frozen=True)
 class VehicleLink:
-    mbs_distance_km: float = 0.5
     in_vehicle_access: AccessKind = AccessKind.LIFI
     shadowing_sigma_dB: float = 8.0
     sinr_threshold_user_dB: float = 9.0
@@ -43,15 +42,12 @@ class VehicleLink:
     access_femto_distance_m: float = 2.0
 
     def __post_init__(self):
-        if self.mbs_distance_km <= 0:
-            raise ValueError("MBS distance must be > 0 km")
         if self.shadowing_sigma_dB <= 0:
             raise ValueError("shadowing sigma must be > 0 dB")
 
 
 @dataclass(frozen=True)
 class CarFollowScenario:
-    inter_vehicle_distance_m: float = 20.0
     rf_range_m: float = 30.0
     uturn_radius_m: float = 10.0
     speed_kmh: float = 40.0
@@ -60,8 +56,7 @@ class CarFollowScenario:
     uturn_start_s: float = 10.0
 
     def __post_init__(self):
-        for v in (self.inter_vehicle_distance_m, self.rf_range_m, self.uturn_radius_m,
-                  self.speed_kmh, self.owc_fov_semi_angle_deg, self.window_s):
+        for v in (self.rf_range_m, self.uturn_radius_m, self.speed_kmh, self.owc_fov_semi_angle_deg, self.window_s):
             if v <= 0:
                 raise ValueError("scenario parameters must be positive")
 
@@ -83,15 +78,17 @@ def access_capacity_bps(link: VehicleLink, optical: OpticalParams, rf: RfParams)
     return channel.shannon_capacity(sinr.linear, rf.femto_bandwidth_Hz)
 
 
-def vehicle_downlink_capacity(link: VehicleLink, optical: OpticalParams, rf: RfParams) -> tuple[float, float]:
-    """(direct, relayed) downlink rates in bit/s for one in-vehicle user.
+def vehicle_downlink_capacity(
+    distance_km: float, link: VehicleLink, optical: OpticalParams, rf: RfParams
+) -> tuple[float, float]:
+    """(direct, relayed) downlink rates in bit/s for one in-vehicle user ``distance_km`` from the MBS.
 
     Direct connectivity pays the vehicle-wall penetration loss; the relayed
     path removes it on the backhaul and is bounded by the in-vehicle access
     hop: ``relayed = min(backhaul, access)``.
     """
-    direct_snr = macro_snr_dB(link.mbs_distance_km, rf, ObstacleClass.VEHICLE_WALL)
-    backhaul_snr = macro_snr_dB(link.mbs_distance_km, rf, ObstacleClass.NONE)
+    direct_snr = macro_snr_dB(distance_km, rf, ObstacleClass.VEHICLE_WALL)
+    backhaul_snr = macro_snr_dB(distance_km, rf, ObstacleClass.NONE)
     direct = channel.shannon_capacity(channel.db_to_linear(direct_snr), rf.macro_bandwidth_Hz)
     backhaul = channel.shannon_capacity(channel.db_to_linear(backhaul_snr), rf.macro_bandwidth_Hz)
     relayed = min(backhaul, access_capacity_bps(link, optical, rf))
@@ -102,8 +99,8 @@ def _normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def vehicle_outage(link: VehicleLink, rf: RfParams) -> tuple[float, float]:
-    """(direct, relayed) outage probabilities at one MBS distance.
+def vehicle_outage(distance_km: float, link: VehicleLink, rf: RfParams) -> tuple[float, float]:
+    """(direct, relayed) outage probabilities ``distance_km`` from the MBS.
 
     Log-normal shadowing with the configured sigma rides on the macro
     link; outage is the probability that the shadowed SNR falls below the
@@ -111,16 +108,18 @@ def vehicle_outage(link: VehicleLink, rf: RfParams) -> tuple[float, float]:
     and pays the wall loss; the relayed path uses the relay threshold and
     does not.
     """
-    mean_direct = macro_snr_dB(link.mbs_distance_km, rf, ObstacleClass.VEHICLE_WALL)
-    mean_relay = macro_snr_dB(link.mbs_distance_km, rf, ObstacleClass.NONE)
+    mean_direct = macro_snr_dB(distance_km, rf, ObstacleClass.VEHICLE_WALL)
+    mean_relay = macro_snr_dB(distance_km, rf, ObstacleClass.NONE)
     sigma = link.shadowing_sigma_dB
     p_direct = _normal_cdf((link.sinr_threshold_user_dB - mean_direct) / sigma)
     p_relayed = _normal_cdf((link.sinr_threshold_relay_dB - mean_relay) / sigma)
     return p_direct, p_relayed
 
 
-def car_link_reliability(scenario: CarFollowScenario, dt_s: float = 1e-3) -> tuple[float, float, float]:
-    """(rf_only, owc_only, hybrid) up-time fractions over the window.
+def car_link_reliability(
+    distance_m: float, scenario: CarFollowScenario, dt_s: float = 1e-3
+) -> tuple[float, float, float]:
+    """(rf_only, owc_only, hybrid) up-time fractions over the window, the cars ``distance_m`` apart.
 
     The leader enters the U-turn at ``uturn_start_s`` and sweeps 180
     degrees of heading at constant speed; the follower does the same one
@@ -128,18 +127,20 @@ def car_link_reliability(scenario: CarFollowScenario, dt_s: float = 1e-3) -> tup
     optical link is down while the difference exceeds the field-of-view
     semi-angle; the hybrid link is up when either component is.
     """
+    if distance_m <= 0:
+        raise ValueError("inter-vehicle distance must be positive")
     if dt_s <= 0:
         raise ValueError("time step must be positive")
     speed_mps = scenario.speed_kmh / 3.6
     turn_duration = math.pi * scenario.uturn_radius_m / speed_mps
-    follower_delay = scenario.inter_vehicle_distance_m / speed_mps
+    follower_delay = distance_m / speed_mps
     t = (np.arange(int(round(scenario.window_s / dt_s))) + 0.5) * dt_s
     t0 = scenario.uturn_start_s
     lead = np.clip((t - t0) / turn_duration, 0.0, 1.0)
     follow = np.clip((t - t0 - follower_delay) / turn_duration, 0.0, 1.0)
     heading_diff_deg = 180.0 * (lead - follow)
     owc_up = heading_diff_deg <= scenario.owc_fov_semi_angle_deg
-    rf_up = np.full_like(owc_up, scenario.inter_vehicle_distance_m <= scenario.rf_range_m)
+    rf_up = np.full_like(owc_up, distance_m <= scenario.rf_range_m)
     hybrid_up = rf_up | owc_up
     return float(rf_up.mean()), float(owc_up.mean()), float(hybrid_up.mean())
 
@@ -151,7 +152,7 @@ def capacity_sweep(distances_km, link: VehicleLink, optical: OpticalParams, rf: 
     """Rows of (distance_km, direct_bps, relayed_bps)."""
     rows = []
     for d in distances_km:
-        direct, relayed = vehicle_downlink_capacity(replace(link, mbs_distance_km=float(d)), optical, rf)
+        direct, relayed = vehicle_downlink_capacity(float(d), link, optical, rf)
         rows.append((float(d), direct, relayed))
     return rows
 
@@ -160,7 +161,7 @@ def outage_sweep(distances_km, link: VehicleLink, rf: RfParams):
     """Rows of (distance_km, p_out_direct, p_out_relayed)."""
     rows = []
     for d in distances_km:
-        p_direct, p_relayed = vehicle_outage(replace(link, mbs_distance_km=float(d)), rf)
+        p_direct, p_relayed = vehicle_outage(float(d), link, rf)
         rows.append((float(d), p_direct, p_relayed))
     return rows
 
@@ -169,6 +170,6 @@ def reliability_sweep(distances_m, scenario: CarFollowScenario):
     """Rows of (inter_vehicle_distance_m, rf_only, owc_only, hybrid)."""
     rows = []
     for d in distances_m:
-        rf_only, owc_only, hybrid = car_link_reliability(replace(scenario, inter_vehicle_distance_m=float(d)))
+        rf_only, owc_only, hybrid = car_link_reliability(float(d), scenario)
         rows.append((float(d), rf_only, owc_only, hybrid))
     return rows

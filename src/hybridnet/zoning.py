@@ -71,7 +71,8 @@ class GridPlan:
         if min(self.n_x, self.n_y) < 1 or len(ys) != self.n_y or self.ap_centers != tuple((x, y) for y in ys for x in xs):
             raise ValueError("ap_centers: not the row-major product of n_x x lines and n_y y lines")
         for axis, lines, pitch in (("x", xs, self.d_x_m), ("y", ys, self.d_y_m)):
-            if not (pitch > 0 and np.allclose(np.diff(lines), pitch, rtol=1e-9, atol=0.0)):
+            spaced = all(abs((b - a) - pitch) <= 1e-9 * pitch for a, b in zip(lines, lines[1:]))
+            if not (0 < pitch < math.inf and spaced):
                 raise ValueError(f"ap_centers: the {axis} lines are not d_{axis}_m = {pitch!r} apart")
             if len(lines) >= 3 and pitch < self.coverage_radius_m:
                 raise ValueError(f"d_{axis}_m: pitch {pitch!r} is below the coverage radius on {len(lines)} lines")
@@ -218,13 +219,11 @@ class ZoneModel:
     integer ``sample_counts`` are the raw classification tallies.
     """
 
-    plan: GridPlan
     analytic_areas_m2: tuple[float, float, float, float]
     mc_areas_m2: tuple[float, float, float, float]
     zone_probs: tuple[float, float, float, float]
     sample_counts: tuple[int, int, int, int]
     sample_count: int
-    seed: int
 
     def csv_rows(self) -> list[tuple[str, float, float, float]]:
         """(zone, analytic_area, mc_area, probability) per zone."""
@@ -265,13 +264,11 @@ def monte_carlo_zone_model(plan: GridPlan, sample_count: int, seed: int) -> Zone
     m1, m2, m3 = p1 * ab, p2 * ab, p3 * ab
     m4 = ab - ((m1 + m2) + m3)
     return ZoneModel(
-        plan=plan,
         analytic_areas_m2=analytic_zone_areas(plan),
         mc_areas_m2=(m1, m2, m3, m4),
         zone_probs=(p1, p2, p3, p4),
         sample_counts=(c[0], c[1], c[2], c[3]),
         sample_count=sample_count,
-        seed=seed,
     )
 
 

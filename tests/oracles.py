@@ -37,11 +37,11 @@ def placement_idle_reference(
     lifi = ApState(NetworkKind.LIFI, 0, lifi_slots)
     fap_users: list[tuple[int, Zone]] = []
     for uid, zone in enumerate(zones):
-        result = policy.admit_new_call(zone, TrafficClass.DATA, fap, [lifi])
-        if result.decision is AdmissionDecision.BLOCKED:
+        decision, ap = policy.admit_new_call(zone, TrafficClass.DATA, fap, [lifi])
+        if decision is AdmissionDecision.BLOCKED:
             continue
-        result.ap.occupy()
-        if result.ap is fap:
+        ap.occupy()
+        if ap is fap:
             fap_users.append((uid, zone))
     while True:
         shift_to_lifi = policy.fap_mode_update(fap, fap_users)

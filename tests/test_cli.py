@@ -89,6 +89,26 @@ class TestZoningFlags:
         assert flag in capsys.readouterr().err
 
 
+class TestSeed:
+    COMMANDS = [["plan"], ["zones"], ["experiment", "fig18"], ["trace", "lifi-to-lifi"], ["indoor-sim"]]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("seed", ["-1", "abc"])
+    def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, command, seed):
+        with pytest.raises(SystemExit) as excinfo:  # argparse rejects the flag's value
+            cli.main([*command, "--seed", seed, "--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: argv[0])
+    def test_negative_env_seed_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setenv("HYBRIDNET_SEED", "-1")
+        assert cli.main([*command, "--out", str(tmp_path / "out")]) == 2
+        assert "HYBRIDNET_SEED" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestZones:
     def test_csv_schema(self, capsys):
         assert cli.main(["zones", "--room", "10x10", "--radius", "5", "--samples", "16384"]) == 0
@@ -195,12 +215,17 @@ class TestExperiments:
             assert hybrid >= max(rf_only, owc_only)
 
     # sha256 of the default-config CSVs at seed 0: fig16 classifies and
-    # assigns every placed user to its nearest AP, fig17 reads the zone model.
+    # assigns every placed user to its nearest AP, fig17 reads the zone model,
+    # fig18 draws crossings and fig19-fig21 sweep the vehicle distance.
     @pytest.mark.parametrize(
         "name,digest",
         [
             ("fig16", "64341a3dbce83b1e00eff2081da8979212f4eca514b028fe29edbd85e3652df2"),
             ("fig17", "06c3ae3a77266b1550eeea7618d52a1d54a9e9aa3d6786ee4051555f51bce0e9"),
+            ("fig18", "95ebfe1bad2bfba2a6375eeefd735828e943012f279bb2f63e5443eeb3c2dadc"),
+            ("fig19", "4a99be5f47bd7e9c486fefc49f4468c779baf125c9bac44a398c4d14fa634055"),
+            ("fig20", "6cf8006d9a0c05bcc5f83407ab1bcbb9628a5c2b58617200c879a5f1344d5a2a"),
+            ("fig21", "84dcb23b0f54378a46c8821463baf73ec5efdc9c21a408fb24b0b8a37d7ed57f"),
         ],
     )
     def test_golden_digest(self, tmp_path, name, digest):
@@ -245,6 +270,16 @@ class TestExperiments:
             (["experiment", "fig19"], "zoning: {room_x_m: 0.0}\n", "zoning.room_x_m"),
             (["experiment", "fig18"], "zoning: {coverage_radius_m: -1.0}\n", "zoning.coverage_radius_m"),
             (["plan"], "zoning: {room_y_m: -3.0}\n", "zoning.room_y_m"),
+            (["experiment", "fig18"], "engine: {fig17: {user_distance_m: 0.0}}\n", "engine.fig17.user_distance_m"),
+            (["experiment", "fig18"], "engine: {fig17: {fap_count: -1}}\n", "engine.fig17.fap_count"),
+            (["experiment", "fig18"], "engine: {fig17: {hybrid_users_per_home: -1}}\n",
+             "engine.fig17.hybrid_users_per_home"),
+            (["experiment", "fig18"], "engine: {fig17: {interferer_wall_count: -2}}\n",
+             "engine.fig17.interferer_wall_count"),
+            (["experiment", "fig18"], "engine: {fig17: {min_link_distance_m: 0.0}}\n",
+             "engine.fig17.min_link_distance_m"),
+            (["experiment", "fig18"], "engine: {fig17: {deployment_radius_m: -1.0}}\n",
+             "engine.fig17.deployment_radius_m"),
         ],
         ids=["not-a-mapping", "unknown-key", "bool-for-int", "float-for-int", "leaf-for-mapping",
              "bad-enum", "range-checked-everywhere", "non-reciprocal-ahp", "ahp-not-4x4", "missing-file",
@@ -252,7 +287,9 @@ class TestExperiments:
              "fig18-count-zero", "fig16-user-max-negative", "fig17-zone-samples-checked-everywhere",
              "fig17-zone-samples-below-minimum", "fig17-drops-zero", "fig16-placements-zero",
              "fig16-zone-samples-below-minimum", "fig18-crossings-zero", "lifi-slots-zero", "rf-wall-count-unknown",
-             "room-side-zero", "coverage-radius-negative", "plan-room-side-negative"],
+             "room-side-zero", "coverage-radius-negative", "plan-room-side-negative", "fig17-user-distance-zero",
+             "fig17-fap-count-negative", "fig17-hybrid-users-negative", "fig17-wall-count-negative",
+             "fig17-min-link-distance-zero", "fig17-deployment-radius-negative"],
     )
     def test_unparsable_config_is_validation_error(self, tmp_path, capsys, argv, text, key):
         bad = tmp_path / "bad.yaml"

@@ -71,7 +71,7 @@ class TestSimulateIndoor:
         sim._locate(0.0)
         assert sim.fap.mode is ApMode.IDLE
         sim._try_start_call(terminal, 0.0)
-        assert terminal.call.serving is sim.fap and sim.fap.mode is ApMode.ACTIVE
+        assert terminal.serving is sim.fap and sim.fap.mode is ApMode.ACTIVE
         sim._apply_idle_mode(0.0)
         assert sim.fap.mode is ApMode.ACTIVE  # a Zone 1 user is never shifted
         sim._release_call(terminal, 1.0)
@@ -257,14 +257,14 @@ class TestFemtoSinrExperiment:
         rf = RfParams()
         results = femto_sinr_experiment(cfg, rf)
         snr_frf1 = rf.fap_tx_dBm - femto_path_loss(8.0, rf, wall_count=0) - rf.noise_dBm(rf.femto_bandwidth_Hz)
-        for r in results:
-            expected = snr_frf1 + 10 * math.log10(r.frf)  # narrower band, less noise
-            assert r.mean_db == pytest.approx(expected, rel=1e-9)
+        for _scheme, frf, mean_db, *_percentiles in results:
+            expected = snr_frf1 + 10 * math.log10(frf)  # narrower band, less noise
+            assert mean_db == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_orderings_hold_per_seed(self, seed):
         cfg = FemtoSinrConfig(drops=1000, zone_samples=16_384, seed=seed)
-        results = {(r.scheme, r.frf): r.mean_db for r in femto_sinr_experiment(cfg, RfParams())}
+        results = {(scheme, frf): mean_db for scheme, frf, mean_db, *_ in femto_sinr_experiment(cfg, RfParams())}
         assert results[("hybrid", 1)] >= results[("pure", 1)]
         assert results[("hybrid", 4)] >= results[("pure", 4)]
         assert results[("pure", 4)] >= results[("pure", 1)]

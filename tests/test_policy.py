@@ -31,51 +31,51 @@ def admit(zone, aps, traffic=TrafficClass.DATA):
 class TestAdmission:
     def test_zone1_data_goes_to_fap(self):
         aps = make_aps()
-        result = admit(Zone.Z1, aps)
-        assert result.decision is AdmissionDecision.ACCEPT_ON_FAP
-        assert result.ap is aps[0]
+        decision, ap = admit(Zone.Z1, aps)
+        assert decision is AdmissionDecision.ACCEPT_ON_FAP
+        assert ap is aps[0]
 
     def test_voice_in_zone2_goes_to_fap(self):
-        result = admit(Zone.Z2, make_aps(), TrafficClass.RT_VOICE)
-        assert result.decision is AdmissionDecision.ACCEPT_ON_FAP
+        decision, _ap = admit(Zone.Z2, make_aps(), TrafficClass.RT_VOICE)
+        assert decision is AdmissionDecision.ACCEPT_ON_FAP
 
     def test_zone3_idle_fap_prefers_lifi(self):
-        result = admit(Zone.Z3, make_aps(fap_mode=ApMode.IDLE))
-        assert result.decision is AdmissionDecision.ACCEPT_ON_LIFI
+        decision, _ap = admit(Zone.Z3, make_aps(fap_mode=ApMode.IDLE))
+        assert decision is AdmissionDecision.ACCEPT_ON_LIFI
 
     def test_zone3_active_fap_prefers_fap(self):
-        result = admit(Zone.Z3, make_aps())
-        assert result.decision is AdmissionDecision.ACCEPT_ON_FAP
+        decision, _ap = admit(Zone.Z3, make_aps())
+        assert decision is AdmissionDecision.ACCEPT_ON_FAP
 
     def test_zone3_overflow_redirects_to_fap(self):
         aps = make_aps(lifi_free=0, fap_mode=ApMode.IDLE)
-        result = admit(Zone.Z3, aps)
-        assert result.decision is AdmissionDecision.REDIRECTED
-        assert result.ap is aps[0]
+        decision, ap = admit(Zone.Z3, aps)
+        assert decision is AdmissionDecision.REDIRECTED
+        assert ap is aps[0]
 
     def test_zone2_goes_to_lifi(self):
-        result = admit(Zone.Z2, make_aps())
-        assert result.decision is AdmissionDecision.ACCEPT_ON_LIFI
+        decision, _ap = admit(Zone.Z2, make_aps())
+        assert decision is AdmissionDecision.ACCEPT_ON_LIFI
 
     def test_zone4_goes_to_fap(self):
-        result = admit(Zone.Z4, make_aps())
-        assert result.decision is AdmissionDecision.ACCEPT_ON_FAP
+        decision, _ap = admit(Zone.Z4, make_aps())
+        assert decision is AdmissionDecision.ACCEPT_ON_FAP
 
     def test_voice_blocks_rather_than_overflowing(self):
-        result = admit(Zone.Z2, make_aps(fap_free=0), TrafficClass.RT_VOICE)
-        assert result.decision is AdmissionDecision.BLOCKED
+        decision, _ap = admit(Zone.Z2, make_aps(fap_free=0), TrafficClass.RT_VOICE)
+        assert decision is AdmissionDecision.BLOCKED
 
     def test_zone1_blocks_when_fap_full(self):
-        result = admit(Zone.Z1, make_aps(fap_free=0, lifi_free=10))
-        assert result.decision is AdmissionDecision.BLOCKED
+        decision, _ap = admit(Zone.Z1, make_aps(fap_free=0, lifi_free=10))
+        assert decision is AdmissionDecision.BLOCKED
 
     def test_lifi_candidate_ordering_respected(self):
         fap, lifi0 = make_aps()
         lifi1 = ApState(NetworkKind.LIFI, 1, 10)
-        result = admit_new_call(Zone.Z2, TrafficClass.DATA, fap, [lifi1, lifi0])
-        assert result.ap is lifi1
+        decision, ap = admit_new_call(Zone.Z2, TrafficClass.DATA, fap, [lifi1, lifi0])
+        assert ap is lifi1
         lifi1.occupied_slots = lifi1.capacity_slots  # a full candidate is passed over
-        assert admit_new_call(Zone.Z2, TrafficClass.DATA, fap, [lifi1, lifi0]).ap is lifi0
+        assert admit_new_call(Zone.Z2, TrafficClass.DATA, fap, [lifi1, lifi0])[1] is lifi0
 
     def test_exhaustive_decision_table_invariants(self):
         zones = list(Zone)
@@ -84,18 +84,18 @@ class TestAdmission:
             zones, classes, (0, 1, 8), (0, 1, 10), (False, True)
         ):
             fap, lifi = aps = make_aps(fap_free, lifi_free, ApMode.IDLE if fap_idle and fap_free == 8 else ApMode.ACTIVE)
-            result = admit(zone, aps, traffic)
+            decision, ap = admit(zone, aps, traffic)
             feasible = feasible_networks(zone, traffic)
-            if result.decision is AdmissionDecision.BLOCKED:
+            if decision is AdmissionDecision.BLOCKED:
                 # blocked only when every feasible network is full
                 assert all(
                     (fap.free_slots == 0) if kind is NetworkKind.FAP else (lifi.free_slots == 0)
                     for kind in feasible
                 )
             else:
-                assert result.ap.kind in feasible
+                assert ap.kind in feasible
                 if traffic is TrafficClass.RT_VOICE or zone is Zone.Z1:
-                    assert result.ap is fap
+                    assert ap is fap
 
     @given(
         zone=st.sampled_from(list(Zone)),
@@ -105,12 +105,12 @@ class TestAdmission:
     )
     @settings(max_examples=300)
     def test_no_voice_or_zone1_on_lifi(self, zone, traffic, fap_free, lifi_free):
-        result = admit(zone, make_aps(fap_free, lifi_free), traffic)
+        decision, ap = admit(zone, make_aps(fap_free, lifi_free), traffic)
         if traffic is TrafficClass.RT_VOICE or zone is Zone.Z1:
-            assert result.ap is None or result.ap.kind is not NetworkKind.LIFI
+            assert ap is None or ap.kind is not NetworkKind.LIFI
 
     def test_deterministic(self):
-        results = {admit(Zone.Z3, make_aps(3, 4)).decision for _ in range(5)}
+        results = {admit(Zone.Z3, make_aps(3, 4))[0] for _ in range(5)}
         assert len(results) == 1
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridnet.config import load_config
-from hybridnet.selection import AlternativeScores, RANDOM_INDEX, derive_weights, rank_networks
+from hybridnet.selection import RANDOM_INDEX, derive_weights, rank_networks
 
 
 def ratio_matrix(values):
@@ -82,33 +82,33 @@ class TestDeriveWeights:
 
 class TestRankNetworks:
     def test_disjoint_columns(self):
-        scores = AlternativeScores(values=((1.0, 0.0), (0.0, 1.0)), modes=("benefit",) * 2)
-        r_lifi, r_femto, chosen = rank_networks(scores, (0.7, 0.3))
+        values, modes = ((1.0, 0.0), (0.0, 1.0)), ("benefit",) * 2
+        r_lifi, r_femto, chosen = rank_networks(values, modes, (0.7, 0.3))
         assert (r_lifi, r_femto) == pytest.approx((0.7, 0.3), abs=1e-12)
         assert chosen == "lifi"
 
     def test_tie_prefers_femtocell(self):
-        scores = AlternativeScores(values=((1.0, 2.0), (1.0, 2.0)), modes=("benefit",) * 2)
-        _, _, chosen = rank_networks(scores, (0.5, 0.5))
+        values, modes = ((1.0, 2.0), (1.0, 2.0)), ("benefit",) * 2
+        _, _, chosen = rank_networks(values, modes, (0.5, 0.5))
         assert chosen == "femtocell"
 
     def test_hand_multiplied_example(self):
-        scores = AlternativeScores(values=((0.6, 0.2), (0.4, 0.8)), modes=("benefit",) * 2)
-        r_lifi, r_femto, chosen = rank_networks(scores, (0.5, 0.5))
+        values, modes = ((0.6, 0.2), (0.4, 0.8)), ("benefit",) * 2
+        r_lifi, r_femto, chosen = rank_networks(values, modes, (0.5, 0.5))
         assert (r_lifi, r_femto) == pytest.approx((0.4, 0.6), abs=1e-12)
         assert chosen == "femtocell"
 
     def test_cost_mode_inverts(self):
         # lower load should score higher under cost normalization
-        scores = AlternativeScores(values=((0.2,), (0.8,)), modes=("cost",))
-        r_lifi, r_femto, chosen = rank_networks(scores, (1.0,))
+        values, modes = ((0.2,), (0.8,)), ("cost",)
+        r_lifi, r_femto, chosen = rank_networks(values, modes, (1.0,))
         assert r_lifi > r_femto
         assert chosen == "lifi"
 
     def test_dimension_mismatch_rejected(self):
-        scores = AlternativeScores(values=((0.5, 0.5), (0.5, 0.5)), modes=("benefit",) * 2)
+        values, modes = ((0.5, 0.5), (0.5, 0.5)), ("benefit",) * 2
         with pytest.raises(ValueError):
-            rank_networks(scores, (1.0,))
+            rank_networks(values, modes, (1.0,))
 
     @given(
         a=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=3, max_size=3),
@@ -118,9 +118,9 @@ class TestRankNetworks:
     )
     @settings(max_examples=100)
     def test_choice_invariant_under_weight_scaling(self, a, b, w, scale):
-        scores = AlternativeScores(values=(tuple(a), tuple(b)), modes=("benefit",) * 3)
-        _, _, chosen = rank_networks(scores, w)
-        _, _, chosen_scaled = rank_networks(scores, [scale * x for x in w])
+        values, modes = (tuple(a), tuple(b)), ("benefit",) * 3
+        _, _, chosen = rank_networks(values, modes, w)
+        _, _, chosen_scaled = rank_networks(values, modes, [scale * x for x in w])
         assert chosen == chosen_scaled
 
     @given(
@@ -130,7 +130,7 @@ class TestRankNetworks:
     @settings(max_examples=100)
     def test_ranks_sum_to_one_with_normalized_inputs(self, a, b):
         n = min(len(a), len(b))
-        scores = AlternativeScores(values=(tuple(a[:n]), tuple(b[:n])), modes=("benefit",) * n)
+        values, modes = (tuple(a[:n]), tuple(b[:n])), ("benefit",) * n
         weights = np.full(n, 1.0 / n)
-        r_lifi, r_femto, _ = rank_networks(scores, weights)
+        r_lifi, r_femto, _ = rank_networks(values, modes, weights)
         assert r_lifi + r_femto == pytest.approx(1.0, abs=1e-9)

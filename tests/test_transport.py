@@ -38,21 +38,21 @@ class TestVehicleCapacity:
         assert direct_oracle == pytest.approx(58e6, rel=0.01)
         assert backhaul_oracle == pytest.approx(91e6, rel=0.01)
 
-        direct, relayed = vehicle_downlink_capacity(LINK, OPTICAL, RF)
+        direct, relayed = vehicle_downlink_capacity(0.5, LINK, OPTICAL, RF)
         assert direct == pytest.approx(direct_oracle, rel=1e-9)
         # the 6 W LiFi access link is far above the backhaul, so it is not the bottleneck
         assert relayed == pytest.approx(backhaul_oracle, rel=1e-9)
 
     def test_relayed_beats_direct_when_access_is_not_bottleneck(self):
         for d in (0.2, 0.5, 1.0, 2.0):
-            direct, relayed = vehicle_downlink_capacity(replace(LINK, mbs_distance_km=d), OPTICAL, RF)
+            direct, relayed = vehicle_downlink_capacity(d, LINK, OPTICAL, RF)
             assert relayed >= direct
 
     def test_access_link_can_bottleneck(self):
         # a weak femto access hop caps the relayed rate
         weak_rf = RfParams(fap_tx_dBm=-60.0)
         link = replace(LINK, in_vehicle_access=AccessKind.FAP, access_femto_distance_m=8.0)
-        _, relayed = vehicle_downlink_capacity(link, OPTICAL, weak_rf)
+        _, relayed = vehicle_downlink_capacity(0.5, link, OPTICAL, weak_rf)
         backhaul = 10e6 * math.log2(1 + 10 ** ((46.0 - _hata_db(0.5, 0.0) + 104.0) / 10))
         assert relayed < backhaul
 
@@ -69,7 +69,7 @@ class TestVehicleCapacity:
 
     def test_invalid_link(self):
         with pytest.raises(ValueError):
-            VehicleLink(mbs_distance_km=0.0)
+            vehicle_downlink_capacity(0.0, LINK, OPTICAL, RF)
         with pytest.raises(ValueError):
             VehicleLink(shadowing_sigma_dB=0.0)
 
@@ -78,8 +78,7 @@ class TestVehicleOutage:
     def test_against_normal_cdf_oracle(self):
         oracle = NormalDist()
         for d in (0.2, 0.5, 1.5):
-            link = replace(LINK, mbs_distance_km=d)
-            p_direct, p_relayed = vehicle_outage(link, RF)
+            p_direct, p_relayed = vehicle_outage(d, LINK, RF)
             mean_direct = macro_snr_dB(d, RF, ObstacleClass.VEHICLE_WALL)
             mean_relay = macro_snr_dB(d, RF, ObstacleClass.NONE)
             assert p_direct == pytest.approx(oracle.cdf((9.0 - mean_direct) / 8.0), rel=1e-12)
@@ -89,7 +88,7 @@ class TestVehicleOutage:
         # choose the threshold 20 dB below the mean: outage = Phi(-2.5)
         mean = macro_snr_dB(0.5, RF, ObstacleClass.VEHICLE_WALL)
         link = replace(LINK, sinr_threshold_user_dB=mean - 20.0)
-        p_direct, _ = vehicle_outage(link, RF)
+        p_direct, _ = vehicle_outage(0.5, link, RF)
         assert p_direct == pytest.approx(0.0062, abs=5e-5)
         assert p_direct == pytest.approx(NormalDist().cdf(-2.5), rel=1e-12)
 
@@ -103,30 +102,30 @@ class TestVehicleOutage:
             assert d2 >= d1 and r2 >= r1
 
     def test_vanishing_shadowing(self):
-        link = replace(LINK, mbs_distance_km=0.1, shadowing_sigma_dB=1e-9)
-        p_direct, p_relayed = vehicle_outage(link, RF)
+        link = replace(LINK, shadowing_sigma_dB=1e-9)
+        p_direct, p_relayed = vehicle_outage(0.1, link, RF)
         assert p_direct == pytest.approx(0.0, abs=1e-12)
         assert p_relayed == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCarLinkReliability:
     def test_close_gap_no_turn(self):
-        scenario = CarFollowScenario(inter_vehicle_distance_m=20.0, uturn_start_s=1e6)
-        assert car_link_reliability(scenario) == (1.0, 1.0, 1.0)
+        scenario = CarFollowScenario(uturn_start_s=1e6)
+        assert car_link_reliability(20.0, scenario) == (1.0, 1.0, 1.0)
 
     def test_long_gap_straight_driving(self):
-        scenario = CarFollowScenario(inter_vehicle_distance_m=40.0, uturn_start_s=1e6)
-        rf_only, owc_only, hybrid = car_link_reliability(scenario)
+        scenario = CarFollowScenario(uturn_start_s=1e6)
+        rf_only, owc_only, hybrid = car_link_reliability(40.0, scenario)
         assert rf_only == 0.0 and owc_only == 1.0 and hybrid == 1.0
 
     def test_turn_breaks_owc_for_expected_interval(self):
-        scenario = CarFollowScenario()  # 20 m gap, turn at 10 s, 30 s window
+        scenario = CarFollowScenario()  # turn at 10 s, 30 s window
         speed = 40.0 / 3.6
         turn = math.pi * 10.0 / speed
         delay = 20.0 / speed
         outage = delay + turn * (1.0 - 2.0 * 30.0 / 180.0)
         expected = 1.0 - outage / 30.0
-        _, owc_only, hybrid = car_link_reliability(scenario)
+        _, owc_only, hybrid = car_link_reliability(20.0, scenario)
         assert owc_only == pytest.approx(expected, abs=2e-4)
         assert hybrid == 1.0  # RF bridges the turn at a 20 m gap
 
@@ -137,9 +136,8 @@ class TestCarLinkReliability:
             assert hybrid <= 1.0
 
     def test_discretization_is_stable(self):
-        scenario = CarFollowScenario(inter_vehicle_distance_m=35.0)
-        coarse = car_link_reliability(scenario, dt_s=2e-3)
-        fine = car_link_reliability(scenario, dt_s=1e-3)
+        coarse = car_link_reliability(35.0, CAR, dt_s=2e-3)
+        fine = car_link_reliability(35.0, CAR, dt_s=1e-3)
         for a, b in zip(coarse, fine):
             assert abs(a - b) < 1e-3
 
@@ -147,7 +145,9 @@ class TestCarLinkReliability:
         with pytest.raises(ValueError):
             CarFollowScenario(window_s=0.0)
         with pytest.raises(ValueError):
-            car_link_reliability(CarFollowScenario(), dt_s=0.0)
+            car_link_reliability(20.0, CAR, dt_s=0.0)
+        with pytest.raises(ValueError):
+            car_link_reliability(0.0, CAR)
 
 
 class TestSweeps:

@@ -115,6 +115,11 @@ class TestLatticePrecondition:
             dataclasses.replace(PLAN_24, ap_centers=centers)
         with pytest.raises(ValueError, match="y lines are not d_y_m"):
             dataclasses.replace(PLAN_24, d_y_m=8.5)
+        with pytest.raises(ValueError, match="y lines are not d_y_m"):
+            dataclasses.replace(PLAN_24, d_y_m=math.inf)
+        with pytest.raises(ValueError, match="y lines are not d_y_m"):
+            dataclasses.replace(PLAN_24, d_y_m=8.0 * (1 + 1e-8))
+        assert dataclasses.replace(PLAN_24, d_y_m=8.0 * (1 + 1e-10)).d_y_m == 8.0 * (1 + 1e-10)  # within rtol 1e-9
 
     def test_pitch_below_radius_rejected(self):
         # Three x lines 4 m apart at r = 5: a 3-line window could miss a covering AP.
