@@ -14,7 +14,8 @@ Conventions:
   * dB/linear conversion is always ``10 * log10``.
 
 All functions are pure and accept floats or numpy arrays for the distance
-arguments; the SINR functions also take a batch of links.
+arguments; the SINR functions also take a batch of links. They return the
+linear ratio, a float or an array, and ``linear_to_db`` converts it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def check_fields(params, rule: str, ok, *names: str) -> None:
+    """Raise ValueError, naming the field, if a field of ``params`` fails ``ok``; ``rule`` says what it must be."""
+    for name in names:
+        if not ok(getattr(params, name)):
+            raise ValueError(f"{name}: must be {rule}, got {getattr(params, name)!r}")
+
+
+def at_least(minimum) -> tuple:
+    """The (rule, ok) pair of :func:`check_fields` for a value of at least ``minimum``."""
+    return f"at least {minimum}", lambda v: v >= minimum
+
+
+POSITIVE = ("positive", lambda v: v > 0)
 
 
 def db_to_linear(x_db):
@@ -57,17 +73,10 @@ class OpticalParams:
     ap_height_m: float = 2.0
 
     def __post_init__(self):
-        positive = (
-            self.pd_area_m2, self.filter_gain, self.refractive_index,
-            self.tx_optical_power_W, self.responsivity_A_per_W,
-            self.noise_psd_A2_per_Hz, self.bandwidth_Hz, self.ap_height_m,
-        )
-        if any(v <= 0 for v in positive):
-            raise ValueError("optical parameters must be strictly positive")
-        if not 0.0 < self.fov_semi_angle_deg <= 90.0:
-            raise ValueError("FOV semi-angle must lie in (0, 90] degrees")
-        if not 0.0 < self.half_intensity_angle_deg < 90.0:
-            raise ValueError("half-intensity angle must lie in (0, 90) degrees")
+        check_fields(self, *POSITIVE, "pd_area_m2", "filter_gain", "refractive_index",
+                     "tx_optical_power_W", "responsivity_A_per_W", "noise_psd_A2_per_Hz", "bandwidth_Hz", "ap_height_m")
+        check_fields(self, "in (0, 90] degrees", lambda v: 0.0 < v <= 90.0, "fov_semi_angle_deg")
+        check_fields(self, "in (0, 90) degrees", lambda v: 0.0 < v < 90.0, "half_intensity_angle_deg")
 
 
 @dataclass(frozen=True)
@@ -87,12 +96,8 @@ class RfParams:
     femto_bandwidth_Hz: float = 10e6
 
     def __post_init__(self):
-        if self.mbs_height_m <= 0 or self.terminal_height_m <= 0:
-            raise ValueError("antenna heights must be positive")
-        if self.macro_bandwidth_Hz <= 0 or self.femto_bandwidth_Hz <= 0:
-            raise ValueError("bandwidths must be positive")
-        if self.center_freq_MHz <= 0:
-            raise ValueError("center frequency must be positive (MHz)")
+        check_fields(self, *POSITIVE, "center_freq_MHz", "mbs_height_m", "terminal_height_m",
+                     "macro_bandwidth_Hz", "femto_bandwidth_Hz")
 
     def wall_loss_dB(self, obstacle: ObstacleClass) -> float:
         if obstacle is ObstacleClass.BUILDING_WALL:
@@ -146,35 +151,19 @@ def optical_channel_gain(horizontal_distance_m, params: OpticalParams):
     return float(out) if np.isscalar(horizontal_distance_m) else out
 
 
-def _to_db(linear: float) -> float:
+def linear_to_db(linear):
+    """``10 * log10`` of a linear ratio, a float or an array (then a list); 0 gives -inf.
+
+    Each value comes from ``math.log10``: ``np.log10`` can differ from it in
+    the last bit.
+    """
+    if isinstance(linear, np.ndarray):
+        return [10.0 * math.log10(v) if v > 0 else float("-inf") for v in linear.tolist()]
     return 10.0 * math.log10(linear) if linear > 0 else float("-inf")
 
 
-class SinrResult(tuple):
-    """(linear, dB) pair; dB is -inf when the linear ratio is 0.
-
-    For a batch of links the linear part is an array and the dB part a list,
-    each value from ``math.log10``: ``np.log10`` can differ from it in the
-    last bit.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, linear):
-        db = [_to_db(v) for v in linear.tolist()] if isinstance(linear, np.ndarray) else _to_db(linear)
-        return super().__new__(cls, (linear, db))
-
-    @property
-    def linear(self):
-        return self[0]
-
-    @property
-    def db(self):
-        return self[1]
-
-
-def _sinr(signal, interference_terms, noise) -> SinrResult:
-    """Signal over noise plus interference, for one link or a batch of links.
+def _sinr(signal, interference_terms, noise):
+    """Linear signal over noise plus interference, for one link (a float) or a batch of links (an array).
 
     ``interference_terms`` holds one row of terms per link. They are added
     column by column, left to right, so a batch equals per-link calls bit
@@ -185,11 +174,11 @@ def _sinr(signal, interference_terms, noise) -> SinrResult:
     for term in np.moveaxis(interference_terms, -1, 0):
         interference = interference + term
     linear = signal / (noise + interference)
-    return SinrResult(linear if np.ndim(linear) else float(linear))
+    return linear if np.ndim(linear) else float(linear)
 
 
-def optical_sinr(serving_gain, interferer_gains, params: OpticalParams) -> SinrResult:
-    """Electrical-domain SINR: squared signal over noise plus squared interference.
+def optical_sinr(serving_gain, interferer_gains, params: OpticalParams):
+    """Electrical-domain linear SINR: squared signal over noise plus squared interference.
 
     Signal and each interference term are ``(responsivity * P_t * H)^2``;
     the noise floor is ``N_0 * B_o``. A batch of M links passes an (M,)
@@ -250,8 +239,8 @@ def femto_path_loss(distance_m, rf: RfParams, wall_count: int):
     return float(loss) if np.isscalar(distance_m) else loss
 
 
-def rf_sinr(serving_rx_dBm, interferer_rx_dBm, noise_dBm: float) -> SinrResult:
-    """Compose received powers into an SINR: linear signal over noise plus interference.
+def rf_sinr(serving_rx_dBm, interferer_rx_dBm, noise_dBm: float):
+    """Compose received powers into a linear SINR: signal over noise plus interference.
 
     Batches like :func:`optical_sinr`: an (M,) array of serving powers with
     one row of interferer powers per link.

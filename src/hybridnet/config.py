@@ -21,9 +21,8 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from .channel import OpticalParams, RfParams
+from .channel import POSITIVE, OpticalParams, RfParams, at_least
 from .engine import (
     AHP_CRITERIA, DEFAULT_AHP_MATRIX, FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig,
     MobilityConfig, PolicyConfig, RoomConfig, ScenarioConfig, TrafficConfig,
@@ -54,15 +53,21 @@ SECTIONS = {
 }
 
 # Keys that no dataclass carries: sweep ranges, counts and the AHP matrix.
-# A count is written as a (default, minimum) pair.
+# A range-checked key is written as (default, rule, ok), with the rule pair
+# of `channel.check_fields`; a sweep's values lie between its two
+# endpoints, so checking both checks them all.
+_MACRO_SWEEP = {"distance_start_km": (0.1, *POSITIVE), "distance_stop_km": (1.0, *POSITIVE),
+                "distance_count": (100, *at_least(1))}
 EXTRA_KEYS = {
-    "zoning": {"mc_samples": (1 << 20, MIN_MC_SAMPLES)},
+    "zoning": {"mc_samples": (1 << 20, *at_least(MIN_MC_SAMPLES))},
     "selection": {"pairwise_matrix": [list(row) for row in DEFAULT_AHP_MATRIX]},
-    "engine.fig16": {"user_count_max": (20, 0)},
-    "engine.fig18": {"spacing_start_m": 0.0, "spacing_stop_m": 12.0, "spacing_count": (25, 1)},
-    "transport.fig19": {"distance_start_km": 0.1, "distance_stop_km": 1.0, "distance_count": (100, 1)},
-    "transport.fig20": {"distance_start_km": 0.1, "distance_stop_km": 1.0, "distance_count": (100, 1)},
-    "transport.fig21": {"distance_start_m": 5.0, "distance_stop_m": 50.0, "distance_count": (100, 1)},
+    "engine.fig16": {"user_count_max": (20, *at_least(0))},
+    "engine.fig18": {"spacing_start_m": (0.0, *at_least(0.0)), "spacing_stop_m": (12.0, *at_least(0.0)),
+                     "spacing_count": (25, *at_least(1))},
+    "transport.fig19": _MACRO_SWEEP,
+    "transport.fig20": _MACRO_SWEEP,
+    "transport.fig21": {"distance_start_m": (5.0, *POSITIVE), "distance_stop_m": (50.0, *POSITIVE),
+                        "distance_count": (100, *at_least(1))},
 }
 
 
@@ -183,13 +188,16 @@ def load_config(path: str | Path | None) -> dict:
     """Resolved configuration: defaults overridden by the YAML file, if any.
 
     The whole file is checked, whatever the caller reads of it: every
-    section is built once, every count of ``EXTRA_KEYS`` must reach its
-    minimum, and the AHP matrix must be a valid comparison matrix with one
-    row per criterion of ``AHP_CRITERIA`` and a consistency ratio within
-    ``CONSISTENCY_LIMIT``.
+    section is built once, and once more inside the indoor scenario, every
+    range-checked key of ``EXTRA_KEYS`` must pass its test, and the AHP
+    matrix must be a valid comparison matrix with one row per criterion of
+    ``AHP_CRITERIA`` and a consistency ratio within ``CONSISTENCY_LIMIT``.
+    PyYAML is imported only when a file is read.
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
+    import yaml
+
     try:
         data = yaml.safe_load(Path(path).read_text())
     except yaml.YAMLError as exc:
@@ -197,11 +205,12 @@ def load_config(path: str | Path | None) -> dict:
     config = deep_merge(DEFAULT_CONFIG, {} if data is None else data)
     for section in SECTIONS:
         build(config, section)
+    scenario_config(config, 0)  # engine.duration_s against engine.mobility.tick_s
     for section_path, keys in EXTRA_KEYS.items():
         for name, spec in keys.items():
             value = _section(config, section_path)[name]
-            if isinstance(spec, tuple) and value < spec[1]:
-                raise ValueError(f"{section_path}.{name}: must be at least {spec[1]}, got {value!r}")
+            if isinstance(spec, tuple) and not spec[2](value):
+                raise ValueError(f"{section_path}.{name}: must be {spec[1]}, got {value!r}")
     _check_pairwise(config["selection"]["pairwise_matrix"])
     return config
 

@@ -24,13 +24,15 @@ pure, reuse 4 above reuse 1) hold drop by drop, not just on average.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import channel, policy, selection
-from .channel import OpticalParams, RfParams
+from .channel import POSITIVE, OpticalParams, RfParams, at_least, check_fields
 from .policy import AdmissionDecision, ApMode, ApState, HandoverDecision, NetworkKind, TrafficClass
 from .protocol import HandoverKind, run_handover
 from .rng import spawn_streams
@@ -39,11 +41,7 @@ from .zoning import _CLASSIFY_SLICE, MIN_MC_SAMPLES, GridPlan, Zone, classify_po
 _ZONE_OF_CODE = (None, *Zone)  # indexed by classify_points code: no enum call per terminal
 
 
-def _check_minima(config, **minima: int) -> None:
-    """Raise ValueError, naming the field, if a count of ``config`` is below its minimum."""
-    for name, minimum in minima.items():
-        if getattr(config, name) < minimum:
-            raise ValueError(f"{name}: must be at least {minimum}, got {getattr(config, name)!r}")
+_POSITIVE_FINITE = ("positive and finite", lambda v: 0.0 < v < math.inf)
 
 
 @dataclass(frozen=True)
@@ -53,9 +51,7 @@ class RoomConfig:
     coverage_radius_m: float = 5.0
 
     def __post_init__(self):
-        for name in ("room_x_m", "room_y_m", "coverage_radius_m"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name}: must be positive and finite, got {getattr(self, name)!r}")
+        check_fields(self, *_POSITIVE_FINITE, "room_x_m", "room_y_m", "coverage_radius_m")
 
     def plan(self) -> GridPlan:
         return plan_grid(self.room_x_m, self.room_y_m, self.coverage_radius_m)
@@ -70,12 +66,10 @@ class MobilityConfig:
     tick_s: float = 0.1
 
     def __post_init__(self):
-        if self.tick_s <= 0:
-            raise ValueError("tick must be positive")
-        if self.speed_min_mps < 0 or self.speed_max_mps < self.speed_min_mps:
-            raise ValueError("need 0 <= speed_min <= speed_max")
-        if self.pause_min_s < 0 or self.pause_max_s < self.pause_min_s:
-            raise ValueError("need 0 <= pause_min <= pause_max")
+        check_fields(self, *POSITIVE, "tick_s")
+        check_fields(self, *at_least(0), "speed_min_mps", "pause_min_s")
+        check_fields(self, *at_least(self.speed_min_mps), "speed_max_mps")
+        check_fields(self, *at_least(self.pause_min_s), "pause_max_s")
 
 
 @dataclass(frozen=True)
@@ -85,10 +79,9 @@ class TrafficConfig:
     voice_fraction: float = 0.3
 
     def __post_init__(self):
-        if self.arrival_rate_per_min < 0 or self.mean_holding_s <= 0:
-            raise ValueError("rates and holding times must be positive")
-        if not 0.0 <= self.voice_fraction <= 1.0:
-            raise ValueError("voice fraction must lie in [0, 1]")
+        check_fields(self, *at_least(0), "arrival_rate_per_min")
+        check_fields(self, *POSITIVE, "mean_holding_s")
+        check_fields(self, "in [0, 1]", lambda v: 0.0 <= v <= 1.0, "voice_fraction")
 
 
 @dataclass(frozen=True)
@@ -100,11 +93,9 @@ class PolicyConfig:
     per_hop_latency_s: float = 0.005
 
     def __post_init__(self):
-        _check_minima(self, fap_slots=1, lifi_slots=1)
-        if self.t_h_s <= 0 or self.t_h1_s <= 0:
-            raise ValueError("dwell thresholds must be positive")
-        if self.per_hop_latency_s < 0:
-            raise ValueError("per-hop latency must be >= 0")
+        check_fields(self, *at_least(1), "fap_slots", "lifi_slots")
+        check_fields(self, *POSITIVE, "t_h_s", "t_h1_s")
+        check_fields(self, *at_least(0), "per_hop_latency_s")
 
 
 DEFAULT_AHP_MATRIX = (
@@ -129,8 +120,9 @@ class ScenarioConfig:
     ahp_pairwise: tuple[tuple[float, ...], ...] = DEFAULT_AHP_MATRIX
 
     def __post_init__(self):
-        if self.user_count < 0 or self.duration_s <= 0:
-            raise ValueError("user count must be >= 0 and duration positive")
+        check_fields(self, *at_least(0), "user_count")
+        check_fields(self, f"at least one tick_s ({self.mobility.tick_s!r}) once rounded to whole ticks",
+                     lambda v: round(v / self.mobility.tick_s) >= 1, "duration_s")
 
 
 ADMISSION_KEYS = tuple(d.value for d in AdmissionDecision)
@@ -144,31 +136,27 @@ AHP_MOBILITY = {NetworkKind.LIFI: 0.3, NetworkKind.FAP: 0.7}
 AHP_LOAD_FLOOR = 1e-6
 
 
-@dataclass
-class RunningMean:
-    """Count and left-to-right sum of a sample stream."""
+def _added(total: float, samples) -> float:
+    """``total`` plus each sample in turn, left to right, as a ``+=`` loop adds them (README, Determinism)."""
+    return functools.reduce(operator.add, samples, total)
 
-    count: int = 0
-    total: float = 0.0
 
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-
-    @property
-    def value(self) -> float:
-        return self.total / self.count if self.count else 0.0
+def _mean(total: float, count: int) -> float:
+    return total / count if count else 0.0
 
 
 @dataclass
 class Metrics:
+    """Run counts, and the sums behind the run means; every executed handover adds one latency."""
+
     admissions: dict[str, int] = field(default_factory=lambda: {k: 0 for k in ADMISSION_KEYS})
     handovers: dict[str, int] = field(default_factory=lambda: {k: 0 for k in HANDOVER_KEYS})
     handovers_rejected: int = 0
-    handover_latency_s: RunningMean = field(default_factory=RunningMean)
+    handover_latency_total_s: float = 0.0
     fap_idle_fraction: float = 0.0
-    sinr_db: RunningMean = field(default_factory=RunningMean)
-    capacity_bps: RunningMean = field(default_factory=RunningMean)
+    link_samples: int = 0  # one SINR and one capacity per in-call terminal per tick
+    sinr_total_db: float = 0.0
+    capacity_total_bps: float = 0.0
     calls_released: int = 0
     active_at_end: int = 0
     ahp_rank: tuple[float, float, str] | None = None
@@ -181,10 +169,11 @@ class Metrics:
         for key in HANDOVER_KEYS:
             rows.append((f"handovers.{key}", repr(self.handovers[key])))
         rows.append(("handovers.rejected", repr(self.handovers_rejected)))
-        rows.append(("handover_latency_mean_s", repr(self.handover_latency_s.value)))
+        rows.append(("handover_latency_mean_s",
+                     repr(_mean(self.handover_latency_total_s, sum(self.handovers.values())))))
         rows.append(("fap_idle_fraction", repr(self.fap_idle_fraction)))
-        rows.append(("sinr_mean_db", repr(self.sinr_db.value)))
-        rows.append(("capacity_mean_bps", repr(self.capacity_bps.value)))
+        rows.append(("sinr_mean_db", repr(_mean(self.sinr_total_db, self.link_samples))))
+        rows.append(("capacity_mean_bps", repr(_mean(self.capacity_total_bps, self.link_samples))))
         rows.append(("calls_released", repr(self.calls_released)))
         rows.append(("active_at_end", repr(self.active_at_end)))
         if self.ahp_rank is not None:
@@ -223,7 +212,7 @@ class _IndoorSim:
         self.fap = ApState(NetworkKind.FAP, None, config.policy.fap_slots, ApMode.IDLE)
         self.lifi = [ApState(NetworkKind.LIFI, j, config.policy.lifi_slots) for j in range(self.plan.ap_count)]
         self.metrics = Metrics()
-        self._by_kind = {kind: (RunningMean(), RunningMean()) for kind in NetworkKind}
+        self._kind_sums = {kind: (0, 0.0, 0.0) for kind in NetworkKind}  # (samples, SINR dB, capacity bps) sums
         # A fault-free flow's latency depends on its kind and the per-hop delay alone.
         per_hop_s = config.policy.per_hop_latency_s
         self._handover_latency_s = {kind: run_handover(kind, per_hop_s).latency_s for kind in HandoverKind}
@@ -324,7 +313,7 @@ class _IndoorSim:
 
     def _execute_handover(self, t: _Terminal, now: float, kind: HandoverKind, target: ApState) -> None:
         self.metrics.handovers[kind.value] += 1
-        self.metrics.handover_latency_s.add(self._handover_latency_s[kind])
+        self.metrics.handover_latency_total_s += self._handover_latency_s[kind]
         t.serving.release()
         target.occupy()
         t.serving = target
@@ -339,7 +328,7 @@ class _IndoorSim:
 
     def _evaluate_handover(self, t: _Terminal, now: float) -> None:
         serving = t.serving
-        if serving is None or now - t.last_handover_s < self.cfg.policy.t_h_s:
+        if now - t.last_handover_s < self.cfg.policy.t_h_s:
             return
         if serving.kind is NetworkKind.FAP and t.traffic_class is TrafficClass.RT_VOICE:
             return  # voice stays pinned to the femtocell
@@ -371,38 +360,38 @@ class _IndoorSim:
         elif not self._to_covering_lifi(t, now):  # TO_LIFI from the femtocell
             self.metrics.handovers_rejected += 1
 
-    def _apply_idle_mode(self, now: float) -> None:
+    def _apply_idle_mode(self, in_call: list[_Terminal], now: float) -> None:
         """Shift the femtocell's lone Zone 3 user to LiFi if it can; the femtocell idles once it holds no slot."""
         fap = self.fap
-        served = [(t.index, t.zone) for t in self._terminals if t.serving is fap]
+        served = [(t.index, t.zone) for t in in_call if t.serving is fap]
         for terminal_id in policy.fap_mode_update(fap, served):
             self._to_covering_lifi(self._terminals[terminal_id], now)
         if fap.occupied_slots == 0:
             fap.mode = ApMode.IDLE
 
-    def _sample_link_quality(self) -> None:
-        """Add the SINR and capacity of every in-call terminal to the run means, in terminal order.
+    def _sample_link_quality(self, in_call: list[_Terminal]) -> None:
+        """Add the SINR and capacity of every in-call terminal to the run sums, in terminal order.
 
         The links of each network are sampled in one batched channel pass,
         which equals per-link calls bit for bit (README, Determinism).
         """
-        in_call = [t for t in self._terminals if t.serving is not None]
-        samples = {}
-        for kind, links in ((NetworkKind.LIFI, self._lifi_links), (NetworkKind.FAP, self._femto_links)):
-            served = [t for t in in_call if t.serving.kind is kind]
-            if served:
-                sinr, bandwidth = links(served)
-                capacities = channel.shannon_capacity(sinr.linear, bandwidth).tolist()
-                samples.update(zip((t.index for t in served), zip(sinr.db, capacities)))
-        for t in in_call:
-            sinr_db, capacity = samples[t.index]
-            self.metrics.sinr_db.add(sinr_db)
-            self.metrics.capacity_bps.add(capacity)
-            kind_sinr, kind_capacity = self._by_kind[t.serving.kind]
-            kind_sinr.add(sinr_db)
-            kind_capacity.add(capacity)
+        sinr, bandwidth = np.empty(len(in_call)), np.empty(len(in_call))
+        kind_rows = [(kind, [i for i, t in enumerate(in_call) if t.serving.kind is kind]) for kind in NetworkKind]
+        for kind, rows in kind_rows:
+            if rows:
+                links = self._lifi_links if kind is NetworkKind.LIFI else self._femto_links
+                sinr[rows], bandwidth[rows] = links([in_call[i] for i in rows])
+        sinr_db = channel.linear_to_db(sinr)
+        capacity = channel.shannon_capacity(sinr, bandwidth).tolist()
+        m = self.metrics
+        m.link_samples += len(in_call)
+        m.sinr_total_db, m.capacity_total_bps = _added(m.sinr_total_db, sinr_db), _added(m.capacity_total_bps, capacity)
+        for kind, rows in kind_rows:
+            count, sinr_total, capacity_total = self._kind_sums[kind]
+            self._kind_sums[kind] = (count + len(rows), _added(sinr_total, (sinr_db[i] for i in rows)),
+                                     _added(capacity_total, (capacity[i] for i in rows)))
 
-    def _lifi_links(self, served: list[_Terminal]) -> tuple[channel.SinrResult, float]:
+    def _lifi_links(self, served: list[_Terminal]) -> tuple[np.ndarray, float]:
         """SINRs of LiFi-served terminals from their (M, K) gain rows; every other AP interferes."""
         links = np.arange(len(served))
         serving_idx = [t.serving.column for t in served]
@@ -411,7 +400,7 @@ class _IndoorSim:
         gains[links, serving_idx] = 0.0
         return channel.optical_sinr(serving, gains, self.cfg.optical), self.cfg.optical.bandwidth_Hz
 
-    def _femto_links(self, served: list[_Terminal]) -> tuple[channel.SinrResult, float]:
+    def _femto_links(self, served: list[_Terminal]) -> tuple[np.ndarray, float]:
         """SINRs of femtocell-served terminals; the femtocell has no interferer indoors."""
         rf = self.cfg.rf
         fx, fy = self.plan.fap_center
@@ -440,33 +429,28 @@ class _IndoorSim:
             for t in self._terminals:
                 if t.serving is None and t.next_arrival_s <= now:
                     self._try_start_call(t, now)
-            for t in self._terminals:
+            in_call = [t for t in self._terminals if t.serving is not None]  # no later step starts or ends a call
+            for t in in_call:
                 self._evaluate_handover(t, now)
-            self._apply_idle_mode(now)
-            self._sample_link_quality()
+            self._apply_idle_mode(in_call, now)
+            self._sample_link_quality(in_call)
             self._check_slot_balance()
             if self.fap.mode is ApMode.IDLE:
                 idle_ticks += 1
-        self.metrics.fap_idle_fraction = idle_ticks / ticks if ticks else 1.0
-        self.metrics.active_at_end = sum(1 for t in self._terminals if t.serving is not None)
+        self.metrics.fap_idle_fraction = idle_ticks / ticks
+        self.metrics.active_at_end = len(in_call)
         self._rank_networks()
         return self.metrics
 
     def _rank_networks(self) -> None:
         """Score the two networks from run aggregates and attach the ranking."""
-        if not self.metrics.capacity_bps.count:
+        if not self.metrics.link_samples:
             return
-        lifi_load = RunningMean()
-        for ap in self.lifi:
-            lifi_load.add(ap.occupied_slots / ap.capacity_slots)
-        fap_load = self.fap.occupied_slots / self.fap.capacity_slots
-        lifi_sinr, lifi_cap = self._by_kind[NetworkKind.LIFI]
-        fap_sinr, fap_cap = self._by_kind[NetworkKind.FAP]
-        values = (
-            (lifi_cap.value, max(lifi_sinr.value, 0.0), AHP_MOBILITY[NetworkKind.LIFI],
-             max(lifi_load.value, AHP_LOAD_FLOOR)),
-            (fap_cap.value, max(fap_sinr.value, 0.0), AHP_MOBILITY[NetworkKind.FAP],
-             max(fap_load, AHP_LOAD_FLOOR)),
+        lifi_load = _mean(_added(0.0, (ap.occupied_slots / ap.capacity_slots for ap in self.lifi)), len(self.lifi))
+        loads = {NetworkKind.LIFI: lifi_load, NetworkKind.FAP: self.fap.occupied_slots / self.fap.capacity_slots}
+        values = tuple(
+            (_mean(capacity, count), max(_mean(sinr, count), 0.0), AHP_MOBILITY[kind], max(loads[kind], AHP_LOAD_FLOOR))
+            for kind, (count, sinr, capacity) in self._kind_sums.items()
         )
         weights, _cr = selection.derive_weights(self.cfg.ahp_pairwise)
         modes = tuple(mode for _name, mode in AHP_CRITERIA)
@@ -490,7 +474,8 @@ class IdleExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_minima(self, placements=1, zone_samples=MIN_MC_SAMPLES)
+        check_fields(self, *at_least(1), "placements")
+        check_fields(self, *at_least(MIN_MC_SAMPLES), "zone_samples")
 
 
 def lifi_assignment_idle(codes: np.ndarray, nearest: np.ndarray, ap_count: int, lifi_slots: int) -> np.ndarray:
@@ -560,13 +545,11 @@ class FemtoSinrConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_minima(self, fap_count=0, drops=1, interferer_wall_count=0, hybrid_users_per_home=0,
-                      zone_samples=MIN_MC_SAMPLES)
-        for name in ("user_distance_m", "min_link_distance_m"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name}: must be positive and finite, got {getattr(self, name)!r}")
-        if not 0.0 <= self.deployment_radius_m < math.inf:
-            raise ValueError(f"deployment_radius_m: must be non-negative and finite, got {self.deployment_radius_m!r}")
+        check_fields(self, *at_least(0), "fap_count", "interferer_wall_count", "hybrid_users_per_home")
+        check_fields(self, *at_least(1), "drops")
+        check_fields(self, *at_least(MIN_MC_SAMPLES), "zone_samples")
+        check_fields(self, *_POSITIVE_FINITE, "user_distance_m", "min_link_distance_m")
+        check_fields(self, "non-negative and finite", lambda v: 0.0 <= v < math.inf, "deployment_radius_m")
 
 
 def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams):
@@ -617,7 +600,7 @@ class HandoverSuccessConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_minima(self, crossings=1)
+        check_fields(self, *at_least(1), "crossings")
 
 
 def lifi_crossing_success_exact(ap_distance_m: float, coverage_radius_m: float) -> float:

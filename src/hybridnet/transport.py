@@ -42,8 +42,7 @@ class VehicleLink:
     access_femto_distance_m: float = 2.0
 
     def __post_init__(self):
-        if self.shadowing_sigma_dB <= 0:
-            raise ValueError("shadowing sigma must be > 0 dB")
+        channel.check_fields(self, *channel.POSITIVE, "shadowing_sigma_dB")
 
 
 @dataclass(frozen=True)
@@ -56,9 +55,8 @@ class CarFollowScenario:
     uturn_start_s: float = 10.0
 
     def __post_init__(self):
-        for v in (self.rf_range_m, self.uturn_radius_m, self.speed_kmh, self.owc_fov_semi_angle_deg, self.window_s):
-            if v <= 0:
-                raise ValueError("scenario parameters must be positive")
+        channel.check_fields(self, *channel.POSITIVE, "rf_range_m", "uturn_radius_m", "speed_kmh",
+                             "owc_fov_semi_angle_deg", "window_s")
 
 
 def macro_snr_dB(distance_km, rf: RfParams, obstacle: ObstacleClass):
@@ -71,11 +69,9 @@ def access_capacity_bps(link: VehicleLink, optical: OpticalParams, rf: RfParams)
     """Capacity of the in-vehicle hop (LiFi AP or femtocell, no interferers)."""
     if link.in_vehicle_access is AccessKind.LIFI:
         gain = channel.optical_channel_gain(link.access_horizontal_distance_m, optical)
-        sinr = channel.optical_sinr(gain, [], optical)
-        return channel.shannon_capacity(sinr.linear, optical.bandwidth_Hz)
+        return channel.shannon_capacity(channel.optical_sinr(gain, [], optical), optical.bandwidth_Hz)
     rx = rf.fap_tx_dBm - channel.femto_path_loss(link.access_femto_distance_m, rf, wall_count=0)
-    sinr = channel.rf_sinr(rx, [], rf.noise_dBm(rf.femto_bandwidth_Hz))
-    return channel.shannon_capacity(sinr.linear, rf.femto_bandwidth_Hz)
+    return channel.shannon_capacity(channel.rf_sinr(rx, [], rf.noise_dBm(rf.femto_bandwidth_Hz)), rf.femto_bandwidth_Hz)
 
 
 def vehicle_downlink_capacity(

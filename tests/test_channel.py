@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hybridnet.channel import (
     ObstacleClass, OpticalParams, RfParams,
-    concentrator_gain, femto_path_loss, lambertian_index, macro_path_loss,
+    concentrator_gain, femto_path_loss, lambertian_index, linear_to_db, macro_path_loss,
     optical_channel_gain, optical_sinr, rf_sinr, shannon_capacity,
 )
 
@@ -102,25 +102,25 @@ class TestOpticalSinr:
         expected = signal / noise
         assert expected == pytest.approx(1.62e5, rel=1e-2)
         result = optical_sinr(h, [], TABLE)
-        assert result.linear == pytest.approx(expected, rel=1e-9)
-        assert result.db == pytest.approx(10 * math.log10(expected), rel=1e-9)
-        assert result.db == pytest.approx(52.1, abs=0.05)
+        assert result == pytest.approx(expected, rel=1e-9)
+        assert linear_to_db(result) == pytest.approx(10 * math.log10(expected), rel=1e-9)
+        assert linear_to_db(result) == pytest.approx(52.1, abs=0.05)
 
     def test_equal_interferer_drops_below_unity(self):
         h = _gain_oracle(0.0, 2.0, TABLE)
-        assert optical_sinr(h, [h], TABLE).linear < 1.0
+        assert optical_sinr(h, [h], TABLE) < 1.0
 
     def test_doubling_interference_strictly_decreases(self):
         h = _gain_oracle(0.0, 2.0, TABLE)
         interferers = [h / 4, h / 8]
-        base = optical_sinr(h, interferers, TABLE).linear
-        worse = optical_sinr(h, [2 * g for g in interferers], TABLE).linear
+        base = optical_sinr(h, interferers, TABLE)
+        worse = optical_sinr(h, [2 * g for g in interferers], TABLE)
         assert worse < base
 
     def test_zero_serving_gain_sentinel(self):
         result = optical_sinr(0.0, [1e-6], TABLE)
-        assert result.linear == 0.0
-        assert result.db == float("-inf")
+        assert result == 0.0
+        assert linear_to_db(result) == float("-inf")
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):
@@ -137,23 +137,33 @@ class TestBatchedSinr:
         serving = rng.uniform(0.0, 1e-5, size=2_000)
         serving[:5] = 0.0
         batch = optical_sinr(serving, gains, TABLE)
+        batch_db = linear_to_db(batch)
         scale = TABLE.responsivity_A_per_W * TABLE.tx_optical_power_W
         for i, (h, row) in enumerate(zip(serving.tolist(), gains.tolist())):
             single = optical_sinr(h, [g for g in row if g > 0], TABLE)
-            assert (batch.linear[i], batch.db[i]) == (single.linear, single.db)
+            assert (batch[i], batch_db[i]) == (single, linear_to_db(single))
             interference = 0.0  # the formula on Python floats, terms left to right
             for g in row:
                 interference += (scale * g) ** 2
-            assert single.linear == (scale * h) ** 2 / (TABLE.noise_psd_A2_per_Hz * TABLE.bandwidth_Hz + interference)
-        assert batch.linear[0] == 0.0 and batch.db[0] == float("-inf")
+            assert single == (scale * h) ** 2 / (TABLE.noise_psd_A2_per_Hz * TABLE.bandwidth_Hz + interference)
+        assert batch[0] == 0.0 and batch_db[0] == float("-inf")
 
     def test_rf_rows_equal_scalar_calls(self):
         serving = np.random.default_rng(4).uniform(-110.0, -30.0, size=500)
         batch = rf_sinr(serving, [], -104.0)
+        batch_db = linear_to_db(batch)
         for i, rx in enumerate(serving.tolist()):
             single = rf_sinr(rx, [], -104.0)
-            assert (batch.linear[i], batch.db[i]) == (single.linear, single.db)
-            assert single.linear == 10.0 ** (rx / 10.0) / 10.0 ** (-104.0 / 10.0)
+            assert (batch[i], batch_db[i]) == (single, linear_to_db(single))
+            assert single == 10.0 ** (rx / 10.0) / 10.0 ** (-104.0 / 10.0)
+
+    def test_db_of_an_array_is_math_log10_of_each_value(self):
+        linear = np.random.default_rng(8).uniform(0.0, 1e6, size=2_000)
+        linear[[0, 7]] = 0.0
+        db = linear_to_db(linear)
+        assert db == [10 * math.log10(v) if v > 0 else float("-inf") for v in linear.tolist()]
+        assert db[0] == db[7] == float("-inf") and linear_to_db(0.0) == float("-inf")
+        assert db[1:7] == [linear_to_db(v) for v in linear[1:7].tolist()]
 
 
 class TestFloatRules:
@@ -278,16 +288,16 @@ class TestFemtoPathLoss:
 
 class TestRfSinr:
     def test_interference_free_is_snr_subtraction(self):
-        assert rf_sinr(-60.0, [], -104.0).db == pytest.approx(44.0, abs=1e-9)
+        assert linear_to_db(rf_sinr(-60.0, [], -104.0)) == pytest.approx(44.0, abs=1e-9)
 
     def test_equal_interferer_near_zero_db(self):
         result = rf_sinr(-60.0, [-60.0], -200.0)
-        assert result.db == pytest.approx(0.0, abs=1e-6)
+        assert linear_to_db(result) == pytest.approx(0.0, abs=1e-6)
 
     def test_linear_power_additivity(self):
         combined = rf_sinr(-60.0, [-63.0, -63.0], -104.0)
         single = rf_sinr(-60.0, [-63.0 + 10 * math.log10(2.0)], -104.0)
-        assert combined.linear == pytest.approx(single.linear, rel=1e-12)
+        assert combined == pytest.approx(single, rel=1e-12)
         # two equal -63 dBm sources behave like one at about -60 dBm
         assert -63.0 + 10 * math.log10(2.0) == pytest.approx(-60.0, abs=0.02)
 
@@ -303,7 +313,7 @@ class TestPurity:
             lambda: optical_channel_gain(1.7, TABLE),
             lambda: macro_path_loss(0.77, RF, ObstacleClass.BUILDING_WALL),
             lambda: femto_path_loss(3.3, RF, wall_count=0),
-            lambda: optical_sinr(1e-5, [1e-6, 2e-6], TABLE).linear,
+            lambda: optical_sinr(1e-5, [1e-6, 2e-6], TABLE),
         ]
         for call in calls:
             assert call() == call()

@@ -5,6 +5,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +283,23 @@ class TestExperiments:
              "engine.fig17.min_link_distance_m"),
             (["experiment", "fig18"], "engine: {fig17: {deployment_radius_m: -1.0}}\n",
              "engine.fig17.deployment_radius_m"),
+            (["experiment", "fig17"], "transport: {fig19: {distance_start_km: 0.0}}\n",
+             "transport.fig19.distance_start_km"),
+            (["experiment", "fig17"], "transport: {fig20: {distance_stop_km: -1.0}}\n",
+             "transport.fig20.distance_stop_km"),
+            (["experiment", "fig17"], "transport: {fig21: {distance_stop_m: -5.0}}\n", "transport.fig21.distance_stop_m"),
+            (["experiment", "fig17"], "engine: {fig18: {spacing_start_m: -1.0}}\n", "engine.fig18.spacing_start_m"),
+            (["experiment", "fig17"], "engine: {mobility: {speed_max_mps: 0.1}}\n", "engine.mobility.speed_max_mps"),
+            (["experiment", "fig17"], "engine: {traffic: {voice_fraction: 1.5}}\n", "engine.traffic.voice_fraction"),
+            (["experiment", "fig17"], "policy: {t_h1_s: 0.0}\n", "policy.t_h1_s"),
+            (["experiment", "fig17"], "protocol: {per_hop_latency_s: -0.001}\n", "protocol.per_hop_latency_s"),
+            (["experiment", "fig17"], "engine: {duration_s: 0.04}\n", "engine.duration_s"),
+            (["experiment", "fig17"], "engine: {duration_s: 0.4, mobility: {tick_s: 1.0}}\n", "engine.duration_s"),
+            (["experiment", "fig17"], "channel: {optical: {pd_area_m2: 0.0}}\n", "channel.optical.pd_area_m2"),
+            (["experiment", "fig18"], "channel: {rf: {mbs_height_m: 0.0}}\n", "channel.rf.mbs_height_m"),
+            (["experiment", "fig17"], "transport: {vehicle: {shadowing_sigma_dB: 0.0}}\n",
+             "transport.vehicle.shadowing_sigma_dB"),
+            (["experiment", "fig17"], "transport: {fig21: {window_s: 0.0}}\n", "transport.fig21.window_s"),
         ],
         ids=["not-a-mapping", "unknown-key", "bool-for-int", "float-for-int", "leaf-for-mapping",
              "bad-enum", "range-checked-everywhere", "non-reciprocal-ahp", "ahp-not-4x4", "missing-file",
@@ -289,7 +309,11 @@ class TestExperiments:
              "fig16-zone-samples-below-minimum", "fig18-crossings-zero", "lifi-slots-zero", "rf-wall-count-unknown",
              "room-side-zero", "coverage-radius-negative", "plan-room-side-negative", "fig17-user-distance-zero",
              "fig17-fap-count-negative", "fig17-hybrid-users-negative", "fig17-wall-count-negative",
-             "fig17-min-link-distance-zero", "fig17-deployment-radius-negative"],
+             "fig17-min-link-distance-zero", "fig17-deployment-radius-negative", "fig19-start-zero",
+             "fig20-stop-negative", "fig21-stop-negative", "fig18-start-negative", "speed-max-below-min",
+             "voice-fraction-above-one", "dwell-zero", "per-hop-negative", "duration-below-one-tick",
+             "duration-below-one-long-tick", "optical-pd-area-zero", "rf-height-zero", "shadowing-zero",
+             "car-window-zero"],
     )
     def test_unparsable_config_is_validation_error(self, tmp_path, capsys, argv, text, key):
         bad = tmp_path / "bad.yaml"
@@ -346,7 +370,8 @@ class TestTrace:
     @pytest.mark.parametrize("per_hop_ms", ["-1", "nan", "inf"])
     def test_negative_per_hop_latency_is_validation_error(self, tmp_path, capsys, per_hop_ms):
         assert cli.main(["trace", "lifi-to-lifi", "--per-hop-ms", per_hop_ms, "--out", str(tmp_path)]) == 2
-        assert "per-hop latency" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "per-hop latency" in err and "--per-hop-ms" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_invalid_trace_is_runtime_error_and_not_written(self, tmp_path, monkeypatch, capsys):
@@ -398,9 +423,12 @@ class TestIndoorSim:
             ("policy: {fap_slots: 2, lifi_slots: 1}\nengine:\n  user_count: 20\n  duration_s: 30.0\n"
              "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 20.0}\n", 0,
              "0e1447c6a80776b3aceb21726793183265930f487193ceba5b04a7059608f471"),
+            # A 30 degree FOV leaves LiFi links with a zero SINR: sinr_mean_db is -inf.
+            ("channel: {optical: {fov_semi_angle_deg: 30.0}}\n", 0,
+             "20076a13db61523dea18c83d05c0b9f546e0a8ef6840ec7cfd8e3f8cda230b32"),
         ],
         ids=["default-seed0", "default-seed1", "loaded-20s-seed0", "lifi-heavy-100-users-20s-seed0",
-             "slot-starved-30s-seed0"],
+             "slot-starved-30s-seed0", "fov30-zero-sinr-seed0"],
     )
     def test_golden_digest(self, tmp_path, monkeypatch, text, seed, digest, exact_float_sum):
         if exact_float_sum:
@@ -463,3 +491,14 @@ class TestConfig:
         d2 = config_digest(deep_merge(DEFAULT_CONFIG, {"policy": {"fap_slots": 9}}))
         assert d1 != d2
         assert d1 == config_digest(load_config(None))
+
+    def test_yaml_is_imported_only_to_read_a_file(self, tmp_path):
+        script = (
+            "import sys; from hybridnet import cli; "
+            f"assert cli.main(['experiment', 'fig18', '--out', {str(tmp_path)!r}]) == 0; "
+            "assert 'yaml' not in sys.modules, 'yaml imported without --config'"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**{k: v for k, v in os.environ.items() if not k.startswith("HYBRIDNET_")}, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
