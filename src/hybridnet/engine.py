@@ -141,6 +141,11 @@ def _added(total: float, samples) -> float:
     return functools.reduce(operator.add, samples, total)
 
 
+def _block_ticks(terminal_count: int, ap_count: int) -> int:
+    """Ticks per block: the most whose (tick, terminal, AP) entries fit one classify slice, and at least 1."""
+    return max(1, _CLASSIFY_SLICE // max(terminal_count * ap_count, 1))
+
+
 def _mean(total: float, count: int) -> float:
     return total / count if count else 0.0
 
@@ -163,29 +168,25 @@ class Metrics:
 
     def csv_rows(self) -> list[tuple[str, str]]:
         """Flat (metric, value) rows with a fixed ordering."""
-        rows: list[tuple[str, str]] = []
-        for key in ADMISSION_KEYS:
-            rows.append((f"admissions.{key}", repr(self.admissions[key])))
-        for key in HANDOVER_KEYS:
-            rows.append((f"handovers.{key}", repr(self.handovers[key])))
+        rows = [(f"admissions.{key}", repr(self.admissions[key])) for key in ADMISSION_KEYS]
+        rows += [(f"handovers.{key}", repr(self.handovers[key])) for key in HANDOVER_KEYS]
         rows.append(("handovers.rejected", repr(self.handovers_rejected)))
-        rows.append(("handover_latency_mean_s",
-                     repr(_mean(self.handover_latency_total_s, sum(self.handovers.values())))))
+        rows.append(("handover_latency_mean_s", repr(_mean(self.handover_latency_total_s, sum(self.handovers.values())))))
         rows.append(("fap_idle_fraction", repr(self.fap_idle_fraction)))
         rows.append(("sinr_mean_db", repr(_mean(self.sinr_total_db, self.link_samples))))
         rows.append(("capacity_mean_bps", repr(_mean(self.capacity_total_bps, self.link_samples))))
         rows.append(("calls_released", repr(self.calls_released)))
         rows.append(("active_at_end", repr(self.active_at_end)))
         if self.ahp_rank is not None:
-            rows.append(("ahp.r_lifi", repr(self.ahp_rank[0])))
-            rows.append(("ahp.r_femto", repr(self.ahp_rank[1])))
-            rows.append(("ahp.chosen", self.ahp_rank[2]))
+            r_lifi, r_femto, chosen = self.ahp_rank
+            rows += [("ahp.r_lifi", repr(r_lifi)), ("ahp.r_femto", repr(r_femto)), ("ahp.chosen", chosen)]
         return rows
 
 
 @dataclass
 class _Terminal:
-    """One user; ``serving`` is None between calls, when ``traffic_class`` and ``call_end_s`` go unread."""
+    """One user; ``serving`` is None between calls, when ``traffic_class`` and ``call_end_s`` go unread.
+    ``x`` and ``y`` (the mobility state) run up to a block of ticks ahead of the calls, which read the block's rows."""
 
     index: int
     x: float
@@ -214,41 +215,31 @@ class _IndoorSim:
         self.metrics = Metrics()
         self._kind_sums = {kind: (0, 0.0, 0.0) for kind in NetworkKind}  # (samples, SINR dB, capacity bps) sums
         # A fault-free flow's latency depends on its kind and the per-hop delay alone.
-        per_hop_s = config.policy.per_hop_latency_s
-        self._handover_latency_s = {kind: run_handover(kind, per_hop_s).latency_s for kind in HandoverKind}
+        self._handover_latency_s = {k: run_handover(k, config.policy.per_hop_latency_s).latency_s for k in HandoverKind}
         self._terminals = self._init_terminals()
 
     def _init_terminals(self) -> list[_Terminal]:
-        cfg = self.cfg
-        terminals = []
-        placement = self.streams["placement"]
-        for i in range(cfg.user_count):
-            x = float(placement.uniform(0.0, cfg.room.room_x_m))
-            y = float(placement.uniform(0.0, cfg.room.room_y_m))
-            t = _Terminal(index=i, x=x, y=y)
-            t.next_arrival_s = self._draw_interarrival()
-            terminals.append(t)
+        room, placement, terminals = self.cfg.room, self.streams["placement"], []
+        for i in range(self.cfg.user_count):
+            x, y = float(placement.uniform(0.0, room.room_x_m)), float(placement.uniform(0.0, room.room_y_m))
+            terminals.append(_Terminal(index=i, x=x, y=y, next_arrival_s=self._draw_interarrival()))
         return terminals
 
     def _draw_interarrival(self) -> float:
         rate = self.cfg.traffic.arrival_rate_per_min / 60.0
-        if rate <= 0:
-            return float("inf")
-        return float(self.streams["traffic"].exponential(1.0 / rate))
+        return float(self.streams["traffic"].exponential(1.0 / rate)) if rate > 0 else math.inf
 
     def _draw_holding(self) -> float:
         return float(self.streams["traffic"].exponential(self.cfg.traffic.mean_holding_s))
 
     def _draw_class(self) -> TrafficClass:
-        if float(self.streams["traffic"].random()) < self.cfg.traffic.voice_fraction:
-            return TrafficClass.RT_VOICE
-        return TrafficClass.DATA
+        voice = float(self.streams["traffic"].random()) < self.cfg.traffic.voice_fraction
+        return TrafficClass.RT_VOICE if voice else TrafficClass.DATA
 
     # Mobility and location ----------------------------------------------
 
     def _move(self, t: _Terminal, now: float) -> None:
-        cfg = self.cfg.mobility
-        room = self.cfg.room
+        cfg, room = self.cfg.mobility, self.cfg.room
         if t.waypoint is None:
             if now < t.pause_until:
                 return
@@ -266,32 +257,36 @@ class _IndoorSim:
             t.x += dx / dist * step
             t.y += dy / dist * step
 
-    def _locate(self, now: float) -> None:
-        """Zones, AP distances, optical gains and coverage of every terminal at its current position."""
-        pts = np.asarray([(t.x, t.y) for t in self._terminals], dtype=float).reshape(-1, 2)
-        plan = self.plan
+    def _move_block(self, steps: range) -> np.ndarray:
+        """Move every terminal through the block's ticks, in (tick, terminal) order; the (ticks, N, 2) positions."""
+        xy = []
+        for step in steps:
+            now = step * self.cfg.mobility.tick_s
+            for t in self._terminals:
+                self._move(t, now)
+                xy += (t.x, t.y)
+        return np.reshape(np.asarray(xy, dtype=float), (len(steps), len(self._terminals), 2))
+
+    def _locate(self, positions: np.ndarray) -> None:
+        """Zone codes, optical gains and covering APs of a block's (ticks, N, 2) positions, in one pass."""
+        plan, pts = self.plan, positions.reshape(-1, 2)
         dx2, dy2, _, _ = window = plan.sq_distances(pts, width=max(plan.n_x, plan.n_y))  # the whole lattice: every AP's gain
-        d2 = (dy2.T[:, :, None] + dx2.T[:, None, :]).reshape(len(pts), plan.ap_count)  # row-major AP order
-        dist = np.sqrt(d2)
-        self._gain = channel.optical_channel_gain(dist, self.cfg.optical)
-        self._nearest_first = np.argsort(dist, axis=1, kind="stable").tolist()
-        self._covered = (d2 <= plan.coverage_radius_m**2).tolist()
-        for t, code in zip(self._terminals, classify_points(plan, pts, window).tolist()):
-            zone = _ZONE_OF_CODE[code]
-            if zone is not t.zone:
-                t.zone = zone
-                t.zone_entry_s = now
+        d2 = (dy2.T[:, :, None] + dx2.T[:, None, :]).reshape(*positions.shape[:2], plan.ap_count)  # row-major AP order
+        covered = d2 <= plan.coverage_radius_m**2
+        dist = np.sqrt(d2, out=d2)
+        self._positions, self._gain = positions, channel.optical_channel_gain(dist, self.cfg.optical)
+        np.copyto(dist, np.inf, where=~covered)  # covering APs sort first, nearest first; a tie keeps the lower column
+        self._covering_order, self._covering_count = np.argsort(dist, axis=2, kind="stable"), covered.sum(axis=2).tolist()
+        self._codes = classify_points(plan, pts, window).reshape(positions.shape[:2]).tolist()
 
     def _covering(self, t: _Terminal) -> list[ApState]:
-        """The LiFi APs covering the terminal, nearest first."""
-        covered = self._covered[t.index]
-        return [self.lifi[j] for j in self._nearest_first[t.index] if covered[j]]
+        """The LiFi APs covering the terminal on the current tick, nearest first."""
+        count = self._covering_count[self._tick][t.index]
+        return [self.lifi[j] for j in self._covering_order[self._tick, t.index, :count].tolist()]
 
     def _optical_rx_dB(self, t: _Terminal, ap: ApState) -> float:
-        gain = float(self._gain[t.index, ap.column])
-        if gain <= 0:
-            return float("-inf")
-        return 10.0 * math.log10(self.cfg.optical.tx_optical_power_W * gain)
+        gain = float(self._gain[self._tick, t.index, ap.column])
+        return 10.0 * math.log10(self.cfg.optical.tx_optical_power_W * gain) if gain > 0 else -math.inf
 
     # Call lifecycle -----------------------------------------------------
 
@@ -316,8 +311,7 @@ class _IndoorSim:
         self.metrics.handover_latency_total_s += self._handover_latency_s[kind]
         t.serving.release()
         target.occupy()
-        t.serving = target
-        t.last_handover_s = now
+        t.serving, t.last_handover_s = target, now
 
     def _to_covering_lifi(self, t: _Terminal, now: float) -> bool:
         """Hand the terminal to the nearest covering LiFi AP with a free slot, if any."""
@@ -332,9 +326,7 @@ class _IndoorSim:
             return
         if serving.kind is NetworkKind.FAP and t.traffic_class is TrafficClass.RT_VOICE:
             return  # voice stays pinned to the femtocell
-        s_serving = float("-inf")
-        s_target = float("-inf")
-        target = None
+        s_serving, s_target, target = -math.inf, -math.inf, None
         if serving.kind is NetworkKind.LIFI and t.zone is Zone.Z4:
             covering = self._covering(t)
             if serving in covering:
@@ -342,9 +334,8 @@ class _IndoorSim:
             target = next((ap for ap in covering if ap is not serving), None)
             if target is not None:
                 s_target = self._optical_rx_dB(t, target)
-        decision = policy.handover_decision(
-            serving.kind, t.zone, s_serving, s_target, now - t.zone_entry_s, self.cfg.policy
-        )
+        decision = policy.handover_decision(serving.kind, t.zone, s_serving, s_target, now - t.zone_entry_s,
+                                            self.cfg.policy)
         if decision is HandoverDecision.STAY:
             return
         if decision is HandoverDecision.TO_FAP:
@@ -369,42 +360,40 @@ class _IndoorSim:
         if fap.occupied_slots == 0:
             fap.mode = ApMode.IDLE
 
-    def _sample_link_quality(self, in_call: list[_Terminal]) -> None:
-        """Add the SINR and capacity of every in-call terminal to the run sums, in terminal order.
+    def _sample_link_quality(self, links: list[tuple[int, int, ApState]]) -> None:
+        """Add the SINR and capacity of a block's (tick, terminal, serving AP) links to the run sums, in that order.
 
-        The links of each network are sampled in one batched channel pass,
-        which equals per-link calls bit for bit (README, Determinism).
+        One batched channel pass per network equals per-link calls bit for bit, and each sum adds
+        left to right in (tick, terminal) order, as sampling tick by tick does (README, Determinism).
         """
-        sinr, bandwidth = np.empty(len(in_call)), np.empty(len(in_call))
-        kind_rows = [(kind, [i for i, t in enumerate(in_call) if t.serving.kind is kind]) for kind in NetworkKind]
+        sinr, bandwidth = np.empty(len(links)), np.empty(len(links))
+        kind_rows = [(kind, [i for i, (_, _, ap) in enumerate(links) if ap.kind is kind]) for kind in NetworkKind]
         for kind, rows in kind_rows:
             if rows:
-                links = self._lifi_links if kind is NetworkKind.LIFI else self._femto_links
-                sinr[rows], bandwidth[rows] = links([in_call[i] for i in rows])
+                sample = self._lifi_links if kind is NetworkKind.LIFI else self._femto_links
+                sinr[rows], bandwidth[rows] = sample(*zip(*(links[i] for i in rows)))
         sinr_db = channel.linear_to_db(sinr)
         capacity = channel.shannon_capacity(sinr, bandwidth).tolist()
         m = self.metrics
-        m.link_samples += len(in_call)
+        m.link_samples += len(links)
         m.sinr_total_db, m.capacity_total_bps = _added(m.sinr_total_db, sinr_db), _added(m.capacity_total_bps, capacity)
         for kind, rows in kind_rows:
             count, sinr_total, capacity_total = self._kind_sums[kind]
             self._kind_sums[kind] = (count + len(rows), _added(sinr_total, (sinr_db[i] for i in rows)),
                                      _added(capacity_total, (capacity[i] for i in rows)))
 
-    def _lifi_links(self, served: list[_Terminal]) -> tuple[np.ndarray, float]:
-        """SINRs of LiFi-served terminals from their (M, K) gain rows; every other AP interferes."""
-        links = np.arange(len(served))
-        serving_idx = [t.serving.column for t in served]
-        gains = self._gain[[t.index for t in served]]  # a copy: zeroing the serving column stays local
-        serving = gains[links, serving_idx]
-        gains[links, serving_idx] = 0.0
+    def _lifi_links(self, ticks: tuple, terminals: tuple, aps: tuple) -> tuple[np.ndarray, float]:
+        """SINRs of M LiFi links from their (M, K) gain rows on their ticks; every other AP interferes."""
+        serving_at = (np.arange(len(aps)), [ap.column for ap in aps])
+        gains = self._gain[ticks, terminals]  # a copy: zeroing the serving column stays local
+        serving = gains[serving_at]
+        gains[serving_at] = 0.0
         return channel.optical_sinr(serving, gains, self.cfg.optical), self.cfg.optical.bandwidth_Hz
 
-    def _femto_links(self, served: list[_Terminal]) -> tuple[np.ndarray, float]:
-        """SINRs of femtocell-served terminals; the femtocell has no interferer indoors."""
-        rf = self.cfg.rf
-        fx, fy = self.plan.fap_center
-        dist = np.asarray([max(math.hypot(t.x - fx, t.y - fy), 0.1) for t in served])
+    def _femto_links(self, ticks: tuple, terminals: tuple, _aps: tuple) -> tuple[np.ndarray, float]:
+        """SINRs of femtocell links from the terminals' positions on their ticks; no femtocell interferes indoors."""
+        rf, (fx, fy) = self.cfg.rf, self.plan.fap_center
+        dist = np.asarray([max(math.hypot(x - fx, y - fy), 0.1) for x, y in self._positions[ticks, terminals].tolist()])
         rx = rf.fap_tx_dBm - channel.femto_path_loss(dist, rf, wall_count=0)
         return channel.rf_sinr(rx, [], rf.noise_dBm(rf.femto_bandwidth_Hz)), rf.femto_bandwidth_Hz
 
@@ -414,29 +403,40 @@ class _IndoorSim:
         if active != occupied:
             raise RuntimeError(f"slot leak: {occupied} occupied for {active} active calls")
 
+    def _step(self, tick: int, now: float) -> list[_Terminal]:
+        """One tick of calls on the block's row ``tick``: zones, releases, arrivals, handovers and idle mode."""
+        self._tick = tick
+        for t, code in zip(self._terminals, self._codes[tick]):
+            zone = _ZONE_OF_CODE[code]
+            if zone is not t.zone:
+                t.zone, t.zone_entry_s = zone, now
+        for t in self._terminals:
+            if t.serving is not None and t.call_end_s <= now:
+                self._release_call(t, now)
+        for t in self._terminals:
+            if t.serving is None and t.next_arrival_s <= now:
+                self._try_start_call(t, now)
+        in_call = [t for t in self._terminals if t.serving is not None]  # no later step starts or ends a call
+        for t in in_call:
+            self._evaluate_handover(t, now)
+        self._apply_idle_mode(in_call, now)
+        self._check_slot_balance()
+        return in_call
+
     def run(self) -> Metrics:
         cfg = self.cfg
         ticks = int(round(cfg.duration_s / cfg.mobility.tick_s))
+        block = _block_ticks(len(self._terminals), self.plan.ap_count)
         idle_ticks = 0
-        for step in range(ticks):
-            now = step * cfg.mobility.tick_s
-            for t in self._terminals:
-                self._move(t, now)
-            self._locate(now)
-            for t in self._terminals:
-                if t.serving is not None and t.call_end_s <= now:
-                    self._release_call(t, now)
-            for t in self._terminals:
-                if t.serving is None and t.next_arrival_s <= now:
-                    self._try_start_call(t, now)
-            in_call = [t for t in self._terminals if t.serving is not None]  # no later step starts or ends a call
-            for t in in_call:
-                self._evaluate_handover(t, now)
-            self._apply_idle_mode(in_call, now)
-            self._sample_link_quality(in_call)
-            self._check_slot_balance()
-            if self.fap.mode is ApMode.IDLE:
-                idle_ticks += 1
+        for first in range(0, ticks, block):  # a block's moves and link samples feed no call (README, Determinism)
+            steps = range(first, min(first + block, ticks))
+            links = []
+            self._locate(self._move_block(steps))
+            for tick, step in enumerate(steps):
+                in_call = self._step(tick, step * cfg.mobility.tick_s)
+                links += [(tick, t.index, t.serving) for t in in_call]
+                idle_ticks += self.fap.mode is ApMode.IDLE
+            self._sample_link_quality(links)
         self.metrics.fap_idle_fraction = idle_ticks / ticks
         self.metrics.active_at_end = len(in_call)
         self._rank_networks()

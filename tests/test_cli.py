@@ -415,6 +415,10 @@ class TestIndoorSim:
             ("engine:\n  user_count: 60\n  duration_s: 20.0\n"
              "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 300.0}\n", 0,
              "96d6ed1cdea75cfe07268d72b861b584ef932cefdf0392ff5d72f7768f8bd795"),
+            # The bench's whole indoor-loaded run: 1,200 ticks, many tick blocks.
+            ("engine:\n  user_count: 60\n"
+             "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 300.0}\n", 0,
+             "2fba692bdacde2a6e11d1b20c38c8595c050b0f5eed8379234ee7fad5fba5f5a"),
             ("engine:\n  user_count: 100\n  duration_s: 20.0\n"
              "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 300.0}\n", 0,
              "b72ef50a288cc40d3b1ae5ccecd8de5a915b80ab53f0a90360d86fd399666f81"),
@@ -427,7 +431,7 @@ class TestIndoorSim:
             ("channel: {optical: {fov_semi_angle_deg: 30.0}}\n", 0,
              "20076a13db61523dea18c83d05c0b9f546e0a8ef6840ec7cfd8e3f8cda230b32"),
         ],
-        ids=["default-seed0", "default-seed1", "loaded-20s-seed0", "lifi-heavy-100-users-20s-seed0",
+        ids=["default-seed0", "default-seed1", "loaded-20s-seed0", "loaded-120s-seed0", "lifi-heavy-100-users-20s-seed0",
              "slot-starved-30s-seed0", "fov30-zero-sinr-seed0"],
     )
     def test_golden_digest(self, tmp_path, monkeypatch, text, seed, digest, exact_float_sum):

@@ -38,6 +38,24 @@ MOBILE = ScenarioConfig(
     traffic=TrafficConfig(arrival_rate_per_min=30.0, mean_holding_s=200.0, voice_fraction=0.0),
 )
 
+# Slot-starved: every handover kind under blocking (the slot-starved golden digest).
+SLOT_STARVED = ScenarioConfig(
+    user_count=20,
+    duration_s=30.0,
+    seed=0,
+    traffic=TrafficConfig(arrival_rate_per_min=6.0, mean_holding_s=20.0),
+    policy=PolicyConfig(fap_slots=2, lifi_slots=1),
+)
+
+
+# The bench's indoor-loaded traffic, over 30 s.
+LOADED = ScenarioConfig(
+    user_count=60,
+    duration_s=30.0,
+    seed=0,
+    traffic=TrafficConfig(arrival_rate_per_min=6.0, mean_holding_s=300.0),
+)
+
 
 class TestSimulateIndoor:
     def test_empty_room(self):
@@ -59,6 +77,8 @@ class TestSimulateIndoor:
         terminal.x, terminal.y = 4.0, 0.5  # Zone 2 of the 24x24 plan
         terminal.next_arrival_s = 0.0  # a data call arrives on the first tick
         metrics = sim.run()
+        assert sim._positions[-1].tolist() == [[4.0, 0.5]]  # the last tick's row of the last block
+        assert sim._codes[-1] == [Zone.Z2.value] and terminal.zone is Zone.Z2
         assert metrics.admissions["accept_on_lifi"] == 1
         assert sum(metrics.handovers.values()) == 0
         assert metrics.active_at_end == 1
@@ -67,8 +87,10 @@ class TestSimulateIndoor:
     def test_fap_idles_once_its_last_slot_is_freed(self):
         sim = _IndoorSim(ScenarioConfig(user_count=1, seed=3))
         terminal = sim._terminals[0]
-        terminal.x, terminal.y = 0.0, 0.0  # Zone 1: only the femtocell covers it
-        sim._locate(0.0)
+        terminal.next_arrival_s = math.inf  # no call of its own on the first tick
+        sim._locate(np.array([[[0.0, 0.0]]]))  # a one-tick block; Zone 1: only the femtocell covers it
+        assert sim._step(0, 0.0) == []
+        assert sim._codes == [[Zone.Z1.value]] and terminal.zone is Zone.Z1
         assert sim.fap.mode is ApMode.IDLE
         sim._try_start_call(terminal, 0.0)
         assert terminal.serving is sim.fap and sim.fap.mode is ApMode.ACTIVE
@@ -102,24 +124,54 @@ class TestSimulateIndoor:
     def test_zone_matches_position_after_run(self):
         sim = _IndoorSim(BUSY)
         sim.run()
-        pts = np.asarray([(t.x, t.y) for t in sim._terminals])
-        codes = classify_points(sim.plan, pts)
-        for t, code in zip(sim._terminals, codes):
-            assert t.zone is Zone(int(code))
+        pts = sim._positions[-1]  # the last tick's row of the last block
+        assert pts.tolist() == [[t.x, t.y] for t in sim._terminals]
+        codes = classify_points(sim.plan, pts).tolist()
+        assert sim._codes[-1] == codes
+        assert [t.zone for t in sim._terminals] == [Zone(code) for code in codes]
 
     def test_gain_matrix_matches_position_after_run(self):
-        # Handover evaluation and link sampling both read this one matrix.
+        # Handover evaluation and link sampling both read the block's (ticks, N, K) gains.
         sim = _IndoorSim(BUSY)
         sim.run()
         pts = np.asarray([(t.x, t.y) for t in sim._terminals])
         gains = optical_channel_gain(np.sqrt(sq_distances_to_every_ap(sim.plan, pts)), BUSY.optical)
-        assert sim._gain.tolist() == gains.tolist()
+        assert sim._gain.shape[1:] == (BUSY.user_count, sim.plan.ap_count)
+        assert sim._gain[-1].tolist() == gains.tolist()
 
-    def test_mobility_keeps_terminals_in_room(self):
+    def test_mobility_keeps_terminals_in_room(self, monkeypatch):
+        blocks = []
+        locate = _IndoorSim._locate
+
+        def recording_locate(sim, positions):
+            blocks.append(positions)
+            locate(sim, positions)
+
+        monkeypatch.setattr(_IndoorSim, "_locate", recording_locate)
         sim = _IndoorSim(BUSY)
         sim.run()
-        for t in sim._terminals:
-            assert 0.0 <= t.x <= 24.0 and 0.0 <= t.y <= 24.0
+        ticks = np.concatenate(blocks)  # (ticks, N, 2): every terminal's position on every tick
+        assert ticks.shape == (round(BUSY.duration_s / BUSY.mobility.tick_s), BUSY.user_count, 2)
+        assert ticks[-1].tolist() == [[t.x, t.y] for t in sim._terminals]
+        for x, y in ticks.reshape(-1, 2).tolist():
+            assert 0.0 <= x <= 24.0 and 0.0 <= y <= 24.0
+
+    @pytest.mark.parametrize("config", [SLOT_STARVED, LOADED], ids=["slot-starved", "loaded"])
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch, config):
+        derived = engine._block_ticks(config.user_count, config.room.plan().ap_count)
+        assert 1 < derived < round(config.duration_s / config.mobility.tick_s)  # several blocks
+        runs = []
+        for size in (1, 7, derived):
+            monkeypatch.setattr(engine, "_block_ticks", lambda terminal_count, ap_count: size)
+            m = simulate_indoor(config)
+            runs.append((m.csv_rows(), m.link_samples, m.sinr_total_db, m.capacity_total_bps))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_block_size_fits_one_classify_slice(self):
+        block = engine._block_ticks(60, 9)  # the most ticks whose entries fit
+        assert block * 60 * 9 <= zoning._CLASSIFY_SLICE < (block + 1) * 60 * 9
+        assert engine._block_ticks(0, 9) == zoning._CLASSIFY_SLICE  # an empty room
+        assert engine._block_ticks(zoning._CLASSIFY_SLICE, 9) == 1  # one tick is more than a slice: still a block
 
     def test_handovers_occur_with_mobile_users(self):
         metrics = simulate_indoor(MOBILE)

@@ -4,11 +4,15 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hybridnet.config import load_config
 from hybridnet.selection import RANDOM_INDEX, derive_weights, rank_networks
+
+
+# Mirrored scores under equal weights: an exact tie, both ranks 0.75.
+MIRRORED_TIE = {"a": [1.5, 1.0, 0.5], "b": [0.5, 1.0, 1.5], "w": [0.5, 0.5, 0.5]}
 
 
 def ratio_matrix(values):
@@ -110,6 +114,31 @@ class TestRankNetworks:
         with pytest.raises(ValueError):
             rank_networks(values, modes, (1.0,))
 
+    def test_mirrored_exact_tie_picks_femtocell(self):
+        values, w = (tuple(MIRRORED_TIE["a"]), tuple(MIRRORED_TIE["b"])), MIRRORED_TIE["w"]
+        for scale, rank in ((1.0, 0.75), (32.0, 24.0)):
+            assert rank_networks(values, ("benefit",) * 3, [scale * x for x in w]) == (rank, rank, "femtocell")
+
+    # Scaling by a power of two is exact in floating point (no over- or
+    # underflow here), so every rank scales exactly and the choice holds,
+    # exact ties included.
+    @given(
+        a=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=3, max_size=3),
+        b=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=3, max_size=3),
+        w=st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=3, max_size=3),
+        k=st.integers(min_value=-6, max_value=6),
+    )
+    @example(**MIRRORED_TIE, k=5)  # scale 32: the tie an arbitrary float scale split
+    @settings(max_examples=100)
+    def test_choice_invariant_under_weight_scaling(self, a, b, w, k):
+        values, modes = (tuple(a), tuple(b)), ("benefit",) * 3
+        _, _, chosen = rank_networks(values, modes, w)
+        _, _, chosen_scaled = rank_networks(values, modes, [2.0**k * x for x in w])
+        assert chosen == chosen_scaled
+
+    # An arbitrary float scale rounds each rank by a few ulps, and so can
+    # split a near tie (scale 26.51568321828198 split MIRRORED_TIE); a
+    # relative gap of 1e-12 is far wider than that rounding.
     @given(
         a=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=3, max_size=3),
         b=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=3, max_size=3),
@@ -117,9 +146,10 @@ class TestRankNetworks:
         scale=st.floats(min_value=0.01, max_value=100.0),
     )
     @settings(max_examples=100)
-    def test_choice_invariant_under_weight_scaling(self, a, b, w, scale):
+    def test_choice_invariant_under_any_weight_scaling_off_ties(self, a, b, w, scale):
         values, modes = (tuple(a), tuple(b)), ("benefit",) * 3
-        _, _, chosen = rank_networks(values, modes, w)
+        r_lifi, r_femto, chosen = rank_networks(values, modes, w)
+        assume(abs(r_lifi - r_femto) >= 1e-12 * max(r_lifi, r_femto))
         _, _, chosen_scaled = rank_networks(values, modes, [scale * x for x in w])
         assert chosen == chosen_scaled
 
