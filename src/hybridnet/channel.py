@@ -134,21 +134,27 @@ def optical_channel_gain(horizontal_distance_m, params: OpticalParams):
     with ``d^2 = l^2 + h^2`` and ``h = params.ap_height_m`` when the
     incidence angle is inside the FOV, and exactly 0 beyond it.
     ``horizontal_distance_m`` may be an array; every entry must be >= 0.
+    The arithmetic runs in place, in the order of the formula, in the
+    result and two temporaries the size of the input.
     """
     h = params.ap_height_m
     l = np.asarray(horizontal_distance_m, dtype=float)
     if np.any(l < 0):
         raise ValueError("horizontal distance must be >= 0")
     m = lambertian_index(params.half_intensity_angle_deg)
-    d2 = l * l + h * h
-    cos_theta = h / np.sqrt(d2)
+    gain = np.multiply(l, l, out=np.empty_like(l))  # d^2 = l*l + h*h, then the gain
+    gain += h * h
+    cos_theta = np.sqrt(gain, out=np.empty_like(gain))
+    np.divide(h, cos_theta, out=cos_theta)
+    np.multiply(2.0 * math.pi, gain, out=gain)
+    np.divide((m + 1.0) * params.pd_area_m2, gain, out=gain)
+    gain *= concentrator_gain(params)  # constant inside the FOV
+    gain *= params.filter_gain
+    gain *= cos_theta[()] ** m  # a 0-d input powers as a scalar (libm's pow), an array in numpy's loop: as before
+    gain *= cos_theta
     # In-FOV test on cosines: theta <= FOV  <=>  cos(theta) >= cos(FOV).
-    cos_fov = math.cos(math.radians(params.fov_semi_angle_deg))
-    g = concentrator_gain(params)  # constant inside the FOV
-    gain = (m + 1.0) * params.pd_area_m2 / (2.0 * math.pi * d2)
-    gain = gain * g * params.filter_gain * cos_theta**m * cos_theta
-    out = np.where(cos_theta >= cos_fov, gain, 0.0)
-    return float(out) if np.isscalar(horizontal_distance_m) else out
+    np.copyto(gain, 0.0, where=~(cos_theta >= math.cos(math.radians(params.fov_semi_angle_deg))))
+    return float(gain) if np.isscalar(horizontal_distance_m) else gain
 
 
 def linear_to_db(linear):

@@ -6,7 +6,7 @@ times, zone tracking and the admission/handover/idle-mode policies. Each
 handover kind's call flow is replayed once per run, and every executed
 handover adds its kind's latency to the mean. Runs are bit-identical for
 a fixed (config, seed) pair; every random draw comes from a labeled
-substream.
+substream, and each terminal walks and calls from its own child streams.
 
 The experiment entry points reproduce the published comparisons:
 
@@ -183,89 +183,69 @@ class Metrics:
         return rows
 
 
-@dataclass
-class _Terminal:
-    """One user; ``serving`` is None between calls, when ``traffic_class`` and ``call_end_s`` go unread.
-    ``x`` and ``y`` (the mobility state) run up to a block of ticks ahead of the calls, which read the block's rows."""
-
-    index: int
-    x: float
-    y: float
-    waypoint: tuple[float, float] | None = None
-    speed: float = 0.0
-    pause_until: float = 0.0
-    zone: Zone = Zone.Z1
-    zone_entry_s: float = 0.0
-    serving: ApState | None = None
-    traffic_class: TrafficClass = TrafficClass.DATA
-    call_end_s: float = 0.0
-    next_arrival_s: float = 0.0
-    last_handover_s: float = float("-inf")
+_NO_CALL = -1  # the serving-kind code of a terminal between calls
 
 
 class _IndoorSim:
-    """Single-run state; use :func:`simulate_indoor`."""
+    """Single-run state; use :func:`simulate_indoor`.
+
+    Terminal i is row i of every per-terminal array. Mobility: ``_xy``, the
+    ``_waypoint`` it walks to at ``_speed``, and ``_pause_until`` (inf while
+    it walks); it runs up to a block of ticks ahead of the calls, which
+    read the block's rows. Calls: ``_kind`` (a ``NetworkKind`` value, or
+    ``_NO_CALL``), the serving LiFi ``_column``, ``_voice``, ``_next_event``
+    (the call's end during a call, else the next call's arrival), ``_zone``
+    (a ``Zone`` value), ``_zone_entry`` and ``_last_handover``.
+    """
 
     def __init__(self, config: ScenarioConfig):
         self.cfg = config
         self.plan = config.room.plan()
-        self.streams = spawn_streams(config.seed)
+        streams, n, room = spawn_streams(config.seed), config.user_count, config.room
         self.fap = ApState(NetworkKind.FAP, None, config.policy.fap_slots, ApMode.IDLE)
         self.lifi = [ApState(NetworkKind.LIFI, j, config.policy.lifi_slots) for j in range(self.plan.ap_count)]
         self.metrics = Metrics()
         self._kind_sums = {kind: (0, 0.0, 0.0) for kind in NetworkKind}  # (samples, SINR dB, capacity bps) sums
         # A fault-free flow's latency depends on its kind and the per-hop delay alone.
         self._handover_latency_s = {k: run_handover(k, config.policy.per_hop_latency_s).latency_s for k in HandoverKind}
-        self._terminals = self._init_terminals()
+        # One mobility and one traffic stream per terminal: its draws do not depend on the other terminals.
+        self._mobility, self._traffic = streams["mobility"].spawn(n), streams["traffic"].spawn(n)
+        self._xy = streams["placement"].uniform(0.0, (room.room_x_m, room.room_y_m), size=(n, 2))
+        self._waypoint, self._speed, self._pause_until = np.zeros((n, 2)), np.zeros(n), np.zeros(n)
+        self._kind, self._column = np.full(n, _NO_CALL, dtype=np.int8), np.zeros(n, dtype=np.intp)
+        self._voice, self._next_event = np.zeros(n, bool), np.array([self._draw_interarrival(i) for i in range(n)])
+        self._zone, self._zone_entry = np.full(n, Zone.Z1.value, dtype=np.int8), np.zeros(n)
+        self._last_handover = np.full(n, -math.inf)
 
-    def _init_terminals(self) -> list[_Terminal]:
-        room, placement, terminals = self.cfg.room, self.streams["placement"], []
-        for i in range(self.cfg.user_count):
-            x, y = float(placement.uniform(0.0, room.room_x_m)), float(placement.uniform(0.0, room.room_y_m))
-            terminals.append(_Terminal(index=i, x=x, y=y, next_arrival_s=self._draw_interarrival()))
-        return terminals
-
-    def _draw_interarrival(self) -> float:
+    def _draw_interarrival(self, i: int) -> float:
         rate = self.cfg.traffic.arrival_rate_per_min / 60.0
-        return float(self.streams["traffic"].exponential(1.0 / rate)) if rate > 0 else math.inf
-
-    def _draw_holding(self) -> float:
-        return float(self.streams["traffic"].exponential(self.cfg.traffic.mean_holding_s))
-
-    def _draw_class(self) -> TrafficClass:
-        voice = float(self.streams["traffic"].random()) < self.cfg.traffic.voice_fraction
-        return TrafficClass.RT_VOICE if voice else TrafficClass.DATA
+        return self._traffic[i].exponential(1.0 / rate) if rate > 0 else math.inf
 
     # Mobility and location ----------------------------------------------
 
-    def _move(self, t: _Terminal, now: float) -> None:
-        cfg, room = self.cfg.mobility, self.cfg.room
-        if t.waypoint is None:
-            if now < t.pause_until:
-                return
-            gen = self.streams["mobility"]
-            t.waypoint = (float(gen.uniform(0.0, room.room_x_m)), float(gen.uniform(0.0, room.room_y_m)))
-            t.speed = float(gen.uniform(cfg.speed_min_mps, cfg.speed_max_mps))
-        step = t.speed * cfg.tick_s
-        dx, dy = t.waypoint[0] - t.x, t.waypoint[1] - t.y
-        dist = math.hypot(dx, dy)
-        if dist <= step:
-            t.x, t.y = t.waypoint
-            t.waypoint = None
-            t.pause_until = now + float(self.streams["mobility"].uniform(cfg.pause_min_s, cfg.pause_max_s))
-        elif step > 0.0:
-            t.x += dx / dist * step
-            t.y += dy / dist * step
+    def _move(self, now: float) -> None:
+        """Move every terminal one tick in one vector step; only a terminal that draws runs Python."""
+        cfg, room, waypoint, pause_until = self.cfg.mobility, self.cfg.room, self._waypoint, self._pause_until
+        for i in (pause_until <= now).nonzero()[0].tolist():  # a pause ends: draw a waypoint and a speed, and walk
+            gen = self._mobility[i]
+            waypoint[i] = gen.uniform(0.0, room.room_x_m), gen.uniform(0.0, room.room_y_m)
+            self._speed[i], pause_until[i] = gen.uniform(cfg.speed_min_mps, cfg.speed_max_mps), math.inf
+        step, d, walking = self._speed * cfg.tick_s, waypoint - self._xy, pause_until == math.inf
+        dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])  # each operation correctly rounded (README, Determinism)
+        arrive = walking & (dist <= step)
+        walk = (walking & ~arrive)[:, None]  # x + dx / dist * step; a zero step leaves x as it is
+        np.add(self._xy, np.divide(d, dist[:, None], out=d, where=walk) * step[:, None], out=self._xy, where=walk)
+        np.copyto(self._xy, waypoint, where=arrive[:, None])
+        for i in arrive.nonzero()[0].tolist():
+            pause_until[i] = now + self._mobility[i].uniform(cfg.pause_min_s, cfg.pause_max_s)
 
     def _move_block(self, steps: range) -> np.ndarray:
-        """Move every terminal through the block's ticks, in (tick, terminal) order; the (ticks, N, 2) positions."""
-        xy = []
-        for step in steps:
-            now = step * self.cfg.mobility.tick_s
-            for t in self._terminals:
-                self._move(t, now)
-                xy += (t.x, t.y)
-        return np.reshape(np.asarray(xy, dtype=float), (len(steps), len(self._terminals), 2))
+        """Move every terminal through the block's ticks; the (ticks, N, 2) positions."""
+        positions = np.empty((len(steps), len(self._xy), 2))
+        for row, step in zip(positions, steps):
+            self._move(step * self.cfg.mobility.tick_s)
+            row[...] = self._xy
+        return positions
 
     def _locate(self, positions: np.ndarray) -> None:
         """Zone codes, optical gains and covering APs of a block's (ticks, N, 2) positions, in one pass."""
@@ -275,170 +255,181 @@ class _IndoorSim:
         covered = d2 <= plan.coverage_radius_m**2
         dist = np.sqrt(d2, out=d2)
         self._positions, self._gain = positions, channel.optical_channel_gain(dist, self.cfg.optical)
+        self._rx_power = np.where(covered, self.cfg.optical.tx_optical_power_W * self._gain, 0.0)  # 0 W if uncovered
         np.copyto(dist, np.inf, where=~covered)  # covering APs sort first, nearest first; a tie keeps the lower column
         self._covering_order, self._covering_count = np.argsort(dist, axis=2, kind="stable"), covered.sum(axis=2).tolist()
-        self._codes = classify_points(plan, pts, window).reshape(positions.shape[:2]).tolist()
+        self._codes = classify_points(plan, pts, window).reshape(positions.shape[:2])
 
-    def _covering(self, t: _Terminal) -> list[ApState]:
-        """The LiFi APs covering the terminal on the current tick, nearest first."""
-        count = self._covering_count[self._tick][t.index]
-        return [self.lifi[j] for j in self._covering_order[self._tick, t.index, :count].tolist()]
-
-    def _optical_rx_dB(self, t: _Terminal, ap: ApState) -> float:
-        gain = float(self._gain[self._tick, t.index, ap.column])
-        return 10.0 * math.log10(self.cfg.optical.tx_optical_power_W * gain) if gain > 0 else -math.inf
+    def _covering(self, i: int) -> list[ApState]:
+        """The LiFi APs covering terminal i on the current tick, nearest first."""
+        count = self._covering_count[self._tick][i]
+        return [self.lifi[j] for j in self._covering_order[self._tick, i, :count].tolist()]
 
     # Call lifecycle -----------------------------------------------------
 
-    def _try_start_call(self, t: _Terminal, now: float) -> None:
-        traffic_class = self._draw_class()
-        decision, ap = policy.admit_new_call(t.zone, traffic_class, self.fap, self._covering(t))
+    def _serving(self, i: int) -> ApState:
+        return self.fap if self._kind[i] == NetworkKind.FAP.value else self.lifi[self._column[i]]
+
+    def _occupy(self, i: int, ap: ApState) -> None:
+        ap.occupy()
+        self._kind[i], self._column[i] = ap.kind.value, ap.column or 0  # a femtocell call's column goes unread
+
+    def _try_start_call(self, i: int, now: float) -> None:
+        gen, traffic = self._traffic[i], self.cfg.traffic
+        voice = gen.random() < traffic.voice_fraction
+        traffic_class = TrafficClass.RT_VOICE if voice else TrafficClass.DATA
+        decision, ap = policy.admit_new_call(_ZONE_OF_CODE[self._zone[i]], traffic_class, self.fap, self._covering(i))
         self.metrics.admissions[decision.value] += 1
         if decision is AdmissionDecision.BLOCKED:
-            t.next_arrival_s = now + self._draw_interarrival()
+            self._next_event[i] = now + self._draw_interarrival(i)
             return
-        ap.occupy()
-        t.serving, t.traffic_class, t.call_end_s = ap, traffic_class, now + self._draw_holding()
+        self._occupy(i, ap)
+        self._voice[i], self._next_event[i] = voice, now + gen.exponential(traffic.mean_holding_s)
 
-    def _release_call(self, t: _Terminal, now: float) -> None:
-        t.serving.release()
-        t.serving = None
+    def _release_call(self, i: int, now: float) -> None:
+        self._serving(i).release()
+        self._kind[i] = _NO_CALL
         self.metrics.calls_released += 1
-        t.next_arrival_s = now + self._draw_interarrival()
+        self._next_event[i] = now + self._draw_interarrival(i)
 
-    def _execute_handover(self, t: _Terminal, now: float, kind: HandoverKind, target: ApState) -> None:
+    def _execute_handover(self, i: int, now: float, kind: HandoverKind, target: ApState) -> None:
         self.metrics.handovers[kind.value] += 1
         self.metrics.handover_latency_total_s += self._handover_latency_s[kind]
-        t.serving.release()
-        target.occupy()
-        t.serving, t.last_handover_s = target, now
+        self._serving(i).release()
+        self._occupy(i, target)
+        self._last_handover[i] = now
 
-    def _to_covering_lifi(self, t: _Terminal, now: float) -> bool:
-        """Hand the terminal to the nearest covering LiFi AP with a free slot, if any."""
-        ap = policy.first_free(self._covering(t))
+    def _to_covering_lifi(self, i: int, now: float) -> bool:
+        """Hand terminal i to the nearest covering LiFi AP with a free slot, if any."""
+        ap = policy.first_free(self._covering(i))
         if ap is not None:
-            self._execute_handover(t, now, HandoverKind.FEMTO_TO_LIFI, ap)
+            self._execute_handover(i, now, HandoverKind.FEMTO_TO_LIFI, ap)
         return ap is not None
 
-    def _evaluate_handover(self, t: _Terminal, now: float) -> None:
-        serving = t.serving
-        if now - t.last_handover_s < self.cfg.policy.t_h_s:
-            return
-        if serving.kind is NetworkKind.FAP and t.traffic_class is TrafficClass.RT_VOICE:
-            return  # voice stays pinned to the femtocell
-        s_serving, s_target, target = -math.inf, -math.inf, None
-        if serving.kind is NetworkKind.LIFI and t.zone is Zone.Z4:
-            covering = self._covering(t)
-            if serving in covering:
-                s_serving = self._optical_rx_dB(t, serving)
-            target = next((ap for ap in covering if ap is not serving), None)
-            if target is not None:
-                s_target = self._optical_rx_dB(t, target)
-        decision = policy.handover_decision(serving.kind, t.zone, s_serving, s_target, now - t.zone_entry_s,
-                                            self.cfg.policy)
-        if decision is HandoverDecision.STAY:
-            return
-        if decision is HandoverDecision.TO_FAP:
-            if self.fap.free_slots > 0:
-                self._execute_handover(t, now, HandoverKind.LIFI_TO_FEMTO, self.fap)
-            else:
-                self.metrics.handovers_rejected += 1
-        elif decision is HandoverDecision.TO_TARGET_LIFI:
-            if target is not None and target.free_slots > 0:
-                self._execute_handover(t, now, HandoverKind.LIFI_TO_LIFI, target)
-            else:
-                self.metrics.handovers_rejected += 1
-        elif not self._to_covering_lifi(t, now):  # TO_LIFI from the femtocell
-            self.metrics.handovers_rejected += 1
+    def _evaluate_handovers(self, now: float) -> None:
+        """Decide for every in-call terminal past the ``t_h_s`` guard in one policy call; act on the rows that move.
 
-    def _apply_idle_mode(self, in_call: list[_Terminal], now: float) -> None:
+        A decision reads only its own terminal's state, so deciding first and then acting in
+        terminal order against the slot ledgers is the per-terminal loop.
+        """
+        kind, thresholds = self._kind, self.cfg.policy
+        rows = ((kind != _NO_CALL) & ~(now - self._last_handover < thresholds.t_h_s)
+                & ~((kind == NetworkKind.FAP.value) & self._voice)).nonzero()[0]  # voice stays pinned to the femtocell
+        if not len(rows):
+            return
+        kinds, zones = kind[rows], self._zone[rows]
+        signals, targets = np.full((2, len(rows)), -math.inf), np.zeros(len(rows), dtype=np.intp)  # dB; LiFi columns
+        z4 = ((kinds == NetworkKind.LIFI.value) & (zones == Zone.Z4.value)).nonzero()[0]
+        if len(z4):  # two APs cover a Zone 4 terminal: the target is the nearest one not serving it
+            terminals = rows[z4]
+            serving, (first, second) = self._column[terminals], self._covering_order[self._tick, terminals, :2].T
+            targets[z4] = target = np.where(first == serving, second, first)
+            at = self._tick, np.concatenate((terminals, terminals)), np.concatenate((serving, target))
+            signals[:, z4] = np.reshape(channel.linear_to_db(self._rx_power[at]), (2, -1))
+        decisions = policy.handover_decision(kinds, zones, *signals, now - self._zone_entry[rows], thresholds)
+        acting = (decisions != HandoverDecision.STAY.value).nonzero()[0]
+        for i, column, decision in zip(rows[acting].tolist(), targets[acting].tolist(), decisions[acting].tolist()):
+            if decision == HandoverDecision.TO_LIFI.value:
+                moved = self._to_covering_lifi(i, now)
+            else:  # TO_FAP, or TO_TARGET_LIFI, whose stronger target is a covering AP
+                flow, ap = ((HandoverKind.LIFI_TO_FEMTO, self.fap) if decision == HandoverDecision.TO_FAP.value
+                            else (HandoverKind.LIFI_TO_LIFI, self.lifi[column]))
+                moved = ap.free_slots > 0
+                if moved:
+                    self._execute_handover(i, now, flow, ap)
+            self.metrics.handovers_rejected += not moved
+
+    def _apply_idle_mode(self, now: float) -> None:
         """Shift the femtocell's lone Zone 3 user to LiFi if it can; the femtocell idles once it holds no slot."""
         fap = self.fap
-        served = [(t.index, t.zone) for t in in_call if t.serving is fap]
-        for terminal_id in policy.fap_mode_update(fap, served):
-            self._to_covering_lifi(self._terminals[terminal_id], now)
+        on_fap = (self._kind == NetworkKind.FAP.value).nonzero()[0].tolist()
+        served = [(i, _ZONE_OF_CODE[self._zone[i]]) for i in on_fap]
+        for i in policy.fap_mode_update(fap, served):
+            self._to_covering_lifi(i, now)
         if fap.occupied_slots == 0:
             fap.mode = ApMode.IDLE
 
-    def _sample_link_quality(self, links: list[tuple[int, int, ApState]]) -> None:
-        """Add the SINR and capacity of a block's (tick, terminal, serving AP) links to the run sums, in that order.
+    def _sample_link_quality(self, kinds: np.ndarray, columns: np.ndarray) -> None:
+        """Add the SINR and capacity of a block's links to the run sums, in (tick, terminal) order.
 
-        One batched channel pass per network equals per-link calls bit for bit, and each sum adds
-        left to right in (tick, terminal) order, as sampling tick by tick does (README, Determinism).
+        ``kinds`` and ``columns`` record each terminal's serving kind and LiFi column on each of
+        the block's ticks. One batched channel pass per network equals per-link calls bit for bit,
+        and each sum adds left to right in (tick, terminal) order, as sampling tick by tick does
+        (README, Determinism).
         """
-        sinr, bandwidth = np.empty(len(links)), np.empty(len(links))
-        kind_rows = [(kind, [i for i, (_, _, ap) in enumerate(links) if ap.kind is kind]) for kind in NetworkKind]
-        for kind, rows in kind_rows:
-            if rows:
-                sample = self._lifi_links if kind is NetworkKind.LIFI else self._femto_links
-                sinr[rows], bandwidth[rows] = sample(*zip(*(links[i] for i in rows)))
-        sinr_db = channel.linear_to_db(sinr)
-        capacity = channel.shannon_capacity(sinr, bandwidth).tolist()
+        ticks, terminals = (kinds != _NO_CALL).nonzero()  # row-major: (tick, terminal) order
+        link_kinds = kinds[ticks, terminals]
+        sinr, bandwidth = np.empty(len(ticks)), np.empty(len(ticks))
+        masks = {kind: link_kinds == kind.value for kind in NetworkKind}
+        for kind, mask in masks.items():
+            if mask.any():
+                at = ticks[mask], terminals[mask]
+                sinr[mask], bandwidth[mask] = (self._lifi_links(*at, columns[at]) if kind is NetworkKind.LIFI
+                                               else self._femto_links(*at))
+        sinr_db, capacity = np.asarray(channel.linear_to_db(sinr)), channel.shannon_capacity(sinr, bandwidth)
         m = self.metrics
-        m.link_samples += len(links)
-        m.sinr_total_db, m.capacity_total_bps = _added(m.sinr_total_db, sinr_db), _added(m.capacity_total_bps, capacity)
-        for kind, rows in kind_rows:
+        m.link_samples += len(sinr)
+        m.sinr_total_db = _added(m.sinr_total_db, sinr_db.tolist())
+        m.capacity_total_bps = _added(m.capacity_total_bps, capacity.tolist())
+        for kind, mask in masks.items():
             count, sinr_total, capacity_total = self._kind_sums[kind]
-            self._kind_sums[kind] = (count + len(rows), _added(sinr_total, (sinr_db[i] for i in rows)),
-                                     _added(capacity_total, (capacity[i] for i in rows)))
+            self._kind_sums[kind] = (count + int(np.count_nonzero(mask)), _added(sinr_total, sinr_db[mask].tolist()),
+                                     _added(capacity_total, capacity[mask].tolist()))
 
-    def _lifi_links(self, ticks: tuple, terminals: tuple, aps: tuple) -> tuple[np.ndarray, float]:
+    def _lifi_links(self, ticks: np.ndarray, terminals: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, float]:
         """SINRs of M LiFi links from their (M, K) gain rows on their ticks; every other AP interferes."""
-        serving_at = (np.arange(len(aps)), [ap.column for ap in aps])
+        serving_at = (np.arange(len(columns)), columns)
         gains = self._gain[ticks, terminals]  # a copy: zeroing the serving column stays local
         serving = gains[serving_at]
         gains[serving_at] = 0.0
         return channel.optical_sinr(serving, gains, self.cfg.optical), self.cfg.optical.bandwidth_Hz
 
-    def _femto_links(self, ticks: tuple, terminals: tuple, _aps: tuple) -> tuple[np.ndarray, float]:
+    def _femto_links(self, ticks: np.ndarray, terminals: np.ndarray) -> tuple[np.ndarray, float]:
         """SINRs of femtocell links from the terminals' positions on their ticks; no femtocell interferes indoors."""
         rf, (fx, fy) = self.cfg.rf, self.plan.fap_center
-        dist = np.asarray([max(math.hypot(x - fx, y - fy), 0.1) for x, y in self._positions[ticks, terminals].tolist()])
-        rx = rf.fap_tx_dBm - channel.femto_path_loss(dist, rf, wall_count=0)
+        xy = self._positions[ticks, terminals]
+        dx, dy = xy[:, 0] - fx, xy[:, 1] - fy
+        rx = rf.fap_tx_dBm - channel.femto_path_loss(np.maximum(np.sqrt(dx * dx + dy * dy), 0.1), rf, wall_count=0)
         return channel.rf_sinr(rx, [], rf.noise_dBm(rf.femto_bandwidth_Hz)), rf.femto_bandwidth_Hz
 
     def _check_slot_balance(self) -> None:
-        active = sum(1 for t in self._terminals if t.serving is not None)
+        active = int(np.count_nonzero(self._kind != _NO_CALL))
         occupied = self.fap.occupied_slots + sum(ap.occupied_slots for ap in self.lifi)
         if active != occupied:
             raise RuntimeError(f"slot leak: {occupied} occupied for {active} active calls")
 
-    def _step(self, tick: int, now: float) -> list[_Terminal]:
+    def _step(self, tick: int, now: float) -> None:
         """One tick of calls on the block's row ``tick``: zones, releases, arrivals, handovers and idle mode."""
-        self._tick = tick
-        for t, code in zip(self._terminals, self._codes[tick]):
-            zone = _ZONE_OF_CODE[code]
-            if zone is not t.zone:
-                t.zone, t.zone_entry_s = zone, now
-        for t in self._terminals:
-            if t.serving is not None and t.call_end_s <= now:
-                self._release_call(t, now)
-        for t in self._terminals:
-            if t.serving is None and t.next_arrival_s <= now:
-                self._try_start_call(t, now)
-        in_call = [t for t in self._terminals if t.serving is not None]  # no later step starts or ends a call
-        for t in in_call:
-            self._evaluate_handover(t, now)
-        self._apply_idle_mode(in_call, now)
+        self._tick, codes = tick, self._codes[tick]
+        np.copyto(self._zone_entry, now, where=codes != self._zone)
+        self._zone = codes
+        due = (self._next_event <= now).nonzero()[0].tolist()  # a call ends or arrives
+        for i in due:
+            if self._kind[i] != _NO_CALL:
+                self._release_call(i, now)
+        for i in due:
+            if self._next_event[i] <= now:  # a call arrives; one released just now has drawn its next arrival
+                self._try_start_call(i, now)
+        self._evaluate_handovers(now)
+        self._apply_idle_mode(now)
         self._check_slot_balance()
-        return in_call
 
     def run(self) -> Metrics:
-        cfg = self.cfg
+        cfg, n = self.cfg, len(self._xy)
         ticks = int(round(cfg.duration_s / cfg.mobility.tick_s))
-        block = _block_ticks(len(self._terminals), self.plan.ap_count)
+        block = _block_ticks(n, self.plan.ap_count)
         idle_ticks = 0
         for first in range(0, ticks, block):  # a block's moves and link samples feed no call (README, Determinism)
             steps = range(first, min(first + block, ticks))
-            links = []
+            kinds, columns = np.empty((len(steps), n), dtype=np.int8), np.empty((len(steps), n), dtype=np.intp)
             self._locate(self._move_block(steps))
             for tick, step in enumerate(steps):
-                in_call = self._step(tick, step * cfg.mobility.tick_s)
-                links += [(tick, t.index, t.serving) for t in in_call]
+                self._step(tick, step * cfg.mobility.tick_s)
+                kinds[tick], columns[tick] = self._kind, self._column
                 idle_ticks += self.fap.mode is ApMode.IDLE
-            self._sample_link_quality(links)
+            self._sample_link_quality(kinds, columns)
         self.metrics.fap_idle_fraction = idle_ticks / ticks
-        self.metrics.active_at_end = len(in_call)
+        self.metrics.active_at_end = int(np.count_nonzero(self._kind != _NO_CALL))
         self._rank_networks()
         return self.metrics
 

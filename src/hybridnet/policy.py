@@ -18,10 +18,11 @@ sits in Zone 3 and can be shifted to LiFi first.
 
 Each AP is one ``ApState`` slot ledger. The indoor simulator keeps the
 femtocell's ledger and a list of LiFi ledgers whose index is the AP's
-column in the grid plan and in the gain matrix, and a terminal in a call
-holds its serving ledger. A terminal keeps one zone-entry clock, reset
-whenever it changes zone, so the dwell a handover decision reads is the
-time spent in the current zone.
+column in the grid plan and in the gain matrix; a terminal in a call
+records its serving network's ``NetworkKind`` code and that column. A
+terminal keeps one zone-entry clock, reset whenever it changes zone, so
+the dwell a handover decision reads is the time spent in the current
+zone. Handover decisions take a batch of terminals as arrays.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .zoning import Zone, occupancy_probability
 
@@ -39,8 +42,10 @@ class TrafficClass(enum.Enum):
 
 
 class NetworkKind(enum.Enum):
-    LIFI = "lifi"
-    FAP = "fap"
+    """The serving network; its value is its code in the simulator's arrays."""
+
+    LIFI = 0
+    FAP = 1
 
 
 class ApMode(enum.Enum):
@@ -56,10 +61,12 @@ class AdmissionDecision(enum.Enum):
 
 
 class HandoverDecision(enum.Enum):
-    STAY = "stay"
-    TO_FAP = "to_fap"
-    TO_TARGET_LIFI = "to_target_lifi"
-    TO_LIFI = "to_lifi"
+    """A handover decision; its value is its code in :func:`handover_decision`'s result."""
+
+    STAY = 0
+    TO_FAP = 1
+    TO_TARGET_LIFI = 2
+    TO_LIFI = 3
 
 
 @dataclass(eq=False)
@@ -146,41 +153,35 @@ def admit_new_call(
     return AdmissionDecision.BLOCKED, None
 
 
-def handover_decision(
-    serving_kind: NetworkKind,
-    zone: Zone,
-    s_serving_dB: float,
-    s_target_dB: float,
-    dwell_s: float,
-    thresholds,
-) -> HandoverDecision:
-    """Evaluate the handover rules for an in-call terminal in ``zone``.
+_S, _F, _T, _L = (d.value for d in HandoverDecision)  # STAY, TO_FAP, TO_TARGET_LIFI, TO_LIFI
+# The handover rules as a table: [serving kind][zone - 1][stronger target?][dwell past the zone's threshold?].
+_HANDOVER_RULES = np.array([
+    [[[_F, _F], [_F, _F]], [[_S, _S], [_S, _S]], [[_F, _F], [_F, _F]], [[_S, _F], [_T, _T]]],  # LiFi-served, Z1..Z4
+    [[[_S, _S], [_S, _S]], [[_L, _L], [_L, _L]], [[_S, _L], [_S, _L]], [[_S, _S], [_S, _S]]],  # femtocell-served
+], dtype=np.int8)
 
-    ``dwell_s`` is the time since the terminal entered ``zone``, and
-    ``thresholds`` carries ``t_h_s`` and ``t_h1_s`` (the engine's
+
+def handover_decision(serving_kinds, zone_codes, s_serving_dB, s_target_dB, dwell_s, thresholds) -> np.ndarray:
+    """Evaluate the handover rules for a batch of in-call terminals, one row each: their ``HandoverDecision`` values.
+
+    Row i is a terminal served by network ``serving_kinds[i]`` (a
+    ``NetworkKind`` value) in the zone whose ``Zone`` value is
+    ``zone_codes[i]``; ``dwell_s[i]`` is the time since it entered that
+    zone. ``thresholds`` carries ``t_h_s`` and ``t_h1_s`` (the engine's
     ``PolicyConfig``). LiFi-served: Zone 1 or 3 hands straight to the
     femtocell; Zone 4 hands to the stronger target LiFi AP, or to the
     femtocell once the dwell exceeds ``T_h`` with no stronger target.
     Femtocell-served: Zone 2 hands to LiFi immediately, Zone 3 after
-    dwelling ``T_h1``.
+    dwelling ``T_h1``. Every other row stays.
     """
-    if not isinstance(serving_kind, NetworkKind) or not isinstance(zone, Zone):
-        raise ValueError("unknown serving network or zone")
-    if serving_kind is NetworkKind.LIFI:
-        if zone in (Zone.Z1, Zone.Z3):
-            return HandoverDecision.TO_FAP
-        if zone is Zone.Z4:
-            if s_target_dB > s_serving_dB:
-                return HandoverDecision.TO_TARGET_LIFI
-            if dwell_s > thresholds.t_h_s:
-                return HandoverDecision.TO_FAP
-        return HandoverDecision.STAY
-    # femtocell-served
-    if zone is Zone.Z2:
-        return HandoverDecision.TO_LIFI
-    if zone is Zone.Z3 and dwell_s > thresholds.t_h1_s:
-        return HandoverDecision.TO_LIFI
-    return HandoverDecision.STAY
+    kind = np.asarray(serving_kinds)
+    stronger = np.greater(s_target_dB, s_serving_dB)
+    outstayed = np.greater(dwell_s, np.where(kind == NetworkKind.LIFI.value, thresholds.t_h_s, thresholds.t_h1_s))
+    try:
+        cells = np.ravel_multi_index((kind, np.asarray(zone_codes) - 1, stronger, outstayed), _HANDOVER_RULES.shape)
+    except (TypeError, ValueError):
+        raise ValueError("unknown serving network or zone") from None
+    return _HANDOVER_RULES.ravel()[cells]
 
 
 def fap_mode_update(fap_state: ApState, connected_users_with_zones: list[tuple[int, Zone]]) -> tuple[int, ...]:

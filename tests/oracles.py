@@ -7,18 +7,27 @@ checked against them. ``lifi_assignment_idle_one_hot`` is the all-users-at-once
 (one-hot cumulative load) form of that rule, the reference for the
 column-by-column form the simulator runs. ``classify_against_every_ap``
 measures each point against every AP of a plan, the brute force the
-lattice-window zone lookup must reproduce. ``trace_from_csv`` reads a
-written trace back for replay validation.
+lattice-window zone lookup must reproduce. ``handover_decision_reference``
+states the handover rules for one terminal, the reference for the batched
+``policy.handover_decision``; ``optical_channel_gain_reference`` is the
+optical gain as one expression, the reference for the in-place
+``channel.optical_channel_gain``. ``trace_from_csv`` reads a written trace
+back for replay validation.
 """
 
 import csv
 import io
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from hybridnet import policy
-from hybridnet.engine import PolicyConfig
-from hybridnet.policy import ApMode, ApState, AdmissionDecision, NetworkKind, TrafficClass
+from hybridnet import channel, engine, policy
+from hybridnet.channel import OpticalParams, concentrator_gain, lambertian_index
+from hybridnet.engine import Metrics, PolicyConfig
+from hybridnet.protocol import run_handover
+from hybridnet.rng import spawn_streams
+from hybridnet.policy import ApMode, ApState, AdmissionDecision, HandoverDecision, NetworkKind, TrafficClass
 from hybridnet.protocol import TRACE_CSV_HEADER, HandoverKind, HandoverTrace, MessageKind, ProtocolMessage
 from hybridnet.zoning import GridPlan, Zone
 
@@ -113,6 +122,176 @@ def lifi_assignment_idle_one_hot(codes: np.ndarray, nearest: np.ndarray, ap_coun
     on_ap = ((codes == 2) | (codes == 3))[..., None] & (nearest[..., None] == np.arange(ap_count))
     load_at_ap = np.take_along_axis(np.cumsum(on_ap, axis=1, dtype=np.int32), nearest[..., None], axis=2)[..., 0]
     return ~(needs_fap | np.logical_or.accumulate(load_at_ap > lifi_slots, axis=1))
+
+
+def handover_decision_reference(
+    serving_kind: NetworkKind, zone: Zone, s_serving_dB: float, s_target_dB: float, dwell_s: float, thresholds
+) -> HandoverDecision:
+    """The handover rules for one in-call terminal, rule by rule (see ``policy.handover_decision``)."""
+    if serving_kind is NetworkKind.LIFI:
+        if zone in (Zone.Z1, Zone.Z3):
+            return HandoverDecision.TO_FAP
+        if zone is Zone.Z4:
+            if s_target_dB > s_serving_dB:
+                return HandoverDecision.TO_TARGET_LIFI
+            if dwell_s > thresholds.t_h_s:
+                return HandoverDecision.TO_FAP
+        return HandoverDecision.STAY
+    # femtocell-served
+    if zone is Zone.Z2:
+        return HandoverDecision.TO_LIFI
+    if zone is Zone.Z3 and dwell_s > thresholds.t_h1_s:
+        return HandoverDecision.TO_LIFI
+    return HandoverDecision.STAY
+
+
+def optical_channel_gain_reference(horizontal_distance_m, params: OpticalParams):
+    """``channel.optical_channel_gain`` as one expression, one temporary per operation."""
+    h = params.ap_height_m
+    l = np.asarray(horizontal_distance_m, dtype=float)
+    m = lambertian_index(params.half_intensity_angle_deg)
+    d2 = l * l + h * h
+    cos_theta = h / np.sqrt(d2)
+    cos_fov = math.cos(math.radians(params.fov_semi_angle_deg))
+    gain = (m + 1.0) * params.pd_area_m2 / (2.0 * math.pi * d2)
+    gain = gain * concentrator_gain(params) * params.filter_gain * cos_theta**m * cos_theta
+    out = np.where(cos_theta >= cos_fov, gain, 0.0)
+    return float(out) if np.isscalar(horizontal_distance_m) else out
+
+
+def indoor_run_reference(config) -> Metrics:
+    """``engine.simulate_indoor`` one tick and one terminal at a time, each link sampled on its own.
+
+    The batched run must equal it bit for bit: the same per-terminal
+    streams, the scalar move (``sqrt(dx*dx + dy*dy)``), a zone and covering
+    APs from the distances to every AP, the rule-by-rule handover decision
+    and per-link channel calls, added to the sums in (tick, terminal) order.
+    """
+    cfg, plan, streams, n = config, config.room.plan(), spawn_streams(config.seed), config.user_count
+    mobility, traffic, room, move = streams["mobility"].spawn(n), streams["traffic"].spawn(n), cfg.room, cfg.mobility
+    fap = ApState(NetworkKind.FAP, None, cfg.policy.fap_slots, ApMode.IDLE)
+    lifi = [ApState(NetworkKind.LIFI, j, cfg.policy.lifi_slots) for j in range(plan.ap_count)]
+    latency = {k: run_handover(k, cfg.policy.per_hop_latency_s).latency_s for k in HandoverKind}
+    m, sums = Metrics(), {kind: [0, 0.0, 0.0] for kind in NetworkKind}
+    rate = cfg.traffic.arrival_rate_per_min / 60.0
+
+    def interarrival(i):
+        return float(traffic[i].exponential(1.0 / rate)) if rate > 0 else math.inf
+
+    xy = streams["placement"].uniform(0.0, (room.room_x_m, room.room_y_m), size=(n, 2)).tolist()
+    t = [dict(x=x, y=y, waypoint=None, speed=0.0, pause_until=0.0, zone=None, entry=0.0, serving=None, voice=False,
+              end=0.0, arrival=interarrival(i), last=-math.inf) for i, (x, y) in enumerate(xy)]
+
+    def hand_over(u, now, kind, target):
+        m.handovers[kind.value] += 1
+        m.handover_latency_total_s += latency[kind]
+        u["serving"].release()
+        target.occupy()
+        u["serving"], u["last"] = target, now
+
+    def to_covering_lifi(u, now):
+        ap = policy.first_free([lifi[j] for j in u["covering"]])
+        if ap is not None:
+            hand_over(u, now, HandoverKind.FEMTO_TO_LIFI, ap)
+        return ap is not None
+
+    ticks, idle_ticks = int(round(cfg.duration_s / move.tick_s)), 0
+    for step in range(ticks):
+        now = step * move.tick_s
+        for i, u in enumerate(t):
+            if u["waypoint"] is None and not now < u["pause_until"]:
+                gen = mobility[i]
+                u["waypoint"] = (float(gen.uniform(0.0, room.room_x_m)), float(gen.uniform(0.0, room.room_y_m)))
+                u["speed"] = float(gen.uniform(move.speed_min_mps, move.speed_max_mps))
+            if u["waypoint"] is not None:
+                dx, dy, length = u["waypoint"][0] - u["x"], u["waypoint"][1] - u["y"], u["speed"] * move.tick_s
+                dist = math.sqrt(dx * dx + dy * dy)
+                if dist <= length:
+                    (u["x"], u["y"]), u["waypoint"] = u["waypoint"], None
+                    u["pause_until"] = now + float(mobility[i].uniform(move.pause_min_s, move.pause_max_s))
+                elif length > 0.0:
+                    u["x"], u["y"] = u["x"] + dx / dist * length, u["y"] + dy / dist * length
+            d2 = sq_distances_to_every_ap(plan, [(u["x"], u["y"])])[0]
+            dist = np.sqrt(d2)
+            u["gain"] = channel.optical_channel_gain(dist, cfg.optical).tolist()
+            covering = (j for j in range(plan.ap_count) if d2[j] <= plan.coverage_radius_m**2)
+            u["covering"] = sorted(covering, key=lambda j: dist[j])  # nearest first; a tie keeps the lower column
+            zone = Zone(int(classify_against_every_ap(plan, [(u["x"], u["y"])])[0][0]))
+            if zone is not u["zone"]:
+                u["zone"], u["entry"] = zone, now
+        for i, u in enumerate(t):
+            if u["serving"] is not None and u["end"] <= now:
+                u["serving"].release()
+                u["serving"], u["arrival"] = None, now + interarrival(i)
+                m.calls_released += 1
+        for i, u in enumerate(t):
+            if u["serving"] is None and u["arrival"] <= now:
+                u["voice"] = float(traffic[i].random()) < cfg.traffic.voice_fraction
+                traffic_class = TrafficClass.RT_VOICE if u["voice"] else TrafficClass.DATA
+                decision, ap = policy.admit_new_call(u["zone"], traffic_class, fap, [lifi[j] for j in u["covering"]])
+                m.admissions[decision.value] += 1
+                if ap is None:
+                    u["arrival"] = now + interarrival(i)
+                else:
+                    ap.occupy()
+                    u["serving"], u["end"] = ap, now + float(traffic[i].exponential(cfg.traffic.mean_holding_s))
+        in_call = [u for u in t if u["serving"] is not None]
+        for u in in_call:
+            serving = u["serving"]
+            if now - u["last"] < cfg.policy.t_h_s or (serving is fap and u["voice"]):
+                continue
+            rx = [10.0 * math.log10(cfg.optical.tx_optical_power_W * g) if g > 0 else -math.inf for g in u["gain"]]
+            s_serving, s_target, target = -math.inf, -math.inf, None
+            if serving is not fap and u["zone"] is Zone.Z4:
+                s_serving = rx[serving.column] if serving.column in u["covering"] else -math.inf
+                target = next((lifi[j] for j in u["covering"] if j != serving.column), None)
+                s_target = rx[target.column] if target is not None else -math.inf
+            dwell = now - u["entry"]
+            decision = handover_decision_reference(serving.kind, u["zone"], s_serving, s_target, dwell, cfg.policy)
+            if decision is HandoverDecision.STAY:
+                continue
+            if decision is HandoverDecision.TO_LIFI:
+                moved = to_covering_lifi(u, now)
+            else:
+                kind, ap = ((HandoverKind.LIFI_TO_FEMTO, fap) if decision is HandoverDecision.TO_FAP
+                            else (HandoverKind.LIFI_TO_LIFI, target))
+                moved = ap is not None and ap.free_slots > 0
+                if moved:
+                    hand_over(u, now, kind, ap)
+            m.handovers_rejected += not moved
+        served = [(k, u["zone"]) for k, u in enumerate(t) if u["serving"] is fap]
+        for k in policy.fap_mode_update(fap, served):
+            to_covering_lifi(t[k], now)
+        if fap.occupied_slots == 0:
+            fap.mode = ApMode.IDLE
+        assert sum(u["serving"] is not None for u in t) == fap.occupied_slots + sum(ap.occupied_slots for ap in lifi)
+        idle_ticks += fap.mode is ApMode.IDLE
+        for u in t:
+            serving = u["serving"]
+            if serving is None:
+                continue
+            if serving is fap:
+                fx, fy = plan.fap_center
+                dist = max(math.sqrt((u["x"] - fx) * (u["x"] - fx) + (u["y"] - fy) * (u["y"] - fy)), 0.1)
+                rx_dbm = cfg.rf.fap_tx_dBm - channel.femto_path_loss(dist, cfg.rf, wall_count=0)
+                sinr = channel.rf_sinr(rx_dbm, [], cfg.rf.noise_dBm(cfg.rf.femto_bandwidth_Hz))
+                capacity = channel.shannon_capacity(sinr, cfg.rf.femto_bandwidth_Hz)
+            else:
+                interferers = [0.0 if j == serving.column else g for j, g in enumerate(u["gain"])]
+                sinr = channel.optical_sinr(u["gain"][serving.column], interferers, cfg.optical)
+                capacity = channel.shannon_capacity(sinr, cfg.optical.bandwidth_Hz)
+            sinr_db = channel.linear_to_db(sinr)
+            m.link_samples += 1
+            m.sinr_total_db += sinr_db
+            m.capacity_total_bps += capacity
+            kind_sums = sums[serving.kind]
+            kind_sums[0] += 1
+            kind_sums[1] += sinr_db
+            kind_sums[2] += capacity
+    m.fap_idle_fraction, m.active_at_end = idle_ticks / ticks, len(in_call)
+    state = SimpleNamespace(metrics=m, lifi=lifi, fap=fap, _kind_sums={k: tuple(v) for k, v in sums.items()}, cfg=cfg)
+    engine._IndoorSim._rank_networks(state)  # the ranking of the run's sums, as the engine makes it
+    return m
 
 
 def trace_from_csv(text: str, kind: HandoverKind, outcome: str = "complete", failed_step: int | None = None) -> HandoverTrace:

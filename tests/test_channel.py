@@ -1,6 +1,7 @@
 """Link-budget formula tests against independently evaluated oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from hybridnet.channel import (
     concentrator_gain, femto_path_loss, lambertian_index, linear_to_db, macro_path_loss,
     optical_channel_gain, optical_sinr, rf_sinr, shannon_capacity,
 )
+
+from oracles import optical_channel_gain_reference
 
 TABLE = OpticalParams()
 RF = RfParams()
@@ -82,6 +85,30 @@ class TestOpticalChannelGain:
         # The gain always uses the AP height, so a zero height is caught where it is set.
         with pytest.raises(ValueError):
             OpticalParams(ap_height_m=0.0)
+
+    # One indoor tick block: 30 ticks x 60 terminals x 9 APs of horizontal distances.
+    BLOCK = np.random.default_rng(5).uniform(0.0, 30.0, size=(30, 60, 9))
+
+    @pytest.mark.parametrize("params", [TABLE, OpticalParams(fov_semi_angle_deg=30.0, half_intensity_angle_deg=45.0),
+                                        OpticalParams(half_intensity_angle_deg=20.0, ap_height_m=2.5)],
+                             ids=["default", "fov30-order2", "narrow-beam"])
+    def test_in_place_equals_the_one_expression_form(self, params):
+        expected = optical_channel_gain_reference(self.BLOCK, params)
+        assert optical_channel_gain(self.BLOCK, params).tolist() == expected.tolist()
+        for l in self.BLOCK[0, 0].tolist() + [0.0, 2.0]:  # a float in, a float out, by the same rounding
+            got = optical_channel_gain(l, params)
+            assert type(got) is float and got == optical_channel_gain_reference(l, params)
+
+    def test_at_most_two_temporaries_the_size_of_the_input(self):
+        optical_channel_gain(self.BLOCK, TABLE)  # warm up
+        tracemalloc.start()
+        try:
+            gain = optical_channel_gain(self.BLOCK, TABLE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The result plus two temporaries, and a few boolean masks an eighth of the input's size.
+        assert gain.nbytes == self.BLOCK.nbytes and peak <= 3.5 * self.BLOCK.nbytes
 
     @given(
         l1=st.floats(min_value=0.0, max_value=10.0),

@@ -410,26 +410,26 @@ class TestIndoorSim:
     @pytest.mark.parametrize(
         "text,seed,digest",
         [
-            (None, 0, "ff092e28f68416b74280d16040454ef60827e802dd7e16eda5d4e5cf3671796e"),
-            (None, 1, "6bd4675c0fb19641a7f6bc7ae6075635844c7fdb783617f3989c4630385728d1"),
+            (None, 0, "727d877af19b57909b1ef0cf9a7931c0f613ce4a2dfb63ca2b16e71b98333988"),
+            (None, 1, "24ccd693febdb203ec111f21d0ec725965b4271ce85d461b89fe1118a7ee693a"),
             ("engine:\n  user_count: 60\n  duration_s: 20.0\n"
              "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 300.0}\n", 0,
-             "96d6ed1cdea75cfe07268d72b861b584ef932cefdf0392ff5d72f7768f8bd795"),
+             "0a9fc4feeeea0f4899e84606c70bce6430edbd12ba7202de46a0323354770d52"),
             # The bench's whole indoor-loaded run: 1,200 ticks, many tick blocks.
             ("engine:\n  user_count: 60\n"
              "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 300.0}\n", 0,
-             "2fba692bdacde2a6e11d1b20c38c8595c050b0f5eed8379234ee7fad5fba5f5a"),
+             "9bb0f60fdff9e45e8701bd4092fb9750cb1020f9509c587fc1f4ecb4d8f56aa7"),
             ("engine:\n  user_count: 100\n  duration_s: 20.0\n"
              "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 300.0}\n", 0,
-             "b72ef50a288cc40d3b1ae5ccecd8de5a915b80ab53f0a90360d86fd399666f81"),
-            # Slot-starved: redirects 7 calls, blocks 19, rejects 496 handover
+             "1897a014c9d5099ca82be66a7adf696783d5174c48b733f0bddd64fa615e91bb"),
+            # Slot-starved: redirects 6 calls, blocks 30, rejects 443 handover
             # ticks and runs all three handover kinds.
             ("policy: {fap_slots: 2, lifi_slots: 1}\nengine:\n  user_count: 20\n  duration_s: 30.0\n"
              "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 20.0}\n", 0,
-             "0e1447c6a80776b3aceb21726793183265930f487193ceba5b04a7059608f471"),
+             "ccbab0655778c3f61760d826e310aacacc73e7ff737ab3029d911372793673b7"),
             # A 30 degree FOV leaves LiFi links with a zero SINR: sinr_mean_db is -inf.
             ("channel: {optical: {fov_semi_angle_deg: 30.0}}\n", 0,
-             "20076a13db61523dea18c83d05c0b9f546e0a8ef6840ec7cfd8e3f8cda230b32"),
+             "f86b5e650495d30d73c61ae5368439f94747441cb69068be61856340764597a9"),
         ],
         ids=["default-seed0", "default-seed1", "loaded-20s-seed0", "loaded-120s-seed0", "lifi-heavy-100-users-20s-seed0",
              "slot-starved-30s-seed0", "fov30-zero-sinr-seed0"],

@@ -1,6 +1,7 @@
 """Indoor simulation and experiment tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +14,13 @@ from hybridnet.engine import (
     handover_success_experiment, idle_probability_experiment,
     lifi_assignment_idle, lifi_crossing_success_exact, simulate_indoor,
 )
-from hybridnet.channel import RfParams, femto_path_loss, optical_channel_gain
-from hybridnet.policy import ApMode
+from hybridnet.channel import OpticalParams, RfParams, femto_path_loss, optical_channel_gain
+from hybridnet.policy import ApMode, NetworkKind
 from hybridnet.protocol import HandoverKind, run_handover
 from hybridnet.zoning import Zone, classify_points, monte_carlo_zone_model, plan_grid
 from oracles import (
-    classify_against_every_ap, enumerate_idle_probability, lifi_assignment_idle_one_hot, placement_idle_reference,
-    sq_distances_to_every_ap,
+    classify_against_every_ap, enumerate_idle_probability, indoor_run_reference, lifi_assignment_idle_one_hot,
+    placement_idle_reference, sq_distances_to_every_ap,
 )
 
 BUSY = ScenarioConfig(
@@ -48,6 +49,17 @@ SLOT_STARVED = ScenarioConfig(
 )
 
 
+# Voice-heavy, short dwell thresholds, few slots, and terminals that may stand still.
+MIXED = ScenarioConfig(
+    user_count=30,
+    duration_s=25.0,
+    seed=5,
+    mobility=MobilityConfig(speed_min_mps=0.0, speed_max_mps=3.0, pause_max_s=0.5),
+    traffic=TrafficConfig(arrival_rate_per_min=12.0, mean_holding_s=60.0, voice_fraction=0.6),
+    policy=PolicyConfig(t_h_s=0.5, t_h1_s=3.0, fap_slots=3, lifi_slots=2),
+)
+
+
 # The bench's indoor-loaded traffic, over 30 s.
 LOADED = ScenarioConfig(
     user_count=60,
@@ -73,12 +85,12 @@ class TestSimulateIndoor:
             traffic=TrafficConfig(arrival_rate_per_min=0.0001, mean_holding_s=1e9, voice_fraction=0.0),
         )
         sim = _IndoorSim(config)
-        terminal = sim._terminals[0]
-        terminal.x, terminal.y = 4.0, 0.5  # Zone 2 of the 24x24 plan
-        terminal.next_arrival_s = 0.0  # a data call arrives on the first tick
+        sim._xy[0] = 4.0, 0.5  # Zone 2 of the 24x24 plan
+        sim._next_event[0] = 0.0  # a data call arrives on the first tick
         metrics = sim.run()
         assert sim._positions[-1].tolist() == [[4.0, 0.5]]  # the last tick's row of the last block
-        assert sim._codes[-1] == [Zone.Z2.value] and terminal.zone is Zone.Z2
+        assert sim._codes[-1].tolist() == [Zone.Z2.value] and sim._zone.tolist() == [Zone.Z2.value]
+        assert sim._kind.tolist() == [NetworkKind.LIFI.value]
         assert metrics.admissions["accept_on_lifi"] == 1
         assert sum(metrics.handovers.values()) == 0
         assert metrics.active_at_end == 1
@@ -86,19 +98,21 @@ class TestSimulateIndoor:
 
     def test_fap_idles_once_its_last_slot_is_freed(self):
         sim = _IndoorSim(ScenarioConfig(user_count=1, seed=3))
-        terminal = sim._terminals[0]
-        terminal.next_arrival_s = math.inf  # no call of its own on the first tick
+        sim._next_event[0] = math.inf  # no call of its own on the first tick
         sim._locate(np.array([[[0.0, 0.0]]]))  # a one-tick block; Zone 1: only the femtocell covers it
-        assert sim._step(0, 0.0) == []
-        assert sim._codes == [[Zone.Z1.value]] and terminal.zone is Zone.Z1
+        sim._step(0, 0.0)
+        assert sim._kind.tolist() == [engine._NO_CALL]
+        assert sim._codes.tolist() == [[Zone.Z1.value]] and sim._zone.tolist() == [Zone.Z1.value]
         assert sim.fap.mode is ApMode.IDLE
-        sim._try_start_call(terminal, 0.0)
-        assert terminal.serving is sim.fap and sim.fap.mode is ApMode.ACTIVE
-        sim._apply_idle_mode([terminal], 0.0)
+        sim._try_start_call(0, 0.0)
+        assert sim._kind.tolist() == [NetworkKind.FAP.value] and sim.fap.occupied_slots == 1
+        assert sim.fap.mode is ApMode.ACTIVE
+        sim._apply_idle_mode(0.0)
         assert sim.fap.mode is ApMode.ACTIVE  # a Zone 1 user is never shifted
-        sim._release_call(terminal, 1.0)
+        sim._release_call(0, 1.0)
+        assert sim._kind.tolist() == [engine._NO_CALL] and sim._next_event[0] > 1.0
         assert sim.fap.occupied_slots == 0 and sim.fap.mode is ApMode.ACTIVE
-        sim._apply_idle_mode([], 1.0)
+        sim._apply_idle_mode(1.0)
         assert sim.fap.mode is ApMode.IDLE
 
     def test_bit_identical_reruns(self):
@@ -125,17 +139,16 @@ class TestSimulateIndoor:
         sim = _IndoorSim(BUSY)
         sim.run()
         pts = sim._positions[-1]  # the last tick's row of the last block
-        assert pts.tolist() == [[t.x, t.y] for t in sim._terminals]
+        assert pts.tolist() == sim._xy.tolist()
         codes = classify_points(sim.plan, pts).tolist()
-        assert sim._codes[-1] == codes
-        assert [t.zone for t in sim._terminals] == [Zone(code) for code in codes]
+        assert sim._codes[-1].tolist() == codes
+        assert sim._zone.tolist() == codes
 
     def test_gain_matrix_matches_position_after_run(self):
         # Handover evaluation and link sampling both read the block's (ticks, N, K) gains.
         sim = _IndoorSim(BUSY)
         sim.run()
-        pts = np.asarray([(t.x, t.y) for t in sim._terminals])
-        gains = optical_channel_gain(np.sqrt(sq_distances_to_every_ap(sim.plan, pts)), BUSY.optical)
+        gains = optical_channel_gain(np.sqrt(sq_distances_to_every_ap(sim.plan, sim._xy)), BUSY.optical)
         assert sim._gain.shape[1:] == (BUSY.user_count, sim.plan.ap_count)
         assert sim._gain[-1].tolist() == gains.tolist()
 
@@ -152,7 +165,7 @@ class TestSimulateIndoor:
         sim.run()
         ticks = np.concatenate(blocks)  # (ticks, N, 2): every terminal's position on every tick
         assert ticks.shape == (round(BUSY.duration_s / BUSY.mobility.tick_s), BUSY.user_count, 2)
-        assert ticks[-1].tolist() == [[t.x, t.y] for t in sim._terminals]
+        assert ticks[-1].tolist() == sim._xy.tolist()
         for x, y in ticks.reshape(-1, 2).tolist():
             assert 0.0 <= x <= 24.0 and 0.0 <= y <= 24.0
 
@@ -166,6 +179,37 @@ class TestSimulateIndoor:
             m = simulate_indoor(config)
             runs.append((m.csv_rows(), m.link_samples, m.sinr_total_db, m.capacity_total_bps))
         assert runs[0] == runs[1] == runs[2]
+
+    def test_common_random_numbers_across_user_count_and_policy(self, monkeypatch):
+        # Each terminal draws from its own mobility and traffic streams, so terminal 0 walks the
+        # same path and places its first call at the same time whatever the other terminals do.
+        rows = []
+        locate = _IndoorSim._locate
+
+        def recording_locate(sim, positions):  # terminal 0's position on every tick
+            rows.extend(positions[:, 0].tolist())
+            locate(sim, positions)
+
+        monkeypatch.setattr(_IndoorSim, "_locate", recording_locate)
+        base, paths = replace(LOADED, duration_s=60.0), {}
+        for users, t_h in ((10, 2.0), (60, 2.0), (60, 1.0), (60, 4.0)):
+            simulate_indoor(replace(base, user_count=users, policy=PolicyConfig(t_h_s=t_h)))
+            paths[users, t_h], rows[:] = list(rows), []
+        assert len(paths[10, 2.0]) == 600 and len(set(map(tuple, paths[10, 2.0]))) > 300  # it walks
+        assert paths[10, 2.0] == paths[60, 2.0]
+        assert paths[60, 1.0] == paths[60, 4.0]
+        first_arrival = [_IndoorSim(replace(base, user_count=users))._next_event[0] for users in (10, 60)]
+        assert first_arrival[0] == first_arrival[1] < base.duration_s
+
+    @pytest.mark.parametrize("config", [BUSY, replace(MOBILE, duration_s=60.0), SLOT_STARVED, MIXED, replace(
+        ScenarioConfig(optical=OpticalParams(fov_semi_angle_deg=30.0)), duration_s=30.0)],
+        ids=["busy", "mobile", "slot-starved", "mixed", "fov30-zero-sinr"])
+    def test_batched_run_equals_the_per_terminal_loop(self, config):
+        batched, looped = simulate_indoor(config), indoor_run_reference(config)
+        assert batched.csv_rows() == looped.csv_rows()
+        assert (batched.link_samples, batched.sinr_total_db, batched.capacity_total_bps) == (
+            looped.link_samples, looped.sinr_total_db, looped.capacity_total_bps)
+        assert sum(batched.handovers.values()) + batched.handovers_rejected > 0
 
     def test_block_size_fits_one_classify_slice(self):
         block = engine._block_ticks(60, 9)  # the most ticks whose entries fit

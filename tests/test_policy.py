@@ -3,6 +3,7 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from hybridnet.policy import (
     feasible_networks, handover_decision,
 )
 from hybridnet.zoning import Zone
+from oracles import handover_decision_reference
 
 
 def make_aps(fap_free=8, lifi_free=10, fap_mode=ApMode.ACTIVE):
@@ -114,46 +116,79 @@ class TestAdmission:
         assert len(results) == 1
 
 
+def decide(kind, zone, s_serving_dB, s_target_dB, dwell_s, thresholds):
+    """The batched rule on a one-row batch."""
+    codes = handover_decision(np.array([kind.value], dtype=np.int8), np.array([zone.value], dtype=np.int8),
+                              [s_serving_dB], [s_target_dB], [dwell_s], thresholds)
+    return HandoverDecision(int(codes[0]))
+
+
+def around(value):
+    """``value`` and the floats one ulp either side."""
+    return [math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)]
+
+
+SIGNALS = st.one_of(st.sampled_from([-math.inf, math.inf]), st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestHandoverDecision:
     POLICY = PolicyConfig(t_h_s=2.0, t_h1_s=2.0)
 
     def test_lifi_user_entering_zone1_or_zone3(self):
         for zone in (Zone.Z1, Zone.Z3):
-            decision = handover_decision(NetworkKind.LIFI, zone, -40.0, -50.0, 0.0, self.POLICY)
+            decision = decide(NetworkKind.LIFI, zone, -40.0, -50.0, 0.0, self.POLICY)
             assert decision is HandoverDecision.TO_FAP
 
     def test_zone4_stronger_target_wins(self):
-        decision = handover_decision(NetworkKind.LIFI, Zone.Z4, -45.0, -40.0, 0.5, self.POLICY)
+        decision = decide(NetworkKind.LIFI, Zone.Z4, -45.0, -40.0, 0.5, self.POLICY)
         assert decision is HandoverDecision.TO_TARGET_LIFI
 
     def test_zone4_dwell_expiry_hands_to_fap(self):
-        assert handover_decision(NetworkKind.LIFI, Zone.Z4, -40.0, -45.0, 1.9, self.POLICY) is HandoverDecision.STAY
-        assert handover_decision(NetworkKind.LIFI, Zone.Z4, -40.0, -45.0, 2.0 + 1e-6, self.POLICY) is HandoverDecision.TO_FAP
+        assert decide(NetworkKind.LIFI, Zone.Z4, -40.0, -45.0, 1.9, self.POLICY) is HandoverDecision.STAY
+        assert decide(NetworkKind.LIFI, Zone.Z4, -40.0, -45.0, 2.0 + 1e-6, self.POLICY) is HandoverDecision.TO_FAP
 
     def test_lifi_user_in_zone2_stays(self):
-        assert handover_decision(NetworkKind.LIFI, Zone.Z2, -40.0, -90.0, 100.0, self.POLICY) is HandoverDecision.STAY
+        assert decide(NetworkKind.LIFI, Zone.Z2, -40.0, -90.0, 100.0, self.POLICY) is HandoverDecision.STAY
 
     def test_fap_user_entering_zone2(self):
-        assert handover_decision(NetworkKind.FAP, Zone.Z2, -60.0, -40.0, 0.0, self.POLICY) is HandoverDecision.TO_LIFI
+        assert decide(NetworkKind.FAP, Zone.Z2, -60.0, -40.0, 0.0, self.POLICY) is HandoverDecision.TO_LIFI
 
     def test_fap_user_zone3_dwell(self):
-        assert handover_decision(NetworkKind.FAP, Zone.Z3, -60.0, -45.0, 1.0, self.POLICY) is HandoverDecision.STAY
-        assert handover_decision(NetworkKind.FAP, Zone.Z3, -60.0, -45.0, 2.5, self.POLICY) is HandoverDecision.TO_LIFI
+        assert decide(NetworkKind.FAP, Zone.Z3, -60.0, -45.0, 1.0, self.POLICY) is HandoverDecision.STAY
+        assert decide(NetworkKind.FAP, Zone.Z3, -60.0, -45.0, 2.5, self.POLICY) is HandoverDecision.TO_LIFI
 
     def test_each_zone_reads_its_own_threshold(self):
         thresholds = PolicyConfig(t_h_s=1.0, t_h1_s=5.0)
-        assert handover_decision(NetworkKind.LIFI, Zone.Z4, -40.0, -45.0, 2.0, thresholds) is HandoverDecision.TO_FAP
-        assert handover_decision(NetworkKind.FAP, Zone.Z3, -60.0, -45.0, 2.0, thresholds) is HandoverDecision.STAY
+        assert decide(NetworkKind.LIFI, Zone.Z4, -40.0, -45.0, 2.0, thresholds) is HandoverDecision.TO_FAP
+        assert decide(NetworkKind.FAP, Zone.Z3, -60.0, -45.0, 2.0, thresholds) is HandoverDecision.STAY
 
     def test_fap_user_zone1_or_zone4_stays(self):
         for zone in (Zone.Z1, Zone.Z4):
-            assert handover_decision(NetworkKind.FAP, zone, -60.0, -45.0, 100.0, self.POLICY) is HandoverDecision.STAY
+            assert decide(NetworkKind.FAP, zone, -60.0, -45.0, 100.0, self.POLICY) is HandoverDecision.STAY
 
     def test_unknown_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            handover_decision("wifi", Zone.Z2, -60.0, -45.0, 0.0, self.POLICY)
-        with pytest.raises(ValueError):
-            handover_decision(NetworkKind.LIFI, "Z9", -60.0, -45.0, 0.0, self.POLICY)
+        for kinds, zones in ((["wifi"], [2]), ([0], ["Z9"]), ([2], [2]), ([-1], [2]), ([0], [0]), ([1], [5]),
+                             ([0, 1], [2, 9])):
+            with pytest.raises(ValueError, match="unknown serving network or zone"):
+                handover_decision(np.array(kinds), np.array(zones), [-60.0] * len(kinds), [-45.0] * len(kinds),
+                                  [0.0] * len(kinds), self.POLICY)
+
+    def test_empty_batch(self):
+        empty = np.array([], dtype=np.int8)
+        assert handover_decision(empty, empty, [], [], [], self.POLICY).tolist() == []
+
+    @given(st.data(), st.floats(min_value=0.01, max_value=100.0), st.floats(min_value=0.01, max_value=100.0))
+    @settings(max_examples=200)
+    def test_batch_equals_the_rule_row_by_row(self, data, t_h, t_h1):
+        thresholds = PolicyConfig(t_h_s=t_h, t_h1_s=t_h1)
+        dwell = st.one_of(st.sampled_from(around(t_h) + around(t_h1)), st.floats(min_value=0.0, max_value=200.0))
+        rows = data.draw(st.lists(st.tuples(st.sampled_from(list(NetworkKind)), st.sampled_from(list(Zone)),
+                                            SIGNALS, SIGNALS, dwell), max_size=24))
+        kinds, zones, s_serving, s_target, dwells = zip(*rows) if rows else ((),) * 5
+        kind_codes, zone_codes = (np.array([c.value for c in column], dtype=np.int8) for column in (kinds, zones))
+        codes = handover_decision(kind_codes, zone_codes, s_serving, s_target, dwells, thresholds)
+        assert [HandoverDecision(code) for code in codes.tolist()] == [
+            handover_decision_reference(*row, thresholds) for row in rows]
 
 
 class TestFapModeUpdate:

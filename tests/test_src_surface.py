@@ -21,6 +21,7 @@ is left to the reference rule. Dataclass field defaults are not covered:
 """
 
 import ast
+import json
 import textwrap
 from collections import defaultdict
 from pathlib import Path
@@ -149,3 +150,13 @@ def test_default_rule_on_small_modules(tmp_path):
     assert sorted(always_passed_defaults(tmp_path)) == [
         "lib.py:method(a)", "lib.py:passed(y)", "lib.py:passed(z)", "lib.py:unpacked(a)", "lib.py:unpacked(b)",
     ]
+
+
+def test_traced_benchmark_functions_stay_public_module_functions():
+    # The benchmark's per-layer metrics name src functions as module.function.quantity, and
+    # its traced run reads each one's span by that name, so a rename would break the run.
+    spec = json.loads((SRC.parents[1] / "BENCHMARK.json").read_text())
+    named = {m["name"].rsplit(".", 1)[0] for m in spec["per_layer"] if m["name"].count(".") == 2}
+    public = {f"{module.removesuffix('.py')}.{node.name}" for module, tree in _parse(SRC).items() for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert len(named) >= 10 and not named - public, f"BENCHMARK.json traces what src/ does not define: {named - public}"
