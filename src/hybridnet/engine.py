@@ -469,36 +469,35 @@ class IdleExperimentConfig:
         check_fields(self, *at_least(MIN_MC_SAMPLES), "zone_samples")
 
 
-def lifi_assignment_idle(codes: np.ndarray, nearest: np.ndarray, ap_count: int, lifi_slots: int) -> np.ndarray:
-    """Vectorized idle outcome of every user-count prefix of batched placements.
+def lifi_assignment_idle(locate, placements: int, users: int, ap_count: int, lifi_slots: int) -> np.ndarray:
+    """Idle outcome of every user-count prefix of batched placements; entry (i, k) holds for users 0..k of placement i.
 
-    ``codes``, ``nearest`` and the result have shape (placements, users);
-    entry (i, k) holds for users 0..k of placement i. The femtocell ends
-    idle exactly when all of them sit in Zone 2 or 3 and no LiFi AP is asked
-    for more users than it has slots (users join a per-AP load column by
-    column, checked at the AP each one adds to); this matches the sequential
-    admission plus idle-mode pipeline, which tests verify.
+    The femtocell ends idle exactly when all the users sit in Zone 2 or 3 and no LiFi AP is asked for more users
+    than it has slots (users join a per-AP load one at a time, each checked at the AP it adds to); this matches
+    the sequential admission plus idle-mode pipeline, which tests verify. ``locate(u, rows)`` returns the zone codes
+    and nearest APs of user ``u`` in placements ``rows``, the ones still idle after users 0..u-1: idle only turns
+    false as users join, and only a placement's own users touch its load row, so no later user can change its entry.
     """
-    n, p = codes.shape
-    row_start, load = np.arange(n) * ap_count, np.zeros(n * ap_count, dtype=np.int32)  # a flat (n, ap_count) load
-    idle, out = np.ones(n, dtype=bool), np.empty((p, n), dtype=bool)
-    for u in range(p):
-        on_lifi, cell = (codes[:, u] == 2) | (codes[:, u] == 3), row_start + nearest[:, u]
+    load = np.zeros(placements * ap_count, dtype=np.int32)  # a flat (placements, ap_count) load
+    rows, out = np.arange(placements), np.zeros((users, placements), dtype=bool)
+    for u in range(users):
+        codes, nearest = locate(u, rows)
+        on_lifi, cell = (codes == 2) | (codes == 3), rows * ap_count + nearest
         load[cell] += on_lifi
-        out[u] = idle = idle & on_lifi & (load[cell] <= lifi_slots)
+        rows = rows[on_lifi & (load[cell] <= lifi_slots)]
+        out[u, rows] = True
     return out.T
 
 
 def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[int]):
     """Rows of (user count, empirical idle probability, closed-form value).
 
-    The empirical column places users uniformly at random and applies the
-    admission and idle-mode rules; the closed-form column evaluates the
-    two-term binomial bound on the same Monte Carlo zone probabilities.
-    Common random numbers: each chunk of placements draws the largest user
-    count's users in turn from its own generator, and p users are the first
-    p of them; so the empirical column is non-increasing in p, and no row
-    depends on the other counts requested.
+    The empirical column places users uniformly at random and applies the admission and idle-mode rules, locating
+    a user only in the placements still idle (each point is classified on its own, so every located point gets the
+    zone and AP it gets among all of them); the closed-form column evaluates the two-term binomial bound on the same
+    Monte Carlo zone probabilities. Common random numbers: each chunk of placements draws the largest user count's
+    users in turn from its own generator, and p users are the first p of them; so the empirical column is
+    non-increasing in p, and no row depends on the other counts requested.
     """
     if not user_counts or min(user_counts) < 0:
         raise ValueError("user_counts must be non-empty and >= 0")
@@ -509,14 +508,17 @@ def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[
     idle_counts[0] = config.placements  # no active user: always idle
     n_chunks = (config.placements + chunk - 1) // chunk
     for i, gen in enumerate(spawn_streams(config.seed)["placement"].spawn(n_chunks)):
-        n = min(chunk, config.placements - i * chunk)
-        pts = (gen.random((p_max, n, 2)) * (plan.room_x_m, plan.room_y_m)).reshape(-1, 2)
-        codes, nearest = np.empty(len(pts), dtype=np.int8), np.empty(len(pts), dtype=np.intp)
-        for part in (slice(s, s + _CLASSIFY_SLICE) for s in range(0, len(pts), _CLASSIFY_SLICE)):
-            window = plan.sq_distances(pts[part])
-            codes[part], nearest[part] = classify_points(plan, pts[part], window), plan.nearest(window)
-        codes, nearest = codes.reshape(p_max, n).T, nearest.reshape(p_max, n).T  # (placements, users)
-        idle_counts[1:] += lifi_assignment_idle(codes, nearest, plan.ap_count, config.lifi_slots).sum(axis=0)
+        draws = gen.random((p_max, min(chunk, config.placements - i * chunk), 2))
+
+        def locate(u: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            pts = draws[u, rows] * (plan.room_x_m, plan.room_y_m)
+            codes, nearest = np.empty(len(rows), dtype=np.int8), np.empty(len(rows), dtype=np.intp)
+            for part in (slice(s, s + _CLASSIFY_SLICE) for s in range(0, len(rows), _CLASSIFY_SLICE)):
+                window = plan.sq_distances(pts[part])
+                codes[part], nearest[part] = classify_points(plan, pts[part], window), plan.nearest(window)
+            return codes, nearest
+
+        idle_counts[1:] += lifi_assignment_idle(locate, draws.shape[1], p_max, plan.ap_count, config.lifi_slots).sum(axis=0)
     rows = [(p, int(idle_counts[p]) / config.placements, policy.fap_idle_probability(p, model.zone_probs))
             for p in user_counts]
     return rows, model

@@ -246,12 +246,9 @@ def monte_carlo_zone_model(plan: GridPlan, sample_count: int, seed: int) -> Zone
     a, b = plan.room_x_m, plan.room_y_m
     n_chunks = (sample_count + _MC_CHUNK - 1) // _MC_CHUNK
     counts = np.zeros(4, dtype=np.int64)
-    remaining = sample_count
-    for gen in spawn_streams(seed)["zones"].spawn(n_chunks):
-        n = min(_MC_CHUNK, remaining)
-        remaining -= n
-        pts = gen.random((n, 2)) * (a, b)
-        for start in range(0, n, _CLASSIFY_SLICE):
+    for k, gen in enumerate(spawn_streams(seed)["zones"].spawn(n_chunks)):
+        pts = gen.random((min(_MC_CHUNK, sample_count - k * _MC_CHUNK), 2)) * (a, b)
+        for start in range(0, len(pts), _CLASSIFY_SLICE):
             codes = classify_points(plan, pts[start:start + _CLASSIFY_SLICE])
             counts += np.bincount(codes, minlength=5)[1:5]
     c = [int(v) for v in counts]

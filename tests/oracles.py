@@ -5,7 +5,8 @@ module user by user, and ``enumerate_idle_probability`` sums it over every
 zone assignment; the vectorized fig16 rule and the closed-form bound are
 checked against them. ``lifi_assignment_idle_one_hot`` is the all-users-at-once
 (one-hot cumulative load) form of that rule, the reference for the
-column-by-column form the simulator runs. ``classify_against_every_ap``
+user-by-user form the simulator runs, which locates only the placements
+still idle. ``classify_against_every_ap``
 measures each point against every AP of a plan, the brute force the
 lattice-window zone lookup must reproduce. ``handover_decision_reference``
 states the handover rules for one terminal, the reference for the batched
@@ -114,9 +115,12 @@ def classify_against_every_ap(plan: GridPlan, points) -> tuple[np.ndarray, np.nd
 def lifi_assignment_idle_one_hot(codes: np.ndarray, nearest: np.ndarray, ap_count: int, lifi_slots: int) -> np.ndarray:
     """Idle outcome of every user-count prefix, as ``engine.lifi_assignment_idle`` computes it, all users at once.
 
-    A running OR marks a prefix with a Zone 1 or Zone 4 user; the running
-    load of every AP is the cumulative sum of an (n, p, K) one-hot array of
-    Zone 2/3 users, read back at the AP each user adds to.
+    It reads every user of every placement, also after the placement has
+    stopped idling, so it checks that the engine's user-by-user walk, which
+    locates only the placements still idle, loses no entry. A running OR
+    marks a prefix with a Zone 1 or Zone 4 user; the running load of every
+    AP is the cumulative sum of an (n, p, K) one-hot array of Zone 2/3
+    users, read back at the AP each user adds to.
     """
     needs_fap = np.logical_or.accumulate((codes == 1) | (codes == 4), axis=1)
     on_ap = ((codes == 2) | (codes == 3))[..., None] & (nearest[..., None] == np.arange(ap_count))

@@ -40,6 +40,43 @@ transport:
 """
 
 
+# The sha256 pins of every command's output, one section per command; each test_golden_digest reads its own.
+GOLDEN = json.loads((Path(__file__).with_name("golden.json")).read_text())
+GOLDEN_FIELDS = {"id", "command", "args", "config", "seed", "output", "sha256"}
+_READ_SECTIONS = set()
+
+
+def golden(command: str) -> list:
+    """The golden.json entries of ``command``, one test parameter each under its entry's id."""
+    _READ_SECTIONS.add(command)
+    return [pytest.param(entry, id=entry["id"]) for entry in GOLDEN[command]]
+
+
+def run_golden(entry: dict, tmp_path: Path, capsys) -> bytes:
+    """Run one golden.json entry in ``tmp_path`` and return the bytes of its output."""
+    argv = [entry["command"], *entry["args"], "--seed", str(entry["seed"])]
+    if entry["config"] is not None:
+        (tmp_path / "scenario.yaml").write_text(entry["config"])
+        argv += ["--config", str(tmp_path / "scenario.yaml")]
+    if entry["output"] == "stdout":
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out.encode()
+    out = tmp_path / entry["output"]
+    # zones writes its CSV to the --out path; the other commands write into the --out directory.
+    assert cli.main([*argv, "--out", str(out if entry["command"] == "zones" else tmp_path)]) == 0
+    return out.read_bytes()
+
+
+def test_every_golden_entry_is_read():
+    # Each section is read whole by the test that asks golden() for it, so an
+    # entry is read when its section is and it holds the fields run_golden reads.
+    assert set(GOLDEN) == _READ_SECTIONS
+    for command, entries in GOLDEN.items():
+        assert len({entry["id"] for entry in entries}) == len(entries), command
+        for entry in entries:
+            assert set(entry) == GOLDEN_FIELDS and entry["command"] == command, entry["id"]
+
+
 @pytest.fixture
 def small_config(tmp_path):
     path = tmp_path / "small.yaml"
@@ -126,19 +163,9 @@ class TestZones:
 
     # sha256 of zones.csv at seed 0. The zone lookup may change how it finds
     # a point's APs, never which zone a point lands in.
-    @pytest.mark.parametrize(
-        "argv,digest",
-        [
-            ([], "48e4e446dd1a426d25f90673b74a065cf58aea1d96534fb38f87ce22e6b908bf"),
-            (["--room", "100x100", "--radius", "5", "--samples", "1048576"],
-             "e2aa793d604c3e4427e408bf1291cc37313192dffed6c3cfecb58abc34a38fee"),
-        ],
-        ids=["default-24x24", "100x100-121-aps"],
-    )
-    def test_golden_digest(self, tmp_path, argv, digest):
-        out = tmp_path / "zones.csv"
-        assert cli.main(["zones", *argv, "--seed", "0", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    @pytest.mark.parametrize("entry", golden("zones"))
+    def test_golden_digest(self, tmp_path, capsys, entry):
+        assert hashlib.sha256(run_golden(entry, tmp_path, capsys)).hexdigest() == entry["sha256"]
 
 
 class TestExperiments:
@@ -220,20 +247,9 @@ class TestExperiments:
     # sha256 of the default-config CSVs at seed 0: fig16 classifies and
     # assigns every placed user to its nearest AP, fig17 reads the zone model,
     # fig18 draws crossings and fig19-fig21 sweep the vehicle distance.
-    @pytest.mark.parametrize(
-        "name,digest",
-        [
-            ("fig16", "64341a3dbce83b1e00eff2081da8979212f4eca514b028fe29edbd85e3652df2"),
-            ("fig17", "06c3ae3a77266b1550eeea7618d52a1d54a9e9aa3d6786ee4051555f51bce0e9"),
-            ("fig18", "95ebfe1bad2bfba2a6375eeefd735828e943012f279bb2f63e5443eeb3c2dadc"),
-            ("fig19", "4a99be5f47bd7e9c486fefc49f4468c779baf125c9bac44a398c4d14fa634055"),
-            ("fig20", "6cf8006d9a0c05bcc5f83407ab1bcbb9628a5c2b58617200c879a5f1344d5a2a"),
-            ("fig21", "84dcb23b0f54378a46c8821463baf73ec5efdc9c21a408fb24b0b8a37d7ed57f"),
-        ],
-    )
-    def test_golden_digest(self, tmp_path, name, digest):
-        assert cli.main(["experiment", name, "--seed", "0", "--out", str(tmp_path)]) == 0
-        assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest
+    @pytest.mark.parametrize("entry", golden("experiment"))
+    def test_golden_digest(self, tmp_path, capsys, entry):
+        assert hashlib.sha256(run_golden(entry, tmp_path, capsys)).hexdigest() == entry["sha256"]
 
     def test_unknown_name_exits_nonzero(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -339,20 +355,9 @@ class TestTrace:
         assert len(data_lines) == rows
 
     # sha256 of `trace <kind>` stdout; pins every row of each step table.
-    @pytest.mark.parametrize(
-        "kind,drop,digest",
-        [
-            ("lifi-to-femto", [], "050eeecb622e5c777884c04c4879071f95369beb9f78310cca16f78d5ee4065d"),
-            ("lifi-to-femto", ["--drop-step", "11"], "10134b0032289c497d5a4bde3cab1c20c57377243fa70eb4023d54f084a625af"),
-            ("femto-to-lifi", [], "87e1f3868b40969ef9dc7348b23e97b92181c3be2dd301e723c9efbf1be1ce29"),
-            ("femto-to-lifi", ["--drop-step", "11"], "aa542f7b30da8e65273835d027272dc906ee48785cd8bfc749562a12aa1825f2"),
-            ("lifi-to-lifi", [], "42edb68f59701c54153a8680696991272be5eea316a65932d0c02d3a3a6b660e"),
-            ("lifi-to-lifi", ["--drop-step", "11"], "eaebd5e2c97c373e99bf3bedd3da68da869b824b0c67f532f8b18e7873166d85"),
-        ],
-    )
-    def test_golden_digest(self, capsys, kind, drop, digest):
-        assert cli.main(["trace", kind, *drop]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    @pytest.mark.parametrize("entry", golden("trace"))
+    def test_golden_digest(self, tmp_path, capsys, entry):
+        assert hashlib.sha256(run_golden(entry, tmp_path, capsys)).hexdigest() == entry["sha256"]
 
     def test_drop_step_recorded_in_manifest(self, tmp_path):
         out = tmp_path / "t"
@@ -405,36 +410,14 @@ class TestIndoorSim:
     # sha256 of indoor_sim.csv as written under Python 3.11; the bytes must
     # not depend on the Python version that runs the simulation. Python 3.12
     # made a float sum() compensated, so rounding every all-float sum()
-    # exactly in its place must leave the bytes as they are.
+    # exactly in its place must leave the bytes as they are. loaded-120s-seed0
+    # is the bench's whole indoor-loaded run: 1,200 ticks, many tick blocks.
+    # slot-starved-30s-seed0 redirects 6 calls, blocks 30, rejects 443
+    # handover ticks and runs all three handover kinds. In fov30-zero-sinr-seed0
+    # a 30 degree FOV leaves LiFi links with a zero SINR: sinr_mean_db is -inf.
     @pytest.mark.parametrize("exact_float_sum", [False, True], ids=["builtin-sum", "exact-sum"])
-    @pytest.mark.parametrize(
-        "text,seed,digest",
-        [
-            (None, 0, "727d877af19b57909b1ef0cf9a7931c0f613ce4a2dfb63ca2b16e71b98333988"),
-            (None, 1, "24ccd693febdb203ec111f21d0ec725965b4271ce85d461b89fe1118a7ee693a"),
-            ("engine:\n  user_count: 60\n  duration_s: 20.0\n"
-             "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 300.0}\n", 0,
-             "0a9fc4feeeea0f4899e84606c70bce6430edbd12ba7202de46a0323354770d52"),
-            # The bench's whole indoor-loaded run: 1,200 ticks, many tick blocks.
-            ("engine:\n  user_count: 60\n"
-             "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 300.0}\n", 0,
-             "9bb0f60fdff9e45e8701bd4092fb9750cb1020f9509c587fc1f4ecb4d8f56aa7"),
-            ("engine:\n  user_count: 100\n  duration_s: 20.0\n"
-             "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 300.0}\n", 0,
-             "1897a014c9d5099ca82be66a7adf696783d5174c48b733f0bddd64fa615e91bb"),
-            # Slot-starved: redirects 6 calls, blocks 30, rejects 443 handover
-            # ticks and runs all three handover kinds.
-            ("policy: {fap_slots: 2, lifi_slots: 1}\nengine:\n  user_count: 20\n  duration_s: 30.0\n"
-             "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 20.0}\n", 0,
-             "ccbab0655778c3f61760d826e310aacacc73e7ff737ab3029d911372793673b7"),
-            # A 30 degree FOV leaves LiFi links with a zero SINR: sinr_mean_db is -inf.
-            ("channel: {optical: {fov_semi_angle_deg: 30.0}}\n", 0,
-             "f86b5e650495d30d73c61ae5368439f94747441cb69068be61856340764597a9"),
-        ],
-        ids=["default-seed0", "default-seed1", "loaded-20s-seed0", "loaded-120s-seed0", "lifi-heavy-100-users-20s-seed0",
-             "slot-starved-30s-seed0", "fov30-zero-sinr-seed0"],
-    )
-    def test_golden_digest(self, tmp_path, monkeypatch, text, seed, digest, exact_float_sum):
+    @pytest.mark.parametrize("entry", golden("indoor-sim"))
+    def test_golden_digest(self, tmp_path, monkeypatch, capsys, entry, exact_float_sum):
         if exact_float_sum:
             plain_sum = sum
 
@@ -445,12 +428,7 @@ class TestIndoorSim:
                 return plain_sum(items, start)
 
             monkeypatch.setattr(builtins, "sum", exact_sum)
-        argv = ["indoor-sim", "--seed", str(seed), "--out", str(tmp_path)]
-        if text is not None:
-            (tmp_path / "scenario.yaml").write_text(text)
-            argv += ["--config", str(tmp_path / "scenario.yaml")]
-        assert cli.main(argv) == 0
-        assert hashlib.sha256((tmp_path / "indoor_sim.csv").read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(run_golden(entry, tmp_path, capsys)).hexdigest() == entry["sha256"]
 
     def test_env_seed_override(self, tmp_path, small_config, monkeypatch, capsys):
         out = tmp_path / "env"

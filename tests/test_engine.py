@@ -250,6 +250,11 @@ class TestSimulateIndoor:
                     RoomConfig(**{name: side})
 
 
+def reading(codes: np.ndarray, nearest: np.ndarray):
+    """A ``locate`` for ``lifi_assignment_idle`` that reads user ``u``'s column of (placements, users) arrays."""
+    return lambda u, rows: (codes[rows, u], nearest[rows, u])
+
+
 class TestIdleProbabilityExperiment:
     CFG = IdleExperimentConfig(placements=4000, zone_samples=65_536, seed=5)
 
@@ -291,7 +296,7 @@ class TestIdleProbabilityExperiment:
             pts = gen.random((p, 2)) * 24.0
             codes, nearest = classify_against_every_ap(plan, pts)
             zones = [Zone(int(c)) for c in codes]
-            fast = lifi_assignment_idle(codes[None, :], nearest[None, :], plan.ap_count, 10)[0]
+            fast = lifi_assignment_idle(reading(codes[None, :], nearest[None, :]), 1, p, plan.ap_count, 10)[0]
             assert fast.shape == (p,)
             for k in range(1, p + 1):  # every prefix of the users is a placement of k users
                 assert bool(fast[k - 1]) == placement_idle_reference(zones[:k], lifi_slots=10, fap_slots=8)
@@ -301,9 +306,9 @@ class TestIdleProbabilityExperiment:
         # and every longer prefix stays non-idle even when the next user fits elsewhere.
         codes = np.array([[2, 2, 2, 3]])
         nearest = np.array([[0, 0, 0, 1]])
-        idle = lifi_assignment_idle(codes, nearest, ap_count=2, lifi_slots=2)
+        idle = lifi_assignment_idle(reading(codes, nearest), 1, 4, ap_count=2, lifi_slots=2)
         assert idle.tolist() == [[True, True, False, False]]
-        assert lifi_assignment_idle(codes, np.array([[0, 1, 0, 1]]), 2, 2).tolist() == [[True] * 4]
+        assert lifi_assignment_idle(reading(codes, np.array([[0, 1, 0, 1]])), 1, 4, 2, 2).tolist() == [[True] * 4]
 
     @pytest.mark.parametrize("ap_count", [1, 2, 9, 121])
     def test_column_loop_matches_one_hot_reference(self, ap_count):
@@ -315,7 +320,7 @@ class TestIdleProbabilityExperiment:
                 codes = gen.choice(np.arange(1, 5, dtype=np.int8), size=(400, p), p=[0.03, 0.47, 0.47, 0.03])
                 nearest = gen.integers(0, ap_count, size=(400, p))
                 expected = lifi_assignment_idle_one_hot(codes, nearest, ap_count, lifi_slots)
-                got = lifi_assignment_idle(codes, nearest, ap_count, lifi_slots)
+                got = lifi_assignment_idle(reading(codes, nearest), 400, p, ap_count, lifi_slots)
                 assert got.shape == (400, p) and got.tolist() == expected.tolist()
                 all_lifi = np.logical_and.accumulate((codes == 2) | (codes == 3), axis=1)
                 overflowed += int(np.count_nonzero(all_lifi & ~expected))
@@ -332,8 +337,37 @@ class TestIdleProbabilityExperiment:
 
         monkeypatch.setattr(engine, "classify_points", counting_classify)
         got, _ = idle_probability_experiment(cfg, list(range(21)))
-        assert max(sizes) <= zoning._CLASSIFY_SLICE and sum(sizes) == 20 * 45_000
+        # User p is located only where users 0..p-1 left the placement idle.
+        located = sum(round(empirical * cfg.placements) for _, empirical, _ in got[:20])
+        assert max(sizes) <= zoning._CLASSIFY_SLICE and sum(sizes) == located < 20 * 45_000
         assert got == expected
+
+    def test_locate_is_asked_only_for_placements_still_idle(self, monkeypatch):
+        cfg = IdleExperimentConfig(placements=45_000, zone_samples=16_384, seed=3)  # three chunks, the last partial
+        located, runs = np.zeros(20, dtype=np.int64), []
+
+        def recording_idle(locate, placements, users, ap_count, lifi_slots):
+            calls = []
+
+            def recording(u, rows):
+                calls.append(rows.copy())
+                return locate(u, rows)
+
+            idle = lifi_assignment_idle(recording, placements, users, ap_count, lifi_slots)
+            assert len(calls) == users
+            still_idle = np.ones(placements, dtype=bool)
+            for u, rows in enumerate(calls):
+                assert rows.tolist() == np.flatnonzero(still_idle).tolist()
+                located[u] += len(rows)
+                still_idle = idle[:, u]
+            runs.append(placements)
+            return idle
+
+        monkeypatch.setattr(engine, "lifi_assignment_idle", recording_idle)
+        got, _ = idle_probability_experiment(cfg, list(range(21)))
+        assert runs == [20_000, 20_000, 5_000]
+        assert located.tolist() == [round(empirical * cfg.placements) for _, empirical, _ in got[:20]]
+        assert located[0] == cfg.placements and 0 < located[-1] < located[1]
 
     def test_exhaustive_enumeration_matches_closed_form(self):
         model = monte_carlo_zone_model(plan_grid(24.0, 24.0, 5.0), 65_536, seed=5)
