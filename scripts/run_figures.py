@@ -6,9 +6,14 @@ Usage:
 
 Produces one CSV plus a run manifest per figure (fig16 .. fig21), using the
 published parameter-table defaults unless a config file overrides them.
+Only the flags given here are passed on, so ``HYBRIDNET_SEED``,
+``HYBRIDNET_OUT`` and ``HYBRIDNET_CONFIG`` apply as they do to
+``hybridnet experiment``. With neither ``--out`` nor ``HYBRIDNET_OUT``, the
+output directory is ``out``.
 """
 
 import argparse
+import os
 import sys
 
 from hybridnet import cli
@@ -16,16 +21,16 @@ from hybridnet import cli
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="out")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--config", default=None)
+    parser.add_argument("--out")
+    parser.add_argument("--seed")
+    parser.add_argument("--config")
     args = parser.parse_args()
+    if args.out is None and "HYBRIDNET_OUT" not in os.environ:
+        args.out = "out"
+    flags = [item for flag, value in vars(args).items() if value is not None for item in (f"--{flag}", value)]
 
     for name in cli.EXPERIMENTS:
-        argv = ["experiment", name, "--seed", str(args.seed), "--out", args.out]
-        if args.config:
-            argv += ["--config", args.config]
-        code = cli.main(argv)
+        code = cli.main(["experiment", name, *flags])
         if code != 0:
             print(f"{name} failed with exit code {code}", file=sys.stderr)
             return code

@@ -3,10 +3,11 @@
 Commands: ``plan``, ``zones``, ``experiment``, ``trace``, ``indoor-sim``.
 Common flags (``--config``, ``--seed``, ``--out``, ``--samples``) fall back
 to ``HYBRIDNET_CONFIG``, ``HYBRIDNET_SEED``, ``HYBRIDNET_OUT`` and
-``HYBRIDNET_SAMPLES``. Every command reads the config file; ``--room``,
-``--radius``, ``--samples`` and ``--per-hop-ms`` fall back to its
-``zoning`` and ``protocol`` keys. ``trace`` checks every trace against
-the protocol's safety rules before writing it. Exit codes: 0 success, 2
+``HYBRIDNET_SAMPLES``; ``plan`` only prints and takes no ``--out``. The
+config file is resolved once, before any command computes or writes;
+``--room``, ``--radius``, ``--samples`` and ``--per-hop-ms`` fall back to its
+``zoning`` and ``protocol`` keys. ``trace`` checks every trace against the
+protocol's safety rules before writing it. Exit codes: 0 success, 2
 validation failure, 3 runtime failure (such as a trace that breaks a rule).
 
 All CSV output uses '.' decimals, repr-exact floats and newline-terminated
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -104,10 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hybridnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, writes: bool):
         p.add_argument("--config", default=_env_default("CONFIG"), help="YAML scenario file")
         p.add_argument("--seed", type=_seed, default=_env_default("SEED", _seed, 0))
-        p.add_argument("--out", default=_env_default("OUT"), help="output directory or file")
+        if writes:
+            p.add_argument("--out", default=_env_default("OUT"), help="output directory or file")
 
     for name, help_text in (("plan", "grid plan and zone-area report"), ("zones", "zone model as CSV")):
         p_zoning = sub.add_parser(name, help=help_text)
@@ -115,37 +116,35 @@ def build_parser() -> argparse.ArgumentParser:
         p_zoning.add_argument("--radius", type=float, help="default: zoning.coverage_radius_m")
         p_zoning.add_argument("--samples", type=int, default=_env_default("SAMPLES", int),
                               help="default: zoning.mc_samples")
-        common(p_zoning)
+        common(p_zoning, writes=name == "zones")
 
     p_exp = sub.add_parser("experiment", help="figure-reproduction run")
     p_exp.add_argument("name", choices=EXPERIMENTS)
-    common(p_exp)
+    common(p_exp, writes=True)
 
     p_trace = sub.add_parser("trace", help="execute one handover call flow")
     p_trace.add_argument("kind", choices=sorted(TRACE_KINDS))
     p_trace.add_argument("--per-hop-ms", type=float, help="default: protocol.per_hop_latency_s")
     p_trace.add_argument("--drop-step", type=int, default=None)
-    common(p_trace)
+    common(p_trace, writes=True)
 
     p_sim = sub.add_parser("indoor-sim", help="full indoor scenario run")
-    common(p_sim)
+    common(p_sim, writes=True)
     return parser
 
 
-def _zoning_args(args) -> tuple[float, float]:
-    """Room sides; an unset --radius or --samples takes the config's zoning value."""
-    config = cfgmod.load_config(args.config)
-    cfgmod.build(config, "zoning")  # range-checks the room and radius, naming the key
-    z = config["zoning"]
-    args.radius = z["coverage_radius_m"] if args.radius is None else _positive("--radius", args.radius)
-    args.samples = z["mc_samples"] if args.samples is None else args.samples
+def _zoning_args(args, config: dict, sections: dict) -> tuple[float, float]:
+    """Room sides; an unset --room, --radius or --samples takes the config's zoning value."""
+    room = sections["zoning"]
+    args.radius = room.coverage_radius_m if args.radius is None else _positive("--radius", args.radius)
+    args.samples = config["zoning"]["mc_samples"] if args.samples is None else args.samples
     if args.samples < zoning.MIN_MC_SAMPLES:
         raise ValueError(f"--samples: must be at least {zoning.MIN_MC_SAMPLES}, got {args.samples}")
-    return _parse_room(args.room) if args.room is not None else (z["room_x_m"], z["room_y_m"])
+    return _parse_room(args.room) if args.room is not None else (room.room_x_m, room.room_y_m)
 
 
-def cmd_plan(args) -> int:
-    a, b = _zoning_args(args)
+def cmd_plan(args, config: dict, sections: dict) -> int:
+    a, b = _zoning_args(args, config, sections)
     plan = zoning.plan_grid(a, b, args.radius)
     model = zoning.monte_carlo_zone_model(plan, args.samples, seed=args.seed)
     print(f"room: {a} m x {b} m, coverage radius {args.radius} m")
@@ -164,8 +163,8 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def cmd_zones(args) -> int:
-    a, b = _zoning_args(args)
+def cmd_zones(args, config: dict, sections: dict) -> int:
+    a, b = _zoning_args(args, config, sections)
     plan = zoning.plan_grid(a, b, args.radius)
     model = zoning.monte_carlo_zone_model(plan, args.samples, seed=args.seed)
     text = _csv_text(("zone", "analytic_area_m2", "mc_area_m2", "probability"), model.csv_rows())
@@ -176,56 +175,52 @@ def cmd_zones(args) -> int:
     return EXIT_OK
 
 
-def _experiment_rows(name: str, config: dict, seed: int):
-    build = functools.partial(cfgmod.build, config)
-    room = build("zoning")
+def _experiment_rows(name: str, config: dict, sections: dict):
     if name == "fig16":
-        cfg = build("engine.fig16", room=room, lifi_slots=config["policy"]["lifi_slots"], seed=seed)
         counts = list(range(config["engine"]["fig16"]["user_count_max"] + 1))
-        rows, _model = engine.idle_probability_experiment(cfg, counts)
+        rows, _model = engine.idle_probability_experiment(sections["engine.fig16"], counts)
         return ("active_users", "empirical_idle_prob", "eq_idle_prob"), rows
     if name == "fig17":
-        rows = engine.femto_sinr_experiment(build("engine.fig17", room=room, seed=seed), build("channel.rf"))
+        rows = engine.femto_sinr_experiment(sections["engine.fig17"], sections["channel.rf"])
         return ("scheme", "frf", "mean_sinr_db", "p5_sinr_db", "p50_sinr_db", "p95_sinr_db"), rows
     if name == "fig18":
-        cfg = build("engine.fig18", coverage_radius_m=room.coverage_radius_m, seed=seed)
         spacings = cfgmod.sweep(config["engine"]["fig18"], "spacing", "m")
-        return ("ap_distance_m", "lifi_only_success", "hybrid_success"), engine.handover_success_experiment(cfg, spacings)
+        rows = engine.handover_success_experiment(sections["engine.fig18"], spacings)
+        return ("ap_distance_m", "lifi_only_success", "hybrid_success"), rows
     if name == "fig19":
         rows = transport.capacity_sweep(
-            cfgmod.sweep(config["transport"]["fig19"], "distance", "km"), build("transport.vehicle"),
-            build("channel.optical"), build("channel.rf"),
+            cfgmod.sweep(config["transport"]["fig19"], "distance", "km"), sections["transport.vehicle"],
+            sections["channel.optical"], sections["channel.rf"],
         )
         return ("mbs_distance_km", "direct_bps", "relayed_bps"), rows
     if name == "fig20":
         rows = transport.outage_sweep(
-            cfgmod.sweep(config["transport"]["fig20"], "distance", "km"), build("transport.vehicle"), build("channel.rf")
+            cfgmod.sweep(config["transport"]["fig20"], "distance", "km"), sections["transport.vehicle"],
+            sections["channel.rf"],
         )
         return ("mbs_distance_km", "p_out_direct", "p_out_relayed"), rows
     if name == "fig21":
         rows = transport.reliability_sweep(
-            cfgmod.sweep(config["transport"]["fig21"], "distance", "m"), build("transport.fig21")
+            cfgmod.sweep(config["transport"]["fig21"], "distance", "m"), sections["transport.fig21"]
         )
         return ("inter_vehicle_distance_m", "rf_only", "owc_only", "hybrid"), rows
     raise ValueError(f"unknown experiment {name!r}")
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args, config: dict, sections: dict) -> int:
     started = time.monotonic()
-    config = cfgmod.load_config(args.config)
-    header, rows = _experiment_rows(args.name, config, args.seed)
+    header, rows = _experiment_rows(args.name, config, sections)
     csv_path = _write_run(args, config, started, args.name, f"experiment {args.name}", _csv_text(header, rows))
     print(f"wrote {csv_path}")
     return EXIT_OK
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args, config: dict, sections: dict) -> int:
     started = time.monotonic()
-    config = cfgmod.load_config(args.config)
     kind = TRACE_KINDS[args.kind]
     if args.per_hop_ms is not None and not 0.0 <= args.per_hop_ms < math.inf:
         raise ValueError(f"--per-hop-ms: per-hop latency must be finite and >= 0, got {args.per_hop_ms!r}")
-    per_hop_s = config["protocol"]["per_hop_latency_s"] if args.per_hop_ms is None else args.per_hop_ms / 1000.0
+    per_hop_s = sections["protocol"].per_hop_latency_s if args.per_hop_ms is None else args.per_hop_ms / 1000.0
     steps = len(protocol.canonical_sequence(kind))
     if args.drop_step is not None and not 1 <= args.drop_step <= steps:
         raise ValueError(f"--drop-step must lie in 1..{steps} for {args.kind}, got {args.drop_step}")
@@ -245,11 +240,9 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def cmd_indoor_sim(args) -> int:
+def cmd_indoor_sim(args, config: dict, sections: dict) -> int:
     started = time.monotonic()
-    config = cfgmod.load_config(args.config)
-    scenario = cfgmod.scenario_config(config, args.seed)
-    metrics = engine.simulate_indoor(scenario)
+    metrics = engine.simulate_indoor(sections["engine"])
     text = _csv_text(("metric", "value"), metrics.csv_rows())
     if args.out:
         csv_path = _write_run(args, config, started, "indoor_sim", "indoor-sim", text)
@@ -275,8 +268,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:  # e.g. a malformed env override
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        return COMMANDS[args.command](args)
+    try:  # the whole file is resolved, every value checked, before any command computes or writes
+        config = cfgmod.load_config(args.config)
+        return COMMANDS[args.command](args, config, cfgmod.resolve(config, args.seed))
     except (ValueError, FileNotFoundError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -5,7 +5,7 @@ One YAML file configures everything; its sections mirror the module names
 sections hold the fields of one dataclass, and the dataclass defaults are
 the only place a default is written: ``DEFAULT_CONFIG`` is derived from
 them, so an empty file reproduces the baseline setup. A user file is merged
-over the defaults strictly and then checked whole, whichever command reads
+over the defaults strictly and then resolved whole, whichever command reads
 it; a bad key or value raises ValueError naming its dotted path.
 """
 
@@ -22,27 +22,27 @@ from pathlib import Path
 
 import numpy as np
 
+from . import selection
 from .channel import POSITIVE, OpticalParams, RfParams, at_least
 from .engine import (
     AHP_CRITERIA, DEFAULT_AHP_MATRIX, FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig,
     MobilityConfig, PolicyConfig, RoomConfig, ScenarioConfig, TrafficConfig,
 )
-from .selection import CONSISTENCY_LIMIT, derive_weights
 from .transport import CarFollowScenario, VehicleLink
 from .zoning import MIN_MC_SAMPLES
 
 # Sections whose keys are the fields of one dataclass, less the listed
-# fields: those are context passed to `build` (the seed, a value from
-# another section). Dataclass-valued fields (room, mobility, ...) are never
-# keys. `protocol` carries the one PolicyConfig field that the protocol
-# layer reads.
+# fields: those are context that `resolve` passes to `build` (the seed, a
+# value from another section, the AHP weights). Dataclass-valued fields
+# (room, mobility, ...) are never keys. `protocol` carries the one
+# PolicyConfig field that the protocol layer reads.
 SECTIONS = {
     "channel.optical": (OpticalParams, ()),
     "channel.rf": (RfParams, ()),
     "zoning": (RoomConfig, ()),
     "policy": (PolicyConfig, ("per_hop_latency_s",)),
     "protocol": (PolicyConfig, ("t_h_s", "t_h1_s", "fap_slots", "lifi_slots")),
-    "engine": (ScenarioConfig, ("seed", "ahp_pairwise")),
+    "engine": (ScenarioConfig, ("seed", "ahp_weights")),
     "engine.mobility": (MobilityConfig, ()),
     "engine.traffic": (TrafficConfig, ()),
     "engine.fig16": (IdleExperimentConfig, ("lifi_slots", "seed")),
@@ -150,8 +150,8 @@ def deep_merge(base: dict, override: dict) -> dict:
 def build(config: dict, path: str, **context):
     """The dataclass of section ``path`` from its keys plus ``context``.
 
-    Context supplies fields the section does not carry; a field in neither
-    keeps its dataclass default. A value outside its enum, or one the
+    Context (from ``resolve``) supplies fields the section does not carry; a
+    field in neither keeps its default. A value outside its enum, or one the
     dataclass rejects, raises ValueError naming the key or the section.
     """
     cls, skip = SECTIONS[path]
@@ -171,28 +171,12 @@ def build(config: dict, path: str, **context):
         raise ValueError(f"{path}{'.' if str(exc).split(':')[0] in values else ': '}{exc}") from None
 
 
-def _check_pairwise(matrix) -> None:
-    n = len(AHP_CRITERIA)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise ValueError(f"selection.pairwise_matrix: expected {n}x{n}, one row and column per criterion "
-                         f"({', '.join(name for name, _mode in AHP_CRITERIA)})")
-    try:
-        _weights, cr = derive_weights(matrix)
-    except ValueError as exc:
-        raise ValueError(f"selection.pairwise_matrix: {exc}") from None
-    if cr > CONSISTENCY_LIMIT:
-        raise ValueError(f"selection.pairwise_matrix: consistency ratio {cr!r} exceeds {CONSISTENCY_LIMIT}")
-
-
 def load_config(path: str | Path | None) -> dict:
-    """Resolved configuration: defaults overridden by the YAML file, if any.
+    """The defaults, strictly overridden by the YAML file at ``path``, if any.
 
-    The whole file is checked, whatever the caller reads of it: every
-    section is built once, and once more inside the indoor scenario, every
-    range-checked key of ``EXTRA_KEYS`` must pass its test, and the AHP
-    matrix must be a valid comparison matrix with one row per criterion of
-    ``AHP_CRITERIA`` and a consistency ratio within ``CONSISTENCY_LIMIT``.
-    PyYAML is imported only when a file is read.
+    Only the file's shape is checked here: its keys, mappings and leaf
+    types. It builds nothing; ``resolve`` checks the values. PyYAML is
+    imported only when a file is read.
     """
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
@@ -202,21 +186,52 @@ def load_config(path: str | Path | None) -> dict:
         data = yaml.safe_load(Path(path).read_text())
     except yaml.YAMLError as exc:
         raise ValueError(f"{path}: not valid YAML: {exc}") from None
-    config = deep_merge(DEFAULT_CONFIG, {} if data is None else data)
-    for section in SECTIONS:
-        build(config, section)
-    scenario_config(config, 0)  # engine.duration_s against engine.mobility.tick_s
+    return deep_merge(DEFAULT_CONFIG, {} if data is None else data)
+
+
+def resolve(config: dict, seed: int) -> dict[str, object]:
+    """Every section of ``config`` built once with its real context, keyed by its ``SECTIONS`` path.
+
+    The context is the seed and values of other sections, so
+    ``engine.duration_s`` is checked against the configured tick, and the
+    AHP weights are derived here once. Every value check of the file runs
+    here, whatever the caller reads: the dataclass ranges, the ranges of
+    ``EXTRA_KEYS``, and the AHP matrix's shape (one row per criterion of
+    ``AHP_CRITERIA``) and consistency ratio (within ``CONSISTENCY_LIMIT``).
+    """
     for section_path, keys in EXTRA_KEYS.items():
         for name, spec in keys.items():
             value = _section(config, section_path)[name]
             if isinstance(spec, tuple) and not spec[2](value):
                 raise ValueError(f"{section_path}.{name}: must be {spec[1]}, got {value!r}")
-    _check_pairwise(config["selection"]["pairwise_matrix"])
-    return config
+    matrix, n = config["selection"]["pairwise_matrix"], len(AHP_CRITERIA)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError(f"selection.pairwise_matrix: expected {n}x{n}, one row and column per criterion "
+                         f"({', '.join(name for name, _mode in AHP_CRITERIA)})")
+    try:
+        weights, cr = selection.derive_weights(matrix)
+    except ValueError as exc:
+        raise ValueError(f"selection.pairwise_matrix: {exc}") from None
+    if cr > selection.CONSISTENCY_LIMIT:
+        raise ValueError(f"selection.pairwise_matrix: consistency ratio {cr!r} exceeds {selection.CONSISTENCY_LIMIT}")
+
+    out = {path: build(config, path) for path in ("channel.optical", "channel.rf", "zoning", "protocol",
+                                                  "engine.mobility", "engine.traffic", "transport.vehicle",
+                                                  "transport.fig21")}
+    room = out["zoning"]
+    out["policy"] = build(config, "policy", per_hop_latency_s=out["protocol"].per_hop_latency_s)
+    out["engine"] = build(
+        config, "engine", seed=seed, room=room, mobility=out["engine.mobility"], traffic=out["engine.traffic"],
+        policy=out["policy"], optical=out["channel.optical"], rf=out["channel.rf"], ahp_weights=weights,
+    )
+    out["engine.fig16"] = build(config, "engine.fig16", room=room, lifi_slots=out["policy"].lifi_slots, seed=seed)
+    out["engine.fig17"] = build(config, "engine.fig17", room=room, seed=seed)
+    out["engine.fig18"] = build(config, "engine.fig18", coverage_radius_m=room.coverage_radius_m, seed=seed)
+    return out
 
 
 def config_digest(config: dict) -> str:
-    """Deterministic sha256 over the resolved configuration."""
+    """Deterministic sha256 over the merged configuration."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -225,14 +240,3 @@ def sweep(section: dict, name: str, unit: str) -> list[float]:
     """Evenly spaced values from a section's ``<name>_start_<unit>``, ``<name>_stop_<unit>`` and ``<name>_count``."""
     values = np.linspace(section[f"{name}_start_{unit}"], section[f"{name}_stop_{unit}"], section[f"{name}_count"])
     return [float(v) for v in values]
-
-
-def scenario_config(config: dict, seed: int) -> ScenarioConfig:
-    """The indoor scenario, assembled from the sections it spans."""
-    return build(
-        config, "engine", seed=seed, room=build(config, "zoning"),
-        mobility=build(config, "engine.mobility"), traffic=build(config, "engine.traffic"),
-        policy=build(config, "policy", per_hop_latency_s=config["protocol"]["per_hop_latency_s"]),
-        optical=build(config, "channel.optical"), rf=build(config, "channel.rf"),
-        ahp_pairwise=tuple(tuple(row) for row in config["selection"]["pairwise_matrix"]),
-    )

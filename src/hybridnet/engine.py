@@ -104,6 +104,8 @@ DEFAULT_AHP_MATRIX = (
     (0.5, 1.0, 1.0, 2.0),
     (0.25, 0.5, 0.5, 1.0),
 )
+# The weights of the default matrix, derived once at import for the ScenarioConfig default.
+DEFAULT_AHP_WEIGHTS = selection.derive_weights(DEFAULT_AHP_MATRIX)[0]
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ class ScenarioConfig:
     policy: PolicyConfig = PolicyConfig()
     optical: OpticalParams = OpticalParams()
     rf: RfParams = RfParams()
-    ahp_pairwise: tuple[tuple[float, ...], ...] = DEFAULT_AHP_MATRIX
+    ahp_weights: tuple[float, ...] = DEFAULT_AHP_WEIGHTS
 
     def __post_init__(self):
         check_fields(self, *at_least(0), "user_count")
@@ -434,7 +436,7 @@ class _IndoorSim:
         return self.metrics
 
     def _rank_networks(self) -> None:
-        """Score the two networks from run aggregates and attach the ranking."""
+        """Score the two networks from run aggregates and rank them with the scenario's AHP weights."""
         if not self.metrics.link_samples:
             return
         lifi_load = _mean(_added(0.0, (ap.occupied_slots / ap.capacity_slots for ap in self.lifi)), len(self.lifi))
@@ -443,9 +445,8 @@ class _IndoorSim:
             (_mean(capacity, count), max(_mean(sinr, count), 0.0), AHP_MOBILITY[kind], max(loads[kind], AHP_LOAD_FLOOR))
             for kind, (count, sinr, capacity) in self._kind_sums.items()
         )
-        weights, _cr = selection.derive_weights(self.cfg.ahp_pairwise)
         modes = tuple(mode for _name, mode in AHP_CRITERIA)
-        self.metrics.ahp_rank = selection.rank_networks(values, modes, weights)
+        self.metrics.ahp_rank = selection.rank_networks(values, modes, self.cfg.ahp_weights)
 
 
 def simulate_indoor(config: ScenarioConfig) -> Metrics:

@@ -38,7 +38,7 @@ def derive_weights(pairwise_matrix) -> tuple[tuple[float, ...], float]:
 
     Power iteration runs to a relative tolerance of 1e-10. The consistency
     ratio is ``((lambda_max - N) / (N - 1)) / RI(N)``; it is not checked
-    here: loading a config rejects a matrix above ``CONSISTENCY_LIMIT``.
+    here: resolving a config rejects a matrix above ``CONSISTENCY_LIMIT``.
     """
     matrix = np.asarray(pairwise_matrix, dtype=float)
     _validate_reciprocal(matrix)

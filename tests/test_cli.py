@@ -1,6 +1,7 @@
 """Command-line surface tests: schemas, exit codes and byte determinism."""
 
 import builtins
+import collections
 import dataclasses
 import hashlib
 import json
@@ -13,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridnet import cli, protocol
-from hybridnet.config import DEFAULT_CONFIG, config_digest, deep_merge, load_config
+from hybridnet import cli, config as cfgmod, protocol, selection
+from hybridnet.config import DEFAULT_CONFIG, config_digest, deep_merge, load_config, resolve
 from hybridnet.protocol import HandoverKind, MessageKind
 
 SMALL_OVERRIDES = """
@@ -77,6 +78,11 @@ def test_every_golden_entry_is_read():
             assert set(entry) == GOLDEN_FIELDS and entry["command"] == command, entry["id"]
 
 
+def out_flag(argv: list, path: Path) -> list:
+    """``--out path`` for a command that writes; ``plan`` only prints and takes no ``--out``."""
+    return [] if argv[0] == "plan" else ["--out", str(path)]
+
+
 @pytest.fixture
 def small_config(tmp_path):
     path = tmp_path / "small.yaml"
@@ -102,6 +108,17 @@ class TestPlan:
         cli.main(args)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_takes_no_out(self, tmp_path, monkeypatch, capsys):
+        # plan only prints: --out is not one of its flags, and an exported HYBRIDNET_OUT does not stop it.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["plan", "--samples", "16384", "--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        monkeypatch.setenv("HYBRIDNET_OUT", str(tmp_path / "out"))
+        assert cli.main(["plan", "--samples", "16384"]) == 0
+        assert "ap_count: 9" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_reads_zoning_from_config(self, tmp_path, capsys):
         path = tmp_path / "floor.yaml"
@@ -136,7 +153,7 @@ class TestSeed:
     @pytest.mark.parametrize("seed", ["-1", "abc"])
     def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, command, seed):
         with pytest.raises(SystemExit) as excinfo:  # argparse rejects the flag's value
-            cli.main([*command, "--seed", seed, "--out", str(tmp_path / "out")])
+            cli.main([*command, "--seed", seed, *out_flag(command, tmp_path / "out")])
         assert excinfo.value.code == 2
         assert "--seed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -144,7 +161,7 @@ class TestSeed:
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: argv[0])
     def test_negative_env_seed_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.setenv("HYBRIDNET_SEED", "-1")
-        assert cli.main([*command, "--out", str(tmp_path / "out")]) == 2
+        assert cli.main([*command, *out_flag(command, tmp_path / "out")]) == 2
         assert "HYBRIDNET_SEED" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -311,6 +328,8 @@ class TestExperiments:
             (["experiment", "fig17"], "protocol: {per_hop_latency_s: -0.001}\n", "protocol.per_hop_latency_s"),
             (["experiment", "fig17"], "engine: {duration_s: 0.04}\n", "engine.duration_s"),
             (["experiment", "fig17"], "engine: {duration_s: 0.4, mobility: {tick_s: 1.0}}\n", "engine.duration_s"),
+            (["indoor-sim"], "engine: {duration_s: 0.004, mobility: {tick_s: 0.01}}\n",
+             "engine.duration_s: must be at least one tick_s (0.01)"),
             (["experiment", "fig17"], "channel: {optical: {pd_area_m2: 0.0}}\n", "channel.optical.pd_area_m2"),
             (["experiment", "fig18"], "channel: {rf: {mbs_height_m: 0.0}}\n", "channel.rf.mbs_height_m"),
             (["experiment", "fig17"], "transport: {vehicle: {shadowing_sigma_dB: 0.0}}\n",
@@ -328,14 +347,14 @@ class TestExperiments:
              "fig17-min-link-distance-zero", "fig17-deployment-radius-negative", "fig19-start-zero",
              "fig20-stop-negative", "fig21-stop-negative", "fig18-start-negative", "speed-max-below-min",
              "voice-fraction-above-one", "dwell-zero", "per-hop-negative", "duration-below-one-tick",
-             "duration-below-one-long-tick", "optical-pd-area-zero", "rf-height-zero", "shadowing-zero",
-             "car-window-zero"],
+             "duration-below-one-long-tick", "duration-below-one-short-tick", "optical-pd-area-zero", "rf-height-zero",
+             "shadowing-zero", "car-window-zero"],
     )
     def test_unparsable_config_is_validation_error(self, tmp_path, capsys, argv, text, key):
         bad = tmp_path / "bad.yaml"
         if text is not None:
             bad.write_text(text)
-        assert cli.main([*argv, "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert cli.main([*argv, "--config", str(bad), *out_flag(argv, tmp_path / "out")]) == 2
         assert key is None or key in capsys.readouterr().err
 
     def test_readme_example_config_runs(self, tmp_path):
@@ -437,10 +456,38 @@ class TestIndoorSim:
         manifest = json.loads((out / "indoor_sim.manifest.json").read_text())
         assert manifest["seed"] == 123
 
+    def test_duration_is_checked_against_the_configured_tick(self, tmp_path, capsys):
+        path = tmp_path / "short-tick.yaml"
+        path.write_text("engine: {duration_s: 0.04, mobility: {tick_s: 0.01}}\n")  # four ticks
+        assert cli.main(["indoor-sim", "--config", str(path)]) == 0
+        assert "fap_idle_fraction," in capsys.readouterr().out
+
     def test_malformed_env_seed_is_validation_error(self, monkeypatch, capsys):
         monkeypatch.setenv("HYBRIDNET_SEED", "not-a-number")
         assert cli.main(["trace", "lifi-to-lifi"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestRunFigures:
+    @pytest.mark.parametrize("out_given_by", ["flag", "variable", "neither"])
+    def test_environment_reaches_every_experiment(self, tmp_path, small_config, out_given_by):
+        # Only the flags given are passed on: HYBRIDNET_SEED and HYBRIDNET_OUT apply, and out/ is the fallback.
+        root = Path(__file__).resolve().parents[1]
+        env = {**{k: v for k, v in os.environ.items() if not k.startswith("HYBRIDNET_")},
+               "PYTHONPATH": str(root / "src"), "HYBRIDNET_CONFIG": small_config, "HYBRIDNET_SEED": "3"}
+        out, flags = tmp_path / "figs", []
+        if out_given_by == "flag":
+            flags = ["--out", str(out)]
+        elif out_given_by == "variable":
+            env["HYBRIDNET_OUT"] = str(out)
+        else:
+            out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, str(root / "scripts" / "run_figures.py"), *flags], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        for name in cli.EXPERIMENTS:
+            manifest = json.loads((out / f"{name}.manifest.json").read_text())
+            assert manifest["seed"] == 3 and manifest["config_digest"] == config_digest(load_config(small_config))
 
 
 class TestConfig:
@@ -451,17 +498,40 @@ class TestConfig:
         assert config_digest(resolved) == "sha256:7ecea9679620c0e42a38b398c491d9f5e9b27df6eca997e8f9c8c7196c896725"
 
     def test_inline_criteria_table_parses(self, tmp_path):
-        from hybridnet.config import scenario_config
-
         path = tmp_path / "crit.yaml"
         path.write_text(
             "selection:\n"
             "  pairwise_matrix: [[1.0, 3.0, 3.0, 3.0], [0.3333333333333333, 1.0, 1.0, 1.0],\n"
             "                    [0.3333333333333333, 1.0, 1.0, 1.0], [0.3333333333333333, 1.0, 1.0, 1.0]]\n"
         )
-        resolved = load_config(str(path))
-        scenario = scenario_config(resolved, seed=1)
-        assert scenario.ahp_pairwise[0][1] == 3.0
+        merged = load_config(str(path))
+        scenario = resolve(merged, seed=1)["engine"]
+        assert scenario.ahp_weights == selection.derive_weights(merged["selection"]["pairwise_matrix"])[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["indoor-sim"], ["indoor-sim", "--config"], ["experiment", "fig18", "--config"], ["plan"],
+         ["trace", "lifi-to-lifi"]],
+        ids=["indoor-sim", "indoor-sim-config", "fig18-config", "plan", "trace"],
+    )
+    def test_each_command_builds_every_section_once(self, tmp_path, monkeypatch, capsys, small_config, argv):
+        builds, derivations = collections.Counter(), []
+        build, derive_weights = cfgmod.build, selection.derive_weights
+
+        def counted_build(config, path, **context):
+            builds[path] += 1
+            return build(config, path, **context)
+
+        def counted_derive_weights(matrix):
+            derivations.append(matrix)
+            return derive_weights(matrix)
+
+        monkeypatch.setattr(cfgmod, "build", counted_build)
+        monkeypatch.setattr(selection, "derive_weights", counted_derive_weights)
+        argv = [*argv, small_config] if argv[-1] == "--config" else argv
+        assert cli.main([*argv, *out_flag(argv, tmp_path / "out")]) == 0
+        assert builds == dict.fromkeys(cfgmod.SECTIONS, 1)
+        assert len(derivations) == 1
 
     def test_deep_merge_overrides_leaves(self):
         merged = deep_merge(DEFAULT_CONFIG, {"zoning": {"room_x_m": 30.0}})

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hybridnet.config import load_config
+from hybridnet.config import load_config, resolve
 from hybridnet.selection import RANDOM_INDEX, derive_weights, rank_networks
 
 
@@ -78,10 +78,12 @@ class TestDeriveWeights:
         )
         path.write_text(json.dumps({"selection": {"pairwise_matrix": inconsistent.tolist()}}))
         with pytest.raises(ValueError, match="selection.pairwise_matrix: consistency ratio"):
-            load_config(path)
+            resolve(load_config(path), seed=0)
         consistent = ratio_matrix([4.0, 3.0, 2.0, 1.0])
         path.write_text(json.dumps({"selection": {"pairwise_matrix": consistent.tolist()}}))
-        assert load_config(path)["selection"]["pairwise_matrix"] == consistent.tolist()
+        merged = load_config(path)
+        assert merged["selection"]["pairwise_matrix"] == consistent.tolist()
+        assert resolve(merged, seed=0)["engine"].ahp_weights == derive_weights(consistent)[0]
 
 
 class TestRankNetworks:
