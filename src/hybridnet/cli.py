@@ -220,7 +220,7 @@ def cmd_trace(args, config: dict, sections: dict) -> int:
     kind = TRACE_KINDS[args.kind]
     if args.per_hop_ms is not None and not 0.0 <= args.per_hop_ms < math.inf:
         raise ValueError(f"--per-hop-ms: per-hop latency must be finite and >= 0, got {args.per_hop_ms!r}")
-    per_hop_s = sections["protocol"].per_hop_latency_s if args.per_hop_ms is None else args.per_hop_ms / 1000.0
+    per_hop_s = sections["policy"].per_hop_latency_s if args.per_hop_ms is None else args.per_hop_ms / 1000.0
     steps = len(protocol.canonical_sequence(kind))
     if args.drop_step is not None and not 1 <= args.drop_step <= steps:
         raise ValueError(f"--drop-step must lie in 1..{steps} for {args.kind}, got {args.drop_step}")

@@ -35,7 +35,8 @@ from .zoning import MIN_MC_SAMPLES
 # fields: those are context that `resolve` passes to `build` (the seed, a
 # value from another section, the AHP weights). Dataclass-valued fields
 # (room, mobility, ...) are never keys. `protocol` carries the one
-# PolicyConfig field that the protocol layer reads.
+# PolicyConfig field that the protocol layer reads; `resolve` hands it to
+# `policy`, the one PolicyConfig it returns.
 SECTIONS = {
     "channel.optical": (OpticalParams, ()),
     "channel.rf": (RfParams, ()),
@@ -192,6 +193,9 @@ def load_config(path: str | Path | None) -> dict:
 def resolve(config: dict, seed: int) -> dict[str, object]:
     """Every section of ``config`` built once with its real context, keyed by its ``SECTIONS`` path.
 
+    ``protocol`` is the exception: its one field goes into ``policy``, so
+    the result holds one PolicyConfig, the configured one.
+
     The context is the seed and values of other sections, so
     ``engine.duration_s`` is checked against the configured tick, and the
     AHP weights are derived here once. Every value check of the file runs
@@ -219,7 +223,7 @@ def resolve(config: dict, seed: int) -> dict[str, object]:
                                                   "engine.mobility", "engine.traffic", "transport.vehicle",
                                                   "transport.fig21")}
     room = out["zoning"]
-    out["policy"] = build(config, "policy", per_hop_latency_s=out["protocol"].per_hop_latency_s)
+    out["policy"] = build(config, "policy", per_hop_latency_s=out.pop("protocol").per_hop_latency_s)
     out["engine"] = build(
         config, "engine", seed=seed, room=room, mobility=out["engine.mobility"], traffic=out["engine.traffic"],
         policy=out["policy"], optical=out["channel.optical"], rf=out["channel.rf"], ahp_weights=weights,

@@ -1,18 +1,21 @@
 """Vehicle-side models: relay capacity, outage and car-to-car link reliability.
 
-A roof-mounted relay terminates the macrocell downlink outside the vehicle
-body, removing the vehicle-wall penetration loss; passengers then attach
-to an in-vehicle LiFi AP or femtocell. The end-to-end relayed rate is the
-minimum of the backhaul and access hops. Outage places log-normal
-shadowing on the macro link and compares against separate receiver
-thresholds for the in-vehicle user and the relay.
+Each model is a sweep over distances, one CSV row per distance (fig19 to
+fig21). A roof-mounted relay terminates the macrocell downlink outside the
+vehicle body, removing the vehicle-wall penetration loss; passengers then
+attach to an in-vehicle LiFi AP or femtocell. The end-to-end relayed rate
+is the minimum of the backhaul and access hops; the access hop does not
+depend on the distance, so ``capacity_sweep`` computes it once. Outage
+places log-normal shadowing on the macro link and compares against
+separate receiver thresholds for the in-vehicle user and the relay.
 
 Car-following reliability treats the RF and optical links as availability
 predicates: RF is up while the gap is inside the RF range, the optical
 link while the heading difference between the two cars stays inside the
 receiver field of view. A U-turn sweeps the leader's heading through 180
 degrees and back as the follower takes the same turn, producing a
-deterministic optical outage window.
+deterministic optical outage window. The leader's heading is the same for
+every gap, so ``reliability_sweep`` samples it once.
 """
 
 from __future__ import annotations
@@ -74,29 +77,36 @@ def access_capacity_bps(link: VehicleLink, optical: OpticalParams, rf: RfParams)
     return channel.shannon_capacity(channel.rf_sinr(rx, [], rf.noise_dBm(rf.femto_bandwidth_Hz)), rf.femto_bandwidth_Hz)
 
 
-def vehicle_downlink_capacity(
-    distance_km: float, link: VehicleLink, optical: OpticalParams, rf: RfParams
-) -> tuple[float, float]:
-    """(direct, relayed) downlink rates in bit/s for one in-vehicle user ``distance_km`` from the MBS.
-
-    Direct connectivity pays the vehicle-wall penetration loss; the relayed
-    path removes it on the backhaul and is bounded by the in-vehicle access
-    hop: ``relayed = min(backhaul, access)``.
-    """
-    direct_snr = macro_snr_dB(distance_km, rf, ObstacleClass.VEHICLE_WALL)
-    backhaul_snr = macro_snr_dB(distance_km, rf, ObstacleClass.NONE)
-    direct = channel.shannon_capacity(channel.db_to_linear(direct_snr), rf.macro_bandwidth_Hz)
-    backhaul = channel.shannon_capacity(channel.db_to_linear(backhaul_snr), rf.macro_bandwidth_Hz)
-    relayed = min(backhaul, access_capacity_bps(link, optical, rf))
-    return float(direct), float(relayed)
-
-
 def _normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def vehicle_outage(distance_km: float, link: VehicleLink, rf: RfParams) -> tuple[float, float]:
-    """(direct, relayed) outage probabilities ``distance_km`` from the MBS.
+# Figure sweeps ------------------------------------------------------------
+# The work is elementwise, so a sweep gives the same bits as evaluating each
+# distance alone: capacity and outage take all distances in one array pass,
+# reliability one pass over the window per distance.
+
+DT_S = 1e-3  # time step of the car-following window
+
+
+def capacity_sweep(distances_km, link: VehicleLink, optical: OpticalParams, rf: RfParams):
+    """Rows of (distance_km, direct_bps, relayed_bps) for one in-vehicle user at each distance from the MBS.
+
+    Direct connectivity pays the vehicle-wall penetration loss; the relayed
+    path removes it on the backhaul and is bounded by the in-vehicle access
+    hop, which does not depend on the distance: ``relayed = min(backhaul, access)``.
+    """
+    d = np.asarray(distances_km, dtype=float)
+    direct_snr = macro_snr_dB(d, rf, ObstacleClass.VEHICLE_WALL)
+    backhaul_snr = macro_snr_dB(d, rf, ObstacleClass.NONE)
+    direct = channel.shannon_capacity(channel.db_to_linear(direct_snr), rf.macro_bandwidth_Hz)
+    backhaul = channel.shannon_capacity(channel.db_to_linear(backhaul_snr), rf.macro_bandwidth_Hz)
+    relayed = np.minimum(backhaul, access_capacity_bps(link, optical, rf))
+    return list(zip(d.tolist(), direct.tolist(), relayed.tolist()))
+
+
+def outage_sweep(distances_km, link: VehicleLink, rf: RfParams):
+    """Rows of (distance_km, p_out_direct, p_out_relayed) at each distance from the MBS.
 
     Log-normal shadowing with the configured sigma rides on the macro
     link; outage is the probability that the shadowed SNR falls below the
@@ -104,68 +114,37 @@ def vehicle_outage(distance_km: float, link: VehicleLink, rf: RfParams) -> tuple
     and pays the wall loss; the relayed path uses the relay threshold and
     does not.
     """
-    mean_direct = macro_snr_dB(distance_km, rf, ObstacleClass.VEHICLE_WALL)
-    mean_relay = macro_snr_dB(distance_km, rf, ObstacleClass.NONE)
+    d = np.asarray(distances_km, dtype=float)
     sigma = link.shadowing_sigma_dB
-    p_direct = _normal_cdf((link.sinr_threshold_user_dB - mean_direct) / sigma)
-    p_relayed = _normal_cdf((link.sinr_threshold_relay_dB - mean_relay) / sigma)
-    return p_direct, p_relayed
+    z_direct = (link.sinr_threshold_user_dB - macro_snr_dB(d, rf, ObstacleClass.VEHICLE_WALL)) / sigma
+    z_relayed = (link.sinr_threshold_relay_dB - macro_snr_dB(d, rf, ObstacleClass.NONE)) / sigma
+    rows = zip(d.tolist(), z_direct.tolist(), z_relayed.tolist())
+    return [(di, _normal_cdf(zd), _normal_cdf(zr)) for di, zd, zr in rows]
 
 
-def car_link_reliability(
-    distance_m: float, scenario: CarFollowScenario, dt_s: float = 1e-3
-) -> tuple[float, float, float]:
-    """(rf_only, owc_only, hybrid) up-time fractions over the window, the cars ``distance_m`` apart.
+def reliability_sweep(distances_m, scenario: CarFollowScenario):
+    """Rows of (inter_vehicle_distance_m, rf_only, owc_only, hybrid) up-time fractions over the window.
 
     The leader enters the U-turn at ``uturn_start_s`` and sweeps 180
     degrees of heading at constant speed; the follower does the same one
     gap-travel-time later, closing the heading difference again. The
     optical link is down while the difference exceeds the field-of-view
-    semi-angle; the hybrid link is up when either component is.
+    semi-angle, sampled every ``DT_S``. RF is up for the whole window or
+    not at all, so the hybrid link, up when either component is, is always
+    up with RF and is the optical link without it.
     """
-    if distance_m <= 0:
-        raise ValueError("inter-vehicle distance must be positive")
-    if dt_s <= 0:
-        raise ValueError("time step must be positive")
     speed_mps = scenario.speed_kmh / 3.6
     turn_duration = math.pi * scenario.uturn_radius_m / speed_mps
-    follower_delay = distance_m / speed_mps
-    t = (np.arange(int(round(scenario.window_s / dt_s))) + 0.5) * dt_s
-    t0 = scenario.uturn_start_s
-    lead = np.clip((t - t0) / turn_duration, 0.0, 1.0)
-    follow = np.clip((t - t0 - follower_delay) / turn_duration, 0.0, 1.0)
-    heading_diff_deg = 180.0 * (lead - follow)
-    owc_up = heading_diff_deg <= scenario.owc_fov_semi_angle_deg
-    rf_up = np.full_like(owc_up, distance_m <= scenario.rf_range_m)
-    hybrid_up = rf_up | owc_up
-    return float(rf_up.mean()), float(owc_up.mean()), float(hybrid_up.mean())
-
-
-# Figure sweeps ------------------------------------------------------------
-
-
-def capacity_sweep(distances_km, link: VehicleLink, optical: OpticalParams, rf: RfParams):
-    """Rows of (distance_km, direct_bps, relayed_bps)."""
-    rows = []
-    for d in distances_km:
-        direct, relayed = vehicle_downlink_capacity(float(d), link, optical, rf)
-        rows.append((float(d), direct, relayed))
-    return rows
-
-
-def outage_sweep(distances_km, link: VehicleLink, rf: RfParams):
-    """Rows of (distance_km, p_out_direct, p_out_relayed)."""
-    rows = []
-    for d in distances_km:
-        p_direct, p_relayed = vehicle_outage(float(d), link, rf)
-        rows.append((float(d), p_direct, p_relayed))
-    return rows
-
-
-def reliability_sweep(distances_m, scenario: CarFollowScenario):
-    """Rows of (inter_vehicle_distance_m, rf_only, owc_only, hybrid)."""
+    t = (np.arange(int(round(scenario.window_s / DT_S))) + 0.5) * DT_S
+    since_turn = t - scenario.uturn_start_s  # time since the leader entered the turn
+    lead = np.clip(since_turn / turn_duration, 0.0, 1.0)
     rows = []
     for d in distances_m:
-        rf_only, owc_only, hybrid = car_link_reliability(float(d), scenario)
-        rows.append((float(d), rf_only, owc_only, hybrid))
+        d = float(d)
+        if d <= 0:
+            raise ValueError("inter-vehicle distance must be positive")
+        follow = np.clip((since_turn - d / speed_mps) / turn_duration, 0.0, 1.0)
+        owc_only = float((180.0 * (lead - follow) <= scenario.owc_fov_semi_angle_deg).mean())
+        rf_only = float(d <= scenario.rf_range_m)
+        rows.append((d, rf_only, owc_only, 1.0 if rf_only else owc_only))
     return rows

@@ -16,6 +16,7 @@ import pytest
 
 from hybridnet import cli, config as cfgmod, protocol, selection
 from hybridnet.config import DEFAULT_CONFIG, config_digest, deep_merge, load_config, resolve
+from hybridnet.engine import PolicyConfig
 from hybridnet.protocol import HandoverKind, MessageKind
 
 SMALL_OVERRIDES = """
@@ -507,6 +508,19 @@ class TestConfig:
         merged = load_config(str(path))
         scenario = resolve(merged, seed=1)["engine"]
         assert scenario.ahp_weights == selection.derive_weights(merged["selection"]["pairwise_matrix"])[0]
+
+    def test_every_resolved_policy_is_the_configured_one(self, tmp_path, capsys):
+        path = tmp_path / "policy.yaml"
+        path.write_text("policy: {t_h_s: 5.0, lifi_slots: 4}\nprotocol: {per_hop_latency_s: 0.003}\n")
+        sections = resolve(load_config(str(path)), seed=0)
+        configured = PolicyConfig(t_h_s=5.0, lifi_slots=4, per_hop_latency_s=0.003)
+        policies = [s for s in sections.values() if isinstance(s, PolicyConfig)] + [sections["engine"].policy]
+        assert policies == [configured, configured]
+        # trace reads the configured per-hop latency
+        assert cli.main(["trace", "lifi-to-lifi", "--config", str(path)]) == 0
+        from_config = capsys.readouterr().out
+        assert cli.main(["trace", "lifi-to-lifi", "--per-hop-ms", "3"]) == 0
+        assert capsys.readouterr().out == from_config
 
     @pytest.mark.parametrize(
         "argv",

@@ -18,6 +18,11 @@ only a call that leaves the argument out keeps a default. The first
 parameter of a method (``self`` or ``cls``) is not counted. A function that ``src/`` never calls
 is left to the reference rule. Dataclass field defaults are not covered:
 ``config.py`` derives ``DEFAULT_CONFIG`` from them.
+
+Option rule, the default rule's mirror: a function's parameter default
+must be passed by at least one call in ``src/`` or ``scripts/``. A
+default that no call passes makes the parameter an option that only the
+tests set. Calls, unpacking and uncalled functions count as above.
 """
 
 import ast
@@ -27,6 +32,7 @@ from collections import defaultdict
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hybridnet"
+SCRIPTS = SRC.parents[1] / "scripts"
 
 EXEMPT = {
     # ROADMAP item 5 writes fig18's closed_form column from it; until then the acceptance suite calls it.
@@ -87,11 +93,12 @@ def _passes(call: ast.Call, positional: list[str], param: str) -> bool:
     return param in positional[:len(call.args)] or any(k.arg == param for k in call.keywords)
 
 
-def always_passed_defaults(src: Path) -> list[str]:
-    """``module:function(parameter)`` of each default that every call in ``src`` passes."""
+def _defaults_passed(src: Path, callers: tuple[Path, ...], rule) -> list[str]:
+    """``module:function(parameter)`` of each default of a ``src`` function whose calls in ``src`` and
+    ``callers`` satisfy ``rule``, a predicate over the calls' "passes it" flags."""
     trees = _parse(src)
     calls = defaultdict(list)  # bare called name -> its call nodes
-    for tree in trees.values():
+    for tree in [*trees.values(), *(tree for caller in callers for tree in _parse(caller).values())]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
@@ -103,13 +110,28 @@ def always_passed_defaults(src: Path) -> list[str]:
             defaulted = positional[len(positional) - len(args.defaults):]
             defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
             found += [f"{module}:{function.name}({param})" for param in defaulted
-                      if sites and all(_passes(call, positional, param) for call in sites)]
+                      if sites and rule(_passes(call, positional, param) for call in sites)]
     return found
+
+
+def always_passed_defaults(src: Path) -> list[str]:
+    """``module:function(parameter)`` of each default that every call in ``src`` passes."""
+    return _defaults_passed(src, (), all)
+
+
+def never_passed_defaults(src: Path, *callers: Path) -> list[str]:
+    """``module:function(parameter)`` of each default of ``src`` that no call in ``src`` or ``callers`` passes."""
+    return _defaults_passed(src, callers, lambda passed: not any(passed))
 
 
 def test_no_default_is_passed_by_every_src_call():
     found = always_passed_defaults(SRC)
     assert not found, f"every src/ call passes these defaults, so make the parameters required: {found}"
+
+
+def test_every_default_is_left_out_by_some_call():
+    found = never_passed_defaults(SRC, SCRIPTS)
+    assert not found, f"no call in src/ or scripts/ passes these defaults, so they are test-only options: {found}"
 
 
 def test_default_rule_on_small_modules(tmp_path):
@@ -149,6 +171,48 @@ def test_default_rule_on_small_modules(tmp_path):
     """))
     assert sorted(always_passed_defaults(tmp_path)) == [
         "lib.py:method(a)", "lib.py:passed(y)", "lib.py:passed(z)", "lib.py:unpacked(a)", "lib.py:unpacked(b)",
+    ]
+
+
+def test_option_rule_on_small_modules(tmp_path):
+    (tmp_path / "lib.py").write_text(textwrap.dedent("""
+        def omitted(x, y=1):
+            return x + y
+
+        def option(x, y=1, *, z=2):
+            return x + y + z
+
+        class Box:
+            def method(self, a=0):
+                return a
+
+        def unpacked(a=0):
+            return a
+
+        def passed_by_a_caller(a=0):
+            return a
+
+        def uncalled(a=0):
+            return a
+    """))
+    (tmp_path / "app.py").write_text(textwrap.dedent("""
+        from lib import Box, omitted, option, passed_by_a_caller, unpacked
+
+        def run(args):
+            omitted(1, 2)
+            omitted(3)
+            option(1)
+            option(1, z=3)
+            Box().method()
+            unpacked(*args)
+            passed_by_a_caller()
+    """))
+    callers = tmp_path / "callers"
+    callers.mkdir()
+    (callers / "script.py").write_text("from lib import passed_by_a_caller\n\npassed_by_a_caller(a=1)\n")
+    assert sorted(never_passed_defaults(tmp_path, callers)) == ["lib.py:method(a)", "lib.py:option(y)"]
+    assert sorted(never_passed_defaults(tmp_path)) == [
+        "lib.py:method(a)", "lib.py:option(y)", "lib.py:passed_by_a_caller(a)",
     ]
 
 

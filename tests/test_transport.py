@@ -6,11 +6,10 @@ from statistics import NormalDist
 
 import pytest
 
+from hybridnet import channel, transport
 from hybridnet.channel import ObstacleClass, OpticalParams, RfParams
 from hybridnet.transport import (
-    AccessKind, CarFollowScenario, VehicleLink, capacity_sweep,
-    car_link_reliability, macro_snr_dB,
-    outage_sweep, reliability_sweep, vehicle_downlink_capacity, vehicle_outage,
+    DT_S, AccessKind, CarFollowScenario, VehicleLink, capacity_sweep, macro_snr_dB, outage_sweep, reliability_sweep,
 )
 
 RF = RfParams()
@@ -38,21 +37,21 @@ class TestVehicleCapacity:
         assert direct_oracle == pytest.approx(58e6, rel=0.01)
         assert backhaul_oracle == pytest.approx(91e6, rel=0.01)
 
-        direct, relayed = vehicle_downlink_capacity(0.5, LINK, OPTICAL, RF)
+        [(_, direct, relayed)] = capacity_sweep([0.5], LINK, OPTICAL, RF)
         assert direct == pytest.approx(direct_oracle, rel=1e-9)
         # the 6 W LiFi access link is far above the backhaul, so it is not the bottleneck
         assert relayed == pytest.approx(backhaul_oracle, rel=1e-9)
 
     def test_relayed_beats_direct_when_access_is_not_bottleneck(self):
         for d in (0.2, 0.5, 1.0, 2.0):
-            direct, relayed = vehicle_downlink_capacity(d, LINK, OPTICAL, RF)
+            [(_, direct, relayed)] = capacity_sweep([d], LINK, OPTICAL, RF)
             assert relayed >= direct
 
     def test_access_link_can_bottleneck(self):
         # a weak femto access hop caps the relayed rate
         weak_rf = RfParams(fap_tx_dBm=-60.0)
         link = replace(LINK, in_vehicle_access=AccessKind.FAP, access_femto_distance_m=8.0)
-        _, relayed = vehicle_downlink_capacity(0.5, link, OPTICAL, weak_rf)
+        [(_, _, relayed)] = capacity_sweep([0.5], link, OPTICAL, weak_rf)
         backhaul = 10e6 * math.log2(1 + 10 ** ((46.0 - _hata_db(0.5, 0.0) + 104.0) / 10))
         assert relayed < backhaul
 
@@ -69,7 +68,7 @@ class TestVehicleCapacity:
 
     def test_invalid_link(self):
         with pytest.raises(ValueError):
-            vehicle_downlink_capacity(0.0, LINK, OPTICAL, RF)
+            capacity_sweep([0.0], LINK, OPTICAL, RF)
         with pytest.raises(ValueError):
             VehicleLink(shadowing_sigma_dB=0.0)
 
@@ -78,7 +77,7 @@ class TestVehicleOutage:
     def test_against_normal_cdf_oracle(self):
         oracle = NormalDist()
         for d in (0.2, 0.5, 1.5):
-            p_direct, p_relayed = vehicle_outage(d, LINK, RF)
+            [(_, p_direct, p_relayed)] = outage_sweep([d], LINK, RF)
             mean_direct = macro_snr_dB(d, RF, ObstacleClass.VEHICLE_WALL)
             mean_relay = macro_snr_dB(d, RF, ObstacleClass.NONE)
             assert p_direct == pytest.approx(oracle.cdf((9.0 - mean_direct) / 8.0), rel=1e-12)
@@ -88,7 +87,7 @@ class TestVehicleOutage:
         # choose the threshold 20 dB below the mean: outage = Phi(-2.5)
         mean = macro_snr_dB(0.5, RF, ObstacleClass.VEHICLE_WALL)
         link = replace(LINK, sinr_threshold_user_dB=mean - 20.0)
-        p_direct, _ = vehicle_outage(0.5, link, RF)
+        [(_, p_direct, _)] = outage_sweep([0.5], link, RF)
         assert p_direct == pytest.approx(0.0062, abs=5e-5)
         assert p_direct == pytest.approx(NormalDist().cdf(-2.5), rel=1e-12)
 
@@ -103,7 +102,7 @@ class TestVehicleOutage:
 
     def test_vanishing_shadowing(self):
         link = replace(LINK, shadowing_sigma_dB=1e-9)
-        p_direct, p_relayed = vehicle_outage(0.1, link, RF)
+        [(_, p_direct, p_relayed)] = outage_sweep([0.1], link, RF)
         assert p_direct == pytest.approx(0.0, abs=1e-12)
         assert p_relayed == pytest.approx(0.0, abs=1e-12)
 
@@ -111,11 +110,11 @@ class TestVehicleOutage:
 class TestCarLinkReliability:
     def test_close_gap_no_turn(self):
         scenario = CarFollowScenario(uturn_start_s=1e6)
-        assert car_link_reliability(20.0, scenario) == (1.0, 1.0, 1.0)
+        assert reliability_sweep([20.0], scenario) == [(20.0, 1.0, 1.0, 1.0)]
 
     def test_long_gap_straight_driving(self):
         scenario = CarFollowScenario(uturn_start_s=1e6)
-        rf_only, owc_only, hybrid = car_link_reliability(40.0, scenario)
+        [(_, rf_only, owc_only, hybrid)] = reliability_sweep([40.0], scenario)
         assert rf_only == 0.0 and owc_only == 1.0 and hybrid == 1.0
 
     def test_turn_breaks_owc_for_expected_interval(self):
@@ -125,7 +124,7 @@ class TestCarLinkReliability:
         delay = 20.0 / speed
         outage = delay + turn * (1.0 - 2.0 * 30.0 / 180.0)
         expected = 1.0 - outage / 30.0
-        _, owc_only, hybrid = car_link_reliability(20.0, scenario)
+        [(_, _, owc_only, hybrid)] = reliability_sweep([20.0], scenario)
         assert owc_only == pytest.approx(expected, abs=2e-4)
         assert hybrid == 1.0  # RF bridges the turn at a 20 m gap
 
@@ -135,19 +134,24 @@ class TestCarLinkReliability:
             assert hybrid >= max(rf_only, owc_only)
             assert hybrid <= 1.0
 
-    def test_discretization_is_stable(self):
-        coarse = car_link_reliability(35.0, CAR, dt_s=2e-3)
-        fine = car_link_reliability(35.0, CAR, dt_s=1e-3)
-        for a, b in zip(coarse, fine):
-            assert abs(a - b) < 1e-3
+    @pytest.mark.parametrize("gap_m", [5.0, 10.0, 20.0, 35.0, 50.0])
+    def test_owc_uptime_matches_the_closed_form(self, gap_m):
+        # The heading difference 180 (lead - follow) rises over the first min(tau, T) seconds of the
+        # turn, holds at 180 min(tau, T) / T, and falls back as the follower turns: it exceeds the
+        # FOV semi-angle theta for tau + T - 2 theta T / 180 seconds, or never if its peak is within theta.
+        speed = CAR.speed_kmh / 3.6
+        tau, turn = gap_m / speed, math.pi * CAR.uturn_radius_m / speed
+        theta, window = CAR.owc_fov_semi_angle_deg, CAR.window_s
+        drops = 180.0 * min(tau, turn) / turn > theta
+        expected = 1.0 - (tau + turn - 2.0 * theta * turn / 180.0) / window if drops else 1.0
+        [(_, _, owc_only, _)] = reliability_sweep([gap_m], CAR)
+        assert owc_only == pytest.approx(expected, abs=DT_S / window)
 
     def test_invalid_scenario(self):
         with pytest.raises(ValueError):
             CarFollowScenario(window_s=0.0)
         with pytest.raises(ValueError):
-            car_link_reliability(20.0, CAR, dt_s=0.0)
-        with pytest.raises(ValueError):
-            car_link_reliability(0.0, CAR)
+            reliability_sweep([20.0, 0.0], CAR)
 
 
 class TestSweeps:
@@ -159,3 +163,24 @@ class TestSweeps:
     def test_sweeps_are_deterministic(self):
         assert outage_sweep([0.3, 0.6], LINK, RF) == outage_sweep([0.3, 0.6], LINK, RF)
         assert reliability_sweep([10.0, 35.0], CAR) == reliability_sweep([10.0, 35.0], CAR)
+
+    @pytest.mark.parametrize("count", [3, 30])
+    def test_macro_sweeps_make_a_fixed_number_of_channel_calls(self, monkeypatch, count):
+        calls = {"macro_path_loss": 0, "access_capacity_bps": 0}
+
+        def counted(module, name):
+            wrapped = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(channel, "macro_path_loss")
+        counted(transport, "access_capacity_bps")
+        distances = [0.1 + 0.05 * i for i in range(count)]
+        assert len(capacity_sweep(distances, LINK, OPTICAL, RF)) == count
+        assert calls == {"macro_path_loss": 2, "access_capacity_bps": 1}
+        assert len(outage_sweep(distances, LINK, RF)) == count
+        assert calls == {"macro_path_loss": 4, "access_capacity_bps": 1}
