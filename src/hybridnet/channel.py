@@ -40,6 +40,8 @@ def at_least(minimum) -> tuple:
 
 
 POSITIVE = ("positive", lambda v: v > 0)
+POSITIVE_FINITE = ("positive and finite", lambda v: 0.0 < v < math.inf)
+NON_NEGATIVE_FINITE = ("non-negative and finite", lambda v: 0.0 <= v < math.inf)
 
 
 def db_to_linear(x_db):

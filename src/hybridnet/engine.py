@@ -32,16 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel, policy, selection
-from .channel import POSITIVE, OpticalParams, RfParams, at_least, check_fields
-from .policy import AdmissionDecision, ApMode, ApState, HandoverDecision, NetworkKind, TrafficClass
+from .channel import NON_NEGATIVE_FINITE, POSITIVE, POSITIVE_FINITE, OpticalParams, RfParams, at_least, check_fields
+from .policy import AdmissionDecision, HandoverDecision, NetworkKind, TrafficClass
 from .protocol import HandoverKind, run_handover
 from .rng import spawn_streams
 from .zoning import _CLASSIFY_SLICE, MIN_MC_SAMPLES, GridPlan, Zone, classify_points, monte_carlo_zone_model, plan_grid
 
 _ZONE_OF_CODE = (None, *Zone)  # indexed by classify_points code: no enum call per terminal
-
-
-_POSITIVE_FINITE = ("positive and finite", lambda v: 0.0 < v < math.inf)
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,7 @@ class RoomConfig:
     coverage_radius_m: float = 5.0
 
     def __post_init__(self):
-        check_fields(self, *_POSITIVE_FINITE, "room_x_m", "room_y_m", "coverage_radius_m")
+        check_fields(self, *POSITIVE_FINITE, "room_x_m", "room_y_m", "coverage_radius_m")
 
     def plan(self) -> GridPlan:
         return plan_grid(self.room_x_m, self.room_y_m, self.coverage_radius_m)
@@ -185,7 +182,7 @@ class Metrics:
         return rows
 
 
-_NO_CALL = -1  # the serving-kind code of a terminal between calls
+_NO_CALL = -1  # the serving AP index of a terminal between calls
 
 
 class _IndoorSim:
@@ -194,18 +191,22 @@ class _IndoorSim:
     Terminal i is row i of every per-terminal array. Mobility: ``_xy``, the
     ``_waypoint`` it walks to at ``_speed``, and ``_pause_until`` (inf while
     it walks); it runs up to a block of ticks ahead of the calls, which
-    read the block's rows. Calls: ``_kind`` (a ``NetworkKind`` value, or
-    ``_NO_CALL``), the serving LiFi ``_column``, ``_voice``, ``_next_event``
-    (the call's end during a call, else the next call's arrival), ``_zone``
-    (a ``Zone`` value), ``_zone_entry`` and ``_last_handover``.
+    read the block's rows. Calls: ``_ap`` (the serving AP's index in the
+    slot ledger, or ``_NO_CALL``), ``_voice``, ``_next_event`` (the call's
+    end during a call, else the next call's arrival), ``_zone`` (a ``Zone``
+    value), ``_zone_entry`` and ``_last_handover``. The slot ledger is
+    ``_free``, the free slots of LiFi AP j at index j and of the femtocell
+    at index ``_femto``, the last; ``_capacity`` beside it and
+    ``_fap_idle``, the femtocell's idle mode.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.cfg = config
         self.plan = config.room.plan()
         streams, n, room = spawn_streams(config.seed), config.user_count, config.room
-        self.fap = ApState(NetworkKind.FAP, None, config.policy.fap_slots, ApMode.IDLE)
-        self.lifi = [ApState(NetworkKind.LIFI, j, config.policy.lifi_slots) for j in range(self.plan.ap_count)]
+        self._femto = self.plan.ap_count
+        self._capacity = [config.policy.lifi_slots] * self._femto + [config.policy.fap_slots]
+        self._free, self._fap_idle = list(self._capacity), True
         self.metrics = Metrics()
         self._kind_sums = {kind: (0, 0.0, 0.0) for kind in NetworkKind}  # (samples, SINR dB, capacity bps) sums
         # A fault-free flow's latency depends on its kind and the per-hop delay alone.
@@ -214,7 +215,7 @@ class _IndoorSim:
         self._mobility, self._traffic = streams["mobility"].spawn(n), streams["traffic"].spawn(n)
         self._xy = streams["placement"].uniform(0.0, (room.room_x_m, room.room_y_m), size=(n, 2))
         self._waypoint, self._speed, self._pause_until = np.zeros((n, 2)), np.zeros(n), np.zeros(n)
-        self._kind, self._column = np.full(n, _NO_CALL, dtype=np.int8), np.zeros(n, dtype=np.intp)
+        self._ap = np.full(n, _NO_CALL, dtype=np.intp)
         self._voice, self._next_event = np.zeros(n, bool), np.array([self._draw_interarrival(i) for i in range(n)])
         self._zone, self._zone_entry = np.full(n, Zone.Z1.value, dtype=np.int8), np.zeros(n)
         self._last_handover = np.full(n, -math.inf)
@@ -262,25 +263,25 @@ class _IndoorSim:
         self._covering_order, self._covering_count = np.argsort(dist, axis=2, kind="stable"), covered.sum(axis=2).tolist()
         self._codes = classify_points(plan, pts, window).reshape(positions.shape[:2])
 
-    def _covering(self, i: int) -> list[ApState]:
-        """The LiFi APs covering terminal i on the current tick, nearest first."""
-        count = self._covering_count[self._tick][i]
-        return [self.lifi[j] for j in self._covering_order[self._tick, i, :count].tolist()]
+    def _covering(self, i: int) -> list[int]:
+        """The indices of the LiFi APs covering terminal i on the current tick, nearest first."""
+        return self._covering_order[self._tick, i, :self._covering_count[self._tick][i]].tolist()
 
     # Call lifecycle -----------------------------------------------------
 
-    def _serving(self, i: int) -> ApState:
-        return self.fap if self._kind[i] == NetworkKind.FAP.value else self.lifi[self._column[i]]
-
-    def _occupy(self, i: int, ap: ApState) -> None:
-        ap.occupy()
-        self._kind[i], self._column[i] = ap.kind.value, ap.column or 0  # a femtocell call's column goes unread
+    def _occupy(self, i: int, ap: int) -> None:
+        """Terminal i takes a slot of AP ``ap``, waking the femtocell if it idles."""
+        self._free[ap] -= 1
+        self._ap[i] = ap
+        if ap == self._femto:
+            self._fap_idle = False
 
     def _try_start_call(self, i: int, now: float) -> None:
         gen, traffic = self._traffic[i], self.cfg.traffic
         voice = gen.random() < traffic.voice_fraction
         traffic_class = TrafficClass.RT_VOICE if voice else TrafficClass.DATA
-        decision, ap = policy.admit_new_call(_ZONE_OF_CODE[self._zone[i]], traffic_class, self.fap, self._covering(i))
+        decision, ap = policy.admit_new_call(_ZONE_OF_CODE[self._zone[i]], traffic_class, self._fap_idle, self._free,
+                                             self._covering(i))
         self.metrics.admissions[decision.value] += 1
         if decision is AdmissionDecision.BLOCKED:
             self._next_event[i] = now + self._draw_interarrival(i)
@@ -289,21 +290,21 @@ class _IndoorSim:
         self._voice[i], self._next_event[i] = voice, now + gen.exponential(traffic.mean_holding_s)
 
     def _release_call(self, i: int, now: float) -> None:
-        self._serving(i).release()
-        self._kind[i] = _NO_CALL
+        self._free[self._ap[i]] += 1
+        self._ap[i] = _NO_CALL
         self.metrics.calls_released += 1
         self._next_event[i] = now + self._draw_interarrival(i)
 
-    def _execute_handover(self, i: int, now: float, kind: HandoverKind, target: ApState) -> None:
+    def _execute_handover(self, i: int, now: float, kind: HandoverKind, target: int) -> None:
         self.metrics.handovers[kind.value] += 1
         self.metrics.handover_latency_total_s += self._handover_latency_s[kind]
-        self._serving(i).release()
+        self._free[self._ap[i]] += 1
         self._occupy(i, target)
         self._last_handover[i] = now
 
     def _to_covering_lifi(self, i: int, now: float) -> bool:
         """Hand terminal i to the nearest covering LiFi AP with a free slot, if any."""
-        ap = policy.first_free(self._covering(i))
+        ap = policy.first_free(self._free, self._covering(i))
         if ap is not None:
             self._execute_handover(i, now, HandoverKind.FEMTO_TO_LIFI, ap)
         return ap is not None
@@ -312,19 +313,20 @@ class _IndoorSim:
         """Decide for every in-call terminal past the ``t_h_s`` guard in one policy call; act on the rows that move.
 
         A decision reads only its own terminal's state, so deciding first and then acting in
-        terminal order against the slot ledgers is the per-terminal loop.
+        terminal order against the slot ledger is the per-terminal loop.
         """
-        kind, thresholds = self._kind, self.cfg.policy
-        rows = ((kind != _NO_CALL) & ~(now - self._last_handover < thresholds.t_h_s)
-                & ~((kind == NetworkKind.FAP.value) & self._voice)).nonzero()[0]  # voice stays pinned to the femtocell
+        ap, thresholds = self._ap, self.cfg.policy
+        on_fap = ap == self._femto
+        rows = ((ap != _NO_CALL) & ~(now - self._last_handover < thresholds.t_h_s)
+                & ~(on_fap & self._voice)).nonzero()[0]  # voice stays pinned to the femtocell
         if not len(rows):
             return
-        kinds, zones = kind[rows], self._zone[rows]
+        kinds, zones = on_fap[rows].astype(np.int8), self._zone[rows]  # NetworkKind codes: LIFI 0, FAP 1
         signals, targets = np.full((2, len(rows)), -math.inf), np.zeros(len(rows), dtype=np.intp)  # dB; LiFi columns
         z4 = ((kinds == NetworkKind.LIFI.value) & (zones == Zone.Z4.value)).nonzero()[0]
         if len(z4):  # two APs cover a Zone 4 terminal: the target is the nearest one not serving it
             terminals = rows[z4]
-            serving, (first, second) = self._column[terminals], self._covering_order[self._tick, terminals, :2].T
+            serving, (first, second) = ap[terminals], self._covering_order[self._tick, terminals, :2].T
             targets[z4] = target = np.where(first == serving, second, first)
             at = self._tick, np.concatenate((terminals, terminals)), np.concatenate((serving, target))
             signals[:, z4] = np.reshape(channel.linear_to_db(self._rx_power[at]), (2, -1))
@@ -334,39 +336,39 @@ class _IndoorSim:
             if decision == HandoverDecision.TO_LIFI.value:
                 moved = self._to_covering_lifi(i, now)
             else:  # TO_FAP, or TO_TARGET_LIFI, whose stronger target is a covering AP
-                flow, ap = ((HandoverKind.LIFI_TO_FEMTO, self.fap) if decision == HandoverDecision.TO_FAP.value
-                            else (HandoverKind.LIFI_TO_LIFI, self.lifi[column]))
-                moved = ap.free_slots > 0
+                flow, target = ((HandoverKind.LIFI_TO_FEMTO, self._femto) if decision == HandoverDecision.TO_FAP.value
+                                else (HandoverKind.LIFI_TO_LIFI, column))
+                moved = self._free[target] > 0
                 if moved:
-                    self._execute_handover(i, now, flow, ap)
+                    self._execute_handover(i, now, flow, target)
             self.metrics.handovers_rejected += not moved
 
     def _apply_idle_mode(self, now: float) -> None:
         """Shift the femtocell's lone Zone 3 user to LiFi if it can; the femtocell idles once it holds no slot."""
-        fap = self.fap
-        on_fap = (self._kind == NetworkKind.FAP.value).nonzero()[0].tolist()
-        served = [(i, _ZONE_OF_CODE[self._zone[i]]) for i in on_fap]
-        for i in policy.fap_mode_update(fap, served):
+        femto = self._femto
+        served = [(i, _ZONE_OF_CODE[self._zone[i]]) for i in (self._ap == femto).nonzero()[0].tolist()]
+        for i in policy.fap_mode_update(self._capacity[femto] - self._free[femto], served):
             self._to_covering_lifi(i, now)
-        if fap.occupied_slots == 0:
-            fap.mode = ApMode.IDLE
+        if self._free[femto] == self._capacity[femto]:
+            self._fap_idle = True
 
-    def _sample_link_quality(self, kinds: np.ndarray, columns: np.ndarray) -> None:
+    def _sample_link_quality(self, aps: np.ndarray) -> None:
         """Add the SINR and capacity of a block's links to the run sums, in (tick, terminal) order.
 
-        ``kinds`` and ``columns`` record each terminal's serving kind and LiFi column on each of
-        the block's ticks. One batched channel pass per network equals per-link calls bit for bit,
-        and each sum adds left to right in (tick, terminal) order, as sampling tick by tick does
-        (README, Determinism).
+        ``aps`` records each terminal's serving AP index on each of the block's ticks. One
+        batched channel pass per network equals per-link calls bit for bit, and each sum adds
+        left to right in (tick, terminal) order, as sampling tick by tick does (README,
+        Determinism).
         """
-        ticks, terminals = (kinds != _NO_CALL).nonzero()  # row-major: (tick, terminal) order
-        link_kinds = kinds[ticks, terminals]
+        ticks, terminals = (aps != _NO_CALL).nonzero()  # row-major: (tick, terminal) order
+        serving = aps[ticks, terminals]
         sinr, bandwidth = np.empty(len(ticks)), np.empty(len(ticks))
-        masks = {kind: link_kinds == kind.value for kind in NetworkKind}
+        on_fap = serving == self._femto
+        masks = {NetworkKind.LIFI: ~on_fap, NetworkKind.FAP: on_fap}
         for kind, mask in masks.items():
             if mask.any():
                 at = ticks[mask], terminals[mask]
-                sinr[mask], bandwidth[mask] = (self._lifi_links(*at, columns[at]) if kind is NetworkKind.LIFI
+                sinr[mask], bandwidth[mask] = (self._lifi_links(*at, serving[mask]) if kind is NetworkKind.LIFI
                                                else self._femto_links(*at))
         sinr_db, capacity = np.asarray(channel.linear_to_db(sinr)), channel.shannon_capacity(sinr, bandwidth)
         m = self.metrics
@@ -395,10 +397,11 @@ class _IndoorSim:
         return channel.rf_sinr(rx, [], rf.noise_dBm(rf.femto_bandwidth_Hz)), rf.femto_bandwidth_Hz
 
     def _check_slot_balance(self) -> None:
-        active = int(np.count_nonzero(self._kind != _NO_CALL))
-        occupied = self.fap.occupied_slots + sum(ap.occupied_slots for ap in self.lifi)
-        if active != occupied:
-            raise RuntimeError(f"slot leak: {occupied} occupied for {active} active calls")
+        """Each AP's occupied slots are its calls, within its capacity; an idle femtocell holds none."""
+        occupied = [capacity - free for capacity, free in zip(self._capacity, self._free)]
+        calls = np.bincount(self._ap[self._ap != _NO_CALL], minlength=len(occupied)).tolist()
+        if occupied != calls or min(self._free) < 0 or (self._fap_idle and occupied[-1]):
+            raise RuntimeError(f"slot leak: {occupied} occupied for {calls} calls per AP")
 
     def _step(self, tick: int, now: float) -> None:
         """One tick of calls on the block's row ``tick``: zones, releases, arrivals, handovers and idle mode."""
@@ -407,7 +410,7 @@ class _IndoorSim:
         self._zone = codes
         due = (self._next_event <= now).nonzero()[0].tolist()  # a call ends or arrives
         for i in due:
-            if self._kind[i] != _NO_CALL:
+            if self._ap[i] != _NO_CALL:
                 self._release_call(i, now)
         for i in due:
             if self._next_event[i] <= now:  # a call arrives; one released just now has drawn its next arrival
@@ -423,15 +426,15 @@ class _IndoorSim:
         idle_ticks = 0
         for first in range(0, ticks, block):  # a block's moves and link samples feed no call (README, Determinism)
             steps = range(first, min(first + block, ticks))
-            kinds, columns = np.empty((len(steps), n), dtype=np.int8), np.empty((len(steps), n), dtype=np.intp)
+            aps = np.empty((len(steps), n), dtype=np.intp)
             self._locate(self._move_block(steps))
             for tick, step in enumerate(steps):
                 self._step(tick, step * cfg.mobility.tick_s)
-                kinds[tick], columns[tick] = self._kind, self._column
-                idle_ticks += self.fap.mode is ApMode.IDLE
-            self._sample_link_quality(kinds, columns)
+                aps[tick] = self._ap
+                idle_ticks += self._fap_idle
+            self._sample_link_quality(aps)
         self.metrics.fap_idle_fraction = idle_ticks / ticks
-        self.metrics.active_at_end = int(np.count_nonzero(self._kind != _NO_CALL))
+        self.metrics.active_at_end = int(np.count_nonzero(self._ap != _NO_CALL))
         self._rank_networks()
         return self.metrics
 
@@ -439,8 +442,8 @@ class _IndoorSim:
         """Score the two networks from run aggregates and rank them with the scenario's AHP weights."""
         if not self.metrics.link_samples:
             return
-        lifi_load = _mean(_added(0.0, (ap.occupied_slots / ap.capacity_slots for ap in self.lifi)), len(self.lifi))
-        loads = {NetworkKind.LIFI: lifi_load, NetworkKind.FAP: self.fap.occupied_slots / self.fap.capacity_slots}
+        *lifi, fap = ((capacity - free) / capacity for capacity, free in zip(self._capacity, self._free))
+        loads = {NetworkKind.LIFI: _mean(_added(0.0, lifi), len(lifi)), NetworkKind.FAP: fap}
         values = tuple(
             (_mean(capacity, count), max(_mean(sinr, count), 0.0), AHP_MOBILITY[kind], max(loads[kind], AHP_LOAD_FLOOR))
             for kind, (count, sinr, capacity) in self._kind_sums.items()
@@ -542,8 +545,8 @@ class FemtoSinrConfig:
         check_fields(self, *at_least(0), "fap_count", "interferer_wall_count", "hybrid_users_per_home")
         check_fields(self, *at_least(1), "drops")
         check_fields(self, *at_least(MIN_MC_SAMPLES), "zone_samples")
-        check_fields(self, *_POSITIVE_FINITE, "user_distance_m", "min_link_distance_m")
-        check_fields(self, "non-negative and finite", lambda v: 0.0 <= v < math.inf, "deployment_radius_m")
+        check_fields(self, *POSITIVE_FINITE, "user_distance_m", "min_link_distance_m")
+        check_fields(self, *NON_NEGATIVE_FINITE, "deployment_radius_m")
 
 
 def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams):

@@ -16,12 +16,11 @@ LiFi.
 The femtocell idles when it serves nobody, or serves exactly one user who
 sits in Zone 3 and can be shifted to LiFi first.
 
-Each AP is one ``ApState`` slot ledger. The indoor simulator keeps the
-femtocell's ledger and a list of LiFi ledgers whose index is the AP's
-column in the grid plan and in the gain matrix; a terminal in a call
-records its serving network's ``NetworkKind`` code and that column. A
-terminal keeps one zone-entry clock, reset whenever it changes zone, so
-the dwell a handover decision reads is the time spent in the current
+The slot ledger is one list of free slots indexed by AP: LiFi AP j, the
+AP's column in the grid plan and in the gain matrix, at index j, and the
+femtocell last. A terminal in a call records the index of the AP serving
+it. A terminal keeps one zone-entry clock, reset whenever it changes zone,
+so the dwell a handover decision reads is the time spent in the current
 zone. Handover decisions take a batch of terminals as arrays.
 """
 
@@ -29,8 +28,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .zoning import Zone, occupancy_probability
@@ -42,15 +39,10 @@ class TrafficClass(enum.Enum):
 
 
 class NetworkKind(enum.Enum):
-    """The serving network; its value is its code in the simulator's arrays."""
+    """The serving network; its value is its code in :func:`handover_decision`'s ``serving_kinds``."""
 
     LIFI = 0
     FAP = 1
-
-
-class ApMode(enum.Enum):
-    ACTIVE = "active"
-    IDLE = "idle"
 
 
 class AdmissionDecision(enum.Enum):
@@ -69,47 +61,9 @@ class HandoverDecision(enum.Enum):
     TO_LIFI = 3
 
 
-@dataclass(eq=False)
-class ApState:
-    """Slot ledger of one AP; equality is identity.
-
-    ``column`` is a LiFi AP's index in the grid plan and in the simulator's
-    gain matrix, and None for the femtocell.
-    """
-
-    kind: NetworkKind
-    column: int | None
-    capacity_slots: int
-    mode: ApMode = ApMode.ACTIVE
-    occupied_slots: int = 0
-
-    def __post_init__(self):
-        self.check()
-
-    def check(self):
-        if not 0 <= self.occupied_slots <= self.capacity_slots:
-            raise ValueError("occupied slots must lie in [0, capacity]")
-        if self.mode is ApMode.IDLE and self.occupied_slots != 0:
-            raise ValueError("an idle AP cannot hold occupied slots")
-
-    @property
-    def free_slots(self) -> int:
-        return self.capacity_slots - self.occupied_slots
-
-    def occupy(self) -> None:
-        """Take one slot, waking the AP if it idles."""
-        self.mode = ApMode.ACTIVE
-        self.occupied_slots += 1
-        self.check()
-
-    def release(self) -> None:
-        self.occupied_slots -= 1
-        self.check()
-
-
-def first_free(aps) -> ApState | None:
-    """The first AP of ``aps`` (in preference order) with a free slot, if any."""
-    return next((ap for ap in aps if ap.free_slots > 0), None)
+def first_free(free_slots, aps) -> int | None:
+    """The first AP index of ``aps`` (in preference order) with a free slot in ``free_slots``, if any."""
+    return next((ap for ap in aps if free_slots[ap] > 0), None)
 
 
 def _preferred_network(zone: Zone, traffic_class: TrafficClass, fap_idle: bool) -> NetworkKind:
@@ -130,24 +84,25 @@ def feasible_networks(zone: Zone, traffic_class: TrafficClass) -> tuple[NetworkK
 
 
 def admit_new_call(
-    zone: Zone, traffic_class: TrafficClass, fap: ApState, covering_lifi: list[ApState]
-) -> tuple[AdmissionDecision, ApState | None]:
-    """Route a newly originating call of ``traffic_class`` in ``zone``: ``(decision, ap)``.
+    zone: Zone, traffic_class: TrafficClass, fap_idle: bool, free_slots, covering_lifi
+) -> tuple[AdmissionDecision, int | None]:
+    """Route a newly originating call of ``traffic_class`` in ``zone``: ``(decision, AP index)``.
 
-    ``covering_lifi`` holds the LiFi APs covering the terminal, in
-    preference order; the call takes the first with a free slot. Overflow
-    redirects a data call to the other feasible network; a full system
-    blocks the call, and ``ap`` is None.
+    ``free_slots`` holds each AP's free slots, the femtocell's last;
+    ``covering_lifi`` holds the indices of the LiFi APs covering the
+    terminal, in preference order, and the call takes the first with a
+    free slot. Overflow redirects a data call to the other feasible
+    network; a full system blocks the call, and the index is None.
     """
-    preferred = _preferred_network(zone, traffic_class, fap.mode is ApMode.IDLE)
-    pools = {NetworkKind.FAP: (fap,), NetworkKind.LIFI: covering_lifi}
-    ap = first_free(pools[preferred])
+    preferred = _preferred_network(zone, traffic_class, fap_idle)
+    pools = {NetworkKind.FAP: (len(free_slots) - 1,), NetworkKind.LIFI: covering_lifi}
+    ap = first_free(free_slots, pools[preferred])
     if ap is not None:
         accepted = AdmissionDecision.ACCEPT_ON_FAP if preferred is NetworkKind.FAP else AdmissionDecision.ACCEPT_ON_LIFI
         return accepted, ap
     for alternative in feasible_networks(zone, traffic_class):
         if alternative is not preferred:
-            ap = first_free(pools[alternative])
+            ap = first_free(free_slots, pools[alternative])
             if ap is not None:
                 return AdmissionDecision.REDIRECTED, ap
     return AdmissionDecision.BLOCKED, None
@@ -184,16 +139,14 @@ def handover_decision(serving_kinds, zone_codes, s_serving_dB, s_target_dB, dwel
     return _HANDOVER_RULES.ravel()[cells]
 
 
-def fap_mode_update(fap_state: ApState, connected_users_with_zones: list[tuple[int, Zone]]) -> tuple[int, ...]:
-    """Terminals to shift to LiFi so that one femtocell AP can idle.
+def fap_mode_update(fap_occupied: int, connected_users_with_zones: list[tuple[int, Zone]]) -> tuple[int, ...]:
+    """Terminals to shift to LiFi so that the femtocell, holding ``fap_occupied`` slots, can idle.
 
     A single user sitting in Zone 3 is shifted; with no connected user, or
     any other set of users, nobody is. Users outside Zone 3 are never
     shifted. The femtocell idles once it holds no slot.
     """
-    if fap_state.kind is not NetworkKind.FAP:
-        raise ValueError("mode update applies to femtocell APs")
-    if len(connected_users_with_zones) != fap_state.occupied_slots:
+    if len(connected_users_with_zones) != fap_occupied:
         raise ValueError("user list does not match occupancy")
     if len(connected_users_with_zones) == 1 and connected_users_with_zones[0][1] is Zone.Z3:
         return (connected_users_with_zones[0][0],)

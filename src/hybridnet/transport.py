@@ -46,6 +46,11 @@ class VehicleLink:
 
     def __post_init__(self):
         channel.check_fields(self, *channel.POSITIVE, "shadowing_sigma_dB")
+        channel.check_fields(self, *channel.NON_NEGATIVE_FINITE, "access_horizontal_distance_m")
+        channel.check_fields(self, *channel.POSITIVE_FINITE, "access_femto_distance_m")
+
+
+DT_S = 1e-3  # time step of the car-following window
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,10 @@ class CarFollowScenario:
 
     def __post_init__(self):
         channel.check_fields(self, *channel.POSITIVE, "rf_range_m", "uturn_radius_m", "speed_kmh",
-                             "owc_fov_semi_angle_deg", "window_s")
+                             "owc_fov_semi_angle_deg")
+        channel.check_fields(self, *channel.POSITIVE_FINITE, "window_s")
+        channel.check_fields(self, f"at least one DT_S ({DT_S!r}) once rounded to whole steps",
+                             lambda v: round(v / DT_S) >= 1, "window_s")
 
 
 def macro_snr_dB(distance_km, rf: RfParams, obstacle: ObstacleClass):
@@ -85,8 +93,6 @@ def _normal_cdf(x: float) -> float:
 # The work is elementwise, so a sweep gives the same bits as evaluating each
 # distance alone: capacity and outage take all distances in one array pass,
 # reliability one pass over the window per distance.
-
-DT_S = 1e-3  # time step of the car-following window
 
 
 def capacity_sweep(distances_km, link: VehicleLink, optical: OpticalParams, rf: RfParams):

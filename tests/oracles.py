@@ -28,7 +28,7 @@ from hybridnet.channel import OpticalParams, concentrator_gain, lambertian_index
 from hybridnet.engine import Metrics, PolicyConfig
 from hybridnet.protocol import run_handover
 from hybridnet.rng import spawn_streams
-from hybridnet.policy import ApMode, ApState, AdmissionDecision, HandoverDecision, NetworkKind, TrafficClass
+from hybridnet.policy import AdmissionDecision, HandoverDecision, NetworkKind, TrafficClass
 from hybridnet.protocol import TRACE_CSV_HEADER, HandoverKind, HandoverTrace, MessageKind, ProtocolMessage
 from hybridnet.zoning import GridPlan, Zone
 
@@ -40,30 +40,30 @@ def placement_idle_reference(
 
     Users arrive in list order as data calls against a fresh, idle
     femtocell; the idle-mode rule then runs to a fixed point. Positions are
-    abstracted to zones, so all Zone 2/3 users share one LiFi AP; exact for
-    user counts at or below the LiFi slot count.
+    abstracted to zones, so all Zone 2/3 users share one LiFi AP, index 0
+    of the free-slot list; the femtocell is index 1. Exact for user counts
+    at or below the LiFi slot count.
     """
-    fap = ApState(NetworkKind.FAP, None, fap_slots, ApMode.IDLE)
-    lifi = ApState(NetworkKind.LIFI, 0, lifi_slots)
+    lifi, fap = 0, 1
+    free, fap_idle = [lifi_slots, fap_slots], True
     fap_users: list[tuple[int, Zone]] = []
     for uid, zone in enumerate(zones):
-        decision, ap = policy.admit_new_call(zone, TrafficClass.DATA, fap, [lifi])
+        decision, ap = policy.admit_new_call(zone, TrafficClass.DATA, fap_idle, free, [lifi])
         if decision is AdmissionDecision.BLOCKED:
             continue
-        ap.occupy()
-        if ap is fap:
+        free[ap] -= 1
+        if ap == fap:
+            fap_idle = False
             fap_users.append((uid, zone))
     while True:
-        shift_to_lifi = policy.fap_mode_update(fap, fap_users)
+        shift_to_lifi = policy.fap_mode_update(fap_slots - free[fap], fap_users)
         if not shift_to_lifi:
-            if fap.occupied_slots == 0:
-                fap.mode = ApMode.IDLE
-            return fap.mode is ApMode.IDLE
+            return free[fap] == fap_slots
         shifted = False
         for uid in shift_to_lifi:
-            if lifi.free_slots > 0:
-                lifi.occupy()
-                fap.release()
+            if free[lifi] > 0:
+                free[lifi] -= 1
+                free[fap] += 1
                 fap_users = [(u, z) for u, z in fap_users if u != uid]
                 shifted = True
         if not shifted:
@@ -170,11 +170,14 @@ def indoor_run_reference(config) -> Metrics:
     streams, the scalar move (``sqrt(dx*dx + dy*dy)``), a zone and covering
     APs from the distances to every AP, the rule-by-rule handover decision
     and per-link channel calls, added to the sums in (tick, terminal) order.
+    It keeps its own slot ledger, LiFi AP j at index j and the femtocell
+    last, and asserts on every tick that each AP's occupied slots are the
+    calls it serves, within its capacity.
     """
     cfg, plan, streams, n = config, config.room.plan(), spawn_streams(config.seed), config.user_count
     mobility, traffic, room, move = streams["mobility"].spawn(n), streams["traffic"].spawn(n), cfg.room, cfg.mobility
-    fap = ApState(NetworkKind.FAP, None, cfg.policy.fap_slots, ApMode.IDLE)
-    lifi = [ApState(NetworkKind.LIFI, j, cfg.policy.lifi_slots) for j in range(plan.ap_count)]
+    fap, slots = plan.ap_count, [cfg.policy.lifi_slots] * plan.ap_count + [cfg.policy.fap_slots]
+    free, fap_idle = list(slots), True
     latency = {k: run_handover(k, cfg.policy.per_hop_latency_s).latency_s for k in HandoverKind}
     m, sums = Metrics(), {kind: [0, 0.0, 0.0] for kind in NetworkKind}
     rate = cfg.traffic.arrival_rate_per_min / 60.0
@@ -189,12 +192,12 @@ def indoor_run_reference(config) -> Metrics:
     def hand_over(u, now, kind, target):
         m.handovers[kind.value] += 1
         m.handover_latency_total_s += latency[kind]
-        u["serving"].release()
-        target.occupy()
+        free[u["serving"]] += 1
+        free[target] -= 1
         u["serving"], u["last"] = target, now
 
     def to_covering_lifi(u, now):
-        ap = policy.first_free([lifi[j] for j in u["covering"]])
+        ap = policy.first_free(free, u["covering"])
         if ap is not None:
             hand_over(u, now, HandoverKind.FEMTO_TO_LIFI, ap)
         return ap is not None
@@ -225,33 +228,35 @@ def indoor_run_reference(config) -> Metrics:
                 u["zone"], u["entry"] = zone, now
         for i, u in enumerate(t):
             if u["serving"] is not None and u["end"] <= now:
-                u["serving"].release()
+                free[u["serving"]] += 1
                 u["serving"], u["arrival"] = None, now + interarrival(i)
                 m.calls_released += 1
         for i, u in enumerate(t):
             if u["serving"] is None and u["arrival"] <= now:
                 u["voice"] = float(traffic[i].random()) < cfg.traffic.voice_fraction
                 traffic_class = TrafficClass.RT_VOICE if u["voice"] else TrafficClass.DATA
-                decision, ap = policy.admit_new_call(u["zone"], traffic_class, fap, [lifi[j] for j in u["covering"]])
+                decision, ap = policy.admit_new_call(u["zone"], traffic_class, fap_idle, free, u["covering"])
                 m.admissions[decision.value] += 1
                 if ap is None:
                     u["arrival"] = now + interarrival(i)
                 else:
-                    ap.occupy()
+                    free[ap] -= 1
+                    fap_idle = fap_idle and ap != fap
                     u["serving"], u["end"] = ap, now + float(traffic[i].exponential(cfg.traffic.mean_holding_s))
         in_call = [u for u in t if u["serving"] is not None]
         for u in in_call:
             serving = u["serving"]
-            if now - u["last"] < cfg.policy.t_h_s or (serving is fap and u["voice"]):
+            if now - u["last"] < cfg.policy.t_h_s or (serving == fap and u["voice"]):
                 continue
             rx = [10.0 * math.log10(cfg.optical.tx_optical_power_W * g) if g > 0 else -math.inf for g in u["gain"]]
             s_serving, s_target, target = -math.inf, -math.inf, None
-            if serving is not fap and u["zone"] is Zone.Z4:
-                s_serving = rx[serving.column] if serving.column in u["covering"] else -math.inf
-                target = next((lifi[j] for j in u["covering"] if j != serving.column), None)
-                s_target = rx[target.column] if target is not None else -math.inf
+            if serving != fap and u["zone"] is Zone.Z4:
+                s_serving = rx[serving] if serving in u["covering"] else -math.inf
+                target = next((j for j in u["covering"] if j != serving), None)
+                s_target = rx[target] if target is not None else -math.inf
             dwell = now - u["entry"]
-            decision = handover_decision_reference(serving.kind, u["zone"], s_serving, s_target, dwell, cfg.policy)
+            network = NetworkKind.FAP if serving == fap else NetworkKind.LIFI
+            decision = handover_decision_reference(network, u["zone"], s_serving, s_target, dwell, cfg.policy)
             if decision is HandoverDecision.STAY:
                 continue
             if decision is HandoverDecision.TO_LIFI:
@@ -259,41 +264,43 @@ def indoor_run_reference(config) -> Metrics:
             else:
                 kind, ap = ((HandoverKind.LIFI_TO_FEMTO, fap) if decision is HandoverDecision.TO_FAP
                             else (HandoverKind.LIFI_TO_LIFI, target))
-                moved = ap is not None and ap.free_slots > 0
+                moved = ap is not None and free[ap] > 0
                 if moved:
                     hand_over(u, now, kind, ap)
+                    fap_idle = fap_idle and ap != fap
             m.handovers_rejected += not moved
-        served = [(k, u["zone"]) for k, u in enumerate(t) if u["serving"] is fap]
-        for k in policy.fap_mode_update(fap, served):
+        served = [(k, u["zone"]) for k, u in enumerate(t) if u["serving"] == fap]
+        for k in policy.fap_mode_update(slots[fap] - free[fap], served):
             to_covering_lifi(t[k], now)
-        if fap.occupied_slots == 0:
-            fap.mode = ApMode.IDLE
-        assert sum(u["serving"] is not None for u in t) == fap.occupied_slots + sum(ap.occupied_slots for ap in lifi)
-        idle_ticks += fap.mode is ApMode.IDLE
+        fap_idle = fap_idle or free[fap] == slots[fap]
+        calls = [sum(u["serving"] == j for u in t) for j in range(len(free))]
+        assert [s - f for s, f in zip(slots, free)] == calls and min(free) >= 0, "slot leak"
+        idle_ticks += fap_idle
         for u in t:
             serving = u["serving"]
             if serving is None:
                 continue
-            if serving is fap:
+            if serving == fap:
                 fx, fy = plan.fap_center
                 dist = max(math.sqrt((u["x"] - fx) * (u["x"] - fx) + (u["y"] - fy) * (u["y"] - fy)), 0.1)
                 rx_dbm = cfg.rf.fap_tx_dBm - channel.femto_path_loss(dist, cfg.rf, wall_count=0)
                 sinr = channel.rf_sinr(rx_dbm, [], cfg.rf.noise_dBm(cfg.rf.femto_bandwidth_Hz))
                 capacity = channel.shannon_capacity(sinr, cfg.rf.femto_bandwidth_Hz)
             else:
-                interferers = [0.0 if j == serving.column else g for j, g in enumerate(u["gain"])]
-                sinr = channel.optical_sinr(u["gain"][serving.column], interferers, cfg.optical)
+                interferers = [0.0 if j == serving else g for j, g in enumerate(u["gain"])]
+                sinr = channel.optical_sinr(u["gain"][serving], interferers, cfg.optical)
                 capacity = channel.shannon_capacity(sinr, cfg.optical.bandwidth_Hz)
             sinr_db = channel.linear_to_db(sinr)
             m.link_samples += 1
             m.sinr_total_db += sinr_db
             m.capacity_total_bps += capacity
-            kind_sums = sums[serving.kind]
+            kind_sums = sums[NetworkKind.FAP if serving == fap else NetworkKind.LIFI]
             kind_sums[0] += 1
             kind_sums[1] += sinr_db
             kind_sums[2] += capacity
     m.fap_idle_fraction, m.active_at_end = idle_ticks / ticks, len(in_call)
-    state = SimpleNamespace(metrics=m, lifi=lifi, fap=fap, _kind_sums={k: tuple(v) for k, v in sums.items()}, cfg=cfg)
+    state = SimpleNamespace(metrics=m, _capacity=slots, _free=free, _kind_sums={k: tuple(v) for k, v in sums.items()},
+                            cfg=cfg)
     engine._IndoorSim._rank_networks(state)  # the ranking of the run's sums, as the engine makes it
     return m
 

@@ -336,6 +336,12 @@ class TestExperiments:
             (["experiment", "fig17"], "transport: {vehicle: {shadowing_sigma_dB: 0.0}}\n",
              "transport.vehicle.shadowing_sigma_dB"),
             (["experiment", "fig17"], "transport: {fig21: {window_s: 0.0}}\n", "transport.fig21.window_s"),
+            (["experiment", "fig21"], "transport: {fig21: {window_s: 0.0004}}\n",
+             "transport.fig21.window_s: must be at least one DT_S (0.001)"),
+            (["experiment", "fig20"], "transport: {vehicle: {access_femto_distance_m: -2.0}}\n",
+             "transport.vehicle.access_femto_distance_m"),
+            (["experiment", "fig20"], "transport: {vehicle: {access_horizontal_distance_m: -1.0}}\n",
+             "transport.vehicle.access_horizontal_distance_m"),
         ],
         ids=["not-a-mapping", "unknown-key", "bool-for-int", "float-for-int", "leaf-for-mapping",
              "bad-enum", "range-checked-everywhere", "non-reciprocal-ahp", "ahp-not-4x4", "missing-file",
@@ -349,7 +355,8 @@ class TestExperiments:
              "fig20-stop-negative", "fig21-stop-negative", "fig18-start-negative", "speed-max-below-min",
              "voice-fraction-above-one", "dwell-zero", "per-hop-negative", "duration-below-one-tick",
              "duration-below-one-long-tick", "duration-below-one-short-tick", "optical-pd-area-zero", "rf-height-zero",
-             "shadowing-zero", "car-window-zero"],
+             "shadowing-zero", "car-window-zero", "car-window-below-one-step", "vehicle-femto-distance-negative",
+             "vehicle-horizontal-distance-negative"],
     )
     def test_unparsable_config_is_validation_error(self, tmp_path, capsys, argv, text, key):
         bad = tmp_path / "bad.yaml"

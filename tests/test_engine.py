@@ -15,7 +15,6 @@ from hybridnet.engine import (
     lifi_assignment_idle, lifi_crossing_success_exact, simulate_indoor,
 )
 from hybridnet.channel import OpticalParams, RfParams, femto_path_loss, optical_channel_gain
-from hybridnet.policy import ApMode, NetworkKind
 from hybridnet.protocol import HandoverKind, run_handover
 from hybridnet.zoning import Zone, classify_points, monte_carlo_zone_model, plan_grid
 from oracles import (
@@ -90,7 +89,7 @@ class TestSimulateIndoor:
         metrics = sim.run()
         assert sim._positions[-1].tolist() == [[4.0, 0.5]]  # the last tick's row of the last block
         assert sim._codes[-1].tolist() == [Zone.Z2.value] and sim._zone.tolist() == [Zone.Z2.value]
-        assert sim._kind.tolist() == [NetworkKind.LIFI.value]
+        assert sim._ap.tolist() == [0]  # LiFi AP 0, at (4, 4), serves it
         assert metrics.admissions["accept_on_lifi"] == 1
         assert sum(metrics.handovers.values()) == 0
         assert metrics.active_at_end == 1
@@ -101,19 +100,36 @@ class TestSimulateIndoor:
         sim._next_event[0] = math.inf  # no call of its own on the first tick
         sim._locate(np.array([[[0.0, 0.0]]]))  # a one-tick block; Zone 1: only the femtocell covers it
         sim._step(0, 0.0)
-        assert sim._kind.tolist() == [engine._NO_CALL]
+        fap, slots = sim._femto, PolicyConfig().fap_slots
+        assert sim._ap.tolist() == [engine._NO_CALL]
         assert sim._codes.tolist() == [[Zone.Z1.value]] and sim._zone.tolist() == [Zone.Z1.value]
-        assert sim.fap.mode is ApMode.IDLE
+        assert sim._fap_idle
         sim._try_start_call(0, 0.0)
-        assert sim._kind.tolist() == [NetworkKind.FAP.value] and sim.fap.occupied_slots == 1
-        assert sim.fap.mode is ApMode.ACTIVE
+        assert sim._ap.tolist() == [fap] and sim._free[fap] == slots - 1
+        assert not sim._fap_idle
         sim._apply_idle_mode(0.0)
-        assert sim.fap.mode is ApMode.ACTIVE  # a Zone 1 user is never shifted
+        assert not sim._fap_idle  # a Zone 1 user is never shifted
         sim._release_call(0, 1.0)
-        assert sim._kind.tolist() == [engine._NO_CALL] and sim._next_event[0] > 1.0
-        assert sim.fap.occupied_slots == 0 and sim.fap.mode is ApMode.ACTIVE
+        assert sim._ap.tolist() == [engine._NO_CALL] and sim._next_event[0] > 1.0
+        assert sim._free[fap] == slots and not sim._fap_idle
         sim._apply_idle_mode(1.0)
-        assert sim.fap.mode is ApMode.IDLE
+        assert sim._fap_idle
+
+    @pytest.mark.parametrize("corrupt", ["slot-moved-between-lifi-aps", "over-capacity", "idle-femtocell-serves"])
+    def test_slot_balance_is_checked_per_ap(self, corrupt):
+        sim = _IndoorSim(ScenarioConfig(user_count=2, seed=3))
+        sim._occupy(0, 0)  # terminal 0 calls on LiFi AP 0
+        sim._check_slot_balance()
+        if corrupt == "slot-moved-between-lifi-aps":  # the total of occupied slots stays the same
+            sim._free[0], sim._free[1] = sim._free[0] + 1, sim._free[1] - 1
+        elif corrupt == "over-capacity":  # every AP's slots still match its calls
+            sim._capacity[0], sim._free[0] = 1, 0  # AP 0 has one slot, and terminal 0 holds it
+            sim._occupy(1, 0)
+        else:
+            sim._occupy(1, sim._femto)
+            sim._fap_idle = True
+        with pytest.raises(RuntimeError, match="slot leak"):
+            sim._check_slot_balance()
 
     def test_bit_identical_reruns(self):
         m1 = simulate_indoor(BUSY)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hybridnet.engine import PolicyConfig
 from hybridnet.policy import (
-    AdmissionDecision, ApMode, ApState, HandoverDecision, NetworkKind,
+    AdmissionDecision, HandoverDecision, NetworkKind,
     TrafficClass, admit_new_call, fap_idle_probability, fap_mode_update,
     feasible_networks, handover_decision,
 )
@@ -18,31 +18,35 @@ from hybridnet.zoning import Zone
 from oracles import handover_decision_reference
 
 
-def make_aps(fap_free=8, lifi_free=10, fap_mode=ApMode.ACTIVE):
-    """A femtocell with 8 slots and one LiFi AP with 10, with the given free slots."""
-    fap_occ = 8 - fap_free
-    mode = ApMode.IDLE if fap_mode is ApMode.IDLE and fap_occ == 0 else ApMode.ACTIVE
-    return ApState(NetworkKind.FAP, None, 8, mode, fap_occ), ApState(NetworkKind.LIFI, 0, 10, ApMode.ACTIVE, 10 - lifi_free)
+LIFI, FAP = 0, 1  # AP indices: one LiFi AP with 10 slots, then the femtocell with 8
+
+
+def make_aps(fap_free=8, lifi_free=10, fap_idle=False):
+    """The free-slot list with the given free slots, and the femtocell's idle mode (idle only while empty)."""
+    return [lifi_free, fap_free], fap_idle and fap_free == 8
 
 
 def admit(zone, aps, traffic=TrafficClass.DATA):
-    fap, lifi = aps
-    return admit_new_call(zone, traffic, fap, [lifi])
+    free, fap_idle = aps
+    return admit_new_call(zone, traffic, fap_idle, free, [LIFI])
+
+
+def network(ap):
+    return NetworkKind.FAP if ap == FAP else NetworkKind.LIFI
 
 
 class TestAdmission:
     def test_zone1_data_goes_to_fap(self):
-        aps = make_aps()
-        decision, ap = admit(Zone.Z1, aps)
+        decision, ap = admit(Zone.Z1, make_aps())
         assert decision is AdmissionDecision.ACCEPT_ON_FAP
-        assert ap is aps[0]
+        assert ap == FAP
 
     def test_voice_in_zone2_goes_to_fap(self):
         decision, _ap = admit(Zone.Z2, make_aps(), TrafficClass.RT_VOICE)
         assert decision is AdmissionDecision.ACCEPT_ON_FAP
 
     def test_zone3_idle_fap_prefers_lifi(self):
-        decision, _ap = admit(Zone.Z3, make_aps(fap_mode=ApMode.IDLE))
+        decision, _ap = admit(Zone.Z3, make_aps(fap_idle=True))
         assert decision is AdmissionDecision.ACCEPT_ON_LIFI
 
     def test_zone3_active_fap_prefers_fap(self):
@@ -50,10 +54,9 @@ class TestAdmission:
         assert decision is AdmissionDecision.ACCEPT_ON_FAP
 
     def test_zone3_overflow_redirects_to_fap(self):
-        aps = make_aps(lifi_free=0, fap_mode=ApMode.IDLE)
-        decision, ap = admit(Zone.Z3, aps)
+        decision, ap = admit(Zone.Z3, make_aps(lifi_free=0, fap_idle=True))
         assert decision is AdmissionDecision.REDIRECTED
-        assert ap is aps[0]
+        assert ap == FAP
 
     def test_zone2_goes_to_lifi(self):
         decision, _ap = admit(Zone.Z2, make_aps())
@@ -72,12 +75,11 @@ class TestAdmission:
         assert decision is AdmissionDecision.BLOCKED
 
     def test_lifi_candidate_ordering_respected(self):
-        fap, lifi0 = make_aps()
-        lifi1 = ApState(NetworkKind.LIFI, 1, 10)
-        decision, ap = admit_new_call(Zone.Z2, TrafficClass.DATA, fap, [lifi1, lifi0])
-        assert ap is lifi1
-        lifi1.occupied_slots = lifi1.capacity_slots  # a full candidate is passed over
-        assert admit_new_call(Zone.Z2, TrafficClass.DATA, fap, [lifi1, lifi0])[1] is lifi0
+        free = [10, 10, 8]  # LiFi APs 0 and 1, then the femtocell
+        decision, ap = admit_new_call(Zone.Z2, TrafficClass.DATA, False, free, [1, 0])
+        assert ap == 1
+        free[1] = 0  # a full candidate is passed over
+        assert admit_new_call(Zone.Z2, TrafficClass.DATA, False, free, [1, 0])[1] == 0
 
     def test_exhaustive_decision_table_invariants(self):
         zones = list(Zone)
@@ -85,19 +87,16 @@ class TestAdmission:
         for zone, traffic, fap_free, lifi_free, fap_idle in product(
             zones, classes, (0, 1, 8), (0, 1, 10), (False, True)
         ):
-            fap, lifi = aps = make_aps(fap_free, lifi_free, ApMode.IDLE if fap_idle and fap_free == 8 else ApMode.ACTIVE)
+            free, _ = aps = make_aps(fap_free, lifi_free, fap_idle)
             decision, ap = admit(zone, aps, traffic)
             feasible = feasible_networks(zone, traffic)
             if decision is AdmissionDecision.BLOCKED:
                 # blocked only when every feasible network is full
-                assert all(
-                    (fap.free_slots == 0) if kind is NetworkKind.FAP else (lifi.free_slots == 0)
-                    for kind in feasible
-                )
+                assert all(free[FAP if kind is NetworkKind.FAP else LIFI] == 0 for kind in feasible)
             else:
-                assert ap.kind in feasible
+                assert network(ap) in feasible
                 if traffic is TrafficClass.RT_VOICE or zone is Zone.Z1:
-                    assert ap is fap
+                    assert ap == FAP
 
     @given(
         zone=st.sampled_from(list(Zone)),
@@ -109,7 +108,7 @@ class TestAdmission:
     def test_no_voice_or_zone1_on_lifi(self, zone, traffic, fap_free, lifi_free):
         decision, ap = admit(zone, make_aps(fap_free, lifi_free), traffic)
         if traffic is TrafficClass.RT_VOICE or zone is Zone.Z1:
-            assert ap is None or ap.kind is not NetworkKind.LIFI
+            assert ap is None or network(ap) is not NetworkKind.LIFI
 
     def test_deterministic(self):
         results = {admit(Zone.Z3, make_aps(3, 4))[0] for _ in range(5)}
@@ -192,37 +191,29 @@ class TestHandoverDecision:
 
 
 class TestFapModeUpdate:
-    def fap(self, occupied):
-        return ApState(NetworkKind.FAP, None, 8, ApMode.ACTIVE, occupied)
-
     def test_empty_fap_idles(self):
         # Nobody to shift; the engine then idles the empty femtocell
         # (test_engine: test_fap_idles_once_its_last_slot_is_freed).
-        assert fap_mode_update(self.fap(0), []) == ()
+        assert fap_mode_update(0, []) == ()
 
     def test_single_zone3_user_is_shifted(self):
-        assert fap_mode_update(self.fap(1), [(7, Zone.Z3)]) == (7,)
+        assert fap_mode_update(1, [(7, Zone.Z3)]) == (7,)
 
     def test_single_zone1_user_keeps_fap_active(self):
-        assert fap_mode_update(self.fap(1), [(7, Zone.Z1)]) == ()
+        assert fap_mode_update(1, [(7, Zone.Z1)]) == ()
 
     def test_two_users_keep_fap_active(self):
-        assert fap_mode_update(self.fap(2), [(1, Zone.Z3), (2, Zone.Z3)]) == ()
+        assert fap_mode_update(2, [(1, Zone.Z3), (2, Zone.Z3)]) == ()
 
     def test_occupancy_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            fap_mode_update(self.fap(2), [(1, Zone.Z3)])
-
-    def test_wrong_kind_rejected(self):
-        lifi = ApState(NetworkKind.LIFI, 0, 10)
-        with pytest.raises(ValueError):
-            fap_mode_update(lifi, [])
+            fap_mode_update(2, [(1, Zone.Z3)])
 
     @given(st.lists(st.sampled_from(list(Zone)), min_size=0, max_size=8))
     @settings(max_examples=200)
     def test_never_shifts_outside_zone3(self, zones):
         users = list(enumerate(zones))
-        for uid in fap_mode_update(self.fap(len(users)), users):
+        for uid in fap_mode_update(len(users), users):
             assert dict(users)[uid] is Zone.Z3
 
 

@@ -71,6 +71,10 @@ class TestVehicleCapacity:
             capacity_sweep([0.0], LINK, OPTICAL, RF)
         with pytest.raises(ValueError):
             VehicleLink(shadowing_sigma_dB=0.0)
+        for field, value in (("access_horizontal_distance_m", -1.0), ("access_horizontal_distance_m", math.inf),
+                             ("access_femto_distance_m", 0.0), ("access_femto_distance_m", math.inf)):
+            with pytest.raises(ValueError, match=field):
+                VehicleLink(**{field: value})
 
 
 class TestVehicleOutage:
@@ -148,8 +152,9 @@ class TestCarLinkReliability:
         assert owc_only == pytest.approx(expected, abs=DT_S / window)
 
     def test_invalid_scenario(self):
-        with pytest.raises(ValueError):
-            CarFollowScenario(window_s=0.0)
+        for window_s in (0.0, 0.0004, math.inf):  # 0.0004 s rounds to no DT_S step
+            with pytest.raises(ValueError, match="window_s"):
+                CarFollowScenario(window_s=window_s)
         with pytest.raises(ValueError):
             reliability_sweep([20.0, 0.0], CAR)
 
