@@ -33,12 +33,10 @@ import numpy as np
 
 from . import channel, policy, selection
 from .channel import NON_NEGATIVE_FINITE, POSITIVE, POSITIVE_FINITE, OpticalParams, RfParams, at_least, check_fields
-from .policy import AdmissionDecision, HandoverDecision, NetworkKind, TrafficClass
+from .policy import LIFI, STAY, TO_FAP, TO_LIFI, AdmissionDecision
 from .protocol import HandoverKind, run_handover
 from .rng import spawn_streams
 from .zoning import _CLASSIFY_SLICE, MIN_MC_SAMPLES, GridPlan, Zone, classify_points, monte_carlo_zone_model, plan_grid
-
-_ZONE_OF_CODE = (None, *Zone)  # indexed by classify_points code: no enum call per terminal
 
 
 @dataclass(frozen=True)
@@ -120,6 +118,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_fields(self, *at_least(0), "user_count")
+        check_fields(self, *POSITIVE_FINITE, "duration_s")
         check_fields(self, f"at least one tick_s ({self.mobility.tick_s!r}) once rounded to whole ticks",
                      lambda v: round(v / self.mobility.tick_s) >= 1, "duration_s")
 
@@ -130,8 +129,8 @@ HANDOVER_KEYS = tuple(k.value for k in HandoverKind)
 # The criteria each network is scored on, in the row order of the AHP
 # pairwise matrix, with their normalization modes.
 AHP_CRITERIA = (("capacity", "benefit"), ("sinr", "benefit"), ("mobility", "benefit"), ("load", "cost"))
-# Fixed mobility scores; the load floor keeps an empty network's cost inversion finite.
-AHP_MOBILITY = {NetworkKind.LIFI: 0.3, NetworkKind.FAP: 0.7}
+# Fixed mobility scores, indexed by network code; the load floor keeps an empty network's cost inversion finite.
+AHP_MOBILITY = (0.3, 0.7)
 AHP_LOAD_FLOOR = 1e-6
 
 
@@ -193,8 +192,8 @@ class _IndoorSim:
     it walks); it runs up to a block of ticks ahead of the calls, which
     read the block's rows. Calls: ``_ap`` (the serving AP's index in the
     slot ledger, or ``_NO_CALL``), ``_voice``, ``_next_event`` (the call's
-    end during a call, else the next call's arrival), ``_zone`` (a ``Zone``
-    value), ``_zone_entry`` and ``_last_handover``. The slot ledger is
+    end during a call, else the next call's arrival), ``_zone`` (the zone
+    code), ``_zone_entry`` and ``_last_handover``. The slot ledger is
     ``_free``, the free slots of LiFi AP j at index j and of the femtocell
     at index ``_femto``, the last; ``_capacity`` beside it and
     ``_fap_idle``, the femtocell's idle mode.
@@ -208,7 +207,7 @@ class _IndoorSim:
         self._capacity = [config.policy.lifi_slots] * self._femto + [config.policy.fap_slots]
         self._free, self._fap_idle = list(self._capacity), True
         self.metrics = Metrics()
-        self._kind_sums = {kind: (0, 0.0, 0.0) for kind in NetworkKind}  # (samples, SINR dB, capacity bps) sums
+        self._kind_sums = [(0, 0.0, 0.0)] * 2  # (samples, SINR dB, capacity bps) sums, indexed by network code
         # A fault-free flow's latency depends on its kind and the per-hop delay alone.
         self._handover_latency_s = {k: run_handover(k, config.policy.per_hop_latency_s).latency_s for k in HandoverKind}
         # One mobility and one traffic stream per terminal: its draws do not depend on the other terminals.
@@ -279,9 +278,7 @@ class _IndoorSim:
     def _try_start_call(self, i: int, now: float) -> None:
         gen, traffic = self._traffic[i], self.cfg.traffic
         voice = gen.random() < traffic.voice_fraction
-        traffic_class = TrafficClass.RT_VOICE if voice else TrafficClass.DATA
-        decision, ap = policy.admit_new_call(_ZONE_OF_CODE[self._zone[i]], traffic_class, self._fap_idle, self._free,
-                                             self._covering(i))
+        decision, ap = policy.admit_new_call(self._zone[i], voice, self._fap_idle, self._free, self._covering(i))
         self.metrics.admissions[decision.value] += 1
         if decision is AdmissionDecision.BLOCKED:
             self._next_event[i] = now + self._draw_interarrival(i)
@@ -321,9 +318,9 @@ class _IndoorSim:
                 & ~(on_fap & self._voice)).nonzero()[0]  # voice stays pinned to the femtocell
         if not len(rows):
             return
-        kinds, zones = on_fap[rows].astype(np.int8), self._zone[rows]  # NetworkKind codes: LIFI 0, FAP 1
+        kinds, zones = on_fap[rows].astype(np.int8), self._zone[rows]  # network codes: LIFI 0, FAP 1
         signals, targets = np.full((2, len(rows)), -math.inf), np.zeros(len(rows), dtype=np.intp)  # dB; LiFi columns
-        z4 = ((kinds == NetworkKind.LIFI.value) & (zones == Zone.Z4.value)).nonzero()[0]
+        z4 = ((kinds == LIFI) & (zones == Zone.Z4.value)).nonzero()[0]
         if len(z4):  # two APs cover a Zone 4 terminal: the target is the nearest one not serving it
             terminals = rows[z4]
             serving, (first, second) = ap[terminals], self._covering_order[self._tick, terminals, :2].T
@@ -331,12 +328,12 @@ class _IndoorSim:
             at = self._tick, np.concatenate((terminals, terminals)), np.concatenate((serving, target))
             signals[:, z4] = np.reshape(channel.linear_to_db(self._rx_power[at]), (2, -1))
         decisions = policy.handover_decision(kinds, zones, *signals, now - self._zone_entry[rows], thresholds)
-        acting = (decisions != HandoverDecision.STAY.value).nonzero()[0]
+        acting = (decisions != STAY).nonzero()[0]
         for i, column, decision in zip(rows[acting].tolist(), targets[acting].tolist(), decisions[acting].tolist()):
-            if decision == HandoverDecision.TO_LIFI.value:
+            if decision == TO_LIFI:
                 moved = self._to_covering_lifi(i, now)
             else:  # TO_FAP, or TO_TARGET_LIFI, whose stronger target is a covering AP
-                flow, target = ((HandoverKind.LIFI_TO_FEMTO, self._femto) if decision == HandoverDecision.TO_FAP.value
+                flow, target = ((HandoverKind.LIFI_TO_FEMTO, self._femto) if decision == TO_FAP
                                 else (HandoverKind.LIFI_TO_LIFI, column))
                 moved = self._free[target] > 0
                 if moved:
@@ -346,7 +343,8 @@ class _IndoorSim:
     def _apply_idle_mode(self, now: float) -> None:
         """Shift the femtocell's lone Zone 3 user to LiFi if it can; the femtocell idles once it holds no slot."""
         femto = self._femto
-        served = [(i, _ZONE_OF_CODE[self._zone[i]]) for i in (self._ap == femto).nonzero()[0].tolist()]
+        on_fap = (self._ap == femto).nonzero()[0]
+        served = list(zip(on_fap.tolist(), self._zone[on_fap].tolist()))
         for i in policy.fap_mode_update(self._capacity[femto] - self._free[femto], served):
             self._to_covering_lifi(i, now)
         if self._free[femto] == self._capacity[femto]:
@@ -364,18 +362,18 @@ class _IndoorSim:
         serving = aps[ticks, terminals]
         sinr, bandwidth = np.empty(len(ticks)), np.empty(len(ticks))
         on_fap = serving == self._femto
-        masks = {NetworkKind.LIFI: ~on_fap, NetworkKind.FAP: on_fap}
-        for kind, mask in masks.items():
+        masks = (~on_fap, on_fap)  # indexed by network code
+        for kind, mask in enumerate(masks):
             if mask.any():
                 at = ticks[mask], terminals[mask]
-                sinr[mask], bandwidth[mask] = (self._lifi_links(*at, serving[mask]) if kind is NetworkKind.LIFI
+                sinr[mask], bandwidth[mask] = (self._lifi_links(*at, serving[mask]) if kind == LIFI
                                                else self._femto_links(*at))
         sinr_db, capacity = np.asarray(channel.linear_to_db(sinr)), channel.shannon_capacity(sinr, bandwidth)
         m = self.metrics
         m.link_samples += len(sinr)
         m.sinr_total_db = _added(m.sinr_total_db, sinr_db.tolist())
         m.capacity_total_bps = _added(m.capacity_total_bps, capacity.tolist())
-        for kind, mask in masks.items():
+        for kind, mask in enumerate(masks):
             count, sinr_total, capacity_total = self._kind_sums[kind]
             self._kind_sums[kind] = (count + int(np.count_nonzero(mask)), _added(sinr_total, sinr_db[mask].tolist()),
                                      _added(capacity_total, capacity[mask].tolist()))
@@ -443,10 +441,10 @@ class _IndoorSim:
         if not self.metrics.link_samples:
             return
         *lifi, fap = ((capacity - free) / capacity for capacity, free in zip(self._capacity, self._free))
-        loads = {NetworkKind.LIFI: _mean(_added(0.0, lifi), len(lifi)), NetworkKind.FAP: fap}
+        loads = (_mean(_added(0.0, lifi), len(lifi)), fap)  # indexed by network code
         values = tuple(
             (_mean(capacity, count), max(_mean(sinr, count), 0.0), AHP_MOBILITY[kind], max(loads[kind], AHP_LOAD_FLOOR))
-            for kind, (count, sinr, capacity) in self._kind_sums.items()
+            for kind, (count, sinr, capacity) in enumerate(self._kind_sums)
         )
         modes = tuple(mode for _name, mode in AHP_CRITERIA)
         self.metrics.ahp_rank = selection.rank_networks(values, modes, self.cfg.ahp_weights)

@@ -13,6 +13,11 @@ to the femtocell only after outstaying ``T_h`` without a stronger target
 AP, and a femtocell user in Zone 3 must dwell ``T_h1`` before moving to
 LiFi.
 
+Both rule sets are tables on the codes the simulator holds: a zone is its
+``Zone`` value (1..4, as ``classify_points`` returns it), a network is
+``LIFI`` or ``FAP``, a call is voice or not, and a handover decision is
+``STAY``, ``TO_FAP``, ``TO_TARGET_LIFI`` or ``TO_LIFI``.
+
 The femtocell idles when it serves nobody, or serves exactly one user who
 sits in Zone 3 and can be shifted to LiFi first.
 
@@ -33,16 +38,8 @@ import numpy as np
 from .zoning import Zone, occupancy_probability
 
 
-class TrafficClass(enum.Enum):
-    RT_VOICE = "rt_voice"
-    DATA = "data"
-
-
-class NetworkKind(enum.Enum):
-    """The serving network; its value is its code in :func:`handover_decision`'s ``serving_kinds``."""
-
-    LIFI = 0
-    FAP = 1
+LIFI, FAP = 0, 1  # network codes
+STAY, TO_FAP, TO_TARGET_LIFI, TO_LIFI = range(4)  # handover decision codes
 
 
 class AdmissionDecision(enum.Enum):
@@ -52,64 +49,42 @@ class AdmissionDecision(enum.Enum):
     BLOCKED = "blocked"
 
 
-class HandoverDecision(enum.Enum):
-    """A handover decision; its value is its code in :func:`handover_decision`'s result."""
-
-    STAY = 0
-    TO_FAP = 1
-    TO_TARGET_LIFI = 2
-    TO_LIFI = 3
-
-
 def first_free(free_slots, aps) -> int | None:
     """The first AP index of ``aps`` (in preference order) with a free slot in ``free_slots``, if any."""
     return next((ap for ap in aps if free_slots[ap] > 0), None)
 
 
-def _preferred_network(zone: Zone, traffic_class: TrafficClass, fap_idle: bool) -> NetworkKind:
-    if traffic_class is TrafficClass.RT_VOICE:
-        return NetworkKind.FAP
-    if zone in (Zone.Z1, Zone.Z4):
-        return NetworkKind.FAP
-    if zone is Zone.Z3:
-        return NetworkKind.LIFI if fap_idle else NetworkKind.FAP
-    return NetworkKind.LIFI  # Z2
-
-
-def feasible_networks(zone: Zone, traffic_class: TrafficClass) -> tuple[NetworkKind, ...]:
-    """Networks whose coverage (and policy) can carry a call in this zone."""
-    if traffic_class is TrafficClass.RT_VOICE or zone is Zone.Z1:
-        return (NetworkKind.FAP,)
-    return (NetworkKind.FAP, NetworkKind.LIFI)
+# The admission rules as a table: [voice][zone - 1][femtocell idle?] -> (preferred network, overflow network or None).
+_ADMISSION_RULES = (
+    (((FAP, None),) * 2, ((LIFI, FAP),) * 2, ((FAP, LIFI), (LIFI, FAP)), ((FAP, LIFI),) * 2),  # data, Z1..Z4
+    (((FAP, None),) * 2,) * 4,  # voice: the femtocell only, in every zone
+)
 
 
 def admit_new_call(
-    zone: Zone, traffic_class: TrafficClass, fap_idle: bool, free_slots, covering_lifi
+    zone: int, voice: bool, fap_idle: bool, free_slots, covering_lifi
 ) -> tuple[AdmissionDecision, int | None]:
-    """Route a newly originating call of ``traffic_class`` in ``zone``: ``(decision, AP index)``.
+    """Route a newly originating call in the zone whose code is ``zone``: ``(decision, AP index)``.
 
     ``free_slots`` holds each AP's free slots, the femtocell's last;
     ``covering_lifi`` holds the indices of the LiFi APs covering the
     terminal, in preference order, and the call takes the first with a
-    free slot. Overflow redirects a data call to the other feasible
+    free slot. Overflow redirects a data call to the other covering
     network; a full system blocks the call, and the index is None.
     """
-    preferred = _preferred_network(zone, traffic_class, fap_idle)
-    pools = {NetworkKind.FAP: (len(free_slots) - 1,), NetworkKind.LIFI: covering_lifi}
+    if zone not in (1, 2, 3, 4):
+        raise ValueError("unknown serving network or zone")
+    preferred, overflow = _ADMISSION_RULES[voice][zone - 1][fap_idle]
+    pools = (covering_lifi, (len(free_slots) - 1,))  # indexed by network code
     ap = first_free(free_slots, pools[preferred])
     if ap is not None:
-        accepted = AdmissionDecision.ACCEPT_ON_FAP if preferred is NetworkKind.FAP else AdmissionDecision.ACCEPT_ON_LIFI
-        return accepted, ap
-    for alternative in feasible_networks(zone, traffic_class):
-        if alternative is not preferred:
-            ap = first_free(free_slots, pools[alternative])
-            if ap is not None:
-                return AdmissionDecision.REDIRECTED, ap
-    return AdmissionDecision.BLOCKED, None
+        return (AdmissionDecision.ACCEPT_ON_LIFI, AdmissionDecision.ACCEPT_ON_FAP)[preferred], ap
+    ap = None if overflow is None else first_free(free_slots, pools[overflow])
+    return (AdmissionDecision.BLOCKED, None) if ap is None else (AdmissionDecision.REDIRECTED, ap)
 
 
-_S, _F, _T, _L = (d.value for d in HandoverDecision)  # STAY, TO_FAP, TO_TARGET_LIFI, TO_LIFI
-# The handover rules as a table: [serving kind][zone - 1][stronger target?][dwell past the zone's threshold?].
+_S, _F, _T, _L = STAY, TO_FAP, TO_TARGET_LIFI, TO_LIFI
+# The handover rules as a table: [serving network][zone - 1][stronger target?][dwell past the zone's threshold?].
 _HANDOVER_RULES = np.array([
     [[[_F, _F], [_F, _F]], [[_S, _S], [_S, _S]], [[_F, _F], [_F, _F]], [[_S, _F], [_T, _T]]],  # LiFi-served, Z1..Z4
     [[[_S, _S], [_S, _S]], [[_L, _L], [_L, _L]], [[_S, _L], [_S, _L]], [[_S, _S], [_S, _S]]],  # femtocell-served
@@ -117,12 +92,11 @@ _HANDOVER_RULES = np.array([
 
 
 def handover_decision(serving_kinds, zone_codes, s_serving_dB, s_target_dB, dwell_s, thresholds) -> np.ndarray:
-    """Evaluate the handover rules for a batch of in-call terminals, one row each: their ``HandoverDecision`` values.
+    """Evaluate the handover rules for a batch of in-call terminals, one row each: their decision codes.
 
-    Row i is a terminal served by network ``serving_kinds[i]`` (a
-    ``NetworkKind`` value) in the zone whose ``Zone`` value is
-    ``zone_codes[i]``; ``dwell_s[i]`` is the time since it entered that
-    zone. ``thresholds`` carries ``t_h_s`` and ``t_h1_s`` (the engine's
+    Row i is a terminal served by network ``serving_kinds[i]`` (``LIFI``
+    or ``FAP``) in the zone whose code is ``zone_codes[i]``; ``dwell_s[i]``
+    is the time since it entered that zone. ``thresholds`` carries ``t_h_s`` and ``t_h1_s`` (the engine's
     ``PolicyConfig``). LiFi-served: Zone 1 or 3 hands straight to the
     femtocell; Zone 4 hands to the stronger target LiFi AP, or to the
     femtocell once the dwell exceeds ``T_h`` with no stronger target.
@@ -131,7 +105,7 @@ def handover_decision(serving_kinds, zone_codes, s_serving_dB, s_target_dB, dwel
     """
     kind = np.asarray(serving_kinds)
     stronger = np.greater(s_target_dB, s_serving_dB)
-    outstayed = np.greater(dwell_s, np.where(kind == NetworkKind.LIFI.value, thresholds.t_h_s, thresholds.t_h1_s))
+    outstayed = np.greater(dwell_s, np.where(kind == LIFI, thresholds.t_h_s, thresholds.t_h1_s))
     try:
         cells = np.ravel_multi_index((kind, np.asarray(zone_codes) - 1, stronger, outstayed), _HANDOVER_RULES.shape)
     except (TypeError, ValueError):
@@ -139,17 +113,18 @@ def handover_decision(serving_kinds, zone_codes, s_serving_dB, s_target_dB, dwel
     return _HANDOVER_RULES.ravel()[cells]
 
 
-def fap_mode_update(fap_occupied: int, connected_users_with_zones: list[tuple[int, Zone]]) -> tuple[int, ...]:
+def fap_mode_update(fap_occupied: int, served: list[tuple[int, int]]) -> tuple[int, ...]:
     """Terminals to shift to LiFi so that the femtocell, holding ``fap_occupied`` slots, can idle.
 
+    ``served`` pairs each terminal the femtocell serves with its zone code.
     A single user sitting in Zone 3 is shifted; with no connected user, or
     any other set of users, nobody is. Users outside Zone 3 are never
     shifted. The femtocell idles once it holds no slot.
     """
-    if len(connected_users_with_zones) != fap_occupied:
+    if len(served) != fap_occupied:
         raise ValueError("user list does not match occupancy")
-    if len(connected_users_with_zones) == 1 and connected_users_with_zones[0][1] is Zone.Z3:
-        return (connected_users_with_zones[0][0],)
+    if len(served) == 1 and served[0][1] == Zone.Z3.value:
+        return (served[0][0],)
     return ()
 
 

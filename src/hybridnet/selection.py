@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .policy import FAP, LIFI
+
 # Saaty random-index table, N = 1..9.
 RANDOM_INDEX = (0.0, 0.0, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41, 1.45)
 
 CONSISTENCY_LIMIT = 0.1
-
-LIFI, FEMTO = 0, 1
 
 
 def _validate_reciprocal(matrix: np.ndarray) -> None:
@@ -61,10 +61,10 @@ def derive_weights(pairwise_matrix) -> tuple[tuple[float, ...], float]:
 def rank_networks(values, modes, weights) -> tuple[float, float, str]:
     """Global ranking (R_lifi, R_femto, chosen network name).
 
-    ``values`` holds the raw per-criterion scores, row 0 = LiFi, row 1 =
-    femtocell. ``modes[i]`` is "benefit" (bigger is better) or "cost"
-    (smaller is better; scores are inverted before normalization). Each
-    column is normalized to sum to 1. ``chosen`` is "lifi" or "femtocell";
+    ``values`` holds the raw per-criterion scores, one row per network
+    code: row ``LIFI`` (0), then row ``FAP`` (1). ``modes[i]`` is
+    "benefit" (bigger is better) or "cost" (smaller is better; scores are
+    inverted before normalization). Each column is normalized to sum to 1. ``chosen`` is "lifi" or "femtocell";
     an exact tie picks the femtocell.
     """
     cols = np.array(values, dtype=float)
@@ -87,5 +87,5 @@ def rank_networks(values, modes, weights) -> tuple[float, float, str]:
     if cols.shape[1] != w.shape[0]:
         raise ValueError("score columns and weights disagree in length")
     r = cols @ w
-    chosen = "lifi" if r[LIFI] > r[FEMTO] else "femtocell"
-    return float(r[LIFI]), float(r[FEMTO]), chosen
+    chosen = "lifi" if r[LIFI] > r[FAP] else "femtocell"
+    return float(r[LIFI]), float(r[FAP]), chosen

@@ -8,10 +8,11 @@ checked against them. ``lifi_assignment_idle_one_hot`` is the all-users-at-once
 user-by-user form the simulator runs, which locates only the placements
 still idle. ``classify_against_every_ap``
 measures each point against every AP of a plan, the brute force the
-lattice-window zone lookup must reproduce. ``handover_decision_reference``
-states the handover rules for one terminal, the reference for the batched
-``policy.handover_decision``; ``optical_channel_gain_reference`` is the
-optical gain as one expression, the reference for the in-place
+lattice-window zone lookup must reproduce. ``admit_new_call_reference``
+and ``handover_decision_reference`` state the admission rules for one new
+call and the handover rules for one terminal, the references for the rule
+tables of ``policy.admit_new_call`` and ``policy.handover_decision``;
+``optical_channel_gain_reference`` is the optical gain as one expression, the reference for the in-place
 ``channel.optical_channel_gain``. ``trace_from_csv`` reads a written trace
 back for replay validation.
 """
@@ -28,15 +29,15 @@ from hybridnet.channel import OpticalParams, concentrator_gain, lambertian_index
 from hybridnet.engine import Metrics, PolicyConfig
 from hybridnet.protocol import run_handover
 from hybridnet.rng import spawn_streams
-from hybridnet.policy import AdmissionDecision, HandoverDecision, NetworkKind, TrafficClass
+from hybridnet.policy import FAP, LIFI, STAY, TO_FAP, TO_LIFI, TO_TARGET_LIFI, AdmissionDecision
 from hybridnet.protocol import TRACE_CSV_HEADER, HandoverKind, HandoverTrace, MessageKind, ProtocolMessage
 from hybridnet.zoning import GridPlan, Zone
 
 
 def placement_idle_reference(
-    zones: list[Zone], lifi_slots: int = PolicyConfig.lifi_slots, fap_slots: int = PolicyConfig.fap_slots
+    zones: list[int], lifi_slots: int = PolicyConfig.lifi_slots, fap_slots: int = PolicyConfig.fap_slots
 ) -> bool:
-    """Idle outcome of one placement, driven through the policy module.
+    """Idle outcome of one placement of users with the given zone codes, driven through the policy module.
 
     Users arrive in list order as data calls against a fresh, idle
     femtocell; the idle-mode rule then runs to a fixed point. Positions are
@@ -46,9 +47,9 @@ def placement_idle_reference(
     """
     lifi, fap = 0, 1
     free, fap_idle = [lifi_slots, fap_slots], True
-    fap_users: list[tuple[int, Zone]] = []
+    fap_users: list[tuple[int, int]] = []
     for uid, zone in enumerate(zones):
-        decision, ap = policy.admit_new_call(zone, TrafficClass.DATA, fap_idle, free, [lifi])
+        decision, ap = policy.admit_new_call(zone, False, fap_idle, free, [lifi])
         if decision is AdmissionDecision.BLOCKED:
             continue
         free[ap] -= 1
@@ -74,9 +75,9 @@ def enumerate_idle_probability(
     zone_probs, p_users: int, lifi_slots: int = PolicyConfig.lifi_slots, fap_slots: int = PolicyConfig.fap_slots
 ) -> float:
     """Exact idle probability by summing over all zone assignments (4^p)."""
-    zones = list(Zone)
+    zones = [zone.value for zone in Zone]
     total = 0.0
-    stack: list[tuple[list[Zone], float]] = [([], 1.0)]
+    stack: list[tuple[list[int], float]] = [([], 1.0)]
     while stack:
         prefix, weight = stack.pop()
         if len(prefix) == p_users:
@@ -84,7 +85,7 @@ def enumerate_idle_probability(
                 total += weight
             continue
         for zone in zones:
-            w = weight * zone_probs[zone.value - 1]
+            w = weight * zone_probs[zone - 1]
             if w > 0.0:
                 stack.append((prefix + [zone], w))
     return total
@@ -128,25 +129,54 @@ def lifi_assignment_idle_one_hot(codes: np.ndarray, nearest: np.ndarray, ap_coun
     return ~(needs_fap | np.logical_or.accumulate(load_at_ap > lifi_slots, axis=1))
 
 
+def feasible_networks_reference(zone: int, voice: bool) -> tuple[int, ...]:
+    """The network codes whose coverage (and policy) can carry a new call in the zone whose code is ``zone``."""
+    if voice or Zone(zone) is Zone.Z1:
+        return (FAP,)
+    return (FAP, LIFI)
+
+
+def admit_new_call_reference(zone: int, voice: bool, fap_idle: bool, free_slots, covering_lifi):
+    """The admission rules for one new call, rule by rule (see ``policy.admit_new_call``): ``(decision, AP index)``."""
+    zone = Zone(zone)
+    if voice or zone in (Zone.Z1, Zone.Z4):
+        preferred = FAP
+    elif zone is Zone.Z3:
+        preferred = LIFI if fap_idle else FAP
+    else:  # Zone 2
+        preferred = LIFI
+    pools = {FAP: (len(free_slots) - 1,), LIFI: covering_lifi}
+    ap = policy.first_free(free_slots, pools[preferred])
+    if ap is not None:
+        return (AdmissionDecision.ACCEPT_ON_FAP if preferred == FAP else AdmissionDecision.ACCEPT_ON_LIFI), ap
+    for alternative in feasible_networks_reference(zone.value, voice):
+        if alternative != preferred:
+            ap = policy.first_free(free_slots, pools[alternative])
+            if ap is not None:
+                return AdmissionDecision.REDIRECTED, ap
+    return AdmissionDecision.BLOCKED, None
+
+
 def handover_decision_reference(
-    serving_kind: NetworkKind, zone: Zone, s_serving_dB: float, s_target_dB: float, dwell_s: float, thresholds
-) -> HandoverDecision:
-    """The handover rules for one in-call terminal, rule by rule (see ``policy.handover_decision``)."""
-    if serving_kind is NetworkKind.LIFI:
+    serving_kind: int, zone: int, s_serving_dB: float, s_target_dB: float, dwell_s: float, thresholds
+) -> int:
+    """The handover rules for one in-call terminal, rule by rule (see ``policy.handover_decision``): its decision code."""
+    zone = Zone(zone)
+    if serving_kind == LIFI:
         if zone in (Zone.Z1, Zone.Z3):
-            return HandoverDecision.TO_FAP
+            return TO_FAP
         if zone is Zone.Z4:
             if s_target_dB > s_serving_dB:
-                return HandoverDecision.TO_TARGET_LIFI
+                return TO_TARGET_LIFI
             if dwell_s > thresholds.t_h_s:
-                return HandoverDecision.TO_FAP
-        return HandoverDecision.STAY
+                return TO_FAP
+        return STAY
     # femtocell-served
     if zone is Zone.Z2:
-        return HandoverDecision.TO_LIFI
+        return TO_LIFI
     if zone is Zone.Z3 and dwell_s > thresholds.t_h1_s:
-        return HandoverDecision.TO_LIFI
-    return HandoverDecision.STAY
+        return TO_LIFI
+    return STAY
 
 
 def optical_channel_gain_reference(horizontal_distance_m, params: OpticalParams):
@@ -168,8 +198,8 @@ def indoor_run_reference(config) -> Metrics:
 
     The batched run must equal it bit for bit: the same per-terminal
     streams, the scalar move (``sqrt(dx*dx + dy*dy)``), a zone and covering
-    APs from the distances to every AP, the rule-by-rule handover decision
-    and per-link channel calls, added to the sums in (tick, terminal) order.
+    APs from the distances to every AP, the rule-by-rule admission and
+    handover decisions and per-link channel calls, added to the sums in (tick, terminal) order.
     It keeps its own slot ledger, LiFi AP j at index j and the femtocell
     last, and asserts on every tick that each AP's occupied slots are the
     calls it serves, within its capacity.
@@ -179,7 +209,7 @@ def indoor_run_reference(config) -> Metrics:
     fap, slots = plan.ap_count, [cfg.policy.lifi_slots] * plan.ap_count + [cfg.policy.fap_slots]
     free, fap_idle = list(slots), True
     latency = {k: run_handover(k, cfg.policy.per_hop_latency_s).latency_s for k in HandoverKind}
-    m, sums = Metrics(), {kind: [0, 0.0, 0.0] for kind in NetworkKind}
+    m, sums = Metrics(), [[0, 0.0, 0.0] for _network in (LIFI, FAP)]
     rate = cfg.traffic.arrival_rate_per_min / 60.0
 
     def interarrival(i):
@@ -223,8 +253,8 @@ def indoor_run_reference(config) -> Metrics:
             u["gain"] = channel.optical_channel_gain(dist, cfg.optical).tolist()
             covering = (j for j in range(plan.ap_count) if d2[j] <= plan.coverage_radius_m**2)
             u["covering"] = sorted(covering, key=lambda j: dist[j])  # nearest first; a tie keeps the lower column
-            zone = Zone(int(classify_against_every_ap(plan, [(u["x"], u["y"])])[0][0]))
-            if zone is not u["zone"]:
+            zone = int(classify_against_every_ap(plan, [(u["x"], u["y"])])[0][0])
+            if zone != u["zone"]:
                 u["zone"], u["entry"] = zone, now
         for i, u in enumerate(t):
             if u["serving"] is not None and u["end"] <= now:
@@ -234,8 +264,7 @@ def indoor_run_reference(config) -> Metrics:
         for i, u in enumerate(t):
             if u["serving"] is None and u["arrival"] <= now:
                 u["voice"] = float(traffic[i].random()) < cfg.traffic.voice_fraction
-                traffic_class = TrafficClass.RT_VOICE if u["voice"] else TrafficClass.DATA
-                decision, ap = policy.admit_new_call(u["zone"], traffic_class, fap_idle, free, u["covering"])
+                decision, ap = admit_new_call_reference(u["zone"], u["voice"], fap_idle, free, u["covering"])
                 m.admissions[decision.value] += 1
                 if ap is None:
                     u["arrival"] = now + interarrival(i)
@@ -250,19 +279,19 @@ def indoor_run_reference(config) -> Metrics:
                 continue
             rx = [10.0 * math.log10(cfg.optical.tx_optical_power_W * g) if g > 0 else -math.inf for g in u["gain"]]
             s_serving, s_target, target = -math.inf, -math.inf, None
-            if serving != fap and u["zone"] is Zone.Z4:
+            if serving != fap and u["zone"] == Zone.Z4.value:
                 s_serving = rx[serving] if serving in u["covering"] else -math.inf
                 target = next((j for j in u["covering"] if j != serving), None)
                 s_target = rx[target] if target is not None else -math.inf
             dwell = now - u["entry"]
-            network = NetworkKind.FAP if serving == fap else NetworkKind.LIFI
+            network = FAP if serving == fap else LIFI
             decision = handover_decision_reference(network, u["zone"], s_serving, s_target, dwell, cfg.policy)
-            if decision is HandoverDecision.STAY:
+            if decision == STAY:
                 continue
-            if decision is HandoverDecision.TO_LIFI:
+            if decision == TO_LIFI:
                 moved = to_covering_lifi(u, now)
             else:
-                kind, ap = ((HandoverKind.LIFI_TO_FEMTO, fap) if decision is HandoverDecision.TO_FAP
+                kind, ap = ((HandoverKind.LIFI_TO_FEMTO, fap) if decision == TO_FAP
                             else (HandoverKind.LIFI_TO_LIFI, target))
                 moved = ap is not None and free[ap] > 0
                 if moved:
@@ -294,12 +323,12 @@ def indoor_run_reference(config) -> Metrics:
             m.link_samples += 1
             m.sinr_total_db += sinr_db
             m.capacity_total_bps += capacity
-            kind_sums = sums[NetworkKind.FAP if serving == fap else NetworkKind.LIFI]
+            kind_sums = sums[FAP if serving == fap else LIFI]
             kind_sums[0] += 1
             kind_sums[1] += sinr_db
             kind_sums[2] += capacity
     m.fap_idle_fraction, m.active_at_end = idle_ticks / ticks, len(in_call)
-    state = SimpleNamespace(metrics=m, _capacity=slots, _free=free, _kind_sums={k: tuple(v) for k, v in sums.items()},
+    state = SimpleNamespace(metrics=m, _capacity=slots, _free=free, _kind_sums=[tuple(v) for v in sums],
                             cfg=cfg)
     engine._IndoorSim._rank_networks(state)  # the ranking of the run's sums, as the engine makes it
     return m

@@ -265,6 +265,11 @@ class TestSimulateIndoor:
                 with pytest.raises(ValueError, match=f"^{name}: "):
                     RoomConfig(**{name: side})
 
+    def test_non_finite_duration_rejected_by_name(self):
+        for duration in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^duration_s: "):
+                ScenarioConfig(duration_s=duration)
+
 
 def reading(codes: np.ndarray, nearest: np.ndarray):
     """A ``locate`` for ``lifi_assignment_idle`` that reads user ``u``'s column of (placements, users) arrays."""
@@ -311,7 +316,7 @@ class TestIdleProbabilityExperiment:
             p = int(gen.integers(1, 5))
             pts = gen.random((p, 2)) * 24.0
             codes, nearest = classify_against_every_ap(plan, pts)
-            zones = [Zone(int(c)) for c in codes]
+            zones = codes.tolist()
             fast = lifi_assignment_idle(reading(codes[None, :], nearest[None, :]), 1, p, plan.ap_count, 10)[0]
             assert fast.shape == (p,)
             for k in range(1, p + 1):  # every prefix of the users is a placement of k users

@@ -8,17 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridnet import policy
 from hybridnet.engine import PolicyConfig
 from hybridnet.policy import (
-    AdmissionDecision, HandoverDecision, NetworkKind,
-    TrafficClass, admit_new_call, fap_idle_probability, fap_mode_update,
-    feasible_networks, handover_decision,
+    STAY, TO_FAP, TO_LIFI, TO_TARGET_LIFI, AdmissionDecision, admit_new_call, fap_idle_probability, fap_mode_update,
+    handover_decision,
 )
 from hybridnet.zoning import Zone
-from oracles import handover_decision_reference
+from oracles import admit_new_call_reference, feasible_networks_reference, handover_decision_reference
 
 
 LIFI, FAP = 0, 1  # AP indices: one LiFi AP with 10 slots, then the femtocell with 8
+Z1, Z2, Z3, Z4 = (zone.value for zone in Zone)
+ZONES = [Z1, Z2, Z3, Z4]
 
 
 def make_aps(fap_free=8, lifi_free=10, fap_idle=False):
@@ -26,100 +28,112 @@ def make_aps(fap_free=8, lifi_free=10, fap_idle=False):
     return [lifi_free, fap_free], fap_idle and fap_free == 8
 
 
-def admit(zone, aps, traffic=TrafficClass.DATA):
+def admit(zone, aps, voice=False):
     free, fap_idle = aps
-    return admit_new_call(zone, traffic, fap_idle, free, [LIFI])
+    return admit_new_call(zone, voice, fap_idle, free, [LIFI])
 
 
 def network(ap):
-    return NetworkKind.FAP if ap == FAP else NetworkKind.LIFI
+    return policy.FAP if ap == FAP else policy.LIFI
 
 
 class TestAdmission:
     def test_zone1_data_goes_to_fap(self):
-        decision, ap = admit(Zone.Z1, make_aps())
+        decision, ap = admit(Z1, make_aps())
         assert decision is AdmissionDecision.ACCEPT_ON_FAP
         assert ap == FAP
 
     def test_voice_in_zone2_goes_to_fap(self):
-        decision, _ap = admit(Zone.Z2, make_aps(), TrafficClass.RT_VOICE)
+        decision, _ap = admit(Z2, make_aps(), voice=True)
         assert decision is AdmissionDecision.ACCEPT_ON_FAP
 
     def test_zone3_idle_fap_prefers_lifi(self):
-        decision, _ap = admit(Zone.Z3, make_aps(fap_idle=True))
+        decision, _ap = admit(Z3, make_aps(fap_idle=True))
         assert decision is AdmissionDecision.ACCEPT_ON_LIFI
 
     def test_zone3_active_fap_prefers_fap(self):
-        decision, _ap = admit(Zone.Z3, make_aps())
+        decision, _ap = admit(Z3, make_aps())
         assert decision is AdmissionDecision.ACCEPT_ON_FAP
 
     def test_zone3_overflow_redirects_to_fap(self):
-        decision, ap = admit(Zone.Z3, make_aps(lifi_free=0, fap_idle=True))
+        decision, ap = admit(Z3, make_aps(lifi_free=0, fap_idle=True))
         assert decision is AdmissionDecision.REDIRECTED
         assert ap == FAP
 
     def test_zone2_goes_to_lifi(self):
-        decision, _ap = admit(Zone.Z2, make_aps())
+        decision, _ap = admit(Z2, make_aps())
         assert decision is AdmissionDecision.ACCEPT_ON_LIFI
 
     def test_zone4_goes_to_fap(self):
-        decision, _ap = admit(Zone.Z4, make_aps())
+        decision, _ap = admit(Z4, make_aps())
         assert decision is AdmissionDecision.ACCEPT_ON_FAP
 
     def test_voice_blocks_rather_than_overflowing(self):
-        decision, _ap = admit(Zone.Z2, make_aps(fap_free=0), TrafficClass.RT_VOICE)
+        decision, _ap = admit(Z2, make_aps(fap_free=0), voice=True)
         assert decision is AdmissionDecision.BLOCKED
 
     def test_zone1_blocks_when_fap_full(self):
-        decision, _ap = admit(Zone.Z1, make_aps(fap_free=0, lifi_free=10))
+        decision, _ap = admit(Z1, make_aps(fap_free=0, lifi_free=10))
         assert decision is AdmissionDecision.BLOCKED
 
     def test_lifi_candidate_ordering_respected(self):
         free = [10, 10, 8]  # LiFi APs 0 and 1, then the femtocell
-        decision, ap = admit_new_call(Zone.Z2, TrafficClass.DATA, False, free, [1, 0])
+        decision, ap = admit_new_call(Z2, False, False, free, [1, 0])
         assert ap == 1
         free[1] = 0  # a full candidate is passed over
-        assert admit_new_call(Zone.Z2, TrafficClass.DATA, False, free, [1, 0])[1] == 0
+        assert admit_new_call(Z2, False, False, free, [1, 0])[1] == 0
+
+    def test_unknown_zone_rejected(self):
+        for zone in (0, 5, -1):
+            with pytest.raises(ValueError, match="unknown serving network or zone"):
+                admit_new_call(zone, False, False, [10, 8], [0])
+
+    def test_table_equals_the_rule_by_rule_reference(self):
+        # Two LiFi APs and the femtocell, each with 0 or 1 free slot, under every covering order.
+        orders = ([], [0], [1], [0, 1], [1, 0])
+        cases = list(product(ZONES, (False, True), (False, True), product((0, 1), repeat=3), orders))
+        assert len(cases) == 640
+        for zone, voice, fap_idle, free, covering in cases:
+            assert (admit_new_call(zone, voice, fap_idle, list(free), covering)
+                    == admit_new_call_reference(zone, voice, fap_idle, list(free), covering))
 
     def test_exhaustive_decision_table_invariants(self):
-        zones = list(Zone)
-        classes = list(TrafficClass)
-        for zone, traffic, fap_free, lifi_free, fap_idle in product(
-            zones, classes, (0, 1, 8), (0, 1, 10), (False, True)
+        for zone, voice, fap_free, lifi_free, fap_idle in product(
+            ZONES, (False, True), (0, 1, 8), (0, 1, 10), (False, True)
         ):
             free, _ = aps = make_aps(fap_free, lifi_free, fap_idle)
-            decision, ap = admit(zone, aps, traffic)
-            feasible = feasible_networks(zone, traffic)
+            decision, ap = admit(zone, aps, voice)
+            feasible = feasible_networks_reference(zone, voice)
             if decision is AdmissionDecision.BLOCKED:
                 # blocked only when every feasible network is full
-                assert all(free[FAP if kind is NetworkKind.FAP else LIFI] == 0 for kind in feasible)
+                assert all(free[FAP if kind == policy.FAP else LIFI] == 0 for kind in feasible)
             else:
                 assert network(ap) in feasible
-                if traffic is TrafficClass.RT_VOICE or zone is Zone.Z1:
+                if voice or zone == Z1:
                     assert ap == FAP
 
     @given(
-        zone=st.sampled_from(list(Zone)),
-        traffic=st.sampled_from(list(TrafficClass)),
+        zone=st.sampled_from(ZONES),
+        voice=st.booleans(),
         fap_free=st.integers(min_value=0, max_value=8),
         lifi_free=st.integers(min_value=0, max_value=10),
     )
     @settings(max_examples=300)
-    def test_no_voice_or_zone1_on_lifi(self, zone, traffic, fap_free, lifi_free):
-        decision, ap = admit(zone, make_aps(fap_free, lifi_free), traffic)
-        if traffic is TrafficClass.RT_VOICE or zone is Zone.Z1:
-            assert ap is None or network(ap) is not NetworkKind.LIFI
+    def test_no_voice_or_zone1_on_lifi(self, zone, voice, fap_free, lifi_free):
+        decision, ap = admit(zone, make_aps(fap_free, lifi_free), voice)
+        if voice or zone == Z1:
+            assert ap is None or network(ap) != policy.LIFI
 
     def test_deterministic(self):
-        results = {admit(Zone.Z3, make_aps(3, 4))[0] for _ in range(5)}
+        results = {admit(Z3, make_aps(3, 4))[0] for _ in range(5)}
         assert len(results) == 1
 
 
 def decide(kind, zone, s_serving_dB, s_target_dB, dwell_s, thresholds):
     """The batched rule on a one-row batch."""
-    codes = handover_decision(np.array([kind.value], dtype=np.int8), np.array([zone.value], dtype=np.int8),
+    codes = handover_decision(np.array([kind], dtype=np.int8), np.array([zone], dtype=np.int8),
                               [s_serving_dB], [s_target_dB], [dwell_s], thresholds)
-    return HandoverDecision(int(codes[0]))
+    return int(codes[0])
 
 
 def around(value):
@@ -134,36 +148,36 @@ class TestHandoverDecision:
     POLICY = PolicyConfig(t_h_s=2.0, t_h1_s=2.0)
 
     def test_lifi_user_entering_zone1_or_zone3(self):
-        for zone in (Zone.Z1, Zone.Z3):
-            decision = decide(NetworkKind.LIFI, zone, -40.0, -50.0, 0.0, self.POLICY)
-            assert decision is HandoverDecision.TO_FAP
+        for zone in (Z1, Z3):
+            decision = decide(policy.LIFI, zone, -40.0, -50.0, 0.0, self.POLICY)
+            assert decision == TO_FAP
 
     def test_zone4_stronger_target_wins(self):
-        decision = decide(NetworkKind.LIFI, Zone.Z4, -45.0, -40.0, 0.5, self.POLICY)
-        assert decision is HandoverDecision.TO_TARGET_LIFI
+        decision = decide(policy.LIFI, Z4, -45.0, -40.0, 0.5, self.POLICY)
+        assert decision == TO_TARGET_LIFI
 
     def test_zone4_dwell_expiry_hands_to_fap(self):
-        assert decide(NetworkKind.LIFI, Zone.Z4, -40.0, -45.0, 1.9, self.POLICY) is HandoverDecision.STAY
-        assert decide(NetworkKind.LIFI, Zone.Z4, -40.0, -45.0, 2.0 + 1e-6, self.POLICY) is HandoverDecision.TO_FAP
+        assert decide(policy.LIFI, Z4, -40.0, -45.0, 1.9, self.POLICY) == STAY
+        assert decide(policy.LIFI, Z4, -40.0, -45.0, 2.0 + 1e-6, self.POLICY) == TO_FAP
 
     def test_lifi_user_in_zone2_stays(self):
-        assert decide(NetworkKind.LIFI, Zone.Z2, -40.0, -90.0, 100.0, self.POLICY) is HandoverDecision.STAY
+        assert decide(policy.LIFI, Z2, -40.0, -90.0, 100.0, self.POLICY) == STAY
 
     def test_fap_user_entering_zone2(self):
-        assert decide(NetworkKind.FAP, Zone.Z2, -60.0, -40.0, 0.0, self.POLICY) is HandoverDecision.TO_LIFI
+        assert decide(policy.FAP, Z2, -60.0, -40.0, 0.0, self.POLICY) == TO_LIFI
 
     def test_fap_user_zone3_dwell(self):
-        assert decide(NetworkKind.FAP, Zone.Z3, -60.0, -45.0, 1.0, self.POLICY) is HandoverDecision.STAY
-        assert decide(NetworkKind.FAP, Zone.Z3, -60.0, -45.0, 2.5, self.POLICY) is HandoverDecision.TO_LIFI
+        assert decide(policy.FAP, Z3, -60.0, -45.0, 1.0, self.POLICY) == STAY
+        assert decide(policy.FAP, Z3, -60.0, -45.0, 2.5, self.POLICY) == TO_LIFI
 
     def test_each_zone_reads_its_own_threshold(self):
         thresholds = PolicyConfig(t_h_s=1.0, t_h1_s=5.0)
-        assert decide(NetworkKind.LIFI, Zone.Z4, -40.0, -45.0, 2.0, thresholds) is HandoverDecision.TO_FAP
-        assert decide(NetworkKind.FAP, Zone.Z3, -60.0, -45.0, 2.0, thresholds) is HandoverDecision.STAY
+        assert decide(policy.LIFI, Z4, -40.0, -45.0, 2.0, thresholds) == TO_FAP
+        assert decide(policy.FAP, Z3, -60.0, -45.0, 2.0, thresholds) == STAY
 
     def test_fap_user_zone1_or_zone4_stays(self):
-        for zone in (Zone.Z1, Zone.Z4):
-            assert decide(NetworkKind.FAP, zone, -60.0, -45.0, 100.0, self.POLICY) is HandoverDecision.STAY
+        for zone in (Z1, Z4):
+            assert decide(policy.FAP, zone, -60.0, -45.0, 100.0, self.POLICY) == STAY
 
     def test_unknown_inputs_rejected(self):
         for kinds, zones in ((["wifi"], [2]), ([0], ["Z9"]), ([2], [2]), ([-1], [2]), ([0], [0]), ([1], [5]),
@@ -181,13 +195,12 @@ class TestHandoverDecision:
     def test_batch_equals_the_rule_row_by_row(self, data, t_h, t_h1):
         thresholds = PolicyConfig(t_h_s=t_h, t_h1_s=t_h1)
         dwell = st.one_of(st.sampled_from(around(t_h) + around(t_h1)), st.floats(min_value=0.0, max_value=200.0))
-        rows = data.draw(st.lists(st.tuples(st.sampled_from(list(NetworkKind)), st.sampled_from(list(Zone)),
+        rows = data.draw(st.lists(st.tuples(st.sampled_from([policy.LIFI, policy.FAP]), st.sampled_from(ZONES),
                                             SIGNALS, SIGNALS, dwell), max_size=24))
         kinds, zones, s_serving, s_target, dwells = zip(*rows) if rows else ((),) * 5
-        kind_codes, zone_codes = (np.array([c.value for c in column], dtype=np.int8) for column in (kinds, zones))
+        kind_codes, zone_codes = (np.array(column, dtype=np.int8) for column in (kinds, zones))
         codes = handover_decision(kind_codes, zone_codes, s_serving, s_target, dwells, thresholds)
-        assert [HandoverDecision(code) for code in codes.tolist()] == [
-            handover_decision_reference(*row, thresholds) for row in rows]
+        assert codes.tolist() == [handover_decision_reference(*row, thresholds) for row in rows]
 
 
 class TestFapModeUpdate:
@@ -197,24 +210,24 @@ class TestFapModeUpdate:
         assert fap_mode_update(0, []) == ()
 
     def test_single_zone3_user_is_shifted(self):
-        assert fap_mode_update(1, [(7, Zone.Z3)]) == (7,)
+        assert fap_mode_update(1, [(7, Z3)]) == (7,)
 
     def test_single_zone1_user_keeps_fap_active(self):
-        assert fap_mode_update(1, [(7, Zone.Z1)]) == ()
+        assert fap_mode_update(1, [(7, Z1)]) == ()
 
     def test_two_users_keep_fap_active(self):
-        assert fap_mode_update(2, [(1, Zone.Z3), (2, Zone.Z3)]) == ()
+        assert fap_mode_update(2, [(1, Z3), (2, Z3)]) == ()
 
     def test_occupancy_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            fap_mode_update(2, [(1, Zone.Z3)])
+            fap_mode_update(2, [(1, Z3)])
 
-    @given(st.lists(st.sampled_from(list(Zone)), min_size=0, max_size=8))
+    @given(st.lists(st.sampled_from(ZONES), min_size=0, max_size=8))
     @settings(max_examples=200)
     def test_never_shifts_outside_zone3(self, zones):
         users = list(enumerate(zones))
         for uid in fap_mode_update(len(users), users):
-            assert dict(users)[uid] is Zone.Z3
+            assert dict(users)[uid] == Z3
 
 
 class TestFapIdleProbability:
