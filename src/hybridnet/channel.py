@@ -78,7 +78,8 @@ class OpticalParams:
         check_fields(self, *POSITIVE, "pd_area_m2", "filter_gain", "refractive_index",
                      "tx_optical_power_W", "responsivity_A_per_W", "noise_psd_A2_per_Hz", "bandwidth_Hz", "ap_height_m")
         check_fields(self, "in (0, 90] degrees", lambda v: 0.0 < v <= 90.0, "fov_semi_angle_deg")
-        check_fields(self, "in (0, 90) degrees", lambda v: 0.0 < v < 90.0, "half_intensity_angle_deg")
+        check_fields(self, "in (0, 90) degrees with a cosine below 1.0 (a finite Lambertian order)",
+                     lambda v: 0.0 < v < 90.0 and math.cos(math.radians(v)) < 1.0, "half_intensity_angle_deg")
 
 
 @dataclass(frozen=True)

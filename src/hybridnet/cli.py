@@ -8,7 +8,8 @@ config file is resolved once, before any command computes or writes;
 ``--room``, ``--radius``, ``--samples`` and ``--per-hop-ms`` fall back to its
 ``zoning`` and ``protocol`` keys. ``trace`` checks every trace against the
 protocol's safety rules before writing it. Exit codes: 0 success, 2
-validation failure, 3 runtime failure (such as a trace that breaks a rule).
+validation failure (flags, config file), 3 runtime failure (any other
+error a command raises, such as a trace that breaks a rule).
 
 All CSV output uses '.' decimals, repr-exact floats and newline-terminated
 rows, so a command rerun with the same configuration and seed is
@@ -262,19 +263,19 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-    except (ValueError, TypeError) as exc:  # e.g. a malformed env override
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     try:  # the whole file is resolved, every value checked, before any command computes or writes
+        args = build_parser().parse_args(argv)
         config = cfgmod.load_config(args.config)
-        return COMMANDS[args.command](args, config, cfgmod.resolve(config, args.seed))
+        sections = cfgmod.resolve(config, args.seed)
     except (ValueError, FileNotFoundError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except Exception as exc:  # e.g. a trace that fails validation
+    try:
+        return COMMANDS[args.command](args, config, sections)
+    except (ValueError, FileNotFoundError) as exc:  # the flag checks of _zoning_args and cmd_trace
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except Exception as exc:  # a program fault, or a trace that fails validation
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

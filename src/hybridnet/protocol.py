@@ -214,8 +214,6 @@ def validate_trace(trace: HandoverTrace) -> Violation | None:
             return Violation(msg.step_number, "step numbers must increase contiguously from 1")
         if not (math.isfinite(msg.send_time_s) and math.isfinite(msg.deliver_time_s)):
             return Violation(msg.step_number, "send and delivery times must be finite")
-        if msg.deliver_time_s < msg.send_time_s:
-            return Violation(msg.step_number, "delivery precedes send")
         if prev_deliver is not None and msg.send_time_s < prev_deliver:
             return Violation(msg.step_number, "send precedes delivery of the previous step")
         prev_deliver = msg.deliver_time_s

@@ -14,8 +14,8 @@ predicates: RF is up while the gap is inside the RF range, the optical
 link while the heading difference between the two cars stays inside the
 receiver field of view. A U-turn sweeps the leader's heading through 180
 degrees and back as the follower takes the same turn, producing a
-deterministic optical outage window. The leader's heading is the same for
-every gap, so ``reliability_sweep`` samples it once.
+deterministic optical outage interval whose ends ``reliability_sweep``
+computes exactly for each gap.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ class VehicleLink:
         channel.check_fields(self, *channel.POSITIVE_FINITE, "access_femto_distance_m")
 
 
-DT_S = 1e-3  # time step of the car-following window
-
-
 @dataclass(frozen=True)
 class CarFollowScenario:
     rf_range_m: float = 30.0
@@ -66,8 +63,7 @@ class CarFollowScenario:
         channel.check_fields(self, *channel.POSITIVE, "rf_range_m", "uturn_radius_m", "speed_kmh",
                              "owc_fov_semi_angle_deg")
         channel.check_fields(self, *channel.POSITIVE_FINITE, "window_s")
-        channel.check_fields(self, f"at least one DT_S ({DT_S!r}) once rounded to whole steps",
-                             lambda v: round(v / DT_S) >= 1, "window_s")
+        channel.check_fields(self, "finite", math.isfinite, "uturn_start_s")
 
 
 def macro_snr_dB(distance_km, rf: RfParams, obstacle: ObstacleClass):
@@ -92,7 +88,7 @@ def _normal_cdf(x: float) -> float:
 # Figure sweeps ------------------------------------------------------------
 # The work is elementwise, so a sweep gives the same bits as evaluating each
 # distance alone: capacity and outage take all distances in one array pass,
-# reliability one pass over the window per distance.
+# reliability a few Python float operations per distance.
 
 
 def capacity_sweep(distances_km, link: VehicleLink, optical: OpticalParams, rf: RfParams):
@@ -131,26 +127,28 @@ def outage_sweep(distances_km, link: VehicleLink, rf: RfParams):
 def reliability_sweep(distances_m, scenario: CarFollowScenario):
     """Rows of (inter_vehicle_distance_m, rf_only, owc_only, hybrid) up-time fractions over the window.
 
-    The leader enters the U-turn at ``uturn_start_s`` and sweeps 180
-    degrees of heading at constant speed; the follower does the same one
-    gap-travel-time later, closing the heading difference again. The
-    optical link is down while the difference exceeds the field-of-view
-    semi-angle, sampled every ``DT_S``. RF is up for the whole window or
-    not at all, so the hybrid link, up when either component is, is always
-    up with RF and is the optical link without it.
+    The leader turns 180 degrees in T = pi R / v from ``uturn_start_s``, the
+    follower tau = d / v later: s seconds into the leader's turn their
+    heading difference is 180 max(0, min(s, tau, T, T + tau - s)) / T. It
+    exceeds the FOV semi-angle 180 f exactly on (fT, T + tau - fT) if
+    min(tau, T) > fT, and never otherwise. RF is up for the whole window
+    or not at all, so the hybrid link, up when either component is, is
+    always up with RF and is the optical link without it.
     """
     speed_mps = scenario.speed_kmh / 3.6
-    turn_duration = math.pi * scenario.uturn_radius_m / speed_mps
-    t = (np.arange(int(round(scenario.window_s / DT_S))) + 0.5) * DT_S
-    since_turn = t - scenario.uturn_start_s  # time since the leader entered the turn
-    lead = np.clip(since_turn / turn_duration, 0.0, 1.0)
+    turn_s = math.pi * scenario.uturn_radius_m / speed_mps
+    edge_s = scenario.owc_fov_semi_angle_deg / 180.0 * turn_s  # fT: the heading gap reaches the FOV
+    start_s, window_s = scenario.uturn_start_s, scenario.window_s
     rows = []
     for d in distances_m:
         d = float(d)
         if d <= 0:
             raise ValueError("inter-vehicle distance must be positive")
-        follow = np.clip((since_turn - d / speed_mps) / turn_duration, 0.0, 1.0)
-        owc_only = float((180.0 * (lead - follow) <= scenario.owc_fov_semi_angle_deg).mean())
+        delay_s = d / speed_mps
+        down_s = 0.0
+        if min(delay_s, turn_s) > edge_s:
+            down_s = max(0.0, min(start_s + turn_s + delay_s - edge_s, window_s) - max(start_s + edge_s, 0.0))
+        owc_only = 1.0 - down_s / window_s
         rf_only = float(d <= scenario.rf_range_m)
         rows.append((d, rf_only, owc_only, 1.0 if rf_only else owc_only))
     return rows

@@ -13,8 +13,10 @@ and ``handover_decision_reference`` state the admission rules for one new
 call and the handover rules for one terminal, the references for the rule
 tables of ``policy.admit_new_call`` and ``policy.handover_decision``;
 ``optical_channel_gain_reference`` is the optical gain as one expression, the reference for the in-place
-``channel.optical_channel_gain``. ``trace_from_csv`` reads a written trace
-back for replay validation.
+``channel.optical_channel_gain``. ``car_follow_uptime_sampled`` samples
+the car-following optical link one instant at a time, the reference for
+the exact outage interval of ``transport.reliability_sweep``.
+``trace_from_csv`` reads a written trace back for replay validation.
 """
 
 import csv
@@ -191,6 +193,26 @@ def optical_channel_gain_reference(horizontal_distance_m, params: OpticalParams)
     gain = gain * concentrator_gain(params) * params.filter_gain * cos_theta**m * cos_theta
     out = np.where(cos_theta >= cos_fov, gain, 0.0)
     return float(out) if np.isscalar(horizontal_distance_m) else out
+
+
+def car_follow_uptime_sampled(gap_m: float, scenario, samples: int) -> float:
+    """Optical up-time of one gap of ``transport.reliability_sweep``, sampled at the midpoints of ``samples`` cells.
+
+    Each car's turn progress is clipped to [0, 1], and a sample is up while
+    180 (lead - follow) is within the FOV semi-angle. Each end of the outage
+    interval inside the window miscounts less than one sample, so the result
+    is within 2 / samples of the exact up-time.
+    """
+    speed = scenario.speed_kmh / 3.6
+    turn = math.pi * scenario.uturn_radius_m / speed
+    dt = scenario.window_s / samples
+    up = 0
+    for k in range(samples):
+        since_turn = (k + 0.5) * dt - scenario.uturn_start_s
+        lead = min(max(since_turn / turn, 0.0), 1.0)
+        follow = min(max((since_turn - gap_m / speed) / turn, 0.0), 1.0)
+        up += 180.0 * (lead - follow) <= scenario.owc_fov_semi_angle_deg
+    return up / samples
 
 
 def indoor_run_reference(config) -> Metrics:

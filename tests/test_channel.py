@@ -354,6 +354,9 @@ class TestParamValidation:
             OpticalParams(fov_semi_angle_deg=100.0)
         with pytest.raises(ValueError):
             OpticalParams(half_intensity_angle_deg=90.0)
+        with pytest.raises(ValueError, match="half_intensity_angle_deg"):  # cos rounds to 1.0: ln(1 / cos) = 0
+            OpticalParams(half_intensity_angle_deg=1e-9)
+        assert math.isfinite(lambertian_index(OpticalParams(half_intensity_angle_deg=6.1e-7).half_intensity_angle_deg))
 
     def test_rf_invariants(self):
         with pytest.raises(ValueError):

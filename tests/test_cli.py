@@ -3,18 +3,20 @@
 import builtins
 import collections
 import dataclasses
+import gc
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hybridnet import cli, config as cfgmod, protocol, selection
+from hybridnet import cli, config as cfgmod, protocol, selection, transport
 from hybridnet.config import DEFAULT_CONFIG, config_digest, deep_merge, load_config, resolve
 from hybridnet.engine import PolicyConfig
 from hybridnet.protocol import HandoverKind, MessageKind
@@ -336,8 +338,10 @@ class TestExperiments:
             (["experiment", "fig17"], "transport: {vehicle: {shadowing_sigma_dB: 0.0}}\n",
              "transport.vehicle.shadowing_sigma_dB"),
             (["experiment", "fig17"], "transport: {fig21: {window_s: 0.0}}\n", "transport.fig21.window_s"),
-            (["experiment", "fig21"], "transport: {fig21: {window_s: 0.0004}}\n",
-             "transport.fig21.window_s: must be at least one DT_S (0.001)"),
+            (["experiment", "fig19"], "channel: {optical: {half_intensity_angle_deg: 1.0e-9}}\n",
+             "channel.optical.half_intensity_angle_deg"),
+            (["indoor-sim"], "channel: {optical: {half_intensity_angle_deg: 1.0e-9}}\n",
+             "channel.optical.half_intensity_angle_deg"),
             (["experiment", "fig20"], "transport: {vehicle: {access_femto_distance_m: -2.0}}\n",
              "transport.vehicle.access_femto_distance_m"),
             (["experiment", "fig20"], "transport: {vehicle: {access_horizontal_distance_m: -1.0}}\n",
@@ -355,7 +359,8 @@ class TestExperiments:
              "fig20-stop-negative", "fig21-stop-negative", "fig18-start-negative", "speed-max-below-min",
              "voice-fraction-above-one", "dwell-zero", "per-hop-negative", "duration-below-one-tick",
              "duration-below-one-long-tick", "duration-below-one-short-tick", "optical-pd-area-zero", "rf-height-zero",
-             "shadowing-zero", "car-window-zero", "car-window-below-one-step", "vehicle-femto-distance-negative",
+             "shadowing-zero", "car-window-zero", "half-intensity-cosine-one-fig19",
+             "half-intensity-cosine-one-indoor-sim", "vehicle-femto-distance-negative",
              "vehicle-horizontal-distance-negative"],
     )
     def test_unparsable_config_is_validation_error(self, tmp_path, capsys, argv, text, key):
@@ -364,6 +369,36 @@ class TestExperiments:
             bad.write_text(text)
         assert cli.main([*argv, "--config", str(bad), *out_flag(argv, tmp_path / "out")]) == 2
         assert key is None or key in capsys.readouterr().err
+
+    def test_submillisecond_car_window_runs(self, tmp_path):
+        path = tmp_path / "car.yaml"
+        path.write_text("transport: {fig21: {window_s: 0.0004}}\n")
+        assert cli.main(["experiment", "fig21", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_car_window_length_does_not_size_memory(self, tmp_path):
+        # The outage interval is exact, so no array grows with the window.
+        def peak(window_s: str) -> int:
+            path = tmp_path / "car.yaml"
+            path.write_text(f"transport: {{fig21: {{window_s: {window_s}}}}}\n")
+            gc.collect()  # so that no earlier garbage is freed inside the traced run
+            tracemalloc.start()
+            try:
+                assert cli.main(["experiment", "fig21", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("30.0")  # first run: module-level caches
+        assert abs(peak("1.0e6") - peak("30.0")) < 4096
+
+    def test_program_fault_in_a_command_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        def fault(*args):
+            raise KeyError("distance")
+
+        monkeypatch.setattr(transport, "reliability_sweep", fault)
+        assert cli.main(["experiment", "fig21", "--out", str(tmp_path)]) == 3
+        assert "runtime failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_readme_example_config_runs(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -5,12 +5,15 @@ from dataclasses import replace
 from statistics import NormalDist
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hybridnet import channel, transport
 from hybridnet.channel import ObstacleClass, OpticalParams, RfParams
 from hybridnet.transport import (
-    DT_S, AccessKind, CarFollowScenario, VehicleLink, capacity_sweep, macro_snr_dB, outage_sweep, reliability_sweep,
+    AccessKind, CarFollowScenario, VehicleLink, capacity_sweep, macro_snr_dB, outage_sweep, reliability_sweep,
 )
+from oracles import car_follow_uptime_sampled
 
 RF = RfParams()
 OPTICAL = OpticalParams()
@@ -142,19 +145,49 @@ class TestCarLinkReliability:
     def test_owc_uptime_matches_the_closed_form(self, gap_m):
         # The heading difference 180 (lead - follow) rises over the first min(tau, T) seconds of the
         # turn, holds at 180 min(tau, T) / T, and falls back as the follower turns: it exceeds the
-        # FOV semi-angle theta for tau + T - 2 theta T / 180 seconds, or never if its peak is within theta.
+        # FOV semi-angle theta for tau + T - 2 theta T / 180 seconds from theta T / 180 into the
+        # turn, or never if its peak is within theta. Only the part inside the window counts.
         speed = CAR.speed_kmh / 3.6
         tau, turn = gap_m / speed, math.pi * CAR.uturn_radius_m / speed
         theta, window = CAR.owc_fov_semi_angle_deg, CAR.window_s
         drops = 180.0 * min(tau, turn) / turn > theta
-        expected = 1.0 - (tau + turn - 2.0 * theta * turn / 180.0) / window if drops else 1.0
-        [(_, _, owc_only, _)] = reliability_sweep([gap_m], CAR)
-        assert owc_only == pytest.approx(expected, abs=DT_S / window)
+        outage = tau + turn - 2.0 * theta * turn / 180.0 if drops else 0.0
+        edge = theta * turn / 180.0
+        for start, down in (
+            (CAR.uturn_start_s, outage),  # the whole outage inside the window
+            (-edge - outage / 2.0, outage / 2.0),  # the turn starts before 0: its first half is cut
+            (window + 1.0, 0.0),  # the turn starts after the window
+            (window - edge - outage / 3.0, outage / 3.0),  # the outage straddles the window's end
+        ):
+            [(_, _, owc_only, _)] = reliability_sweep([gap_m], replace(CAR, uturn_start_s=start))
+            assert owc_only == pytest.approx(1.0 - down / window, abs=1e-12), start
+
+    @settings(max_examples=50, deadline=None)
+    @given(gap_m=st.floats(0.5, 100.0), speed_kmh=st.floats(5.0, 150.0), radius_m=st.floats(1.0, 50.0),
+           fov_deg=st.floats(1.0, 270.0), start_s=st.floats(-60.0, 60.0), window_s=st.floats(1.0, 60.0))
+    def test_sweep_matches_a_sampled_oracle(self, gap_m, speed_kmh, radius_m, fov_deg, start_s, window_s):
+        scenario = CarFollowScenario(uturn_radius_m=radius_m, speed_kmh=speed_kmh, owc_fov_semi_angle_deg=fov_deg,
+                                     window_s=window_s, uturn_start_s=start_s)
+        # At a peak heading gap equal to the FOV, rounding alone decides whether its plateau is down.
+        assume(abs(180.0 * min(gap_m / (math.pi * radius_m), 1.0) - fov_deg) > 1e-9)
+        samples = 20_000
+        [(d, rf_only, owc_only, hybrid)] = reliability_sweep([gap_m], scenario)
+        assert abs(owc_only - car_follow_uptime_sampled(gap_m, scenario, samples)) <= 2.0 / samples
+        assert (d, rf_only) == (gap_m, float(gap_m <= scenario.rf_range_m))
+        assert hybrid == (1.0 if rf_only else owc_only)
+
+    def test_fov_of_the_whole_turn_never_drops(self):
+        # The heading difference peaks at 180 degrees once the gap outlasts the turn.
+        scenario = replace(CAR, owc_fov_semi_angle_deg=180.0)
+        assert [owc for _, _, owc, _ in reliability_sweep([40.0, 80.0], scenario)] == [1.0, 1.0]
 
     def test_invalid_scenario(self):
-        for window_s in (0.0, 0.0004, math.inf):  # 0.0004 s rounds to no DT_S step
+        for window_s in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="window_s"):
                 CarFollowScenario(window_s=window_s)
+        for start_s in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="uturn_start_s"):
+                CarFollowScenario(uturn_start_s=start_s)
         with pytest.raises(ValueError):
             reliability_sweep([20.0, 0.0], CAR)
 
