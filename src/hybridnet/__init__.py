@@ -1,5 +1,5 @@
 """Hybrid LiFi/femtocell network simulator and RF/optical link analysis toolkit."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
-CSV_SCHEMA_VERSION = 1
+CSV_SCHEMA_VERSION = 2

@@ -42,6 +42,11 @@ def at_least(minimum) -> tuple:
 POSITIVE = ("positive", lambda v: v > 0)
 POSITIVE_FINITE = ("positive and finite", lambda v: 0.0 < v < math.inf)
 NON_NEGATIVE_FINITE = ("non-negative and finite", lambda v: 0.0 <= v < math.inf)
+# The Lambertian order ln 2 / ln(1 / cos) is finite only while the cosine of the angle rounds below 1.0.
+LAMBERTIAN_ANGLE = ("in (0, 90) degrees with a cosine below 1.0 (a finite Lambertian order)",
+                    lambda v: 0.0 < v < 90.0 and math.cos(math.radians(v)) < 1.0)
+# A dBm power (or dBm/Hz density) in [-300, 300] is a linear power within 1e+-30 mW: the sums it feeds stay finite.
+FINITE_POWER_DB = ("in [-300, 300] dB (a linear power within 1e+-30)", lambda v: -300.0 <= v <= 300.0)
 
 
 def db_to_linear(x_db):
@@ -78,8 +83,7 @@ class OpticalParams:
         check_fields(self, *POSITIVE, "pd_area_m2", "filter_gain", "refractive_index",
                      "tx_optical_power_W", "responsivity_A_per_W", "noise_psd_A2_per_Hz", "bandwidth_Hz", "ap_height_m")
         check_fields(self, "in (0, 90] degrees", lambda v: 0.0 < v <= 90.0, "fov_semi_angle_deg")
-        check_fields(self, "in (0, 90) degrees with a cosine below 1.0 (a finite Lambertian order)",
-                     lambda v: 0.0 < v < 90.0 and math.cos(math.radians(v)) < 1.0, "half_intensity_angle_deg")
+        check_fields(self, *LAMBERTIAN_ANGLE, "half_intensity_angle_deg")
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,7 @@ class RfParams:
     def __post_init__(self):
         check_fields(self, *POSITIVE, "center_freq_MHz", "mbs_height_m", "terminal_height_m",
                      "macro_bandwidth_Hz", "femto_bandwidth_Hz")
+        check_fields(self, *FINITE_POWER_DB, "mbs_tx_dBm", "fap_tx_dBm", "noise_psd_dBm_per_Hz")
 
     def wall_loss_dB(self, obstacle: ObstacleClass) -> float:
         if obstacle is ObstacleClass.BUILDING_WALL:
@@ -120,8 +125,9 @@ def lambertian_index(half_intensity_angle_deg: float) -> float:
     A 60 degree half-intensity angle gives order 1 (the plain Lambertian
     source); narrower beams give larger orders.
     """
-    if not 0.0 < half_intensity_angle_deg < 90.0:
-        raise ValueError("half-intensity angle must lie in (0, 90) degrees")
+    rule, ok = LAMBERTIAN_ANGLE
+    if not ok(half_intensity_angle_deg):
+        raise ValueError(f"half_intensity_angle_deg: must be {rule}, got {half_intensity_angle_deg!r}")
     return math.log(2.0) / math.log(1.0 / math.cos(math.radians(half_intensity_angle_deg)))
 
 

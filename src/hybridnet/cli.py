@@ -179,7 +179,7 @@ def cmd_zones(args, config: dict, sections: dict) -> int:
 def _experiment_rows(name: str, config: dict, sections: dict):
     if name == "fig16":
         counts = list(range(config["engine"]["fig16"]["user_count_max"] + 1))
-        rows, _model = engine.idle_probability_experiment(sections["engine.fig16"], counts)
+        rows = engine.idle_probability_experiment(sections["engine.fig16"], counts)
         return ("active_users", "empirical_idle_prob", "eq_idle_prob"), rows
     if name == "fig17":
         rows = engine.femto_sinr_experiment(sections["engine.fig17"], sections["channel.rf"])

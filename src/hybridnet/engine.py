@@ -11,9 +11,9 @@ substream, and each terminal walks and calls from its own child streams.
 The experiment entry points reproduce the published comparisons:
 
   * idle-mode probability vs number of active users (placement model
-    against the closed-form bound),
-  * femtocell SINR with and without the hybrid idle-mode thinning, for
-    frequency-reuse factors 1 and 4,
+    against the closed-form bound on the exact zone probabilities),
+  * femtocell SINR with and without the hybrid idle-mode thinning, whose
+    idle probability is that bound, for frequency-reuse factors 1 and 4,
   * LiFi-to-LiFi handover success vs AP spacing, against the closed-form
     crossing-success curve, with the hybrid fallback pinned at 1.
 
@@ -36,7 +36,7 @@ from .channel import NON_NEGATIVE_FINITE, POSITIVE, POSITIVE_FINITE, OpticalPara
 from .policy import LIFI, STAY, TO_FAP, TO_LIFI, AdmissionDecision
 from .protocol import HandoverKind, run_handover
 from .rng import spawn_streams
-from .zoning import _CLASSIFY_SLICE, MIN_MC_SAMPLES, GridPlan, Zone, classify_points, monte_carlo_zone_model, plan_grid
+from .zoning import _CLASSIFY_SLICE, GridPlan, Zone, classify_points, exact_zone_probabilities, plan_grid
 
 
 @dataclass(frozen=True)
@@ -462,13 +462,11 @@ def simulate_indoor(config: ScenarioConfig) -> Metrics:
 class IdleExperimentConfig:
     room: RoomConfig = RoomConfig()
     placements: int = 100_000
-    zone_samples: int = 1 << 20
     lifi_slots: int = PolicyConfig.lifi_slots
     seed: int = 0
 
     def __post_init__(self):
         check_fields(self, *at_least(1), "placements")
-        check_fields(self, *at_least(MIN_MC_SAMPLES), "zone_samples")
 
 
 def lifi_assignment_idle(locate, placements: int, users: int, ap_count: int, lifi_slots: int) -> np.ndarray:
@@ -491,20 +489,20 @@ def lifi_assignment_idle(locate, placements: int, users: int, ap_count: int, lif
     return out.T
 
 
-def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[int]):
+def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[int]) -> list[tuple[int, float, float]]:
     """Rows of (user count, empirical idle probability, closed-form value).
 
     The empirical column places users uniformly at random and applies the admission and idle-mode rules, locating
     a user only in the placements still idle (each point is classified on its own, so every located point gets the
-    zone and AP it gets among all of them); the closed-form column evaluates the two-term binomial bound on the same
-    Monte Carlo zone probabilities. Common random numbers: each chunk of placements draws the largest user count's
+    zone and AP it gets among all of them); the closed-form column evaluates the two-term binomial bound on the
+    exact zone probabilities. Common random numbers: each chunk of placements draws the largest user count's
     users in turn from its own generator, and p users are the first p of them; so the empirical column is
     non-increasing in p, and no row depends on the other counts requested.
     """
     if not user_counts or min(user_counts) < 0:
         raise ValueError("user_counts must be non-empty and >= 0")
     plan = config.room.plan()
-    model = monte_carlo_zone_model(plan, config.zone_samples, seed=config.seed)
+    zone_probs = exact_zone_probabilities(plan)
     p_max, chunk = max(user_counts), 20_000
     idle_counts = np.zeros(p_max + 1, dtype=np.int64)
     idle_counts[0] = config.placements  # no active user: always idle
@@ -521,9 +519,8 @@ def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[
             return codes, nearest
 
         idle_counts[1:] += lifi_assignment_idle(locate, draws.shape[1], p_max, plan.ap_count, config.lifi_slots).sum(axis=0)
-    rows = [(p, int(idle_counts[p]) / config.placements, policy.fap_idle_probability(p, model.zone_probs))
+    return [(p, int(idle_counts[p]) / config.placements, policy.fap_idle_probability(p, zone_probs))
             for p in user_counts]
-    return rows, model
 
 
 @dataclass(frozen=True)
@@ -536,13 +533,11 @@ class FemtoSinrConfig:
     hybrid_users_per_home: int = 5
     min_link_distance_m: float = 1.0
     room: RoomConfig = RoomConfig()
-    zone_samples: int = 1 << 20
     seed: int = 0
 
     def __post_init__(self):
         check_fields(self, *at_least(0), "fap_count", "interferer_wall_count", "hybrid_users_per_home")
         check_fields(self, *at_least(1), "drops")
-        check_fields(self, *at_least(MIN_MC_SAMPLES), "zone_samples")
         check_fields(self, *POSITIVE_FINITE, "user_distance_m", "min_link_distance_m")
         check_fields(self, *NON_NEGATIVE_FINITE, "deployment_radius_m")
 
@@ -553,13 +548,12 @@ def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams):
     One reference user sits at a fixed distance from its serving femtocell;
     interfering femtocells drop uniformly over a disk and are thinned two
     ways: reuse-4 keeps an interferer co-channel with probability 1/4, and
-    hybrid operation further silences it with the idle-mode probability.
+    hybrid operation further silences it with the idle-mode probability,
+    the closed-form bound on the exact zone probabilities of the room.
     All schemes share positions and thinning draws, so hybrid can never
     fall below pure on any drop.
     """
-    plan = config.room.plan()
-    model = monte_carlo_zone_model(plan, config.zone_samples, seed=config.seed)
-    p_idle = policy.fap_idle_probability(config.hybrid_users_per_home, model.zone_probs)
+    p_idle = policy.fap_idle_probability(config.hybrid_users_per_home, exact_zone_probabilities(config.room.plan()))
     gen = spawn_streams(config.seed)["drops"]
 
     n, k = config.drops, config.fap_count

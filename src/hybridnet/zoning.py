@@ -11,9 +11,11 @@ circular coverage of radius ``r``. The room splits into four zones:
 The closed-form zone areas evaluate the published expressions verbatim;
 they are approximations (the pairwise-overlap term is counted once per AP
 rather than once per adjacent pair, and wall clipping is ignored), so their
-sum equals ``a*b + A_Z4`` instead of ``a*b``. The Monte Carlo model and the
-exact point classifier are the geometric ground truth; downstream
-probability consumers use the Monte Carlo zone probabilities. The
+sum equals ``a*b + A_Z4`` instead of ``a*b``. The exact zone areas
+integrate the circles' chords in closed form and sum to ``a*b``; the
+probability consumers (fig16's bound, fig17's idle thinning) read the exact
+zone probabilities. The Monte Carlo model estimates the same areas by
+classifying uniform samples with the exact point classifier. The
 classifier reads each point's per-axis window, its squared offsets to the
 three lattice lines around it on each axis: the two smallest per axis fix
 its nearest and second-nearest AP distance, which decide its zone.
@@ -21,7 +23,9 @@ its nearest and second-nearest AP distance, which decide its zone.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -156,6 +160,15 @@ def circle_segment_integral(r: float, overlap: float) -> float:
     return antiderivative(r) - antiderivative(r - overlap / 2.0)
 
 
+def _circle_antiderivative(r: float, x: float) -> float:
+    """``integral_0^x sqrt(r^2 - t^2) dt``, constant beyond ``[-r, r]``: the antiderivative above, in a form
+    accurate near ``+-r``, where ``r*r - x*x`` and ``asin(x/r)`` lose half their digits (3e-8 m^2 per piece end
+    at r = 5) while ``r - x`` is exact. The form above stays, as the published areas' bytes depend on it."""
+    x = min(max(x, -r), r)
+    s = math.sqrt((r - x) * (r + x))
+    return (x * s + r * r * math.atan2(x, s)) / 2.0
+
+
 def analytic_zone_areas(plan: GridPlan) -> tuple[float, float, float, float]:
     """Closed-form zone areas (A_Z1, A_Z2, A_Z3, A_Z4) in m^2.
 
@@ -170,6 +183,87 @@ def analytic_zone_areas(plan: GridPlan) -> tuple[float, float, float, float]:
     a_z2 = n * math.pi * plan.inner_radius_m**2
     a_z3 = n * math.pi * r * r - a_z2 - a_z4
     return a_z1, a_z2, a_z3, a_z4
+
+
+# Relative slack within which two circles, or a circle and a wall, count as touching: a touching point
+# splits the x-axis too, so that no piece is sampled where two chord ends meet.
+_TOUCH = 1e-12
+
+
+def _crossing_offsets(dx: float, dy: float, r1: float, r2: float) -> tuple[float, ...]:
+    """The x offsets, from its centre, at which a circle of radius ``r1`` crosses or touches one of radius ``r2``
+    centred ``(dx, dy)`` away; none when they do not meet."""
+    d2 = dx * dx + dy * dy
+    d = math.sqrt(d2)
+    if not abs(r1 - r2) * (1.0 - _TOUCH) <= d <= (r1 + r2) * (1.0 + _TOUCH):
+        return ()
+    along = (d2 + r1 * r1 - r2 * r2) / (2.0 * d)
+    h = math.sqrt(max(r1 * r1 - along * along, 0.0))
+    return (along * dx - h * dy) / d, (along * dx + h * dy) / d
+
+
+def exact_zone_areas(plan: GridPlan) -> tuple[float, float, float, float]:
+    """Exact zone areas (A_Z1, A_Z2, A_Z3, A_Z4) in m^2; they sum to ``a*b`` up to rounding.
+
+    The x-axis splits at every breakpoint: the extremes of each disc and inner disc, and the x where two
+    circles, or a circle and the wall ``y = 0`` or ``y = b``, cross or touch. Between two breakpoints the
+    chord ends ``cy +- sqrt(R^2 - (x - cx)^2)``, clipped to the walls, keep their order. So, sorted at the
+    piece's middle, they give the y-measure covered at least once, at least twice (Z4), and by an inner
+    disc but once only (Z2) as signed sums of chord ends, and each end integrates over the piece with the
+    circle antiderivative. Only lattice neighbours' circles can meet: on an axis of three or more lines
+    the pitch is at least ``r``, so APs two lines apart are at least ``2r`` apart. Python floats and
+    ``math`` only, no quadrature.
+    """
+    a, b = plan.room_x_m, plan.room_y_m
+    cols = [x for x, _ in plan.ap_centers[:plan.n_x]]
+    rows = [y for _, y in plan.ap_centers[::plan.n_x]]
+    circles = [(plan.coverage_radius_m, False)] + [(plan.inner_radius_m, True)] * (plan.inner_radius_m > 0)
+    breaks = {0.0, a}
+    for radius, _ in circles:
+        breaks.update(cx + side * radius for cx in cols for side in (-1.0, 1.0))
+        for offset in (wall - cy for cy in rows for wall in (0.0, b)):
+            h2 = radius * radius - offset * offset
+            if h2 >= -_TOUCH * radius * radius:
+                breaks.update(cx + side * math.sqrt(max(h2, 0.0)) for cx in cols for side in (-1.0, 1.0))
+    for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):  # one step right, up or diagonally: every pair once
+        if di < len(cols) and abs(dj) < len(rows):
+            for (r1, _), (r2, _) in itertools.product(circles, repeat=2):
+                for offset in _crossing_offsets(di * plan.d_x_m, dj * plan.d_y_m, r1, r2):
+                    breaks.update(cx + offset for cx in cols[:len(cols) - di])
+    xs = sorted(x for x in breaks if 0.0 <= x <= a)
+    covered = twice = inner_once = 0.0
+    for x0, x1 in zip(xs, xs[1:]):
+        xm, width = (x0 + x1) / 2.0, x1 - x0
+        ends = []  # (y at xm, +1 into a disc or -1 out of it, inner disc?, the end's integral over the piece)
+        for radius, inner in circles:
+            for cx in cols[bisect.bisect_left(cols, xm - radius):bisect.bisect_right(cols, xm + radius)]:
+                half = math.sqrt(max(radius * radius - (xm - cx) ** 2, 0.0))
+                area = _circle_antiderivative(radius, x1 - cx) - _circle_antiderivative(radius, x0 - cx)
+                for cy in rows:
+                    lo, hi = cy - half, cy + half
+                    if hi > 0.0 and lo < b:
+                        ends += [(lo, 1, inner, cy * width - area) if lo > 0.0 else (0.0, 1, inner, 0.0),
+                                 (hi, -1, inner, cy * width + area) if hi < b else (b, -1, inner, b * width)]
+        ends.sort()
+        depth = inner_depth = 0
+        for (_, step, inner, lower), (_, _, _, upper) in zip(ends, ends[1:]):
+            if inner:
+                inner_depth += step
+            else:
+                depth += step
+            if depth:
+                covered += upper - lower
+            if depth >= 2:
+                twice += upper - lower
+            elif inner_depth:
+                inner_once += upper - lower
+    return max(a * b - covered, 0.0), inner_once, max(covered - inner_once - twice, 0.0), twice
+
+
+def exact_zone_probabilities(plan: GridPlan) -> tuple[float, float, float, float]:
+    """Zone occupancy probabilities (Z1..Z4) of a user placed uniformly in the room: the exact areas over ``a*b``."""
+    ab = plan.room_x_m * plan.room_y_m
+    return tuple(area / ab for area in exact_zone_areas(plan))
 
 
 def _two_smallest(rows: np.ndarray):

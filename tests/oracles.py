@@ -215,6 +215,79 @@ def car_follow_uptime_sampled(gap_m: float, scenario, samples: int) -> float:
     return up / samples
 
 
+_OFF_CENTRE = 0.3819660112501051  # 1 - 1/golden ratio: where an arc or wall piece is sampled
+# Circles, or a circle and a wall, that meet within this relative slack touch without crossing. Splitting
+# an arc at a touching point found by rounding would leave a sliver whose side is decided by rounding, and
+# an arc's term is not translation invariant, so a misjudged sliver far from the origin costs ~1e-6 m^2.
+_TANGENT = 1e-9
+
+
+def zone_areas_by_greens_theorem(plan: GridPlan) -> tuple[float, float, float, float]:
+    """Zone areas (Z1..Z4) as ``1/2 \u222e (x dy - y dx)`` around each zone, arc by arc: the reference for
+    ``zoning.exact_zone_areas``, which integrates along x instead.
+
+    Every coverage and inner circle splits at its crossings with every other circle (no lattice is
+    assumed) and with the four wall lines. An arc inside the room bounds a zone when the zone's rule
+    differs on its two sides, counter-clockwise when the zone lies inside the circle. The top and right
+    walls add their in-zone lengths; with the origin at the room's corner the bottom and left walls add
+    nothing. Zone rules read (covering discs, inner discs) at a point, as ``classify_points`` does.
+    """
+    a, b = plan.room_x_m, plan.room_y_m
+    r, ri = plan.coverage_radius_m, plan.inner_radius_m
+    circles = [(cx, cy, radius, inner) for cx, cy in plan.ap_centers for radius, inner in ((r, False), (ri, True))
+               if radius > 0]
+    rules = (lambda cover, inner: cover == 0, lambda cover, inner: cover == 1 and inner > 0,
+             lambda cover, inner: cover == 1 and inner == 0, lambda cover, inner: cover >= 2)
+
+    def depths(x, y, skip=None):
+        inside = [k != skip and (x - cx) ** 2 + (y - cy) ** 2 < radius**2
+                  for k, (cx, cy, radius, _) in enumerate(circles)]
+        return (sum(hit and not c[3] for hit, c in zip(inside, circles)),
+                sum(hit and c[3] for hit, c in zip(inside, circles)))
+
+    areas = [0.0] * 4
+    for k, (cx, cy, radius, inner) in enumerate(circles):
+        angles = [0.0, 2.0 * math.pi]
+        for j, (ox, oy, other, _) in enumerate(circles):
+            d = math.hypot(ox - cx, oy - cy)
+            if j != k and abs(radius - other) * (1.0 + _TANGENT) < d < (radius + other) * (1.0 - _TANGENT):
+                base = math.atan2(oy - cy, ox - cx)
+                spread = math.acos(max(-1.0, min(1.0, (d * d + radius * radius - other * other) / (2.0 * d * radius))))
+                angles += [(base + spread) % (2.0 * math.pi), (base - spread) % (2.0 * math.pi)]
+        for offset, wall in ((-cx, 0.0), (a - cx, 0.0), (-cy, math.pi / 2.0), (b - cy, math.pi / 2.0)):
+            if abs(offset) < radius * (1.0 - _TANGENT):  # the wall line x = const (or y = const) cuts the circle
+                spread = math.acos(offset / radius)
+                angles += [(wall + spread) % (2.0 * math.pi), (wall - spread) % (2.0 * math.pi)]
+        angles.sort()
+        for t0, t1 in zip(angles, angles[1:]):
+            at = t0 + _OFF_CENTRE * (t1 - t0)  # not the middle, where a circle or a wall may touch the arc
+            x, y = cx + radius * math.cos(at), cy + radius * math.sin(at)
+            if not (0.0 <= x <= a and 0.0 <= y <= b):
+                continue
+            cover, inner_count = depths(x, y, skip=k)
+            arc = 0.5 * (radius * radius * (t1 - t0) + cx * radius * (math.sin(t1) - math.sin(t0))
+                         - cy * radius * (math.cos(t1) - math.cos(t0)))
+            for zone, rule in enumerate(rules):
+                within, outside = rule(cover + (not inner), inner_count + inner), rule(cover, inner_count)
+                if within != outside:
+                    areas[zone] += arc if within else -arc
+    # Top wall (y = b, run from x = a to 0) and right wall (x = a, run from y = 0 to b).
+    for top, length, weight in ((True, a, b), (False, b, a)):
+        cuts = [0.0, length]
+        for cx, cy, radius, _ in circles:
+            along, across = (cx, b - cy) if top else (cy, a - cx)
+            if abs(across) < radius * (1.0 - _TANGENT):
+                half = math.sqrt(radius * radius - across * across)
+                cuts += [min(max(along + side * half, 0.0), length) for side in (-1.0, 1.0)]
+        cuts.sort()
+        for t0, t1 in zip(cuts, cuts[1:]):
+            t = t0 + _OFF_CENTRE * (t1 - t0)
+            cover, inner_count = depths(*((t, b) if top else (a, t)))
+            for zone, rule in enumerate(rules):
+                areas[zone] += 0.5 * weight * (t1 - t0) * rule(cover, inner_count)
+    return tuple(areas)
+
+
 def indoor_run_reference(config) -> Metrics:
     """``engine.simulate_indoor`` one tick and one terminal at a time, each link sampled on its own.
 

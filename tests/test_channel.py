@@ -32,9 +32,10 @@ class TestLambertianIndex:
         assert expected == pytest.approx(4.81884167930642, rel=1e-12)
         assert lambertian_index(30.0) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("angle", [0.0, 90.0, -5.0, 120.0])
+    @pytest.mark.parametrize("angle", [0.0, 90.0, -5.0, 120.0, 1e-9, 6e-7])
     def test_out_of_range_angles_rejected(self, angle):
-        with pytest.raises(ValueError):
+        # Below about 6e-7 degrees the cosine rounds to 1.0: the order would divide by ln(1) = 0.
+        with pytest.raises(ValueError, match="^half_intensity_angle_deg: must be .* cosine below 1.0"):
             lambertian_index(angle)
 
     @given(st.floats(min_value=1.0, max_value=89.0))
@@ -361,6 +362,12 @@ class TestParamValidation:
     def test_rf_invariants(self):
         with pytest.raises(ValueError):
             RfParams(mbs_height_m=0.0)
+        for name in ("mbs_tx_dBm", "fap_tx_dBm", "noise_psd_dBm_per_Hz"):  # +-300 dB: linear powers within 1e+-30
+            for value in (-300.000001, 300.000001, 1.0e6, math.nan):
+                with pytest.raises(ValueError, match=f"^{name}: must be in \\[-300, 300\\] dB"):
+                    RfParams(**{name: value})
+            for value in (-300.0, 300.0):
+                assert getattr(RfParams(**{name: value}), name) == value
         with pytest.raises(ValueError):
             RfParams(macro_bandwidth_Hz=-1.0)
 

@@ -20,6 +20,7 @@ from hybridnet import cli, config as cfgmod, protocol, selection, transport
 from hybridnet.config import DEFAULT_CONFIG, config_digest, deep_merge, load_config, resolve
 from hybridnet.engine import PolicyConfig
 from hybridnet.protocol import HandoverKind, MessageKind
+from hybridnet.rng import STREAM_LABELS
 
 SMALL_OVERRIDES = """
 zoning:
@@ -29,11 +30,9 @@ engine:
   duration_s: 5.0
   fig16:
     placements: 2000
-    zone_samples: 16384
     user_count_max: 6
   fig17:
     drops: 200
-    zone_samples: 16384
   fig18:
     crossings: 2000
     spacing_count: 7
@@ -240,13 +239,15 @@ class TestExperiments:
     @pytest.mark.parametrize("name", ["fig16", "fig17"])
     def test_every_stream_of_a_run_is_distinct(self, tmp_path, monkeypatch, name):
         drawn = self._record_streams(monkeypatch)
-        big = tmp_path / "big.yaml"  # four zone-model chunks, two placement chunks
-        big.write_text(SMALL_OVERRIDES.replace("16384", str(3 * (1 << 18) + 1))
-                       .replace("placements: 2000", "placements: 20001"))
+        big = tmp_path / "big.yaml"  # two placement chunks
+        big.write_text(SMALL_OVERRIDES.replace("placements: 2000", "placements: 20001"))
         assert cli.main(["experiment", name, "--config", str(big), "--out", str(tmp_path / "out")]) == 0
         keys = [key for _gen, key in drawn.values()]
         assert len(set(keys)) == len(keys), sorted(keys)
-        assert len(keys) == (6 if name == "fig16" else 5)
+        assert len(keys) == (2 if name == "fig16" else 1)
+        # The zone probabilities are exact: no generator spawned from the zones stream draws.
+        zones = STREAM_LABELS.index("zones")
+        assert not [key for key in keys if key[1][:1] == (zones,)], sorted(keys)
 
     def test_fig17_and_fig18_draw_from_distinct_streams(self, tmp_path, monkeypatch, small_config):
         drawn = self._record_streams(monkeypatch)
@@ -265,7 +266,7 @@ class TestExperiments:
             assert hybrid >= max(rf_only, owc_only)
 
     # sha256 of the default-config CSVs at seed 0: fig16 classifies and
-    # assigns every placed user to its nearest AP, fig17 reads the zone model,
+    # assigns every placed user to its nearest AP, fig17 reads the exact zone probabilities,
     # fig18 draws crossings and fig19-fig21 sweep the vehicle distance.
     @pytest.mark.parametrize("entry", golden("experiment"))
     def test_golden_digest(self, tmp_path, capsys, entry):
@@ -298,11 +299,13 @@ class TestExperiments:
             (["experiment", "fig21"], "transport: {fig21: {distance_count: 0}}\n", "transport.fig21.distance_count"),
             (["experiment", "fig18"], "engine: {fig18: {spacing_count: 0}}\n", "engine.fig18.spacing_count"),
             (["experiment", "fig16"], "engine: {fig16: {user_count_max: -1}}\n", "engine.fig16.user_count_max"),
-            (["experiment", "fig18"], "engine: {fig17: {zone_samples: 5}}\n", "engine.fig17.zone_samples"),
-            (["experiment", "fig17"], "engine: {fig17: {zone_samples: 5}}\n", "engine.fig17.zone_samples"),
+            (["experiment", "fig18"], "engine: {fig17: {zone_samples: 5}}\n", "engine.fig17.zone_samples: unknown key"),
+            (["experiment", "fig17"], "engine: {fig17: {zone_samples: 1048576}}\n",
+             "engine.fig17.zone_samples: unknown key"),
             (["experiment", "fig17"], "engine: {fig17: {drops: 0}}\n", "engine.fig17.drops"),
             (["experiment", "fig16"], "engine: {fig16: {placements: 0}}\n", "engine.fig16.placements"),
-            (["indoor-sim"], "engine: {fig16: {zone_samples: 9999}}\n", "engine.fig16.zone_samples"),
+            (["experiment", "fig16"], "engine: {fig16: {zone_samples: 1048576}}\n",
+             "engine.fig16.zone_samples: unknown key"),
             (["experiment", "fig18"], "engine: {fig18: {crossings: 0}}\n", "engine.fig18.crossings"),
             (["indoor-sim"], "policy: {lifi_slots: 0}\n", "policy.lifi_slots"),
             (["experiment", "fig17"], "channel: {rf: {wall_count: 3}}\n", "channel.rf.wall_count: unknown key"),
@@ -346,13 +349,17 @@ class TestExperiments:
              "transport.vehicle.access_femto_distance_m"),
             (["experiment", "fig20"], "transport: {vehicle: {access_horizontal_distance_m: -1.0}}\n",
              "transport.vehicle.access_horizontal_distance_m"),
+            (["experiment", "fig17"], "channel: {rf: {noise_psd_dBm_per_Hz: 1.0e6}}\n",
+             "channel.rf.noise_psd_dBm_per_Hz: must be in [-300, 300] dB"),
+            (["experiment", "fig17"], "channel: {rf: {fap_tx_dBm: 7000.0}}\n", "channel.rf.fap_tx_dBm"),
+            (["experiment", "fig19"], "channel: {rf: {mbs_tx_dBm: -301.0}}\n", "channel.rf.mbs_tx_dBm"),
         ],
         ids=["not-a-mapping", "unknown-key", "bool-for-int", "float-for-int", "leaf-for-mapping",
              "bad-enum", "range-checked-everywhere", "non-reciprocal-ahp", "ahp-not-4x4", "missing-file",
              "mc-samples-below-minimum", "fig19-count-negative", "fig20-count-zero", "fig21-count-zero",
              "fig18-count-zero", "fig16-user-max-negative", "fig17-zone-samples-checked-everywhere",
-             "fig17-zone-samples-below-minimum", "fig17-drops-zero", "fig16-placements-zero",
-             "fig16-zone-samples-below-minimum", "fig18-crossings-zero", "lifi-slots-zero", "rf-wall-count-unknown",
+             "fig17-zone-samples-unknown", "fig17-drops-zero", "fig16-placements-zero",
+             "fig16-zone-samples-unknown", "fig18-crossings-zero", "lifi-slots-zero", "rf-wall-count-unknown",
              "room-side-zero", "coverage-radius-negative", "plan-room-side-negative", "fig17-user-distance-zero",
              "fig17-fap-count-negative", "fig17-hybrid-users-negative", "fig17-wall-count-negative",
              "fig17-min-link-distance-zero", "fig17-deployment-radius-negative", "fig19-start-zero",
@@ -361,7 +368,8 @@ class TestExperiments:
              "duration-below-one-long-tick", "duration-below-one-short-tick", "optical-pd-area-zero", "rf-height-zero",
              "shadowing-zero", "car-window-zero", "half-intensity-cosine-one-fig19",
              "half-intensity-cosine-one-indoor-sim", "vehicle-femto-distance-negative",
-             "vehicle-horizontal-distance-negative"],
+             "vehicle-horizontal-distance-negative", "rf-noise-psd-beyond-finite-power", "rf-fap-tx-beyond-finite-power",
+             "rf-mbs-tx-beyond-finite-power"],
     )
     def test_unparsable_config_is_validation_error(self, tmp_path, capsys, argv, text, key):
         bad = tmp_path / "bad.yaml"
@@ -369,6 +377,16 @@ class TestExperiments:
             bad.write_text(text)
         assert cli.main([*argv, "--config", str(bad), *out_flag(argv, tmp_path / "out")]) == 2
         assert key is None or key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tx_dbm", [-300.0, 300.0])
+    @pytest.mark.parametrize("noise_dbm_per_hz", [-300.0, 300.0])
+    def test_fig17_is_finite_at_the_ends_of_the_power_domain(self, tmp_path, small_config, tx_dbm, noise_dbm_per_hz):
+        path = tmp_path / "rf.yaml"
+        path.write_text(Path(small_config).read_text() + f"channel: {{rf: {{fap_tx_dBm: {tx_dbm}, mbs_tx_dBm: {tx_dbm}, "
+                        f"noise_psd_dBm_per_Hz: {noise_dbm_per_hz}}}}}\n")
+        assert cli.main(["experiment", "fig17", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "fig17.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 and all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
 
     def test_submillisecond_car_window_runs(self, tmp_path):
         path = tmp_path / "car.yaml"
@@ -538,7 +556,7 @@ class TestConfig:
         resolved = load_config(None)
         assert resolved == DEFAULT_CONFIG
         assert resolved is not DEFAULT_CONFIG
-        assert config_digest(resolved) == "sha256:7ecea9679620c0e42a38b398c491d9f5e9b27df6eca997e8f9c8c7196c896725"
+        assert config_digest(resolved) == "sha256:4119829618272c19ae2a23792816395d1acda128fb8534d32e6aa6cee060082f"
 
     def test_inline_criteria_table_parses(self, tmp_path):
         path = tmp_path / "crit.yaml"

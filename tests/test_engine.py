@@ -16,7 +16,7 @@ from hybridnet.engine import (
 )
 from hybridnet.channel import OpticalParams, RfParams, femto_path_loss, optical_channel_gain
 from hybridnet.protocol import HandoverKind, run_handover
-from hybridnet.zoning import Zone, classify_points, monte_carlo_zone_model, plan_grid
+from hybridnet.zoning import Zone, classify_points, exact_zone_probabilities, plan_grid
 from oracles import (
     classify_against_every_ap, enumerate_idle_probability, indoor_run_reference, lifi_assignment_idle_one_hot,
     placement_idle_reference, sq_distances_to_every_ap,
@@ -277,16 +277,16 @@ def reading(codes: np.ndarray, nearest: np.ndarray):
 
 
 class TestIdleProbabilityExperiment:
-    CFG = IdleExperimentConfig(placements=4000, zone_samples=65_536, seed=5)
+    CFG = IdleExperimentConfig(placements=4000, seed=5)
 
     def test_zero_users_is_certain_idle(self):
-        rows, _ = idle_probability_experiment(self.CFG, [0])
+        rows = idle_probability_experiment(self.CFG, [0])
         assert rows[0] == (0, 1.0, 1.0)
 
     def test_columns_monotone_non_increasing(self):
         # Every user count reads the same placements, so the empirical
         # column is monotone exactly, not just within sampling noise.
-        rows, _ = idle_probability_experiment(self.CFG, list(range(21)))
+        rows = idle_probability_experiment(self.CFG, list(range(21)))
         empirical = [r[1] for r in rows]
         closed = [r[2] for r in rows]
         assert all(a >= b for a, b in zip(empirical, empirical[1:]))
@@ -294,17 +294,17 @@ class TestIdleProbabilityExperiment:
         assert empirical[0] == 1.0 and empirical[-1] < empirical[1]
 
     def test_row_does_not_depend_on_the_other_counts(self):
-        cfg = IdleExperimentConfig(placements=45_000, zone_samples=16_384, seed=3)  # three chunks, the last partial
+        cfg = IdleExperimentConfig(placements=45_000, seed=3)  # three chunks, the last partial
         rows = {}
         for counts in ([3], [1, 3, 6, 12], list(range(21))):
-            got, _ = idle_probability_experiment(cfg, counts)
+            got = idle_probability_experiment(cfg, counts)
             rows[tuple(counts)] = {p: (empirical, bound) for p, empirical, bound in got}
         assert rows[(3,)][3] == rows[(1, 3, 6, 12)][3] == rows[tuple(range(21))][3]
         for p in (1, 6, 12):
             assert rows[(1, 3, 6, 12)][p] == rows[tuple(range(21))][p]
 
     def test_empirical_below_closed_form_bound(self):
-        rows, _ = idle_probability_experiment(self.CFG, [1, 3, 6, 12])
+        rows = idle_probability_experiment(self.CFG, [1, 3, 6, 12])
         for p, empirical, bound in rows:
             sigma = math.sqrt(max(empirical * (1 - empirical), 1e-12) / self.CFG.placements)
             assert empirical <= bound + 3 * sigma
@@ -348,8 +348,8 @@ class TestIdleProbabilityExperiment:
         assert overflowed > 100
 
     def test_fig16_classifies_in_cache_sized_slices(self, monkeypatch):
-        cfg = IdleExperimentConfig(placements=45_000, zone_samples=16_384, seed=3)  # three chunks, the last partial
-        expected, _ = idle_probability_experiment(cfg, list(range(21)))
+        cfg = IdleExperimentConfig(placements=45_000, seed=3)  # three chunks, the last partial
+        expected = idle_probability_experiment(cfg, list(range(21)))
         sizes = []
 
         def counting_classify(plan, points, window=None):
@@ -357,14 +357,14 @@ class TestIdleProbabilityExperiment:
             return classify_points(plan, points, window)
 
         monkeypatch.setattr(engine, "classify_points", counting_classify)
-        got, _ = idle_probability_experiment(cfg, list(range(21)))
+        got = idle_probability_experiment(cfg, list(range(21)))
         # User p is located only where users 0..p-1 left the placement idle.
         located = sum(round(empirical * cfg.placements) for _, empirical, _ in got[:20])
         assert max(sizes) <= zoning._CLASSIFY_SLICE and sum(sizes) == located < 20 * 45_000
         assert got == expected
 
     def test_locate_is_asked_only_for_placements_still_idle(self, monkeypatch):
-        cfg = IdleExperimentConfig(placements=45_000, zone_samples=16_384, seed=3)  # three chunks, the last partial
+        cfg = IdleExperimentConfig(placements=45_000, seed=3)  # three chunks, the last partial
         located, runs = np.zeros(20, dtype=np.int64), []
 
         def recording_idle(locate, placements, users, ap_count, lifi_slots):
@@ -385,14 +385,13 @@ class TestIdleProbabilityExperiment:
             return idle
 
         monkeypatch.setattr(engine, "lifi_assignment_idle", recording_idle)
-        got, _ = idle_probability_experiment(cfg, list(range(21)))
+        got = idle_probability_experiment(cfg, list(range(21)))
         assert runs == [20_000, 20_000, 5_000]
         assert located.tolist() == [round(empirical * cfg.placements) for _, empirical, _ in got[:20]]
         assert located[0] == cfg.placements and 0 < located[-1] < located[1]
 
     def test_exhaustive_enumeration_matches_closed_form(self):
-        model = monte_carlo_zone_model(plan_grid(24.0, 24.0, 5.0), 65_536, seed=5)
-        probs = model.zone_probs
+        probs = exact_zone_probabilities(plan_grid(24.0, 24.0, 5.0))
         for p in (1, 2, 3):
             enumerated = enumerate_idle_probability(probs, p)
             direct = (probs[1] + probs[2]) ** p  # all users in Zone 2 or 3
@@ -405,7 +404,7 @@ class TestIdleProbabilityExperiment:
 
 class TestFemtoSinrExperiment:
     def test_no_interferers_reduces_to_snr(self):
-        cfg = FemtoSinrConfig(fap_count=0, drops=16, zone_samples=16_384, seed=2)
+        cfg = FemtoSinrConfig(fap_count=0, drops=16, seed=2)
         rf = RfParams()
         results = femto_sinr_experiment(cfg, rf)
         snr_frf1 = rf.fap_tx_dBm - femto_path_loss(8.0, rf, wall_count=0) - rf.noise_dBm(rf.femto_bandwidth_Hz)
@@ -415,7 +414,7 @@ class TestFemtoSinrExperiment:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_orderings_hold_per_seed(self, seed):
-        cfg = FemtoSinrConfig(drops=1000, zone_samples=16_384, seed=seed)
+        cfg = FemtoSinrConfig(drops=1000, seed=seed)
         results = {(scheme, frf): mean_db for scheme, frf, mean_db, *_ in femto_sinr_experiment(cfg, RfParams())}
         assert results[("hybrid", 1)] >= results[("pure", 1)]
         assert results[("hybrid", 4)] >= results[("pure", 4)]
@@ -432,7 +431,7 @@ class TestFemtoSinrExperiment:
         assert -0.1 < sinr_db < 0.0
 
     def test_determinism(self):
-        cfg = FemtoSinrConfig(drops=200, zone_samples=16_384, seed=4)
+        cfg = FemtoSinrConfig(drops=200, seed=4)
         assert femto_sinr_experiment(cfg, RfParams()) == femto_sinr_experiment(cfg, RfParams())
 
     def test_drop_floor(self):

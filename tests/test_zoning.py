@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 from itertools import product
 
 import numpy as np
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 
 from hybridnet.zoning import (
     GridPlan, Zone, analytic_zone_areas, circle_segment_integral,
-    classify_points, min_ap_count, monte_carlo_zone_model,
+    classify_points, exact_zone_areas, exact_zone_probabilities, min_ap_count, monte_carlo_zone_model,
     occupancy_probability, plan_grid,
 )
-from oracles import classify_against_every_ap, sq_distances_to_every_ap
+from oracles import classify_against_every_ap, sq_distances_to_every_ap, zone_areas_by_greens_theorem
 
 PLAN_24 = plan_grid(24.0, 24.0, 5.0)
 
@@ -175,6 +176,55 @@ class TestAnalyticAreas:
         assert rows[3][1] != pytest.approx(rows[3][2], rel=0.05)  # Z4 overcount is not hidden
 
 
+# The plans the exact areas are checked on: the default room, the 121-AP floor, uneven overlaps on the
+# two axes, a room covered whole (no Z1), and a two-column plan whose inner discs touch along x.
+EXACT_PLANS = [(24.0, 24.0, 5.0), (100.0, 100.0, 5.0), (60.0, 35.0, 3.0), (10.0, 10.0, 5.0), (7.0, 30.0, 2.5)]
+
+
+class TestExactAreas:
+    @staticmethod
+    def assert_exact(plan: GridPlan):
+        ab = plan.room_x_m * plan.room_y_m
+        areas = exact_zone_areas(plan)
+        assert sum(areas) == pytest.approx(ab, rel=1e-12)
+        # The floor of 1e-12 ab is for a zone the room lacks, 0 to rounding by either method.
+        assert areas == pytest.approx(zone_areas_by_greens_theorem(plan), rel=1e-9, abs=1e-12 * ab)
+
+    @pytest.mark.parametrize("a,b,r", EXACT_PLANS)
+    def test_agrees_with_greens_theorem(self, a, b, r):
+        self.assert_exact(plan_grid(a, b, r))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(1.0, 25.0), st.floats(1.0, 25.0), st.floats(2.0, 8.0))
+    def test_agrees_with_greens_theorem_on_drawn_plans(self, a, b, r):
+        self.assert_exact(plan_grid(a, b, r))
+
+    def test_one_ap_inside_the_room(self):
+        plan = GridPlan(room_x_m=12.0, room_y_m=12.0, coverage_radius_m=5.0, n_x=1, n_y=1, d_x_m=12.0, d_y_m=12.0,
+                        l_x_m=2.0, l_y_m=2.0, ap_centers=((6.0, 6.0),), fap_center=(6.0, 6.0))
+        assert plan.inner_radius_m == 4.0
+        z1, z2, z3, z4 = exact_zone_areas(plan)
+        assert z2 == pytest.approx(math.pi * 16.0, rel=1e-12)
+        assert z3 == pytest.approx(math.pi * (25.0 - 16.0), rel=1e-12)
+        assert z4 == 0.0
+        assert z1 == pytest.approx(144.0 - math.pi * 25.0, rel=1e-12)
+
+    def test_default_room_costs_at_most_two_milliseconds(self):
+        timings = []
+        for _ in range(10):  # the fastest of ten, so that a busy host does not fail it
+            start = time.perf_counter()
+            exact_zone_areas(PLAN_24)
+            timings.append(time.perf_counter() - start)
+        assert min(timings) < 2e-3
+
+    @pytest.mark.parametrize("a,b,r", EXACT_PLANS)
+    def test_monte_carlo_model_within_four_standard_errors(self, a, b, r):
+        plan, samples = plan_grid(a, b, r), 1 << 20
+        model = monte_carlo_zone_model(plan, samples, seed=0)
+        for got, want in zip(model.zone_probs, exact_zone_probabilities(plan)):
+            assert abs(got - want) <= 4.0 * math.sqrt(want * (1.0 - want) / samples)
+
+
 class TestClassifyPoint:
     def test_ap_center_is_zone2(self):
         assert classify_points(PLAN_24, [(4.0, 4.0)]).tolist() == [Zone.Z2.value]
@@ -330,7 +380,7 @@ class TestMonteCarlo:
             monte_carlo_zone_model(PLAN_24, 9_999, seed=0)
 
     def test_against_independent_grid_classifier(self):
-        # 6 cm grid keeps this fast; the acceptance suite runs the 1 cm grid.
+        # 6 cm grid keeps this fast; TestExactAreas checks the model against the exact areas.
         model = monte_carlo_zone_model(PLAN_24, 400_000, seed=5)
         grid_probs = _grid_fraction_oracle(PLAN_24, step=0.06)
         for got, want in zip(model.zone_probs, grid_probs):
