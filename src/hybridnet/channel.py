@@ -47,6 +47,8 @@ LAMBERTIAN_ANGLE = ("in (0, 90) degrees with a cosine below 1.0 (a finite Lamber
                     lambda v: 0.0 < v < 90.0 and math.cos(math.radians(v)) < 1.0)
 # A dBm power (or dBm/Hz density) in [-300, 300] is a linear power within 1e+-30 mW: the sums it feeds stay finite.
 FINITE_POWER_DB = ("in [-300, 300] dB (a linear power within 1e+-30)", lambda v: -300.0 <= v <= 300.0)
+# A bandwidth in [1, 1e30] Hz adds 10 log10 B in [0, 300] dB to a noise density, so the noise power is within 1e-30..1e60 mW.
+NOISE_BANDWIDTH = ("in [1, 1e30] Hz (10 log10 B within [0, 300] dB)", lambda v: 1.0 <= v <= 1e30)
 
 
 def db_to_linear(x_db):
@@ -103,8 +105,8 @@ class RfParams:
     femto_bandwidth_Hz: float = 10e6
 
     def __post_init__(self):
-        check_fields(self, *POSITIVE, "center_freq_MHz", "mbs_height_m", "terminal_height_m",
-                     "macro_bandwidth_Hz", "femto_bandwidth_Hz")
+        check_fields(self, *POSITIVE, "center_freq_MHz", "mbs_height_m", "terminal_height_m")
+        check_fields(self, *NOISE_BANDWIDTH, "macro_bandwidth_Hz", "femto_bandwidth_Hz")
         check_fields(self, *FINITE_POWER_DB, "mbs_tx_dBm", "fap_tx_dBm", "noise_psd_dBm_per_Hz")
 
     def wall_loss_dB(self, obstacle: ObstacleClass) -> float:

@@ -3,18 +3,21 @@
 Commands: ``plan``, ``zones``, ``experiment``, ``trace``, ``indoor-sim``.
 Common flags (``--config``, ``--seed``, ``--out``, ``--samples``) fall back
 to ``HYBRIDNET_CONFIG``, ``HYBRIDNET_SEED``, ``HYBRIDNET_OUT`` and
-``HYBRIDNET_SAMPLES``; ``plan`` only prints and takes no ``--out``. The
-config file is resolved once, before any command computes or writes;
-``--room``, ``--radius``, ``--samples`` and ``--per-hop-ms`` fall back to its
-``zoning`` and ``protocol`` keys. ``trace`` checks every trace against the
-protocol's safety rules before writing it. Exit codes: 0 success, 2
-validation failure (flags, config file), 3 runtime failure (any other
-error a command raises, such as a trace that breaks a rule).
+``HYBRIDNET_SAMPLES``; ``plan`` only prints and takes no ``--out``. Every
+command runs the same way: validate, then compute, then write. The
+validation phase parses the flags, lays each of ``--room``, ``--radius``,
+``--samples`` and ``--per-hop-ms`` that is set over the ``zoning`` or
+``protocol`` key it overrides, and resolves the config, so a flag is checked
+by its key's rule. ``trace`` checks every trace against the protocol's
+safety rules before writing it. Exit codes: 0 success, 2 validation failure
+(flags, config file), 3 runtime failure (any error after validation, such
+as a trace that breaks a rule).
 
 All CSV output uses '.' decimals, repr-exact floats and newline-terminated
 rows, so a command rerun with the same configuration and seed is
-byte-identical. Each experiment writes a JSON run manifest next to its
-CSV recording the command, config digest, seed and tool version.
+byte-identical. Every CSV written to ``--out`` gets a JSON run manifest
+beside it recording the command, config digest (flags included), seed and
+tool version.
 """
 
 from __future__ import annotations
@@ -23,24 +26,19 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
 from pathlib import Path
 
 from . import CSV_SCHEMA_VERSION, __version__, config as cfgmod, engine, protocol, transport, zoning
-from .protocol import FaultPlan, HandoverKind
+from .protocol import TRACE_CSV_HEADER, FaultPlan, HandoverKind
 
 EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME = 0, 2, 3
 
 EXPERIMENTS = ("fig16", "fig17", "fig18", "fig19", "fig20", "fig21")
 
-TRACE_KINDS = {
-    "lifi-to-femto": HandoverKind.LIFI_TO_FEMTO,
-    "femto-to-lifi": HandoverKind.FEMTO_TO_LIFI,
-    "lifi-to-lifi": HandoverKind.LIFI_TO_LIFI,
-}
+TRACE_KINDS = {kind.value.replace("_", "-"): kind for kind in HandoverKind}
 
 
 def _csv_text(header: tuple[str, ...], rows) -> str:
@@ -52,38 +50,42 @@ def _csv_text(header: tuple[str, ...], rows) -> str:
     return buf.getvalue()
 
 
-def _write_run(args, config: dict, started: float, stem: str, command: str, text: str, **extra) -> Path:
-    """Write ``<stem>.csv`` and its JSON run manifest into ``--out`` (default: the working directory)."""
-    out_dir = Path(args.out) if args.out else Path.cwd()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{stem}.csv"
-    csv_path.write_text(text)
+def _write(args, config: dict, started: float, command: str, path: Path | None, text: str, **extra) -> None:
+    """Write ``text`` to ``path`` with its JSON run manifest beside it, or to stdout when ``path`` is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
     manifest = {
         "command": command,
         "config_digest": cfgmod.config_digest(config),
         "seed": args.seed,
         "tool_version": __version__,
         "csv_schema_version": CSV_SCHEMA_VERSION,
-        "outputs": [csv_path.name],
+        "outputs": [path.name],
         "duration_s": time.monotonic() - started,
         **extra,
     }
-    (out_dir / f"{stem}.manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return csv_path
+    path.with_name(f"{path.stem}.manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path}")
 
 
-def _positive(flag: str, value: float) -> float:
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{flag}: must be a positive finite number, got {value!r}")
-    return value
-
-
-def _parse_room(text: str) -> tuple[float, float]:
+def _room_sides(text: str) -> tuple[float, float]:
     try:
         a, b = (float(side) for side in text.lower().split("x"))
     except ValueError as exc:
         raise ValueError(f"--room: must look like 24x24, got {text!r}") from exc
-    return _positive("--room", a), _positive("--room", b)
+    return a, b
+
+
+# Flags that override config keys: argparse dest -> (flag, what it sets, its keys, the keys' values from its value).
+KEY_FLAGS = {
+    "room": ("--room", "room sides AxB in metres", ("zoning.room_x_m", "zoning.room_y_m"), _room_sides),
+    "radius": ("--radius", "coverage radius in metres", ("zoning.coverage_radius_m",), lambda m: (m,)),
+    "samples": ("--samples", "Monte Carlo samples", ("zoning.mc_samples",), lambda n: (n,)),
+    "per_hop_ms": ("--per-hop-ms", "per-hop latency in ms", ("protocol.per_hop_latency_s",), lambda ms: (ms / 1000.0,)),
+}
 
 
 def _seed(text: str) -> int:
@@ -111,12 +113,15 @@ def build_parser() -> argparse.ArgumentParser:
         if writes:
             p.add_argument("--out", default=_env_default("OUT"), help="output directory or file")
 
+    def key_flag(p, dest: str, **kwargs):
+        flag, what, keys, _values = KEY_FLAGS[dest]
+        p.add_argument(flag, dest=dest, help=f"{what} (overrides {' and '.join(keys)})", **kwargs)
+
     for name, help_text in (("plan", "grid plan and zone-area report"), ("zones", "zone model as CSV")):
         p_zoning = sub.add_parser(name, help=help_text)
-        p_zoning.add_argument("--room", help="AxB in metres (default: zoning.room_x_m/room_y_m)")
-        p_zoning.add_argument("--radius", type=float, help="default: zoning.coverage_radius_m")
-        p_zoning.add_argument("--samples", type=int, default=_env_default("SAMPLES", int),
-                              help="default: zoning.mc_samples")
+        key_flag(p_zoning, "room")
+        key_flag(p_zoning, "radius", type=float)
+        key_flag(p_zoning, "samples", type=int, default=_env_default("SAMPLES", int))
         common(p_zoning, writes=name == "zones")
 
     p_exp = sub.add_parser("experiment", help="figure-reproduction run")
@@ -125,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="execute one handover call flow")
     p_trace.add_argument("kind", choices=sorted(TRACE_KINDS))
-    p_trace.add_argument("--per-hop-ms", type=float, help="default: protocol.per_hop_latency_s")
+    key_flag(p_trace, "per_hop_ms", type=float)
     p_trace.add_argument("--drop-step", type=int, default=None)
     common(p_trace, writes=True)
 
@@ -134,46 +139,63 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _zoning_args(args, config: dict, sections: dict) -> tuple[float, float]:
-    """Room sides; an unset --room, --radius or --samples takes the config's zoning value."""
+def _validate(args) -> tuple[dict, dict]:
+    """The validation phase: the config with every set flag laid over its keys, and its resolved sections.
+
+    Each flag is checked by the rules of the keys it overrides, and an error
+    names the flag; ``--drop-step``, which overrides no key, must name a step.
+    """
+    config, overrides, flag_of = cfgmod.load_config(args.config), {}, {}
+    for dest, (flag, what, keys, values) in KEY_FLAGS.items():
+        if getattr(args, dest, None) is not None:
+            for key, value in zip(keys, values(getattr(args, dest))):
+                section, name = key.split(".")
+                overrides.setdefault(section, {})[name] = value
+                flag_of[key] = f"{flag} ({what})"
+    try:
+        config = cfgmod.deep_merge(config, overrides)
+        sections = cfgmod.resolve(config, args.seed)
+    except ValueError as exc:
+        key = str(exc).split(":")[0]
+        if key in flag_of:
+            raise ValueError(f"{flag_of[key]}: {exc}") from None
+        raise
+    if getattr(args, "drop_step", None) is not None:
+        steps = len(protocol.canonical_sequence(TRACE_KINDS[args.kind]))
+        if not 1 <= args.drop_step <= steps:
+            raise ValueError(f"--drop-step must lie in 1..{steps} for {args.kind}, got {args.drop_step}")
+    return config, sections
+
+
+def _zone_model(args, config: dict, sections: dict) -> tuple[zoning.GridPlan, zoning.ZoneModel]:
     room = sections["zoning"]
-    args.radius = room.coverage_radius_m if args.radius is None else _positive("--radius", args.radius)
-    args.samples = config["zoning"]["mc_samples"] if args.samples is None else args.samples
-    if args.samples < zoning.MIN_MC_SAMPLES:
-        raise ValueError(f"--samples: must be at least {zoning.MIN_MC_SAMPLES}, got {args.samples}")
-    return _parse_room(args.room) if args.room is not None else (room.room_x_m, room.room_y_m)
+    plan = zoning.plan_grid(room.room_x_m, room.room_y_m, room.coverage_radius_m)
+    return plan, zoning.monte_carlo_zone_model(plan, config["zoning"]["mc_samples"], seed=args.seed)
 
 
-def cmd_plan(args, config: dict, sections: dict) -> int:
-    a, b = _zoning_args(args, config, sections)
-    plan = zoning.plan_grid(a, b, args.radius)
-    model = zoning.monte_carlo_zone_model(plan, args.samples, seed=args.seed)
-    print(f"room: {a} m x {b} m, coverage radius {args.radius} m")
+def cmd_plan(args, config: dict, sections: dict) -> None:
+    plan, model = _zone_model(args, config, sections)
+    a, b, radius = plan.room_x_m, plan.room_y_m, plan.coverage_radius_m
+    print(f"room: {a} m x {b} m, coverage radius {radius} m")
     print(f"ap_count: {plan.ap_count} (n_x={plan.n_x}, n_y={plan.n_y}), "
-          f"minimum plan: {zoning.min_ap_count(a, b, args.radius)}")
+          f"minimum plan: {zoning.min_ap_count(a, b, radius)}")
     print(f"spacing: d_x={plan.d_x_m!r} d_y={plan.d_y_m!r}")
     print(f"overlap: l_x={plan.l_x_m!r} l_y={plan.l_y_m!r}")
     print("ap_centers: " + "; ".join(f"({x!r}, {y!r})" for x, y in plan.ap_centers))
     print(f"fap_center: ({plan.fap_center[0]!r}, {plan.fap_center[1]!r})")
-    print(f"zone areas (m^2), analytic vs monte carlo ({args.samples} samples, seed {args.seed}):")
+    print(f"zone areas (m^2), analytic vs monte carlo ({model.sample_count} samples, seed {args.seed}):")
     for name, analytic, mc, prob in model.csv_rows():
         print(f"  {name}: analytic={analytic!r} mc={mc!r} prob={prob!r}")
     z1, z2, z3, z4 = model.analytic_areas_m2
     residual = (z1 + z2 + z3 + z4) - (a * b + z4)  # not sum(): compensated from Python 3.12
     print(f"analytic residual (sum - ab - A_Z4): {residual!r}")
-    return EXIT_OK
 
 
-def cmd_zones(args, config: dict, sections: dict) -> int:
-    a, b = _zoning_args(args, config, sections)
-    plan = zoning.plan_grid(a, b, args.radius)
-    model = zoning.monte_carlo_zone_model(plan, args.samples, seed=args.seed)
+def cmd_zones(args, config: dict, sections: dict) -> None:
+    started = time.monotonic()
+    _plan, model = _zone_model(args, config, sections)
     text = _csv_text(("zone", "analytic_area_m2", "mc_area_m2", "probability"), model.csv_rows())
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    _write(args, config, started, "zones", Path(args.out) if args.out else None, text)
 
 
 def _experiment_rows(name: str, config: dict, sections: dict):
@@ -205,52 +227,33 @@ def _experiment_rows(name: str, config: dict, sections: dict):
             cfgmod.sweep(config["transport"]["fig21"], "distance", "m"), sections["transport.fig21"]
         )
         return ("inter_vehicle_distance_m", "rf_only", "owc_only", "hybrid"), rows
-    raise ValueError(f"unknown experiment {name!r}")
 
 
-def cmd_experiment(args, config: dict, sections: dict) -> int:
+def cmd_experiment(args, config: dict, sections: dict) -> None:
     started = time.monotonic()
     header, rows = _experiment_rows(args.name, config, sections)
-    csv_path = _write_run(args, config, started, args.name, f"experiment {args.name}", _csv_text(header, rows))
-    print(f"wrote {csv_path}")
-    return EXIT_OK
+    path = Path(args.out or Path.cwd()) / f"{args.name}.csv"
+    _write(args, config, started, f"experiment {args.name}", path, _csv_text(header, rows))
 
 
-def cmd_trace(args, config: dict, sections: dict) -> int:
+def cmd_trace(args, config: dict, sections: dict) -> None:
     started = time.monotonic()
     kind = TRACE_KINDS[args.kind]
-    if args.per_hop_ms is not None and not 0.0 <= args.per_hop_ms < math.inf:
-        raise ValueError(f"--per-hop-ms: per-hop latency must be finite and >= 0, got {args.per_hop_ms!r}")
-    per_hop_s = sections["policy"].per_hop_latency_s if args.per_hop_ms is None else args.per_hop_ms / 1000.0
-    steps = len(protocol.canonical_sequence(kind))
-    if args.drop_step is not None and not 1 <= args.drop_step <= steps:
-        raise ValueError(f"--drop-step must lie in 1..{steps} for {args.kind}, got {args.drop_step}")
     fault_plan = FaultPlan(drop_counts={args.drop_step: 1}) if args.drop_step is not None else FaultPlan()
-    trace = protocol.run_handover(kind, per_hop_s, fault_plan)
+    trace = protocol.run_handover(kind, sections["policy"].per_hop_latency_s, fault_plan)
     violation = protocol.validate_trace(trace)
     if violation is not None:
         raise RuntimeError(f"{args.kind} trace breaks the protocol at step {violation.step}: {violation.reason}")
-    text = protocol.trace_to_csv(trace)
     outcome = {"outcome": trace.outcome, "failed_step": trace.failed_step, "latency_s": trace.latency_s}
-    if args.out:
-        csv_path = _write_run(args, config, started, f"trace_{kind.value}", f"trace {args.kind}", text, **outcome)
-        print(f"wrote {csv_path} ({trace.outcome})")
-    else:
-        sys.stdout.write(text)
-        print(f"# outcome: {json.dumps(outcome, sort_keys=True)}")
-    return EXIT_OK
+    path = Path(args.out) / f"trace_{kind.value}.csv" if args.out else None
+    _write(args, config, started, f"trace {args.kind}", path, _csv_text(TRACE_CSV_HEADER, trace.csv_rows()), **outcome)
+    print(f"# outcome: {json.dumps(outcome, sort_keys=True)}")
 
 
-def cmd_indoor_sim(args, config: dict, sections: dict) -> int:
+def cmd_indoor_sim(args, config: dict, sections: dict) -> None:
     started = time.monotonic()
-    metrics = engine.simulate_indoor(sections["engine"])
-    text = _csv_text(("metric", "value"), metrics.csv_rows())
-    if args.out:
-        csv_path = _write_run(args, config, started, "indoor_sim", "indoor-sim", text)
-        print(f"wrote {csv_path}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    text = _csv_text(("metric", "value"), engine.simulate_indoor(sections["engine"]).csv_rows())
+    _write(args, config, started, "indoor-sim", Path(args.out) / "indoor_sim.csv" if args.out else None, text)
 
 
 COMMANDS = {
@@ -263,21 +266,18 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    try:  # the whole file is resolved, every value checked, before any command computes or writes
+    try:  # the validation phase: every flag and config value is checked before any command computes or writes
         args = build_parser().parse_args(argv)
-        config = cfgmod.load_config(args.config)
-        sections = cfgmod.resolve(config, args.seed)
+        config, sections = _validate(args)
     except (ValueError, FileNotFoundError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        return COMMANDS[args.command](args, config, sections)
-    except (ValueError, FileNotFoundError) as exc:  # the flag checks of _zoning_args and cmd_trace
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except Exception as exc:  # a program fault, or a trace that fails validation
+        COMMANDS[args.command](args, config, sections)
+    except Exception as exc:  # a program fault, a failed write, or a trace that fails validation
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

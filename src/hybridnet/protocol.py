@@ -19,9 +19,7 @@ at that step and leaves the serving link in place.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -149,6 +147,9 @@ class FaultPlan:
     retry_budget: dict[MessageKind, int] = field(default_factory=dict)
 
 
+TRACE_CSV_HEADER = ("step", "kind", "from", "to", "t_send", "t_deliver")
+
+
 @dataclass(frozen=True)
 class HandoverTrace:
     kind: HandoverKind
@@ -160,6 +161,11 @@ class HandoverTrace:
     @property
     def complete(self) -> bool:
         return self.outcome == "complete"
+
+    def csv_rows(self) -> list[tuple]:
+        """One (step, kind, from, to, t_send, t_deliver) row per message, as ``TRACE_CSV_HEADER`` names them."""
+        return [(m.step_number, m.kind.value, m.sender, m.receiver, m.send_time_s, m.deliver_time_s)
+                for m in self.messages]
 
 
 def run_handover(kind: HandoverKind, per_hop_s: float, fault_plan: FaultPlan | None = None) -> HandoverTrace:
@@ -252,18 +258,3 @@ def validate_trace(trace: HandoverTrace) -> Violation | None:
             return Violation(len(trace.messages), "complete trace must carry exactly one handover-complete")
     return None
 
-
-TRACE_CSV_HEADER = ("step", "kind", "from", "to", "t_send", "t_deliver")
-
-
-def trace_to_csv(trace: HandoverTrace) -> str:
-    """Render a trace in the (step, kind, from, to, t_send, t_deliver) format."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_CSV_HEADER)
-    for msg in trace.messages:
-        writer.writerow(
-            (msg.step_number, msg.kind.value, msg.sender, msg.receiver,
-             repr(msg.send_time_s), repr(msg.deliver_time_s))
-        )
-    return buf.getvalue()

@@ -368,8 +368,12 @@ class TestParamValidation:
                     RfParams(**{name: value})
             for value in (-300.0, 300.0):
                 assert getattr(RfParams(**{name: value}), name) == value
-        with pytest.raises(ValueError):
-            RfParams(macro_bandwidth_Hz=-1.0)
+        for name in ("macro_bandwidth_Hz", "femto_bandwidth_Hz"):  # 10 log10 B within [0, 300] dB
+            for value in (-1.0, 0.0, 0.999, 1.000001e30, 1.0e300, math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"^{name}: must be in \\[1, 1e30\\] Hz"):
+                    RfParams(**{name: value})
+            for value in (1.0, 1.0e30):
+                assert getattr(RfParams(**{name: value}), name) == value
 
     def test_geometry_invariants(self):
         with pytest.raises(ValueError):

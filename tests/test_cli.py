@@ -353,6 +353,9 @@ class TestExperiments:
              "channel.rf.noise_psd_dBm_per_Hz: must be in [-300, 300] dB"),
             (["experiment", "fig17"], "channel: {rf: {fap_tx_dBm: 7000.0}}\n", "channel.rf.fap_tx_dBm"),
             (["experiment", "fig19"], "channel: {rf: {mbs_tx_dBm: -301.0}}\n", "channel.rf.mbs_tx_dBm"),
+            (["experiment", "fig17"], "channel: {rf: {femto_bandwidth_Hz: 1.0e300, noise_psd_dBm_per_Hz: 300.0}}\n",
+             "channel.rf.femto_bandwidth_Hz: must be in [1, 1e30] Hz"),
+            (["experiment", "fig20"], "channel: {rf: {macro_bandwidth_Hz: 0.5}}\n", "channel.rf.macro_bandwidth_Hz"),
         ],
         ids=["not-a-mapping", "unknown-key", "bool-for-int", "float-for-int", "leaf-for-mapping",
              "bad-enum", "range-checked-everywhere", "non-reciprocal-ahp", "ahp-not-4x4", "missing-file",
@@ -369,7 +372,8 @@ class TestExperiments:
              "shadowing-zero", "car-window-zero", "half-intensity-cosine-one-fig19",
              "half-intensity-cosine-one-indoor-sim", "vehicle-femto-distance-negative",
              "vehicle-horizontal-distance-negative", "rf-noise-psd-beyond-finite-power", "rf-fap-tx-beyond-finite-power",
-             "rf-mbs-tx-beyond-finite-power"],
+             "rf-mbs-tx-beyond-finite-power", "rf-femto-bandwidth-beyond-finite-noise",
+             "rf-macro-bandwidth-below-one-hertz"],
     )
     def test_unparsable_config_is_validation_error(self, tmp_path, capsys, argv, text, key):
         bad = tmp_path / "bad.yaml"
@@ -409,9 +413,11 @@ class TestExperiments:
         peak("30.0")  # first run: module-level caches
         assert abs(peak("1.0e6") - peak("30.0")) < 4096
 
-    def test_program_fault_in_a_command_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("error", [KeyError, ValueError], ids=lambda error: error.__name__)
+    def test_program_fault_in_a_command_is_runtime_error(self, tmp_path, monkeypatch, capsys, error):
+        # Only the validation phase exits 2: an error a computation raises exits 3, whatever its type.
         def fault(*args):
-            raise KeyError("distance")
+            raise error("distance")
 
         monkeypatch.setattr(transport, "reliability_sweep", fault)
         assert cli.main(["experiment", "fig21", "--out", str(tmp_path)]) == 3
@@ -424,6 +430,41 @@ class TestExperiments:
         path = tmp_path / "example.yaml"
         path.write_text(example)
         assert cli.main(["indoor-sim", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+class TestManifest:
+    @pytest.mark.parametrize(
+        "argv,out,csv",
+        [
+            (["experiment", "fig18"], "new/dir", "fig18.csv"),
+            (["zones", "--samples", "16384"], "new/dir/zones.csv", "zones.csv"),
+            (["trace", "lifi-to-lifi"], "new/dir", "trace_lifi_to_lifi.csv"),
+            (["indoor-sim"], "new/dir", "indoor_sim.csv"),
+        ],
+        ids=["experiment", "zones", "trace", "indoor-sim"],
+    )
+    def test_every_out_writes_its_csv_and_a_manifest(self, tmp_path, small_config, argv, out, csv):
+        # --out may name a directory that does not exist yet; zones' --out names the file.
+        assert cli.main([*argv, "--config", small_config, "--seed", "2", "--out", str(tmp_path / out)]) == 0
+        csv_path = tmp_path / "new" / "dir" / csv
+        assert csv_path.read_text().count("\n") > 1
+        manifest = json.loads(csv_path.with_name(f"{csv_path.stem}.manifest.json").read_text())
+        assert manifest["outputs"] == [csv] and manifest["seed"] == 2
+        assert manifest["command"] == " ".join(argv[:2] if argv[0] in ("experiment", "trace") else argv[:1])
+
+    @pytest.mark.parametrize("argv,flags", [
+        (["zones", "--samples", "16384"], (["--room", "24x24"], ["--room", "30x24"])),
+        (["zones", "--samples", "16384"], (["--radius", "5"], ["--radius", "6"])),
+        (["zones"], (["--samples", "16384"], ["--samples", "20000"])),
+        (["trace", "lifi-to-lifi"], (["--per-hop-ms", "7"], ["--per-hop-ms", "9"])),
+    ], ids=["room", "radius", "samples", "per-hop-ms"])
+    def test_flag_is_in_the_config_digest(self, tmp_path, argv, flags):
+        digests = []
+        for i, flag in enumerate(flags):
+            out = tmp_path / str(i)
+            assert cli.main([*argv, *flag, "--out", str(out / "zones.csv" if argv[0] == "zones" else out)]) == 0
+            digests.append(json.loads(next(out.glob("*.manifest.json")).read_text())["config_digest"])
+        assert digests[0] != digests[1]
 
 
 class TestTrace:

@@ -5,10 +5,10 @@ import math
 
 import pytest
 
+from hybridnet.cli import _csv_text
 from hybridnet.protocol import (
-    FaultPlan, HandoverKind, HandoverTrace, MessageKind,
-    ProtocolMessage, canonical_sequence, run_handover,
-    trace_to_csv, validate_trace,
+    TRACE_CSV_HEADER, FaultPlan, HandoverKind, HandoverTrace, MessageKind,
+    ProtocolMessage, canonical_sequence, run_handover, validate_trace,
 )
 from oracles import trace_from_csv
 
@@ -202,7 +202,7 @@ class TestRandomizedFaultSafety:
 class TestTraceCsv:
     def test_round_trip(self):
         trace = run_handover(HandoverKind.FEMTO_TO_LIFI, per_hop_s=0.002)
-        text = trace_to_csv(trace)
+        text = _csv_text(TRACE_CSV_HEADER, trace.csv_rows())  # as `trace --out` writes it
         assert text.splitlines()[0] == "step,kind,from,to,t_send,t_deliver"
         assert len(text.splitlines()) == 27  # header + 26 steps
         back = trace_from_csv(text, HandoverKind.FEMTO_TO_LIFI)
