@@ -3,7 +3,7 @@
 Optical side: Lambertian line-of-sight channel gain with an idealized
 concentrator, electrical-domain SINR (signal and interference terms enter
 squared) and Shannon capacity. RF side: Okumura-Hata macrocell path loss
-with the mobile-antenna correction term and per-obstacle wall penetration,
+with the mobile-antenna correction term and a wall penetration loss in dB,
 plus the indoor femtocell model ``20 log f + N log z + 4 q^2 - 28``.
 
 Conventions:
@@ -20,7 +20,6 @@ linear ratio, a float or an array, and ``linear_to_db`` converts it.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -53,12 +52,6 @@ NOISE_BANDWIDTH = ("in [1, 1e30] Hz (10 log10 B within [0, 300] dB)", lambda v: 
 
 def db_to_linear(x_db):
     return np.power(10.0, np.asarray(x_db, dtype=float) / 10.0)
-
-
-class ObstacleClass(enum.Enum):
-    NONE = "none"
-    BUILDING_WALL = "building_wall"
-    VEHICLE_WALL = "vehicle_wall"
 
 
 @dataclass(frozen=True)
@@ -108,13 +101,6 @@ class RfParams:
         check_fields(self, *POSITIVE, "center_freq_MHz", "mbs_height_m", "terminal_height_m")
         check_fields(self, *NOISE_BANDWIDTH, "macro_bandwidth_Hz", "femto_bandwidth_Hz")
         check_fields(self, *FINITE_POWER_DB, "mbs_tx_dBm", "fap_tx_dBm", "noise_psd_dBm_per_Hz")
-
-    def wall_loss_dB(self, obstacle: ObstacleClass) -> float:
-        if obstacle is ObstacleClass.BUILDING_WALL:
-            return self.building_wall_loss_dB
-        if obstacle is ObstacleClass.VEHICLE_WALL:
-            return self.vehicle_wall_loss_dB
-        return 0.0
 
     def noise_dBm(self, bandwidth_Hz: float) -> float:
         """Thermal noise power over a bandwidth."""
@@ -224,8 +210,8 @@ def shannon_capacity(sinr_linear, bandwidth_Hz):
     return float(out) if np.isscalar(sinr_linear) else out
 
 
-def macro_path_loss(distance_km, rf: RfParams, obstacle: ObstacleClass):
-    """Okumura-Hata urban path loss in dB, plus obstacle wall penetration.
+def macro_path_loss(distance_km, rf: RfParams, wall_loss_dB: float):
+    """Okumura-Hata urban path loss in dB, plus ``wall_loss_dB`` of wall penetration.
 
     ``distance_km`` may be a float or array; every entry must be > 0.
     """
@@ -241,7 +227,7 @@ def macro_path_loss(distance_km, rf: RfParams, obstacle: ObstacleClass):
         - 13.82 * log_hb
         - a_hm
         + (44.9 - 6.55 * log_hb) * np.log10(d)
-        + rf.wall_loss_dB(obstacle)
+        + wall_loss_dB
     )
     return float(loss) if np.isscalar(distance_km) else loss
 

@@ -11,7 +11,8 @@ validation phase parses the flags, lays each of ``--room``, ``--radius``,
 by its key's rule. ``trace`` checks every trace against the protocol's
 safety rules before writing it. Exit codes: 0 success, 2 validation failure
 (flags, config file), 3 runtime failure (any error after validation, such
-as a trace that breaks a rule).
+as a trace that breaks a rule). A reader that closes stdout early ends the
+command quietly with exit 0.
 
 All CSV output uses '.' decimals, repr-exact floats and newline-terminated
 rows, so a command rerun with the same configuration and seed is
@@ -23,10 +24,12 @@ tool version.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
+import select
 import sys
 import time
 from pathlib import Path
@@ -265,6 +268,14 @@ COMMANDS = {
 }
 
 
+def _reader_gone(stream) -> bool:
+    """Whether ``stream`` is a pipe or socket whose reader has closed it, not just any stream a write failed on."""
+    poller = select.poll()
+    with contextlib.suppress(OSError, ValueError):  # a stream with no file descriptor, such as a captured one, is not
+        poller.register(stream, select.POLLOUT)
+    return any(events & (select.POLLERR | select.POLLHUP) for _, events in poller.poll(0))
+
+
 def main(argv=None) -> int:
     try:  # the validation phase: every flag and config value is checked before any command computes or writes
         args = build_parser().parse_args(argv)
@@ -274,7 +285,11 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         COMMANDS[args.command](args, config, sections)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's flush at exit
     except Exception as exc:  # a program fault, a failed write, or a trace that fails validation
+        if isinstance(exc, BrokenPipeError) and _reader_gone(sys.stdout):  # the rest of the output has nowhere to go
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the interpreter's flush at exit
+            return EXIT_OK
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

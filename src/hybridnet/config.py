@@ -12,7 +12,6 @@ it; a bad key or value raises ValueError naming its dotted path.
 from __future__ import annotations
 
 import copy
-import enum
 import functools
 import hashlib
 import json
@@ -91,7 +90,7 @@ def _default_config() -> dict:
     for path, (cls, skip) in SECTIONS.items():
         section = _new_section(config, path)
         for f in _key_fields(cls, skip):
-            section[f.name] = f.default.value if isinstance(f.default, enum.Enum) else f.default
+            section[f.name] = f.default
     for path, keys in EXTRA_KEYS.items():
         section = _new_section(config, path)
         for name, value in keys.items():
@@ -152,20 +151,12 @@ def build(config: dict, path: str, **context):
     """The dataclass of section ``path`` from its keys plus ``context``.
 
     Context (from ``resolve``) supplies fields the section does not carry; a
-    field in neither keeps its default. A value outside its enum, or one the
-    dataclass rejects, raises ValueError naming the key or the section.
+    field in neither keeps its default. A value the dataclass rejects raises
+    ValueError naming the key or the section.
     """
     cls, skip = SECTIONS[path]
     section = _section(config, path)
-    values = {}
-    for f in _key_fields(cls, skip):
-        value = section[f.name]
-        if isinstance(f.default, enum.Enum):
-            choices = [member.value for member in type(f.default)]
-            if value not in choices:
-                raise ValueError(f"{path}.{f.name}: expected one of {choices}, got {value!r}")
-            value = type(f.default)(value)
-        values[f.name] = value
+    values = {f.name: section[f.name] for f in _key_fields(cls, skip)}
     try:
         return cls(**values, **context)
     except ValueError as exc:  # a message that starts with a key's name names the key

@@ -116,8 +116,6 @@ _SEQUENCES = {kind: _bind(roles) for kind, roles in _ROLES.items()}
 
 def canonical_sequence(kind: HandoverKind) -> tuple[StepDescriptor, ...]:
     """The ordered step table for one handover flow, built once at import."""
-    if kind not in _SEQUENCES:
-        raise ValueError(f"unknown handover kind {kind!r}")
     return _SEQUENCES[kind]
 
 
@@ -194,6 +192,15 @@ def run_handover(kind: HandoverKind, per_hop_s: float, fault_plan: FaultPlan | N
     return HandoverTrace(kind, tuple(messages), "complete", None, clock)
 
 
+# Safety rules on message order: (message kind, the kind that must come before it, the violation's reason).
+_NEEDS_BEFORE = (
+    (K.HO_RESPONSE, K.CAC_CHECK, "handover response before CAC check"),
+    (K.DETACH, K.HO_RESPONSE, "detach before handover response"),
+    (K.LINK_DELETE, K.HO_COMPLETE, "serving-link delete before handover complete"),
+    (K.LINK_DELETE, K.SYNC, "serving-link delete before target sync"),
+)
+
+
 @dataclass(frozen=True)
 class Violation:
     step: int
@@ -210,10 +217,7 @@ def validate_trace(trace: HandoverTrace) -> Violation | None:
     complete) and no serving-link delete before sync and completion.
     """
     steps = canonical_sequence(trace.kind)
-    seen_cac = False
-    seen_response = False
-    seen_sync = False
-    complete_count = 0
+    seen: list[MessageKind] = []
     prev_deliver = None
     for i, msg in enumerate(trace.messages):
         if msg.step_number != i + 1:
@@ -223,25 +227,12 @@ def validate_trace(trace: HandoverTrace) -> Violation | None:
         if prev_deliver is not None and msg.send_time_s < prev_deliver:
             return Violation(msg.step_number, "send precedes delivery of the previous step")
         prev_deliver = msg.deliver_time_s
-        if msg.kind is MessageKind.HO_RESPONSE:
-            if not seen_cac:
-                return Violation(msg.step_number, "handover response before CAC check")
-            seen_response = True
-        if msg.kind is MessageKind.CAC_CHECK:
-            seen_cac = True
-        if msg.kind is MessageKind.DETACH and not seen_response:
-            return Violation(msg.step_number, "detach before handover response")
-        if msg.kind is MessageKind.SYNC:
-            seen_sync = True
-        if msg.kind is MessageKind.HO_COMPLETE:
-            complete_count += 1
-            if complete_count > 1:
-                return Violation(msg.step_number, "more than one handover-complete message")
-        if msg.kind is MessageKind.LINK_DELETE:
-            if complete_count == 0:
-                return Violation(msg.step_number, "serving-link delete before handover complete")
-            if not seen_sync:
-                return Violation(msg.step_number, "serving-link delete before target sync")
+        for kind, needed, reason in _NEEDS_BEFORE:
+            if msg.kind is kind and needed not in seen:
+                return Violation(msg.step_number, reason)
+        if msg.kind is K.HO_COMPLETE and K.HO_COMPLETE in seen:
+            return Violation(msg.step_number, "more than one handover-complete message")
+        seen.append(msg.kind)
         expected = steps[i] if i < len(steps) else None
         if expected is None:
             return Violation(msg.step_number, "trace longer than the canonical sequence")
@@ -254,7 +245,7 @@ def validate_trace(trace: HandoverTrace) -> Violation | None:
     if trace.complete:
         if len(trace.messages) != len(steps):
             return Violation(len(trace.messages), "complete trace must cover the full sequence")
-        if complete_count != 1:
+        if seen.count(K.HO_COMPLETE) != 1:
             return Violation(len(trace.messages), "complete trace must carry exactly one handover-complete")
     return None
 

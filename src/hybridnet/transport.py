@@ -20,24 +20,18 @@ computes exactly for each gap.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel
-from .channel import ObstacleClass, OpticalParams, RfParams
-
-
-class AccessKind(enum.Enum):
-    LIFI = "lifi"
-    FAP = "fap"
+from .channel import OpticalParams, RfParams
 
 
 @dataclass(frozen=True)
 class VehicleLink:
-    in_vehicle_access: AccessKind = AccessKind.LIFI
+    in_vehicle_access: str = "lifi"  # "lifi" (an in-vehicle LiFi AP) or "fap" (a femtocell)
     shadowing_sigma_dB: float = 8.0
     sinr_threshold_user_dB: float = 9.0
     sinr_threshold_relay_dB: float = 5.0
@@ -45,6 +39,7 @@ class VehicleLink:
     access_femto_distance_m: float = 2.0
 
     def __post_init__(self):
+        channel.check_fields(self, "'lifi' or 'fap'", lambda v: v in ("lifi", "fap"), "in_vehicle_access")
         channel.check_fields(self, *channel.POSITIVE, "shadowing_sigma_dB")
         channel.check_fields(self, *channel.NON_NEGATIVE_FINITE, "access_horizontal_distance_m")
         channel.check_fields(self, *channel.POSITIVE_FINITE, "access_femto_distance_m")
@@ -66,15 +61,15 @@ class CarFollowScenario:
         channel.check_fields(self, "finite", math.isfinite, "uturn_start_s")
 
 
-def macro_snr_dB(distance_km, rf: RfParams, obstacle: ObstacleClass):
-    """Mean downlink SNR of the macro link over the macro bandwidth."""
-    loss = channel.macro_path_loss(distance_km, rf, obstacle)
+def macro_snr_dB(distance_km, rf: RfParams, wall_loss_dB: float):
+    """Mean downlink SNR of the macro link over the macro bandwidth, through ``wall_loss_dB`` of wall."""
+    loss = channel.macro_path_loss(distance_km, rf, wall_loss_dB)
     return rf.mbs_tx_dBm - loss - rf.noise_dBm(rf.macro_bandwidth_Hz)
 
 
 def access_capacity_bps(link: VehicleLink, optical: OpticalParams, rf: RfParams) -> float:
     """Capacity of the in-vehicle hop (LiFi AP or femtocell, no interferers)."""
-    if link.in_vehicle_access is AccessKind.LIFI:
+    if link.in_vehicle_access == "lifi":
         gain = channel.optical_channel_gain(link.access_horizontal_distance_m, optical)
         return channel.shannon_capacity(channel.optical_sinr(gain, [], optical), optical.bandwidth_Hz)
     rx = rf.fap_tx_dBm - channel.femto_path_loss(link.access_femto_distance_m, rf, wall_count=0)
@@ -99,8 +94,8 @@ def capacity_sweep(distances_km, link: VehicleLink, optical: OpticalParams, rf: 
     hop, which does not depend on the distance: ``relayed = min(backhaul, access)``.
     """
     d = np.asarray(distances_km, dtype=float)
-    direct_snr = macro_snr_dB(d, rf, ObstacleClass.VEHICLE_WALL)
-    backhaul_snr = macro_snr_dB(d, rf, ObstacleClass.NONE)
+    direct_snr = macro_snr_dB(d, rf, rf.vehicle_wall_loss_dB)
+    backhaul_snr = macro_snr_dB(d, rf, 0.0)
     direct = channel.shannon_capacity(channel.db_to_linear(direct_snr), rf.macro_bandwidth_Hz)
     backhaul = channel.shannon_capacity(channel.db_to_linear(backhaul_snr), rf.macro_bandwidth_Hz)
     relayed = np.minimum(backhaul, access_capacity_bps(link, optical, rf))
@@ -118,8 +113,8 @@ def outage_sweep(distances_km, link: VehicleLink, rf: RfParams):
     """
     d = np.asarray(distances_km, dtype=float)
     sigma = link.shadowing_sigma_dB
-    z_direct = (link.sinr_threshold_user_dB - macro_snr_dB(d, rf, ObstacleClass.VEHICLE_WALL)) / sigma
-    z_relayed = (link.sinr_threshold_relay_dB - macro_snr_dB(d, rf, ObstacleClass.NONE)) / sigma
+    z_direct = (link.sinr_threshold_user_dB - macro_snr_dB(d, rf, rf.vehicle_wall_loss_dB)) / sigma
+    z_relayed = (link.sinr_threshold_relay_dB - macro_snr_dB(d, rf, 0.0)) / sigma
     rows = zip(d.tolist(), z_direct.tolist(), z_relayed.tolist())
     return [(di, _normal_cdf(zd), _normal_cdf(zr)) for di, zd, zr in rows]
 

@@ -13,7 +13,7 @@ import pytest
 
 from hybridnet import cli
 from hybridnet.channel import (
-    ObstacleClass, OpticalParams, RfParams,
+    OpticalParams, RfParams,
     femto_path_loss, lambertian_index, macro_path_loss,
     optical_channel_gain, optical_sinr, shannon_capacity,
 )
@@ -74,7 +74,7 @@ def test_criterion_2_formula_oracles():
     hata = (69.55 + 26.16 * log_f - 13.82 * math.log10(50.0) - a_hm
             + (44.9 - 6.55 * math.log10(50.0)) * math.log10(0.5))
     assert hata + 20.0 == pytest.approx(142.53, abs=0.005)
-    assert macro_path_loss(0.5, RF, ObstacleClass.BUILDING_WALL) == pytest.approx(hata + 20.0, rel=1e-9)
+    assert macro_path_loss(0.5, RF, RF.building_wall_loss_dB) == pytest.approx(hata + 20.0, rel=1e-9)
 
     # femto path loss
     femto8 = 20 * log_f + 28 * math.log10(8.0) - 28
@@ -205,7 +205,7 @@ def test_criterion_8_transport_orderings():
     start = time.perf_counter()
     distances = [0.05 + 0.03 * i for i in range(100)]
     for d in distances:
-        gap = macro_snr_dB(d, RF, ObstacleClass.NONE) - macro_snr_dB(d, RF, ObstacleClass.VEHICLE_WALL)
+        gap = macro_snr_dB(d, RF, 0.0) - macro_snr_dB(d, RF, RF.vehicle_wall_loss_dB)
         assert abs(gap - 10.0) <= 1e-12
     for _, p_direct, p_relayed in outage_sweep(distances, VehicleLink(), RF):
         assert p_relayed <= p_direct

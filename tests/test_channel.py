@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridnet.channel import (
-    ObstacleClass, OpticalParams, RfParams,
+    OpticalParams, RfParams,
     concentrator_gain, femto_path_loss, lambertian_index, linear_to_db, macro_path_loss,
     optical_channel_gain, optical_sinr, rf_sinr, shannon_capacity,
 )
@@ -261,16 +261,16 @@ class TestMacroPathLoss:
     def test_half_km_through_building(self):
         expected = _hata_oracle(0.5, 20.0)
         assert expected == pytest.approx(142.53, abs=0.005)
-        assert macro_path_loss(0.5, RF, ObstacleClass.BUILDING_WALL) == pytest.approx(expected, rel=1e-9)
+        assert macro_path_loss(0.5, RF, RF.building_wall_loss_dB) == pytest.approx(expected, rel=1e-9)
 
     def test_half_km_through_vehicle(self):
         expected = _hata_oracle(0.5, 10.0)
         assert expected == pytest.approx(132.53, abs=0.005)
-        assert macro_path_loss(0.5, RF, ObstacleClass.VEHICLE_WALL) == pytest.approx(expected, rel=1e-9)
+        assert macro_path_loss(0.5, RF, RF.vehicle_wall_loss_dB) == pytest.approx(expected, rel=1e-9)
 
     def test_wall_loss_is_additive(self):
-        free = macro_path_loss(0.5, RF, ObstacleClass.NONE)
-        vehicle = macro_path_loss(0.5, RF, ObstacleClass.VEHICLE_WALL)
+        free = macro_path_loss(0.5, RF, 0.0)
+        vehicle = macro_path_loss(0.5, RF, RF.vehicle_wall_loss_dB)
         assert vehicle - free == pytest.approx(10.0, abs=1e-12)
 
     def test_mobile_antenna_correction_value(self):
@@ -280,9 +280,9 @@ class TestMacroPathLoss:
 
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValueError):
-            macro_path_loss(0.0, RF, ObstacleClass.NONE)
+            macro_path_loss(0.0, RF, 0.0)
         with pytest.raises(ValueError):
-            macro_path_loss(-1.0, RF, ObstacleClass.NONE)
+            macro_path_loss(-1.0, RF, 0.0)
 
     @given(
         d1=st.floats(min_value=0.05, max_value=20.0),
@@ -290,7 +290,7 @@ class TestMacroPathLoss:
     )
     @settings(max_examples=100)
     def test_strictly_increasing_in_distance(self, d1, factor):
-        assert macro_path_loss(d1 * factor, RF, ObstacleClass.NONE) > macro_path_loss(d1, RF, ObstacleClass.NONE)
+        assert macro_path_loss(d1 * factor, RF, 0.0) > macro_path_loss(d1, RF, 0.0)
 
 
 class TestFemtoPathLoss:
@@ -339,7 +339,7 @@ class TestPurity:
         calls = [
             lambda: lambertian_index(33.3),
             lambda: optical_channel_gain(1.7, TABLE),
-            lambda: macro_path_loss(0.77, RF, ObstacleClass.BUILDING_WALL),
+            lambda: macro_path_loss(0.77, RF, RF.building_wall_loss_dB),
             lambda: femto_path_loss(3.3, RF, wall_count=0),
             lambda: optical_sinr(1e-5, [1e-6, 2e-6], TABLE),
         ]

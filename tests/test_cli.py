@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import select
 import subprocess
 import sys
 import tracemalloc
@@ -424,6 +425,48 @@ class TestExperiments:
         assert "runtime failure" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [["trace", "lifi-to-lifi"], ["zones", "--samples", "10000"]],
+                             ids=["trace", "zones"])
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, argv, unbuffered):
+        # A reader that has gone (`hybridnet trace ... | head -c 0`) is no failure: exit 0, nothing on stderr.
+        env = {k: v for k, v in os.environ.items() if not k.startswith("HYBRIDNET_") and k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "hybridnet.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, cwd=tmp_path, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr.decode()) == (0, "")
+
+    def test_write_into_a_closed_fifo_is_runtime_error(self, tmp_path):
+        # Only a closed stdout ends quietly: a CSV that cannot reach its --out file exits 3, stdout being healthy.
+        config = tmp_path / "big.yaml"
+        config.write_text("transport: {fig19: {distance_count: 20000}}\n")  # about 1 MB, more than a pipe holds
+        out = tmp_path / "out"
+        out.mkdir()
+        os.mkfifo(out / "fig19.csv")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("HYBRIDNET_")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.Popen([sys.executable, "-m", "hybridnet.cli", "experiment", "fig19", "--config", str(config),
+                                 "--out", str(out)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            reader = os.open(out / "fig19.csv", os.O_RDONLY | os.O_NONBLOCK)
+            try:  # once the CSV starts to arrive, the command is blocked writing the rest
+                assert select.select([reader], [], [], 60)[0], "fig19.csv never written"
+            finally:
+                os.close(reader)
+            stdout, stderr = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == 3
+        assert stderr.decode().startswith("runtime failure: [Errno 32] Broken pipe")
+        assert stdout == b"" and not (out / "fig19.manifest.json").exists()
+
     def test_readme_example_config_runs(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         example = readme.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
@@ -647,6 +690,13 @@ class TestConfig:
         assert cli.main([*argv, *out_flag(argv, tmp_path / "out")]) == 0
         assert builds == dict.fromkeys(cfgmod.SECTIONS, 1)
         assert len(derivations) == 1
+
+    @pytest.mark.parametrize("path", list(cfgmod.SECTIONS))
+    def test_build_hands_each_key_to_its_dataclass_as_written(self, path):
+        built, section = cfgmod.build(DEFAULT_CONFIG, path), cfgmod._section(DEFAULT_CONFIG, path)
+        for f in cfgmod._key_fields(*cfgmod.SECTIONS[path]):
+            value = getattr(built, f.name)
+            assert (value, type(value)) == (section[f.name], type(section[f.name])), f"{path}.{f.name}"
 
     def test_deep_merge_overrides_leaves(self):
         merged = deep_merge(DEFAULT_CONFIG, {"zoning": {"room_x_m": 30.0}})

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hybridnet import channel, transport
-from hybridnet.channel import ObstacleClass, OpticalParams, RfParams
+from hybridnet.channel import OpticalParams, RfParams
 from hybridnet.transport import (
-    AccessKind, CarFollowScenario, VehicleLink, capacity_sweep, macro_snr_dB, outage_sweep, reliability_sweep,
+    CarFollowScenario, VehicleLink, capacity_sweep, macro_snr_dB, outage_sweep, reliability_sweep,
 )
 from oracles import car_follow_uptime_sampled
 
@@ -53,20 +53,23 @@ class TestVehicleCapacity:
     def test_access_link_can_bottleneck(self):
         # a weak femto access hop caps the relayed rate
         weak_rf = RfParams(fap_tx_dBm=-60.0)
-        link = replace(LINK, in_vehicle_access=AccessKind.FAP, access_femto_distance_m=8.0)
+        link = replace(LINK, in_vehicle_access="fap", access_femto_distance_m=8.0)
         [(_, _, relayed)] = capacity_sweep([0.5], link, OPTICAL, weak_rf)
         backhaul = 10e6 * math.log2(1 + 10 ** ((46.0 - _hata_db(0.5, 0.0) + 104.0) / 10))
         assert relayed < backhaul
 
     def test_zero_vehicle_loss_equalizes_snr(self):
+        # with no vehicle wall the direct link and the relay's backhaul see the same SNR in both sweeps
         rf = RfParams(vehicle_wall_loss_dB=0.0)
-        direct = macro_snr_dB(0.5, rf, ObstacleClass.VEHICLE_WALL)
-        backhaul = macro_snr_dB(0.5, rf, ObstacleClass.NONE)
-        assert direct == backhaul
+        [(_, direct, relayed)] = capacity_sweep([0.5], LINK, OPTICAL, rf)
+        assert direct == relayed  # the LiFi access hop is not the bottleneck
+        link = replace(LINK, sinr_threshold_relay_dB=LINK.sinr_threshold_user_dB)
+        [(_, p_direct, p_relayed)] = outage_sweep([0.5], link, rf)
+        assert p_direct == p_relayed
 
     def test_backhaul_gap_is_exactly_the_wall_loss(self):
         for d in (0.1, 0.5, 1.0, 3.0):
-            gap = macro_snr_dB(d, RF, ObstacleClass.NONE) - macro_snr_dB(d, RF, ObstacleClass.VEHICLE_WALL)
+            gap = macro_snr_dB(d, RF, 0.0) - macro_snr_dB(d, RF, RF.vehicle_wall_loss_dB)
             assert gap == pytest.approx(10.0, abs=1e-12)
 
     def test_invalid_link(self):
@@ -75,9 +78,24 @@ class TestVehicleCapacity:
         with pytest.raises(ValueError):
             VehicleLink(shadowing_sigma_dB=0.0)
         for field, value in (("access_horizontal_distance_m", -1.0), ("access_horizontal_distance_m", math.inf),
-                             ("access_femto_distance_m", 0.0), ("access_femto_distance_m", math.inf)):
+                             ("access_femto_distance_m", 0.0), ("access_femto_distance_m", math.inf),
+                             ("in_vehicle_access", "wifi")):
             with pytest.raises(ValueError, match=field):
                 VehicleLink(**{field: value})
+
+
+    def test_access_is_chosen_by_its_label(self):
+        # 6 W straight below a 60-degree AP 2 m up: H = 2 A / (2 pi h^2) n^2, SINR = (R P H)^2 / (N0 B)
+        gain = 2 * 1e-4 / (2 * math.pi * 2.0**2) * 1.5**2
+        lifi_oracle = 20e6 * math.log2(1 + (0.53 * 6.0 * gain) ** 2 / (1e-21 * 20e6))
+        # a 7 dBm femtocell 2 m away, no walls, over -104 dBm of noise
+        femto_rx = 7.0 - (20 * math.log10(1800.0) + 28.0 * math.log10(2.0) - 28.0)
+        femto_oracle = 10e6 * math.log2(1 + 10 ** ((femto_rx + 104.0) / 10))
+        lifi = transport.access_capacity_bps(VehicleLink(in_vehicle_access="lifi"), OPTICAL, RF)
+        fap = transport.access_capacity_bps(VehicleLink(in_vehicle_access="fap"), OPTICAL, RF)
+        assert lifi == pytest.approx(lifi_oracle, rel=1e-9)
+        assert fap == pytest.approx(femto_oracle, rel=1e-9)
+        assert lifi > fap
 
 
 class TestVehicleOutage:
@@ -85,14 +103,14 @@ class TestVehicleOutage:
         oracle = NormalDist()
         for d in (0.2, 0.5, 1.5):
             [(_, p_direct, p_relayed)] = outage_sweep([d], LINK, RF)
-            mean_direct = macro_snr_dB(d, RF, ObstacleClass.VEHICLE_WALL)
-            mean_relay = macro_snr_dB(d, RF, ObstacleClass.NONE)
+            mean_direct = macro_snr_dB(d, RF, RF.vehicle_wall_loss_dB)
+            mean_relay = macro_snr_dB(d, RF, 0.0)
             assert p_direct == pytest.approx(oracle.cdf((9.0 - mean_direct) / 8.0), rel=1e-12)
             assert p_relayed == pytest.approx(oracle.cdf((5.0 - mean_relay) / 8.0), rel=1e-12)
 
     def test_twenty_db_margin_point(self):
         # choose the threshold 20 dB below the mean: outage = Phi(-2.5)
-        mean = macro_snr_dB(0.5, RF, ObstacleClass.VEHICLE_WALL)
+        mean = macro_snr_dB(0.5, RF, RF.vehicle_wall_loss_dB)
         link = replace(LINK, sinr_threshold_user_dB=mean - 20.0)
         [(_, p_direct, _)] = outage_sweep([0.5], link, RF)
         assert p_direct == pytest.approx(0.0062, abs=5e-5)
