@@ -1,18 +1,18 @@
 """Command-line front end: planning reports, experiment CSVs and traces.
 
 Commands: ``plan``, ``zones``, ``experiment``, ``trace``, ``indoor-sim``.
-Common flags (``--config``, ``--seed``, ``--out``, ``--samples``) fall back
-to ``HYBRIDNET_CONFIG``, ``HYBRIDNET_SEED``, ``HYBRIDNET_OUT`` and
-``HYBRIDNET_SAMPLES``; ``plan`` only prints and takes no ``--out``. Every
-command runs the same way: validate, then compute, then write. The
-validation phase parses the flags, lays each of ``--room``, ``--radius``,
-``--samples`` and ``--per-hop-ms`` that is set over the ``zoning`` or
-``protocol`` key it overrides, and resolves the config, so a flag is checked
-by its key's rule. ``trace`` checks every trace against the protocol's
-safety rules before writing it. Exit codes: 0 success, 2 validation failure
-(flags, config file), 3 runtime failure (any error after validation, such
-as a trace that breaks a rule). A reader that closes stdout early ends the
-command quietly with exit 0.
+Common flags (``--config``, ``--seed``, ``--out``) fall back to
+``HYBRIDNET_CONFIG``, ``HYBRIDNET_SEED`` and ``HYBRIDNET_OUT``; ``plan`` only
+prints and takes no ``--out``. Every command runs the same way: validate,
+then compute, then write. The validation phase parses the flags, lays each
+of ``--room``, ``--radius``, ``--samples`` and ``--per-hop-ms`` that is set
+over the ``zoning`` or ``protocol`` key it overrides, and resolves the
+config, so a flag is checked by its key's rule. ``trace`` checks every trace
+against the protocol's safety rules before writing it. Exit codes: 0
+success, 2 validation failure (flags, config file), 3 runtime failure (any
+error after validation, such as a trace that breaks a rule). A reader that
+closes stdout early ends a command quietly with exit 0, and ``--version``
+or ``--help`` quietly with its usual exit.
 
 All CSV output uses '.' decimals, repr-exact floats and newline-terminated
 rows, so a command rerun with the same configuration and seed is
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_zoning = sub.add_parser(name, help=help_text)
         key_flag(p_zoning, "room")
         key_flag(p_zoning, "radius", type=float)
-        key_flag(p_zoning, "samples", type=int, default=_env_default("SAMPLES", int))
+        key_flag(p_zoning, "samples", type=int)
         common(p_zoning, writes=name == "zones")
 
     p_exp = sub.add_parser("experiment", help="figure-reproduction run")
@@ -268,12 +268,15 @@ COMMANDS = {
 }
 
 
-def _reader_gone(stream) -> bool:
-    """Whether ``stream`` is a pipe or socket whose reader has closed it, not just any stream a write failed on."""
+def _silence_closed_stdout() -> bool:
+    """Whether stdout is a pipe or socket whose reader has closed it, not any stream a write failed on; if so, mute it."""
     poller = select.poll()
     with contextlib.suppress(OSError, ValueError):  # a stream with no file descriptor, such as a captured one, is not
-        poller.register(stream, select.POLLOUT)
-    return any(events & (select.POLLERR | select.POLLHUP) for _, events in poller.poll(0))
+        poller.register(sys.stdout, select.POLLOUT)
+    if not any(events & (select.POLLERR | select.POLLHUP) for _, events in poller.poll(0)):
+        return False
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the interpreter's flush at exit
+    return True
 
 
 def main(argv=None) -> int:
@@ -283,12 +286,18 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except SystemExit:  # argparse printed --help, --version or a usage error; in-process callers still get the exit
+        try:
+            sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's flush at exit
+        except BrokenPipeError:
+            if not _silence_closed_stdout():
+                raise
+        raise
     try:
         COMMANDS[args.command](args, config, sections)
         sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's flush at exit
     except Exception as exc:  # a program fault, a failed write, or a trace that fails validation
-        if isinstance(exc, BrokenPipeError) and _reader_gone(sys.stdout):  # the rest of the output has nowhere to go
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the interpreter's flush at exit
+        if isinstance(exc, BrokenPipeError) and _silence_closed_stdout():  # the rest of the output has nowhere to go
             return EXIT_OK
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -24,8 +24,8 @@ import numpy as np
 from . import selection
 from .channel import POSITIVE, OpticalParams, RfParams, at_least
 from .engine import (
-    AHP_CRITERIA, DEFAULT_AHP_MATRIX, FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig,
-    MobilityConfig, PolicyConfig, RoomConfig, ScenarioConfig, TrafficConfig,
+    FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig, MobilityConfig, PolicyConfig, RoomConfig,
+    ScenarioConfig, TrafficConfig,
 )
 from .transport import CarFollowScenario, VehicleLink
 from .zoning import MIN_MC_SAMPLES
@@ -60,7 +60,7 @@ _MACRO_SWEEP = {"distance_start_km": (0.1, *POSITIVE), "distance_stop_km": (1.0,
                 "distance_count": (100, *at_least(1))}
 EXTRA_KEYS = {
     "zoning": {"mc_samples": (1 << 20, *at_least(MIN_MC_SAMPLES))},
-    "selection": {"pairwise_matrix": [list(row) for row in DEFAULT_AHP_MATRIX]},
+    "selection": {"pairwise_matrix": [list(row) for row in selection.DEFAULT_MATRIX]},
     "engine.fig16": {"user_count_max": (20, *at_least(0))},
     "engine.fig18": {"spacing_start_m": (0.0, *at_least(0.0)), "spacing_stop_m": (12.0, *at_least(0.0)),
                      "spacing_count": (25, *at_least(1))},
@@ -191,24 +191,17 @@ def resolve(config: dict, seed: int) -> dict[str, object]:
     ``engine.duration_s`` is checked against the configured tick, and the
     AHP weights are derived here once. Every value check of the file runs
     here, whatever the caller reads: the dataclass ranges, the ranges of
-    ``EXTRA_KEYS``, and the AHP matrix's shape (one row per criterion of
-    ``AHP_CRITERIA``) and consistency ratio (within ``CONSISTENCY_LIMIT``).
+    ``EXTRA_KEYS``, and the AHP matrix's rules in ``selection.derive_weights``.
     """
     for section_path, keys in EXTRA_KEYS.items():
         for name, spec in keys.items():
             value = _section(config, section_path)[name]
             if isinstance(spec, tuple) and not spec[2](value):
                 raise ValueError(f"{section_path}.{name}: must be {spec[1]}, got {value!r}")
-    matrix, n = config["selection"]["pairwise_matrix"], len(AHP_CRITERIA)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise ValueError(f"selection.pairwise_matrix: expected {n}x{n}, one row and column per criterion "
-                         f"({', '.join(name for name, _mode in AHP_CRITERIA)})")
     try:
-        weights, cr = selection.derive_weights(matrix)
+        weights, _cr = selection.derive_weights(config["selection"]["pairwise_matrix"])
     except ValueError as exc:
         raise ValueError(f"selection.pairwise_matrix: {exc}") from None
-    if cr > selection.CONSISTENCY_LIMIT:
-        raise ValueError(f"selection.pairwise_matrix: consistency ratio {cr!r} exceeds {selection.CONSISTENCY_LIMIT}")
 
     out = {path: build(config, path) for path in ("channel.optical", "channel.rf", "zoning", "protocol",
                                                   "engine.mobility", "engine.traffic", "transport.vehicle",

@@ -93,16 +93,6 @@ class PolicyConfig:
         check_fields(self, *at_least(0), "per_hop_latency_s")
 
 
-DEFAULT_AHP_MATRIX = (
-    (1.0, 2.0, 2.0, 4.0),
-    (0.5, 1.0, 1.0, 2.0),
-    (0.5, 1.0, 1.0, 2.0),
-    (0.25, 0.5, 0.5, 1.0),
-)
-# The weights of the default matrix, derived once at import for the ScenarioConfig default.
-DEFAULT_AHP_WEIGHTS = selection.derive_weights(DEFAULT_AHP_MATRIX)[0]
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     room: RoomConfig = RoomConfig()
@@ -114,7 +104,7 @@ class ScenarioConfig:
     policy: PolicyConfig = PolicyConfig()
     optical: OpticalParams = OpticalParams()
     rf: RfParams = RfParams()
-    ahp_weights: tuple[float, ...] = DEFAULT_AHP_WEIGHTS
+    ahp_weights: tuple[float, ...] = selection.DEFAULT_WEIGHTS
 
     def __post_init__(self):
         check_fields(self, *at_least(0), "user_count")
@@ -125,13 +115,6 @@ class ScenarioConfig:
 
 ADMISSION_KEYS = tuple(d.value for d in AdmissionDecision)
 HANDOVER_KEYS = tuple(k.value for k in HandoverKind)
-
-# The criteria each network is scored on, in the row order of the AHP
-# pairwise matrix, with their normalization modes.
-AHP_CRITERIA = (("capacity", "benefit"), ("sinr", "benefit"), ("mobility", "benefit"), ("load", "cost"))
-# Fixed mobility scores, indexed by network code; the load floor keeps an empty network's cost inversion finite.
-AHP_MOBILITY = (0.3, 0.7)
-AHP_LOAD_FLOOR = 1e-6
 
 
 def _added(total: float, samples) -> float:
@@ -443,11 +426,10 @@ class _IndoorSim:
         *lifi, fap = ((capacity - free) / capacity for capacity, free in zip(self._capacity, self._free))
         loads = (_mean(_added(0.0, lifi), len(lifi)), fap)  # indexed by network code
         values = tuple(
-            (_mean(capacity, count), max(_mean(sinr, count), 0.0), AHP_MOBILITY[kind], max(loads[kind], AHP_LOAD_FLOOR))
+            (_mean(capacity, count), max(_mean(sinr, count), 0.0), selection.MOBILITY[kind], loads[kind])
             for kind, (count, sinr, capacity) in enumerate(self._kind_sums)
         )
-        modes = tuple(mode for _name, mode in AHP_CRITERIA)
-        self.metrics.ahp_rank = selection.rank_networks(values, modes, self.cfg.ahp_weights)
+        self.metrics.ahp_rank = selection.rank_networks(values, self.cfg.ahp_weights)
 
 
 def simulate_indoor(config: ScenarioConfig) -> Metrics:

@@ -148,6 +148,11 @@ class TestZoningFlags:
         assert cli.main([command, *argv]) == 2
         assert flag in capsys.readouterr().err
 
+    def test_no_variable_sets_the_samples(self, monkeypatch, capsys):
+        # zoning.mc_samples is set by its key or by --samples, and trace reads neither.
+        monkeypatch.setenv("HYBRIDNET_SAMPLES", "abc")
+        assert cli.main(["trace", "lifi-to-lifi"]) == 0
+
 
 class TestSeed:
     COMMANDS = [["plan"], ["zones"], ["experiment", "fig18"], ["trace", "lifi-to-lifi"], ["indoor-sim"]]
@@ -425,8 +430,8 @@ class TestExperiments:
         assert "runtime failure" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv", [["trace", "lifi-to-lifi"], ["zones", "--samples", "10000"]],
-                             ids=["trace", "zones"])
+    @pytest.mark.parametrize("argv", [["trace", "lifi-to-lifi"], ["zones", "--samples", "10000"], ["--version"],
+                                      ["--help"]], ids=["trace", "zones", "version", "help"])
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     def test_closed_stdout_ends_quietly(self, tmp_path, argv, unbuffered):
         # A reader that has gone (`hybridnet trace ... | head -c 0`) is no failure: exit 0, nothing on stderr.
@@ -561,6 +566,16 @@ class TestTrace:
 
 
 class TestIndoorSim:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is not under test, the nan it leaves is
+    def test_non_finite_score_is_runtime_error(self, tmp_path, capsys):
+        # This optical power overflows the LiFi SINR to nan: no AHP rank is made from it, and nothing is written.
+        path = tmp_path / "bright.yaml"
+        path.write_text("engine: {user_count: 20, duration_s: 5.0, traffic: {arrival_rate_per_min: 6.0}}\n"
+                        "channel: {optical: {tx_optical_power_W: 1.0e200}}\n")
+        assert cli.main(["indoor-sim", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "scores must be finite and non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_runs_and_is_deterministic(self, tmp_path, small_config):
         a = tmp_path / "a"
         b = tmp_path / "b"
