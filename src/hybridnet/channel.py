@@ -79,6 +79,8 @@ class OpticalParams:
                      "tx_optical_power_W", "responsivity_A_per_W", "noise_psd_A2_per_Hz", "bandwidth_Hz", "ap_height_m")
         check_fields(self, "in (0, 90] degrees", lambda v: 0.0 < v <= 90.0, "fov_semi_angle_deg")
         check_fields(self, *LAMBERTIAN_ANGLE, "half_intensity_angle_deg")
+        check_fields(self, "positive, with R P H(0) at most 1e30 A (the squared signals and their sums stay finite)",
+                     lambda p: self.responsivity_A_per_W * p * optical_channel_gain(0.0, self) <= 1e30, "tx_optical_power_W")
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,13 @@ class RfParams:
         check_fields(self, *POSITIVE, "center_freq_MHz", "mbs_height_m", "terminal_height_m")
         check_fields(self, *NOISE_BANDWIDTH, "macro_bandwidth_Hz", "femto_bandwidth_Hz")
         check_fields(self, *FINITE_POWER_DB, "mbs_tx_dBm", "fap_tx_dBm", "noise_psd_dBm_per_Hz")
+        check_fields(self, "such that the Hata term a(h_m) is in [-300, 300] dB (a finite path loss)",
+                     lambda _: FINITE_POWER_DB[1](self.mobile_correction_dB()), "terminal_height_m")
+
+    def mobile_correction_dB(self) -> float:
+        """The Okumura-Hata mobile-antenna correction a(h_m) of ``terminal_height_m``."""
+        log_f = math.log10(self.center_freq_MHz)
+        return 1.1 * (log_f - 0.7) * self.terminal_height_m - (1.56 * log_f - 0.8)
 
     def noise_dBm(self, bandwidth_Hz: float) -> float:
         """Thermal noise power over a bandwidth."""
@@ -155,13 +164,15 @@ def optical_channel_gain(horizontal_distance_m, params: OpticalParams):
 
 
 def linear_to_db(linear):
-    """``10 * log10`` of a linear ratio, a float or an array (then a list); 0 gives -inf.
+    """``10 * log10`` of a linear ratio, a float or an array (then an array of the same shape); 0 gives -inf.
 
-    Each value comes from ``math.log10``: ``np.log10`` can differ from it in
-    the last bit.
+    Each value is ``math.log10`` of one entry times 10: ``np.log10`` can
+    differ from it in the last bit, and the product is one rounding either way.
     """
     if isinstance(linear, np.ndarray):
-        return [10.0 * math.log10(v) if v > 0 else float("-inf") for v in linear.tolist()]
+        db, positive = np.full(linear.shape, -math.inf), linear > 0
+        db[positive] = np.fromiter(map(math.log10, linear[positive].tolist()), float, np.count_nonzero(positive))
+        return np.multiply(db, 10.0, out=db)
     return 10.0 * math.log10(linear) if linear > 0 else float("-inf")
 
 
@@ -220,12 +231,11 @@ def macro_path_loss(distance_km, rf: RfParams, wall_loss_dB: float):
         raise ValueError("macro distance must be > 0 km")
     log_f = math.log10(rf.center_freq_MHz)
     log_hb = math.log10(rf.mbs_height_m)
-    a_hm = 1.1 * (log_f - 0.7) * rf.terminal_height_m - (1.56 * log_f - 0.8)
     loss = (
         69.55
         + 26.16 * log_f
         - 13.82 * log_hb
-        - a_hm
+        - rf.mobile_correction_dB()
         + (44.9 - 6.55 * log_hb) * np.log10(d)
         + wall_loss_dB
     )

@@ -24,9 +24,7 @@ pure, reuse 4 above reuse 1) hold drop by drop, not just on average.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,8 +116,8 @@ HANDOVER_KEYS = tuple(k.value for k in HandoverKind)
 
 
 def _added(total: float, samples) -> float:
-    """``total`` plus each sample in turn, left to right, as a ``+=`` loop adds them (README, Determinism)."""
-    return functools.reduce(operator.add, samples, total)
+    """``total`` plus each sample in turn, as a ``+=`` loop adds them: ``np.sum`` adds pairwise (README, Determinism)."""
+    return float(np.add.accumulate(np.concatenate(([total], samples)))[-1])
 
 
 def _block_ticks(terminal_count: int, ap_count: int) -> int:
@@ -170,16 +168,14 @@ _NO_CALL = -1  # the serving AP index of a terminal between calls
 class _IndoorSim:
     """Single-run state; use :func:`simulate_indoor`.
 
-    Terminal i is row i of every per-terminal array. Mobility: ``_xy``, the
-    ``_waypoint`` it walks to at ``_speed``, and ``_pause_until`` (inf while
-    it walks); it runs up to a block of ticks ahead of the calls, which
-    read the block's rows. Calls: ``_ap`` (the serving AP's index in the
-    slot ledger, or ``_NO_CALL``), ``_voice``, ``_next_event`` (the call's
-    end during a call, else the next call's arrival), ``_zone`` (the zone
-    code), ``_zone_entry`` and ``_last_handover``. The slot ledger is
-    ``_free``, the free slots of LiFi AP j at index j and of the femtocell
-    at index ``_femto``, the last; ``_capacity`` beside it and
-    ``_fap_idle``, the femtocell's idle mode.
+    Terminal i is row i of every per-terminal array. Mobility: ``_xy``, the ``_waypoint`` it walks to at
+    ``_speed``, and ``_pause_until`` (inf while it walks); it runs up to a block of ticks ahead of the calls,
+    which read the block's rows. Calls: ``_ap`` (the serving AP's index in the slot ledger, or ``_NO_CALL``),
+    ``_voice``, ``_next_event`` (the call's end during a call, else the next call's arrival), ``_zone`` (the
+    zone code) and ``_last_handover``; per (tick, terminal) row of the block, ``_zone_entries``, the handover
+    ``_decisions`` and their Zone 4 ``_targets``; and ``_redecide``, the terminals to decide again. The slot
+    ledger is ``_free``, the free slots of LiFi AP j at index j and of the femtocell at index ``_femto``, the
+    last; ``_capacity`` beside it and ``_fap_idle``, the femtocell's idle mode.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -199,8 +195,8 @@ class _IndoorSim:
         self._waypoint, self._speed, self._pause_until = np.zeros((n, 2)), np.zeros(n), np.zeros(n)
         self._ap = np.full(n, _NO_CALL, dtype=np.intp)
         self._voice, self._next_event = np.zeros(n, bool), np.array([self._draw_interarrival(i) for i in range(n)])
-        self._zone, self._zone_entry = np.full(n, Zone.Z1.value, dtype=np.int8), np.zeros(n)
-        self._last_handover = np.full(n, -math.inf)
+        self._zone, self._zone_entries = np.full(n, Zone.Z1.value, dtype=np.int8), np.zeros((1, n))
+        self._last_handover, self._redecide = np.full(n, -math.inf), set()
 
     def _draw_interarrival(self, i: int) -> float:
         rate = self.cfg.traffic.arrival_rate_per_min / 60.0
@@ -249,12 +245,44 @@ class _IndoorSim:
         """The indices of the LiFi APs covering terminal i on the current tick, nearest first."""
         return self._covering_order[self._tick, i, :self._covering_count[self._tick][i]].tolist()
 
+    def _start_block(self, positions: np.ndarray, steps: range) -> None:
+        """Locate a block's positions and take its (ticks, N) zone-entry clocks; its first tick decides every row."""
+        self._locate(positions)
+        codes, self._times = self._codes, np.array(steps) * self.cfg.mobility.tick_s  # now = step * tick_s
+        changed = codes != np.concatenate((self._zone[None], codes[:-1]))
+        # A clock is its last zone change's tick, else the one carried in; times rise, so that is the running maximum.
+        self._zone_entries = np.maximum.accumulate(np.where(changed, self._times[:, None], self._zone_entries[-1]))
+        self._decisions, self._targets = np.empty(codes.shape, dtype=np.int8), np.empty(codes.shape, dtype=np.intp)
+        self._redecide.update(range(codes.shape[1]))
+
+    def _decide(self, tick: int, terminals: np.ndarray) -> None:
+        """Decide ``terminals``' rows from block tick ``tick`` on, under their calls; each holds until its call changes."""
+        ap, thresholds, now = self._ap[terminals], self.cfg.policy, self._times[tick:, None]
+        on_fap = ap == self._femto
+        eligible = ((ap != _NO_CALL) & ~(now - self._last_handover[terminals] < thresholds.t_h_s)
+                    & ~(on_fap & self._voice[terminals]))  # voice stays pinned to the femtocell
+        self._decisions[tick:, terminals] = STAY
+        offsets, columns = eligible.nonzero()
+        ticks, rows = offsets + tick, terminals[columns]  # each eligible row's tick and terminal
+        kinds, zones = on_fap[columns].astype(np.int8), self._codes[ticks, rows]  # network codes: LIFI 0, FAP 1
+        signals = np.full((2, len(rows)), -math.inf)  # dB: serving and target
+        z4 = ((kinds == LIFI) & (zones == Zone.Z4.value)).nonzero()[0]
+        if len(z4):  # two APs cover a Zone 4 terminal: the target is the nearest one not serving it
+            z4_ticks, z4_rows = ticks[z4], rows[z4]
+            serving, (first, second) = ap[columns[z4]], self._covering_order[z4_ticks, z4_rows, :2].T
+            self._targets[z4_ticks, z4_rows] = target = np.where(first == serving, second, first)  # a LiFi column
+            at = np.tile(z4_ticks, 2), np.tile(z4_rows, 2), np.concatenate((serving, target))
+            signals[:, z4] = channel.linear_to_db(self._rx_power[at]).reshape(2, -1)
+        dwell = self._times[ticks] - self._zone_entries[ticks, rows]
+        self._decisions[ticks, rows] = policy.handover_decision(kinds, zones, *signals, dwell, thresholds)
+
     # Call lifecycle -----------------------------------------------------
 
     def _occupy(self, i: int, ap: int) -> None:
-        """Terminal i takes a slot of AP ``ap``, waking the femtocell if it idles."""
+        """Terminal i takes a slot of AP ``ap``, waking the femtocell if it idles; its rows are decided again."""
         self._free[ap] -= 1
         self._ap[i] = ap
+        self._redecide.add(i)
         if ap == self._femto:
             self._fap_idle = False
 
@@ -272,6 +300,7 @@ class _IndoorSim:
     def _release_call(self, i: int, now: float) -> None:
         self._free[self._ap[i]] += 1
         self._ap[i] = _NO_CALL
+        self._redecide.add(i)
         self.metrics.calls_released += 1
         self._next_event[i] = now + self._draw_interarrival(i)
 
@@ -290,29 +319,16 @@ class _IndoorSim:
         return ap is not None
 
     def _evaluate_handovers(self, now: float) -> None:
-        """Decide for every in-call terminal past the ``t_h_s`` guard in one policy call; act on the rows that move.
+        """Decide the terminals in ``_redecide`` (all on a block's first tick) in one policy call; act on rows that move.
 
-        A decision reads only its own terminal's state, so deciding first and then acting in
-        terminal order against the slot ledger is the per-terminal loop.
+        A decision reads only its own terminal's state, so acting in terminal order on the ledger is the per-terminal loop.
         """
-        ap, thresholds = self._ap, self.cfg.policy
-        on_fap = ap == self._femto
-        rows = ((ap != _NO_CALL) & ~(now - self._last_handover < thresholds.t_h_s)
-                & ~(on_fap & self._voice)).nonzero()[0]  # voice stays pinned to the femtocell
-        if not len(rows):
-            return
-        kinds, zones = on_fap[rows].astype(np.int8), self._zone[rows]  # network codes: LIFI 0, FAP 1
-        signals, targets = np.full((2, len(rows)), -math.inf), np.zeros(len(rows), dtype=np.intp)  # dB; LiFi columns
-        z4 = ((kinds == LIFI) & (zones == Zone.Z4.value)).nonzero()[0]
-        if len(z4):  # two APs cover a Zone 4 terminal: the target is the nearest one not serving it
-            terminals = rows[z4]
-            serving, (first, second) = ap[terminals], self._covering_order[self._tick, terminals, :2].T
-            targets[z4] = target = np.where(first == serving, second, first)
-            at = self._tick, np.concatenate((terminals, terminals)), np.concatenate((serving, target))
-            signals[:, z4] = np.reshape(channel.linear_to_db(self._rx_power[at]), (2, -1))
-        decisions = policy.handover_decision(kinds, zones, *signals, now - self._zone_entry[rows], thresholds)
+        if self._redecide:
+            self._decide(self._tick, np.fromiter(self._redecide, dtype=np.intp))
+            self._redecide.clear()
+        decisions, targets = self._decisions[self._tick], self._targets[self._tick]
         acting = (decisions != STAY).nonzero()[0]
-        for i, column, decision in zip(rows[acting].tolist(), targets[acting].tolist(), decisions[acting].tolist()):
+        for i, column, decision in zip(acting.tolist(), targets[acting].tolist(), decisions[acting].tolist()):
             if decision == TO_LIFI:
                 moved = self._to_covering_lifi(i, now)
             else:  # TO_FAP, or TO_TARGET_LIFI, whose stronger target is a covering AP
@@ -351,15 +367,15 @@ class _IndoorSim:
                 at = ticks[mask], terminals[mask]
                 sinr[mask], bandwidth[mask] = (self._lifi_links(*at, serving[mask]) if kind == LIFI
                                                else self._femto_links(*at))
-        sinr_db, capacity = np.asarray(channel.linear_to_db(sinr)), channel.shannon_capacity(sinr, bandwidth)
+        sinr_db, capacity = channel.linear_to_db(sinr), channel.shannon_capacity(sinr, bandwidth)
         m = self.metrics
         m.link_samples += len(sinr)
-        m.sinr_total_db = _added(m.sinr_total_db, sinr_db.tolist())
-        m.capacity_total_bps = _added(m.capacity_total_bps, capacity.tolist())
+        m.sinr_total_db = _added(m.sinr_total_db, sinr_db)
+        m.capacity_total_bps = _added(m.capacity_total_bps, capacity)
         for kind, mask in enumerate(masks):
             count, sinr_total, capacity_total = self._kind_sums[kind]
-            self._kind_sums[kind] = (count + int(np.count_nonzero(mask)), _added(sinr_total, sinr_db[mask].tolist()),
-                                     _added(capacity_total, capacity[mask].tolist()))
+            self._kind_sums[kind] = (count + int(np.count_nonzero(mask)), _added(sinr_total, sinr_db[mask]),
+                                     _added(capacity_total, capacity[mask]))
 
     def _lifi_links(self, ticks: np.ndarray, terminals: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, float]:
         """SINRs of M LiFi links from their (M, K) gain rows on their ticks; every other AP interferes."""
@@ -386,9 +402,7 @@ class _IndoorSim:
 
     def _step(self, tick: int, now: float) -> None:
         """One tick of calls on the block's row ``tick``: zones, releases, arrivals, handovers and idle mode."""
-        self._tick, codes = tick, self._codes[tick]
-        np.copyto(self._zone_entry, now, where=codes != self._zone)
-        self._zone = codes
+        self._tick, self._zone = tick, self._codes[tick]
         due = (self._next_event <= now).nonzero()[0].tolist()  # a call ends or arrives
         for i in due:
             if self._ap[i] != _NO_CALL:
@@ -408,7 +422,7 @@ class _IndoorSim:
         for first in range(0, ticks, block):  # a block's moves and link samples feed no call (README, Determinism)
             steps = range(first, min(first + block, ticks))
             aps = np.empty((len(steps), n), dtype=np.intp)
-            self._locate(self._move_block(steps))
+            self._start_block(self._move_block(steps), steps)
             for tick, step in enumerate(steps):
                 self._step(tick, step * cfg.mobility.tick_s)
                 aps[tick] = self._ap

@@ -189,9 +189,10 @@ class TestBatchedSinr:
         linear = np.random.default_rng(8).uniform(0.0, 1e6, size=2_000)
         linear[[0, 7]] = 0.0
         db = linear_to_db(linear)
-        assert db == [10 * math.log10(v) if v > 0 else float("-inf") for v in linear.tolist()]
+        assert isinstance(db, np.ndarray) and db.shape == linear.shape
+        assert db.tolist() == [10 * math.log10(v) if v > 0 else float("-inf") for v in linear.tolist()]
         assert db[0] == db[7] == float("-inf") and linear_to_db(0.0) == float("-inf")
-        assert db[1:7] == [linear_to_db(v) for v in linear[1:7].tolist()]
+        assert db[1:7].tolist() == [linear_to_db(v) for v in linear[1:7].tolist()]
 
 
 class TestFloatRules:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from hybridnet import cli, config as cfgmod, protocol, selection, transport
+from hybridnet.channel import OpticalParams, RfParams, optical_channel_gain
 from hybridnet.config import DEFAULT_CONFIG, config_digest, deep_merge, load_config, resolve
 from hybridnet.engine import PolicyConfig
 from hybridnet.protocol import HandoverKind, MessageKind
@@ -398,6 +399,33 @@ class TestExperiments:
         rows = (tmp_path / "out" / "fig17.csv").read_text().splitlines()[1:]
         assert len(rows) == 4 and all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
 
+    @pytest.mark.parametrize(("argv", "text", "key"), [
+        (["experiment", "fig19"], "channel: {rf: {terminal_height_m: 1.0e6}}\n",
+         "channel.rf.terminal_height_m: must be such that the Hata term a(h_m) is in [-300, 300] dB"),
+        (["indoor-sim"], "channel: {optical: {tx_optical_power_W: 1.0e200}}\n",
+         "channel.optical.tx_optical_power_W: must be positive, with R P H(0) at most 1e30 A"),
+    ], ids=["fig19-terminal-height", "indoor-sim-optical-power"])
+    def test_value_beyond_its_finite_domain_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, text, key):
+        # Each would overflow its model: fig19's direct link to an inf capacity, the LiFi signal power to inf.
+        path = tmp_path / "huge.yaml"
+        path.write_text(text)
+        assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_fig19_and_indoor_sim_are_finite_at_the_edge_of_both_domains(self, tmp_path, small_config):
+        rf, optical = RfParams(), OpticalParams()
+        log_f = math.log10(rf.center_freq_MHz)
+        height = (300.0 + 1.56 * log_f - 0.8) / (1.1 * (log_f - 0.7)) * (1 - 1e-12)  # a(h_m) just below 300 dB
+        power = 1e30 / (optical.responsivity_A_per_W * optical_channel_gain(0.0, optical)) * (1 - 1e-12)
+        path = tmp_path / "edge.yaml"
+        path.write_text(Path(small_config).read_text() + f"channel: {{rf: {{terminal_height_m: {height!r}}}, "
+                        f"optical: {{tx_optical_power_W: {power!r}}}}}\n")
+        for argv, name in ((["experiment", "fig19"], "fig19.csv"), (["indoor-sim"], "indoor_sim.csv")):
+            assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+            rows = [row.split(",")[1:] for row in (tmp_path / "out" / name).read_text().splitlines()[1:]]
+            assert rows and all(math.isfinite(float(v)) for row in rows for v in row if v not in ("lifi", "femtocell"))
+
     def test_submillisecond_car_window_runs(self, tmp_path):
         path = tmp_path / "car.yaml"
         path.write_text("transport: {fig21: {window_s: 0.0004}}\n")
@@ -568,10 +596,12 @@ class TestTrace:
 class TestIndoorSim:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is not under test, the nan it leaves is
     def test_non_finite_score_is_runtime_error(self, tmp_path, capsys):
-        # This optical power overflows the LiFi SINR to nan: no AHP rank is made from it, and nothing is written.
-        path = tmp_path / "bright.yaml"
+        # A 1e-9 degree FOV zeroes every LiFi gain, and this noise power underflows to 0: the LiFi SINR is 0/0, a
+        # nan. No AHP rank is made from it, and nothing is written.
+        path = tmp_path / "dark.yaml"
         path.write_text("engine: {user_count: 20, duration_s: 5.0, traffic: {arrival_rate_per_min: 6.0}}\n"
-                        "channel: {optical: {tx_optical_power_W: 1.0e200}}\n")
+                        "channel: {optical: {fov_semi_angle_deg: 1.0e-9, noise_psd_A2_per_Hz: 1.0e-300, "
+                        "bandwidth_Hz: 1.0e-30}}\n")
         assert cli.main(["indoor-sim", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "scores must be finite and non-negative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hybridnet import engine, zoning
+from hybridnet import engine, policy, zoning
 from hybridnet.engine import (
     FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig,
     MobilityConfig, PolicyConfig, RoomConfig, ScenarioConfig, TrafficConfig,
@@ -98,15 +98,19 @@ class TestSimulateIndoor:
     def test_fap_idles_once_its_last_slot_is_freed(self):
         sim = _IndoorSim(ScenarioConfig(user_count=1, seed=3))
         sim._next_event[0] = math.inf  # no call of its own on the first tick
-        sim._locate(np.array([[[0.0, 0.0]]]))  # a one-tick block; Zone 1: only the femtocell covers it
+        sim._start_block(np.array([[[0.0, 0.0]]]), range(1))  # a one-tick block; Zone 1: only the femtocell covers it
+        assert sim._zone_entries.tolist() == [[0.0]] and sim._redecide == {0}  # its first tick decides every row
         sim._step(0, 0.0)
+        assert sim._decisions.tolist() == [[policy.STAY]] and sim._redecide == set()  # no call: it stays
         fap, slots = sim._femto, PolicyConfig().fap_slots
         assert sim._ap.tolist() == [engine._NO_CALL]
         assert sim._codes.tolist() == [[Zone.Z1.value]] and sim._zone.tolist() == [Zone.Z1.value]
         assert sim._fap_idle
         sim._try_start_call(0, 0.0)
         assert sim._ap.tolist() == [fap] and sim._free[fap] == slots - 1
-        assert not sim._fap_idle
+        assert not sim._fap_idle and sim._redecide == {0}  # its rows are decided again at the next evaluation
+        sim._evaluate_handovers(0.0)
+        assert sim._redecide == set() and sim._decisions.tolist() == [[policy.STAY]]  # a Zone 1 call stays
         sim._apply_idle_mode(0.0)
         assert not sim._fap_idle  # a Zone 1 user is never shifted
         sim._release_call(0, 1.0)
@@ -227,6 +231,30 @@ class TestSimulateIndoor:
             looped.link_samples, looped.sinr_total_db, looped.capacity_total_bps)
         assert sum(batched.handovers.values()) + batched.handovers_rejected > 0
 
+    @pytest.mark.parametrize("config", [SLOT_STARVED, MIXED, replace(LOADED, duration_s=20.0)],
+                             ids=["slot-starved", "mixed", "loaded-20s"])
+    def test_block_decisions_equal_a_fresh_decision_on_every_tick(self, monkeypatch, config):
+        # The block's rows, decided on its first tick and again for each terminal whose call changed,
+        # must be the rows one handover_decision call over the tick's own state gives.
+        evaluate, acted = _IndoorSim._evaluate_handovers, []
+        zone, entry = np.full(config.user_count, Zone.Z1.value), np.zeros(config.user_count)  # kept tick by tick
+
+        def checking_evaluate(sim, now):
+            codes = sim._codes[sim._tick]
+            np.copyto(entry, now, where=codes != zone)
+            zone[...] = codes
+            decisions, targets = fresh_decisions(sim, now, entry)
+            evaluate(sim, now)
+            row = sim._decisions[sim._tick].tolist()
+            assert row == decisions, f"tick {sim._tick} at {now} s"
+            moving = [i for i, d in enumerate(row) if d == policy.TO_TARGET_LIFI]
+            assert [sim._targets[sim._tick, i] for i in moving] == [targets[i] for i in moving]
+            acted.extend(d for d in row if d != policy.STAY)
+
+        monkeypatch.setattr(_IndoorSim, "_evaluate_handovers", checking_evaluate)
+        simulate_indoor(config)
+        assert {policy.TO_FAP, policy.TO_LIFI} <= set(acted)
+
     def test_block_size_fits_one_classify_slice(self):
         block = engine._block_ticks(60, 9)  # the most ticks whose entries fit
         assert block * 60 * 9 <= zoning._CLASSIFY_SLICE < (block + 1) * 60 * 9
@@ -269,6 +297,49 @@ class TestSimulateIndoor:
         for duration in (math.inf, math.nan):
             with pytest.raises(ValueError, match="^duration_s: "):
                 ScenarioConfig(duration_s=duration)
+
+
+class TestRunSums:
+    def test_added_is_the_plus_equals_loop_bit_for_bit(self):
+        rng = np.random.default_rng(26)
+        for case in range(300):
+            samples = rng.uniform(-1.0, 1.0, rng.integers(0, 600)) * 10.0 ** rng.uniform(-12.0, 12.0, 1)
+            if case % 3 == 0 and len(samples):  # a zero-SINR link samples -inf dB (the pinned fov30 run)
+                samples[rng.integers(len(samples))] = -math.inf
+            total = loop = float(rng.normal(0.0, 1e6))
+            for v in samples.tolist():
+                loop += v
+            assert engine._added(total, samples).hex() == loop.hex()
+            assert engine._added(total, samples.tolist()).hex() == loop.hex()
+        assert engine._added(2.5, []) == 2.5 and type(engine._added(2.5, np.ones(3))) is float
+
+
+def fresh_decisions(sim, now: float, zone_entry: np.ndarray) -> tuple[list[int], list[int | None]]:
+    """The handover decision of every terminal on the current tick from that tick's state alone, and its Zone 4 target.
+
+    One ``policy.handover_decision`` call over the in-call terminals past the ``t_h_s`` guard that are not voice
+    on the femtocell; every other terminal stays. ``zone_entry`` holds the tick's zone-entry clocks.
+    """
+    fap, thresholds, tick = sim._femto, sim.cfg.policy, sim._tick
+    decisions, targets, rows, columns = [policy.STAY] * len(sim._ap), [None] * len(sim._ap), [], []
+    for i, serving in enumerate(sim._ap.tolist()):
+        guarded = now - sim._last_handover[i] < thresholds.t_h_s
+        if serving == engine._NO_CALL or guarded or (serving == fap and sim._voice[i]):
+            continue
+        zone, s_serving, s_target = int(sim._codes[tick, i]), -math.inf, -math.inf
+        if serving != fap and zone == Zone.Z4.value:
+            targets[i] = target = next(j for j in sim._covering(i) if j != serving)
+            s_serving, s_target = (10.0 * math.log10(p) if p > 0 else -math.inf
+                                   for p in sim._rx_power[tick, i, [serving, target]].tolist())
+        rows.append(i)
+        columns.append((policy.FAP if serving == fap else policy.LIFI, zone, s_serving, s_target, now - zone_entry[i]))
+    if rows:
+        kinds, zones, s_serving, s_target, dwell = (np.array(column) for column in zip(*columns))
+        codes = policy.handover_decision(kinds.astype(np.int8), zones.astype(np.int8), s_serving, s_target, dwell,
+                                         thresholds)
+        for i, code in zip(rows, codes.tolist()):
+            decisions[i] = code
+    return decisions, targets
 
 
 def reading(codes: np.ndarray, nearest: np.ndarray):
