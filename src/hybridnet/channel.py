@@ -77,6 +77,10 @@ class OpticalParams:
     def __post_init__(self):
         check_fields(self, *POSITIVE, "pd_area_m2", "filter_gain", "refractive_index",
                      "tx_optical_power_W", "responsivity_A_per_W", "noise_psd_A2_per_Hz", "bandwidth_Hz", "ap_height_m")
+        check_fields(self, *NOISE_BANDWIDTH, "bandwidth_Hz")
+        # Over a noise power in [1e-30, 1e30] A^2 and squared signals of at most 1e60, every SINR is finite.
+        check_fields(self, "positive, with N0 B in [1e-30, 1e30] A^2 (a finite SINR)",
+                     lambda n0: 1e-30 <= n0 * self.bandwidth_Hz <= 1e30, "noise_psd_A2_per_Hz")
         check_fields(self, "in (0, 90] degrees", lambda v: 0.0 < v <= 90.0, "fov_semi_angle_deg")
         check_fields(self, *LAMBERTIAN_ANGLE, "half_intensity_angle_deg")
         check_fields(self, "positive, with R P H(0) at most 1e30 A (the squared signals and their sums stay finite)",
@@ -101,6 +105,10 @@ class RfParams:
 
     def __post_init__(self):
         check_fields(self, *POSITIVE, "center_freq_MHz", "mbs_height_m", "terminal_height_m")
+        # The Hata terms 26.16 log10 f (and the femtocell's 20 log10 f) and 13.82 log10 h_b stay in [-300, 300] dB.
+        for name, coefficient in (("center_freq_MHz", 26.16), ("mbs_height_m", 13.82)):
+            check_fields(self, f"such that the Hata term {coefficient} log10({name}) is in [-300, 300] dB (a finite path loss)",
+                         lambda v: FINITE_POWER_DB[1](coefficient * math.log10(v)), name)
         check_fields(self, *NOISE_BANDWIDTH, "macro_bandwidth_Hz", "femto_bandwidth_Hz")
         check_fields(self, *FINITE_POWER_DB, "mbs_tx_dBm", "fap_tx_dBm", "noise_psd_dBm_per_Hz")
         check_fields(self, "such that the Hata term a(h_m) is in [-300, 300] dB (a finite path loss)",

@@ -3,8 +3,8 @@
 ``simulate_indoor`` runs a tick-driven loop (default 100 ms) over a room:
 random-waypoint mobility, Poisson call arrivals with exponential holding
 times, zone tracking and the admission/handover/idle-mode policies. Each
-handover kind's call flow is replayed once per run, and every executed
-handover adds its kind's latency to the mean. Runs are bit-identical for
+handover kind's call flow is replayed once per run, and the mean latency
+weighs each kind's latency by its executed handovers. Runs are bit-identical for
 a fixed (config, seed) pair; every random draw comes from a labeled
 substream, and each terminal walks and calls from its own child streams.
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -115,11 +116,6 @@ ADMISSION_KEYS = tuple(d.value for d in AdmissionDecision)
 HANDOVER_KEYS = tuple(k.value for k in HandoverKind)
 
 
-def _added(total: float, samples) -> float:
-    """``total`` plus each sample in turn, as a ``+=`` loop adds them: ``np.sum`` adds pairwise (README, Determinism)."""
-    return float(np.add.accumulate(np.concatenate(([total], samples)))[-1])
-
-
 def _block_ticks(terminal_count: int, ap_count: int) -> int:
     """Ticks per block: the most whose (tick, terminal, AP) entries fit one classify slice, and at least 1."""
     return max(1, _CLASSIFY_SLICE // max(terminal_count * ap_count, 1))
@@ -129,21 +125,29 @@ def _mean(total: float, count: int) -> float:
     return total / count if count else 0.0
 
 
+def _fsum(blocks: list[np.ndarray]) -> float:
+    """The correctly rounded sum of every sample of ``blocks``, whatever their order (README, Determinism)."""
+    return math.fsum(chain.from_iterable(block.tolist() for block in blocks))
+
+
 @dataclass
 class Metrics:
-    """Run counts, and the sums behind the run means; every executed handover adds one latency."""
+    """Run counts, and the totals behind the run means, each a function of its samples alone."""
 
     admissions: dict[str, int] = field(default_factory=lambda: {k: 0 for k in ADMISSION_KEYS})
     handovers: dict[str, int] = field(default_factory=lambda: {k: 0 for k in HANDOVER_KEYS})
     handovers_rejected: int = 0
     handover_latency_total_s: float = 0.0
     fap_idle_fraction: float = 0.0
-    link_samples: int = 0  # one SINR and one capacity per in-call terminal per tick
-    sinr_total_db: float = 0.0
-    capacity_total_bps: float = 0.0
+    # Per network code: (link samples, SINR dB total, capacity bps total); one sample per in-call terminal per tick.
+    networks: tuple[tuple[int, float, float], ...] = ((0, 0.0, 0.0),) * 2
     calls_released: int = 0
     active_at_end: int = 0
     ahp_rank: tuple[float, float, str] | None = None
+    # The run totals: each the correctly rounded sum of the two networks' totals.
+    link_samples = property(lambda self: sum(count for count, _, _ in self.networks))
+    sinr_total_db = property(lambda self: math.fsum(sinr for _, sinr, _ in self.networks))
+    capacity_total_bps = property(lambda self: math.fsum(capacity for _, _, capacity in self.networks))
 
     def csv_rows(self) -> list[tuple[str, str]]:
         """Flat (metric, value) rows with a fixed ordering."""
@@ -186,7 +190,7 @@ class _IndoorSim:
         self._capacity = [config.policy.lifi_slots] * self._femto + [config.policy.fap_slots]
         self._free, self._fap_idle = list(self._capacity), True
         self.metrics = Metrics()
-        self._kind_sums = [(0, 0.0, 0.0)] * 2  # (samples, SINR dB, capacity bps) sums, indexed by network code
+        self._samples = ([], []), ([], [])  # per network code: each block's SINR dB and capacity bps sample arrays
         # A fault-free flow's latency depends on its kind and the per-hop delay alone.
         self._handover_latency_s = {k: run_handover(k, config.policy.per_hop_latency_s).latency_s for k in HandoverKind}
         # One mobility and one traffic stream per terminal: its draws do not depend on the other terminals.
@@ -306,7 +310,6 @@ class _IndoorSim:
 
     def _execute_handover(self, i: int, now: float, kind: HandoverKind, target: int) -> None:
         self.metrics.handovers[kind.value] += 1
-        self.metrics.handover_latency_total_s += self._handover_latency_s[kind]
         self._free[self._ap[i]] += 1
         self._occupy(i, target)
         self._last_handover[i] = now
@@ -350,32 +353,21 @@ class _IndoorSim:
             self._fap_idle = True
 
     def _sample_link_quality(self, aps: np.ndarray) -> None:
-        """Add the SINR and capacity of a block's links to the run sums, in (tick, terminal) order.
+        """Keep the SINR (dB) and capacity of a block's links per network, for the run totals.
 
         ``aps`` records each terminal's serving AP index on each of the block's ticks. One
-        batched channel pass per network equals per-link calls bit for bit, and each sum adds
-        left to right in (tick, terminal) order, as sampling tick by tick does (README,
-        Determinism).
+        batched channel pass per network equals per-link calls bit for bit.
         """
-        ticks, terminals = (aps != _NO_CALL).nonzero()  # row-major: (tick, terminal) order
+        ticks, terminals = (aps != _NO_CALL).nonzero()
         serving = aps[ticks, terminals]
-        sinr, bandwidth = np.empty(len(ticks)), np.empty(len(ticks))
         on_fap = serving == self._femto
-        masks = (~on_fap, on_fap)  # indexed by network code
-        for kind, mask in enumerate(masks):
+        for kind, mask in enumerate((~on_fap, on_fap)):  # indexed by network code
             if mask.any():
                 at = ticks[mask], terminals[mask]
-                sinr[mask], bandwidth[mask] = (self._lifi_links(*at, serving[mask]) if kind == LIFI
-                                               else self._femto_links(*at))
-        sinr_db, capacity = channel.linear_to_db(sinr), channel.shannon_capacity(sinr, bandwidth)
-        m = self.metrics
-        m.link_samples += len(sinr)
-        m.sinr_total_db = _added(m.sinr_total_db, sinr_db)
-        m.capacity_total_bps = _added(m.capacity_total_bps, capacity)
-        for kind, mask in enumerate(masks):
-            count, sinr_total, capacity_total = self._kind_sums[kind]
-            self._kind_sums[kind] = (count + int(np.count_nonzero(mask)), _added(sinr_total, sinr_db[mask]),
-                                     _added(capacity_total, capacity[mask]))
+                sinr, bandwidth = self._lifi_links(*at, serving[mask]) if kind == LIFI else self._femto_links(*at)
+                sinr_db, capacity = self._samples[kind]
+                sinr_db.append(channel.linear_to_db(sinr))
+                capacity.append(channel.shannon_capacity(sinr, bandwidth))
 
     def _lifi_links(self, ticks: np.ndarray, terminals: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, float]:
         """SINRs of M LiFi links from their (M, K) gain rows on their ticks; every other AP interferes."""
@@ -428,20 +420,23 @@ class _IndoorSim:
                 aps[tick] = self._ap
                 idle_ticks += self._fap_idle
             self._sample_link_quality(aps)
-        self.metrics.fap_idle_fraction = idle_ticks / ticks
-        self.metrics.active_at_end = int(np.count_nonzero(self._ap != _NO_CALL))
+        m = self.metrics
+        m.fap_idle_fraction = idle_ticks / ticks
+        m.active_at_end = int(np.count_nonzero(self._ap != _NO_CALL))
+        m.handover_latency_total_s = math.fsum(m.handovers[k.value] * s for k, s in self._handover_latency_s.items())
+        m.networks = tuple((sum(map(len, sinr_db)), _fsum(sinr_db), _fsum(capacity)) for sinr_db, capacity in self._samples)
         self._rank_networks()
-        return self.metrics
+        return m
 
     def _rank_networks(self) -> None:
         """Score the two networks from run aggregates and rank them with the scenario's AHP weights."""
         if not self.metrics.link_samples:
             return
         *lifi, fap = ((capacity - free) / capacity for capacity, free in zip(self._capacity, self._free))
-        loads = (_mean(_added(0.0, lifi), len(lifi)), fap)  # indexed by network code
+        loads = (_mean(math.fsum(lifi), len(lifi)), fap)  # indexed by network code
         values = tuple(
             (_mean(capacity, count), max(_mean(sinr, count), 0.0), selection.MOBILITY[kind], loads[kind])
-            for kind, (count, sinr, capacity) in enumerate(self._kind_sums)
+            for kind, (count, sinr, capacity) in enumerate(self.metrics.networks)
         )
         self.metrics.ahp_rank = selection.rank_networks(values, self.cfg.ahp_weights)
 

@@ -144,7 +144,7 @@ def fap_idle_probability(p_users: int, zone_probs) -> float:
     if len(probs) != 4 or any(v < 0 for v in probs):
         raise ValueError("zone_probs must be four non-negative values")
     if not math.isclose(sum(probs), 1.0, rel_tol=0.0, abs_tol=1e-9):
-        raise ValueError("zone_probs must sum to 1 (normalized Monte Carlo probabilities)")
+        raise ValueError("zone_probs must sum to 1 (normalized zone probabilities)")
     q = probs[0] + probs[2]
     total = 0.0
     for k in range(min(1, p_users) + 1):

@@ -288,23 +288,26 @@ def zone_areas_by_greens_theorem(plan: GridPlan) -> tuple[float, float, float, f
     return tuple(areas)
 
 
-def indoor_run_reference(config) -> Metrics:
+def indoor_run_reference(config, sample_order: str = "tick-major") -> Metrics:
     """``engine.simulate_indoor`` one tick and one terminal at a time, each link sampled on its own.
 
     The batched run must equal it bit for bit: the same per-terminal
     streams, the scalar move (``sqrt(dx*dx + dy*dy)``), a zone and covering
     APs from the distances to every AP, the rule-by-rule admission and
-    handover decisions and per-link channel calls, added to the sums in (tick, terminal) order.
-    It keeps its own slot ledger, LiFi AP j at index j and the femtocell
-    last, and asserts on every tick that each AP's occupied slots are the
-    calls it serves, within its capacity.
+    handover decisions and per-link channel calls. Each network's samples
+    are kept in a list and summed once at the end with ``math.fsum``, in
+    ``sample_order``: ``tick-major`` as sampled, ``terminal-major`` (stable
+    by terminal) or ``reversed``; the mean latency is ``math.fsum`` of each
+    kind's count times its latency. It keeps its own slot ledger, LiFi AP
+    j at index j and the femtocell last, and asserts on every tick that
+    each AP's occupied slots are the calls it serves, within its capacity.
     """
     cfg, plan, streams, n = config, config.room.plan(), spawn_streams(config.seed), config.user_count
     mobility, traffic, room, move = streams["mobility"].spawn(n), streams["traffic"].spawn(n), cfg.room, cfg.mobility
     fap, slots = plan.ap_count, [cfg.policy.lifi_slots] * plan.ap_count + [cfg.policy.fap_slots]
     free, fap_idle = list(slots), True
     latency = {k: run_handover(k, cfg.policy.per_hop_latency_s).latency_s for k in HandoverKind}
-    m, sums = Metrics(), [[0, 0.0, 0.0] for _network in (LIFI, FAP)]
+    m, samples = Metrics(), [[] for _network in (LIFI, FAP)]  # per network: (terminal, SINR dB, capacity bps)
     rate = cfg.traffic.arrival_rate_per_min / 60.0
 
     def interarrival(i):
@@ -316,7 +319,6 @@ def indoor_run_reference(config) -> Metrics:
 
     def hand_over(u, now, kind, target):
         m.handovers[kind.value] += 1
-        m.handover_latency_total_s += latency[kind]
         free[u["serving"]] += 1
         free[target] -= 1
         u["serving"], u["last"] = target, now
@@ -400,7 +402,7 @@ def indoor_run_reference(config) -> Metrics:
         calls = [sum(u["serving"] == j for u in t) for j in range(len(free))]
         assert [s - f for s, f in zip(slots, free)] == calls and min(free) >= 0, "slot leak"
         idle_ticks += fap_idle
-        for u in t:
+        for i, u in enumerate(t):
             serving = u["serving"]
             if serving is None:
                 continue
@@ -414,18 +416,14 @@ def indoor_run_reference(config) -> Metrics:
                 interferers = [0.0 if j == serving else g for j, g in enumerate(u["gain"])]
                 sinr = channel.optical_sinr(u["gain"][serving], interferers, cfg.optical)
                 capacity = channel.shannon_capacity(sinr, cfg.optical.bandwidth_Hz)
-            sinr_db = channel.linear_to_db(sinr)
-            m.link_samples += 1
-            m.sinr_total_db += sinr_db
-            m.capacity_total_bps += capacity
-            kind_sums = sums[FAP if serving == fap else LIFI]
-            kind_sums[0] += 1
-            kind_sums[1] += sinr_db
-            kind_sums[2] += capacity
+            samples[FAP if serving == fap else LIFI].append((i, channel.linear_to_db(sinr), capacity))
     m.fap_idle_fraction, m.active_at_end = idle_ticks / ticks, len(in_call)
-    state = SimpleNamespace(metrics=m, _capacity=slots, _free=free, _kind_sums=[tuple(v) for v in sums],
-                            cfg=cfg)
-    engine._IndoorSim._rank_networks(state)  # the ranking of the run's sums, as the engine makes it
+    m.handover_latency_total_s = math.fsum(m.handovers[k.value] * latency[k] for k in HandoverKind)
+    order = {"tick-major": list, "terminal-major": lambda s: sorted(s, key=lambda v: v[0]), "reversed": reversed}
+    ordered = [list(order[sample_order](network_samples)) for network_samples in samples]
+    m.networks = tuple((len(s), math.fsum(v[1] for v in s), math.fsum(v[2] for v in s)) for s in ordered)
+    state = SimpleNamespace(metrics=m, _capacity=slots, _free=free, cfg=cfg)
+    engine._IndoorSim._rank_networks(state)  # the ranking of the run's totals, as the engine makes it
     return m
 
 

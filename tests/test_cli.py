@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridnet import cli, config as cfgmod, protocol, selection, transport
+from hybridnet import channel, cli, config as cfgmod, protocol, selection, transport
 from hybridnet.channel import OpticalParams, RfParams, optical_channel_gain
 from hybridnet.config import DEFAULT_CONFIG, config_digest, deep_merge, load_config, resolve
 from hybridnet.engine import PolicyConfig
@@ -404,9 +404,19 @@ class TestExperiments:
          "channel.rf.terminal_height_m: must be such that the Hata term a(h_m) is in [-300, 300] dB"),
         (["indoor-sim"], "channel: {optical: {tx_optical_power_W: 1.0e200}}\n",
          "channel.optical.tx_optical_power_W: must be positive, with R P H(0) at most 1e30 A"),
-    ], ids=["fig19-terminal-height", "indoor-sim-optical-power"])
+        (["experiment", "fig19"], "channel: {rf: {mbs_height_m: 1.0e300}}\n",
+         "channel.rf.mbs_height_m: must be such that the Hata term 13.82 log10(mbs_height_m) is in [-300, 300] dB"),
+        (["experiment", "fig20"], "channel: {rf: {center_freq_MHz: 1.0e-300}}\n",
+         "channel.rf.center_freq_MHz: must be such that the Hata term 26.16 log10(center_freq_MHz) is in [-300, 300] dB"),
+        (["indoor-sim"], "channel: {optical: {noise_psd_A2_per_Hz: 1.0e-300, bandwidth_Hz: 1.0e-30}}\n",
+         "channel.optical.bandwidth_Hz: must be in [1, 1e30] Hz"),
+        (["indoor-sim"], "channel: {optical: {noise_psd_A2_per_Hz: 1.0e-300}}\n",
+         "channel.optical.noise_psd_A2_per_Hz: must be positive, with N0 B in [1e-30, 1e30] A^2"),
+    ], ids=["fig19-terminal-height", "indoor-sim-optical-power", "fig19-mbs-height", "fig20-center-frequency",
+            "indoor-sim-optical-bandwidth", "indoor-sim-optical-noise-power"])
     def test_value_beyond_its_finite_domain_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, text, key):
-        # Each would overflow its model: fig19's direct link to an inf capacity, the LiFi signal power to inf.
+        # Each would overflow its model: fig19's direct link to an inf capacity, the LiFi signal power to inf, fig19's
+        # and fig20's path loss to inf or -inf; or underflow the optical noise power to 0, and a zero-gain SINR to nan.
         path = tmp_path / "huge.yaml"
         path.write_text(text)
         assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -421,10 +431,37 @@ class TestExperiments:
         path = tmp_path / "edge.yaml"
         path.write_text(Path(small_config).read_text() + f"channel: {{rf: {{terminal_height_m: {height!r}}}, "
                         f"optical: {{tx_optical_power_W: {power!r}}}}}\n")
-        for argv, name in ((["experiment", "fig19"], "fig19.csv"), (["indoor-sim"], "indoor_sim.csv")):
-            assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        runs = [(["experiment", "fig19"], path), (["indoor-sim"], path)]
+        for name, coefficient in (("center_freq_MHz", 26.16), ("mbs_height_m", 13.82)):  # each Hata term at +-300 dB
+            for sign in (1.0, -1.0):
+                edge = tmp_path / f"{name}-{sign}.yaml"
+                edge.write_text(Path(small_config).read_text()
+                                + f"channel: {{rf: {{{name}: {10.0 ** (sign * 300.0 / coefficient) * (1 - sign * 1e-12)!r}}}}}\n")
+                runs += [(["experiment", "fig19"], edge), (["experiment", "fig20"], edge)]
+        for argv, config in runs:
+            assert cli.main([*argv, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+            name = "indoor_sim.csv" if argv == ["indoor-sim"] else f"{argv[1]}.csv"
             rows = [row.split(",")[1:] for row in (tmp_path / "out" / name).read_text().splitlines()[1:]]
             assert rows and all(math.isfinite(float(v)) for row in rows for v in row if v not in ("lifi", "femtocell"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fov_deg", [1.0e-9, 90.0])
+    @pytest.mark.parametrize("side_m", [8.0, 24.0], ids=["1-ap", "9-aps"])
+    def test_no_sinr_sample_is_plus_inf_anywhere_in_the_optical_domain(self, tmp_path, capsys, side_m, fov_deg):
+        # The largest accepted power over the smallest accepted noise power: the largest LiFi SINR, (1e30 A)^2 over
+        # 1e-30 A^2, is finite, so no +inf dB sample meets a -inf one in the run's math.fsum.
+        optical = OpticalParams(fov_semi_angle_deg=fov_deg, noise_psd_A2_per_Hz=1e-30, bandwidth_Hz=1.0)
+        power = 1e30 / (optical.responsivity_A_per_W * optical_channel_gain(0.0, optical)) * (1 - 1e-12)
+        path = tmp_path / "corner.yaml"
+        path.write_text(f"zoning: {{room_x_m: {side_m!r}, room_y_m: {side_m!r}}}\n"
+                        "engine: {user_count: 20, duration_s: 10.0, traffic: {arrival_rate_per_min: 6.0}}\n"
+                        f"channel: {{optical: {{fov_semi_angle_deg: {fov_deg!r}, noise_psd_A2_per_Hz: 1.0e-30, "
+                        f"bandwidth_Hz: 1.0, tx_optical_power_W: {power!r}}}}}\n")
+        assert cli.main(["indoor-sim", "--config", str(path)]) == 0
+        rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[1:])
+        assert int(rows["admissions.accept_on_lifi"]) > 0
+        assert rows["sinr_mean_db"] == "-inf" or math.isfinite(float(rows["sinr_mean_db"]))
+        assert all(math.isfinite(float(v)) for k, v in rows.items() if k not in ("sinr_mean_db", "ahp.chosen"))
 
     def test_submillisecond_car_window_runs(self, tmp_path):
         path = tmp_path / "car.yaml"
@@ -594,14 +631,12 @@ class TestTrace:
 
 
 class TestIndoorSim:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is not under test, the nan it leaves is
-    def test_non_finite_score_is_runtime_error(self, tmp_path, capsys):
-        # A 1e-9 degree FOV zeroes every LiFi gain, and this noise power underflows to 0: the LiFi SINR is 0/0, a
-        # nan. No AHP rank is made from it, and nothing is written.
+    def test_non_finite_score_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        # No accepted config makes a nan SINR, so a stubbed channel does: the LiFi capacity total is nan. No AHP rank
+        # is made from it, and nothing is written.
+        monkeypatch.setattr(channel, "optical_sinr", lambda serving, interferers, params: np.full(len(serving), math.nan))
         path = tmp_path / "dark.yaml"
-        path.write_text("engine: {user_count: 20, duration_s: 5.0, traffic: {arrival_rate_per_min: 6.0}}\n"
-                        "channel: {optical: {fov_semi_angle_deg: 1.0e-9, noise_psd_A2_per_Hz: 1.0e-300, "
-                        "bandwidth_Hz: 1.0e-30}}\n")
+        path.write_text("engine: {user_count: 20, duration_s: 5.0, traffic: {arrival_rate_per_min: 6.0}}\n")
         assert cli.main(["indoor-sim", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "scores must be finite and non-negative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
