@@ -48,6 +48,8 @@ LAMBERTIAN_ANGLE = ("in (0, 90) degrees with a cosine below 1.0 (a finite Lamber
 FINITE_POWER_DB = ("in [-300, 300] dB (a linear power within 1e+-30)", lambda v: -300.0 <= v <= 300.0)
 # A bandwidth in [1, 1e30] Hz adds 10 log10 B in [0, 300] dB to a noise density, so the noise power is within 1e-30..1e60 mW.
 NOISE_BANDWIDTH = ("in [1, 1e30] Hz (10 log10 B within [0, 300] dB)", lambda v: 1.0 <= v <= 1e30)
+# An optical distance of at most 1e150 m keeps the gain's 2 pi (l^2 + h^2) below about 1.3e301, inside the float range.
+OPTICAL_DISTANCE = ("at most 1e150 m (a finite 2 pi (l^2 + h^2) in the optical gain)", lambda v: v <= 1e150)
 
 
 def db_to_linear(x_db):
@@ -78,6 +80,7 @@ class OpticalParams:
         check_fields(self, *POSITIVE, "pd_area_m2", "filter_gain", "refractive_index",
                      "tx_optical_power_W", "responsivity_A_per_W", "noise_psd_A2_per_Hz", "bandwidth_Hz", "ap_height_m")
         check_fields(self, *NOISE_BANDWIDTH, "bandwidth_Hz")
+        check_fields(self, *OPTICAL_DISTANCE, "ap_height_m")
         # Over a noise power in [1e-30, 1e30] A^2 and squared signals of at most 1e60, every SINR is finite.
         check_fields(self, "positive, with N0 B in [1e-30, 1e30] A^2 (a finite SINR)",
                      lambda n0: 1e-30 <= n0 * self.bandwidth_Hz <= 1e30, "noise_psd_A2_per_Hz")

@@ -10,18 +10,22 @@ receiver) pair; local actions such as signal sensing, CAC and link
 teardown appear as self-addressed messages so that per-step latency
 accounting stays uniform.
 
+``_bind`` checks the safety rules on each table it builds, so a broken
+table fails the import. The order rules hold on every prefix of a table
+that keeps them, and a prefix carries at most the table's one
+handover-complete, so every trace, complete or failed, keeps them too.
+
 Execution is strictly serial: a step is sent only after the previous step
 delivers, so the end-to-end latency of a fault-free run is the sum of the
-per-step delays. A fault plan can drop a step's message a given number of
-times; a drop beyond the retry budget of that message kind fails the run
-at that step and leaves the serving link in place.
+per-step delays. A dropped step fails the run at that step after one hop
+of waiting and leaves the serving link in place.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class HandoverKind(enum.Enum):
@@ -105,9 +109,28 @@ class StepDescriptor:
     receiver: str
 
 
+# Safety rules on message order: (message kind, the kind that must come before it, the rule's reason).
+_NEEDS_BEFORE = (
+    (K.HO_RESPONSE, K.CAC_CHECK, "handover response before CAC check"),
+    (K.DETACH, K.HO_RESPONSE, "detach before handover response"),
+    (K.LINK_DELETE, K.HO_COMPLETE, "serving-link delete before handover complete"),
+    (K.LINK_DELETE, K.SYNC, "serving-link delete before target sync"),
+)
+
+
 def _bind(roles: dict[str, str]) -> tuple[StepDescriptor, ...]:
-    """The call flow with ``roles`` bound, its conditional steps kept or dropped, numbered from 1."""
+    """The call flow with ``roles`` bound, its conditional steps kept or dropped, numbered from 1.
+
+    Raises ValueError with the rule's reason unless the table carries exactly
+    one handover-complete and each ``_NEEDS_BEFORE`` kind follows the kind it needs.
+    """
     rows = [(k, roles.get(s, s), roles.get(r, r)) for k, s, r, when in _CALL_FLOW if when is None or roles[when] != FAP]
+    kinds = [k for k, _, _ in rows]
+    if kinds.count(K.HO_COMPLETE) != 1:
+        raise ValueError("a call flow must carry exactly one handover-complete message")
+    for kind, needed, reason in _NEEDS_BEFORE:
+        if kind in kinds and needed not in kinds[:kinds.index(kind)]:
+            raise ValueError(reason)
     return tuple(StepDescriptor(n, *row) for n, row in enumerate(rows, 1))
 
 
@@ -133,18 +156,6 @@ class ProtocolMessage:
             raise ValueError("deliver time must not precede send time")
 
 
-@dataclass(frozen=True)
-class FaultPlan:
-    """Message drops to inject: step number -> how many sends to swallow.
-
-    ``retry_budget`` maps a message kind to the number of resends allowed;
-    kinds not listed fail on the first drop.
-    """
-
-    drop_counts: dict[int, int] = field(default_factory=dict)
-    retry_budget: dict[MessageKind, int] = field(default_factory=dict)
-
-
 TRACE_CSV_HEADER = ("step", "kind", "from", "to", "t_send", "t_deliver")
 
 
@@ -152,13 +163,16 @@ TRACE_CSV_HEADER = ("step", "kind", "from", "to", "t_send", "t_deliver")
 class HandoverTrace:
     kind: HandoverKind
     messages: tuple[ProtocolMessage, ...]
-    outcome: str  # "complete" or "failed"
-    failed_step: int | None
+    failed_step: int | None  # the dropped step of a failed run; None when complete
     latency_s: float
 
     @property
     def complete(self) -> bool:
-        return self.outcome == "complete"
+        return self.failed_step is None
+
+    @property
+    def outcome(self) -> str:
+        return "complete" if self.complete else "failed"
 
     def csv_rows(self) -> list[tuple]:
         """One (step, kind, from, to, t_send, t_deliver) row per message, as ``TRACE_CSV_HEADER`` names them."""
@@ -166,86 +180,22 @@ class HandoverTrace:
                 for m in self.messages]
 
 
-def run_handover(kind: HandoverKind, per_hop_s: float, fault_plan: FaultPlan | None = None) -> HandoverTrace:
+def run_handover(kind: HandoverKind, per_hop_s: float, drop_step: int | None = None) -> HandoverTrace:
     """Execute one handover flow and return its trace.
 
-    Every hop takes ``per_hop_s``. With an empty fault plan the trace
-    reproduces the canonical sequence in order and its latency is the
-    per-step delay sum. A dropped message beyond its retry budget fails the
-    run at that step; every message already delivered stays in the trace.
+    Every hop takes ``per_hop_s``. Without a drop the trace reproduces the
+    canonical sequence in order and its latency is the per-step delay sum.
+    A message dropped at ``drop_step`` fails the run at that step after one
+    hop of waiting; every message already delivered stays in the trace.
     """
     if not 0.0 <= per_hop_s < math.inf:
         raise ValueError(f"per-hop latency must be finite and >= 0, got {per_hop_s!r}")
-    faults = fault_plan if fault_plan is not None else FaultPlan()
-
     messages: list[ProtocolMessage] = []
     clock = 0.0  # the first message is sent at 0, so the clock is the latency so far
     for step in canonical_sequence(kind):
-        drops = faults.drop_counts.get(step.step_number, 0)
-        allowed = faults.retry_budget.get(step.kind, 0)
-        if drops > allowed:
-            # The failed attempts still burn time, then the run aborts.
-            return HandoverTrace(kind, tuple(messages), "failed", step.step_number, clock + (allowed + 1) * per_hop_s)
-        deliver_time = clock + (drops + 1) * per_hop_s
+        if step.step_number == drop_step:
+            return HandoverTrace(kind, tuple(messages), step.step_number, clock + per_hop_s)
+        deliver_time = clock + per_hop_s
         messages.append(ProtocolMessage(step.step_number, step.kind, step.sender, step.receiver, clock, deliver_time))
         clock = deliver_time
-    return HandoverTrace(kind, tuple(messages), "complete", None, clock)
-
-
-# Safety rules on message order: (message kind, the kind that must come before it, the violation's reason).
-_NEEDS_BEFORE = (
-    (K.HO_RESPONSE, K.CAC_CHECK, "handover response before CAC check"),
-    (K.DETACH, K.HO_RESPONSE, "detach before handover response"),
-    (K.LINK_DELETE, K.HO_COMPLETE, "serving-link delete before handover complete"),
-    (K.LINK_DELETE, K.SYNC, "serving-link delete before target sync"),
-)
-
-
-@dataclass(frozen=True)
-class Violation:
-    step: int
-    reason: str
-
-
-def validate_trace(trace: HandoverTrace) -> Violation | None:
-    """Check a trace against the canonical table and the safety rules.
-
-    Returns None when the trace is valid, otherwise the first violation.
-    Safety rules hold for both complete and failed (prefix) traces: finite,
-    serial timing, CAC before any handover response, no detach before a handover
-    response, at most one handover-complete message (exactly one when
-    complete) and no serving-link delete before sync and completion.
-    """
-    steps = canonical_sequence(trace.kind)
-    seen: list[MessageKind] = []
-    prev_deliver = None
-    for i, msg in enumerate(trace.messages):
-        if msg.step_number != i + 1:
-            return Violation(msg.step_number, "step numbers must increase contiguously from 1")
-        if not (math.isfinite(msg.send_time_s) and math.isfinite(msg.deliver_time_s)):
-            return Violation(msg.step_number, "send and delivery times must be finite")
-        if prev_deliver is not None and msg.send_time_s < prev_deliver:
-            return Violation(msg.step_number, "send precedes delivery of the previous step")
-        prev_deliver = msg.deliver_time_s
-        for kind, needed, reason in _NEEDS_BEFORE:
-            if msg.kind is kind and needed not in seen:
-                return Violation(msg.step_number, reason)
-        if msg.kind is K.HO_COMPLETE and K.HO_COMPLETE in seen:
-            return Violation(msg.step_number, "more than one handover-complete message")
-        seen.append(msg.kind)
-        expected = steps[i] if i < len(steps) else None
-        if expected is None:
-            return Violation(msg.step_number, "trace longer than the canonical sequence")
-        if (msg.kind, msg.sender, msg.receiver) != (expected.kind, expected.sender, expected.receiver):
-            return Violation(
-                msg.step_number,
-                f"expected {expected.kind.value} {expected.sender}->{expected.receiver}, "
-                f"got {msg.kind.value} {msg.sender}->{msg.receiver}",
-            )
-    if trace.complete:
-        if len(trace.messages) != len(steps):
-            return Violation(len(trace.messages), "complete trace must cover the full sequence")
-        if seen.count(K.HO_COMPLETE) != 1:
-            return Violation(len(trace.messages), "complete trace must carry exactly one handover-complete")
-    return None
-
+    return HandoverTrace(kind, tuple(messages), None, clock)

@@ -42,6 +42,7 @@ class VehicleLink:
         channel.check_fields(self, "'lifi' or 'fap'", lambda v: v in ("lifi", "fap"), "in_vehicle_access")
         channel.check_fields(self, *channel.POSITIVE, "shadowing_sigma_dB")
         channel.check_fields(self, *channel.NON_NEGATIVE_FINITE, "access_horizontal_distance_m")
+        channel.check_fields(self, *channel.OPTICAL_DISTANCE, "access_horizontal_distance_m")
         channel.check_fields(self, *channel.POSITIVE_FINITE, "access_femto_distance_m")
 
 

@@ -16,7 +16,7 @@ tables of ``policy.admit_new_call`` and ``policy.handover_decision``;
 ``channel.optical_channel_gain``. ``car_follow_uptime_sampled`` samples
 the car-following optical link one instant at a time, the reference for
 the exact outage interval of ``transport.reliability_sweep``.
-``trace_from_csv`` reads a written trace back for replay validation.
+``trace_from_csv`` reads a written trace back, so a replay can be compared with its run.
 """
 
 import csv
@@ -427,8 +427,8 @@ def indoor_run_reference(config, sample_order: str = "tick-major") -> Metrics:
     return m
 
 
-def trace_from_csv(text: str, kind: HandoverKind, outcome: str = "complete", failed_step: int | None = None) -> HandoverTrace:
-    """Rebuild a trace from its CSV form for replay validation."""
+def trace_from_csv(text: str, kind: HandoverKind) -> HandoverTrace:
+    """Rebuild a complete trace from its CSV form."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     if tuple(header) != TRACE_CSV_HEADER:
@@ -448,4 +448,4 @@ def trace_from_csv(text: str, kind: HandoverKind, outcome: str = "complete", fai
             )
         )
     latency = messages[-1].deliver_time_s - messages[0].send_time_s if messages else 0.0
-    return HandoverTrace(kind=kind, messages=tuple(messages), outcome=outcome, failed_step=failed_step, latency_s=latency)
+    return HandoverTrace(kind=kind, messages=tuple(messages), failed_step=None, latency_s=latency)

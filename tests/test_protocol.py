@@ -1,14 +1,13 @@
-"""Handover call-flow conformance, fault injection and trace replay tests."""
+"""Handover call-flow conformance, safety rules on the step tables, dropped steps and trace replay tests."""
 
-import dataclasses
 import math
 
 import pytest
 
+from hybridnet import protocol
 from hybridnet.cli import _csv_text
 from hybridnet.protocol import (
-    TRACE_CSV_HEADER, FaultPlan, HandoverKind, HandoverTrace, MessageKind,
-    ProtocolMessage, canonical_sequence, run_handover, validate_trace,
+    TRACE_CSV_HEADER, HandoverKind, MessageKind, ProtocolMessage, canonical_sequence, run_handover,
 )
 from oracles import trace_from_csv
 
@@ -55,6 +54,56 @@ class TestCanonicalSequences:
         assert has_auth(HandoverKind.LIFI_TO_LIFI)
 
 
+def _moved(rows, kind, before):
+    """``rows`` with every row of ``kind`` moved, in order, to just before the first row of ``before`` (None: the end)."""
+    rest = [row for row in rows if row[0] is not kind]
+    at = len(rest) if before is None else next(i for i, row in enumerate(rest) if row[0] is before)
+    return rest[:at] + [row for row in rows if row[0] is kind] + rest[at:]
+
+
+K = MessageKind
+FLOW = protocol._CALL_FLOW
+BROKEN_FLOWS = {
+    "response-before-cac": (_moved(FLOW, K.CAC_CHECK, K.DETACH), "handover response before CAC check"),
+    "detach-before-response": (_moved(FLOW, K.DETACH, K.HO_RESPONSE), "detach before handover response"),
+    "delete-before-complete": (_moved(FLOW, K.LINK_DELETE, K.HO_COMPLETE),
+                               "serving-link delete before handover complete"),
+    "delete-before-sync": (_moved(FLOW, K.SYNC, None), "serving-link delete before target sync"),
+    "no-complete": ([row for row in FLOW if row[0] is not K.HO_COMPLETE], "exactly one handover-complete"),
+    "two-completes": ([*FLOW, next(row for row in FLOW if row[0] is K.HO_COMPLETE)], "exactly one handover-complete"),
+}
+
+
+class TestSafetyRulesOnTheTables:
+    @pytest.mark.parametrize("kind", list(HandoverKind))
+    @pytest.mark.parametrize("broken", BROKEN_FLOWS, ids=list(BROKEN_FLOWS))
+    def test_broken_table_raises_with_the_rules_reason(self, monkeypatch, broken, kind):
+        rows, reason = BROKEN_FLOWS[broken]
+        monkeypatch.setattr(protocol, "_CALL_FLOW", tuple(rows))
+        with pytest.raises(ValueError, match=reason):
+            protocol._bind(protocol._ROLES[kind])
+
+
+class TestConformance:
+    @pytest.mark.parametrize("kind", list(HandoverKind))
+    def test_every_trace_is_a_serial_prefix_of_its_table(self, kind):
+        steps = canonical_sequence(kind)
+        per_hop_s = 0.005
+        for drop_step in [None, *range(1, len(steps) + 1)]:
+            trace = run_handover(kind, per_hop_s, drop_step)
+            delivered = len(steps) if drop_step is None else drop_step - 1
+            assert [(m.step_number, m.kind, m.sender, m.receiver) for m in trace.messages] == [
+                (s.step_number, s.kind, s.sender, s.receiver) for s in steps[:delivered]]
+            clock = 0.0
+            for message in trace.messages:
+                assert message.send_time_s == clock and math.isfinite(message.deliver_time_s)
+                clock = message.deliver_time_s
+            # A complete run ends at its last delivery; a failed one waits one more hop for the dropped step.
+            assert trace.latency_s == (clock if drop_step is None else clock + per_hop_s)
+            assert trace.latency_s == pytest.approx((delivered + (drop_step is not None)) * per_hop_s, rel=1e-12)
+            assert (trace.failed_step, trace.complete) == (drop_step, drop_step is None)
+
+
 class TestRunHandover:
     def test_zero_latency_bus(self):
         trace = run_handover(HandoverKind.LIFI_TO_LIFI, per_hop_s=0.0)
@@ -74,129 +123,16 @@ class TestRunHandover:
     def test_fault_free_traces_validate(self):
         for kind in HandoverKind:
             trace = run_handover(kind, per_hop_s=0.001)
-            assert trace.complete
-            assert validate_trace(trace) is None
+            assert (trace.complete, trace.outcome, trace.failed_step) == (True, "complete", None)
+            assert len(trace.messages) == STEP_COUNTS[kind]
 
     def test_dropped_response_fails_and_preserves_serving_link(self):
-        plan = FaultPlan(drop_counts={11: 1})
-        trace = run_handover(HandoverKind.FEMTO_TO_LIFI, per_hop_s=0.005, fault_plan=plan)
-        assert trace.outcome == "failed"
+        trace = run_handover(HandoverKind.FEMTO_TO_LIFI, per_hop_s=0.005, drop_step=11)
+        assert trace.outcome == "failed" and not trace.complete
         assert trace.failed_step == 11
         assert len(trace.messages) == 10
         assert all(m.kind is not MessageKind.LINK_DELETE for m in trace.messages)
-        assert validate_trace(trace) is None  # a failed prefix is still well-formed
-
-    def test_retry_budget_recovers_single_drop(self):
-        plan = FaultPlan(drop_counts={7: 1}, retry_budget={MessageKind.HO_REQUEST: 1})
-        trace = run_handover(HandoverKind.LIFI_TO_LIFI, per_hop_s=0.005, fault_plan=plan)
-        assert trace.complete
-        assert trace.latency_s == pytest.approx(28 * 0.005, rel=1e-12)  # one resend adds a hop
-
-    def test_retry_budget_exhausts(self):
-        plan = FaultPlan(drop_counts={7: 2}, retry_budget={MessageKind.HO_REQUEST: 1})
-        trace = run_handover(HandoverKind.LIFI_TO_LIFI, per_hop_s=0.005, fault_plan=plan)
-        assert trace.outcome == "failed" and trace.failed_step == 7
-
-
-def _renumber(messages):
-    return tuple(
-        dataclasses.replace(m, step_number=i + 1, send_time_s=float(i), deliver_time_s=float(i) + 0.5)
-        for i, m in enumerate(messages)
-    )
-
-
-class TestValidateTrace:
-    def base(self, kind=HandoverKind.LIFI_TO_LIFI):
-        return run_handover(kind, per_hop_s=0.001)
-
-    def test_detach_before_response_violates(self):
-        trace = self.base()
-        msgs = list(trace.messages)
-        detach = next(m for m in msgs if m.kind is MessageKind.DETACH)
-        msgs.remove(detach)
-        msgs.insert(5, detach)  # before the request/response exchange
-        bad = dataclasses.replace(trace, messages=_renumber(msgs))
-        violation = validate_trace(bad)
-        assert violation is not None
-        assert "detach" in violation.reason
-
-    def test_duplicate_complete_violates(self):
-        trace = self.base()
-        msgs = list(trace.messages)
-        complete = next(m for m in msgs if m.kind is MessageKind.HO_COMPLETE)
-        msgs.append(complete)
-        bad = dataclasses.replace(trace, messages=_renumber(msgs))
-        violation = validate_trace(bad)
-        assert violation is not None
-
-    def test_delete_before_complete_violates(self):
-        trace = self.base()
-        msgs = list(trace.messages)
-        delete = msgs[-1]
-        msgs.remove(delete)
-        msgs.insert(2, delete)
-        bad = dataclasses.replace(trace, messages=_renumber(msgs))
-        violation = validate_trace(bad)
-        assert violation is not None
-        assert "delete" in violation.reason
-
-    def test_missing_complete_is_invalid(self):
-        trace = self.base()
-        msgs = [m for m in trace.messages if m.kind is not MessageKind.HO_COMPLETE]
-        bad = dataclasses.replace(trace, messages=_renumber(msgs))
-        assert validate_trace(bad) is not None
-
-    def test_response_before_cac_violates(self):
-        trace = self.base()
-        msgs = [m for m in trace.messages if m.kind is not MessageKind.CAC_CHECK]
-        bad = dataclasses.replace(trace, messages=_renumber(msgs))
-        violation = validate_trace(bad)
-        assert violation is not None
-        assert "CAC" in violation.reason
-
-    def test_non_serial_timing_violates(self):
-        trace = self.base()
-        msgs = list(trace.messages)
-        msgs[3] = dataclasses.replace(msgs[3], send_time_s=0.0, deliver_time_s=0.0001)
-        bad = dataclasses.replace(trace, messages=tuple(msgs))
-        violation = validate_trace(bad)
-        assert violation is not None
-
-    @pytest.mark.parametrize("time_s", [math.nan, math.inf])
-    def test_non_finite_time_violates(self, time_s):
-        trace = self.base()
-        msgs = list(trace.messages)
-        msgs[-1] = dataclasses.replace(msgs[-1], send_time_s=time_s, deliver_time_s=time_s)
-        violation = validate_trace(dataclasses.replace(trace, messages=tuple(msgs)))
-        assert violation is not None
-        assert "finite" in violation.reason
-
-    def test_wrong_sender_violates(self):
-        trace = self.base()
-        msgs = list(trace.messages)
-        msgs[6] = dataclasses.replace(msgs[6], sender="ue")
-        bad = dataclasses.replace(trace, messages=tuple(msgs))
-        assert validate_trace(bad) is not None
-
-
-class TestRandomizedFaultSafety:
-    def test_random_fault_plans_respect_safety(self):
-        import numpy as np
-
-        gen = np.random.Generator(np.random.PCG64(2024))
-        kinds = list(HandoverKind)
-        for _ in range(500):
-            kind = kinds[int(gen.integers(len(kinds)))]
-            n_steps = STEP_COUNTS[kind]
-            drops = {int(gen.integers(1, n_steps + 1)): int(gen.integers(1, 3)) for _ in range(int(gen.integers(0, 3)))}
-            budget = {MessageKind.HO_REQUEST: int(gen.integers(0, 2)), MessageKind.LINK_SETUP: int(gen.integers(0, 2))}
-            trace = run_handover(kind, per_hop_s=0.005, fault_plan=FaultPlan(drops, budget))
-            assert validate_trace(trace) is None
-            completes = [m for m in trace.messages if m.kind is MessageKind.HO_COMPLETE]
-            assert len(completes) <= 1
-            deletes = [m for m in trace.messages if m.kind is MessageKind.LINK_DELETE]
-            if deletes:
-                assert completes, "serving link deleted without completion"
+        assert trace.latency_s == pytest.approx(11 * 0.005, rel=1e-12)  # ten hops delivered, one waited for
 
 
 class TestTraceCsv:
@@ -205,9 +141,7 @@ class TestTraceCsv:
         text = _csv_text(TRACE_CSV_HEADER, trace.csv_rows())  # as `trace --out` writes it
         assert text.splitlines()[0] == "step,kind,from,to,t_send,t_deliver"
         assert len(text.splitlines()) == 27  # header + 26 steps
-        back = trace_from_csv(text, HandoverKind.FEMTO_TO_LIFI)
-        assert back.messages == trace.messages
-        assert validate_trace(back) is None
+        assert trace_from_csv(text, HandoverKind.FEMTO_TO_LIFI) == trace
 
     def test_rejects_unknown_header(self):
         with pytest.raises(ValueError):

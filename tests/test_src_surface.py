@@ -16,8 +16,10 @@ passed when a call gives it positionally or by keyword; a call that
 unpacks ``*args`` or ``**kwargs`` counts as passing every parameter, so
 only a call that leaves the argument out keeps a default. The first
 parameter of a method (``self`` or ``cls``) is not counted. A function that ``src/`` never calls
-is left to the reference rule. Dataclass field defaults are not covered:
-``config.py`` derives ``DEFAULT_CONFIG`` from them.
+is left to the reference rule. A frozen dataclass that ``src/`` constructs
+itself counts as a function whose parameters are its fields, in order. The
+sections of ``config.SECTIONS`` are left out: ``config.build`` passes each
+of their fields, and ``DEFAULT_CONFIG`` comes from their defaults.
 
 Option rule, the default rule's mirror: a function's parameter default
 must be passed by at least one call in ``src/`` or ``scripts/``. A
@@ -31,8 +33,12 @@ import textwrap
 from collections import defaultdict
 from pathlib import Path
 
+from hybridnet.config import SECTIONS
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "hybridnet"
 SCRIPTS = SRC.parents[1] / "scripts"
+
+CONFIGURED = {cls.__name__ for cls, _skip in SECTIONS.values()}  # config.build passes all their fields
 
 EXEMPT = {
     # ROADMAP item 5 writes fig18's closed_form column from it; until then the acceptance suite calls it.
@@ -78,13 +84,26 @@ def test_every_definition_is_referenced_in_src():
     assert not unreferenced, f"nothing in src/ references: {unreferenced}"
 
 
-def _functions(tree: ast.Module):
-    """(def, its positional parameter names) of every function, a method's ``self``/``cls`` dropped."""
+def _frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", getattr(d.func, "attr", None)) == "dataclass"
+               and any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in d.keywords)
+               for d in node.decorator_list)
+
+
+def _signatures(tree: ast.Module):
+    """(name, positional parameter names, defaulted parameter names) of every function, a method's
+    ``self``/``cls`` dropped, and of every frozen dataclass not in ``CONFIGURED``, its fields as parameters."""
     methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):
-            positional = [a.arg for a in node.args.posonlyargs + node.args.args]
-            yield node, positional[1:] if id(node) in methods else positional
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args][id(node) in methods:]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            yield node.name, positional, defaulted
+        elif isinstance(node, ast.ClassDef) and _frozen_dataclass(node) and node.name not in CONFIGURED:
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            yield node.name, [f.target.id for f in fields], [f.target.id for f in fields if f.value is not None]
 
 
 def _passes(call: ast.Call, positional: list[str], param: str) -> bool:
@@ -105,11 +124,9 @@ def _defaults_passed(src: Path, callers: tuple[Path, ...], rule) -> list[str]:
                 calls[func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)].append(node)
     found = []
     for module, tree in trees.items():
-        for function, positional in _functions(tree):
-            args, sites = function.args, calls[function.name]
-            defaulted = positional[len(positional) - len(args.defaults):]
-            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-            found += [f"{module}:{function.name}({param})" for param in defaulted
+        for name, positional, defaulted in _signatures(tree):
+            sites = calls[name]
+            found += [f"{module}:{name}({param})" for param in defaulted
                       if sites and rule(_passes(call, positional, param) for call in sites)]
     return found
 
@@ -214,6 +231,43 @@ def test_option_rule_on_small_modules(tmp_path):
     assert sorted(never_passed_defaults(tmp_path)) == [
         "lib.py:method(a)", "lib.py:option(y)", "lib.py:passed_by_a_caller(a)",
     ]
+
+
+def test_frozen_dataclass_fields_on_small_modules(tmp_path):
+    (tmp_path / "lib.py").write_text(textwrap.dedent("""
+        from dataclasses import dataclass, field
+
+        @dataclass(frozen=True)
+        class Plan:
+            steps: tuple
+            drops: dict = field(default_factory=dict)
+            budget: dict = field(default_factory=dict)
+            label: str = ""
+
+        @dataclass(frozen=True)
+        class RoomConfig:  # a config section: config.build passes every field
+            side_m: float = 1.0
+
+        @dataclass
+        class Tally:  # not frozen
+            count: int = 0
+    """))
+    (tmp_path / "app.py").write_text(textwrap.dedent("""
+        from lib import Plan, RoomConfig, Tally
+
+        def run(steps):
+            Plan(steps, {1: 1})
+            Plan(steps, label="x")
+            Plan(steps, {}, {}, "y")
+            RoomConfig()
+            Tally()
+    """))
+    assert sorted(never_passed_defaults(tmp_path)) == []
+    assert sorted(always_passed_defaults(tmp_path)) == []
+    (tmp_path / "app.py").write_text("from lib import Plan, RoomConfig\n\nPlan((), {1: 1})\nPlan(())\nRoomConfig()\n")
+    assert sorted(never_passed_defaults(tmp_path)) == ["lib.py:Plan(budget)", "lib.py:Plan(label)"]
+    (tmp_path / "app.py").write_text("from lib import Plan\n\nPlan((), drops={1: 1}, budget={}, label='z')\n")
+    assert sorted(always_passed_defaults(tmp_path)) == ["lib.py:Plan(budget)", "lib.py:Plan(drops)", "lib.py:Plan(label)"]
 
 
 def test_traced_benchmark_functions_stay_public_module_functions():

@@ -78,6 +78,7 @@ class TestVehicleCapacity:
         with pytest.raises(ValueError):
             VehicleLink(shadowing_sigma_dB=0.0)
         for field, value in (("access_horizontal_distance_m", -1.0), ("access_horizontal_distance_m", math.inf),
+                             ("access_horizontal_distance_m", 1.0e151),
                              ("access_femto_distance_m", 0.0), ("access_femto_distance_m", math.inf),
                              ("in_vehicle_access", "wifi")):
             with pytest.raises(ValueError, match=field):
