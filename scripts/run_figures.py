@@ -6,14 +6,11 @@ Usage:
 
 Produces one CSV plus a run manifest per figure (fig16 .. fig21), using the
 published parameter-table defaults unless a config file overrides them.
-Only the flags given here are passed on, so ``HYBRIDNET_SEED``,
-``HYBRIDNET_OUT`` and ``HYBRIDNET_CONFIG`` apply as they do to
-``hybridnet experiment``. With neither ``--out`` nor ``HYBRIDNET_OUT``, the
-output directory is ``out``.
+The output directory is ``out`` unless ``--out`` names another; ``--seed``
+and ``--config`` are passed on to ``hybridnet experiment`` only when given.
 """
 
 import argparse
-import os
 import sys
 
 from hybridnet import cli
@@ -21,12 +18,10 @@ from hybridnet import cli
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out")
+    parser.add_argument("--out", default="out")
     parser.add_argument("--seed")
     parser.add_argument("--config")
     args = parser.parse_args()
-    if args.out is None and "HYBRIDNET_OUT" not in os.environ:
-        args.out = "out"
     flags = [item for flag, value in vars(args).items() if value is not None for item in (f"--{flag}", value)]
 
     for name in cli.EXPERIMENTS:

@@ -78,8 +78,10 @@ class OpticalParams:
 
     def __post_init__(self):
         check_fields(self, *POSITIVE, "pd_area_m2", "filter_gain", "refractive_index",
-                     "tx_optical_power_W", "responsivity_A_per_W", "noise_psd_A2_per_Hz", "bandwidth_Hz", "ap_height_m")
+                     "tx_optical_power_W", "responsivity_A_per_W", "noise_psd_A2_per_Hz", "bandwidth_Hz")
         check_fields(self, *NOISE_BANDWIDTH, "bandwidth_Hz")
+        # A height of at least 1e-150 m keeps h^2 at least 1e-300: it cannot underflow to 0, which H(0) would divide by.
+        check_fields(self, "at least 1e-150 m (a nonzero h^2 in the optical gain)", lambda h: h >= 1e-150, "ap_height_m")
         check_fields(self, *OPTICAL_DISTANCE, "ap_height_m")
         # Over a noise power in [1e-30, 1e30] A^2 and squared signals of at most 1e60, every SINR is finite.
         check_fields(self, "positive, with N0 B in [1e-30, 1e30] A^2 (a finite SINR)",
@@ -187,21 +189,6 @@ def linear_to_db(linear):
     return 10.0 * math.log10(linear) if linear > 0 else float("-inf")
 
 
-def _sinr(signal, interference_terms, noise):
-    """Linear signal over noise plus interference, for one link (a float) or a batch of links (an array).
-
-    ``interference_terms`` holds one row of terms per link. They are added
-    column by column, left to right, so a batch equals per-link calls bit
-    for bit: numpy's pairwise ``sum`` reorders eight or more terms, and a
-    float ``sum()`` is compensated from Python 3.12.
-    """
-    interference = np.zeros(np.shape(signal))
-    for term in np.moveaxis(interference_terms, -1, 0):
-        interference = interference + term
-    linear = signal / (noise + interference)
-    return linear if np.ndim(linear) else float(linear)
-
-
 def optical_sinr(serving_gain, interferer_gains, params: OpticalParams):
     """Electrical-domain linear SINR: squared signal over noise plus squared interference.
 
@@ -216,11 +203,13 @@ def optical_sinr(serving_gain, interferer_gains, params: OpticalParams):
         raise ValueError("channel gains must be >= 0")
     scale = params.responsivity_A_per_W * params.tx_optical_power_W
     # float_power(x, 2.0) is libm's pow, as Python's x**2 is; np.square is x*x and can differ in the last bit.
-    return _sinr(
-        np.float_power(scale * serving, 2.0),
-        np.float_power(scale * interferers, 2.0),
-        params.noise_psd_A2_per_Hz * params.bandwidth_Hz,
-    )
+    # The terms are added column by column, left to right, so a batch equals per-link calls bit for bit: numpy's
+    # pairwise ``sum`` reorders eight or more terms, and a float ``sum()`` is compensated from Python 3.12.
+    interference = np.zeros(serving.shape)
+    for term in np.moveaxis(np.float_power(scale * interferers, 2.0), -1, 0):
+        interference = interference + term
+    linear = np.float_power(scale * serving, 2.0) / (params.noise_psd_A2_per_Hz * params.bandwidth_Hz + interference)
+    return linear if np.ndim(linear) else float(linear)
 
 
 def shannon_capacity(sinr_linear, bandwidth_Hz):
@@ -263,18 +252,11 @@ def femto_path_loss(distance_m, rf: RfParams, wall_count: int):
     return float(loss) if np.isscalar(distance_m) else loss
 
 
-def rf_sinr(serving_rx_dBm, interferer_rx_dBm, noise_dBm: float):
-    """Compose received powers into a linear SINR: signal over noise plus interference.
-
-    Batches like :func:`optical_sinr`: an (M,) array of serving powers with
-    one row of interferer powers per link.
-    """
+def rf_sinr(serving_rx_dBm, noise_dBm: float):
+    """Linear SINR of interference-free RF links: received power (a float or an array) over noise."""
     serving = np.asarray(serving_rx_dBm, dtype=float)
     if not np.all(np.isfinite(serving)) or not math.isfinite(noise_dBm):
         raise ValueError("powers must be finite dBm values")
     # float_power(10, x) is libm's pow, as Python's 10.0 ** x is.
-    return _sinr(
-        np.float_power(10.0, serving / 10.0),
-        np.float_power(10.0, np.asarray(interferer_rx_dBm, dtype=float) / 10.0),
-        np.float_power(10.0, noise_dBm / 10.0),
-    )
+    linear = np.float_power(10.0, serving / 10.0) / np.float_power(10.0, noise_dBm / 10.0)
+    return linear if np.ndim(linear) else float(linear)

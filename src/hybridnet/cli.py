@@ -1,17 +1,17 @@
 """Command-line front end: planning reports, experiment CSVs and traces.
 
 Commands: ``plan``, ``zones``, ``experiment``, ``trace``, ``indoor-sim``.
-Common flags (``--config``, ``--seed``, ``--out``) fall back to
-``HYBRIDNET_CONFIG``, ``HYBRIDNET_SEED`` and ``HYBRIDNET_OUT``; ``plan`` only
-prints and takes no ``--out``. Every command runs the same way: validate,
-then compute, then write. The validation phase parses the flags, lays each
-of ``--room``, ``--radius``, ``--samples`` and ``--per-hop-ms`` that is set
-over the ``zoning`` or ``protocol`` key it overrides, and resolves the
-config, so a flag is checked by its key's rule. ``trace --drop-step`` fails
-the flow at the step it names. Exit codes: 0 success, 2 validation failure
-(flags, config file), 3 runtime failure (any error after validation). A
-reader that closes stdout early ends a command quietly with exit 0, and
-``--version`` or ``--help`` quietly with its usual exit.
+Common flags: ``--config``, ``--seed`` (default 0) and ``--out``; ``plan``
+only prints and takes no ``--out``. A run's settings come from its flags and
+config file only. Every command runs the same way: validate, then compute,
+then write. The validation phase parses the flags, lays each of ``--room``,
+``--radius``, ``--samples`` and ``--per-hop-ms`` that is set over the
+``zoning`` or ``protocol`` key it overrides, and resolves the config, so a
+flag is checked by its key's rule. ``trace --drop-step`` fails the flow at
+the step it names. Exit codes: 0 success, 2 validation failure (flags,
+config file), 3 runtime failure (any error after validation). A reader that
+closes stdout early ends a command quietly with exit 0, and ``--version`` or
+``--help`` quietly with its usual exit.
 
 All CSV output uses '.' decimals, repr-exact floats and newline-terminated
 rows, so a command rerun with the same configuration and seed is
@@ -96,24 +96,16 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _env_default(name: str, parse=str, fallback=None):
-    value = os.environ.get(f"HYBRIDNET_{name}")
-    try:
-        return fallback if value is None else parse(value)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ValueError(f"HYBRIDNET_{name}: {exc}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hybridnet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hybridnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, writes: bool):
-        p.add_argument("--config", default=_env_default("CONFIG"), help="YAML scenario file")
-        p.add_argument("--seed", type=_seed, default=_env_default("SEED", _seed, 0))
+        p.add_argument("--config", help="YAML scenario file")
+        p.add_argument("--seed", type=_seed, default=0)
         if writes:
-            p.add_argument("--out", default=_env_default("OUT"), help="output directory or file")
+            p.add_argument("--out", help="output directory or file")
 
     def key_flag(p, dest: str, **kwargs):
         flag, what, keys, _values = KEY_FLAGS[dest]

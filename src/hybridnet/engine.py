@@ -383,7 +383,7 @@ class _IndoorSim:
         xy = self._positions[ticks, terminals]
         dx, dy = xy[:, 0] - fx, xy[:, 1] - fy
         rx = rf.fap_tx_dBm - channel.femto_path_loss(np.maximum(np.sqrt(dx * dx + dy * dy), 0.1), rf, wall_count=0)
-        return channel.rf_sinr(rx, [], rf.noise_dBm(rf.femto_bandwidth_Hz)), rf.femto_bandwidth_Hz
+        return channel.rf_sinr(rx, rf.noise_dBm(rf.femto_bandwidth_Hz)), rf.femto_bandwidth_Hz
 
     def _check_slot_balance(self) -> None:
         """Each AP's occupied slots are its calls, within its capacity; an idle femtocell holds none."""

@@ -74,7 +74,7 @@ def access_capacity_bps(link: VehicleLink, optical: OpticalParams, rf: RfParams)
         gain = channel.optical_channel_gain(link.access_horizontal_distance_m, optical)
         return channel.shannon_capacity(channel.optical_sinr(gain, [], optical), optical.bandwidth_Hz)
     rx = rf.fap_tx_dBm - channel.femto_path_loss(link.access_femto_distance_m, rf, wall_count=0)
-    return channel.shannon_capacity(channel.rf_sinr(rx, [], rf.noise_dBm(rf.femto_bandwidth_Hz)), rf.femto_bandwidth_Hz)
+    return channel.shannon_capacity(channel.rf_sinr(rx, rf.noise_dBm(rf.femto_bandwidth_Hz)), rf.femto_bandwidth_Hz)
 
 
 def _normal_cdf(x: float) -> float:

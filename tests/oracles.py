@@ -410,7 +410,7 @@ def indoor_run_reference(config, sample_order: str = "tick-major") -> Metrics:
                 fx, fy = plan.fap_center
                 dist = max(math.sqrt((u["x"] - fx) * (u["x"] - fx) + (u["y"] - fy) * (u["y"] - fy)), 0.1)
                 rx_dbm = cfg.rf.fap_tx_dBm - channel.femto_path_loss(dist, cfg.rf, wall_count=0)
-                sinr = channel.rf_sinr(rx_dbm, [], cfg.rf.noise_dBm(cfg.rf.femto_bandwidth_Hz))
+                sinr = channel.rf_sinr(rx_dbm, cfg.rf.noise_dBm(cfg.rf.femto_bandwidth_Hz))
                 capacity = channel.shannon_capacity(sinr, cfg.rf.femto_bandwidth_Hz)
             else:
                 interferers = [0.0 if j == serving else g for j, g in enumerate(u["gain"])]

@@ -178,10 +178,10 @@ class TestBatchedSinr:
 
     def test_rf_rows_equal_scalar_calls(self):
         serving = np.random.default_rng(4).uniform(-110.0, -30.0, size=500)
-        batch = rf_sinr(serving, [], -104.0)
+        batch = rf_sinr(serving, -104.0)
         batch_db = linear_to_db(batch)
         for i, rx in enumerate(serving.tolist()):
-            single = rf_sinr(rx, [], -104.0)
+            single = rf_sinr(rx, -104.0)
             assert (batch[i], batch_db[i]) == (single, linear_to_db(single))
             assert single == 10.0 ** (rx / 10.0) / 10.0 ** (-104.0 / 10.0)
 
@@ -317,22 +317,20 @@ class TestFemtoPathLoss:
 
 class TestRfSinr:
     def test_interference_free_is_snr_subtraction(self):
-        assert linear_to_db(rf_sinr(-60.0, [], -104.0)) == pytest.approx(44.0, abs=1e-9)
-
-    def test_equal_interferer_near_zero_db(self):
-        result = rf_sinr(-60.0, [-60.0], -200.0)
-        assert linear_to_db(result) == pytest.approx(0.0, abs=1e-6)
-
-    def test_linear_power_additivity(self):
-        combined = rf_sinr(-60.0, [-63.0, -63.0], -104.0)
-        single = rf_sinr(-60.0, [-63.0 + 10 * math.log10(2.0)], -104.0)
-        assert combined == pytest.approx(single, rel=1e-12)
-        # two equal -63 dBm sources behave like one at about -60 dBm
-        assert -63.0 + 10 * math.log10(2.0) == pytest.approx(-60.0, abs=0.02)
+        assert linear_to_db(rf_sinr(-60.0, -104.0)) == pytest.approx(44.0, abs=1e-9)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            rf_sinr(float("nan"), [], -104.0)
+            rf_sinr(float("nan"), -104.0)
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValueError):
+            rf_sinr(-60.0, noise)
+
+    def test_one_non_finite_power_rejects_the_batch(self):
+        with pytest.raises(ValueError):
+            rf_sinr(np.array([-60.0, float("inf"), -70.0]), -104.0)
 
 
 class TestPurity:

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import select
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -85,6 +86,10 @@ def out_flag(argv: list, path: Path) -> list:
     return [] if argv[0] == "plan" else ["--out", str(path)]
 
 
+# One run of each command, each at its defaults.
+COMMANDS = [["plan"], ["zones"], ["experiment", "fig18"], ["trace", "lifi-to-lifi"], ["indoor-sim"]]
+
+
 @pytest.fixture
 def small_config(tmp_path):
     path = tmp_path / "small.yaml"
@@ -111,15 +116,12 @@ class TestPlan:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_takes_no_out(self, tmp_path, monkeypatch, capsys):
-        # plan only prints: --out is not one of its flags, and an exported HYBRIDNET_OUT does not stop it.
+    def test_takes_no_out(self, tmp_path, capsys):
+        # plan only prints: --out is not one of its flags.
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["plan", "--samples", "16384", "--out", str(tmp_path / "out")])
         assert excinfo.value.code == 2
         assert "--out" in capsys.readouterr().err
-        monkeypatch.setenv("HYBRIDNET_OUT", str(tmp_path / "out"))
-        assert cli.main(["plan", "--samples", "16384"]) == 0
-        assert "ap_count: 9" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
 
     def test_reads_zoning_from_config(self, tmp_path, capsys):
@@ -147,15 +149,52 @@ class TestZoningFlags:
         assert cli.main([command, *argv]) == 2
         assert flag in capsys.readouterr().err
 
-    def test_no_variable_sets_the_samples(self, monkeypatch, capsys):
-        # zoning.mc_samples is set by its key or by --samples, and trace reads neither.
-        monkeypatch.setenv("HYBRIDNET_SAMPLES", "abc")
-        assert cli.main(["trace", "lifi-to-lifi"]) == 0
+
+class TestEnvironment:
+    @staticmethod
+    def _run(argv, out, capsys):
+        """Exit code, stdout and the files written (each manifest without its duration) by one run of ``argv``."""
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --version and --help
+            code = exc.code
+        files = {}
+        for path in sorted(p for p in out.parent.rglob("*") if p.is_file()):
+            data = path.read_bytes()
+            if path.name.endswith(".manifest.json"):
+                manifest = json.loads(data)
+                assert (manifest.pop("seed"), manifest.pop("config_digest")) == (0, config_digest(DEFAULT_CONFIG))
+                manifest.pop("duration_s")
+                data = json.dumps(manifest, sort_keys=True).encode()
+            files[path.name] = data
+        return code, capsys.readouterr().out, files
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], *COMMANDS], ids=lambda argv: argv[0].lstrip("-"))
+    def test_no_variable_changes_a_command(self, tmp_path, monkeypatch, capsys, argv):
+        # A run's settings come from its flags and its config file only: variables named like them change nothing.
+        ignored = tmp_path / "ignored"
+        ignored.mkdir()
+        out = tmp_path / "run" / ("zones.csv" if argv[0] == "zones" else "out")
+        writes = argv[0] in ("zones", "experiment", "indoor-sim")  # trace prints unless given --out
+        argv = [*argv, "--out", str(out)] if writes else argv
+        variables = {"HYBRIDNET_CONFIG": str(tmp_path / "missing.yaml"), "HYBRIDNET_SEED": "abc",
+                     "HYBRIDNET_OUT": str(ignored), "HYBRIDNET_SAMPLES": "abc"}
+        for name in variables:
+            monkeypatch.delenv(name, raising=False)
+        bare = self._run(argv, out, capsys)
+        shutil.rmtree(out.parent, ignore_errors=True)
+        for name, value in variables.items():
+            monkeypatch.setenv(name, value)
+        assert self._run(argv, out, capsys) == bare
+        assert bare[0] == 0 and bare[1]
+        assert (bare[2] != {}) == writes
+        if argv[0] == "trace":
+            [pin] = [entry["sha256"] for entry in GOLDEN["trace"] if entry["args"] == ["lifi-to-lifi"]]
+            assert hashlib.sha256(bare[1].encode()).hexdigest() == pin
+        assert list(ignored.iterdir()) == []
 
 
 class TestSeed:
-    COMMANDS = [["plan"], ["zones"], ["experiment", "fig18"], ["trace", "lifi-to-lifi"], ["indoor-sim"]]
-
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: argv[0])
     @pytest.mark.parametrize("seed", ["-1", "abc"])
     def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, command, seed):
@@ -163,13 +202,6 @@ class TestSeed:
             cli.main([*command, "--seed", seed, *out_flag(command, tmp_path / "out")])
         assert excinfo.value.code == 2
         assert "--seed" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: argv[0])
-    def test_negative_env_seed_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, command):
-        monkeypatch.setenv("HYBRIDNET_SEED", "-1")
-        assert cli.main([*command, *out_flag(command, tmp_path / "out")]) == 2
-        assert "HYBRIDNET_SEED" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -414,13 +446,17 @@ class TestExperiments:
          "channel.optical.ap_height_m: must be at most 1e150 m"),
         (["experiment", "fig19"], "transport: {vehicle: {access_horizontal_distance_m: 1.0e154}}\n",
          "transport.vehicle.access_horizontal_distance_m: must be at most 1e150 m"),
+        (["indoor-sim"], "channel: {optical: {ap_height_m: 1.0e-300}}\n",
+         "channel.optical.ap_height_m: must be at least 1e-150 m"),
+        (["experiment", "fig19"], "channel: {optical: {ap_height_m: 1.0e-170}}\n",
+         "channel.optical.ap_height_m: must be at least 1e-150 m"),
     ], ids=["fig19-terminal-height", "indoor-sim-optical-power", "fig19-mbs-height", "fig20-center-frequency",
             "indoor-sim-optical-bandwidth", "indoor-sim-optical-noise-power", "indoor-sim-ap-height",
-            "fig19-access-distance"])
+            "fig19-access-distance", "indoor-sim-ap-height-1e-300", "fig19-ap-height-1e-170"])
     def test_value_beyond_its_finite_domain_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, text, key):
         # Each would overflow its model: fig19's direct link to an inf capacity, the LiFi signal power to inf, fig19's
         # and fig20's path loss to inf or -inf, the optical gain's 2 pi d^2 to inf; or underflow the optical noise
-        # power to 0, and a zero-gain SINR to nan.
+        # power to 0, and a zero-gain SINR to nan, or the AP height's h^2 to 0, which the gain below the AP divides by.
         path = tmp_path / "huge.yaml"
         path.write_text(text)
         assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -511,7 +547,7 @@ class TestExperiments:
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     def test_closed_stdout_ends_quietly(self, tmp_path, argv, unbuffered):
         # A reader that has gone (`hybridnet trace ... | head -c 0`) is no failure: exit 0, nothing on stderr.
-        env = {k: v for k, v in os.environ.items() if not k.startswith("HYBRIDNET_") and k != "PYTHONUNBUFFERED"}
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -531,8 +567,7 @@ class TestExperiments:
         out = tmp_path / "out"
         out.mkdir()
         os.mkfifo(out / "fig19.csv")
-        env = {k: v for k, v in os.environ.items() if not k.startswith("HYBRIDNET_")}
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         proc = subprocess.Popen([sys.executable, "-m", "hybridnet.cli", "experiment", "fig19", "--config", str(config),
                                  "--out", str(out)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         try:
@@ -674,37 +709,23 @@ class TestIndoorSim:
             monkeypatch.setattr(builtins, "sum", exact_sum)
         assert hashlib.sha256(run_golden(entry, tmp_path, capsys)).hexdigest() == entry["sha256"]
 
-    def test_env_seed_override(self, tmp_path, small_config, monkeypatch, capsys):
-        out = tmp_path / "env"
-        monkeypatch.setenv("HYBRIDNET_SEED", "123")
-        cli.main(["indoor-sim", "--config", small_config, "--out", str(out)])
-        manifest = json.loads((out / "indoor_sim.manifest.json").read_text())
-        assert manifest["seed"] == 123
-
     def test_duration_is_checked_against_the_configured_tick(self, tmp_path, capsys):
         path = tmp_path / "short-tick.yaml"
         path.write_text("engine: {duration_s: 0.04, mobility: {tick_s: 0.01}}\n")  # four ticks
         assert cli.main(["indoor-sim", "--config", str(path)]) == 0
         assert "fap_idle_fraction," in capsys.readouterr().out
 
-    def test_malformed_env_seed_is_validation_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("HYBRIDNET_SEED", "not-a-number")
-        assert cli.main(["trace", "lifi-to-lifi"]) == 2
-        assert "error" in capsys.readouterr().err
-
 
 class TestRunFigures:
-    @pytest.mark.parametrize("out_given_by", ["flag", "variable", "neither"])
-    def test_environment_reaches_every_experiment(self, tmp_path, small_config, out_given_by):
-        # Only the flags given are passed on: HYBRIDNET_SEED and HYBRIDNET_OUT apply, and out/ is the fallback.
+    @pytest.mark.parametrize("out_given_by", ["flag", "default"])
+    def test_flags_reach_every_experiment(self, tmp_path, small_config, out_given_by):
+        # --seed and --config are passed on to every experiment; the output directory is --out, or out/ without it.
         root = Path(__file__).resolve().parents[1]
-        env = {**{k: v for k, v in os.environ.items() if not k.startswith("HYBRIDNET_")},
-               "PYTHONPATH": str(root / "src"), "HYBRIDNET_CONFIG": small_config, "HYBRIDNET_SEED": "3"}
-        out, flags = tmp_path / "figs", []
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        flags = ["--seed", "3", "--config", small_config]
         if out_given_by == "flag":
-            flags = ["--out", str(out)]
-        elif out_given_by == "variable":
-            env["HYBRIDNET_OUT"] = str(out)
+            out = tmp_path / "figs"
+            flags += ["--out", str(out)]
         else:
             out = tmp_path / "out"
         proc = subprocess.run([sys.executable, str(root / "scripts" / "run_figures.py"), *flags], cwd=tmp_path,
@@ -796,6 +817,6 @@ class TestConfig:
             "assert 'yaml' not in sys.modules, 'yaml imported without --config'"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**{k: v for k, v in os.environ.items() if not k.startswith("HYBRIDNET_")}, "PYTHONPATH": src}
+        env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
