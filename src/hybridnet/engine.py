@@ -465,9 +465,10 @@ def lifi_assignment_idle(locate, placements: int, users: int, ap_count: int, lif
 
     The femtocell ends idle exactly when all the users sit in Zone 2 or 3 and no LiFi AP is asked for more users
     than it has slots (users join a per-AP load one at a time, each checked at the AP it adds to); this matches
-    the sequential admission plus idle-mode pipeline, which tests verify. ``locate(u, rows)`` returns the zone codes
-    and nearest APs of user ``u`` in placements ``rows``, the ones still idle after users 0..u-1: idle only turns
-    false as users join, and only a placement's own users touch its load row, so no later user can change its entry.
+    the sequential admission plus idle-mode pipeline, which tests verify. ``locate(u, rows)``, called for u = 0, 1,
+    ... in turn, returns the zone codes and nearest APs of user ``u`` in ``rows``, the placements still idle after
+    users 0..u-1 (the only ones it need draw user u for): idle only turns false as users join, and only a
+    placement's own users touch its load row, so no later user can change its entry.
     """
     load = np.zeros(placements * ap_count, dtype=np.int32)  # a flat (placements, ap_count) load
     rows, out = np.arange(placements), np.zeros((users, placements), dtype=bool)
@@ -486,30 +487,29 @@ def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[
     The empirical column places users uniformly at random and applies the admission and idle-mode rules, locating
     a user only in the placements still idle (each point is classified on its own, so every located point gets the
     zone and AP it gets among all of them); the closed-form column evaluates the two-term binomial bound on the
-    exact zone probabilities. Common random numbers: each chunk of placements draws the largest user count's
-    users in turn from its own generator, and p users are the first p of them; so the empirical column is
-    non-increasing in p, and no row depends on the other counts requested.
+    exact zone probabilities. Common random numbers: each chunk of ``2**21 // ap_count`` placements (an 8 MiB load
+    ledger) draws users 0, 1, ... in turn from its own generator, user u only for the placements still idle; p
+    users are the first p, so the empirical column is non-increasing in p, and no row depends on the other counts.
     """
     if not user_counts or min(user_counts) < 0:
         raise ValueError("user_counts must be non-empty and >= 0")
     plan = config.room.plan()
     zone_probs = exact_zone_probabilities(plan)
-    p_max, chunk = max(user_counts), 20_000
+    p_max, chunk = max(user_counts), max(1, 2**21 // plan.ap_count)  # an int32 load ledger of at most 8 MiB
     idle_counts = np.zeros(p_max + 1, dtype=np.int64)
     idle_counts[0] = config.placements  # no active user: always idle
-    n_chunks = (config.placements + chunk - 1) // chunk
-    for i, gen in enumerate(spawn_streams(config.seed)["placement"].spawn(n_chunks)):
-        draws = gen.random((p_max, min(chunk, config.placements - i * chunk), 2))
+    sizes = [min(chunk, config.placements - start) for start in range(0, config.placements, chunk)]
+    for size, gen in zip(sizes, spawn_streams(config.seed)["placement"].spawn(len(sizes))):
 
         def locate(u: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            pts = draws[u, rows] * (plan.room_x_m, plan.room_y_m)
+            pts = gen.random((len(rows), 2)) * (plan.room_x_m, plan.room_y_m)
             codes, nearest = np.empty(len(rows), dtype=np.int8), np.empty(len(rows), dtype=np.intp)
             for part in (slice(s, s + _CLASSIFY_SLICE) for s in range(0, len(rows), _CLASSIFY_SLICE)):
                 window = plan.sq_distances(pts[part])
                 codes[part], nearest[part] = classify_points(plan, pts[part], window), plan.nearest(window)
             return codes, nearest
 
-        idle_counts[1:] += lifi_assignment_idle(locate, draws.shape[1], p_max, plan.ap_count, config.lifi_slots).sum(axis=0)
+        idle_counts[1:] += lifi_assignment_idle(locate, size, p_max, plan.ap_count, config.lifi_slots).sum(axis=0)
     return [(p, int(idle_counts[p]) / config.placements, policy.fap_idle_probability(p, zone_probs))
             for p in user_counts]
 

@@ -276,8 +276,9 @@ class TestExperiments:
     @pytest.mark.parametrize("name", ["fig16", "fig17"])
     def test_every_stream_of_a_run_is_distinct(self, tmp_path, monkeypatch, name):
         drawn = self._record_streams(monkeypatch)
-        big = tmp_path / "big.yaml"  # two placement chunks
-        big.write_text(SMALL_OVERRIDES.replace("placements: 2000", "placements: 20001"))
+        big = tmp_path / "big.yaml"  # two placement chunks of at most 2**21 // 121 = 17,331
+        big.write_text(SMALL_OVERRIDES.replace("placements: 2000", "placements: 20001")
+                       .replace("zoning:\n", "zoning:\n  room_x_m: 100.0\n  room_y_m: 100.0\n"))
         assert cli.main(["experiment", name, "--config", str(big), "--out", str(tmp_path / "out")]) == 0
         keys = [key for _gen, key in drawn.values()]
         assert len(set(keys)) == len(keys), sorted(keys)

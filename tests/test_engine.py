@@ -341,6 +341,8 @@ def reading(codes: np.ndarray, nearest: np.ndarray):
 
 class TestIdleProbabilityExperiment:
     CFG = IdleExperimentConfig(placements=4000, seed=5)
+    # 121 APs: chunks of 2**21 // 121 = 17,331 placements, so three chunks, the last partial
+    WIDE = IdleExperimentConfig(room=RoomConfig(100.0, 100.0), placements=45_000, seed=3)
 
     def test_zero_users_is_certain_idle(self):
         rows = idle_probability_experiment(self.CFG, [0])
@@ -357,7 +359,7 @@ class TestIdleProbabilityExperiment:
         assert empirical[0] == 1.0 and empirical[-1] < empirical[1]
 
     def test_row_does_not_depend_on_the_other_counts(self):
-        cfg = IdleExperimentConfig(placements=45_000, seed=3)  # three chunks, the last partial
+        cfg = self.WIDE
         rows = {}
         for counts in ([3], [1, 3, 6, 12], list(range(21))):
             got = idle_probability_experiment(cfg, counts)
@@ -411,7 +413,7 @@ class TestIdleProbabilityExperiment:
         assert overflowed > 100
 
     def test_fig16_classifies_in_cache_sized_slices(self, monkeypatch):
-        cfg = IdleExperimentConfig(placements=45_000, seed=3)  # three chunks, the last partial
+        cfg = self.WIDE
         expected = idle_probability_experiment(cfg, list(range(21)))
         sizes = []
 
@@ -427,7 +429,7 @@ class TestIdleProbabilityExperiment:
         assert got == expected
 
     def test_locate_is_asked_only_for_placements_still_idle(self, monkeypatch):
-        cfg = IdleExperimentConfig(placements=45_000, seed=3)  # three chunks, the last partial
+        cfg = self.WIDE
         located, runs = np.zeros(20, dtype=np.int64), []
 
         def recording_idle(locate, placements, users, ap_count, lifi_slots):
@@ -444,14 +446,67 @@ class TestIdleProbabilityExperiment:
                 assert rows.tolist() == np.flatnonzero(still_idle).tolist()
                 located[u] += len(rows)
                 still_idle = idle[:, u]
-            runs.append(placements)
+            runs.append((placements, ap_count))
             return idle
 
         monkeypatch.setattr(engine, "lifi_assignment_idle", recording_idle)
         got = idle_probability_experiment(cfg, list(range(21)))
-        assert runs == [20_000, 20_000, 5_000]
+        assert runs == [(17_331, 121), (17_331, 121), (10_338, 121)]
+        assert all(placements * ap_count <= 2**21 for placements, ap_count in runs)
         assert located.tolist() == [round(empirical * cfg.placements) for _, empirical, _ in got[:20]]
         assert located[0] == cfg.placements and 0 < located[-1] < located[1]
+
+    def test_default_plan_runs_as_one_chunk(self, monkeypatch):
+        runs = []
+
+        def recording_idle(locate, placements, users, ap_count, lifi_slots):
+            runs.append((placements, ap_count))
+            return np.zeros((placements, users), dtype=bool)
+
+        monkeypatch.setattr(engine, "lifi_assignment_idle", recording_idle)
+        idle_probability_experiment(IdleExperimentConfig(), list(range(21)))
+        assert runs == [(100_000, 9)]
+
+    def test_each_chunk_draws_two_doubles_per_located_point(self, monkeypatch):
+        # User u is drawn only for the placements still idle, users in order: each chunk's generator
+        # yields exactly its located points, two doubles each, and no other number.
+        cfg, children, chunks = self.WIDE, [], []
+        spawn_streams = engine.spawn_streams
+
+        class Placement:  # the placement stream, keeping every generator it spawns
+            def __init__(self, gen):
+                self.gen = gen
+
+            def spawn(self, n):
+                children.extend(self.gen.spawn(n))
+                return children[-n:]
+
+        def recording_idle(*args):
+            chunks.append([])
+            return lifi_assignment_idle(*args)
+
+        def recording_classify(plan, points, window=None):
+            chunks[-1].append(points.copy())
+            return classify_points(plan, points, window)
+
+        def spying_streams(seed):
+            streams = spawn_streams(seed)
+            return {**streams, "placement": Placement(streams["placement"])}
+
+        monkeypatch.setattr(engine, "spawn_streams", spying_streams)
+        monkeypatch.setattr(engine, "lifi_assignment_idle", recording_idle)
+        monkeypatch.setattr(engine, "classify_points", recording_classify)
+        idle_probability_experiment(cfg, list(range(21)))
+        assert len(children) == len(chunks) == 3
+        fresh = spawn_streams(cfg.seed)["placement"].spawn(3)
+        for used, child, points in zip(children, fresh, chunks):
+            located = sum(map(len, points))
+            advanced = np.random.PCG64()
+            advanced.state = child.bit_generator.state
+            advanced.advance(2 * located)
+            assert used.bit_generator.state == advanced.state
+            drawn = child.random((located, 2)) * (cfg.room.room_x_m, cfg.room.room_y_m)
+            assert np.concatenate(points).tolist() == drawn.tolist()
 
     def test_exhaustive_enumeration_matches_closed_form(self):
         probs = exact_zone_probabilities(plan_grid(24.0, 24.0, 5.0))
