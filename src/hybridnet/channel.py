@@ -129,16 +129,13 @@ class RfParams:
         return self.noise_psd_dBm_per_Hz + 10.0 * math.log10(bandwidth_Hz)
 
 
-def lambertian_index(half_intensity_angle_deg: float) -> float:
+def lambertian_index(params: OpticalParams) -> float:
     """Emission order of a Lambertian LED: ln 2 / ln(1 / cos(theta_1/2)).
 
     A 60 degree half-intensity angle gives order 1 (the plain Lambertian
     source); narrower beams give larger orders.
     """
-    rule, ok = LAMBERTIAN_ANGLE
-    if not ok(half_intensity_angle_deg):
-        raise ValueError(f"half_intensity_angle_deg: must be {rule}, got {half_intensity_angle_deg!r}")
-    return math.log(2.0) / math.log(1.0 / math.cos(math.radians(half_intensity_angle_deg)))
+    return math.log(2.0) / math.log(1.0 / math.cos(math.radians(params.half_intensity_angle_deg)))
 
 
 def concentrator_gain(params: OpticalParams) -> float:
@@ -160,7 +157,7 @@ def optical_channel_gain(horizontal_distance_m, params: OpticalParams):
     l = np.asarray(horizontal_distance_m, dtype=float)
     if np.any(l < 0):
         raise ValueError("horizontal distance must be >= 0")
-    m = lambertian_index(params.half_intensity_angle_deg)
+    m = lambertian_index(params)
     gain = np.multiply(l, l, out=np.empty_like(l))  # d^2 = l*l + h*h, then the gain
     gain += h * h
     cos_theta = np.sqrt(gain, out=np.empty_like(gain))

@@ -162,8 +162,7 @@ def _validate(args) -> tuple[dict, dict]:
 
 
 def _zone_model(args, config: dict, sections: dict) -> tuple[zoning.GridPlan, zoning.ZoneModel]:
-    room = sections["zoning"]
-    plan = zoning.plan_grid(room.room_x_m, room.room_y_m, room.coverage_radius_m)
+    plan = zoning.plan_grid(sections["zoning"])
     return plan, zoning.monte_carlo_zone_model(plan, config["zoning"]["mc_samples"], seed=args.seed)
 
 
@@ -172,7 +171,7 @@ def cmd_plan(args, config: dict, sections: dict) -> None:
     a, b, radius = plan.room_x_m, plan.room_y_m, plan.coverage_radius_m
     print(f"room: {a} m x {b} m, coverage radius {radius} m")
     print(f"ap_count: {plan.ap_count} (n_x={plan.n_x}, n_y={plan.n_y}), "
-          f"minimum plan: {zoning.min_ap_count(a, b, radius)}")
+          f"minimum plan: {zoning.min_ap_count(sections['zoning'])}")
     print(f"spacing: d_x={plan.d_x_m!r} d_y={plan.d_y_m!r}")
     print(f"overlap: l_x={plan.l_x_m!r} l_y={plan.l_y_m!r}")
     print("ap_centers: " + "; ".join(f"({x!r}, {y!r})" for x, y in plan.ap_centers))
@@ -233,7 +232,7 @@ def cmd_experiment(args, config: dict, sections: dict) -> None:
 def cmd_trace(args, config: dict, sections: dict) -> None:
     started = time.monotonic()
     kind = TRACE_KINDS[args.kind]
-    trace = protocol.run_handover(kind, sections["policy"].per_hop_latency_s, args.drop_step)
+    trace = protocol.run_handover(kind, sections["policy"], args.drop_step)
     outcome = {"outcome": trace.outcome, "failed_step": trace.failed_step, "latency_s": trace.latency_s}
     path = Path(args.out) / f"trace_{kind.value}.csv" if args.out else None
     _write(args, config, started, f"trace {args.kind}", path, _csv_text(TRACE_CSV_HEADER, trace.csv_rows()), **outcome)

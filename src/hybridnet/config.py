@@ -24,11 +24,11 @@ import numpy as np
 from . import selection
 from .channel import POSITIVE, OpticalParams, RfParams, at_least
 from .engine import (
-    FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig, MobilityConfig, PolicyConfig, RoomConfig,
-    ScenarioConfig, TrafficConfig,
+    FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig, MobilityConfig, PolicyConfig, ScenarioConfig,
+    TrafficConfig,
 )
 from .transport import CarFollowScenario, VehicleLink
-from .zoning import MIN_MC_SAMPLES
+from .zoning import MIN_MC_SAMPLES, RoomConfig
 
 # Sections whose keys are the fields of one dataclass, less the listed
 # fields: those are context that `resolve` passes to `build` (the seed, a
@@ -45,9 +45,9 @@ SECTIONS = {
     "engine": (ScenarioConfig, ("seed", "ahp_weights")),
     "engine.mobility": (MobilityConfig, ()),
     "engine.traffic": (TrafficConfig, ()),
-    "engine.fig16": (IdleExperimentConfig, ("lifi_slots", "seed")),
+    "engine.fig16": (IdleExperimentConfig, ("seed",)),
     "engine.fig17": (FemtoSinrConfig, ("seed",)),
-    "engine.fig18": (HandoverSuccessConfig, ("coverage_radius_m", "seed")),
+    "engine.fig18": (HandoverSuccessConfig, ("seed",)),
     "transport.vehicle": (VehicleLink, ()),
     "transport.fig21": (CarFollowScenario, ()),
 }
@@ -102,15 +102,15 @@ DEFAULT_CONFIG: dict = _default_config()
 
 
 def _leaf(path: str, default, value):
-    """``value`` checked against the type of ``default``; floats also take ints and numeric strings."""
+    """``value`` checked against the type of ``default``, which must hold it; floats also take ints and numeric strings."""
     if isinstance(default, float):
-        if isinstance(value, str):  # PyYAML reads 2.0e7 and 1e-4 as strings
+        if isinstance(value, (int, str)) and not isinstance(value, bool):  # PyYAML reads 2.0e7 and 1e-4 as strings
             try:
                 value = float(value)
-            except ValueError:
+            except (ValueError, OverflowError):  # not a number, or an int beyond the float range
                 pass
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
+        if isinstance(value, float) and math.isfinite(value):
+            return value
         raise ValueError(f"{path}: expected a finite number, got {value!r}")
     if isinstance(default, list):
         if isinstance(value, list) and all(isinstance(row, list) for row in value):
@@ -118,6 +118,8 @@ def _leaf(path: str, default, value):
         raise ValueError(f"{path}: expected a list of rows, got {value!r}")
     if type(value) is not type(default):  # exact type: a YAML bool is no int
         raise ValueError(f"{path}: expected {type(default).__name__}, got {value!r}")
+    if isinstance(value, int) and not -2**63 <= value < 2**63:
+        raise ValueError(f"{path}: must fit numpy's int64, got {value!r}")
     return value
 
 
@@ -212,9 +214,9 @@ def resolve(config: dict, seed: int) -> dict[str, object]:
         config, "engine", seed=seed, room=room, mobility=out["engine.mobility"], traffic=out["engine.traffic"],
         policy=out["policy"], optical=out["channel.optical"], rf=out["channel.rf"], ahp_weights=weights,
     )
-    out["engine.fig16"] = build(config, "engine.fig16", room=room, lifi_slots=out["policy"].lifi_slots, seed=seed)
+    out["engine.fig16"] = build(config, "engine.fig16", room=room, policy=out["policy"], seed=seed)
     out["engine.fig17"] = build(config, "engine.fig17", room=room, seed=seed)
-    out["engine.fig18"] = build(config, "engine.fig18", coverage_radius_m=room.coverage_radius_m, seed=seed)
+    out["engine.fig18"] = build(config, "engine.fig18", room=room, seed=seed)
     return out
 
 

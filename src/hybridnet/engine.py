@@ -35,20 +35,7 @@ from .channel import NON_NEGATIVE_FINITE, POSITIVE, POSITIVE_FINITE, OpticalPara
 from .policy import LIFI, STAY, TO_FAP, TO_LIFI, AdmissionDecision
 from .protocol import HandoverKind, run_handover
 from .rng import spawn_streams
-from .zoning import _CLASSIFY_SLICE, GridPlan, Zone, classify_points, exact_zone_probabilities, plan_grid
-
-
-@dataclass(frozen=True)
-class RoomConfig:
-    room_x_m: float = 24.0
-    room_y_m: float = 24.0
-    coverage_radius_m: float = 5.0
-
-    def __post_init__(self):
-        check_fields(self, *POSITIVE_FINITE, "room_x_m", "room_y_m", "coverage_radius_m")
-
-    def plan(self) -> GridPlan:
-        return plan_grid(self.room_x_m, self.room_y_m, self.coverage_radius_m)
+from .zoning import _CLASSIFY_SLICE, MAX_AP_COUNT, RoomConfig, Zone, classify_points, exact_zone_probabilities, plan_grid
 
 
 @dataclass(frozen=True)
@@ -89,7 +76,7 @@ class PolicyConfig:
     def __post_init__(self):
         check_fields(self, *at_least(1), "fap_slots", "lifi_slots")
         check_fields(self, *POSITIVE, "t_h_s", "t_h1_s")
-        check_fields(self, *at_least(0), "per_hop_latency_s")
+        check_fields(self, *NON_NEGATIVE_FINITE, "per_hop_latency_s")
 
 
 @dataclass(frozen=True)
@@ -184,7 +171,7 @@ class _IndoorSim:
 
     def __init__(self, config: ScenarioConfig):
         self.cfg = config
-        self.plan = config.room.plan()
+        self.plan = plan_grid(config.room)
         streams, n, room = spawn_streams(config.seed), config.user_count, config.room
         self._femto = self.plan.ap_count
         self._capacity = [config.policy.lifi_slots] * self._femto + [config.policy.fap_slots]
@@ -192,7 +179,7 @@ class _IndoorSim:
         self.metrics = Metrics()
         self._samples = ([], []), ([], [])  # per network code: each block's SINR dB and capacity bps sample arrays
         # A fault-free flow's latency depends on its kind and the per-hop delay alone.
-        self._handover_latency_s = {k: run_handover(k, config.policy.per_hop_latency_s).latency_s for k in HandoverKind}
+        self._handover_latency_s = {k: run_handover(k, config.policy).latency_s for k in HandoverKind}
         # One mobility and one traffic stream per terminal: its draws do not depend on the other terminals.
         self._mobility, self._traffic = streams["mobility"].spawn(n), streams["traffic"].spawn(n)
         self._xy = streams["placement"].uniform(0.0, (room.room_x_m, room.room_y_m), size=(n, 2))
@@ -347,7 +334,7 @@ class _IndoorSim:
         femto = self._femto
         on_fap = (self._ap == femto).nonzero()[0]
         served = list(zip(on_fap.tolist(), self._zone[on_fap].tolist()))
-        for i in policy.fap_mode_update(self._capacity[femto] - self._free[femto], served):
+        for i in policy.fap_mode_update(served):
             self._to_covering_lifi(i, now)
         if self._free[femto] == self._capacity[femto]:
             self._fap_idle = True
@@ -452,8 +439,8 @@ def simulate_indoor(config: ScenarioConfig) -> Metrics:
 @dataclass(frozen=True)
 class IdleExperimentConfig:
     room: RoomConfig = RoomConfig()
+    policy: PolicyConfig = PolicyConfig()
     placements: int = 100_000
-    lifi_slots: int = PolicyConfig.lifi_slots
     seed: int = 0
 
     def __post_init__(self):
@@ -487,15 +474,15 @@ def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[
     The empirical column places users uniformly at random and applies the admission and idle-mode rules, locating
     a user only in the placements still idle (each point is classified on its own, so every located point gets the
     zone and AP it gets among all of them); the closed-form column evaluates the two-term binomial bound on the
-    exact zone probabilities. Common random numbers: each chunk of ``2**21 // ap_count`` placements (an 8 MiB load
-    ledger) draws users 0, 1, ... in turn from its own generator, user u only for the placements still idle; p
-    users are the first p, so the empirical column is non-increasing in p, and no row depends on the other counts.
+    exact zone probabilities. Common random numbers: each chunk of ``MAX_AP_COUNT // ap_count`` placements (an 8
+    MiB load ledger) draws users 0, 1, ... in turn from its own generator, user u only for the placements still idle;
+    p users are the first p, so the empirical column is non-increasing in p, and no row depends on the other counts.
     """
     if not user_counts or min(user_counts) < 0:
         raise ValueError("user_counts must be non-empty and >= 0")
-    plan = config.room.plan()
+    plan = plan_grid(config.room)
     zone_probs = exact_zone_probabilities(plan)
-    p_max, chunk = max(user_counts), max(1, 2**21 // plan.ap_count)  # an int32 load ledger of at most 8 MiB
+    p_max, chunk = max(user_counts), MAX_AP_COUNT // plan.ap_count  # an int32 load ledger of at most 8 MiB
     idle_counts = np.zeros(p_max + 1, dtype=np.int64)
     idle_counts[0] = config.placements  # no active user: always idle
     sizes = [min(chunk, config.placements - start) for start in range(0, config.placements, chunk)]
@@ -509,7 +496,7 @@ def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[
                 codes[part], nearest[part] = classify_points(plan, pts[part], window), plan.nearest(window)
             return codes, nearest
 
-        idle_counts[1:] += lifi_assignment_idle(locate, size, p_max, plan.ap_count, config.lifi_slots).sum(axis=0)
+        idle_counts[1:] += lifi_assignment_idle(locate, size, p_max, plan.ap_count, config.policy.lifi_slots).sum(axis=0)
     return [(p, int(idle_counts[p]) / config.placements, policy.fap_idle_probability(p, zone_probs))
             for p in user_counts]
 
@@ -544,7 +531,7 @@ def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams):
     All schemes share positions and thinning draws, so hybrid can never
     fall below pure on any drop.
     """
-    p_idle = policy.fap_idle_probability(config.hybrid_users_per_home, exact_zone_probabilities(config.room.plan()))
+    p_idle = policy.fap_idle_probability(config.hybrid_users_per_home, exact_zone_probabilities(plan_grid(config.room)))
     gen = spawn_streams(config.seed)["drops"]
 
     n, k = config.drops, config.fap_count
@@ -575,7 +562,7 @@ def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams):
 
 @dataclass(frozen=True)
 class HandoverSuccessConfig:
-    coverage_radius_m: float = RoomConfig.coverage_radius_m
+    room: RoomConfig = RoomConfig()
     crossings: int = 20_000
     seed: int = 0
 
@@ -608,7 +595,7 @@ def handover_success_experiment(config: HandoverSuccessConfig, spacings: list[fl
     if not spacings or any(d < 0 for d in spacings):
         raise ValueError("spacings must be non-empty and non-negative")
     gen = spawn_streams(config.seed)["crossings"]
-    r = config.coverage_radius_m
+    r = config.room.coverage_radius_m
     rows = []
     for d_apart in spacings:
         offsets = gen.uniform(-r, r, size=config.crossings)

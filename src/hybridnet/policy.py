@@ -113,16 +113,14 @@ def handover_decision(serving_kinds, zone_codes, s_serving_dB, s_target_dB, dwel
     return _HANDOVER_RULES.ravel()[cells]
 
 
-def fap_mode_update(fap_occupied: int, served: list[tuple[int, int]]) -> tuple[int, ...]:
-    """Terminals to shift to LiFi so that the femtocell, holding ``fap_occupied`` slots, can idle.
+def fap_mode_update(served: list[tuple[int, int]]) -> tuple[int, ...]:
+    """Terminals to shift to LiFi so that the femtocell can idle.
 
     ``served`` pairs each terminal the femtocell serves with its zone code.
     A single user sitting in Zone 3 is shifted; with no connected user, or
     any other set of users, nobody is. Users outside Zone 3 are never
     shifted. The femtocell idles once it holds no slot.
     """
-    if len(served) != fap_occupied:
-        raise ValueError("user list does not match occupancy")
     if len(served) == 1 and served[0][1] == Zone.Z3.value:
         return (served[0][0],)
     return ()

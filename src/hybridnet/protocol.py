@@ -24,7 +24,6 @@ of waiting and leaves the serving link in place.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 
@@ -180,17 +179,14 @@ class HandoverTrace:
                 for m in self.messages]
 
 
-def run_handover(kind: HandoverKind, per_hop_s: float, drop_step: int | None = None) -> HandoverTrace:
+def run_handover(kind: HandoverKind, policy, drop_step: int | None = None) -> HandoverTrace:
     """Execute one handover flow and return its trace.
 
-    Every hop takes ``per_hop_s``. Without a drop the trace reproduces the
-    canonical sequence in order and its latency is the per-step delay sum.
-    A message dropped at ``drop_step`` fails the run at that step after one
-    hop of waiting; every message already delivered stays in the trace.
+    Every hop takes ``policy.per_hop_latency_s`` (the engine's ``PolicyConfig``). Without a drop the trace
+    reproduces the canonical sequence in order and its latency is the per-step delay sum. A message dropped at
+    ``drop_step`` fails the run at that step after one hop of waiting; every message already delivered stays in it.
     """
-    if not 0.0 <= per_hop_s < math.inf:
-        raise ValueError(f"per-hop latency must be finite and >= 0, got {per_hop_s!r}")
-    messages: list[ProtocolMessage] = []
+    per_hop_s, messages = policy.per_hop_latency_s, []
     clock = 0.0  # the first message is sent at 0, so the clock is the latency so far
     for step in canonical_sequence(kind):
         if step.step_number == drop_step:

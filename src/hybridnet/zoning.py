@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import POSITIVE_FINITE, check_fields
 from .rng import spawn_streams
 
 _MC_CHUNK = 1 << 18
@@ -40,6 +41,8 @@ _CLASSIFY_SLICE = 1 << 14
 
 # Fewest samples the Monte Carlo zone model accepts.
 MIN_MC_SAMPLES = 10**4
+# Most APs a room's grid may hold: fig16's int32 load ledger for one placement is then at most 8 MiB.
+MAX_AP_COUNT = 2**21
 
 
 class Zone(enum.Enum):
@@ -118,18 +121,36 @@ class GridPlan:
         return (row0 + row) * self.n_x + col0 + _first_argmin(dy2[row, np.arange(len(row))] + dx2)
 
 
-def plan_grid(a: float, b: float, r: float) -> GridPlan:
-    """Lay out the densest regular AP grid for an ``a x b`` room.
+@dataclass(frozen=True)
+class RoomConfig:
+    """An ``a x b`` room and the coverage radius ``r`` of its LiFi APs; :func:`plan_grid` lays out its grid."""
+
+    room_x_m: float = 24.0
+    room_y_m: float = 24.0
+    coverage_radius_m: float = 5.0
+
+    def __post_init__(self):
+        check_fields(self, *POSITIVE_FINITE, "room_x_m", "room_y_m", "coverage_radius_m")
+        check_fields(self, f"large enough for a grid of at most {MAX_AP_COUNT} APs",
+                     lambda _: math.prod(_ap_lines(self)) <= MAX_AP_COUNT, "coverage_radius_m")
+
+
+def _ap_lines(room: RoomConfig) -> tuple[int, int]:
+    """APs per axis, ``floor(side/2r + 1)``, capped past ``MAX_AP_COUNT`` so that a ratio beyond the float range floors."""
+    return tuple(math.floor(min(side / (2.0 * room.coverage_radius_m) + 1.0, MAX_AP_COUNT + 1.0))
+                 for side in (room.room_x_m, room.room_y_m))
+
+
+def plan_grid(room: RoomConfig) -> GridPlan:
+    """Lay out the densest regular AP grid for the room.
 
     Per-axis AP count is ``n = floor(a/2r + 1)``, pitch ``a / n``
     and overlap depth ``(2 r n - a) / n``; the first row/column center sits
     ``r - l/2`` from the wall so overhang is symmetric. The femtocell AP is
     placed at the room center.
     """
-    if not all(x > 0 and math.isfinite(x) for x in (a, b, r)):
-        raise ValueError(f"room dimensions and coverage radius must be positive and finite, got {a!r}, {b!r}, {r!r}")
-    n_x = math.floor(a / (2.0 * r) + 1.0)
-    n_y = math.floor(b / (2.0 * r) + 1.0)
+    a, b, r = room.room_x_m, room.room_y_m, room.coverage_radius_m
+    n_x, n_y = _ap_lines(room)
     d_x = a / n_x  # not a / floor((a + 2r) / 2r): its rounding can disagree with n_x
     d_y = b / n_y
     l_x = (2.0 * r * n_x - a) / n_x
@@ -144,11 +165,9 @@ def plan_grid(a: float, b: float, r: float) -> GridPlan:
     )
 
 
-def min_ap_count(a: float, b: float, r: float) -> int:
+def min_ap_count(room: RoomConfig) -> int:
     """Sparsest grid that still tiles the room: floor(a/2r) * floor(b/2r)."""
-    if not all(x > 0 and math.isfinite(x) for x in (a, b, r)):
-        raise ValueError(f"room dimensions and coverage radius must be positive and finite, got {a!r}, {b!r}, {r!r}")
-    return math.floor(a / (2.0 * r)) * math.floor(b / (2.0 * r))
+    return math.prod(math.floor(side / (2.0 * room.coverage_radius_m)) for side in (room.room_x_m, room.room_y_m))
 
 
 def circle_segment_integral(r: float, overlap: float) -> float:

@@ -33,7 +33,7 @@ from hybridnet.protocol import run_handover
 from hybridnet.rng import spawn_streams
 from hybridnet.policy import FAP, LIFI, STAY, TO_FAP, TO_LIFI, TO_TARGET_LIFI, AdmissionDecision
 from hybridnet.protocol import TRACE_CSV_HEADER, HandoverKind, HandoverTrace, MessageKind, ProtocolMessage
-from hybridnet.zoning import GridPlan, Zone
+from hybridnet.zoning import GridPlan, Zone, plan_grid
 
 
 def placement_idle_reference(
@@ -59,7 +59,7 @@ def placement_idle_reference(
             fap_idle = False
             fap_users.append((uid, zone))
     while True:
-        shift_to_lifi = policy.fap_mode_update(fap_slots - free[fap], fap_users)
+        shift_to_lifi = policy.fap_mode_update(fap_users)
         if not shift_to_lifi:
             return free[fap] == fap_slots
         shifted = False
@@ -185,7 +185,7 @@ def optical_channel_gain_reference(horizontal_distance_m, params: OpticalParams)
     """``channel.optical_channel_gain`` as one expression, one temporary per operation."""
     h = params.ap_height_m
     l = np.asarray(horizontal_distance_m, dtype=float)
-    m = lambertian_index(params.half_intensity_angle_deg)
+    m = lambertian_index(params)
     d2 = l * l + h * h
     cos_theta = h / np.sqrt(d2)
     cos_fov = math.cos(math.radians(params.fov_semi_angle_deg))
@@ -302,11 +302,11 @@ def indoor_run_reference(config, sample_order: str = "tick-major") -> Metrics:
     j at index j and the femtocell last, and asserts on every tick that
     each AP's occupied slots are the calls it serves, within its capacity.
     """
-    cfg, plan, streams, n = config, config.room.plan(), spawn_streams(config.seed), config.user_count
+    cfg, plan, streams, n = config, plan_grid(config.room), spawn_streams(config.seed), config.user_count
     mobility, traffic, room, move = streams["mobility"].spawn(n), streams["traffic"].spawn(n), cfg.room, cfg.mobility
     fap, slots = plan.ap_count, [cfg.policy.lifi_slots] * plan.ap_count + [cfg.policy.fap_slots]
     free, fap_idle = list(slots), True
-    latency = {k: run_handover(k, cfg.policy.per_hop_latency_s).latency_s for k in HandoverKind}
+    latency = {k: run_handover(k, cfg.policy).latency_s for k in HandoverKind}
     m, samples = Metrics(), [[] for _network in (LIFI, FAP)]  # per network: (terminal, SINR dB, capacity bps)
     rate = cfg.traffic.arrival_rate_per_min / 60.0
 
@@ -396,7 +396,7 @@ def indoor_run_reference(config, sample_order: str = "tick-major") -> Metrics:
                     fap_idle = fap_idle and ap != fap
             m.handovers_rejected += not moved
         served = [(k, u["zone"]) for k, u in enumerate(t) if u["serving"] == fap]
-        for k in policy.fap_mode_update(slots[fap] - free[fap], served):
+        for k in policy.fap_mode_update(served):
             to_covering_lifi(t[k], now)
         fap_idle = fap_idle or free[fap] == slots[fap]
         calls = [sum(u["serving"] == j for u in t) for j in range(len(free))]

@@ -17,7 +17,7 @@ from hybridnet.channel import (
     optical_channel_gain, optical_sinr, shannon_capacity,
 )
 from hybridnet.engine import (
-    FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig, femto_sinr_experiment,
+    FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig, PolicyConfig, femto_sinr_experiment,
     handover_success_experiment, idle_probability_experiment,
     lifi_crossing_success_exact,
 )
@@ -27,7 +27,7 @@ from hybridnet.transport import (
     CarFollowScenario, VehicleLink, macro_snr_dB, outage_sweep, reliability_sweep,
 )
 from hybridnet.zoning import (
-    analytic_zone_areas, exact_zone_probabilities, monte_carlo_zone_model, occupancy_probability, plan_grid,
+    RoomConfig, analytic_zone_areas, exact_zone_probabilities, monte_carlo_zone_model, occupancy_probability, plan_grid,
 )
 from oracles import enumerate_idle_probability
 
@@ -37,7 +37,7 @@ RF = RfParams()
 
 def test_criterion_1_grid_planning():
     start = time.perf_counter()
-    plan = plan_grid(24.0, 24.0, 5.0)
+    plan = plan_grid(RoomConfig(24.0, 24.0, 5.0))
     elapsed = time.perf_counter() - start
     assert plan.ap_count == 9
     assert plan.n_x == 3 and plan.n_y == 3
@@ -51,7 +51,7 @@ def test_criterion_2_formula_oracles():
 
     # Lambertian order and LOS gain
     m = math.log(2) / -math.log(math.cos(math.radians(60.0)))
-    assert lambertian_index(60.0) == pytest.approx(m, rel=1e-9)
+    assert lambertian_index(OpticalParams(half_intensity_angle_deg=60.0)) == pytest.approx(m, rel=1e-9)
     g = 1.5**2  # FOV 90 degrees
     h0 = (m + 1) * 1e-4 / (2 * math.pi * 4.0) * g
     assert h0 == pytest.approx(1.7905e-5, abs=1e-9)
@@ -79,7 +79,7 @@ def test_criterion_2_formula_oracles():
     assert femto_path_loss(8.0, RF, wall_count=0) == pytest.approx(femto8, rel=1e-9)
 
     # zone-2 closed-form area
-    a_z2 = analytic_zone_areas(plan_grid(24.0, 24.0, 5.0))[1]
+    a_z2 = analytic_zone_areas(plan_grid(RoomConfig(24.0, 24.0, 5.0)))[1]
     assert a_z2 == pytest.approx(9 * math.pi * 16.0, rel=1e-9)
 
     # zone occupancy binomial
@@ -97,7 +97,7 @@ def test_criterion_2_formula_oracles():
 
 def test_criterion_3_zone_partition():
     start = time.perf_counter()
-    plan = plan_grid(24.0, 24.0, 5.0)
+    plan = plan_grid(RoomConfig(24.0, 24.0, 5.0))
     samples = 10_000_000
     model = monte_carlo_zone_model(plan, samples, seed=42)
     assert sum(model.zone_probs) == 1.0
@@ -122,7 +122,7 @@ def test_criterion_4_idle_mode():
     config = IdleExperimentConfig(placements=100_000, seed=9)
     user_counts = list(range(1, 21))
     rows = idle_probability_experiment(config, user_counts)
-    zone_probs = exact_zone_probabilities(config.room.plan())
+    zone_probs = exact_zone_probabilities(plan_grid(config.room))
 
     closed = [fap_idle_probability(p, zone_probs) for p in range(0, 22)]
     assert all(a >= b for a, b in zip(closed, closed[1:]))
@@ -174,7 +174,7 @@ def test_criterion_7_protocol_conformance():
         HandoverKind.LIFI_TO_LIFI: 27,
     }
     for kind, count in expected_counts.items():
-        trace = run_handover(kind, per_hop_s=0.005)
+        trace = run_handover(kind, PolicyConfig(per_hop_latency_s=0.005))
         assert trace.complete and len(trace.messages) == count
         kinds = [m.kind for m in trace.messages]
         assert kinds.count(MessageKind.HO_COMPLETE) == 1
@@ -185,7 +185,7 @@ def test_criterion_7_protocol_conformance():
     for kind, count in expected_counts.items():
         table = [(s.kind, s.sender, s.receiver) for s in canonical_sequence(kind)]
         for drop_step in range(1, count + 1):
-            trace = run_handover(kind, per_hop_s=0.005, drop_step=drop_step)
+            trace = run_handover(kind, PolicyConfig(per_hop_latency_s=0.005), drop_step=drop_step)
             assert not trace.complete and trace.failed_step == drop_step
             assert [(m.kind, m.sender, m.receiver) for m in trace.messages] == table[:drop_step - 1]
             completes = [m for m in trace.messages if m.kind is MessageKind.HO_COMPLETE]

@@ -22,25 +22,25 @@ RF = RfParams()
 
 class TestLambertianIndex:
     def test_sixty_degrees_is_unity(self):
-        assert lambertian_index(60.0) == pytest.approx(1.0, rel=1e-12)
+        assert lambertian_index(OpticalParams(half_intensity_angle_deg=60.0)) == pytest.approx(1.0, rel=1e-12)
 
     def test_forty_five_degrees(self):
-        assert lambertian_index(45.0) == pytest.approx(2.0, rel=1e-12)
+        assert lambertian_index(OpticalParams(half_intensity_angle_deg=45.0)) == pytest.approx(2.0, rel=1e-12)
 
     def test_thirty_degrees_against_direct_evaluation(self):
         expected = math.log(2) / -math.log(math.cos(math.radians(30.0)))
         assert expected == pytest.approx(4.81884167930642, rel=1e-12)
-        assert lambertian_index(30.0) == pytest.approx(expected, rel=1e-12)
+        assert lambertian_index(OpticalParams(half_intensity_angle_deg=30.0)) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("angle", [0.0, 90.0, -5.0, 120.0, 1e-9, 6e-7])
     def test_out_of_range_angles_rejected(self, angle):
         # Below about 6e-7 degrees the cosine rounds to 1.0: the order would divide by ln(1) = 0.
         with pytest.raises(ValueError, match="^half_intensity_angle_deg: must be .* cosine below 1.0"):
-            lambertian_index(angle)
+            OpticalParams(half_intensity_angle_deg=angle)
 
     @given(st.floats(min_value=1.0, max_value=89.0))
     def test_always_positive(self, angle):
-        assert lambertian_index(angle) > 0
+        assert lambertian_index(OpticalParams(half_intensity_angle_deg=angle)) > 0
 
 
 class TestConcentratorGain:
@@ -336,7 +336,7 @@ class TestRfSinr:
 class TestPurity:
     def test_bit_identical_repeat_calls(self):
         calls = [
-            lambda: lambertian_index(33.3),
+            lambda: lambertian_index(OpticalParams(half_intensity_angle_deg=33.3)),
             lambda: optical_channel_gain(1.7, TABLE),
             lambda: macro_path_loss(0.77, RF, RF.building_wall_loss_dB),
             lambda: femto_path_loss(3.3, RF, wall_count=0),
@@ -356,7 +356,7 @@ class TestParamValidation:
             OpticalParams(half_intensity_angle_deg=90.0)
         with pytest.raises(ValueError, match="half_intensity_angle_deg"):  # cos rounds to 1.0: ln(1 / cos) = 0
             OpticalParams(half_intensity_angle_deg=1e-9)
-        assert math.isfinite(lambertian_index(OpticalParams(half_intensity_angle_deg=6.1e-7).half_intensity_angle_deg))
+        assert math.isfinite(lambertian_index(OpticalParams(half_intensity_angle_deg=6.1e-7)))
 
     def test_rf_invariants(self):
         with pytest.raises(ValueError):

@@ -141,9 +141,11 @@ class TestZoningFlags:
         [
             (["--room", "infx24"], "--room"), (["--room", "nanx24"], "--room"), (["--room", "24xinf"], "--room"),
             (["--radius", "inf"], "--radius"), (["--radius", "nan"], "--radius"), (["--radius", "0"], "--radius"),
-            (["--samples", "5"], "--samples"),
+            (["--samples", "5"], "--samples"), (["--radius", "1e-9"], "--radius"),
+            (["--samples", "100000000000000000000000000000"], "--samples"),
         ],
-        ids=["room-inf", "room-nan", "room-y-inf", "radius-inf", "radius-nan", "radius-zero", "samples-5"],
+        ids=["room-inf", "room-nan", "room-y-inf", "radius-inf", "radius-nan", "radius-zero", "samples-5",
+             "radius-beyond-the-ap-bound", "samples-beyond-int64"],
     )
     def test_bad_value_exits_2_naming_the_flag(self, capsys, command, argv, flag):
         assert cli.main([command, *argv]) == 2
@@ -451,9 +453,22 @@ class TestExperiments:
          "channel.optical.ap_height_m: must be at least 1e-150 m"),
         (["experiment", "fig19"], "channel: {optical: {ap_height_m: 1.0e-170}}\n",
          "channel.optical.ap_height_m: must be at least 1e-150 m"),
+        (["zones"], "zoning: {coverage_radius_m: 1.0e-9}\n",
+         "zoning.coverage_radius_m: must be large enough for a grid of at most 2097152 APs"),
+        (["experiment", "fig16"], "zoning: {room_x_m: 2097152.0, room_y_m: 0.5, coverage_radius_m: 0.5}\n",
+         "zoning.coverage_radius_m: must be large enough for a grid of at most 2097152 APs"),
+        (["indoor-sim"], "zoning: {room_x_m: 1.7e308, room_y_m: 1.7e308, coverage_radius_m: 5.0e-324}\n",
+         "zoning.coverage_radius_m: must be large enough for a grid of at most 2097152 APs"),
+        (["zones"], f"zoning: {{room_x_m: 1{'0' * 400}}}\n", "zoning.room_x_m: expected a finite number"),
+        (["zones"], "zoning: {mc_samples: 100000000000000000000000000000}\n",
+         "zoning.mc_samples: must fit numpy's int64"),
+        (["indoor-sim"], f"selection: {{pairwise_matrix: [[1.0, 1{'0' * 400}, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], "
+         "[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]}\n", "selection.pairwise_matrix: expected a finite number"),
     ], ids=["fig19-terminal-height", "indoor-sim-optical-power", "fig19-mbs-height", "fig20-center-frequency",
             "indoor-sim-optical-bandwidth", "indoor-sim-optical-noise-power", "indoor-sim-ap-height",
-            "fig19-access-distance", "indoor-sim-ap-height-1e-300", "fig19-ap-height-1e-170"])
+            "fig19-access-distance", "indoor-sim-ap-height-1e-300", "fig19-ap-height-1e-170", "zones-radius-1e-9",
+            "fig16-one-ap-past-the-bound", "indoor-sim-grid-beyond-the-float-range", "zones-room-beyond-the-float-range",
+            "zones-samples-beyond-int64", "indoor-sim-ahp-entry-beyond-the-float-range"])
     def test_value_beyond_its_finite_domain_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, text, key):
         # Each would overflow its model: fig19's direct link to an inf capacity, the LiFi signal power to inf, fig19's
         # and fig20's path loss to inf or -inf, the optical gain's 2 pi d^2 to inf; or underflow the optical noise
@@ -653,11 +668,12 @@ class TestTrace:
         assert cli.main(["trace", "lifi-to-lifi", "--drop-step", step]) == 2
         assert "1..27" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("per_hop_ms", ["-1", "nan", "inf"])
-    def test_negative_per_hop_latency_is_validation_error(self, tmp_path, capsys, per_hop_ms):
+    @pytest.mark.parametrize("per_hop_ms,rule", [("-1", "must be non-negative and finite"),
+                                                  ("nan", "expected a finite number"), ("inf", "expected a finite number")])
+    def test_negative_per_hop_latency_is_validation_error(self, tmp_path, capsys, per_hop_ms, rule):
         assert cli.main(["trace", "lifi-to-lifi", "--per-hop-ms", per_hop_ms, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "per-hop latency" in err and "--per-hop-ms" in err
+        assert "per-hop latency" in err and "--per-hop-ms" in err and f"protocol.per_hop_latency_s: {rule}" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_invalid_kind_exits_nonzero(self):
@@ -799,6 +815,16 @@ class TestConfig:
         for f in cfgmod._key_fields(*cfgmod.SECTIONS[path]):
             value = getattr(built, f.name)
             assert (value, type(value)) == (section[f.name], type(section[f.name])), f"{path}.{f.name}"
+
+    def test_a_number_its_key_cannot_hold_is_a_type_error(self):
+        for held, beyond in ((2**63 - 1, 2**63), (-2**63, -2**63 - 1)):  # an int key holds numpy's int64
+            assert deep_merge(DEFAULT_CONFIG, {"zoning": {"mc_samples": held}})["zoning"]["mc_samples"] == held
+            with pytest.raises(ValueError, match="^zoning.mc_samples: must fit numpy's int64"):
+                deep_merge(DEFAULT_CONFIG, {"zoning": {"mc_samples": beyond}})
+        assert deep_merge(DEFAULT_CONFIG, {"zoning": {"room_x_m": 10**308}})["zoning"]["room_x_m"] == 1e308
+        for beyond in (10**309, -(10**309)):  # a float key holds a finite float
+            with pytest.raises(ValueError, match="^zoning.room_x_m: expected a finite number"):
+                deep_merge(DEFAULT_CONFIG, {"zoning": {"room_x_m": beyond}})
 
     def test_deep_merge_overrides_leaves(self):
         merged = deep_merge(DEFAULT_CONFIG, {"zoning": {"room_x_m": 30.0}})

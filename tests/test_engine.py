@@ -9,14 +9,14 @@ import pytest
 from hybridnet import engine, policy, zoning
 from hybridnet.engine import (
     FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig,
-    MobilityConfig, PolicyConfig, RoomConfig, ScenarioConfig, TrafficConfig,
+    MobilityConfig, PolicyConfig, ScenarioConfig, TrafficConfig,
     _IndoorSim, femto_sinr_experiment,
     handover_success_experiment, idle_probability_experiment,
     lifi_assignment_idle, lifi_crossing_success_exact, simulate_indoor,
 )
 from hybridnet.channel import OpticalParams, RfParams, femto_path_loss, optical_channel_gain
 from hybridnet.protocol import HandoverKind, run_handover
-from hybridnet.zoning import Zone, classify_points, exact_zone_probabilities, plan_grid
+from hybridnet.zoning import RoomConfig, Zone, classify_points, exact_zone_probabilities, plan_grid
 from oracles import (
     classify_against_every_ap, enumerate_idle_probability, indoor_run_reference, lifi_assignment_idle_one_hot,
     placement_idle_reference, sq_distances_to_every_ap,
@@ -119,7 +119,8 @@ class TestSimulateIndoor:
         sim._apply_idle_mode(1.0)
         assert sim._fap_idle
 
-    @pytest.mark.parametrize("corrupt", ["slot-moved-between-lifi-aps", "over-capacity", "idle-femtocell-serves"])
+    @pytest.mark.parametrize("corrupt", ["slot-moved-between-lifi-aps", "over-capacity", "idle-femtocell-serves",
+                                         "femtocell-slot-without-a-call"])
     def test_slot_balance_is_checked_per_ap(self, corrupt):
         sim = _IndoorSim(ScenarioConfig(user_count=2, seed=3))
         sim._occupy(0, 0)  # terminal 0 calls on LiFi AP 0
@@ -129,9 +130,11 @@ class TestSimulateIndoor:
         elif corrupt == "over-capacity":  # every AP's slots still match its calls
             sim._capacity[0], sim._free[0] = 1, 0  # AP 0 has one slot, and terminal 0 holds it
             sim._occupy(1, 0)
-        else:
+        elif corrupt == "idle-femtocell-serves":
             sim._occupy(1, sim._femto)
             sim._fap_idle = True
+        else:  # the femtocell holds a slot that no terminal's call accounts for
+            sim._free[sim._femto] -= 1
         with pytest.raises(RuntimeError, match="slot leak"):
             sim._check_slot_balance()
 
@@ -191,7 +194,7 @@ class TestSimulateIndoor:
 
     @pytest.mark.parametrize("config", [SLOT_STARVED, LOADED], ids=["slot-starved", "loaded"])
     def test_results_do_not_depend_on_the_block_size(self, monkeypatch, config):
-        derived = engine._block_ticks(config.user_count, config.room.plan().ap_count)
+        derived = engine._block_ticks(config.user_count, plan_grid(config.room).ap_count)
         assert 1 < derived < round(config.duration_s / config.mobility.tick_s)  # several blocks
         runs = []
         for size in (1, 7, derived):
@@ -277,9 +280,9 @@ class TestSimulateIndoor:
     def test_each_handover_kind_replays_once_per_run(self, monkeypatch):
         replayed = []
 
-        def counting_run_handover(kind, per_hop_s):
+        def counting_run_handover(kind, policy):
             replayed.append(kind)
-            return run_handover(kind, per_hop_s)
+            return run_handover(kind, policy)
 
         monkeypatch.setattr(engine, "run_handover", counting_run_handover)
         metrics = simulate_indoor(MOBILE)
@@ -375,7 +378,7 @@ class TestIdleProbabilityExperiment:
             assert empirical <= bound + 3 * sigma
 
     def test_reference_path_agrees_with_vectorized_rule(self):
-        plan = plan_grid(24.0, 24.0, 5.0)
+        plan = plan_grid(RoomConfig(24.0, 24.0, 5.0))
         gen = np.random.Generator(np.random.PCG64(17))
         for _ in range(60):
             p = int(gen.integers(1, 5))
@@ -509,7 +512,7 @@ class TestIdleProbabilityExperiment:
             assert np.concatenate(points).tolist() == drawn.tolist()
 
     def test_exhaustive_enumeration_matches_closed_form(self):
-        probs = exact_zone_probabilities(plan_grid(24.0, 24.0, 5.0))
+        probs = exact_zone_probabilities(plan_grid(RoomConfig(24.0, 24.0, 5.0)))
         for p in (1, 2, 3):
             enumerated = enumerate_idle_probability(probs, p)
             direct = (probs[1] + probs[2]) ** p  # all users in Zone 2 or 3

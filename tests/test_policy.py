@@ -207,26 +207,22 @@ class TestFapModeUpdate:
     def test_empty_fap_idles(self):
         # Nobody to shift; the engine then idles the empty femtocell
         # (test_engine: test_fap_idles_once_its_last_slot_is_freed).
-        assert fap_mode_update(0, []) == ()
+        assert fap_mode_update([]) == ()
 
     def test_single_zone3_user_is_shifted(self):
-        assert fap_mode_update(1, [(7, Z3)]) == (7,)
+        assert fap_mode_update([(7, Z3)]) == (7,)
 
     def test_single_zone1_user_keeps_fap_active(self):
-        assert fap_mode_update(1, [(7, Z1)]) == ()
+        assert fap_mode_update([(7, Z1)]) == ()
 
     def test_two_users_keep_fap_active(self):
-        assert fap_mode_update(2, [(1, Z3), (2, Z3)]) == ()
-
-    def test_occupancy_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            fap_mode_update(2, [(1, Z3)])
+        assert fap_mode_update([(1, Z3), (2, Z3)]) == ()
 
     @given(st.lists(st.sampled_from(ZONES), min_size=0, max_size=8))
     @settings(max_examples=200)
     def test_never_shifts_outside_zone3(self, zones):
         users = list(enumerate(zones))
-        for uid in fap_mode_update(len(users), users):
+        for uid in fap_mode_update(users):
             assert dict(users)[uid] == Z3
 
 

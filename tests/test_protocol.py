@@ -6,6 +6,7 @@ import pytest
 
 from hybridnet import protocol
 from hybridnet.cli import _csv_text
+from hybridnet.engine import PolicyConfig
 from hybridnet.protocol import (
     TRACE_CSV_HEADER, HandoverKind, MessageKind, ProtocolMessage, canonical_sequence, run_handover,
 )
@@ -90,7 +91,7 @@ class TestConformance:
         steps = canonical_sequence(kind)
         per_hop_s = 0.005
         for drop_step in [None, *range(1, len(steps) + 1)]:
-            trace = run_handover(kind, per_hop_s, drop_step)
+            trace = run_handover(kind, PolicyConfig(per_hop_latency_s=per_hop_s), drop_step)
             delivered = len(steps) if drop_step is None else drop_step - 1
             assert [(m.step_number, m.kind, m.sender, m.receiver) for m in trace.messages] == [
                 (s.step_number, s.kind, s.sender, s.receiver) for s in steps[:delivered]]
@@ -106,28 +107,28 @@ class TestConformance:
 
 class TestRunHandover:
     def test_zero_latency_bus(self):
-        trace = run_handover(HandoverKind.LIFI_TO_LIFI, per_hop_s=0.0)
+        trace = run_handover(HandoverKind.LIFI_TO_LIFI, PolicyConfig(per_hop_latency_s=0.0))
         assert trace.complete
         assert len(trace.messages) == 27
         assert trace.latency_s == 0.0
 
     def test_uniform_latency_sums_per_hop(self):
-        trace = run_handover(HandoverKind.LIFI_TO_FEMTO, per_hop_s=0.005)
+        trace = run_handover(HandoverKind.LIFI_TO_FEMTO, PolicyConfig(per_hop_latency_s=0.005))
         assert trace.latency_s == pytest.approx(25 * 0.005, rel=1e-12)
 
     @pytest.mark.parametrize("per_hop_s", [-1.0, math.nan, math.inf])
     def test_negative_per_hop_rejected(self, per_hop_s):
-        with pytest.raises(ValueError, match="per-hop latency"):
-            run_handover(HandoverKind.LIFI_TO_LIFI, per_hop_s=per_hop_s)
+        with pytest.raises(ValueError, match="^per_hop_latency_s: must be non-negative and finite"):
+            PolicyConfig(per_hop_latency_s=per_hop_s)
 
     def test_fault_free_traces_validate(self):
         for kind in HandoverKind:
-            trace = run_handover(kind, per_hop_s=0.001)
+            trace = run_handover(kind, PolicyConfig(per_hop_latency_s=0.001))
             assert (trace.complete, trace.outcome, trace.failed_step) == (True, "complete", None)
             assert len(trace.messages) == STEP_COUNTS[kind]
 
     def test_dropped_response_fails_and_preserves_serving_link(self):
-        trace = run_handover(HandoverKind.FEMTO_TO_LIFI, per_hop_s=0.005, drop_step=11)
+        trace = run_handover(HandoverKind.FEMTO_TO_LIFI, PolicyConfig(per_hop_latency_s=0.005), drop_step=11)
         assert trace.outcome == "failed" and not trace.complete
         assert trace.failed_step == 11
         assert len(trace.messages) == 10
@@ -137,7 +138,7 @@ class TestRunHandover:
 
 class TestTraceCsv:
     def test_round_trip(self):
-        trace = run_handover(HandoverKind.FEMTO_TO_LIFI, per_hop_s=0.002)
+        trace = run_handover(HandoverKind.FEMTO_TO_LIFI, PolicyConfig(per_hop_latency_s=0.002))
         text = _csv_text(TRACE_CSV_HEADER, trace.csv_rows())  # as `trace --out` writes it
         assert text.splitlines()[0] == "step,kind,from,to,t_send,t_deliver"
         assert len(text.splitlines()) == 27  # header + 26 steps

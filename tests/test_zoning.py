@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from hybridnet.zoning import (
     GridPlan, Zone, analytic_zone_areas, circle_segment_integral,
     classify_points, exact_zone_areas, exact_zone_probabilities, min_ap_count, monte_carlo_zone_model,
-    occupancy_probability, plan_grid,
+    MAX_AP_COUNT, RoomConfig, occupancy_probability, plan_grid,
 )
 from oracles import classify_against_every_ap, sq_distances_to_every_ap, zone_areas_by_greens_theorem
 
-PLAN_24 = plan_grid(24.0, 24.0, 5.0)
+PLAN_24 = plan_grid(RoomConfig(24.0, 24.0, 5.0))
 
 
 def single_ap_plan(a: float, b: float, r: float) -> GridPlan:
@@ -42,28 +42,26 @@ class TestPlanGrid:
         assert PLAN_24.fap_center == (12.0, 12.0)
 
     def test_small_square_room(self):
-        plan = plan_grid(10.0, 10.0, 5.0)
+        plan = plan_grid(RoomConfig(10.0, 10.0, 5.0))
         assert (plan.n_x, plan.n_y) == (2, 2)
         assert plan.l_x_m == pytest.approx((20 - 10) / 2, abs=1e-12)
         assert plan.d_x_m == pytest.approx(5.0, abs=1e-12)
 
     def test_room_smaller_than_one_cell(self):
-        plan = plan_grid(8.0, 8.0, 5.0)
+        plan = plan_grid(RoomConfig(8.0, 8.0, 5.0))
         assert (plan.n_x, plan.n_y) == (1, 1)
         assert plan.ap_centers[0] == pytest.approx((4.0, 4.0))
 
     def test_invalid_dimensions(self):
         for a, b, r in [(0, 24, 5), (24, -1, 5), (24, 24, 0)]:
             with pytest.raises(ValueError):
-                plan_grid(a, b, r)
+                RoomConfig(a, b, r)
 
     @pytest.mark.parametrize("a,b,r", [(math.inf, 24, 5), (math.nan, 24, 5), (24, math.inf, 5), (24, 24, math.inf),
                                        (24, 24, math.nan)])
     def test_non_finite_sizes_rejected(self, a, b, r):
         with pytest.raises(ValueError, match="positive and finite"):
-            plan_grid(a, b, r)
-        with pytest.raises(ValueError, match="positive and finite"):
-            min_ap_count(a, b, r)
+            RoomConfig(a, b, r)
 
     @given(
         a=st.floats(min_value=1.0, max_value=200.0),
@@ -73,12 +71,29 @@ class TestPlanGrid:
     @example(a=1.0, b=199.99999999999997, r=25.0)  # b/2r is just below 4, yet b/2r + 1 rounds up to 5
     @settings(max_examples=200)
     def test_spacing_overlap_consistency(self, a, b, r):
-        plan = plan_grid(a, b, r)
+        plan = plan_grid(RoomConfig(a, b, r))
         assert plan.n_x == math.floor(a / (2 * r) + 1)
         assert plan.d_x_m <= 2 * r + 1e-12
         assert plan.l_x_m == pytest.approx(2 * r - plan.d_x_m, rel=1e-9, abs=1e-9)
         assert plan.l_x_m >= -1e-12 and plan.l_y_m >= -1e-12
         assert len(plan.ap_centers) == plan.n_x * plan.n_y
+
+
+class TestRoomConfig:
+    def test_grid_of_at_most_max_ap_count_aps(self):
+        # a = 2**21 - 1 and r = 0.5 give floor(a/2r + 1) = 2**21 lines on x, and b = 0.5 one line on y
+        assert RoomConfig(2097151.0, 0.5, 0.5)
+        with pytest.raises(ValueError, match=f"^coverage_radius_m: must be .* a grid of at most {MAX_AP_COUNT} APs"):
+            RoomConfig(2097152.0, 0.5, 0.5)
+
+    @pytest.mark.parametrize("a,b,r", [(24.0, 24.0, 1e-9), (1.7e308, 1.7e308, 5e-324), (1.7e308, 0.5, 0.5)])
+    def test_a_grid_beyond_the_float_range_is_rejected(self, a, b, r):
+        with pytest.raises(ValueError, match="^coverage_radius_m: must be large enough"):
+            RoomConfig(a, b, r)
+
+    def test_dense_and_wide_rooms_are_accepted(self):
+        assert min_ap_count(RoomConfig(24.0, 24.0, 0.01)) == 1200 * 1200  # a 1201 x 1201 grid: 1,442,401 APs
+        assert plan_grid(RoomConfig(100.0, 100.0)).ap_count == 121
 
 
 class TestLatticePrecondition:
@@ -89,7 +104,7 @@ class TestLatticePrecondition:
     )
     @settings(max_examples=100, deadline=None)
     def test_every_planned_grid_is_a_lattice_at_pitch_r(self, a, b, r):
-        plan = plan_grid(a, b, r)  # GridPlan checks the precondition at construction
+        plan = plan_grid(RoomConfig(a, b, r))  # GridPlan checks the precondition at construction
         assert dataclasses.replace(plan) == plan
         for n, pitch, coords in ((plan.n_x, plan.d_x_m, [x for x, _ in plan.ap_centers]),
                                  (plan.n_y, plan.d_y_m, [y for _, y in plan.ap_centers])):
@@ -134,9 +149,9 @@ class TestLatticePrecondition:
 
 class TestMinApCount:
     def test_examples(self):
-        assert min_ap_count(24, 24, 5) == 4
-        assert min_ap_count(10, 10, 5) == 1
-        assert min_ap_count(20, 10, 5) == 2
+        assert min_ap_count(RoomConfig(24, 24, 5)) == 4
+        assert min_ap_count(RoomConfig(10, 10, 5)) == 1
+        assert min_ap_count(RoomConfig(20, 10, 5)) == 2
 
 
 class TestAnalyticAreas:
@@ -192,12 +207,12 @@ class TestExactAreas:
 
     @pytest.mark.parametrize("a,b,r", EXACT_PLANS)
     def test_agrees_with_greens_theorem(self, a, b, r):
-        self.assert_exact(plan_grid(a, b, r))
+        self.assert_exact(plan_grid(RoomConfig(a, b, r)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(1.0, 25.0), st.floats(1.0, 25.0), st.floats(2.0, 8.0))
     def test_agrees_with_greens_theorem_on_drawn_plans(self, a, b, r):
-        self.assert_exact(plan_grid(a, b, r))
+        self.assert_exact(plan_grid(RoomConfig(a, b, r)))
 
     def test_one_ap_inside_the_room(self):
         plan = GridPlan(room_x_m=12.0, room_y_m=12.0, coverage_radius_m=5.0, n_x=1, n_y=1, d_x_m=12.0, d_y_m=12.0,
@@ -219,7 +234,7 @@ class TestExactAreas:
 
     @pytest.mark.parametrize("a,b,r", EXACT_PLANS)
     def test_monte_carlo_model_within_four_standard_errors(self, a, b, r):
-        plan, samples = plan_grid(a, b, r), 1 << 20
+        plan, samples = plan_grid(RoomConfig(a, b, r)), 1 << 20
         model = monte_carlo_zone_model(plan, samples, seed=0)
         for got, want in zip(model.zone_probs, exact_zone_probabilities(plan)):
             assert abs(got - want) <= 4.0 * math.sqrt(want * (1.0 - want) / samples)
@@ -301,7 +316,7 @@ class TestLatticeWindow:
     )
     @settings(max_examples=200, deadline=None)
     def test_window_matches_every_ap_oracle(self, a, b, r, seed):
-        plan = plan_grid(a, b, r)
+        plan = plan_grid(RoomConfig(a, b, r))
         gen = np.random.default_rng(seed)
         pts = np.vstack([gen.random((64, 2)) * (a, b), _adversarial_points(plan, gen, 64)])
         codes, nearest = classify_against_every_ap(plan, pts)
@@ -311,7 +326,7 @@ class TestLatticeWindow:
         assert plan.nearest(window).tolist() == nearest.tolist()
 
     def test_whole_lattice_window_holds_every_distance_in_row_major_order(self):
-        plan = plan_grid(60.0, 35.0, 3.0)
+        plan = plan_grid(RoomConfig(60.0, 35.0, 3.0))
         pts = np.random.default_rng(2).random((50, 2)) * (60.0, 35.0)
         dx2, dy2, col0, row0 = plan.sq_distances(pts, width=max(plan.n_x, plan.n_y))
         assert dx2.shape == (plan.n_x, 50) and dy2.shape == (plan.n_y, 50) and not col0.any() and not row0.any()
