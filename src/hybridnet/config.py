@@ -28,7 +28,7 @@ from .engine import (
     TrafficConfig,
 )
 from .transport import CarFollowScenario, VehicleLink
-from .zoning import MIN_MC_SAMPLES, RoomConfig
+from .zoning import MAX_MC_SAMPLES, MIN_MC_SAMPLES, RoomConfig
 
 # Sections whose keys are the fields of one dataclass, less the listed
 # fields: those are context that `resolve` passes to `build` (the seed, a
@@ -59,7 +59,8 @@ SECTIONS = {
 _MACRO_SWEEP = {"distance_start_km": (0.1, *POSITIVE), "distance_stop_km": (1.0, *POSITIVE),
                 "distance_count": (100, *at_least(1))}
 EXTRA_KEYS = {
-    "zoning": {"mc_samples": (1 << 20, *at_least(MIN_MC_SAMPLES))},
+    "zoning": {"mc_samples": (1 << 20, f"in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]",
+                              lambda v: MIN_MC_SAMPLES <= v <= MAX_MC_SAMPLES)},
     "selection": {"pairwise_matrix": [list(row) for row in selection.DEFAULT_MATRIX]},
     "engine.fig16": {"user_count_max": (20, *at_least(0))},
     "engine.fig18": {"spacing_start_m": (0.0, *at_least(0.0)), "spacing_stop_m": (12.0, *at_least(0.0)),

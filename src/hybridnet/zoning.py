@@ -39,8 +39,8 @@ _MC_CHUNK = 1 << 18
 # slice's window is 0.8 MB; a whole fig16 chunk at once runs 1.4x slower in 40 MB more.
 _CLASSIFY_SLICE = 1 << 14
 
-# Fewest samples the Monte Carlo zone model accepts.
-MIN_MC_SAMPLES = 10**4
+# Fewest and most samples the Monte Carlo zone model accepts: at most 2**14 chunk generators.
+MIN_MC_SAMPLES, MAX_MC_SAMPLES = 10**4, 2**32
 # Most APs a room's grid may hold: fig16's int32 load ledger for one placement is then at most 8 MiB.
 MAX_AP_COUNT = 2**21
 
@@ -95,30 +95,33 @@ class GridPlan:
         return self.coverage_radius_m - max(self.l_x_m, self.l_y_m) / 2.0
 
     def sq_distances(self, points: np.ndarray, width: int = 3) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-axis window of (N, 2) points: their squared offsets to ``min(width, lines)`` lines on each axis.
+        """Per-axis window of (N, 2) in-room points: their squared offsets to ``min(width, lines)`` lines on each axis.
 
         Returns ``(dx2, dy2, col0, row0)``: ``dx2[i, p]`` is point ``p``'s squared offset from x line ``col0[p] + i``
         and ``dy2[j, p]`` from y line ``row0[p] + j``, so ``dy2[j, p] + dx2[i, p]`` is its squared distance to the AP
         in that row and column. The line at or below a point is the second of its window, clipped to the walls.
         """
+        pts = np.asarray(points, dtype=float)
+        xs, ys = pts.T  # checked by a whole-array min and per-column maxima: pts.min(axis=0) loops per point
+        if not (pts.min(initial=0.0) >= 0.0 and xs.max(initial=0.0) <= self.room_x_m
+                and ys.max(initial=0.0) <= self.room_y_m):
+            raise ValueError("point outside the room rectangle")
         window = []
-        for lines, pitch, p in zip(self._lines, (self.d_x_m, self.d_y_m), np.asarray(points, dtype=float).T):
+        for lines, pitch, p in zip(self._lines, (self.d_x_m, self.d_y_m), (xs, ys)):
             w = min(width, len(lines))
-            first = np.minimum(np.maximum(np.floor((p - lines[0]) / pitch).astype(np.intp) - 1, 0), len(lines) - w)
+            first = np.intp(0) if w == len(lines) else np.minimum(  # a whole-axis window starts at line 0
+                np.maximum(np.floor((p - lines[0]) / pitch).astype(np.intp) - 1, 0), len(lines) - w)
             offset = p - lines.take(first + np.arange(w)[:, None])
             window.append((np.square(offset, out=offset), first))
         (dx2, col0), (dy2, row0) = window
         return dx2, dy2, col0, row0
 
-    def nearest(self, window: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-        """Row-major index of each point's nearest AP in its :meth:`sq_distances` window; a tie goes to the lower index.
-
-        Row ``j`` comes nearest at ``dy2[j] + min(dx2)`` (IEEE addition is monotone), so the first row reaching
-        the least of those, then its first nearest column, is the window's row-major ``argmin``.
-        """
-        dx2, dy2, col0, row0 = window
-        row = _first_argmin(dy2 + dx2.min(axis=0))
-        return (row0 + row) * self.n_x + col0 + _first_argmin(dy2[row, np.arange(len(row))] + dx2)
+    def sole_cover(self, window: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        """Row-major index of the one AP covering each point of a :meth:`sq_distances` window; -1 where none or two do.
+        A sole cover has no tie (an AP as near would cover the point too), so it is the first per-axis argmin."""
+        dmin, second, col, row = _two_nearest(*window[:2])
+        r2 = self.coverage_radius_m**2
+        return ((dmin <= r2) & (second > r2)) * ((window[3] + row) * self.n_x + window[2] + col + 1) - 1
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,8 @@ class RoomConfig:
         check_fields(self, *POSITIVE_FINITE, "room_x_m", "room_y_m", "coverage_radius_m")
         check_fields(self, f"large enough for a grid of at most {MAX_AP_COUNT} APs",
                      lambda _: math.prod(_ap_lines(self)) <= MAX_AP_COUNT, "coverage_radius_m")
+        check_fields(self, "at most 1e150 m (each squared offset in the lattice window below 1e300)",
+                     lambda v: v <= 1e150, "room_x_m", "room_y_m", "coverage_radius_m")
 
 
 def _ap_lines(room: RoomConfig) -> tuple[int, int]:
@@ -285,20 +290,20 @@ def exact_zone_probabilities(plan: GridPlan) -> tuple[float, float, float, float
     return tuple(area / ab for area in exact_zone_areas(plan))
 
 
-def _two_smallest(rows: np.ndarray):
-    """Smallest and second-smallest entry of each column of a (w, N) window axis; a one-line axis has no second (inf)."""
-    least, second = rows[0], np.inf
-    for row in rows[1:]:  # three rows (the default window): the min and the median of three
-        least, second = np.minimum(least, row), np.minimum(second, np.maximum(least, row))
-    return least, second
-
-
-def _first_argmin(rows: np.ndarray) -> np.ndarray:
-    """``rows.argmin(axis=0)`` of a (w, N) array, one row at a time instead of through a transposed copy."""
-    arg, least = np.zeros(rows.shape[1], dtype=np.intp), rows[0]
-    for j in range(1, len(rows)):
-        arg, least = np.where(rows[j] < least, j, arg), np.minimum(least, rows[j])
-    return arg
+def _two_nearest(dx2: np.ndarray, dy2: np.ndarray):
+    """Each point's squared distances to its nearest and second-nearest AP, and its nearest's window column and row.
+    With ``s1 <= s2`` the two smallest squared offsets on each axis (``s2`` is inf on a one-line axis), those are
+    ``s1y + s1x``, at each axis's first line holding ``s1``, and ``min(s1y + s2x, s2y + s1x)``, exact as IEEE
+    addition is monotone."""
+    stats = []
+    for rows in (dx2, dy2):
+        least, second, first = rows[0], np.inf, np.zeros(rows.shape[1], dtype=np.min_scalar_type(len(rows)))
+        for j, row in enumerate(rows[1:], 1):  # three rows (the default window): the min and the median of three
+            first = np.maximum(first, (row < least) * first.dtype.type(j))  # j is above every earlier first
+            least, second = np.minimum(least, row), np.minimum(second, np.maximum(least, row))
+        stats.append((least, second, first))
+    (s1x, s2x, col), (s1y, s2y, row) = stats
+    return s1y + s1x, np.minimum(s1y + s2x, s2y + s1x), col, row
 
 
 def classify_points(plan: GridPlan, points: np.ndarray, window: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
@@ -307,17 +312,10 @@ def classify_points(plan: GridPlan, points: np.ndarray, window: tuple[np.ndarray
     Precedence: two or more covering APs make Z4 regardless of the inner
     disk; a single covering AP splits Z2/Z3 on the inner radius; no
     coverage is Z1. The codes read the per-axis window ``plan.sq_distances(points)``
-    (a caller that also reads it passes it): with ``s1 <= s2`` the two smallest
-    squared offsets on each axis, the nearest AP is ``s1y + s1x`` away and the
-    second nearest ``min(s1y + s2x, s2y + s1x)``, both exact as IEEE addition is monotone.
+    (a caller that also reads it passes it) through :func:`_two_nearest`.
     """
-    pts = np.asarray(points, dtype=float)
-    a, b = plan.room_x_m, plan.room_y_m
-    if np.any(pts[:, 0] < 0) or np.any(pts[:, 0] > a) or np.any(pts[:, 1] < 0) or np.any(pts[:, 1] > b):
-        raise ValueError("point outside the room rectangle")
-    dx2, dy2 = (plan.sq_distances(pts) if window is None else window)[:2]
-    (s1x, s2x), (s1y, s2y) = _two_smallest(dx2), _two_smallest(dy2)
-    dmin, second, r2 = s1y + s1x, np.minimum(s1y + s2x, s2y + s1x), plan.coverage_radius_m**2
+    dmin, second, _, _ = _two_nearest(*(plan.sq_distances(points) if window is None else window)[:2])
+    r2 = plan.coverage_radius_m**2
     in_disk = (dmin <= plan.inner_radius_m**2).view(np.int8)
     # Z1 is 1; a covering AP adds 2 (Z3), less 1 in its inner disk (Z2); a second adds 1 + in_disk (Z4).
     return np.int8(1) + np.int8(2) * (dmin <= r2) - in_disk + (second <= r2) * (in_disk + np.int8(1))
@@ -352,15 +350,17 @@ def monte_carlo_zone_model(plan: GridPlan, sample_count: int, seed: int) -> Zone
     Sampling is sharded into fixed-size chunks, each with its own generator
     spawned from the seed's ``zones`` stream, and merged in shard order, so
     results are reproducible. Each chunk is classified in slices, so memory
-    stays bounded at large AP counts. Requires at least ``MIN_MC_SAMPLES``.
+    stays bounded at large AP counts. Requires ``MIN_MC_SAMPLES`` to ``MAX_MC_SAMPLES``.
     """
-    if sample_count < MIN_MC_SAMPLES:
-        raise ValueError(f"sample_count must be at least {MIN_MC_SAMPLES}")
+    if not MIN_MC_SAMPLES <= sample_count <= MAX_MC_SAMPLES:
+        raise ValueError(f"sample_count must be in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]")
     a, b = plan.room_x_m, plan.room_y_m
     n_chunks = (sample_count + _MC_CHUNK - 1) // _MC_CHUNK
     counts = np.zeros(4, dtype=np.int64)
     for k, gen in enumerate(spawn_streams(seed)["zones"].spawn(n_chunks)):
-        pts = gen.random((min(_MC_CHUNK, sample_count - k * _MC_CHUNK), 2)) * (a, b)
+        pts = gen.random((min(_MC_CHUNK, sample_count - k * _MC_CHUNK), 2))
+        pts[:, 0] *= a  # a column at a time: * (a, b) would loop over the points
+        pts[:, 1] *= b
         for start in range(0, len(pts), _CLASSIFY_SLICE):
             codes = classify_points(plan, pts[start:start + _CLASSIFY_SLICE])
             counts += np.bincount(codes, minlength=5)[1:5]

@@ -143,9 +143,14 @@ class TestZoningFlags:
             (["--radius", "inf"], "--radius"), (["--radius", "nan"], "--radius"), (["--radius", "0"], "--radius"),
             (["--samples", "5"], "--samples"), (["--radius", "1e-9"], "--radius"),
             (["--samples", "100000000000000000000000000000"], "--samples"),
+            (["--room", "1e300x1e300", "--radius", "1e299"], "--room"),
+            (["--room", "1.7e308x1", "--radius", "1.7e308"], "--room"), (["--radius", "1e151"], "--radius"),
+            (["--samples", "9223372036854775807"], "--samples"), (["--samples", "2147483647000"], "--samples"),
+            (["--samples", "4294967297"], "--samples"),
         ],
         ids=["room-inf", "room-nan", "room-y-inf", "radius-inf", "radius-nan", "radius-zero", "samples-5",
-             "radius-beyond-the-ap-bound", "samples-beyond-int64"],
+             "radius-beyond-the-ap-bound", "samples-beyond-int64", "room-1e300", "room-1.7e308", "radius-1e151",
+             "samples-int64-max", "samples-2147483647000", "samples-one-past-2**32"],
     )
     def test_bad_value_exits_2_naming_the_flag(self, capsys, command, argv, flag):
         assert cli.main([command, *argv]) == 2
@@ -816,6 +821,16 @@ class TestConfig:
             value = getattr(built, f.name)
             assert (value, type(value)) == (section[f.name], type(section[f.name])), f"{path}.{f.name}"
 
+    def test_mc_samples_is_at_most_2_to_the_32(self):
+        assert resolve(deep_merge(DEFAULT_CONFIG, {"zoning": {"mc_samples": 2**32}}), seed=0)
+        with pytest.raises(ValueError, match=r"^zoning.mc_samples: must be in \[10000, 4294967296\], got 4294967297$"):
+            resolve(deep_merge(DEFAULT_CONFIG, {"zoning": {"mc_samples": 2**32 + 1}}), seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_plan_at_the_1e150_m_edge_of_the_room_domain(self, capsys):
+        assert cli.main(["plan", "--room", "1e150x1e150", "--radius", "1e149", "--samples", "10000"]) == 0
+        assert cli.main(["plan", "--room", "1e150x1", "--radius", "1e150", "--samples", "10000"]) == 0
+
     def test_a_number_its_key_cannot_hold_is_a_type_error(self):
         for held, beyond in ((2**63 - 1, 2**63), (-2**63, -2**63 - 1)):  # an int key holds numpy's int64
             assert deep_merge(DEFAULT_CONFIG, {"zoning": {"mc_samples": held}})["zoning"]["mc_samples"] == held
@@ -836,6 +851,18 @@ class TestConfig:
         d2 = config_digest(deep_merge(DEFAULT_CONFIG, {"policy": {"fap_slots": 9}}))
         assert d1 != d2
         assert d1 == config_digest(load_config(None))
+
+    def test_fig17_does_not_import_numpy_ma(self, tmp_path):
+        # np.percentile would import numpy.ma (through np.unique), about 15 ms of a fresh process
+        script = (
+            "import sys; from hybridnet import cli; "
+            f"assert cli.main(['experiment', 'fig17', '--out', {str(tmp_path)!r}]) == 0; "
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported by fig17'"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_yaml_is_imported_only_to_read_a_file(self, tmp_path):
         script = (

@@ -338,8 +338,9 @@ def fresh_decisions(sim, now: float, zone_entry: np.ndarray) -> tuple[list[int],
 
 
 def reading(codes: np.ndarray, nearest: np.ndarray):
-    """A ``locate`` for ``lifi_assignment_idle`` that reads user ``u``'s column of (placements, users) arrays."""
-    return lambda u, rows: (codes[rows, u], nearest[rows, u])
+    """A ``locate`` for ``lifi_assignment_idle`` that reads user ``u``'s column of (placements, users) arrays: the
+    nearest AP of a Zone 2 or 3 user is its sole cover, and any other user has none (-1)."""
+    return lambda u, rows: np.where(np.isin(codes[rows, u], (2, 3)), nearest[rows, u], -1)
 
 
 class TestIdleProbabilityExperiment:
@@ -420,11 +421,12 @@ class TestIdleProbabilityExperiment:
         expected = idle_probability_experiment(cfg, list(range(21)))
         sizes = []
 
-        def counting_classify(plan, points, window=None):
+        def counting_window(plan, points, width=3):
             sizes.append(len(points))
-            return classify_points(plan, points, window)
+            return sq_distances(plan, points, width)
 
-        monkeypatch.setattr(engine, "classify_points", counting_classify)
+        sq_distances = zoning.GridPlan.sq_distances
+        monkeypatch.setattr(zoning.GridPlan, "sq_distances", counting_window)
         got = idle_probability_experiment(cfg, list(range(21)))
         # User p is located only where users 0..p-1 left the placement idle.
         located = sum(round(empirical * cfg.placements) for _, empirical, _ in got[:20])
@@ -488,9 +490,9 @@ class TestIdleProbabilityExperiment:
             chunks.append([])
             return lifi_assignment_idle(*args)
 
-        def recording_classify(plan, points, window=None):
+        def recording_window(plan, points, width=3):
             chunks[-1].append(points.copy())
-            return classify_points(plan, points, window)
+            return sq_distances(plan, points, width)
 
         def spying_streams(seed):
             streams = spawn_streams(seed)
@@ -498,7 +500,8 @@ class TestIdleProbabilityExperiment:
 
         monkeypatch.setattr(engine, "spawn_streams", spying_streams)
         monkeypatch.setattr(engine, "lifi_assignment_idle", recording_idle)
-        monkeypatch.setattr(engine, "classify_points", recording_classify)
+        sq_distances = zoning.GridPlan.sq_distances
+        monkeypatch.setattr(zoning.GridPlan, "sq_distances", recording_window)
         idle_probability_experiment(cfg, list(range(21)))
         assert len(children) == len(chunks) == 3
         fresh = spawn_streams(cfg.seed)["placement"].spawn(3)
@@ -558,6 +561,14 @@ class TestFemtoSinrExperiment:
     def test_drop_floor(self):
         with pytest.raises(ValueError):
             femto_sinr_experiment(FemtoSinrConfig(drops=0), RfParams())
+
+    def test_percentiles_equal_numpy_percentile(self):
+        # fig17's p5/p50/p95 come from one sort by np.percentile's linear rule; the ends and random q check the rule.
+        gen = np.random.default_rng(17)
+        for n in [1, 2, 3, *gen.integers(1, 5001, size=200).tolist()]:
+            values = gen.normal(size=n) * 10.0 ** gen.integers(-3, 4)
+            qs = (0, 5, 50, 95, 100, *(gen.random(3) * 100.0).tolist())
+            assert [engine._percentile(np.sort(values), q) for q in qs] == [float(np.percentile(values, q)) for q in qs], n
 
 
 class TestHandoverSuccessExperiment:

@@ -91,6 +91,20 @@ class TestRoomConfig:
         with pytest.raises(ValueError, match="^coverage_radius_m: must be large enough"):
             RoomConfig(a, b, r)
 
+    @pytest.mark.filterwarnings("error")
+    def test_lengths_of_at_most_1e150_m_keep_the_window_finite(self):
+        plan = plan_grid(RoomConfig(1e150, 1e150, 1e149))  # 6 x 6 APs; window width 3
+        pts = np.array([[0.0, 0.0], [1e150, 1e150], [0.0, 1e150], [5e149, 5e149]])
+        for width in (3, 6):
+            dx2, dy2, _, _ = plan.sq_distances(pts, width)
+            assert np.isfinite(dy2[:, None, :] + dx2[None, :, :]).all()
+        assert classify_points(plan, pts).tolist() == classify_against_every_ap(plan, pts)[0].tolist()
+        beyond = np.nextafter(1e150, np.inf)
+        for sides, key in (((beyond, 1.0, 1e149), "room_x_m"), ((1.0, beyond, 1e149), "room_y_m"),
+                           ((1.0, 1.0, beyond), "coverage_radius_m")):
+            with pytest.raises(ValueError, match=f"^{key}: must be at most 1e150 m"):
+                RoomConfig(*sides)
+
     def test_dense_and_wide_rooms_are_accepted(self):
         assert min_ap_count(RoomConfig(24.0, 24.0, 0.01)) == 1200 * 1200  # a 1201 x 1201 grid: 1,442,401 APs
         assert plan_grid(RoomConfig(100.0, 100.0)).ap_count == 121
@@ -323,7 +337,7 @@ class TestLatticeWindow:
         window = plan.sq_distances(pts)
         assert classify_points(plan, pts).tolist() == codes.tolist()
         assert classify_points(plan, pts, window).tolist() == codes.tolist()
-        assert plan.nearest(window).tolist() == nearest.tolist()
+        assert plan.sole_cover(window).tolist() == np.where(np.isin(codes, (2, 3)), nearest, -1).tolist()
 
     def test_whole_lattice_window_holds_every_distance_in_row_major_order(self):
         plan = plan_grid(RoomConfig(60.0, 35.0, 3.0))
@@ -345,7 +359,7 @@ class TestLatticeWindow:
     )
     def test_knife_edges_of_hand_built_plans(self, xs, ys, r, pitch):
         # A point on a line is exactly r from the lines beside it; the order-statistic
-        # codes and the window's nearest AP must still match the every-AP oracle there,
+        # codes and the window's sole cover must still match the every-AP oracle there,
         # one float either side of it, and on every coverage and inner-disk circle.
         room = (xs[-1] + xs[0], ys[-1] + ys[0])
         plan = GridPlan(
@@ -364,12 +378,12 @@ class TestLatticeWindow:
         assert {2, 3, 4} <= set(codes.tolist())  # a lattice at pitch r leaves no Zone 1 hole
         assert classify_points(plan, pts).tolist() == codes.tolist()
         assert classify_points(plan, pts, window).tolist() == codes.tolist()
-        assert plan.nearest(window).tolist() == nearest.tolist()
+        assert plan.sole_cover(window).tolist() == np.where(np.isin(codes, (2, 3)), nearest, -1).tolist()
 
-    def test_tie_goes_to_lower_ap_index(self):
-        # (8, 4) is the midpoint of AP 0 at (4, 4) and AP 1 at (12, 4).
+    def test_equidistant_point_has_no_sole_cover(self):
+        # (8, 4) is the midpoint of AP 0 at (4, 4) and AP 1 at (12, 4), 4 m from each: both cover it (Zone 4).
         assert PLAN_24.ap_centers[:2] == ((4.0, 4.0), (12.0, 4.0))
-        assert PLAN_24.nearest(PLAN_24.sq_distances([(8.0, 4.0)])).tolist() == [0]
+        assert PLAN_24.sole_cover(PLAN_24.sq_distances([(8.0, 4.0)])).tolist() == [-1]
 
 
 class TestMonteCarlo:
@@ -393,6 +407,10 @@ class TestMonteCarlo:
     def test_sample_floor_enforced(self):
         with pytest.raises(ValueError):
             monte_carlo_zone_model(PLAN_24, 9_999, seed=0)
+
+    def test_sample_ceiling_enforced(self):
+        with pytest.raises(ValueError, match=r"in \[10000, 4294967296\]"):
+            monte_carlo_zone_model(PLAN_24, 2**32 + 1, seed=0)
 
     def test_against_independent_grid_classifier(self):
         # 6 cm grid keeps this fast; TestExactAreas checks the model against the exact areas.
