@@ -448,24 +448,25 @@ class IdleExperimentConfig:
 
 
 def lifi_assignment_idle(locate, placements: int, users: int, ap_count: int, lifi_slots: int) -> np.ndarray:
-    """Idle outcome of every user-count prefix of batched placements; entry (i, k) holds for users 0..k of placement i.
+    """Placements of a batch still idle with each user count: entry p counts those idle with users 0..p-1, p <= users.
 
-    The femtocell ends idle exactly when all the users sit in Zone 2 or 3 and no LiFi AP is asked for more users
-    than it has slots (users join a per-AP load one at a time, each checked at the AP it adds to); this matches
-    the sequential admission plus idle-mode pipeline, which tests verify. ``locate(u, rows)``, called for u = 0, 1,
-    ... in turn, returns the sole covering AP of user ``u`` (-1 outside Zones 2 and 3) in ``rows``, the placements
-    still idle after users 0..u-1 (the only ones it need draw user u for): idle only turns false as users join, and
-    only a placement's own users touch its load row, so no later user can change its entry.
+    The femtocell idles exactly when every user sits in Zone 2 or 3 and no LiFi AP gets more users than slots, as in
+    the sequential admission plus idle-mode pipeline. ``locate(u, rows)``, called for u = 0, 1, ... until no placement
+    is idle, gives user u's sole covering AP (-1 outside Zones 2 and 3) in ``rows``, the placements still idle. User k's
+    AP is ``seen[k]``, read only in those rows, and u overflows when ``lifi_slots`` earlier users sit on its AP.
     """
-    load = np.zeros(placements * ap_count, dtype=np.int32)  # a flat (placements, ap_count) load
-    rows, out = np.arange(placements), np.zeros((users, placements), dtype=bool)
-    for u in range(users):
-        cover = locate(u, rows)
-        on_lifi, cell = cover >= 0, rows * ap_count + cover  # a -1 cover's cell is only read, then masked out
-        load[cell[on_lifi]] += 1
-        rows = rows[on_lifi & (load[cell] <= lifi_slots)]
-        out[u, rows] = True
-    return out.T
+    ap_type, rows, seen, idle = np.min_scalar_type(ap_count - 1), np.arange(placements), [], [placements]
+    while len(rows) and len(seen) < users:  # user len(seen) joins the placements still idle
+        cover = locate(len(seen), rows)
+        keep, cover = cover >= 0, cover.astype(ap_type)  # a -1 cover wraps, but its placement is dropped
+        if len(seen) >= lifi_slots:  # until then no AP holds more than lifi_slots users
+            keep &= np.count_nonzero(np.array([ap[rows] for ap in seen]) == cover, axis=0) < lifi_slots
+        kept = np.flatnonzero(keep)  # an index gathers rows and cover faster than a boolean mask
+        rows, ap = rows[kept], np.empty(placements, dtype=ap_type)
+        ap[rows] = cover[kept]
+        seen.append(ap)
+        idle.append(len(rows))
+    return np.array(idle + [0] * (users + 1 - len(idle)))
 
 
 def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[int]) -> list[tuple[int, float, float]]:
@@ -474,29 +475,27 @@ def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[
     The empirical column places users uniformly at random and applies the admission and idle-mode rules, locating
     a user only in the placements still idle (each point is located on its own, so every located point gets the
     sole covering AP it gets among all of them); the closed-form column evaluates the two-term binomial bound on the
-    exact zone probabilities. Common random numbers: each chunk of ``MAX_AP_COUNT // ap_count`` placements (an 8
-    MiB load ledger) draws users 0, 1, ... in turn from its own generator, user u only for the placements still idle;
-    p users are the first p, so the empirical column is non-increasing in p, and no row depends on the other counts.
+    exact zone probabilities. Common random numbers: each chunk of ``MAX_AP_COUNT // ap_count`` placements draws
+    users 0, 1, ... in turn from its own generator, user u only for the placements still idle; p users are the first
+    p, so the empirical column is non-increasing in p, and no row depends on the other counts.
     """
     if not user_counts or min(user_counts) < 0:
         raise ValueError("user_counts must be non-empty and >= 0")
     plan = plan_grid(config.room)
     zone_probs = exact_zone_probabilities(plan)
-    p_max, chunk = max(user_counts), MAX_AP_COUNT // plan.ap_count  # an int32 load ledger of at most 8 MiB
+    p_max, chunk = max(user_counts), MAX_AP_COUNT // plan.ap_count  # chunk sizes fix which generator draws what
     idle_counts = np.zeros(p_max + 1, dtype=np.int64)
-    idle_counts[0] = config.placements  # no active user: always idle
     sizes = [min(chunk, config.placements - start) for start in range(0, config.placements, chunk)]
     for size, gen in zip(sizes, spawn_streams(config.seed)["placement"].spawn(len(sizes))):
 
         def locate(u: int, rows: np.ndarray) -> np.ndarray:
-            pts, cover = gen.random((len(rows), 2)), np.empty(len(rows), dtype=np.intp)
+            pts = gen.random((len(rows), 2))
             pts[:, 0] *= plan.room_x_m  # a column at a time: * (a, b) would loop over the points
             pts[:, 1] *= plan.room_y_m
-            for part in (slice(s, s + _CLASSIFY_SLICE) for s in range(0, len(rows), _CLASSIFY_SLICE)):
-                cover[part] = plan.sole_cover(plan.sq_distances(pts[part]))
-            return cover
+            return np.concatenate([plan.sole_cover(plan.sq_distances(pts[s:s + _CLASSIFY_SLICE]))
+                                   for s in range(0, len(rows), _CLASSIFY_SLICE)])  # rows is never empty
 
-        idle_counts[1:] += lifi_assignment_idle(locate, size, p_max, plan.ap_count, config.policy.lifi_slots).sum(axis=0)
+        idle_counts += lifi_assignment_idle(locate, size, p_max, plan.ap_count, config.policy.lifi_slots)
     return [(p, int(idle_counts[p]) / config.placements, policy.fap_idle_probability(p, zone_probs))
             for p in user_counts]
 

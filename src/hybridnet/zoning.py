@@ -41,7 +41,7 @@ _CLASSIFY_SLICE = 1 << 14
 
 # Fewest and most samples the Monte Carlo zone model accepts: at most 2**14 chunk generators.
 MIN_MC_SAMPLES, MAX_MC_SAMPLES = 10**4, 2**32
-# Most APs a room's grid may hold: fig16's int32 load ledger for one placement is then at most 8 MiB.
+# Most APs a room's grid may hold; fig16 draws placements in chunks of MAX_AP_COUNT // ap_count, at least 1.
 MAX_AP_COUNT = 2**21
 
 

@@ -116,14 +116,16 @@ def classify_against_every_ap(plan: GridPlan, points) -> tuple[np.ndarray, np.nd
 
 
 def lifi_assignment_idle_one_hot(codes: np.ndarray, nearest: np.ndarray, ap_count: int, lifi_slots: int) -> np.ndarray:
-    """Idle outcome of every user-count prefix, as ``engine.lifi_assignment_idle`` computes it, all users at once.
+    """Idle outcome of every user-count prefix, all users at once: entry (i, k) holds for users 0..k of placement i.
 
-    It reads every user of every placement, also after the placement has
-    stopped idling, so it checks that the engine's user-by-user walk, which
-    locates only the placements still idle, loses no entry. A running OR
-    marks a prefix with a Zone 1 or Zone 4 user; the running load of every
-    AP is the cumulative sum of an (n, p, K) one-hot array of Zone 2/3
-    users, read back at the AP each user adds to.
+    ``engine.lifi_assignment_idle`` counts these entries per user (its
+    column sums). This form reads every user of every placement, also after
+    the placement has stopped idling, and keeps a per-AP load, so it checks
+    that the engine's user-by-user walk, which locates only the placements
+    still idle and compares each user with the earlier users' APs, loses no
+    entry. A running OR marks a prefix with a Zone 1 or Zone 4 user; the
+    running load of every AP is the cumulative sum of an (n, p, K) one-hot
+    array of Zone 2/3 users, read back at the AP each user adds to.
     """
     needs_fap = np.logical_or.accumulate((codes == 1) | (codes == 4), axis=1)
     on_ap = ((codes == 2) | (codes == 3))[..., None] & (nearest[..., None] == np.arange(ap_count))

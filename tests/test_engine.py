@@ -1,6 +1,7 @@
 """Indoor simulation and experiment tests."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -343,6 +344,28 @@ def reading(codes: np.ndarray, nearest: np.ndarray):
     return lambda u, rows: np.where(np.isin(codes[rows, u], (2, 3)), nearest[rows, u], -1)
 
 
+def idle_outcomes(codes: np.ndarray, nearest: np.ndarray, ap_count: int, lifi_slots: int) -> np.ndarray:
+    """Each placement's idle outcome under ``lifi_assignment_idle``: entry (i, u) holds for users 0..u of placement i.
+
+    The rows that ``locate`` is asked for user u + 1 are the placements idle after user u; one trailing user, outside
+    every AP, asks for the rows idle after the last. Checks that the counts add up those rows, that no call gets an
+    empty ``rows`` and that no call follows a count of 0."""
+    placements, users = codes.shape
+    locate, calls = reading(codes, nearest), []
+
+    def recording(u, rows):
+        calls.append(rows.copy())
+        return locate(u, rows) if u < users else np.full(len(rows), -1)
+
+    counts = lifi_assignment_idle(recording, placements, users + 1, ap_count, lifi_slots)
+    idle = np.zeros((placements, users), dtype=bool)
+    for u, rows in enumerate(calls[1:]):
+        idle[rows, u] = True
+    assert counts.tolist() == [placements, *idle.sum(axis=0).tolist(), 0]
+    assert all(len(rows) for rows in calls) and len(calls) == np.count_nonzero(counts[:users + 1])
+    return idle
+
+
 class TestIdleProbabilityExperiment:
     CFG = IdleExperimentConfig(placements=4000, seed=5)
     # 121 APs: chunks of 2**21 // 121 = 17,331 placements, so three chunks, the last partial
@@ -386,7 +409,7 @@ class TestIdleProbabilityExperiment:
             pts = gen.random((p, 2)) * 24.0
             codes, nearest = classify_against_every_ap(plan, pts)
             zones = codes.tolist()
-            fast = lifi_assignment_idle(reading(codes[None, :], nearest[None, :]), 1, p, plan.ap_count, 10)[0]
+            fast = idle_outcomes(codes[None, :], nearest[None, :], plan.ap_count, 10)[0]
             assert fast.shape == (p,)
             for k in range(1, p + 1):  # every prefix of the users is a placement of k users
                 assert bool(fast[k - 1]) == placement_idle_reference(zones[:k], lifi_slots=10, fap_slots=8)
@@ -396,9 +419,27 @@ class TestIdleProbabilityExperiment:
         # and every longer prefix stays non-idle even when the next user fits elsewhere.
         codes = np.array([[2, 2, 2, 3]])
         nearest = np.array([[0, 0, 0, 1]])
-        idle = lifi_assignment_idle(reading(codes, nearest), 1, 4, ap_count=2, lifi_slots=2)
-        assert idle.tolist() == [[True, True, False, False]]
-        assert lifi_assignment_idle(reading(codes, np.array([[0, 1, 0, 1]])), 1, 4, 2, 2).tolist() == [[True] * 4]
+        assert idle_outcomes(codes, nearest, ap_count=2, lifi_slots=2).tolist() == [[True, True, False, False]]
+        assert lifi_assignment_idle(reading(codes, nearest), 1, 4, ap_count=2, lifi_slots=2).tolist() == [1, 1, 1, 0, 0]
+        assert idle_outcomes(codes, np.array([[0, 1, 0, 1]]), 2, 2).tolist() == [[True] * 4]
+
+    @pytest.mark.parametrize("lifi_slots", [1, 2, 3])
+    @pytest.mark.parametrize("ap_count, here, elsewhere", [(2, 0, 1), (256, 255, 254), (300, 299, 43)])
+    def test_overflow_is_checked_from_user_lifi_slots_on(self, lifi_slots, ap_count, here, elsewhere):
+        # The first lifi_slots users always fit; user lifi_slots (0-based) is the first that can overflow an AP.
+        # A Zone 1 user ends idle at once, though its -1 cover wraps to AP 255 in a 256-AP record; 299 and 43
+        # are one AP modulo 256, so 300 APs need a wider record.
+        users = lifi_slots + 2
+        one_ap = [here] * users
+        one_elsewhere = [elsewhere] + [here] * (users - 1)  # user lifi_slots is only the lifi_slots-th on its AP
+        codes = np.array([[2] * users, [3] * users, [2] * (users - 1) + [1]])
+        nearest = np.array([one_ap, one_elsewhere, one_elsewhere])
+        fits = [True] * (lifi_slots + 1) + [False]
+        expected = [[True] * lifi_slots + [False] * 2, fits, fits]
+        assert lifi_assignment_idle_one_hot(codes, nearest, ap_count, lifi_slots).tolist() == expected
+        assert idle_outcomes(codes, nearest, ap_count, lifi_slots).tolist() == expected
+        assert lifi_assignment_idle(reading(codes, nearest), 3, users, ap_count, lifi_slots).tolist() == (
+            [3] * (lifi_slots + 1) + [2, 0])
 
     @pytest.mark.parametrize("ap_count", [1, 2, 9, 121])
     def test_column_loop_matches_one_hot_reference(self, ap_count):
@@ -410,8 +451,9 @@ class TestIdleProbabilityExperiment:
                 codes = gen.choice(np.arange(1, 5, dtype=np.int8), size=(400, p), p=[0.03, 0.47, 0.47, 0.03])
                 nearest = gen.integers(0, ap_count, size=(400, p))
                 expected = lifi_assignment_idle_one_hot(codes, nearest, ap_count, lifi_slots)
-                got = lifi_assignment_idle(reading(codes, nearest), 400, p, ap_count, lifi_slots)
-                assert got.shape == (400, p) and got.tolist() == expected.tolist()
+                assert idle_outcomes(codes, nearest, ap_count, lifi_slots).tolist() == expected.tolist()
+                counts = lifi_assignment_idle(reading(codes, nearest), 400, p, ap_count, lifi_slots)
+                assert counts.tolist() == [400, *expected.sum(axis=0).tolist()]
                 all_lifi = np.logical_and.accumulate((codes == 2) | (codes == 3), axis=1)
                 overflowed += int(np.count_nonzero(all_lifi & ~expected))
         assert overflowed > 100
@@ -438,19 +480,26 @@ class TestIdleProbabilityExperiment:
         located, runs = np.zeros(20, dtype=np.int64), []
 
         def recording_idle(locate, placements, users, ap_count, lifi_slots):
-            calls = []
+            calls, covers = [], np.full((placements, users), -1)
 
             def recording(u, rows):
                 calls.append(rows.copy())
-                return locate(u, rows)
+                covers[rows, u] = cover = locate(u, rows)
+                return cover
 
             idle = lifi_assignment_idle(recording, placements, users, ap_count, lifi_slots)
-            assert len(calls) == users
-            still_idle = np.ones(placements, dtype=bool)
+            # The rule on every located user, all users at once; an unlocated user follows the end of idle.
+            codes, nearest = np.where(covers >= 0, 2, 1), np.maximum(covers, 0)
+            still_idle = np.concatenate([lifi_assignment_idle_one_hot(codes[s:s + 1000], nearest[s:s + 1000], ap_count,
+                                                                      lifi_slots) for s in range(0, placements, 1000)])
+            assert idle.tolist() == [placements, *still_idle.sum(axis=0).tolist()]
+            assert calls[0].tolist() == list(range(placements))
+            for u, rows in enumerate(calls[1:]):
+                assert rows.tolist() == np.flatnonzero(still_idle[:, u]).tolist()
             for u, rows in enumerate(calls):
-                assert rows.tolist() == np.flatnonzero(still_idle).tolist()
                 located[u] += len(rows)
-                still_idle = idle[:, u]
+            # No call after no placement is idle.
+            assert len(calls) == users or (0 < len(calls) < users and idle[len(calls)] == 0)
             runs.append((placements, ap_count))
             return idle
 
@@ -466,11 +515,25 @@ class TestIdleProbabilityExperiment:
 
         def recording_idle(locate, placements, users, ap_count, lifi_slots):
             runs.append((placements, ap_count))
-            return np.zeros((placements, users), dtype=bool)
+            return np.zeros(users + 1, dtype=np.int64)
 
         monkeypatch.setattr(engine, "lifi_assignment_idle", recording_idle)
         idle_probability_experiment(IdleExperimentConfig(), list(range(21)))
         assert runs == [(100_000, 9)]
+
+    def test_many_users_stop_where_no_placement_is_idle(self):
+        # Placements stop idling long before 10,000 users: the run keeps no (placements, users) array.
+        tracemalloc.start()
+        try:
+            rows = idle_probability_experiment(IdleExperimentConfig(placements=2000), list(range(10_001)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        empirical = [e for _, e, _ in rows]
+        last = max(p for p, e in enumerate(empirical) if e > 0)
+        assert 0 < last < 100 and all(e == 0.0 for e in empirical[last + 1:])
+        assert rows[:21] == idle_probability_experiment(IdleExperimentConfig(placements=2000), list(range(21)))
 
     def test_each_chunk_draws_two_doubles_per_located_point(self, monkeypatch):
         # User u is drawn only for the placements still idle, users in order: each chunk's generator
