@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     try:  # the validation phase: every flag and config value is checked before any command computes or writes
         args = build_parser().parse_args(argv)
         config, sections = _validate(args)
-    except (ValueError, FileNotFoundError, KeyError, TypeError) as exc:
+    except (ValueError, OSError, KeyError, TypeError) as exc:  # OSError: a missing or unreadable config file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SystemExit:  # argparse printed --help, --version or a usage error; in-process callers still get the exit

@@ -62,7 +62,8 @@ EXTRA_KEYS = {
     "zoning": {"mc_samples": (1 << 20, f"in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]",
                               lambda v: MIN_MC_SAMPLES <= v <= MAX_MC_SAMPLES)},
     "selection": {"pairwise_matrix": [list(row) for row in selection.DEFAULT_MATRIX]},
-    "engine.fig16": {"user_count_max": (20, *at_least(0))},
+    "engine.fig16": {"user_count_max": (20, f"in [0, {2**20}] (fig16 builds its CSV rows, one per user count, in memory)",
+                                        lambda v: 0 <= v <= 2**20)},
     "engine.fig18": {"spacing_start_m": (0.0, *at_least(0.0)), "spacing_stop_m": (12.0, *at_least(0.0)),
                      "spacing_count": (25, *at_least(1))},
     "transport.fig19": _MACRO_SWEEP,

@@ -35,7 +35,8 @@ from .channel import NON_NEGATIVE_FINITE, POSITIVE, POSITIVE_FINITE, OpticalPara
 from .policy import LIFI, STAY, TO_FAP, TO_LIFI, AdmissionDecision
 from .protocol import HandoverKind, run_handover
 from .rng import spawn_streams
-from .zoning import _CLASSIFY_SLICE, MAX_AP_COUNT, RoomConfig, Zone, classify_points, exact_zone_probabilities, plan_grid
+from .zoning import (_CLASSIFY_SLICE, MAX_AP_COUNT, MAX_MC_SAMPLES, RoomConfig, Zone, classify_points,
+                     exact_zone_probabilities, plan_grid)
 
 
 @dataclass(frozen=True)
@@ -444,7 +445,8 @@ class IdleExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, *at_least(1), "placements")
+        check_fields(self, f"in [1, {MAX_MC_SAMPLES}], as zoning.mc_samples (each chunk of placements spawns a generator)",
+                     lambda v: 1 <= v <= MAX_MC_SAMPLES, "placements")
 
 
 def lifi_assignment_idle(locate, placements: int, users: int, ap_count: int, lifi_slots: int) -> np.ndarray:

@@ -56,38 +56,36 @@ class Zone(enum.Enum):
 class GridPlan:
     """AP grid geometry for one room; build with :func:`plan_grid`.
 
-    The lattice window of :meth:`sq_distances` needs ``ap_centers`` to be the
-    row-major product of x and y lines ``d_x_m`` and ``d_y_m`` apart, and that
-    pitch to be at least the coverage radius on an axis of three or more lines.
+    The plan is its x and y lines, ``d_x_m`` and ``d_y_m`` apart; its APs are their row-major product, x fastest. The
+    lattice window of :meth:`sq_distances` needs that pitch to be at least the coverage radius on an axis of three or
+    more lines. The femtocell AP sits at the room centre.
     """
 
     room_x_m: float
     room_y_m: float
     coverage_radius_m: float
-    n_x: int
-    n_y: int
+    x_lines: tuple[float, ...]
+    y_lines: tuple[float, ...]
     d_x_m: float
     d_y_m: float
     l_x_m: float
     l_y_m: float
-    ap_centers: tuple[tuple[float, float], ...]
-    fap_center: tuple[float, float]
+    n_x = property(lambda self: len(self.x_lines))
+    n_y = property(lambda self: len(self.y_lines))
+    ap_count = property(lambda self: self.n_x * self.n_y)
+    ap_centers = property(lambda self: tuple((x, y) for y in self.y_lines for x in self.x_lines))
+    fap_center = property(lambda self: (self.room_x_m / 2.0, self.room_y_m / 2.0))
 
     def __post_init__(self):
-        xs, ys = [x for x, _ in self.ap_centers[:self.n_x]], [y for _, y in self.ap_centers[::max(self.n_x, 1)]]
-        if min(self.n_x, self.n_y) < 1 or len(ys) != self.n_y or self.ap_centers != tuple((x, y) for y in ys for x in xs):
-            raise ValueError("ap_centers: not the row-major product of n_x x lines and n_y y lines")
-        for axis, lines, pitch in (("x", xs, self.d_x_m), ("y", ys, self.d_y_m)):
+        for axis, lines, pitch in (("x", self.x_lines, self.d_x_m), ("y", self.y_lines, self.d_y_m)):
+            if not lines:
+                raise ValueError(f"{axis}_lines: must hold at least one line")
             spaced = all(abs((b - a) - pitch) <= 1e-9 * pitch for a, b in zip(lines, lines[1:]))
             if not (0 < pitch < math.inf and spaced):
-                raise ValueError(f"ap_centers: the {axis} lines are not d_{axis}_m = {pitch!r} apart")
+                raise ValueError(f"{axis}_lines: the {axis} lines are not d_{axis}_m = {pitch!r} apart")
             if len(lines) >= 3 and pitch < self.coverage_radius_m:
                 raise ValueError(f"d_{axis}_m: pitch {pitch!r} is below the coverage radius on {len(lines)} lines")
-        object.__setattr__(self, "_lines", (np.array(xs), np.array(ys)))
-
-    @property
-    def ap_count(self) -> int:
-        return len(self.ap_centers)
+        object.__setattr__(self, "_lines", (np.array(self.x_lines), np.array(self.y_lines)))
 
     @property
     def inner_radius_m(self) -> float:
@@ -150,9 +148,9 @@ def plan_grid(room: RoomConfig) -> GridPlan:
     """Lay out the densest regular AP grid for the room.
 
     Per-axis AP count is ``n = floor(a/2r + 1)``, pitch ``a / n``
-    and overlap depth ``(2 r n - a) / n``; the first row/column center sits
-    ``r - l/2`` from the wall so overhang is symmetric. The femtocell AP is
-    placed at the room center.
+    and overlap depth ``(2 r n - a) / n``; the first x and y line sits
+    ``r - l/2`` from the wall so overhang is symmetric. The plan holds the
+    lines only; its AP centres are their product.
     """
     a, b, r = room.room_x_m, room.room_y_m, room.coverage_radius_m
     n_x, n_y = _ap_lines(room)
@@ -160,13 +158,11 @@ def plan_grid(room: RoomConfig) -> GridPlan:
     d_y = b / n_y
     l_x = (2.0 * r * n_x - a) / n_x
     l_y = (2.0 * r * n_y - b) / n_y
-    xs = [(r - l_x / 2.0) + i * (2.0 * r - l_x) for i in range(n_x)]
-    ys = [(r - l_y / 2.0) + j * (2.0 * r - l_y) for j in range(n_y)]
-    centers = tuple((x, y) for y in ys for x in xs)  # row-major
     return GridPlan(
         room_x_m=a, room_y_m=b, coverage_radius_m=r,
-        n_x=n_x, n_y=n_y, d_x_m=d_x, d_y_m=d_y, l_x_m=l_x, l_y_m=l_y,
-        ap_centers=centers, fap_center=(a / 2.0, b / 2.0),
+        x_lines=tuple((r - l_x / 2.0) + i * (2.0 * r - l_x) for i in range(n_x)),
+        y_lines=tuple((r - l_y / 2.0) + j * (2.0 * r - l_y) for j in range(n_y)),
+        d_x_m=d_x, d_y_m=d_y, l_x_m=l_x, l_y_m=l_y,
     )
 
 
@@ -239,8 +235,7 @@ def exact_zone_areas(plan: GridPlan) -> tuple[float, float, float, float]:
     ``math`` only, no quadrature.
     """
     a, b = plan.room_x_m, plan.room_y_m
-    cols = [x for x, _ in plan.ap_centers[:plan.n_x]]
-    rows = [y for _, y in plan.ap_centers[::plan.n_x]]
+    cols, rows = plan.x_lines, plan.y_lines
     circles = [(plan.coverage_radius_m, False)] + [(plan.inner_radius_m, True)] * (plan.inner_radius_m > 0)
     breaks = {0.0, a}
     for radius, _ in circles:

@@ -427,6 +427,12 @@ class TestExperiments:
         assert cli.main([*argv, "--config", str(bad), *out_flag(argv, tmp_path / "out")]) == 2
         assert key is None or key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["plan"], ["zones"], ["experiment", "fig16"]])
+    def test_a_directory_as_config_exits_2_naming_it(self, tmp_path, capsys, argv):
+        assert cli.main([*argv, "--config", str(tmp_path), *out_flag(argv, tmp_path / "out")]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("tx_dbm", [-300.0, 300.0])
     @pytest.mark.parametrize("noise_dbm_per_hz", [-300.0, 300.0])
     def test_fig17_is_finite_at_the_ends_of_the_power_domain(self, tmp_path, small_config, tx_dbm, noise_dbm_per_hz):
@@ -469,15 +475,21 @@ class TestExperiments:
          "zoning.mc_samples: must fit numpy's int64"),
         (["indoor-sim"], f"selection: {{pairwise_matrix: [[1.0, 1{'0' * 400}, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0], "
          "[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]}\n", "selection.pairwise_matrix: expected a finite number"),
+        (["experiment", "fig16"], "engine: {fig16: {user_count_max: 1000000000}}\n",
+         "engine.fig16.user_count_max: must be in [0, 1048576]"),
+        (["experiment", "fig16"], "engine: {fig16: {placements: 1000000000000}}\n",
+         "engine.fig16.placements: must be in [1, 4294967296]"),
     ], ids=["fig19-terminal-height", "indoor-sim-optical-power", "fig19-mbs-height", "fig20-center-frequency",
             "indoor-sim-optical-bandwidth", "indoor-sim-optical-noise-power", "indoor-sim-ap-height",
             "fig19-access-distance", "indoor-sim-ap-height-1e-300", "fig19-ap-height-1e-170", "zones-radius-1e-9",
             "fig16-one-ap-past-the-bound", "indoor-sim-grid-beyond-the-float-range", "zones-room-beyond-the-float-range",
-            "zones-samples-beyond-int64", "indoor-sim-ahp-entry-beyond-the-float-range"])
+            "zones-samples-beyond-int64", "indoor-sim-ahp-entry-beyond-the-float-range", "fig16-user-count-max-1e9",
+            "fig16-placements-1e12"])
     def test_value_beyond_its_finite_domain_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, text, key):
         # Each would overflow its model: fig19's direct link to an inf capacity, the LiFi signal power to inf, fig19's
         # and fig20's path loss to inf or -inf, the optical gain's 2 pi d^2 to inf; or underflow the optical noise
-        # power to 0, and a zero-gain SINR to nan, or the AP height's h^2 to 0, which the gain below the AP divides by.
+        # power to 0, and a zero-gain SINR to nan, or the AP height's h^2 to 0, which the gain below the AP divides by;
+        # or fig16's in-memory rows or chunk generators past what memory holds.
         path = tmp_path / "huge.yaml"
         path.write_text(text)
         assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -825,6 +837,12 @@ class TestConfig:
         assert resolve(deep_merge(DEFAULT_CONFIG, {"zoning": {"mc_samples": 2**32}}), seed=0)
         with pytest.raises(ValueError, match=r"^zoning.mc_samples: must be in \[10000, 4294967296\], got 4294967297$"):
             resolve(deep_merge(DEFAULT_CONFIG, {"zoning": {"mc_samples": 2**32 + 1}}), seed=0)
+
+    @pytest.mark.parametrize("key, most", [("user_count_max", 2**20), ("placements", 2**32)])
+    def test_fig16_counts_have_an_upper_bound(self, key, most):
+        assert resolve(deep_merge(DEFAULT_CONFIG, {"engine": {"fig16": {key: most}}}), seed=0)
+        with pytest.raises(ValueError, match=rf"^engine.fig16.{key}: must be in \[[01], {most}\].*, got {most + 1}$"):
+            resolve(deep_merge(DEFAULT_CONFIG, {"engine": {"fig16": {key: most + 1}}}), seed=0)
 
     @pytest.mark.filterwarnings("error")
     def test_plan_at_the_1e150_m_edge_of_the_room_domain(self, capsys):

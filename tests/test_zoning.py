@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -24,8 +25,7 @@ def single_ap_plan(a: float, b: float, r: float) -> GridPlan:
     """A hand-built one-AP plan for overlap-free cases."""
     return GridPlan(
         room_x_m=a, room_y_m=b, coverage_radius_m=r,
-        n_x=1, n_y=1, d_x_m=a, d_y_m=b, l_x_m=0.0, l_y_m=0.0,
-        ap_centers=((a / 2.0, b / 2.0),), fap_center=(a / 2.0, b / 2.0),
+        x_lines=(a / 2.0,), y_lines=(b / 2.0,), d_x_m=a, d_y_m=b, l_x_m=0.0, l_y_m=0.0,
     )
 
 
@@ -120,6 +120,8 @@ class TestLatticePrecondition:
     def test_every_planned_grid_is_a_lattice_at_pitch_r(self, a, b, r):
         plan = plan_grid(RoomConfig(a, b, r))  # GridPlan checks the precondition at construction
         assert dataclasses.replace(plan) == plan
+        assert plan.ap_centers == tuple((x, y) for y in plan.y_lines for x in plan.x_lines)  # row-major, x fastest
+        assert plan.ap_count == plan.n_x * plan.n_y == len(plan.ap_centers)
         for n, pitch, coords in ((plan.n_x, plan.d_x_m, [x for x, _ in plan.ap_centers]),
                                  (plan.n_y, plan.d_y_m, [y for _, y in plan.ap_centers])):
             lines = sorted(set(coords))
@@ -127,22 +129,25 @@ class TestLatticePrecondition:
             if n >= 3:
                 assert pitch >= 4.0 * r / 3.0 * (1 - 1e-12) and min(np.diff(lines)) >= r
 
-    def test_column_major_centers_rejected(self):
-        transposed = tuple((x, y) for x in (4.0, 12.0, 20.0) for y in (4.0, 12.0, 20.0))
-        assert sorted(transposed) == sorted(PLAN_24.ap_centers)
-        with pytest.raises(ValueError, match="row-major"):
-            dataclasses.replace(PLAN_24, ap_centers=transposed)
+    def test_the_densest_plan_holds_its_lines_only(self):
+        room = RoomConfig(24.0, 24.0, 0.01)  # a 1201 x 1201 grid: 1,442,401 APs
+        tracemalloc.start()
+        try:
+            plan = plan_grid(room)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.ap_count == 1201 * 1201
+        assert peak < 2e6  # two tuples of 1201 lines and their arrays; a tuple of every centre would take 180 MB
 
-    def test_line_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="row-major"):
-            dataclasses.replace(PLAN_24, n_x=2)
-        with pytest.raises(ValueError, match="row-major"):
-            dataclasses.replace(PLAN_24, ap_centers=PLAN_24.ap_centers[:8])
+    @pytest.mark.parametrize("axis", ["x_lines", "y_lines"])
+    def test_empty_lines_rejected(self, axis):
+        with pytest.raises(ValueError, match=f"^{axis}: must hold at least one line"):
+            dataclasses.replace(PLAN_24, **{axis: ()})
 
     def test_uneven_lines_rejected(self):
-        centers = tuple((x, y) for y in (4.0, 12.0, 20.0) for x in (4.0, 11.0, 20.0))
         with pytest.raises(ValueError, match="x lines are not d_x_m"):
-            dataclasses.replace(PLAN_24, ap_centers=centers)
+            dataclasses.replace(PLAN_24, x_lines=(4.0, 11.0, 20.0))
         with pytest.raises(ValueError, match="y lines are not d_y_m"):
             dataclasses.replace(PLAN_24, d_y_m=8.5)
         with pytest.raises(ValueError, match="y lines are not d_y_m"):
@@ -153,12 +158,10 @@ class TestLatticePrecondition:
 
     def test_pitch_below_radius_rejected(self):
         # Three x lines 4 m apart at r = 5: a 3-line window could miss a covering AP.
-        centers = tuple((x, y) for y in (4.0, 12.0, 20.0) for x in (8.0, 12.0, 16.0))
         with pytest.raises(ValueError, match="d_x_m: pitch 4.0 is below the coverage radius"):
-            dataclasses.replace(PLAN_24, d_x_m=4.0, ap_centers=centers)
+            dataclasses.replace(PLAN_24, d_x_m=4.0, x_lines=(8.0, 12.0, 16.0))
         # Two lines need no window, so any positive pitch is a lattice.
-        two = tuple((x, y) for y in (4.0, 12.0, 20.0) for x in (11.0, 13.0))
-        assert dataclasses.replace(PLAN_24, n_x=2, d_x_m=2.0, ap_centers=two).n_x == 2
+        assert dataclasses.replace(PLAN_24, d_x_m=2.0, x_lines=(11.0, 13.0)).n_x == 2
 
 
 class TestMinApCount:
@@ -229,8 +232,8 @@ class TestExactAreas:
         self.assert_exact(plan_grid(RoomConfig(a, b, r)))
 
     def test_one_ap_inside_the_room(self):
-        plan = GridPlan(room_x_m=12.0, room_y_m=12.0, coverage_radius_m=5.0, n_x=1, n_y=1, d_x_m=12.0, d_y_m=12.0,
-                        l_x_m=2.0, l_y_m=2.0, ap_centers=((6.0, 6.0),), fap_center=(6.0, 6.0))
+        plan = GridPlan(room_x_m=12.0, room_y_m=12.0, coverage_radius_m=5.0, x_lines=(6.0,), y_lines=(6.0,),
+                        d_x_m=12.0, d_y_m=12.0, l_x_m=2.0, l_y_m=2.0)
         assert plan.inner_radius_m == 4.0
         z1, z2, z3, z4 = exact_zone_areas(plan)
         assert z2 == pytest.approx(math.pi * 16.0, rel=1e-12)
@@ -363,9 +366,8 @@ class TestLatticeWindow:
         # one float either side of it, and on every coverage and inner-disk circle.
         room = (xs[-1] + xs[0], ys[-1] + ys[0])
         plan = GridPlan(
-            room_x_m=room[0], room_y_m=room[1], coverage_radius_m=r, n_x=len(xs), n_y=len(ys),
+            room_x_m=room[0], room_y_m=room[1], coverage_radius_m=r, x_lines=tuple(xs), y_lines=tuple(ys),
             d_x_m=pitch[0], d_y_m=pitch[1], l_x_m=0.8 * r, l_y_m=0.8 * r,
-            ap_centers=tuple((x, y) for y in ys for x in xs), fap_center=(room[0] / 2.0, room[1] / 2.0),
         )
         axes = []
         for lines, side in ((np.array(xs), room[0]), (np.array(ys), room[1])):
