@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # a program fault or a failed write
         if isinstance(exc, BrokenPipeError) and _silence_closed_stdout():  # the rest of the output has nowhere to go
             return EXIT_OK
-        print(f"runtime failure: {exc}", file=sys.stderr)
+        print(f"runtime failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 

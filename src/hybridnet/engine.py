@@ -51,6 +51,7 @@ class MobilityConfig:
         check_fields(self, *POSITIVE, "tick_s")
         check_fields(self, *at_least(0), "speed_min_mps", "pause_min_s")
         check_fields(self, *at_least(self.speed_min_mps), "speed_max_mps")
+        check_fields(self, "such that speed_max_mps * tick_s is finite", lambda v: v * self.tick_s < math.inf, "speed_max_mps")
         check_fields(self, *at_least(self.pause_min_s), "pause_max_s")
 
 
@@ -197,7 +198,7 @@ class _IndoorSim:
     # Mobility and location ----------------------------------------------
 
     def _move(self, now: float) -> None:
-        """Move every terminal one tick in one vector step; only a terminal that draws runs Python."""
+        """Move every terminal one tick in one unmasked vector step; only a terminal that draws runs Python."""
         cfg, room, waypoint, pause_until = self.cfg.mobility, self.cfg.room, self._waypoint, self._pause_until
         for i in (pause_until <= now).nonzero()[0].tolist():  # a pause ends: draw a waypoint and a speed, and walk
             gen = self._mobility[i]
@@ -206,8 +207,8 @@ class _IndoorSim:
         step, d, walking = self._speed * cfg.tick_s, waypoint - self._xy, pause_until == math.inf
         dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])  # each operation correctly rounded (README, Determinism)
         arrive = walking & (dist <= step)
-        walk = (walking & ~arrive)[:, None]  # x + dx / dist * step; a zero step leaves x as it is
-        np.add(self._xy, np.divide(d, dist[:, None], out=d, where=walk) * step[:, None], out=self._xy, where=walk)
+        dist[~walking | arrive] = math.inf  # d / inf * step is a signed zero (step is finite), and x + ±0.0 is x
+        self._xy += d / dist[:, None] * step[:, None]  # a walker's x + dx / dist * step
         np.copyto(self._xy, waypoint, where=arrive[:, None])
         for i in arrive.nonzero()[0].tolist():
             pause_until[i] = now + self._mobility[i].uniform(cfg.pause_min_s, cfg.pause_max_s)
@@ -221,7 +222,7 @@ class _IndoorSim:
         return positions
 
     def _locate(self, positions: np.ndarray) -> None:
-        """Zone codes, optical gains and covering APs of a block's (ticks, N, 2) positions, in one pass."""
+        """Zone codes, optical gains and covering distances (inf if uncovered) of a block's (ticks, N, 2) positions."""
         plan, pts = self.plan, positions.reshape(-1, 2)
         dx2, dy2, _, _ = window = plan.sq_distances(pts, width=max(plan.n_x, plan.n_y))  # the whole lattice: every AP's gain
         d2 = (dy2.T[:, :, None] + dx2.T[:, None, :]).reshape(*positions.shape[:2], plan.ap_count)  # row-major AP order
@@ -230,12 +231,12 @@ class _IndoorSim:
         self._positions, self._gain = positions, channel.optical_channel_gain(dist, self.cfg.optical)
         self._rx_power = np.where(covered, self.cfg.optical.tx_optical_power_W * self._gain, 0.0)  # 0 W if uncovered
         np.copyto(dist, np.inf, where=~covered)  # covering APs sort first, nearest first; a tie keeps the lower column
-        self._covering_order, self._covering_count = np.argsort(dist, axis=2, kind="stable"), covered.sum(axis=2).tolist()
+        self._covering_dist, self._covering_count = dist, np.count_nonzero(covered, axis=2)
         self._codes = classify_points(plan, pts, window).reshape(positions.shape[:2])
 
     def _covering(self, i: int) -> list[int]:
         """The indices of the LiFi APs covering terminal i on the current tick, nearest first."""
-        return self._covering_order[self._tick, i, :self._covering_count[self._tick][i]].tolist()
+        return np.argsort(self._covering_dist[self._tick, i], kind="stable")[:self._covering_count[self._tick, i]].tolist()
 
     def _start_block(self, positions: np.ndarray, steps: range) -> None:
         """Locate a block's positions and take its (ticks, N) zone-entry clocks; its first tick decides every row."""
@@ -255,13 +256,16 @@ class _IndoorSim:
                     & ~(on_fap & self._voice[terminals]))  # voice stays pinned to the femtocell
         self._decisions[tick:, terminals] = STAY
         offsets, columns = eligible.nonzero()
+        if not len(offsets):  # a release, or a handover whose t_h_s guard covers the rest of the block
+            return
         ticks, rows = offsets + tick, terminals[columns]  # each eligible row's tick and terminal
         kinds, zones = on_fap[columns].astype(np.int8), self._codes[ticks, rows]  # network codes: LIFI 0, FAP 1
         signals = np.full((2, len(rows)), -math.inf)  # dB: serving and target
         z4 = ((kinds == LIFI) & (zones == Zone.Z4.value)).nonzero()[0]
         if len(z4):  # two APs cover a Zone 4 terminal: the target is the nearest one not serving it
             z4_ticks, z4_rows = ticks[z4], rows[z4]
-            serving, (first, second) = ap[columns[z4]], self._covering_order[z4_ticks, z4_rows, :2].T
+            serving, order = ap[columns[z4]], np.argsort(self._covering_dist[z4_ticks, z4_rows], axis=1, kind="stable")
+            first, second = order[:, :2].T
             self._targets[z4_ticks, z4_rows] = target = np.where(first == serving, second, first)  # a LiFi column
             at = np.tile(z4_ticks, 2), np.tile(z4_rows, 2), np.concatenate((serving, target))
             signals[:, z4] = channel.linear_to_db(self._rx_power[at]).reshape(2, -1)
@@ -318,15 +322,14 @@ class _IndoorSim:
             self._decide(self._tick, np.fromiter(self._redecide, dtype=np.intp))
             self._redecide.clear()
         decisions, targets = self._decisions[self._tick], self._targets[self._tick]
-        acting = (decisions != STAY).nonzero()[0]
+        acting = decisions.nonzero()[0]  # the rows that do not stay: STAY is code 0
         for i, column, decision in zip(acting.tolist(), targets[acting].tolist(), decisions[acting].tolist()):
             if decision == TO_LIFI:
                 moved = self._to_covering_lifi(i, now)
             else:  # TO_FAP, or TO_TARGET_LIFI, whose stronger target is a covering AP
-                flow, target = ((HandoverKind.LIFI_TO_FEMTO, self._femto) if decision == TO_FAP
-                                else (HandoverKind.LIFI_TO_LIFI, column))
-                moved = self._free[target] > 0
-                if moved:
+                target = self._femto if decision == TO_FAP else column
+                if moved := self._free[target] > 0:
+                    flow = HandoverKind.LIFI_TO_FEMTO if decision == TO_FAP else HandoverKind.LIFI_TO_LIFI
                     self._execute_handover(i, now, flow, target)
             self.metrics.handovers_rejected += not moved
 
@@ -376,7 +379,7 @@ class _IndoorSim:
     def _check_slot_balance(self) -> None:
         """Each AP's occupied slots are its calls, within its capacity; an idle femtocell holds none."""
         occupied = [capacity - free for capacity, free in zip(self._capacity, self._free)]
-        calls = np.bincount(self._ap[self._ap != _NO_CALL], minlength=len(occupied)).tolist()
+        calls = np.bincount(self._ap + 1, minlength=len(occupied) + 1)[1:].tolist()  # bin 0 counts _NO_CALL
         if occupied != calls or min(self._free) < 0 or (self._fap_idle and occupied[-1]):
             raise RuntimeError(f"slot leak: {occupied} occupied for {calls} calls per AP")
 
@@ -486,9 +489,9 @@ def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[
     plan = plan_grid(config.room)
     zone_probs = exact_zone_probabilities(plan)
     p_max, chunk = max(user_counts), MAX_AP_COUNT // plan.ap_count  # chunk sizes fix which generator draws what
-    idle_counts = np.zeros(p_max + 1, dtype=np.int64)
-    sizes = [min(chunk, config.placements - start) for start in range(0, config.placements, chunk)]
-    for size, gen in zip(sizes, spawn_streams(config.seed)["placement"].spawn(len(sizes))):
+    idle_counts, placement = np.zeros(p_max + 1, dtype=np.int64), spawn_streams(config.seed)["placement"]
+    for start in range(0, config.placements, chunk):  # spawn(1) per chunk gives spawn(n)'s streams, one at a time
+        gen, size = placement.spawn(1)[0], min(chunk, config.placements - start)
 
         def locate(u: int, rows: np.ndarray) -> np.ndarray:
             pts = gen.random((len(rows), 2))

@@ -564,15 +564,17 @@ class TestExperiments:
         peak("30.0")  # first run: module-level caches
         assert abs(peak("1.0e6") - peak("30.0")) < 4096
 
-    @pytest.mark.parametrize("error", [KeyError, ValueError], ids=lambda error: error.__name__)
-    def test_program_fault_in_a_command_is_runtime_error(self, tmp_path, monkeypatch, capsys, error):
+    @pytest.mark.parametrize("error, message", [(KeyError("distance"), "'distance'"), (ValueError("distance"), "distance"),
+                                                (MemoryError(), "MemoryError")], ids=["KeyError", "ValueError", "MemoryError"])
+    def test_program_fault_in_a_command_is_runtime_error(self, tmp_path, monkeypatch, capsys, error, message):
         # Only the validation phase exits 2: an error a computation raises exits 3, whatever its type.
+        # An error without text, such as MemoryError(), is named by its type.
         def fault(*args):
-            raise error("distance")
+            raise error
 
         monkeypatch.setattr(transport, "reliability_sweep", fault)
         assert cli.main(["experiment", "fig21", "--out", str(tmp_path)]) == 3
-        assert "runtime failure" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"runtime failure: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [["trace", "lifi-to-lifi"], ["zones", "--samples", "10000"], ["--version"],

@@ -1,5 +1,6 @@
 """Indoor simulation and experiment tests."""
 
+import copy
 import math
 import tracemalloc
 from dataclasses import replace
@@ -226,8 +227,9 @@ class TestSimulateIndoor:
         assert first_arrival[0] == first_arrival[1] < base.duration_s
 
     @pytest.mark.parametrize("config", [BUSY, replace(MOBILE, duration_s=60.0), SLOT_STARVED, MIXED, replace(
-        ScenarioConfig(optical=OpticalParams(fov_semi_angle_deg=30.0)), duration_s=30.0)],
-        ids=["busy", "mobile", "slot-starved", "mixed", "fov30-zero-sinr"])
+        ScenarioConfig(optical=OpticalParams(fov_semi_angle_deg=30.0)), duration_s=30.0),
+        replace(LOADED, room=RoomConfig(100.0, 100.0), user_count=10, duration_s=10.0)],
+        ids=["busy", "mobile", "slot-starved", "mixed", "fov30-zero-sinr", "loaded-121-aps"])
     def test_batched_run_equals_the_per_terminal_loop(self, config):
         batched, looped = simulate_indoor(config), indoor_run_reference(config)
         assert batched.csv_rows() == looped.csv_rows()
@@ -266,6 +268,17 @@ class TestSimulateIndoor:
         simulate_indoor(config)
         assert {policy.TO_FAP, policy.TO_LIFI} <= set(acted)
 
+    def test_no_policy_call_decides_zero_rows(self, monkeypatch):
+        rows, decide = [], policy.handover_decision
+
+        def counting(kinds, *args):
+            rows.append(len(kinds))
+            return decide(kinds, *args)
+
+        monkeypatch.setattr(policy, "handover_decision", counting)
+        simulate_indoor(LOADED)  # a release, or a guarded handover, re-decides no eligible row: no call
+        assert rows and min(rows) > 0
+
     def test_block_size_fits_one_classify_slice(self):
         block = engine._block_ticks(60, 9)  # the most ticks whose entries fit
         assert block * 60 * 9 <= zoning._CLASSIFY_SLICE < (block + 1) * 60 * 9
@@ -299,6 +312,8 @@ class TestSimulateIndoor:
             MobilityConfig(tick_s=0.0)
         with pytest.raises(ValueError):
             PolicyConfig(fap_slots=0)
+        with pytest.raises(ValueError, match="^speed_max_mps: "):  # a step of inf metres
+            MobilityConfig(speed_min_mps=1e308, speed_max_mps=1e308, tick_s=2.0)
         for side in (0.0, -1.0, math.inf, math.nan):
             for name in ("room_x_m", "room_y_m", "coverage_radius_m"):
                 with pytest.raises(ValueError, match=f"^{name}: "):
@@ -308,6 +323,87 @@ class TestSimulateIndoor:
         for duration in (math.inf, math.nan):
             with pytest.raises(ValueError, match="^duration_s: "):
                 ScenarioConfig(duration_s=duration)
+
+
+def sim_at(xy, waypoint, speed, pause_until) -> _IndoorSim:
+    """A simulator whose terminals stand at ``xy`` and walk to ``waypoint`` at ``speed`` or pause until ``pause_until``."""
+    sim = _IndoorSim(ScenarioConfig(user_count=len(xy), seed=2))
+    sim._xy[...], sim._waypoint[...], sim._speed[...], sim._pause_until[...] = xy, waypoint, speed, pause_until
+    return sim
+
+
+class TestUnmaskedStep:
+    # Every terminal takes x + d / dist * step; one that does not walk on the tick has dist = inf.
+
+    def test_paused_terminal_keeps_its_bits_and_sign(self):
+        # Its waypoints lie on both sides, so d / inf * step is -0.0 on some axes and +0.0 on others;
+        # the bytes hold the sign, so x = 0.0 must stay +0.0.
+        sim = sim_at([[0.0, 0.0], [0.1, 23.9]], [[-3.0, 2.0], [5.0, -1.0]], [1.5, 1.5], [100.0, 100.0])
+        before = sim._xy.tobytes()
+        for tick in range(5):
+            sim._move(tick * 0.1)
+            assert sim._xy.tobytes() == before
+
+    def test_walker_with_speed_zero_keeps_its_bits(self):
+        sim = sim_at([[0.3, 7.7]], [[20.0, 1.0]], [0.0], [math.inf])
+        before = sim._xy.tobytes()
+        for tick in range(5):
+            sim._move(tick * 0.1)
+        assert sim._xy.tobytes() == before and sim._pause_until.tolist() == [math.inf]
+
+    def test_walker_whose_distance_equals_its_step_lands_on_its_waypoint(self):
+        # (1, 1) to (4, 5) is exactly 5 m, and 50 m/s over one 0.1 s tick is exactly 5 m.
+        sim = sim_at([[1.0, 1.0]], [[4.0, 5.0]], [50.0], [math.inf])
+        assert 50.0 * sim.cfg.mobility.tick_s == 5.0
+        mobility, gen = sim.cfg.mobility, copy.deepcopy(sim._mobility[0])
+        sim._move(0.3)
+        assert sim._xy.tolist() == [[4.0, 5.0]]
+        assert sim._pause_until.tolist() == [0.3 + gen.uniform(mobility.pause_min_s, mobility.pause_max_s)]
+
+    def test_walker_matches_the_scalar_step_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        xy, waypoint, speed = rng.uniform(0.0, 24.0, (50, 2)), rng.uniform(0.0, 24.0, (50, 2)), rng.uniform(0.5, 1.5, 50)
+        sim = sim_at(xy, waypoint, speed, np.full(50, math.inf))
+        sim._move(0.0)
+        for (x, y), (wx, wy), v, got in zip(xy.tolist(), waypoint.tolist(), speed.tolist(), sim._xy.tolist()):
+            dx, dy, step = wx - x, wy - y, v * sim.cfg.mobility.tick_s
+            dist = math.sqrt(dx * dx + dy * dy)
+            assert dist > step and got == [x + dx / dist * step, y + dy / dist * step]
+
+
+class TestCoveringOrder:
+    # Covering APs are sorted where they are read: nearest first, and a tie goes to the lower row-major index.
+
+    def test_covering_equals_brute_force_on_121_ap_blocks(self):
+        sim = _IndoorSim(ScenarioConfig(room=RoomConfig(100.0, 100.0), user_count=60, seed=4))
+        plan, block, shared = sim.plan, engine._block_ticks(60, 121), 0
+        assert plan.ap_count == 121 and block > 1
+        for first in range(0, 5 * block, block):
+            sim._start_block(sim._move_block(range(first, first + block)), range(first, first + block))
+            for tick in range(block):
+                sim._tick = tick
+                for i, row in enumerate(sq_distances_to_every_ap(plan, sim._positions[tick]).tolist()):
+                    expected = [j for _, j in sorted((math.sqrt(d2), j) for j, d2 in enumerate(row)
+                                                     if d2 <= plan.coverage_radius_m**2)]
+                    assert sim._covering(i) == expected
+                    shared += len(expected) > 1
+        assert shared > 0  # Zone 4 rows, covered by two APs
+
+    def test_a_tie_goes_to_the_lower_index(self):
+        # (8, 4) is 4 m from the APs at (4, 4) and (12, 4), columns 0 and 1 of the default plan: Zone 4.
+        sim = _IndoorSim(ScenarioConfig(user_count=1))
+        sim._start_block(np.array([[[8.0, 4.0]]]), range(1))
+        sim._tick = 0
+        assert sim._codes.tolist() == [[Zone.Z4.value]] and sim._covering(0) == [0, 1]
+        # At 6 m coverage, (8, 8) lies sqrt(32) m from four APs: a Zone 4 row's target is the first of them not serving.
+        sim = _IndoorSim(ScenarioConfig(room=RoomConfig(coverage_radius_m=6.0), user_count=1))
+        sim._start_block(np.array([[[8.0, 8.0]]]), range(1))
+        sim._tick = 0
+        assert sim._covering(0) == [0, 1, 3, 4]
+        for serving, target in ((4, 0), (0, 1)):
+            sim._ap[0] = serving
+            sim._decide(0, np.array([0]))
+            assert sim._targets.tolist() == [[target]]
 
 
 def fresh_decisions(sim, now: float, zone_entry: np.ndarray) -> tuple[list[int], list[int | None]]:
@@ -587,6 +683,27 @@ class TestIdleProbabilityExperiment:
     def test_empty_user_counts_rejected(self):
         with pytest.raises(ValueError):
             idle_probability_experiment(self.CFG, [])
+
+    def test_memory_does_not_grow_with_the_chunk_count(self, monkeypatch):
+        # One placement per chunk, as in a room of MAX_AP_COUNT APs: each chunk's generator is spawned as it starts.
+        monkeypatch.setattr(engine, "MAX_AP_COUNT", plan_grid(RoomConfig()).ap_count)
+
+        def peak(chunks):
+            tracemalloc.start()
+            try:
+                idle_probability_experiment(IdleExperimentConfig(placements=chunks), [0])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(200)  # first run: module-level caches
+        assert peak(2000) - peak(200) < 200_000
+
+    def test_chunked_run_keeps_its_streams(self, monkeypatch):
+        # 25 chunks of 40 placements: chunk k draws from the k-th of the placement stream's children.
+        monkeypatch.setattr(engine, "MAX_AP_COUNT", 40 * plan_grid(RoomConfig()).ap_count)
+        rows = idle_probability_experiment(IdleExperimentConfig(placements=1000, seed=1), list(range(8)))
+        assert [empirical for _, empirical, _ in rows] == [1.0, 0.799, 0.648, 0.532, 0.429, 0.345, 0.267, 0.206]
 
 
 class TestFemtoSinrExperiment:
