@@ -36,7 +36,7 @@ from .policy import LIFI, STAY, TO_FAP, TO_LIFI, AdmissionDecision
 from .protocol import HandoverKind, run_handover
 from .rng import spawn_streams
 from .zoning import (_CLASSIFY_SLICE, MAX_AP_COUNT, MAX_MC_SAMPLES, RoomConfig, Zone, classify_points,
-                     exact_zone_probabilities, plan_grid)
+                     exact_zone_probabilities, plan_grid, sole_covers)
 
 
 @dataclass(frozen=True)
@@ -457,8 +457,9 @@ def lifi_assignment_idle(locate, placements: int, users: int, ap_count: int, lif
 
     The femtocell idles exactly when every user sits in Zone 2 or 3 and no LiFi AP gets more users than slots, as in
     the sequential admission plus idle-mode pipeline. ``locate(u, rows)``, called for u = 0, 1, ... until no placement
-    is idle, gives user u's sole covering AP (-1 outside Zones 2 and 3) in ``rows``, the placements still idle. User k's
-    AP is ``seen[k]``, read only in those rows, and u overflows when ``lifi_slots`` earlier users sit on its AP.
+    is idle, gives user u's sole covering AP (-1 outside Zones 2 and 3) in ``rows``, the placements still idle; it may
+    reuse that array on its next call. User k's AP is ``seen[k]``, read only in those rows, and u overflows when
+    ``lifi_slots`` earlier users sit on its AP.
     """
     ap_type, rows, seen, idle = np.min_scalar_type(ap_count - 1), np.arange(placements), [], [placements]
     while len(rows) and len(seen) < users:  # user len(seen) joins the placements still idle
@@ -486,21 +487,14 @@ def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[
     """
     if not user_counts or min(user_counts) < 0:
         raise ValueError("user_counts must be non-empty and >= 0")
-    plan = plan_grid(config.room)
+    plan = plan_grid(config.room).buffered()
     zone_probs = exact_zone_probabilities(plan)
     p_max, chunk = max(user_counts), MAX_AP_COUNT // plan.ap_count  # chunk sizes fix which generator draws what
     idle_counts, placement = np.zeros(p_max + 1, dtype=np.int64), spawn_streams(config.seed)["placement"]
     for start in range(0, config.placements, chunk):  # spawn(1) per chunk gives spawn(n)'s streams, one at a time
         gen, size = placement.spawn(1)[0], min(chunk, config.placements - start)
-
-        def locate(u: int, rows: np.ndarray) -> np.ndarray:
-            pts = gen.random((len(rows), 2))
-            pts[:, 0] *= plan.room_x_m  # a column at a time: * (a, b) would loop over the points
-            pts[:, 1] *= plan.room_y_m
-            return np.concatenate([plan.sole_cover(plan.sq_distances(pts[s:s + _CLASSIFY_SLICE]))
-                                   for s in range(0, len(rows), _CLASSIFY_SLICE)])  # rows is never empty
-
-        idle_counts += lifi_assignment_idle(locate, size, p_max, plan.ap_count, config.policy.lifi_slots)
+        idle_counts += lifi_assignment_idle(lambda _, rows: sole_covers(plan, gen, len(rows)), size, p_max,
+                                            plan.ap_count, config.policy.lifi_slots)
     return [(p, int(idle_counts[p]) / config.placements, policy.fap_idle_probability(p, zone_probs))
             for p in user_counts]
 
@@ -553,6 +547,7 @@ def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams):
     dx = radii * np.cos(angles) - user[0]
     dy = radii * np.sin(angles) - user[1]
     dist = np.maximum(np.hypot(dx, dy), config.min_link_distance_m)
+    del radii, angles, dx, dy  # only dist is read from here: four fewer (drops, fap_count) arrays at the peak
     u_band = gen.random((n, k))
     u_idle = gen.random((n, k))
 

@@ -24,6 +24,7 @@ its nearest and second-nearest AP distance, which decide its zone.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import enum
 import itertools
 import math
@@ -35,8 +36,8 @@ from .channel import POSITIVE_FINITE, check_fields
 from .rng import spawn_streams
 
 _MC_CHUNK = 1 << 18
-# Points classified at once, by the zone model and fig16, sized for cache: a
-# slice's window is 0.8 MB; a whole fig16 chunk at once runs 1.4x slower in 40 MB more.
+# Points the zone model and fig16 draw and locate at once, in the buffers of a buffered plan. In process, the 121-AP
+# model over 2^20 samples costs the same at 2^13 to 2^15 points, 1.4x at 2^12 and 2x at 2^11: numpy's per-call cost.
 _CLASSIFY_SLICE = 1 << 14
 
 # Fewest and most samples the Monte Carlo zone model accepts: at most 2**14 chunk generators.
@@ -58,7 +59,7 @@ class GridPlan:
 
     The plan is its x and y lines, ``d_x_m`` and ``d_y_m`` apart; its APs are their row-major product, x fastest. The
     lattice window of :meth:`sq_distances` needs that pitch to be at least the coverage radius on an axis of three or
-    more lines. The femtocell AP sits at the room centre.
+    more lines. The femtocell AP sits at the room centre. Its kernels allocate what they return; see :meth:`buffered`.
     """
 
     room_x_m: float
@@ -86,6 +87,21 @@ class GridPlan:
             if len(lines) >= 3 and pitch < self.coverage_radius_m:
                 raise ValueError(f"d_{axis}_m: pitch {pitch!r} is below the coverage radius on {len(lines)} lines")
         object.__setattr__(self, "_lines", (np.array(self.x_lines), np.array(self.y_lines)))
+        object.__setattr__(self, "_kept", None)
+
+    def buffered(self) -> GridPlan:
+        """This plan, keeping the arrays its kernels compute into: a bulk call's slices reuse them, and what a kernel
+        returns is valid until the plan's next kernel call."""
+        plan = dataclasses.replace(self)
+        object.__setattr__(plan, "_kept", {})
+        return plan
+
+    def _buffer(self, key: str, shape: tuple, dtype=float) -> np.ndarray:
+        """An array of ``shape`` to compute into: a new one, or on a buffered plan a view of the one kept under ``key``."""
+        kept, slot = {} if self._kept is None else self._kept, (key, shape[:-1], dtype)
+        if slot not in kept or kept[slot].shape[-1] < shape[-1]:
+            kept[slot] = np.empty(shape, dtype)
+        return kept[slot][..., :shape[-1]]
 
     @property
     def inner_radius_m(self) -> float:
@@ -99,27 +115,35 @@ class GridPlan:
         and ``dy2[j, p]`` from y line ``row0[p] + j``, so ``dy2[j, p] + dx2[i, p]`` is its squared distance to the AP
         in that row and column. The line at or below a point is the second of its window, clipped to the walls.
         """
-        pts = np.asarray(points, dtype=float)
-        xs, ys = pts.T  # checked by a whole-array min and per-column maxima: pts.min(axis=0) loops per point
-        if not (pts.min(initial=0.0) >= 0.0 and xs.max(initial=0.0) <= self.room_x_m
+        pts, buf, window = np.asarray(points, dtype=float), self._buffer, []
+        xs, ys = xy = buf("xy", (2, n := len(pts)))  # checked by a whole-array min and per-axis maxima
+        xy[...] = pts.T  # contiguous per-axis copies: every pass of the window reads unit-stride columns
+        if not (xy.min(initial=0.0) >= 0.0 and xs.max(initial=0.0) <= self.room_x_m
                 and ys.max(initial=0.0) <= self.room_y_m):
             raise ValueError("point outside the room rectangle")
-        window = []
-        for lines, pitch, p in zip(self._lines, (self.d_x_m, self.d_y_m), (xs, ys)):
+        for axis, lines, pitch, p in zip("xy", self._lines, (self.d_x_m, self.d_y_m), (xs, ys)):
             w = min(width, len(lines))
-            first = np.intp(0) if w == len(lines) else np.minimum(  # a whole-axis window starts at line 0
-                np.maximum(np.floor((p - lines[0]) / pitch).astype(np.intp) - 1, 0), len(lines) - w)
-            offset = p - lines.take(first + np.arange(w)[:, None])
-            window.append((np.square(offset, out=offset), first))
+            offset, first, near = buf(axis, (w, n)), np.intp(0), lines[:, None]  # a whole-axis window: from line 0
+            if w < len(lines):  # floor((p - lines[0]) / pitch) - 1, clipped to [0, len(lines) - w]
+                cell = np.divide(np.subtract(p, lines[0], out=offset[0]), pitch, out=offset[0])
+                first = np.clip(cell, 1, len(lines) - w + 1, out=buf(axis + "0", (n,), np.intp), casting="unsafe")
+                np.subtract(first, 1, out=first)  # the cast truncated each clipped cell, at least 1: that floors it
+                for j, row in enumerate(offset):  # row j: line first + j
+                    lines[j:].take(first, out=row, mode="clip")
+                near = offset
+            window.append((np.square(np.subtract(p, near, out=offset), out=offset), first))
         (dx2, col0), (dy2, row0) = window
         return dx2, dy2, col0, row0
 
     def sole_cover(self, window: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
         """Row-major index of the one AP covering each point of a :meth:`sq_distances` window; -1 where none or two do.
         A sole cover has no tie (an AP as near would cover the point too), so it is the first per-axis argmin."""
-        dmin, second, col, row = _two_nearest(*window[:2])
-        r2 = self.coverage_radius_m**2
-        return ((dmin <= r2) & (second > r2)) * ((window[3] + row) * self.n_x + window[2] + col + 1) - 1
+        dmin, second, col, row = _two_nearest(*window[:2], self._buffer)
+        r2, n = self.coverage_radius_m**2, len(dmin)
+        ap, covered = self._buffer("ap", (n,), np.intp), self._buffer("covered", (n,), bool)
+        np.add(np.add(np.multiply(np.add(window[3], row, out=ap), self.n_x, out=ap), window[2], out=ap), col, out=ap)
+        np.multiply(np.add(ap, 1, out=ap), np.less_equal(dmin, r2, out=covered), out=ap)  # 0 where none covers
+        return np.subtract(np.multiply(ap, np.greater(second, r2, out=covered), out=ap), 1, out=ap)  # or two do
 
 
 @dataclass(frozen=True)
@@ -285,20 +309,30 @@ def exact_zone_probabilities(plan: GridPlan) -> tuple[float, float, float, float
     return tuple(area / ab for area in exact_zone_areas(plan))
 
 
-def _two_nearest(dx2: np.ndarray, dy2: np.ndarray):
+def _two_nearest(dx2: np.ndarray, dy2: np.ndarray, buffer):
     """Each point's squared distances to its nearest and second-nearest AP, and its nearest's window column and row.
     With ``s1 <= s2`` the two smallest squared offsets on each axis (``s2`` is inf on a one-line axis), those are
     ``s1y + s1x``, at each axis's first line holding ``s1``, and ``min(s1y + s2x, s2y + s1x)``, exact as IEEE
-    addition is monotone."""
-    stats = []
-    for rows in (dx2, dy2):
-        least, second, first = rows[0], np.inf, np.zeros(rows.shape[1], dtype=np.min_scalar_type(len(rows)))
-        for j, row in enumerate(rows[1:], 1):  # three rows (the default window): the min and the median of three
-            first = np.maximum(first, (row < least) * first.dtype.type(j))  # j is above every earlier first
-            least, second = np.minimum(least, row), np.minimum(second, np.maximum(least, row))
+    addition is monotone. Computed into the plan's ``buffer`` (:meth:`GridPlan._buffer`)."""
+    stats, n = [], dx2.shape[1]
+    for axis, rows in zip("xy", (dx2, dy2)):
+        dtype = np.min_scalar_type(len(rows))
+        least, second, first = rows[0], buffer(axis + "2nd", (n,)), buffer(axis + "col", (n,), dtype)
+        if len(rows) == 1:  # a one-line axis has no second line
+            second[...], first[...] = np.inf, 0
+        else:  # the first two lines in order, then each further line: three rows give the min and the median of three
+            np.less(rows[1], least, out=first)
+            np.maximum(least, rows[1], out=second)
+            least = np.minimum(least, rows[1], out=buffer(axis + "1st", (n,)))
+        less, high = buffer("less", (n,), dtype), buffer("dmin", (n,))  # dmin is computed after the loops
+        for j, row in enumerate(rows[2:], 2):
+            np.maximum(first, np.multiply(np.less(row, least, out=less), j, out=less), out=first)  # j tops earlier ones
+            np.minimum(second, np.maximum(least, row, out=high), out=second)
+            np.minimum(least, row, out=least)
         stats.append((least, second, first))
     (s1x, s2x, col), (s1y, s2y, row) = stats
-    return s1y + s1x, np.minimum(s1y + s2x, s2y + s1x), col, row
+    dmin = np.add(s1y, s1x, out=buffer("dmin", (n,)))
+    return dmin, np.minimum(np.add(s1y, s2x, out=s2x), np.add(s2y, s1x, out=s2y), out=s2y), col, row
 
 
 def classify_points(plan: GridPlan, points: np.ndarray, window: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
@@ -309,11 +343,31 @@ def classify_points(plan: GridPlan, points: np.ndarray, window: tuple[np.ndarray
     coverage is Z1. The codes read the per-axis window ``plan.sq_distances(points)``
     (a caller that also reads it passes it) through :func:`_two_nearest`.
     """
-    dmin, second, _, _ = _two_nearest(*(plan.sq_distances(points) if window is None else window)[:2])
-    r2 = plan.coverage_radius_m**2
-    in_disk = (dmin <= plan.inner_radius_m**2).view(np.int8)
+    dmin, second, _, _ = _two_nearest(*(plan.sq_distances(points) if window is None else window)[:2], plan._buffer)
+    n, r2 = len(dmin), plan.coverage_radius_m**2
+    in_disk, codes, twice = (plan._buffer(key, (n,), np.int8) for key in ("in_disk", "codes", "twice"))
+    np.less_equal(dmin, plan.inner_radius_m**2, out=in_disk)
     # Z1 is 1; a covering AP adds 2 (Z3), less 1 in its inner disk (Z2); a second adds 1 + in_disk (Z4).
-    return np.int8(1) + np.int8(2) * (dmin <= r2) - in_disk + (second <= r2) * (in_disk + np.int8(1))
+    np.subtract(np.add(np.multiply(np.less_equal(dmin, r2, out=codes), 2, out=codes), 1, out=codes), in_disk, out=codes)
+    return np.add(codes, np.multiply(np.less_equal(second, r2, out=twice), np.add(in_disk, 1, out=in_disk), out=twice),
+                  out=codes)
+
+
+def _uniform_slices(plan: GridPlan, gen: np.random.Generator, count: int):
+    """Each slice's start and points of ``gen.random((count, 2))`` scaled to the room, drawn into one buffer of ``plan``."""
+    for start in range(0, count, _CLASSIFY_SLICE):
+        pts = gen.random(out=plan._buffer("points", (2 * min(_CLASSIFY_SLICE, count - start),))).reshape(-1, 2)
+        pts[:, 0] *= plan.room_x_m  # a column at a time: * (a, b) would loop over the points
+        pts[:, 1] *= plan.room_y_m
+        yield start, pts
+
+
+def sole_covers(plan: GridPlan, gen: np.random.Generator, count: int) -> np.ndarray:
+    """The sole covering AP (:meth:`GridPlan.sole_cover`) of each of ``count`` uniform in-room points from ``gen``."""
+    covers = plan._buffer("covers", (count,), np.int32)  # an AP index is below MAX_AP_COUNT = 2**21
+    for start, pts in _uniform_slices(plan, gen, count):
+        covers[start:start + len(pts)] = plan.sole_cover(plan.sq_distances(pts))
+    return covers
 
 
 @dataclass(frozen=True)
@@ -344,21 +398,18 @@ def monte_carlo_zone_model(plan: GridPlan, sample_count: int, seed: int) -> Zone
 
     Sampling is sharded into fixed-size chunks, each with its own generator
     spawned from the seed's ``zones`` stream, and merged in shard order, so
-    results are reproducible. Each chunk is classified in slices, so memory
-    stays bounded at large AP counts. Requires ``MIN_MC_SAMPLES`` to ``MAX_MC_SAMPLES``.
+    results are reproducible. Each chunk is drawn and classified slice by slice in the buffers of
+    :meth:`GridPlan.buffered`, so no slice allocates. Requires ``MIN_MC_SAMPLES`` to ``MAX_MC_SAMPLES``.
     """
     if not MIN_MC_SAMPLES <= sample_count <= MAX_MC_SAMPLES:
         raise ValueError(f"sample_count must be in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]")
-    a, b = plan.room_x_m, plan.room_y_m
+    a, b, buffered = plan.room_x_m, plan.room_y_m, plan.buffered()
     n_chunks = (sample_count + _MC_CHUNK - 1) // _MC_CHUNK
     counts = np.zeros(4, dtype=np.int64)
     for k, gen in enumerate(spawn_streams(seed)["zones"].spawn(n_chunks)):
-        pts = gen.random((min(_MC_CHUNK, sample_count - k * _MC_CHUNK), 2))
-        pts[:, 0] *= a  # a column at a time: * (a, b) would loop over the points
-        pts[:, 1] *= b
-        for start in range(0, len(pts), _CLASSIFY_SLICE):
-            codes = classify_points(plan, pts[start:start + _CLASSIFY_SLICE])
-            counts += np.bincount(codes, minlength=5)[1:5]
+        for _, pts in _uniform_slices(buffered, gen, min(_MC_CHUNK, sample_count - k * _MC_CHUNK)):
+            codes, hit = classify_points(buffered, pts), buffered._buffer("hit", (len(pts),), bool)
+            counts += [np.count_nonzero(np.equal(codes, zone, out=hit)) for zone in (1, 2, 3, 4)]
     c = [int(v) for v in counts]
     # Close the partition on Z4: the first three probabilities are the
     # exact count ratios and the last is 1 minus their running float sum,

@@ -17,6 +17,8 @@ tables of ``policy.admit_new_call`` and ``policy.handover_decision``;
 the car-following optical link one instant at a time, the reference for
 the exact outage interval of ``transport.reliability_sweep``.
 ``trace_from_csv`` reads a written trace back, so a replay can be compared with its run.
+``zone_counts_from_whole_chunks`` draws each chunk of the zone model's samples at once, the reference for
+``monte_carlo_zone_model``, which draws them a slice at a time.
 """
 
 import csv
@@ -33,7 +35,7 @@ from hybridnet.protocol import run_handover
 from hybridnet.rng import spawn_streams
 from hybridnet.policy import FAP, LIFI, STAY, TO_FAP, TO_LIFI, TO_TARGET_LIFI, AdmissionDecision
 from hybridnet.protocol import TRACE_CSV_HEADER, HandoverKind, HandoverTrace, MessageKind, ProtocolMessage
-from hybridnet.zoning import GridPlan, Zone, plan_grid
+from hybridnet.zoning import _CLASSIFY_SLICE, _MC_CHUNK, GridPlan, Zone, classify_points, plan_grid
 
 
 def placement_idle_reference(
@@ -113,6 +115,20 @@ def classify_against_every_ap(plan: GridPlan, points) -> tuple[np.ndarray, np.nd
             codes.append(4 if covering >= 2 else 1 if covering == 0 else 2 if d2.min() <= inner2 else 3)
             nearest.append(int(d2.argmin()))
     return np.array(codes, dtype=np.int8), np.array(nearest, dtype=np.intp)
+
+
+def zone_counts_from_whole_chunks(plan: GridPlan, sample_count: int, seed: int) -> tuple[int, int, int, int]:
+    """Zone sample counts (Z1..Z4) of the zone model's chunks, each drawn in one ``gen.random((size, 2))`` call,
+    scaled to the room column by column and classified in slices."""
+    counts = np.zeros(4, dtype=np.int64)
+    n_chunks = (sample_count + _MC_CHUNK - 1) // _MC_CHUNK
+    for k, gen in enumerate(spawn_streams(seed)["zones"].spawn(n_chunks)):
+        pts = gen.random((min(_MC_CHUNK, sample_count - k * _MC_CHUNK), 2))
+        pts[:, 0] *= plan.room_x_m
+        pts[:, 1] *= plan.room_y_m
+        for start in range(0, len(pts), _CLASSIFY_SLICE):
+            counts += np.bincount(classify_points(plan, pts[start:start + _CLASSIFY_SLICE]), minlength=5)[1:5]
+    return tuple(counts.tolist())
 
 
 def lifi_assignment_idle_one_hot(codes: np.ndarray, nearest: np.ndarray, ap_count: int, lifi_slots: int) -> np.ndarray:

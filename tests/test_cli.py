@@ -646,6 +646,23 @@ class TestManifest:
         assert manifest["outputs"] == [csv] and manifest["seed"] == 2
         assert manifest["command"] == " ".join(argv[:2] if argv[0] in ("experiment", "trace") else argv[:1])
 
+    @pytest.mark.parametrize("argv,out,kind", [
+        (["zones"], "dir", "a directory"),
+        (["experiment", "fig19"], "file", "a file"),
+        (["trace", "lifi-to-lifi"], "file", "a file"),
+        (["indoor-sim"], "file", "a file"),
+    ], ids=["zones", "experiment", "trace", "indoor-sim"])
+    def test_out_of_the_other_kind_fails_validation(self, tmp_path, monkeypatch, capsys, argv, out, kind):
+        # zones' --out names its CSV file and the others' a directory: an existing path of the other kind exits 2
+        # in the validation phase, so the command neither computes nor writes.
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("kept\n")
+        monkeypatch.setitem(cli.COMMANDS, argv[0], lambda *args: pytest.fail("the command ran"))
+        assert cli.main([*argv, "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out: {str(tmp_path / out)!r} is {kind}; {argv[0]} writes")
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["dir", "file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
+
     @pytest.mark.parametrize("argv,flags", [
         (["zones", "--samples", "16384"], (["--room", "24x24"], ["--room", "30x24"])),
         (["zones", "--samples", "16384"], (["--radius", "5"], ["--radius", "6"])),

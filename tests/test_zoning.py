@@ -16,9 +16,11 @@ from hybridnet.zoning import (
     classify_points, exact_zone_areas, exact_zone_probabilities, min_ap_count, monte_carlo_zone_model,
     MAX_AP_COUNT, RoomConfig, occupancy_probability, plan_grid,
 )
-from oracles import classify_against_every_ap, sq_distances_to_every_ap, zone_areas_by_greens_theorem
+from oracles import (classify_against_every_ap, sq_distances_to_every_ap, zone_areas_by_greens_theorem,
+                     zone_counts_from_whole_chunks)
 
 PLAN_24 = plan_grid(RoomConfig(24.0, 24.0, 5.0))
+PLAN_121 = plan_grid(RoomConfig(100.0, 100.0, 5.0))
 
 
 def single_ap_plan(a: float, b: float, r: float) -> GridPlan:
@@ -426,6 +428,30 @@ class TestMonteCarlo:
         rows = model.csv_rows()
         assert [r[0] for r in rows] == ["Z1", "Z2", "Z3", "Z4"]
         assert all(len(r) == 4 for r in rows)
+
+    @pytest.mark.parametrize("plan", [PLAN_24, PLAN_121], ids=["9-aps", "121-aps"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("samples", [10**4 + 7, 2**18 + 1, 3 * 2**14 - 1])
+    def test_slice_draws_count_as_whole_chunk_draws(self, plan, seed, samples):
+        # A chunk's points are drawn a slice at a time, and a generator gives the same doubles whatever the split: a
+        # partial last slice (10^4 + 7), a one-point second chunk (2^18 + 1) and a last slice one point short
+        # (3 * 2^14 - 1) count as one draw of each chunk does.
+        assert monte_carlo_zone_model(plan, samples, seed).sample_counts == zone_counts_from_whole_chunks(plan, samples, seed)
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        # Each slice is drawn and classified in buffers the call makes once: four chunks of 2^18 samples hold no
+        # more memory than one of 2^16.
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                monte_carlo_zone_model(PLAN_121, samples, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2**16)  # first run: module-level caches
+        small, large = peak(2**16), peak(2**20)
+        assert large <= 1.1 * small, (small, large)
 
 
 def _grid_fraction_oracle(plan: GridPlan, step: float) -> tuple[float, float, float, float]:
