@@ -9,11 +9,11 @@ then write. The validation phase parses the flags, lays each of ``--room``,
 ``zoning`` or ``protocol`` key it overrides, and resolves the config, so a
 flag is checked by its key's rule. ``trace --drop-step`` fails the flow at
 the step it names. ``--out``, the CSV file of ``zones`` and the directory
-of the others, must not name an existing path of the other kind. Exit
-codes: 0 success, 2 validation failure (flags, config file, ``--out``), 3
-runtime failure (any error after validation). A reader that closes stdout
-early ends a command quietly with exit 0, and ``--version`` or ``--help``
-quietly with its usual exit.
+of the others, must not name an existing path of the other kind nor lie
+under a file. Exit codes: 0 success, 2 validation failure (flags, config
+file, ``--out``), 3 runtime failure (any error after validation). A reader
+that closes stdout early ends a command quietly with exit 0, and
+``--version`` or ``--help`` quietly with its usual exit.
 
 All CSV output uses '.' decimals, repr-exact floats and newline-terminated
 rows, so a command rerun with the same configuration and seed is
@@ -160,9 +160,13 @@ def _validate(args) -> tuple[dict, dict]:
         steps = len(protocol.canonical_sequence(TRACE_KINDS[args.kind]))
         if not 1 <= args.drop_step <= steps:
             raise ValueError(f"--drop-step must lie in 1..{steps} for {args.kind}, got {args.drop_step}")
-    if getattr(args, "out", None) and os.path.exists(args.out) and os.path.isdir(args.out) == (args.command == "zones"):
-        is_, wants = ("a directory", "a CSV file") if args.command == "zones" else ("a file", "a directory")
-        raise ValueError(f"--out: {args.out!r} is {is_}; {args.command} writes to {wants}")
+    if getattr(args, "out", None):  # zones writes a file at --out, the others a directory, nothing under a file
+        path, zones = Path(args.out).absolute(), args.command == "zones"
+        found = next(p for p in (path, *path.parents) if os.path.exists(p))  # --out, or its nearest existing ancestor
+        if found.is_dir() == (zones and found == path):
+            is_ = "under a file" if found != path else "a directory" if zones else "a file"
+            wants = "a CSV file" if zones else "a directory"
+            raise ValueError(f"--out: {args.out!r} is {is_}; {args.command} writes to {wants}")
     return config, sections
 
 

@@ -56,8 +56,9 @@ SECTIONS = {
 # A range-checked key is written as (default, rule, ok), with the rule pair
 # of `channel.check_fields`; a sweep's values lie between its two
 # endpoints, so checking both checks them all.
+_SWEEP_COUNT = (f"in [1, {2**20}] (the figure builds its CSV rows, one per value, in memory)", lambda v: 1 <= v <= 2**20)
 _MACRO_SWEEP = {"distance_start_km": (0.1, *POSITIVE), "distance_stop_km": (1.0, *POSITIVE),
-                "distance_count": (100, *at_least(1))}
+                "distance_count": (100, *_SWEEP_COUNT)}
 EXTRA_KEYS = {
     "zoning": {"mc_samples": (1 << 20, f"in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]",
                               lambda v: MIN_MC_SAMPLES <= v <= MAX_MC_SAMPLES)},
@@ -65,11 +66,11 @@ EXTRA_KEYS = {
     "engine.fig16": {"user_count_max": (20, f"in [0, {2**20}] (fig16 builds its CSV rows, one per user count, in memory)",
                                         lambda v: 0 <= v <= 2**20)},
     "engine.fig18": {"spacing_start_m": (0.0, *at_least(0.0)), "spacing_stop_m": (12.0, *at_least(0.0)),
-                     "spacing_count": (25, *at_least(1))},
+                     "spacing_count": (25, *_SWEEP_COUNT)},
     "transport.fig19": _MACRO_SWEEP,
     "transport.fig20": _MACRO_SWEEP,
     "transport.fig21": {"distance_start_m": (5.0, *POSITIVE), "distance_stop_m": (50.0, *POSITIVE),
-                        "distance_count": (100, *at_least(1))},
+                        "distance_count": (100, *_SWEEP_COUNT)},
 }
 
 

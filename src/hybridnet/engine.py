@@ -115,7 +115,7 @@ def _mean(total: float, count: int) -> float:
 
 
 def _fsum(blocks: list[np.ndarray]) -> float:
-    """The correctly rounded sum of every sample of ``blocks``, whatever their order (README, Determinism)."""
+    """The correctly rounded sum of every sample of ``blocks``, whatever their order or batching (exact partials)."""
     return math.fsum(chain.from_iterable(block.tolist() for block in blocks))
 
 
@@ -205,7 +205,7 @@ class _IndoorSim:
             waypoint[i] = gen.uniform(0.0, room.room_x_m), gen.uniform(0.0, room.room_y_m)
             self._speed[i], pause_until[i] = gen.uniform(cfg.speed_min_mps, cfg.speed_max_mps), math.inf
         step, d, walking = self._speed * cfg.tick_s, waypoint - self._xy, pause_until == math.inf
-        dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])  # each operation correctly rounded (README, Determinism)
+        dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])  # correctly rounded ops, unlike libm's hypot
         arrive = walking & (dist <= step)
         dist[~walking | arrive] = math.inf  # d / inf * step is a signed zero (step is finite), and x + ±0.0 is x
         self._xy += d / dist[:, None] * step[:, None]  # a walker's x + dx / dist * step
@@ -402,7 +402,7 @@ class _IndoorSim:
         ticks = int(round(cfg.duration_s / cfg.mobility.tick_s))
         block = _block_ticks(n, self.plan.ap_count)
         idle_ticks = 0
-        for first in range(0, ticks, block):  # a block's moves and link samples feed no call (README, Determinism)
+        for first in range(0, ticks, block):  # mobility reads no call, and link samples feed only the run totals
             steps = range(first, min(first + block, ticks))
             aps = np.empty((len(steps), n), dtype=np.intp)
             self._start_block(self._move_block(steps), steps)
@@ -521,7 +521,8 @@ class FemtoSinrConfig:
 
     def __post_init__(self):
         check_fields(self, *at_least(0), "fap_count", "interferer_wall_count", "hybrid_users_per_home")
-        check_fields(self, *at_least(1), "drops")
+        check_fields(self, f"at least 1, with drops * max(fap_count, 1) at most {2**22} (fig17 holds several (drops, "
+                     "fap_count) float arrays in memory)", lambda v: 1 <= v * max(self.fap_count, 1) <= 2**22, "drops")
         check_fields(self, *POSITIVE_FINITE, "user_distance_m", "min_link_distance_m")
         check_fields(self, *NON_NEGATIVE_FINITE, "deployment_radius_m")
 
@@ -574,7 +575,8 @@ class HandoverSuccessConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, *at_least(1), "crossings")
+        check_fields(self, f"in [1, {2**22}] (fig18 draws each spacing's crossings as one array)",
+                     lambda v: 1 <= v <= 2**22, "crossings")
 
 
 def lifi_crossing_success_exact(ap_distance_m: float, coverage_radius_m: float) -> float:

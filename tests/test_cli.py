@@ -352,6 +352,15 @@ class TestExperiments:
             (["experiment", "fig16"], "engine: {fig16: {zone_samples: 1048576}}\n",
              "engine.fig16.zone_samples: unknown key"),
             (["experiment", "fig18"], "engine: {fig18: {crossings: 0}}\n", "engine.fig18.crossings"),
+            (["experiment", "fig17"], "engine: {fig17: {drops: 83887}}\n", "engine.fig17.drops"),
+            (["experiment", "fig18"], "engine: {fig18: {crossings: 4194305}}\n", "engine.fig18.crossings"),
+            (["experiment", "fig18"], "engine: {fig18: {spacing_count: 1048577}}\n", "engine.fig18.spacing_count"),
+            (["experiment", "fig19"], "transport: {fig19: {distance_count: 1048577}}\n",
+             "transport.fig19.distance_count"),
+            (["experiment", "fig20"], "transport: {fig20: {distance_count: 1048577}}\n",
+             "transport.fig20.distance_count"),
+            (["experiment", "fig21"], "transport: {fig21: {distance_count: 1048577}}\n",
+             "transport.fig21.distance_count"),
             (["indoor-sim"], "policy: {lifi_slots: 0}\n", "policy.lifi_slots"),
             (["experiment", "fig17"], "channel: {rf: {wall_count: 3}}\n", "channel.rf.wall_count: unknown key"),
             (["experiment", "fig19"], "zoning: {room_x_m: 0.0}\n", "zoning.room_x_m"),
@@ -407,7 +416,10 @@ class TestExperiments:
              "mc-samples-below-minimum", "fig19-count-negative", "fig20-count-zero", "fig21-count-zero",
              "fig18-count-zero", "fig16-user-max-negative", "fig17-zone-samples-checked-everywhere",
              "fig17-zone-samples-unknown", "fig17-drops-zero", "fig16-placements-zero",
-             "fig16-zone-samples-unknown", "fig18-crossings-zero", "lifi-slots-zero", "rf-wall-count-unknown",
+             "fig16-zone-samples-unknown", "fig18-crossings-zero", "fig17-cells-above-2-to-the-22",
+             "fig18-crossings-above-2-to-the-22", "fig18-count-above-2-to-the-20", "fig19-count-above-2-to-the-20",
+             "fig20-count-above-2-to-the-20", "fig21-count-above-2-to-the-20", "lifi-slots-zero",
+             "rf-wall-count-unknown",
              "room-side-zero", "coverage-radius-negative", "plan-room-side-negative", "fig17-user-distance-zero",
              "fig17-fap-count-negative", "fig17-hybrid-users-negative", "fig17-wall-count-negative",
              "fig17-min-link-distance-zero", "fig17-deployment-radius-negative", "fig19-start-zero",
@@ -651,10 +663,15 @@ class TestManifest:
         (["experiment", "fig19"], "file", "a file"),
         (["trace", "lifi-to-lifi"], "file", "a file"),
         (["indoor-sim"], "file", "a file"),
-    ], ids=["zones", "experiment", "trace", "indoor-sim"])
+        (["zones", "--samples", "10000"], "file/zones.csv", "under a file"),
+        (["experiment", "fig19"], "file/sub", "under a file"),
+        (["trace", "lifi-to-lifi"], "file/x", "under a file"),
+        (["indoor-sim"], "file/sub", "under a file"),
+    ], ids=["zones", "experiment", "trace", "indoor-sim", "zones-under-a-file", "experiment-under-a-file",
+            "trace-under-a-file", "indoor-sim-under-a-file"])
     def test_out_of_the_other_kind_fails_validation(self, tmp_path, monkeypatch, capsys, argv, out, kind):
-        # zones' --out names its CSV file and the others' a directory: an existing path of the other kind exits 2
-        # in the validation phase, so the command neither computes nor writes.
+        # zones' --out names its CSV file and the others' a directory: an existing path of the other kind, or a path
+        # under a file, exits 2 in the validation phase, so the command neither computes nor writes.
         (tmp_path / "dir").mkdir()
         (tmp_path / "file").write_text("kept\n")
         monkeypatch.setitem(cli.COMMANDS, argv[0], lambda *args: pytest.fail("the command ran"))
@@ -862,6 +879,17 @@ class TestConfig:
         assert resolve(deep_merge(DEFAULT_CONFIG, {"engine": {"fig16": {key: most}}}), seed=0)
         with pytest.raises(ValueError, match=rf"^engine.fig16.{key}: must be in \[[01], {most}\].*, got {most + 1}$"):
             resolve(deep_merge(DEFAULT_CONFIG, {"engine": {"fig16": {key: most + 1}}}), seed=0)
+
+    @pytest.mark.parametrize("section, key, most", [
+        ("engine.fig17", "drops", 2**22 // 50), ("engine.fig18", "crossings", 2**22),
+        ("engine.fig18", "spacing_count", 2**20), ("transport.fig19", "distance_count", 2**20),
+        ("transport.fig20", "distance_count", 2**20), ("transport.fig21", "distance_count", 2**20),
+    ])
+    def test_array_counts_resolve_at_their_bound(self, section, key, most):
+        # Each count that sizes an in-memory array is accepted up to its bound (fig17's at the default 50 FAPs);
+        # one past it exits 2 (test_unparsable_config_is_validation_error).
+        outer, inner = section.split(".")
+        assert resolve(deep_merge(DEFAULT_CONFIG, {outer: {inner: {key: most}}}), seed=0)
 
     @pytest.mark.filterwarnings("error")
     def test_plan_at_the_1e150_m_edge_of_the_room_domain(self, capsys):
