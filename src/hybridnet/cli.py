@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -98,16 +99,17 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+@functools.cache  # built on the first main() call, then reused: parsing keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hybridnet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hybridnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, writes: bool):
+    def common(p, out_help: str | None):
         p.add_argument("--config", help="YAML scenario file")
         p.add_argument("--seed", type=_seed, default=0)
-        if writes:
-            p.add_argument("--out", help="output directory or file")
+        if out_help:
+            p.add_argument("--out", help=out_help)
 
     def key_flag(p, dest: str, **kwargs):
         flag, what, keys, _values = KEY_FLAGS[dest]
@@ -118,20 +120,21 @@ def build_parser() -> argparse.ArgumentParser:
         key_flag(p_zoning, "room")
         key_flag(p_zoning, "radius", type=float)
         key_flag(p_zoning, "samples", type=int)
-        common(p_zoning, writes=name == "zones")
+        zones_out = "CSV file to write, its manifest beside it (default: stdout)"
+        common(p_zoning, out_help=zones_out if name == "zones" else None)
 
     p_exp = sub.add_parser("experiment", help="figure-reproduction run")
     p_exp.add_argument("name", choices=EXPERIMENTS)
-    common(p_exp, writes=True)
+    common(p_exp, out_help="directory to write the figure's CSV and its manifest into (default: the current directory)")
 
     p_trace = sub.add_parser("trace", help="execute one handover call flow")
     p_trace.add_argument("kind", choices=sorted(TRACE_KINDS))
     key_flag(p_trace, "per_hop_ms", type=float)
     p_trace.add_argument("--drop-step", type=int, default=None)
-    common(p_trace, writes=True)
+    common(p_trace, out_help="directory to write the trace CSV and its manifest into (default: stdout)")
 
     p_sim = sub.add_parser("indoor-sim", help="full indoor scenario run")
-    common(p_sim, writes=True)
+    common(p_sim, out_help="directory to write indoor_sim.csv and its manifest into (default: stdout)")
     return parser
 
 

@@ -465,12 +465,14 @@ def lifi_assignment_idle(locate, placements: int, users: int, ap_count: int, lif
     while len(rows) and len(seen) < users:  # user len(seen) joins the placements still idle
         cover = locate(len(seen), rows)
         keep, cover = cover >= 0, cover.astype(ap_type)  # a -1 cover wraps, but its placement is dropped
-        if len(seen) >= lifi_slots:  # until then no AP holds more than lifi_slots users
-            keep &= np.count_nonzero(np.array([ap[rows] for ap in seen]) == cover, axis=0) < lifi_slots
-        kept = np.flatnonzero(keep)  # an index gathers rows and cover faster than a boolean mask
-        rows, ap = rows[kept], np.empty(placements, dtype=ap_type)
-        ap[rows] = cover[kept]
-        seen.append(ap)
+        if len(seen) >= lifi_slots:  # until then no AP holds lifi_slots users; on an idle placement none holds more
+            on_ap, earlier = np.zeros(len(rows), np.min_scalar_type(lifi_slots)), np.empty(len(rows), ap_type)
+            for ap in seen:
+                on_ap += ap.take(rows, out=earlier) == cover
+            keep &= on_ap < lifi_slots
+        seen.append(np.empty(placements, dtype=ap_type))
+        seen[-1][rows] = cover  # a dropped placement's entry is never read
+        rows = rows.take(np.flatnonzero(keep))  # an index gathers faster than a boolean mask
         idle.append(len(rows))
     return np.array(idle + [0] * (users + 1 - len(idle)))
 

@@ -114,10 +114,14 @@ class GridPlan:
         Returns ``(dx2, dy2, col0, row0)``: ``dx2[i, p]`` is point ``p``'s squared offset from x line ``col0[p] + i``
         and ``dy2[j, p]`` from y line ``row0[p] + j``, so ``dy2[j, p] + dx2[i, p]`` is its squared distance to the AP
         in that row and column. The line at or below a point is the second of its window, clipped to the walls.
+        Each pass reads one axis of the points: axis-major points, the ``.T`` of a (2, N) array with unit-stride rows
+        such as a slice of :func:`_uniform_slices`, are read in place, and any others are first copied so.
         """
-        pts, buf, window = np.asarray(points, dtype=float), self._buffer, []
-        xs, ys = xy = buf("xy", (2, n := len(pts)))  # checked by a whole-array min and per-axis maxima
-        xy[...] = pts.T  # contiguous per-axis copies: every pass of the window reads unit-stride columns
+        pts, buf, window, n = np.asarray(points, dtype=float), self._buffer, [], len(points)
+        in_place = pts.strides[0] == pts.itemsize  # axis-major
+        xs, ys = xy = pts.T if in_place else buf("xy", (2, n))  # checked by a whole-array min and per-axis maxima
+        if not in_place:
+            xy[...] = pts.T
         if not (xy.min(initial=0.0) >= 0.0 and xs.max(initial=0.0) <= self.room_x_m
                 and ys.max(initial=0.0) <= self.room_y_m):
             raise ValueError("point outside the room rectangle")
@@ -354,12 +358,12 @@ def classify_points(plan: GridPlan, points: np.ndarray, window: tuple[np.ndarray
 
 
 def _uniform_slices(plan: GridPlan, gen: np.random.Generator, count: int):
-    """Each slice's start and points of ``gen.random((count, 2))`` scaled to the room, drawn into one buffer of ``plan``."""
+    """Each slice's start and points of ``gen.random((count, 2))`` scaled to the room, in two buffers of ``plan``. The
+    points are axis-major, the ``.T`` of a (2, N) array whose x and y rows are each written contiguous in one pass."""
     for start in range(0, count, _CLASSIFY_SLICE):
-        pts = gen.random(out=plan._buffer("points", (2 * min(_CLASSIFY_SLICE, count - start),))).reshape(-1, 2)
-        pts[:, 0] *= plan.room_x_m  # a column at a time: * (a, b) would loop over the points
-        pts[:, 1] *= plan.room_y_m
-        yield start, pts
+        drawn = gen.random(out=plan._buffer("drawn", (2 * min(_CLASSIFY_SLICE, count - start),))).reshape(-1, 2)
+        sides = ((plan.room_x_m,), (plan.room_y_m,))
+        yield start, np.multiply(drawn.T, sides, out=plan._buffer("points", (2, len(drawn)))).T
 
 
 def sole_covers(plan: GridPlan, gen: np.random.Generator, count: int) -> np.ndarray:

@@ -201,6 +201,49 @@ class TestEnvironment:
         assert list(ignored.iterdir()) == []
 
 
+class TestInProcess:
+    # --version, a usage error, then each command twice: once with flags and once without them.
+    CALLS = [["--version"], ["experiment", "fig99"],
+             ["experiment", "fig19", "--seed", "3", "--out", "A"], ["experiment", "fig19", "--out", "B"],
+             ["zones", "--room", "30x20", "--samples", "10000", "--out", "C/z.csv"],
+             ["zones", "--samples", "10000", "--out", "D/z.csv"]]
+
+    def test_main_calls_in_one_process_are_independent(self, tmp_path, monkeypatch, capsys):
+        # main() builds its parser once per process and reuses it: no call's flags, defaults or usage error reach
+        # the next call, so each writes what it writes after a freshly built parser.
+        runs = {}
+        for way in ("shared", "fresh"):
+            (tmp_path / way).mkdir()
+            monkeypatch.chdir(tmp_path / way)
+            cli.build_parser.cache_clear()
+            results, files = [], {}
+            for argv in self.CALLS:
+                if way == "fresh":
+                    cli.build_parser.cache_clear()
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # --version and the usage error
+                    code = exc.code
+                results.append((code, *capsys.readouterr()))
+            if way == "shared":
+                assert cli.build_parser.cache_info().misses == 1
+            for path in sorted(p for p in (tmp_path / way).rglob("*") if p.is_file()):
+                data = json.loads(path.read_text()) if path.suffix == ".json" else path.read_text()
+                if isinstance(data, dict):
+                    data.pop("duration_s")
+                files[path.relative_to(tmp_path / way).as_posix()] = data
+            runs[way] = results, files
+        assert runs["shared"] == runs["fresh"]
+        results, files = runs["shared"]
+        assert [code for code, _, _ in results] == [0, 2, 0, 0, 0, 0] and "invalid choice" in results[1][2]
+        assert sorted(files) == ["A/fig19.csv", "A/fig19.manifest.json", "B/fig19.csv", "B/fig19.manifest.json",
+                                 "C/z.csv", "C/z.manifest.json", "D/z.csv", "D/z.manifest.json"]
+        assert (files["A/fig19.manifest.json"]["seed"], files["B/fig19.manifest.json"]["seed"]) == (3, 0)
+        assert files["D/z.manifest.json"]["config_digest"] == config_digest(deep_merge(
+            DEFAULT_CONFIG, {"zoning": {"mc_samples": 10000}}))
+        assert files["C/z.csv"] != files["D/z.csv"]
+
+
 class TestSeed:
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: argv[0])
     @pytest.mark.parametrize("seed", ["-1", "abc"])
@@ -679,6 +722,24 @@ class TestManifest:
         assert capsys.readouterr().err.startswith(f"error: --out: {str(tmp_path / out)!r} is {kind}; {argv[0]} writes")
         assert sorted(path.name for path in tmp_path.rglob("*")) == ["dir", "file"]
         assert (tmp_path / "file").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command,says", [
+        ("zones", "CSV file to write, its manifest beside it (default: stdout)"),
+        ("experiment", "directory to write the figure's CSV and its manifest into (default: the current directory)"),
+        ("trace", "directory to write the trace CSV and its manifest into (default: stdout)"),
+        ("indoor-sim", "directory to write indoor_sim.csv and its manifest into (default: stdout)"),
+        ("plan", None),
+    ])
+    def test_help_says_what_out_takes(self, capsys, command, says):
+        # zones writes one CSV file at --out, the others write into a directory; plan only prints.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--help"])
+        assert excinfo.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        if says is None:
+            assert "--out" not in text
+        else:
+            assert f"--out OUT {says}" in text
 
     @pytest.mark.parametrize("argv,flags", [
         (["zones", "--samples", "16384"], (["--room", "24x24"], ["--room", "30x24"])),

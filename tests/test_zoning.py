@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridnet.zoning import (
-    GridPlan, Zone, analytic_zone_areas, circle_segment_integral,
+    _CLASSIFY_SLICE, GridPlan, Zone, _uniform_slices, analytic_zone_areas, circle_segment_integral,
     classify_points, exact_zone_areas, exact_zone_probabilities, min_ap_count, monte_carlo_zone_model,
-    MAX_AP_COUNT, RoomConfig, occupancy_probability, plan_grid,
+    MAX_AP_COUNT, RoomConfig, occupancy_probability, plan_grid, sole_covers,
 )
 from oracles import (classify_against_every_ap, sq_distances_to_every_ap, zone_areas_by_greens_theorem,
                      zone_counts_from_whole_chunks)
@@ -383,6 +383,38 @@ class TestLatticeWindow:
         assert classify_points(plan, pts).tolist() == codes.tolist()
         assert classify_points(plan, pts, window).tolist() == codes.tolist()
         assert plan.sole_cover(window).tolist() == np.where(np.isin(codes, (2, 3)), nearest, -1).tolist()
+
+    @pytest.mark.parametrize("plan", [PLAN_24, PLAN_121], ids=["9-aps", "121-aps"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_slices_are_axis_major_and_equal_one_whole_draw(self, plan, seed):
+        # A whole slice and a three-point one. Each axis of a slice is unit-stride, and it holds, bit for bit, the
+        # column of one gen.random((n, 2)) * (a, b) draw; the sole covers of the slices are those of that draw.
+        count, buffered = _CLASSIFY_SLICE + 3, plan.buffered()
+        whole = np.random.default_rng(seed).random((count, 2)) * (plan.room_x_m, plan.room_y_m)
+        axes = []
+        for start, pts in _uniform_slices(buffered, np.random.default_rng(seed), count):
+            assert pts.shape == (min(_CLASSIFY_SLICE, count - start), 2) and pts.strides[0] == pts.itemsize
+            axes.append(pts.T.copy())
+        for axis, column in zip(np.concatenate(axes, axis=1), whole.T):
+            assert axis.tobytes() == column.tobytes()
+        covers = sole_covers(buffered, np.random.default_rng(seed), count)
+        assert covers.tolist() == plan.sole_cover(plan.sq_distances(whole)).tolist()
+
+    @pytest.mark.parametrize("width", [3, 11])
+    def test_both_point_layouts_give_one_window_and_one_room_check(self, width):
+        # The .T of a (2, N) array is read in place and plain (N, 2) rows are copied axis-major first: the same
+        # window either way, the points left as they were, and a point outside the room raises in both layouts.
+        xy = np.random.default_rng(3).random((2, 1000)) * [[PLAN_121.room_x_m], [PLAN_121.room_y_m]]
+        drawn = xy.copy()
+        windows = [PLAN_121.sq_distances(pts, width) for pts in (xy.T, np.ascontiguousarray(xy.T))]
+        for got, want in zip(*windows):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert xy.tobytes() == drawn.tobytes()
+        for outside in ((-1e-9, 50.0), (50.0, -1e-9), (100.0 + 1e-9, 50.0), (50.0, 100.0 + 1e-9)):
+            xy[:, 7] = outside
+            for pts in (xy.T, np.ascontiguousarray(xy.T)):
+                with pytest.raises(ValueError, match="outside the room"):
+                    PLAN_121.sq_distances(pts, width)
 
     def test_equidistant_point_has_no_sole_cover(self):
         # (8, 4) is the midpoint of AP 0 at (4, 4) and AP 1 at (12, 4), 4 m from each: both cover it (Zone 4).
