@@ -64,7 +64,7 @@ EXTRA_KEYS = {
                               lambda v: MIN_MC_SAMPLES <= v <= MAX_MC_SAMPLES)},
     "selection": {"pairwise_matrix": [list(row) for row in selection.DEFAULT_MATRIX]},
     "engine.fig16": {"user_count_max": (20, f"in [0, {2**20}] (fig16 builds its CSV rows, one per user count, in memory)",
-                                        lambda v: 0 <= v <= 2**20)},
+                                        lambda v: 0 <= v <= 2**20)},  # per-user AP record: <= users * 2**18 * itemsize bytes
     "engine.fig18": {"spacing_start_m": (0.0, *at_least(0.0)), "spacing_stop_m": (12.0, *at_least(0.0)),
                      "spacing_count": (25, *_SWEEP_COUNT)},
     "transport.fig19": _MACRO_SWEEP,

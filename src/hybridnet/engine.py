@@ -30,12 +30,12 @@ from itertools import chain
 
 import numpy as np
 
-from . import channel, policy, selection
+from . import channel, policy, selection, zoning
 from .channel import NON_NEGATIVE_FINITE, POSITIVE, POSITIVE_FINITE, OpticalParams, RfParams, at_least, check_fields
 from .policy import LIFI, STAY, TO_FAP, TO_LIFI, AdmissionDecision
 from .protocol import HandoverKind, run_handover
 from .rng import spawn_streams
-from .zoning import (_CLASSIFY_SLICE, MAX_AP_COUNT, MAX_MC_SAMPLES, RoomConfig, Zone, classify_points,
+from .zoning import (_CLASSIFY_SLICE, MAX_MC_SAMPLES, RoomConfig, Zone, classify_points,
                      exact_zone_probabilities, plan_grid, sole_covers)
 
 
@@ -229,7 +229,6 @@ class _IndoorSim:
         covered = d2 <= plan.coverage_radius_m**2
         dist = np.sqrt(d2, out=d2)
         self._positions, self._gain = positions, channel.optical_channel_gain(dist, self.cfg.optical)
-        self._rx_power = np.where(covered, self.cfg.optical.tx_optical_power_W * self._gain, 0.0)  # 0 W if uncovered
         np.copyto(dist, np.inf, where=~covered)  # covering APs sort first, nearest first; a tie keeps the lower column
         self._covering_dist, self._covering_count = dist, np.count_nonzero(covered, axis=2)
         self._codes = classify_points(plan, pts, window).reshape(positions.shape[:2])
@@ -268,7 +267,8 @@ class _IndoorSim:
             first, second = order[:, :2].T
             self._targets[z4_ticks, z4_rows] = target = np.where(first == serving, second, first)  # a LiFi column
             at = np.tile(z4_ticks, 2), np.tile(z4_rows, 2), np.concatenate((serving, target))
-            signals[:, z4] = channel.linear_to_db(self._rx_power[at]).reshape(2, -1)
+            power = np.where(self._covering_dist[at] < math.inf, self.cfg.optical.tx_optical_power_W * self._gain[at], 0.0)
+            signals[:, z4] = channel.linear_to_db(power).reshape(2, -1)  # 0 W, -inf dB, from an AP not covering it
         dwell = self._times[ticks] - self._zone_entries[ticks, rows]
         self._decisions[ticks, rows] = policy.handover_decision(kinds, zones, *signals, dwell, thresholds)
 
@@ -448,7 +448,7 @@ class IdleExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, f"in [1, {MAX_MC_SAMPLES}], as zoning.mc_samples (each chunk of placements spawns a generator)",
+        check_fields(self, f"in [1, {MAX_MC_SAMPLES}], as zoning.mc_samples (a generator per chunk of 2**18 placements)",
                      lambda v: 1 <= v <= MAX_MC_SAMPLES, "placements")
 
 
@@ -483,15 +483,15 @@ def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[
     The empirical column places users uniformly at random and applies the admission and idle-mode rules, locating
     a user only in the placements still idle (each point is located on its own, so every located point gets the
     sole covering AP it gets among all of them); the closed-form column evaluates the two-term binomial bound on the
-    exact zone probabilities. Common random numbers: each chunk of ``MAX_AP_COUNT // ap_count`` placements draws
-    users 0, 1, ... in turn from its own generator, user u only for the placements still idle; p users are the first
-    p, so the empirical column is non-increasing in p, and no row depends on the other counts.
+    exact zone probabilities. Common random numbers: each of the zone model's chunks (``_MC_CHUNK`` placements at any
+    AP count) draws users 0, 1, ... in turn from its own generator, user u only for the placements still idle; p users
+    are the first p, so the empirical column is non-increasing in p, and no row depends on the other counts.
     """
     if not user_counts or min(user_counts) < 0:
         raise ValueError("user_counts must be non-empty and >= 0")
     plan = plan_grid(config.room).buffered()
     zone_probs = exact_zone_probabilities(plan)
-    p_max, chunk = max(user_counts), MAX_AP_COUNT // plan.ap_count  # chunk sizes fix which generator draws what
+    p_max, chunk = max(user_counts), zoning._MC_CHUNK  # chunk sizes fix which generator draws what
     idle_counts, placement = np.zeros(p_max + 1, dtype=np.int64), spawn_streams(config.seed)["placement"]
     for start in range(0, config.placements, chunk):  # spawn(1) per chunk gives spawn(n)'s streams, one at a time
         gen, size = placement.spawn(1)[0], min(chunk, config.placements - start)

@@ -35,14 +35,14 @@ import numpy as np
 from .channel import POSITIVE_FINITE, check_fields
 from .rng import spawn_streams
 
-_MC_CHUNK = 1 << 18
+_MC_CHUNK = 1 << 18  # points per chunk of the zone model and of fig16; a chunk spawns its generator as it starts
 # Points the zone model and fig16 draw and locate at once, in the buffers of a buffered plan. In process, the 121-AP
 # model over 2^20 samples costs the same at 2^13 to 2^15 points, 1.4x at 2^12 and 2x at 2^11: numpy's per-call cost.
 _CLASSIFY_SLICE = 1 << 14
 
 # Fewest and most samples the Monte Carlo zone model accepts: at most 2**14 chunk generators.
 MIN_MC_SAMPLES, MAX_MC_SAMPLES = 10**4, 2**32
-# Most APs a room's grid may hold; fig16 draws placements in chunks of MAX_AP_COUNT // ap_count, at least 1.
+# Most APs a room's grid may hold (RoomConfig's rule); a chunk holds _MC_CHUNK points whatever the AP count.
 MAX_AP_COUNT = 2**21
 
 
@@ -408,10 +408,10 @@ def monte_carlo_zone_model(plan: GridPlan, sample_count: int, seed: int) -> Zone
     if not MIN_MC_SAMPLES <= sample_count <= MAX_MC_SAMPLES:
         raise ValueError(f"sample_count must be in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]")
     a, b, buffered = plan.room_x_m, plan.room_y_m, plan.buffered()
-    n_chunks = (sample_count + _MC_CHUNK - 1) // _MC_CHUNK
-    counts = np.zeros(4, dtype=np.int64)
-    for k, gen in enumerate(spawn_streams(seed)["zones"].spawn(n_chunks)):
-        for _, pts in _uniform_slices(buffered, gen, min(_MC_CHUNK, sample_count - k * _MC_CHUNK)):
+    counts, zones = np.zeros(4, dtype=np.int64), spawn_streams(seed)["zones"]
+    for start in range(0, sample_count, _MC_CHUNK):  # spawn(1) per chunk gives spawn(n)'s streams, one at a time
+        gen, size = zones.spawn(1)[0], min(_MC_CHUNK, sample_count - start)
+        for _, pts in _uniform_slices(buffered, gen, size):
             codes, hit = classify_points(buffered, pts), buffered._buffer("hit", (len(pts),), bool)
             counts += [np.count_nonzero(np.equal(codes, zone, out=hit)) for zone in (1, 2, 3, 4)]
     c = [int(v) for v in counts]

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridnet import channel, cli, config as cfgmod, selection, transport
+from hybridnet import channel, cli, config as cfgmod, selection, transport, zoning
 from hybridnet.channel import OpticalParams, RfParams, optical_channel_gain
 from hybridnet.config import DEFAULT_CONFIG, config_digest, deep_merge, load_config, resolve
 from hybridnet.engine import PolicyConfig
@@ -326,7 +326,8 @@ class TestExperiments:
     @pytest.mark.parametrize("name", ["fig16", "fig17"])
     def test_every_stream_of_a_run_is_distinct(self, tmp_path, monkeypatch, name):
         drawn = self._record_streams(monkeypatch)
-        big = tmp_path / "big.yaml"  # two placement chunks of at most 2**21 // 121 = 17,331
+        monkeypatch.setattr(zoning, "_MC_CHUNK", 17_331)
+        big = tmp_path / "big.yaml"  # two placement chunks of at most 17,331
         big.write_text(SMALL_OVERRIDES.replace("placements: 2000", "placements: 20001")
                        .replace("zoning:\n", "zoning:\n  room_x_m: 100.0\n  room_y_m: 100.0\n"))
         assert cli.main(["experiment", name, "--config", str(big), "--out", str(tmp_path / "out")]) == 0

@@ -18,6 +18,7 @@ from hybridnet.engine import (
 )
 from hybridnet.channel import OpticalParams, RfParams, femto_path_loss, optical_channel_gain
 from hybridnet.protocol import HandoverKind, run_handover
+from hybridnet.rng import spawn_streams
 from hybridnet.zoning import RoomConfig, Zone, classify_points, exact_zone_probabilities, plan_grid
 from oracles import (
     classify_against_every_ap, enumerate_idle_probability, indoor_run_reference, lifi_assignment_idle_one_hot,
@@ -421,8 +422,9 @@ def fresh_decisions(sim, now: float, zone_entry: np.ndarray) -> tuple[list[int],
         zone, s_serving, s_target = int(sim._codes[tick, i]), -math.inf, -math.inf
         if serving != fap and zone == Zone.Z4.value:
             targets[i] = target = next(j for j in sim._covering(i) if j != serving)
-            s_serving, s_target = (10.0 * math.log10(p) if p > 0 else -math.inf
-                                   for p in sim._rx_power[tick, i, [serving, target]].tolist())
+            tx, gain, dist = sim.cfg.optical.tx_optical_power_W, sim._gain[tick, i], sim._covering_dist[tick, i]
+            powers = (tx * gain[j] if dist[j] < math.inf else 0.0 for j in (serving, target))  # 0 W if uncovered
+            s_serving, s_target = (10.0 * math.log10(p) if p > 0 else -math.inf for p in powers)
         rows.append(i)
         columns.append((policy.FAP if serving == fap else policy.LIFI, zone, s_serving, s_target, now - zone_entry[i]))
     if rows:
@@ -462,10 +464,32 @@ def idle_outcomes(codes: np.ndarray, nearest: np.ndarray, ap_count: int, lifi_sl
     return idle
 
 
+def spy_placement_spawns(monkeypatch) -> list:
+    """Every generator that fig16's placement stream spawns from now on, in order."""
+    children = []
+
+    class Placement:  # the placement stream, keeping every generator it spawns
+        def __init__(self, gen):
+            self.gen = gen
+
+        def spawn(self, n):
+            children.extend(self.gen.spawn(n))
+            return children[-n:]
+
+    def spying_streams(seed):
+        streams = spawn_streams(seed)
+        return {**streams, "placement": Placement(streams["placement"])}
+
+    monkeypatch.setattr(engine, "spawn_streams", spying_streams)
+    return children
+
+
 class TestIdleProbabilityExperiment:
     CFG = IdleExperimentConfig(placements=4000, seed=5)
-    # 121 APs: chunks of 2**21 // 121 = 17,331 placements, so three chunks, the last partial
+    # 121 APs and 45,000 placements: one chunk of at most _MC_CHUNK = 2**18; with THREE_CHUNKS as _MC_CHUNK, three
+    # chunks, the last partial
     WIDE = IdleExperimentConfig(room=RoomConfig(100.0, 100.0), placements=45_000, seed=3)
+    THREE_CHUNKS = 17_331
 
     def test_zero_users_is_certain_idle(self):
         rows = idle_probability_experiment(self.CFG, [0])
@@ -600,9 +624,10 @@ class TestIdleProbabilityExperiment:
             return idle
 
         monkeypatch.setattr(engine, "lifi_assignment_idle", recording_idle)
+        monkeypatch.setattr(zoning, "_MC_CHUNK", self.THREE_CHUNKS)
         got = idle_probability_experiment(cfg, list(range(21)))
         assert runs == [(17_331, 121), (17_331, 121), (10_338, 121)]
-        assert all(placements * ap_count <= 2**21 for placements, ap_count in runs)
+        assert all(placements <= zoning._MC_CHUNK for placements, _ in runs)
         assert located.tolist() == [round(empirical * cfg.placements) for _, empirical, _ in got[:20]]
         assert located[0] == cfg.placements and 0 < located[-1] < located[1]
 
@@ -634,16 +659,7 @@ class TestIdleProbabilityExperiment:
     def test_each_chunk_draws_two_doubles_per_located_point(self, monkeypatch):
         # User u is drawn only for the placements still idle, users in order: each chunk's generator
         # yields exactly its located points, two doubles each, and no other number.
-        cfg, children, chunks = self.WIDE, [], []
-        spawn_streams = engine.spawn_streams
-
-        class Placement:  # the placement stream, keeping every generator it spawns
-            def __init__(self, gen):
-                self.gen = gen
-
-            def spawn(self, n):
-                children.extend(self.gen.spawn(n))
-                return children[-n:]
+        cfg, children, chunks = self.WIDE, spy_placement_spawns(monkeypatch), []
 
         def recording_idle(*args):
             chunks.append([])
@@ -653,12 +669,8 @@ class TestIdleProbabilityExperiment:
             chunks[-1].append(points.copy())
             return sq_distances(plan, points, width)
 
-        def spying_streams(seed):
-            streams = spawn_streams(seed)
-            return {**streams, "placement": Placement(streams["placement"])}
-
-        monkeypatch.setattr(engine, "spawn_streams", spying_streams)
         monkeypatch.setattr(engine, "lifi_assignment_idle", recording_idle)
+        monkeypatch.setattr(zoning, "_MC_CHUNK", self.THREE_CHUNKS)
         sq_distances = zoning.GridPlan.sq_distances
         monkeypatch.setattr(zoning.GridPlan, "sq_distances", recording_window)
         idle_probability_experiment(cfg, list(range(21)))
@@ -673,6 +685,25 @@ class TestIdleProbabilityExperiment:
             drawn = child.random((located, 2)) * (cfg.room.room_x_m, cfg.room.room_y_m)
             assert np.concatenate(points).tolist() == drawn.tolist()
 
+    @pytest.mark.parametrize("room, ap_count", [
+        (RoomConfig(), 9), (RoomConfig(100.0, 100.0), 121), (RoomConfig(coverage_radius_m=0.1), 14_641),
+        (RoomConfig(coverage_radius_m=0.01), 1_442_401)], ids=["9-aps", "121-aps", "14641-aps", "1442401-aps"])
+    def test_chunks_do_not_depend_on_the_ap_count(self, monkeypatch, room, ap_count):
+        # fig16 draws in the zone model's chunks of 2**18 placements at any AP count, one generator each, so one
+        # placement more is one chunk more. The exact zone probabilities are stubbed: they cost 49 s at 1,442,401 APs.
+        children, runs = spy_placement_spawns(monkeypatch), []
+
+        def recording_idle(locate, placements, users, ap_count, lifi_slots):
+            runs.append((placements, ap_count))
+            assert len(runs) <= 2  # stop at once where chunks are smaller
+            return lifi_assignment_idle(locate, placements, users, ap_count, lifi_slots)
+
+        monkeypatch.setattr(engine, "exact_zone_probabilities", lambda plan: (0.25,) * 4)
+        monkeypatch.setattr(engine, "lifi_assignment_idle", recording_idle)
+        rows = idle_probability_experiment(IdleExperimentConfig(room=room, placements=2**18 + 1), [0, 1])
+        assert runs == [(2**18, ap_count), (1, ap_count)] and len(children) == 2
+        assert rows[0][1] == 1.0 and 0.0 < rows[1][1] < 1.0
+
     def test_exhaustive_enumeration_matches_closed_form(self):
         probs = exact_zone_probabilities(plan_grid(RoomConfig(24.0, 24.0, 5.0)))
         for p in (1, 2, 3):
@@ -685,8 +716,8 @@ class TestIdleProbabilityExperiment:
             idle_probability_experiment(self.CFG, [])
 
     def test_memory_does_not_grow_with_the_chunk_count(self, monkeypatch):
-        # One placement per chunk, as in a room of MAX_AP_COUNT APs: each chunk's generator is spawned as it starts.
-        monkeypatch.setattr(engine, "MAX_AP_COUNT", plan_grid(RoomConfig()).ap_count)
+        # One placement per chunk: each chunk's generator is spawned as it starts.
+        monkeypatch.setattr(zoning, "_MC_CHUNK", 1)
 
         def peak(chunks):
             tracemalloc.start()
@@ -701,7 +732,7 @@ class TestIdleProbabilityExperiment:
 
     def test_chunked_run_keeps_its_streams(self, monkeypatch):
         # 25 chunks of 40 placements: chunk k draws from the k-th of the placement stream's children.
-        monkeypatch.setattr(engine, "MAX_AP_COUNT", 40 * plan_grid(RoomConfig()).ap_count)
+        monkeypatch.setattr(zoning, "_MC_CHUNK", 40)
         rows = idle_probability_experiment(IdleExperimentConfig(placements=1000, seed=1), list(range(8)))
         assert [empirical for _, empirical, _ in rows] == [1.0, 0.799, 0.648, 0.532, 0.429, 0.345, 0.267, 0.206]
 

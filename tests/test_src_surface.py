@@ -41,7 +41,7 @@ SCRIPTS = SRC.parents[1] / "scripts"
 CONFIGURED = {cls.__name__ for cls, _skip in SECTIONS.values()}  # config.build passes all their fields
 
 EXEMPT = {
-    # ROADMAP item 5 writes fig18's closed_form column from it; until then the acceptance suite calls it.
+    # ROADMAP item 21 writes fig18's closed_form column from it; until then the acceptance suite calls it.
     "lifi_crossing_success_exact",
 }
 
