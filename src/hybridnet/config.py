@@ -196,7 +196,7 @@ def resolve(config: dict, seed: int) -> dict[str, object]:
     ``engine.duration_s`` is checked against the configured tick, and the
     AHP weights are derived here once. Every value check of the file runs
     here, whatever the caller reads: the dataclass ranges, the ranges of
-    ``EXTRA_KEYS``, and the AHP matrix's rules in ``selection.derive_weights``.
+    ``EXTRA_KEYS``, fig18's draw count, and the AHP matrix's rules in ``selection.derive_weights``.
     """
     for section_path, keys in EXTRA_KEYS.items():
         for name, spec in keys.items():
@@ -219,7 +219,10 @@ def resolve(config: dict, seed: int) -> dict[str, object]:
     )
     out["engine.fig16"] = build(config, "engine.fig16", room=room, policy=out["policy"], seed=seed)
     out["engine.fig17"] = build(config, "engine.fig17", room=room, seed=seed)
-    out["engine.fig18"] = build(config, "engine.fig18", room=room, seed=seed)
+    out["engine.fig18"] = fig18 = build(config, "engine.fig18", room=room, seed=seed)
+    if (spacings := _section(config, "engine.fig18")["spacing_count"]) * fig18.crossings > 2**27:
+        raise ValueError(f"engine.fig18.spacing_count: must be at most 2**27 // crossings = {2**27 // fig18.crossings} "
+                         f"(fig18 draws spacing_count * crossings offsets, 2**27 in about a second), got {spacings}")
     return out
 
 

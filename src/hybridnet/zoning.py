@@ -17,8 +17,8 @@ probability consumers (fig16's bound, fig17's idle thinning) read the exact
 zone probabilities. The Monte Carlo model estimates the same areas by
 classifying uniform samples with the exact point classifier. The
 classifier reads each point's per-axis window, its squared offsets to the
-three lattice lines around it on each axis: the two smallest per axis fix
-its nearest and second-nearest AP distance, which decide its zone.
+lines that bracket it on each axis, or to every line of a short axis: the
+two smallest per axis fix the two nearest AP distances, hence its zone.
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ class Zone(enum.Enum):
 class GridPlan:
     """AP grid geometry for one room; build with :func:`plan_grid`.
 
-    The plan is its x and y lines, ``d_x_m`` and ``d_y_m`` apart; its APs are their row-major product, x fastest. The
-    lattice window of :meth:`sq_distances` needs that pitch to be at least the coverage radius on an axis of three or
-    more lines. The femtocell AP sits at the room centre. Its kernels allocate what they return; see :meth:`buffered`.
+    The plan is its x and y lines, ``d_x_m`` and ``d_y_m`` apart; its APs are their row-major product, x fastest. On
+    an axis of three or more lines that pitch is at least ``r``, and :func:`plan_grid` keeps it at least ``4r/3``: the
+    two-line window of :meth:`sq_distances` needs that margin, as a point that rounding puts a few ulps into the next
+    cell swaps one window line for another, both beyond ``r``. Its kernels allocate what they return; see :meth:`buffered`.
     """
 
     room_x_m: float
@@ -108,12 +109,13 @@ class GridPlan:
         """Radius of the Zone 2 disk around each AP: ``r - l_z/2``, l_z the larger per-axis overlap depth."""
         return self.coverage_radius_m - max(self.l_x_m, self.l_y_m) / 2.0
 
-    def sq_distances(self, points: np.ndarray, width: int = 3) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def sq_distances(self, points: np.ndarray, width: int = 2) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-axis window of (N, 2) in-room points: their squared offsets to ``min(width, lines)`` lines on each axis.
 
         Returns ``(dx2, dy2, col0, row0)``: ``dx2[i, p]`` is point ``p``'s squared offset from x line ``col0[p] + i``
         and ``dy2[j, p]`` from y line ``row0[p] + j``, so ``dy2[j, p] + dx2[i, p]`` is its squared distance to the AP
-        in that row and column. The line at or below a point is the second of its window, clipped to the walls.
+        in that row and column. Past three lines an axis's window starts at the line at or below a point, clipped to
+        ``[0, lines - width]``, so the default two bracket it; an axis of at most three lines is read whole.
         Each pass reads one axis of the points: axis-major points, the ``.T`` of a (2, N) array with unit-stride rows
         such as a slice of :func:`_uniform_slices`, are read in place, and any others are first copied so.
         """
@@ -126,12 +128,12 @@ class GridPlan:
                 and ys.max(initial=0.0) <= self.room_y_m):
             raise ValueError("point outside the room rectangle")
         for axis, lines, pitch, p in zip("xy", self._lines, (self.d_x_m, self.d_y_m), (xs, ys)):
-            w = min(width, len(lines))
+            # Up to three lines the whole axis beats a window's divide, clip and gathers (BENCH_40.json: 1.19x at 3)
+            w = min(width, len(lines)) if len(lines) > 3 else len(lines)
             offset, first, near = buf(axis, (w, n)), np.intp(0), lines[:, None]  # a whole-axis window: from line 0
-            if w < len(lines):  # floor((p - lines[0]) / pitch) - 1, clipped to [0, len(lines) - w]
+            if w < len(lines):  # floor((p - lines[0]) / pitch), clipped to [0, len(lines) - w]: the cast floors it
                 cell = np.divide(np.subtract(p, lines[0], out=offset[0]), pitch, out=offset[0])
-                first = np.clip(cell, 1, len(lines) - w + 1, out=buf(axis + "0", (n,), np.intp), casting="unsafe")
-                np.subtract(first, 1, out=first)  # the cast truncated each clipped cell, at least 1: that floors it
+                first = np.clip(cell, 0, len(lines) - w, out=buf(axis + "0", (n,), np.intp), casting="unsafe")
                 for j, row in enumerate(offset):  # row j: line first + j
                     lines[j:].take(first, out=row, mode="clip")
                 near = offset

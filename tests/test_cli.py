@@ -454,6 +454,8 @@ class TestExperiments:
             (["experiment", "fig17"], "channel: {rf: {femto_bandwidth_Hz: 1.0e300, noise_psd_dBm_per_Hz: 300.0}}\n",
              "channel.rf.femto_bandwidth_Hz: must be in [1, 1e30] Hz"),
             (["experiment", "fig20"], "channel: {rf: {macro_bandwidth_Hz: 0.5}}\n", "channel.rf.macro_bandwidth_Hz"),
+            (["experiment", "fig18"], "engine: {fig18: {spacing_count: 6711}}\n",
+             "engine.fig18.spacing_count: must be at most 2**27 // crossings = 6710"),
         ],
         ids=["not-a-mapping", "unknown-key", "bool-for-int", "float-for-int", "leaf-for-mapping",
              "bad-enum", "range-checked-everywhere", "non-reciprocal-ahp", "ahp-not-4x4", "missing-file",
@@ -474,7 +476,7 @@ class TestExperiments:
              "half-intensity-cosine-one-indoor-sim", "vehicle-femto-distance-negative",
              "vehicle-horizontal-distance-negative", "rf-noise-psd-beyond-finite-power", "rf-fap-tx-beyond-finite-power",
              "rf-mbs-tx-beyond-finite-power", "rf-femto-bandwidth-beyond-finite-noise",
-             "rf-macro-bandwidth-below-one-hertz"],
+             "rf-macro-bandwidth-below-one-hertz", "fig18-draws-above-2-to-the-27"],
     )
     def test_unparsable_config_is_validation_error(self, tmp_path, capsys, argv, text, key):
         bad = tmp_path / "bad.yaml"
@@ -948,10 +950,26 @@ class TestConfig:
         ("transport.fig20", "distance_count", 2**20), ("transport.fig21", "distance_count", 2**20),
     ])
     def test_array_counts_resolve_at_their_bound(self, section, key, most):
-        # Each count that sizes an in-memory array is accepted up to its bound (fig17's at the default 50 FAPs);
-        # one past it exits 2 (test_unparsable_config_is_validation_error).
+        # Each count that sizes an in-memory array is accepted up to its bound (fig17's at the default 50 FAPs, fig18's
+        # spacing count at the 2^27 / 2^20 crossings that its draw bound leaves); one past it exits 2
+        # (test_unparsable_config_is_validation_error).
         outer, inner = section.split(".")
-        assert resolve(deep_merge(DEFAULT_CONFIG, {outer: {inner: {key: most}}}), seed=0)
+        others = {"crossings": 2**27 // most} if key == "spacing_count" else {}
+        assert resolve(deep_merge(DEFAULT_CONFIG, {outer: {inner: {key: most, **others}}}), seed=0)
+
+    @pytest.mark.parametrize("spacings, crossings", [(25, 2**22), (32, 2**22), (2**19, 2**8), (6710, 20_000)])
+    def test_fig18_draws_at_most_2_to_the_27_offsets(self, spacings, crossings):
+        # fig18 draws spacing_count * crossings offsets, about a second at 2^27: the crossings bound 2^22 at the default
+        # 25 spacings and each product up to 2^27 resolve, and one spacing more is rejected naming the count (the CLI
+        # exits 2 on it: test_unparsable_config_is_validation_error).
+        def fig18(count):
+            return deep_merge(DEFAULT_CONFIG, {"engine": {"fig18": {"spacing_count": count, "crossings": crossings}}})
+
+        assert resolve(fig18(spacings), seed=0)
+        most = 2**27 // crossings
+        with pytest.raises(ValueError, match=rf"^engine.fig18.spacing_count: must be at most 2\*\*27 // crossings = "
+                                             rf"{most} \(.*\), got {most + 1}$"):
+            resolve(fig18(most + 1), seed=0)
 
     @pytest.mark.filterwarnings("error")
     def test_plan_at_the_1e150_m_edge_of_the_room_domain(self, capsys):

@@ -583,7 +583,7 @@ class TestIdleProbabilityExperiment:
         expected = idle_probability_experiment(cfg, list(range(21)))
         sizes = []
 
-        def counting_window(plan, points, width=3):
+        def counting_window(plan, points, width=2):
             sizes.append(len(points))
             return sq_distances(plan, points, width)
 
@@ -665,7 +665,7 @@ class TestIdleProbabilityExperiment:
             chunks.append([])
             return lifi_assignment_idle(*args)
 
-        def recording_window(plan, points, width=3):
+        def recording_window(plan, points, width=2):
             chunks[-1].append(points.copy())
             return sq_distances(plan, points, width)
 

@@ -95,9 +95,9 @@ class TestRoomConfig:
 
     @pytest.mark.filterwarnings("error")
     def test_lengths_of_at_most_1e150_m_keep_the_window_finite(self):
-        plan = plan_grid(RoomConfig(1e150, 1e150, 1e149))  # 6 x 6 APs; window width 3
+        plan = plan_grid(RoomConfig(1e150, 1e150, 1e149))  # 6 x 6 APs; default window width 2
         pts = np.array([[0.0, 0.0], [1e150, 1e150], [0.0, 1e150], [5e149, 5e149]])
-        for width in (3, 6):
+        for width in (2, 3, 6):
             dx2, dy2, _, _ = plan.sq_distances(pts, width)
             assert np.isfinite(dy2[:, None, :] + dx2[None, :, :]).all()
         assert classify_points(plan, pts).tolist() == classify_against_every_ap(plan, pts)[0].tolist()
@@ -359,13 +359,19 @@ class TestLatticeWindow:
             ([0.35 + i * 0.7 for i in range(3)], [0.35 + i * 0.7 for i in range(3)], 0.7, (0.7, 0.7)),  # lines rounded
             ([1.5], [1.0, 3.0, 5.0], 2.0, (3.0, 2.0)),  # one x line; its pitch is the room's width
             ([1.0, 2.5], [1.0, 3.0, 5.0], 2.0, (1.5, 2.0)),  # two x lines, closer than r
+            ([1.0, 3.0, 5.0, 7.0], [1.0, 3.0, 5.0, 7.0], 2.0, (2.0, 2.0)),  # four lines: a two-line window
+            ([1.0, 3.0, 5.0, 7.0, 9.0], [1.0, 3.0, 5.0, 7.0, 9.0], 2.0, (2.0, 2.0)),
+            ([0.35 + i * 0.7 for i in range(4)], [0.35 + i * 0.7 for i in range(4)], 0.7, (0.7, 0.7)),
+            ([0.35 + i * 0.7 for i in range(5)], [0.35 + i * 0.7 for i in range(5)], 0.7, (0.7, 0.7)),
         ],
-        ids=["pitch-r-exact", "pitch-r-rounded", "one-line-axis", "two-line-axis"],
+        ids=["pitch-r-exact", "pitch-r-rounded", "one-line-axis", "two-line-axis", "pitch-r-exact-4-lines",
+             "pitch-r-exact-5-lines", "pitch-r-rounded-4-lines", "pitch-r-rounded-5-lines"],
     )
     def test_knife_edges_of_hand_built_plans(self, xs, ys, r, pitch):
         # A point on a line is exactly r from the lines beside it; the order-statistic
         # codes and the window's sole cover must still match the every-AP oracle there,
         # one float either side of it, and on every coverage and inner-disk circle.
+        # Up to three lines an axis is read whole; from four on, through the two-line window.
         room = (xs[-1] + xs[0], ys[-1] + ys[0])
         plan = GridPlan(
             room_x_m=room[0], room_y_m=room[1], coverage_radius_m=r, x_lines=tuple(xs), y_lines=tuple(ys),
@@ -383,6 +389,24 @@ class TestLatticeWindow:
         assert classify_points(plan, pts).tolist() == codes.tolist()
         assert classify_points(plan, pts, window).tolist() == codes.tolist()
         assert plan.sole_cover(window).tolist() == np.where(np.isin(codes, (2, 3)), nearest, -1).tolist()
+
+    def test_default_window_is_the_two_lines_that_bracket_each_point(self):
+        # On an axis of four or more lines the window starts at the line at or below the point, clipped to
+        # [0, lines - 2], and its two rows are the squared offsets to that line and the next: drawn points,
+        # cell middles, both walls and the strips between a wall and its nearest line.
+        lines = np.array(PLAN_121.x_lines)
+        assert PLAN_121.x_lines == PLAN_121.y_lines and len(lines) == 11
+        gen = np.random.default_rng(4)
+        walls = [0.0, 100.0, lines[0] / 2.0, (lines[-1] + 100.0) / 2.0]
+        along = np.concatenate([gen.random(2000) * 100.0, (lines[:-1] + lines[1:]) / 2.0, walls])
+        pts = np.column_stack([along, gen.permutation(along)])
+        dx2, dy2, col0, row0 = PLAN_121.sq_distances(pts)
+        assert dx2.shape == dy2.shape == (2, len(pts))
+        for rows, first, p in ((dx2, col0, pts[:, 0]), (dy2, row0, pts[:, 1])):
+            start = np.clip(np.searchsorted(lines, p, side="right") - 1, 0, len(lines) - 2)
+            assert first.tolist() == start.tolist()
+            for j, row in enumerate(rows):
+                assert row.tolist() == ((p - lines[start + j]) ** 2).tolist()
 
     @pytest.mark.parametrize("plan", [PLAN_24, PLAN_121], ids=["9-aps", "121-aps"])
     @pytest.mark.parametrize("seed", [0, 5])
