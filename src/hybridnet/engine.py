@@ -41,6 +41,8 @@ from .zoning import (_CLASSIFY_SLICE, MAX_MC_SAMPLES, RoomConfig, Zone, classify
 
 @dataclass(frozen=True)
 class MobilityConfig:
+    """Random-waypoint mobility: walking speeds, pause lengths and the tick every terminal moves by."""
+
     speed_min_mps: float = 0.5
     speed_max_mps: float = 1.5
     pause_min_s: float = 0.0
@@ -57,6 +59,8 @@ class MobilityConfig:
 
 @dataclass(frozen=True)
 class TrafficConfig:
+    """Poisson call arrivals per terminal, exponential holding times and the share of voice calls."""
+
     arrival_rate_per_min: float = 0.5
     mean_holding_s: float = 120.0
     voice_fraction: float = 0.3
@@ -69,6 +73,8 @@ class TrafficConfig:
 
 @dataclass(frozen=True)
 class PolicyConfig:
+    """Dwell thresholds, slots per femtocell and per LiFi AP, and the per-hop latency of a handover flow."""
+
     t_h_s: float = 2.0
     t_h1_s: float = 2.0
     fap_slots: int = 8
@@ -83,6 +89,8 @@ class PolicyConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One indoor run: the room, its terminals, duration and seed, and every model's parameters."""
+
     room: RoomConfig = RoomConfig()
     user_count: int = 10
     duration_s: float = 120.0
@@ -169,6 +177,11 @@ class _IndoorSim:
     ``_decisions`` and their Zone 4 ``_targets``; and ``_redecide``, the terminals to decide again. The slot
     ledger is ``_free``, the free slots of LiFi AP j at index j and of the femtocell at index ``_femto``, the
     last; ``_capacity`` beside it and ``_fap_idle``, the femtocell's idle mode.
+
+    A tick scans ``_pause_until`` and ``_next_event`` only once their kept minima, ``_first_pause_end`` and
+    ``_first_event``, have come. Each is -inf (unknown) until first taken; it is taken again at each block start and
+    after the loop that ends pauses or handles due calls, and a pause that begins folds into it. Idle mode looks for
+    the femtocell's users only while the ledger shows it holding one call.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -190,6 +203,7 @@ class _IndoorSim:
         self._voice, self._next_event = np.zeros(n, bool), np.array([self._draw_interarrival(i) for i in range(n)])
         self._zone, self._zone_entries = np.full(n, Zone.Z1.value, dtype=np.int8), np.zeros((1, n))
         self._last_handover, self._redecide = np.full(n, -math.inf), set()
+        self._first_pause_end = self._first_event = -math.inf  # unknown: the next tick scans
 
     def _draw_interarrival(self, i: int) -> float:
         rate = self.cfg.traffic.arrival_rate_per_min / 60.0
@@ -200,10 +214,12 @@ class _IndoorSim:
     def _move(self, now: float) -> None:
         """Move every terminal one tick in one unmasked vector step; only a terminal that draws runs Python."""
         cfg, room, waypoint, pause_until = self.cfg.mobility, self.cfg.room, self._waypoint, self._pause_until
-        for i in (pause_until <= now).nonzero()[0].tolist():  # a pause ends: draw a waypoint and a speed, and walk
-            gen = self._mobility[i]
-            waypoint[i] = gen.uniform(0.0, room.room_x_m), gen.uniform(0.0, room.room_y_m)
-            self._speed[i], pause_until[i] = gen.uniform(cfg.speed_min_mps, cfg.speed_max_mps), math.inf
+        if self._first_pause_end <= now:
+            for i in (pause_until <= now).nonzero()[0].tolist():  # a pause ends: draw a waypoint and a speed, and walk
+                gen = self._mobility[i]
+                waypoint[i] = gen.uniform(0.0, room.room_x_m), gen.uniform(0.0, room.room_y_m)
+                self._speed[i], pause_until[i] = gen.uniform(cfg.speed_min_mps, cfg.speed_max_mps), math.inf
+            self._first_pause_end = pause_until.min(initial=math.inf)
         step, d, walking = self._speed * cfg.tick_s, waypoint - self._xy, pause_until == math.inf
         dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])  # correctly rounded ops, unlike libm's hypot
         arrive = walking & (dist <= step)
@@ -211,10 +227,12 @@ class _IndoorSim:
         self._xy += d / dist[:, None] * step[:, None]  # a walker's x + dx / dist * step
         np.copyto(self._xy, waypoint, where=arrive[:, None])
         for i in arrive.nonzero()[0].tolist():
-            pause_until[i] = now + self._mobility[i].uniform(cfg.pause_min_s, cfg.pause_max_s)
+            pause_until[i] = end = now + self._mobility[i].uniform(cfg.pause_min_s, cfg.pause_max_s)
+            self._first_pause_end = min(self._first_pause_end, end)
 
     def _move_block(self, steps: range) -> np.ndarray:
         """Move every terminal through the block's ticks; the (ticks, N, 2) positions."""
+        self._first_pause_end = self._pause_until.min(initial=math.inf)
         positions = np.empty((len(steps), len(self._xy), 2))
         for row, step in zip(positions, steps):
             self._move(step * self.cfg.mobility.tick_s)
@@ -246,6 +264,7 @@ class _IndoorSim:
         self._zone_entries = np.maximum.accumulate(np.where(changed, self._times[:, None], self._zone_entries[-1]))
         self._decisions, self._targets = np.empty(codes.shape, dtype=np.int8), np.empty(codes.shape, dtype=np.intp)
         self._redecide.update(range(codes.shape[1]))
+        self._first_event = self._next_event.min(initial=math.inf)
 
     def _decide(self, tick: int, terminals: np.ndarray) -> None:
         """Decide ``terminals``' rows from block tick ``tick`` on, under their calls; each holds until its call changes."""
@@ -336,10 +355,10 @@ class _IndoorSim:
     def _apply_idle_mode(self, now: float) -> None:
         """Shift the femtocell's lone Zone 3 user to LiFi if it can; the femtocell idles once it holds no slot."""
         femto = self._femto
-        on_fap = (self._ap == femto).nonzero()[0]
-        served = list(zip(on_fap.tolist(), self._zone[on_fap].tolist()))
-        for i in policy.fap_mode_update(served):
-            self._to_covering_lifi(i, now)
+        if self._capacity[femto] - self._free[femto] == 1:  # the policy shifts nobody out of any other count of users
+            on_fap = (self._ap == femto).nonzero()[0]
+            for i in policy.fap_mode_update(list(zip(on_fap.tolist(), self._zone[on_fap].tolist()))):
+                self._to_covering_lifi(i, now)
         if self._free[femto] == self._capacity[femto]:
             self._fap_idle = True
 
@@ -386,13 +405,15 @@ class _IndoorSim:
     def _step(self, tick: int, now: float) -> None:
         """One tick of calls on the block's row ``tick``: zones, releases, arrivals, handovers and idle mode."""
         self._tick, self._zone = tick, self._codes[tick]
-        due = (self._next_event <= now).nonzero()[0].tolist()  # a call ends or arrives
-        for i in due:
-            if self._ap[i] != _NO_CALL:
-                self._release_call(i, now)
-        for i in due:
-            if self._next_event[i] <= now:  # a call arrives; one released just now has drawn its next arrival
-                self._try_start_call(i, now)
+        if self._first_event <= now:  # a call ends or arrives
+            due = (self._next_event <= now).nonzero()[0].tolist()
+            for i in due:
+                if self._ap[i] != _NO_CALL:
+                    self._release_call(i, now)
+            for i in due:
+                if self._next_event[i] <= now:  # a call arrives; one released just now has drawn its next arrival
+                    self._try_start_call(i, now)
+            self._first_event = self._next_event.min(initial=math.inf)
         self._evaluate_handovers(now)
         self._apply_idle_mode(now)
         self._check_slot_balance()
@@ -442,6 +463,8 @@ def simulate_indoor(config: ScenarioConfig) -> Metrics:
 
 @dataclass(frozen=True)
 class IdleExperimentConfig:
+    """fig16: the room, the slot policy, and the number of random user placements."""
+
     room: RoomConfig = RoomConfig()
     policy: PolicyConfig = PolicyConfig()
     placements: int = 100_000
@@ -511,6 +534,8 @@ def _percentile(ordered: np.ndarray, q: float) -> float:
 
 @dataclass(frozen=True)
 class FemtoSinrConfig:
+    """fig17: the interferers' layout and walls, the reference user's distance, the idle thinning and the drops."""
+
     fap_count: int = 50
     deployment_radius_m: float = 100.0
     user_distance_m: float = 8.0
@@ -572,6 +597,8 @@ def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams):
 
 @dataclass(frozen=True)
 class HandoverSuccessConfig:
+    """fig18: the room whose coverage radius the crossings use, and the crossings per AP spacing."""
+
     room: RoomConfig = RoomConfig()
     crossings: int = 20_000
     seed: int = 0

@@ -102,6 +102,8 @@ _ROLES = {
 
 @dataclass(frozen=True)
 class StepDescriptor:
+    """One step of a handover call flow: its number, message kind, sender and receiver."""
+
     step_number: int
     kind: MessageKind
     sender: str
@@ -143,6 +145,8 @@ def canonical_sequence(kind: HandoverKind) -> tuple[StepDescriptor, ...]:
 
 @dataclass(frozen=True)
 class ProtocolMessage:
+    """One delivered message of a handover run: its step, its ends, and its send and delivery times."""
+
     step_number: int
     kind: MessageKind
     sender: str
@@ -160,6 +164,8 @@ TRACE_CSV_HEADER = ("step", "kind", "from", "to", "t_send", "t_deliver")
 
 @dataclass(frozen=True)
 class HandoverTrace:
+    """One handover run: its delivered messages, the step it failed at (if any) and its latency."""
+
     kind: HandoverKind
     messages: tuple[ProtocolMessage, ...]
     failed_step: int | None  # the dropped step of a failed run; None when complete

@@ -31,6 +31,8 @@ from .channel import OpticalParams, RfParams
 
 @dataclass(frozen=True)
 class VehicleLink:
+    """The vehicle's in-vehicle access hop, macro-link shadowing, and the user's and relay's SINR thresholds."""
+
     in_vehicle_access: str = "lifi"  # "lifi" (an in-vehicle LiFi AP) or "fap" (a femtocell)
     shadowing_sigma_dB: float = 8.0
     sinr_threshold_user_dB: float = 9.0
@@ -48,6 +50,8 @@ class VehicleLink:
 
 @dataclass(frozen=True)
 class CarFollowScenario:
+    """fig21: the car pair's RF range, optical field of view, speed and U-turn, and the time window it spans."""
+
     rf_range_m: float = 30.0
     uturn_radius_m: float = 10.0
     speed_kmh: float = 40.0

@@ -98,6 +98,30 @@ class TestSimulateIndoor:
         assert metrics.active_at_end == 1
         assert metrics.fap_idle_fraction == 1.0
 
+    def test_events_set_before_the_run_fire_on_their_ticks(self, monkeypatch):
+        # A tick scans for due calls and ended pauses only from their kept minima, which each block start takes again.
+        monkeypatch.setattr(engine, "_block_ticks", lambda terminal_count, ap_count: 4)
+        config = ScenarioConfig(user_count=3, duration_s=2.0, seed=3,
+                                traffic=TrafficConfig(arrival_rate_per_min=0.0001, mean_holding_s=1e9))
+        sim, calls, pause_ends = _IndoorSim(config), [], []
+        sim._next_event[...] = 0.0, 0.15, 0.95  # ticks 0 and 2 of block 0, and tick 2 of block 2
+        sim._pause_until[...] = 0.1, 0.25, 1.55  # ticks 1 and 3 of block 0, and block 4's first; each stands until then
+        start_call, move = sim._try_start_call, sim._move
+
+        def recording_start_call(i, now):
+            calls.append((i, round(now / 0.1)))
+            start_call(i, now)
+
+        def recording_move(now):
+            waypoint = sim._waypoint.copy()
+            move(now)
+            pause_ends.extend((i, round(now / 0.1)) for i in (sim._waypoint != waypoint).any(axis=1).nonzero()[0])
+
+        sim._try_start_call, sim._move = recording_start_call, recording_move
+        sim.run()
+        assert calls == [(0, 0), (1, 2), (2, 10)]
+        assert pause_ends == [(0, 1), (1, 3), (2, 16)]
+
     def test_fap_idles_once_its_last_slot_is_freed(self):
         sim = _IndoorSim(ScenarioConfig(user_count=1, seed=3))
         sim._next_event[0] = math.inf  # no call of its own on the first tick
@@ -121,6 +145,49 @@ class TestSimulateIndoor:
         assert sim._free[fap] == slots and not sim._fap_idle
         sim._apply_idle_mode(1.0)
         assert sim._fap_idle
+        arrival = math.ceil(sim._next_event[0] / 0.1)  # the tick of its next call, drawn outside any tick's loop
+        sim._start_block(np.array([[[0.0, 0.0]]]), range(arrival, arrival + 1))  # which a block start takes in
+        sim._step(0, arrival * 0.1)
+        assert sim._ap.tolist() == [fap] and sim.metrics.admissions["accept_on_fap"] == 2
+
+    def test_idle_mode_shifts_the_lone_zone3_user_to_lifi(self, monkeypatch):
+        consulted, update = [], policy.fap_mode_update
+        monkeypatch.setattr(policy, "fap_mode_update", lambda served: consulted.append(served) or update(served))
+        sim = _IndoorSim(ScenarioConfig(user_count=2, seed=3))
+        sim._next_event[...] = math.inf  # no call arrives on its own
+        sim._start_block(np.array([[[1.0, 1.0], [8.0, 8.0]]]), range(1))  # Zone 3 of LiFi AP 0, and Zone 1
+        fap, lifi_slots = sim._femto, PolicyConfig().lifi_slots
+        sim._occupy(0, fap)
+        sim._capacity[0] = sim._free[0] = 0  # its one covering AP has no free slot: it stays on the femtocell
+        sim._step(0, 0.0)  # its dwell is under T_h1, so no handover moves it
+        assert sim._ap.tolist() == [fap, engine._NO_CALL] and not sim._fap_idle
+        sim._capacity[0] = sim._free[0] = lifi_slots
+        sim._step(0, 0.0)  # the same tick with a free slot: idle mode moves it
+        assert sim._decisions.tolist() == [[policy.STAY, policy.STAY]]
+        assert sim._ap.tolist() == [0, engine._NO_CALL] and sim._free[0] == lifi_slots - 1
+        assert sim.metrics.handovers[HandoverKind.FEMTO_TO_LIFI.value] == 1 and sim._fap_idle  # idle at the tick's end
+        assert consulted == [[(0, Zone.Z3.value)]] * 2
+
+    def test_idle_mode_reads_no_serving_index_with_two_femtocell_users(self, monkeypatch):
+        consulted, reads, update = [], [], policy.fap_mode_update
+        monkeypatch.setattr(policy, "fap_mode_update", lambda served: consulted.append(served) or update(served))
+
+        class ReadCounting(np.ndarray):
+            def __eq__(self, other):
+                reads.append(other)
+                return np.ndarray.__eq__(self, other)
+
+        sim = _IndoorSim(ScenarioConfig(user_count=2, seed=3))
+        sim._next_event[...] = math.inf
+        sim._start_block(np.array([[[1.0, 1.0], [23.0, 23.0]]]), range(1))  # Zone 3 of LiFi APs 0 and 8
+        fap = sim._femto
+        sim._occupy(0, fap)
+        sim._occupy(1, fap)
+        sim._step(0, 0.0)
+        sim._ap = sim._ap.view(ReadCounting)
+        sim._apply_idle_mode(0.0)
+        assert sim._ap.tolist() == [fap, fap] and not sim._fap_idle  # nobody moves
+        assert consulted == [] and reads == []  # the ledger's two calls decide it
 
     @pytest.mark.parametrize("corrupt", ["slot-moved-between-lifi-aps", "over-capacity", "idle-femtocell-serves",
                                          "femtocell-slot-without-a-call"])
@@ -360,6 +427,18 @@ class TestUnmaskedStep:
         sim._move(0.3)
         assert sim._xy.tolist() == [[4.0, 5.0]]
         assert sim._pause_until.tolist() == [0.3 + gen.uniform(mobility.pause_min_s, mobility.pause_max_s)]
+
+    def test_a_pause_set_from_outside_ends_on_the_next_step(self):
+        # No kept minimum hides it: there is none before the first step, and each block start takes it again.
+        sim = sim_at([[1.0, 1.0]], [[1.0, 1.0]], [0.0], [0.2])
+        mobility, room = sim.cfg.mobility, sim.cfg.room
+        for step in (lambda: sim._move(0.2), lambda: sim._move_block(range(5, 6))):  # at 0.2 s, then a block at 0.5 s
+            gen = copy.deepcopy(sim._mobility[0])
+            step()
+            assert sim._waypoint.tolist() == [[gen.uniform(0.0, room.room_x_m), gen.uniform(0.0, room.room_y_m)]]
+            assert sim._speed.tolist() == [gen.uniform(mobility.speed_min_mps, mobility.speed_max_mps)]
+            assert sim._pause_until.tolist() == [math.inf]
+            sim._pause_until[0] = 0.5  # paused again after the step took its minimum
 
     def test_walker_matches_the_scalar_step_bit_for_bit(self):
         rng = np.random.default_rng(4)
