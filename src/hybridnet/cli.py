@@ -6,7 +6,7 @@ only prints and takes no ``--out``. A run's settings come from its flags and
 config file only. Every command runs the same way: validate, then compute,
 then write. The validation phase parses the flags, lays each of ``--room``,
 ``--radius``, ``--samples`` and ``--per-hop-ms`` that is set over the
-``zoning`` or ``protocol`` key it overrides, and resolves the config, so a
+``zoning`` or ``policy`` key it overrides, and resolves the config, so a
 flag is checked by its key's rule. ``trace --drop-step`` fails the flow at
 the step it names. ``--out``, the CSV file of ``zones`` and the directory
 of the others, must not name an existing path of the other kind nor lie
@@ -89,7 +89,7 @@ KEY_FLAGS = {
     "room": ("--room", "room sides AxB in metres", ("zoning.room_x_m", "zoning.room_y_m"), _room_sides),
     "radius": ("--radius", "coverage radius in metres", ("zoning.coverage_radius_m",), lambda m: (m,)),
     "samples": ("--samples", "Monte Carlo samples", ("zoning.mc_samples",), lambda n: (n,)),
-    "per_hop_ms": ("--per-hop-ms", "per-hop latency in ms", ("protocol.per_hop_latency_s",), lambda ms: (ms / 1000.0,)),
+    "per_hop_ms": ("--per-hop-ms", "per-hop latency in ms", ("policy.per_hop_latency_s",), lambda ms: (ms / 1000.0,)),
 }
 
 

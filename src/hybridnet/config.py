@@ -1,12 +1,12 @@
 """Scenario configuration: defaults, strict YAML overrides and config digests.
 
 One YAML file configures everything; its sections mirror the module names
-(channel, zoning, selection, policy, protocol, engine, transport). Most
-sections hold the fields of one dataclass, and the dataclass defaults are
-the only place a default is written: ``DEFAULT_CONFIG`` is derived from
-them, so an empty file reproduces the baseline setup. A user file is merged
-over the defaults strictly and then resolved whole, whichever command reads
-it; a bad key or value raises ValueError naming its dotted path.
+(channel, zoning, selection, policy, engine, transport). Most sections hold
+the fields of one dataclass, and the dataclass defaults are the only place
+a default is written: ``DEFAULT_CONFIG`` is derived from them, so an empty
+file reproduces the baseline setup. A user file is merged over the
+defaults strictly and then resolved whole, whichever command reads it; a
+bad key or value raises ValueError naming its dotted path.
 """
 
 from __future__ import annotations
@@ -30,26 +30,24 @@ from .engine import (
 from .transport import CarFollowScenario, VehicleLink
 from .zoning import MAX_MC_SAMPLES, MIN_MC_SAMPLES, RoomConfig
 
-# Sections whose keys are the fields of one dataclass, less the listed
-# fields: those are context that `resolve` passes to `build` (the seed, a
-# value from another section, the AHP weights). Dataclass-valued fields
-# (room, mobility, ...) are never keys. `protocol` carries the one
-# PolicyConfig field that the protocol layer reads; `resolve` hands it to
-# `policy`, the one PolicyConfig it returns.
+# Sections whose keys are the fields of one dataclass; no dataclass has two
+# sections. Two kinds of field are never keys, and `resolve` passes them to
+# `build`: those named in CONTEXT (the run seed, the AHP weights derived
+# from `selection`) and dataclass-valued ones (room, mobility, ...).
+CONTEXT = ("seed", "ahp_weights")
 SECTIONS = {
-    "channel.optical": (OpticalParams, ()),
-    "channel.rf": (RfParams, ()),
-    "zoning": (RoomConfig, ()),
-    "policy": (PolicyConfig, ("per_hop_latency_s",)),
-    "protocol": (PolicyConfig, ("t_h_s", "t_h1_s", "fap_slots", "lifi_slots")),
-    "engine": (ScenarioConfig, ("seed", "ahp_weights")),
-    "engine.mobility": (MobilityConfig, ()),
-    "engine.traffic": (TrafficConfig, ()),
-    "engine.fig16": (IdleExperimentConfig, ("seed",)),
-    "engine.fig17": (FemtoSinrConfig, ("seed",)),
-    "engine.fig18": (HandoverSuccessConfig, ("seed",)),
-    "transport.vehicle": (VehicleLink, ()),
-    "transport.fig21": (CarFollowScenario, ()),
+    "channel.optical": OpticalParams,
+    "channel.rf": RfParams,
+    "zoning": RoomConfig,
+    "policy": PolicyConfig,
+    "engine": ScenarioConfig,
+    "engine.mobility": MobilityConfig,
+    "engine.traffic": TrafficConfig,
+    "engine.fig16": IdleExperimentConfig,
+    "engine.fig17": FemtoSinrConfig,
+    "engine.fig18": HandoverSuccessConfig,
+    "transport.vehicle": VehicleLink,
+    "transport.fig21": CarFollowScenario,
 }
 
 # Keys that no dataclass carries: sweep ranges, counts and the AHP matrix.
@@ -74,8 +72,8 @@ EXTRA_KEYS = {
 }
 
 
-def _key_fields(cls, skip):
-    return [f for f in fields(cls) if f.name not in skip and not is_dataclass(f.default)]
+def _key_fields(cls):
+    return [f for f in fields(cls) if f.name not in CONTEXT and not is_dataclass(f.default)]
 
 
 def _section(config: dict, path: str) -> dict:
@@ -90,9 +88,9 @@ def _new_section(config: dict, path: str) -> dict:
 
 def _default_config() -> dict:
     config: dict = {}
-    for path, (cls, skip) in SECTIONS.items():
+    for path, cls in SECTIONS.items():
         section = _new_section(config, path)
-        for f in _key_fields(cls, skip):
+        for f in _key_fields(cls):
             section[f.name] = f.default
     for path, keys in EXTRA_KEYS.items():
         section = _new_section(config, path)
@@ -159,9 +157,8 @@ def build(config: dict, path: str, **context):
     field in neither keeps its default. A value the dataclass rejects raises
     ValueError naming the key or the section.
     """
-    cls, skip = SECTIONS[path]
-    section = _section(config, path)
-    values = {f.name: section[f.name] for f in _key_fields(cls, skip)}
+    cls, section = SECTIONS[path], _section(config, path)
+    values = {f.name: section[f.name] for f in _key_fields(cls)}
     try:
         return cls(**values, **context)
     except ValueError as exc:  # a message that starts with a key's name names the key
@@ -189,9 +186,6 @@ def load_config(path: str | Path | None) -> dict:
 def resolve(config: dict, seed: int) -> dict[str, object]:
     """Every section of ``config`` built once with its real context, keyed by its ``SECTIONS`` path.
 
-    ``protocol`` is the exception: its one field goes into ``policy``, so
-    the result holds one PolicyConfig, the configured one.
-
     The context is the seed and values of other sections, so
     ``engine.duration_s`` is checked against the configured tick, and the
     AHP weights are derived here once. Every value check of the file runs
@@ -208,11 +202,10 @@ def resolve(config: dict, seed: int) -> dict[str, object]:
     except ValueError as exc:
         raise ValueError(f"selection.pairwise_matrix: {exc}") from None
 
-    out = {path: build(config, path) for path in ("channel.optical", "channel.rf", "zoning", "protocol",
+    out = {path: build(config, path) for path in ("channel.optical", "channel.rf", "zoning", "policy",
                                                   "engine.mobility", "engine.traffic", "transport.vehicle",
                                                   "transport.fig21")}
     room = out["zoning"]
-    out["policy"] = build(config, "policy", per_hop_latency_s=out.pop("protocol").per_hop_latency_s)
     out["engine"] = build(
         config, "engine", seed=seed, room=room, mobility=out["engine.mobility"], traffic=out["engine.traffic"],
         policy=out["policy"], optical=out["channel.optical"], rf=out["channel.rf"], ahp_weights=weights,

@@ -103,7 +103,8 @@ class ScenarioConfig:
     ahp_weights: tuple[float, ...] = selection.DEFAULT_WEIGHTS
 
     def __post_init__(self):
-        check_fields(self, *at_least(0), "user_count")
+        check_fields(self, f"in [0, {2**14}] (a run spawns two generators per terminal before its first tick, "
+                     f"about 1 s and 30 MB at {2**14})", lambda v: 0 <= v <= 2**14, "user_count")
         check_fields(self, *POSITIVE_FINITE, "duration_s")
         check_fields(self, f"at least one tick_s ({self.mobility.tick_s!r}) once rounded to whole ticks",
                      lambda v: round(v / self.mobility.tick_s) >= 1, "duration_s")

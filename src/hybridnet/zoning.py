@@ -116,14 +116,11 @@ class GridPlan:
         and ``dy2[j, p]`` from y line ``row0[p] + j``, so ``dy2[j, p] + dx2[i, p]`` is its squared distance to the AP
         in that row and column. Past three lines an axis's window starts at the line at or below a point, clipped to
         ``[0, lines - width]``, so the default two bracket it; an axis of at most three lines is read whole.
-        Each pass reads one axis of the points: axis-major points, the ``.T`` of a (2, N) array with unit-stride rows
-        such as a slice of :func:`_uniform_slices`, are read in place, and any others are first copied so.
+        Each pass reads one axis of the points in place, whatever their layout: the ``.T`` of a (2, N) array such as
+        a slice of :func:`_uniform_slices`, or plain (N, 2) rows.
         """
-        pts, buf, window, n = np.asarray(points, dtype=float), self._buffer, [], len(points)
-        in_place = pts.strides[0] == pts.itemsize  # axis-major
-        xs, ys = xy = pts.T if in_place else buf("xy", (2, n))  # checked by a whole-array min and per-axis maxima
-        if not in_place:
-            xy[...] = pts.T
+        buf, window, n = self._buffer, [], len(points)
+        xs, ys = xy = np.asarray(points, dtype=float).T  # checked by a whole-array min and per-axis maxima
         if not (xy.min(initial=0.0) >= 0.0 and xs.max(initial=0.0) <= self.room_x_m
                 and ys.max(initial=0.0) <= self.room_y_m):
             raise ValueError("point outside the room rectangle")

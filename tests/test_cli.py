@@ -429,7 +429,9 @@ class TestExperiments:
             (["experiment", "fig17"], "engine: {mobility: {speed_max_mps: 0.1}}\n", "engine.mobility.speed_max_mps"),
             (["experiment", "fig17"], "engine: {traffic: {voice_fraction: 1.5}}\n", "engine.traffic.voice_fraction"),
             (["experiment", "fig17"], "policy: {t_h1_s: 0.0}\n", "policy.t_h1_s"),
-            (["experiment", "fig17"], "protocol: {per_hop_latency_s: -0.001}\n", "protocol.per_hop_latency_s"),
+            (["experiment", "fig17"], "policy: {per_hop_latency_s: -0.001}\n", "policy.per_hop_latency_s"),
+            (["trace", "lifi-to-lifi"], "protocol: {per_hop_latency_s: 0.003}\n", "protocol: unknown key"),
+            (["indoor-sim"], "engine: {user_count: 16385}\n", "engine.user_count: must be in [0, 16384]"),
             (["experiment", "fig17"], "engine: {duration_s: 0.04}\n", "engine.duration_s"),
             (["experiment", "fig17"], "engine: {duration_s: 0.4, mobility: {tick_s: 1.0}}\n", "engine.duration_s"),
             (["indoor-sim"], "engine: {duration_s: 0.004, mobility: {tick_s: 0.01}}\n",
@@ -470,7 +472,8 @@ class TestExperiments:
              "fig17-fap-count-negative", "fig17-hybrid-users-negative", "fig17-wall-count-negative",
              "fig17-min-link-distance-zero", "fig17-deployment-radius-negative", "fig19-start-zero",
              "fig20-stop-negative", "fig21-stop-negative", "fig18-start-negative", "speed-max-below-min",
-             "voice-fraction-above-one", "dwell-zero", "per-hop-negative", "duration-below-one-tick",
+             "voice-fraction-above-one", "dwell-zero", "per-hop-negative", "protocol-section-unknown",
+             "user-count-above-2-to-the-14", "duration-below-one-tick",
              "duration-below-one-long-tick", "duration-below-one-short-tick", "optical-pd-area-zero", "rf-height-zero",
              "shadowing-zero", "car-window-zero", "half-intensity-cosine-one-fig19",
              "half-intensity-cosine-one-indoor-sim", "vehicle-femto-distance-negative",
@@ -790,7 +793,7 @@ class TestTrace:
     def test_negative_per_hop_latency_is_validation_error(self, tmp_path, capsys, per_hop_ms, rule):
         assert cli.main(["trace", "lifi-to-lifi", "--per-hop-ms", per_hop_ms, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "per-hop latency" in err and "--per-hop-ms" in err and f"protocol.per_hop_latency_s: {rule}" in err
+        assert "per-hop latency" in err and "--per-hop-ms" in err and f"policy.per_hop_latency_s: {rule}" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_invalid_kind_exits_nonzero(self):
@@ -875,7 +878,7 @@ class TestConfig:
         resolved = load_config(None)
         assert resolved == DEFAULT_CONFIG
         assert resolved is not DEFAULT_CONFIG
-        assert config_digest(resolved) == "sha256:4119829618272c19ae2a23792816395d1acda128fb8534d32e6aa6cee060082f"
+        assert config_digest(resolved) == "sha256:3e25fd7dcf6508cd735f1566a5e6189aa7cb4f2f26ad0c54d1ff334eb67ab75f"
 
     def test_inline_criteria_table_parses(self, tmp_path):
         path = tmp_path / "crit.yaml"
@@ -890,7 +893,7 @@ class TestConfig:
 
     def test_every_resolved_policy_is_the_configured_one(self, tmp_path, capsys):
         path = tmp_path / "policy.yaml"
-        path.write_text("policy: {t_h_s: 5.0, lifi_slots: 4}\nprotocol: {per_hop_latency_s: 0.003}\n")
+        path.write_text("policy: {t_h_s: 5.0, lifi_slots: 4, per_hop_latency_s: 0.003}\n")
         sections = resolve(load_config(str(path)), seed=0)
         configured = PolicyConfig(t_h_s=5.0, lifi_slots=4, per_hop_latency_s=0.003)
         policies = [s for s in sections.values() if isinstance(s, PolicyConfig)] + [sections["engine"].policy]
@@ -929,9 +932,34 @@ class TestConfig:
     @pytest.mark.parametrize("path", list(cfgmod.SECTIONS))
     def test_build_hands_each_key_to_its_dataclass_as_written(self, path):
         built, section = cfgmod.build(DEFAULT_CONFIG, path), cfgmod._section(DEFAULT_CONFIG, path)
-        for f in cfgmod._key_fields(*cfgmod.SECTIONS[path]):
+        for f in cfgmod._key_fields(cfgmod.SECTIONS[path]):
             value = getattr(built, f.name)
             assert (value, type(value)) == (section[f.name], type(section[f.name])), f"{path}.{f.name}"
+
+    def test_no_dataclass_is_split_across_sections(self):
+        # Each dataclass's keys live in one section, so no field has a second path.
+        assert len(set(cfgmod.SECTIONS.values())) == len(cfgmod.SECTIONS)
+
+    def test_per_hop_latency_under_policy_runs_as_under_protocol(self, tmp_path, capsys):
+        # The pins were recorded with `protocol: {per_hop_latency_s: 0.003}`, before the key moved into `policy`.
+        path = tmp_path / "policy.yaml"
+        path.write_text("policy: {per_hop_latency_s: 0.003}\nengine:\n  user_count: 20\n  duration_s: 30.0\n"
+                        "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 20.0}\n")
+        assert cli.main(["trace", "lifi-to-lifi", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out.splitlines()[-1].removeprefix("# outcome: "))["latency_s"] == 0.08100000000000003
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "dc5e2ecd753de6f38d8b058e2721c7265aa3ed7d018bf03670d6c3c893793d74")
+        assert cli.main(["indoor-sim", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert hashlib.sha256((tmp_path / "out" / "indoor_sim.csv").read_bytes()).hexdigest() == (
+            "251a4525e77e6b2c320ebcad02e696bd75333cb9dc686fc663253e6b2f7c83e4")
+
+    def test_user_count_is_at_most_2_to_the_14(self):
+        # Checked by validation alone: no run of that many terminals is started.
+        engine = resolve(deep_merge(DEFAULT_CONFIG, {"engine": {"user_count": 2**14}}), seed=0)["engine"]
+        assert engine.user_count == 2**14
+        with pytest.raises(ValueError, match=r"^engine.user_count: must be in \[0, 16384\] .*, got 16385$"):
+            resolve(deep_merge(DEFAULT_CONFIG, {"engine": {"user_count": 2**14 + 1}}), seed=0)
 
     def test_mc_samples_is_at_most_2_to_the_32(self):
         assert resolve(deep_merge(DEFAULT_CONFIG, {"zoning": {"mc_samples": 2**32}}), seed=0)

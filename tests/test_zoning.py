@@ -426,8 +426,8 @@ class TestLatticeWindow:
 
     @pytest.mark.parametrize("width", [3, 11])
     def test_both_point_layouts_give_one_window_and_one_room_check(self, width):
-        # The .T of a (2, N) array is read in place and plain (N, 2) rows are copied axis-major first: the same
-        # window either way, the points left as they were, and a point outside the room raises in both layouts.
+        # The .T of a (2, N) array and plain (N, 2) rows are both read in place: the same window either way, the
+        # points left as they were, and a point outside the room raises in both layouts.
         xy = np.random.default_rng(3).random((2, 1000)) * [[PLAN_121.room_x_m], [PLAN_121.room_y_m]]
         drawn = xy.copy()
         windows = [PLAN_121.sq_distances(pts, width) for pts in (xy.T, np.ascontiguousarray(xy.T))]
