@@ -50,6 +50,8 @@ FINITE_POWER_DB = ("in [-300, 300] dB (a linear power within 1e+-30)", lambda v:
 NOISE_BANDWIDTH = ("in [1, 1e30] Hz (10 log10 B within [0, 300] dB)", lambda v: 1.0 <= v <= 1e30)
 # An optical distance of at most 1e150 m keeps the gain's 2 pi (l^2 + h^2) below about 1.3e301, inside the float range.
 OPTICAL_DISTANCE = ("at most 1e150 m (a finite 2 pi (l^2 + h^2) in the optical gain)", lambda v: v <= 1e150)
+# A figure's sweep count: the figure builds its CSV rows, one per swept value, in memory.
+SWEEP_COUNT = (f"in [1, {2**20}] (the figure builds its CSV rows, one per value, in memory)", lambda v: 1 <= v <= 2**20)
 
 
 def db_to_linear(x_db):
@@ -101,7 +103,6 @@ class RfParams:
     terminal_height_m: float = 1.0
     mbs_tx_dBm: float = 46.0
     fap_tx_dBm: float = 7.0
-    building_wall_loss_dB: float = 20.0
     vehicle_wall_loss_dB: float = 10.0
     femto_loss_coeff: float = 28.0
     noise_psd_dBm_per_Hz: float = -174.0

@@ -173,13 +173,13 @@ def _validate(args) -> tuple[dict, dict]:
     return config, sections
 
 
-def _zone_model(args, config: dict, sections: dict) -> tuple[zoning.GridPlan, zoning.ZoneModel]:
+def _zone_model(args, sections: dict) -> tuple[zoning.GridPlan, zoning.ZoneModel]:
     plan = zoning.plan_grid(sections["zoning"])
-    return plan, zoning.monte_carlo_zone_model(plan, config["zoning"]["mc_samples"], seed=args.seed)
+    return plan, zoning.monte_carlo_zone_model(plan, sections["zoning"].mc_samples, seed=args.seed)
 
 
 def cmd_plan(args, config: dict, sections: dict) -> None:
-    plan, model = _zone_model(args, config, sections)
+    plan, model = _zone_model(args, sections)
     a, b, radius = plan.room_x_m, plan.room_y_m, plan.coverage_radius_m
     print(f"room: {a} m x {b} m, coverage radius {radius} m")
     print(f"ap_count: {plan.ap_count} (n_x={plan.n_x}, n_y={plan.n_y}), "
@@ -198,45 +198,45 @@ def cmd_plan(args, config: dict, sections: dict) -> None:
 
 def cmd_zones(args, config: dict, sections: dict) -> None:
     started = time.monotonic()
-    _plan, model = _zone_model(args, config, sections)
+    _plan, model = _zone_model(args, sections)
     text = _csv_text(("zone", "analytic_area_m2", "mc_area_m2", "probability"), model.csv_rows())
     _write(args, config, started, "zones", Path(args.out) if args.out else None, text)
 
 
-def _experiment_rows(name: str, config: dict, sections: dict):
+def _experiment_rows(name: str, sections: dict):
     if name == "fig16":
-        counts = list(range(config["engine"]["fig16"]["user_count_max"] + 1))
-        rows = engine.idle_probability_experiment(sections["engine.fig16"], counts)
+        fig16 = sections["engine.fig16"]
+        rows = engine.idle_probability_experiment(fig16, list(range(fig16.user_count_max + 1)))
         return ("active_users", "empirical_idle_prob", "eq_idle_prob"), rows
     if name == "fig17":
         rows = engine.femto_sinr_experiment(sections["engine.fig17"], sections["channel.rf"])
         return ("scheme", "frf", "mean_sinr_db", "p5_sinr_db", "p50_sinr_db", "p95_sinr_db"), rows
     if name == "fig18":
-        spacings = cfgmod.sweep(config["engine"]["fig18"], "spacing", "m")
-        rows = engine.handover_success_experiment(sections["engine.fig18"], spacings)
+        fig18 = sections["engine.fig18"]
+        spacings = cfgmod.sweep(fig18.spacing_start_m, fig18.spacing_stop_m, fig18.spacing_count)
+        rows = engine.handover_success_experiment(fig18, spacings)
         return ("ap_distance_m", "lifi_only_success", "hybrid_success"), rows
     if name == "fig19":
-        rows = transport.capacity_sweep(
-            cfgmod.sweep(config["transport"]["fig19"], "distance", "km"), sections["transport.vehicle"],
-            sections["channel.optical"], sections["channel.rf"],
-        )
+        fig19 = sections["transport.fig19"]
+        distances = cfgmod.sweep(fig19.distance_start_km, fig19.distance_stop_km, fig19.distance_count)
+        rows = transport.capacity_sweep(distances, sections["transport.vehicle"], sections["channel.optical"],
+                                        sections["channel.rf"])
         return ("mbs_distance_km", "direct_bps", "relayed_bps"), rows
     if name == "fig20":
-        rows = transport.outage_sweep(
-            cfgmod.sweep(config["transport"]["fig20"], "distance", "km"), sections["transport.vehicle"],
-            sections["channel.rf"],
-        )
+        fig20 = sections["transport.fig20"]
+        distances = cfgmod.sweep(fig20.distance_start_km, fig20.distance_stop_km, fig20.distance_count)
+        rows = transport.outage_sweep(distances, sections["transport.vehicle"], sections["channel.rf"])
         return ("mbs_distance_km", "p_out_direct", "p_out_relayed"), rows
     if name == "fig21":
-        rows = transport.reliability_sweep(
-            cfgmod.sweep(config["transport"]["fig21"], "distance", "m"), sections["transport.fig21"]
-        )
+        fig21 = sections["transport.fig21"]
+        distances = cfgmod.sweep(fig21.distance_start_m, fig21.distance_stop_m, fig21.distance_count)
+        rows = transport.reliability_sweep(distances, fig21)
         return ("inter_vehicle_distance_m", "rf_only", "owc_only", "hybrid"), rows
 
 
 def cmd_experiment(args, config: dict, sections: dict) -> None:
     started = time.monotonic()
-    header, rows = _experiment_rows(args.name, config, sections)
+    header, rows = _experiment_rows(args.name, sections)
     path = Path(args.out or Path.cwd()) / f"{args.name}.csv"
     _write(args, config, started, f"experiment {args.name}", path, _csv_text(header, rows))
 

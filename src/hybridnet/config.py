@@ -1,12 +1,13 @@
 """Scenario configuration: defaults, strict YAML overrides and config digests.
 
 One YAML file configures everything; its sections mirror the module names
-(channel, zoning, selection, policy, engine, transport). Most sections hold
-the fields of one dataclass, and the dataclass defaults are the only place
-a default is written: ``DEFAULT_CONFIG`` is derived from them, so an empty
-file reproduces the baseline setup. A user file is merged over the
-defaults strictly and then resolved whole, whichever command reads it; a
-bad key or value raises ValueError naming its dotted path.
+(channel, zoning, selection, policy, engine, transport). Every key but the
+AHP matrix (``selection.pairwise_matrix``) is a field of its section's
+dataclass, and the dataclass defaults are the only place a default is
+written: ``DEFAULT_CONFIG`` is derived from them, so an empty file
+reproduces the baseline setup. A user file is merged over the defaults
+strictly and then resolved whole, whichever command reads it; a bad key or
+value raises ValueError naming its dotted path.
 """
 
 from __future__ import annotations
@@ -22,18 +23,19 @@ from pathlib import Path
 import numpy as np
 
 from . import selection
-from .channel import POSITIVE, OpticalParams, RfParams, at_least
+from .channel import OpticalParams, RfParams
 from .engine import (
     FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig, MobilityConfig, PolicyConfig, ScenarioConfig,
     TrafficConfig,
 )
-from .transport import CarFollowScenario, VehicleLink
-from .zoning import MAX_MC_SAMPLES, MIN_MC_SAMPLES, RoomConfig
+from .transport import CapacitySweep, CarFollowScenario, OutageSweep, VehicleLink
+from .zoning import RoomConfig
 
-# Sections whose keys are the fields of one dataclass; no dataclass has two
-# sections. Two kinds of field are never keys, and `resolve` passes them to
-# `build`: those named in CONTEXT (the run seed, the AHP weights derived
-# from `selection`) and dataclass-valued ones (room, mobility, ...).
+# Every key but the AHP matrix is a field of its section's dataclass; no
+# dataclass has two sections. Two kinds of field are never keys, and
+# `resolve` passes them to `build`: those named in CONTEXT (the run seed,
+# the AHP weights derived from `selection`) and dataclass-valued ones
+# (room, mobility, ...).
 CONTEXT = ("seed", "ahp_weights")
 SECTIONS = {
     "channel.optical": OpticalParams,
@@ -47,28 +49,9 @@ SECTIONS = {
     "engine.fig17": FemtoSinrConfig,
     "engine.fig18": HandoverSuccessConfig,
     "transport.vehicle": VehicleLink,
+    "transport.fig19": CapacitySweep,
+    "transport.fig20": OutageSweep,
     "transport.fig21": CarFollowScenario,
-}
-
-# Keys that no dataclass carries: sweep ranges, counts and the AHP matrix.
-# A range-checked key is written as (default, rule, ok), with the rule pair
-# of `channel.check_fields`; a sweep's values lie between its two
-# endpoints, so checking both checks them all.
-_SWEEP_COUNT = (f"in [1, {2**20}] (the figure builds its CSV rows, one per value, in memory)", lambda v: 1 <= v <= 2**20)
-_MACRO_SWEEP = {"distance_start_km": (0.1, *POSITIVE), "distance_stop_km": (1.0, *POSITIVE),
-                "distance_count": (100, *_SWEEP_COUNT)}
-EXTRA_KEYS = {
-    "zoning": {"mc_samples": (1 << 20, f"in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]",
-                              lambda v: MIN_MC_SAMPLES <= v <= MAX_MC_SAMPLES)},
-    "selection": {"pairwise_matrix": [list(row) for row in selection.DEFAULT_MATRIX]},
-    "engine.fig16": {"user_count_max": (20, f"in [0, {2**20}] (fig16 builds its CSV rows, one per user count, in memory)",
-                                        lambda v: 0 <= v <= 2**20)},  # per-user AP record: <= users * 2**18 * itemsize bytes
-    "engine.fig18": {"spacing_start_m": (0.0, *at_least(0.0)), "spacing_stop_m": (12.0, *at_least(0.0)),
-                     "spacing_count": (25, *_SWEEP_COUNT)},
-    "transport.fig19": _MACRO_SWEEP,
-    "transport.fig20": _MACRO_SWEEP,
-    "transport.fig21": {"distance_start_m": (5.0, *POSITIVE), "distance_stop_m": (50.0, *POSITIVE),
-                        "distance_count": (100, *_SWEEP_COUNT)},
 }
 
 
@@ -80,22 +63,12 @@ def _section(config: dict, path: str) -> dict:
     return functools.reduce(dict.__getitem__, path.split("."), config)
 
 
-def _new_section(config: dict, path: str) -> dict:
-    for part in path.split("."):
-        config = config.setdefault(part, {})
-    return config
-
-
 def _default_config() -> dict:
     config: dict = {}
     for path, cls in SECTIONS.items():
-        section = _new_section(config, path)
-        for f in _key_fields(cls):
-            section[f.name] = f.default
-    for path, keys in EXTRA_KEYS.items():
-        section = _new_section(config, path)
-        for name, value in keys.items():
-            section[name] = value[0] if isinstance(value, tuple) else copy.deepcopy(value)
+        section = functools.reduce(lambda node, part: node.setdefault(part, {}), path.split("."), config)
+        section.update((f.name, f.default) for f in _key_fields(cls))
+    config["selection"] = {"pairwise_matrix": [list(row) for row in selection.DEFAULT_MATRIX]}
     return config
 
 
@@ -189,14 +162,9 @@ def resolve(config: dict, seed: int) -> dict[str, object]:
     The context is the seed and values of other sections, so
     ``engine.duration_s`` is checked against the configured tick, and the
     AHP weights are derived here once. Every value check of the file runs
-    here, whatever the caller reads: the dataclass ranges, the ranges of
-    ``EXTRA_KEYS``, fig18's draw count, and the AHP matrix's rules in ``selection.derive_weights``.
+    here, whatever the caller reads: the dataclass rules, and the AHP
+    matrix's rules in ``selection.derive_weights``.
     """
-    for section_path, keys in EXTRA_KEYS.items():
-        for name, spec in keys.items():
-            value = _section(config, section_path)[name]
-            if isinstance(spec, tuple) and not spec[2](value):
-                raise ValueError(f"{section_path}.{name}: must be {spec[1]}, got {value!r}")
     try:
         weights, _cr = selection.derive_weights(config["selection"]["pairwise_matrix"])
     except ValueError as exc:
@@ -204,7 +172,7 @@ def resolve(config: dict, seed: int) -> dict[str, object]:
 
     out = {path: build(config, path) for path in ("channel.optical", "channel.rf", "zoning", "policy",
                                                   "engine.mobility", "engine.traffic", "transport.vehicle",
-                                                  "transport.fig21")}
+                                                  "transport.fig19", "transport.fig20", "transport.fig21")}
     room = out["zoning"]
     out["engine"] = build(
         config, "engine", seed=seed, room=room, mobility=out["engine.mobility"], traffic=out["engine.traffic"],
@@ -212,10 +180,7 @@ def resolve(config: dict, seed: int) -> dict[str, object]:
     )
     out["engine.fig16"] = build(config, "engine.fig16", room=room, policy=out["policy"], seed=seed)
     out["engine.fig17"] = build(config, "engine.fig17", room=room, seed=seed)
-    out["engine.fig18"] = fig18 = build(config, "engine.fig18", room=room, seed=seed)
-    if (spacings := _section(config, "engine.fig18")["spacing_count"]) * fig18.crossings > 2**27:
-        raise ValueError(f"engine.fig18.spacing_count: must be at most 2**27 // crossings = {2**27 // fig18.crossings} "
-                         f"(fig18 draws spacing_count * crossings offsets, 2**27 in about a second), got {spacings}")
+    out["engine.fig18"] = build(config, "engine.fig18", room=room, seed=seed)
     return out
 
 
@@ -225,7 +190,6 @@ def config_digest(config: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def sweep(section: dict, name: str, unit: str) -> list[float]:
-    """Evenly spaced values from a section's ``<name>_start_<unit>``, ``<name>_stop_<unit>`` and ``<name>_count``."""
-    values = np.linspace(section[f"{name}_start_{unit}"], section[f"{name}_stop_{unit}"], section[f"{name}_count"])
-    return [float(v) for v in values]
+def sweep(start: float, stop: float, count: int) -> list[float]:
+    """``count`` evenly spaced values from ``start`` to ``stop``, both included."""
+    return [float(v) for v in np.linspace(start, stop, count)]

@@ -464,16 +464,24 @@ def simulate_indoor(config: ScenarioConfig) -> Metrics:
 
 @dataclass(frozen=True)
 class IdleExperimentConfig:
-    """fig16: the room, the slot policy, and the number of random user placements."""
+    """fig16: the room, the slot policy, the number of random user placements and the largest user count."""
 
     room: RoomConfig = RoomConfig()
     policy: PolicyConfig = PolicyConfig()
     placements: int = 100_000
     seed: int = 0
+    user_count_max: int = 20
 
     def __post_init__(self):
         check_fields(self, f"in [1, {MAX_MC_SAMPLES}], as zoning.mc_samples (a generator per chunk of 2**18 placements)",
                      lambda v: 1 <= v <= MAX_MC_SAMPLES, "placements")
+        check_fields(self, f"in [0, {2**20}] (fig16 builds its CSV rows, one per user count, in memory)",
+                     lambda v: 0 <= v <= 2**20, "user_count_max")
+        aps = math.prod(zoning._ap_lines(self.room))  # a walk stops by user lifi_slots * aps + 1: none idles past it
+        record = min(self.placements, zoning._MC_CHUNK) * np.min_scalar_type(aps - 1).itemsize  # one AP per placement
+        check_fields(self, f"at most {2**28 // record} (fig16 keeps a {record}-byte AP record per user it walks, "
+                     "2**28 bytes in all)",
+                     lambda v: min(v, self.policy.lifi_slots * aps + 1) * record <= 2**28, "user_count_max")
 
 
 def lifi_assignment_idle(locate, placements: int, users: int, ap_count: int, lifi_slots: int) -> np.ndarray:
@@ -598,15 +606,23 @@ def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams):
 
 @dataclass(frozen=True)
 class HandoverSuccessConfig:
-    """fig18: the room whose coverage radius the crossings use, and the crossings per AP spacing."""
+    """fig18: the room whose coverage radius the crossings use, the crossings per AP spacing, and the spacings swept."""
 
     room: RoomConfig = RoomConfig()
     crossings: int = 20_000
     seed: int = 0
+    spacing_start_m: float = 0.0
+    spacing_stop_m: float = 12.0
+    spacing_count: int = 25
 
     def __post_init__(self):
         check_fields(self, f"in [1, {2**22}] (fig18 draws each spacing's crossings as one array)",
                      lambda v: 1 <= v <= 2**22, "crossings")
+        check_fields(self, *at_least(0.0), "spacing_start_m", "spacing_stop_m")  # so is every spacing between them
+        check_fields(self, *channel.SWEEP_COUNT, "spacing_count")
+        check_fields(self, f"at most 2**27 // crossings = {2**27 // self.crossings} (fig18 draws spacing_count * "
+                     "crossings offsets, 2**27 in about a second)", lambda v: v * self.crossings <= 2**27,
+                     "spacing_count")
 
 
 def lifi_crossing_success_exact(ap_distance_m: float, coverage_radius_m: float) -> float:

@@ -49,8 +49,26 @@ class VehicleLink:
 
 
 @dataclass(frozen=True)
+class CapacitySweep:
+    """fig19: the macro-link distances, ``distance_count`` values from ``distance_start_km`` to ``distance_stop_km``."""
+
+    distance_start_km: float = 0.1
+    distance_stop_km: float = 1.0
+    distance_count: int = 100
+
+    def __post_init__(self):
+        channel.check_fields(self, *channel.POSITIVE, "distance_start_km", "distance_stop_km")  # so is every distance
+        channel.check_fields(self, *channel.SWEEP_COUNT, "distance_count")
+
+
+@dataclass(frozen=True)
+class OutageSweep(CapacitySweep):
+    """fig20: the macro-link distances, swept as fig19's."""
+
+
+@dataclass(frozen=True)
 class CarFollowScenario:
-    """fig21: the car pair's RF range, optical field of view, speed and U-turn, and the time window it spans."""
+    """fig21: the car pair's RF range, optical field of view, speed and U-turn, its time window, and the gaps swept."""
 
     rf_range_m: float = 30.0
     uturn_radius_m: float = 10.0
@@ -58,12 +76,17 @@ class CarFollowScenario:
     owc_fov_semi_angle_deg: float = 30.0
     window_s: float = 30.0
     uturn_start_s: float = 10.0
+    distance_start_m: float = 5.0
+    distance_stop_m: float = 50.0
+    distance_count: int = 100
 
     def __post_init__(self):
         channel.check_fields(self, *channel.POSITIVE, "rf_range_m", "uturn_radius_m", "speed_kmh",
                              "owc_fov_semi_angle_deg")
         channel.check_fields(self, *channel.POSITIVE_FINITE, "window_s")
         channel.check_fields(self, "finite", math.isfinite, "uturn_start_s")
+        channel.check_fields(self, *channel.POSITIVE, "distance_start_m", "distance_stop_m")  # so is every gap
+        channel.check_fields(self, *channel.SWEEP_COUNT, "distance_count")
 
 
 def macro_snr_dB(distance_km, rf: RfParams, wall_loss_dB: float):

@@ -151,11 +151,12 @@ class GridPlan:
 
 @dataclass(frozen=True)
 class RoomConfig:
-    """An ``a x b`` room and the coverage radius ``r`` of its LiFi APs; :func:`plan_grid` lays out its grid."""
+    """An ``a x b`` room, its LiFi APs' coverage radius ``r`` and its zone model's samples; see :func:`plan_grid`."""
 
     room_x_m: float = 24.0
     room_y_m: float = 24.0
     coverage_radius_m: float = 5.0
+    mc_samples: int = 1 << 20
 
     def __post_init__(self):
         check_fields(self, *POSITIVE_FINITE, "room_x_m", "room_y_m", "coverage_radius_m")
@@ -163,6 +164,8 @@ class RoomConfig:
                      lambda _: math.prod(_ap_lines(self)) <= MAX_AP_COUNT, "coverage_radius_m")
         check_fields(self, "at most 1e150 m (each squared offset in the lattice window below 1e300)",
                      lambda v: v <= 1e150, "room_x_m", "room_y_m", "coverage_radius_m")
+        check_fields(self, f"in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]",
+                     lambda v: MIN_MC_SAMPLES <= v <= MAX_MC_SAMPLES, "mc_samples")
 
 
 def _ap_lines(room: RoomConfig) -> tuple[int, int]:

@@ -262,7 +262,7 @@ class TestMacroPathLoss:
     def test_half_km_through_building(self):
         expected = _hata_oracle(0.5, 20.0)
         assert expected == pytest.approx(142.53, abs=0.005)
-        assert macro_path_loss(0.5, RF, RF.building_wall_loss_dB) == pytest.approx(expected, rel=1e-9)
+        assert macro_path_loss(0.5, RF, 20.0) == pytest.approx(expected, rel=1e-9)
 
     def test_half_km_through_vehicle(self):
         expected = _hata_oracle(0.5, 10.0)
@@ -338,7 +338,7 @@ class TestPurity:
         calls = [
             lambda: lambertian_index(OpticalParams(half_intensity_angle_deg=33.3)),
             lambda: optical_channel_gain(1.7, TABLE),
-            lambda: macro_path_loss(0.77, RF, RF.building_wall_loss_dB),
+            lambda: macro_path_loss(0.77, RF, 20.0),
             lambda: femto_path_loss(3.3, RF, wall_count=0),
             lambda: optical_sinr(1e-5, [1e-6, 2e-6], TABLE),
         ]

@@ -878,7 +878,7 @@ class TestConfig:
         resolved = load_config(None)
         assert resolved == DEFAULT_CONFIG
         assert resolved is not DEFAULT_CONFIG
-        assert config_digest(resolved) == "sha256:3e25fd7dcf6508cd735f1566a5e6189aa7cb4f2f26ad0c54d1ff334eb67ab75f"
+        assert config_digest(resolved) == "sha256:84337c02710b608778069bc39a6336acdffe2d688e87a74dc44e75893cd75595"
 
     def test_inline_criteria_table_parses(self, tmp_path):
         path = tmp_path / "crit.yaml"
@@ -940,6 +940,23 @@ class TestConfig:
         # Each dataclass's keys live in one section, so no field has a second path.
         assert len(set(cfgmod.SECTIONS.values())) == len(cfgmod.SECTIONS)
 
+    def test_every_key_but_the_ahp_matrix_is_a_field_of_its_section(self):
+        # One schema: each leaf of DEFAULT_CONFIG is a key field of its section's dataclass, and each key field a leaf.
+        def leaves(node, prefix=""):
+            for key, value in node.items():
+                yield from leaves(value, f"{prefix}{key}.") if isinstance(value, dict) else [f"{prefix}{key}"]
+
+        fields = {f"{path}.{f.name}" for path, cls in cfgmod.SECTIONS.items() for f in cfgmod._key_fields(cls)}
+        assert set(leaves(DEFAULT_CONFIG)) - {"selection.pairwise_matrix"} == fields
+
+    def test_removed_wall_loss_key_is_unknown(self, tmp_path, capsys):
+        # channel.rf.building_wall_loss_dB moved no command's output, so it is no key: a file that sets it exits 2.
+        path = tmp_path / "wall.yaml"
+        path.write_text("channel: {rf: {building_wall_loss_dB: 20.0}}\n")
+        assert cli.main(["experiment", "fig19", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "error: channel.rf.building_wall_loss_dB: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_per_hop_latency_under_policy_runs_as_under_protocol(self, tmp_path, capsys):
         # The pins were recorded with `protocol: {per_hop_latency_s: 0.003}`, before the key moved into `policy`.
         path = tmp_path / "policy.yaml"
@@ -971,6 +988,26 @@ class TestConfig:
         assert resolve(deep_merge(DEFAULT_CONFIG, {"engine": {"fig16": {key: most}}}), seed=0)
         with pytest.raises(ValueError, match=rf"^engine.fig16.{key}: must be in \[[01], {most}\].*, got {most + 1}$"):
             resolve(deep_merge(DEFAULT_CONFIG, {"engine": {"fig16": {key: most + 1}}}), seed=0)
+
+    def test_fig16_user_records_are_at_most_2_to_the_28_bytes(self, tmp_path, capsys):
+        # Checked by validation alone. A 4 m x 4 m room has one AP, so each user's record over the 100,000 placements
+        # is 100,000 bytes; with 100,000 slots the walk could reach 100,000 users, about 10 GB of records.
+        def fig16(users):
+            return deep_merge(DEFAULT_CONFIG, {"zoning": {"room_x_m": 4.0, "room_y_m": 4.0},
+                                               "policy": {"lifi_slots": 100_000},
+                                               "engine": {"fig16": {"user_count_max": users}}})
+
+        most = 2**28 // 100_000
+        assert resolve(fig16(2000), seed=0)["engine.fig16"].user_count_max == 2000
+        assert resolve(fig16(most), seed=0)
+        with pytest.raises(ValueError, match=rf"^engine.fig16.user_count_max: must be at most {most} \(.*\), "
+                                             rf"got {most + 1}$"):
+            resolve(fig16(most + 1), seed=0)
+        path = tmp_path / "many_slots.yaml"
+        path.write_text("zoning: {room_x_m: 4.0, room_y_m: 4.0}\npolicy: {lifi_slots: 100000}\n"
+                        "engine: {fig16: {user_count_max: 100000}}\n")
+        assert cli.main(["experiment", "fig16", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: engine.fig16.user_count_max: must be at most {most}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key, most", [
         ("engine.fig17", "drops", 2**22 // 50), ("engine.fig18", "crossings", 2**22),

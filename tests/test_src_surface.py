@@ -21,6 +21,10 @@ itself counts as a function whose parameters are its fields, in order. The
 sections of ``config.SECTIONS`` are left out: ``config.build`` passes each
 of their fields, and ``DEFAULT_CONFIG`` comes from their defaults.
 
+Key rule: every key field of a ``config.SECTIONS`` dataclass is read as an
+attribute somewhere in ``src/`` outside a ``__post_init__``, so no config
+key is accepted and then ignored.
+
 Option rule, the default rule's mirror: a function's parameter default
 must be passed by at least one call in ``src/`` or ``scripts/``. A
 default that no call passes makes the parameter an option that only the
@@ -33,7 +37,7 @@ import textwrap
 from collections import defaultdict
 from pathlib import Path
 
-from hybridnet.config import SECTIONS
+from hybridnet.config import SECTIONS, _key_fields
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hybridnet"
 SCRIPTS = SRC.parents[1] / "scripts"
@@ -82,6 +86,19 @@ def test_every_definition_is_referenced_in_src():
             if name not in EXEMPT and not references[name] - own:
                 unreferenced.append(f"{module}:{name}")
     assert not unreferenced, f"nothing in src/ references: {unreferenced}"
+
+
+def test_every_key_field_is_read_outside_its_rules():
+    # A key that no code reads changes nothing but the config digest, so each key field of each section's dataclass
+    # is read as an attribute somewhere in src/ outside the __post_init__ rules that check it.
+    read = set()
+    for tree in _parse(SRC).values():
+        rules = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                 for node in ast.walk(fn)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in rules}
+    unread = [f"{path}.{f.name}" for path, cls in SECTIONS.items() for f in _key_fields(cls) if f.name not in read]
+    assert not unread, f"no src/ code reads these keys: {unread}"
 
 
 def _frozen_dataclass(node: ast.ClassDef) -> bool:

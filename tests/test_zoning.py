@@ -199,6 +199,15 @@ class TestAnalyticAreas:
         # The closed forms do not tile the room; the residual is A_Z4.
         assert a_z1 + a_z2 + a_z3 + a_z4 == pytest.approx(576.0 + a_z4, rel=1e-12)
 
+    def test_published_forms_fail_on_a_narrow_room(self):
+        # A 10 m x 1 m room at r = 5 has two APs whose discs overhang both long walls, which the closed forms ignore:
+        # they give Z3 < 0 and Z1 beyond the room, while the exact areas are non-negative and tile it.
+        plan = plan_grid(RoomConfig(10.0, 1.0, 5.0))
+        z1, _z2, z3, _z4 = analytic_zone_areas(plan)
+        assert z3 == pytest.approx(-43.02, abs=0.005) and z1 == pytest.approx(51.45, abs=0.005)
+        exact = exact_zone_areas(plan)
+        assert min(exact) >= 0.0 and sum(exact) == pytest.approx(10.0, rel=1e-12)
+
     def test_analytic_and_mc_areas_reported_side_by_side(self):
         model = monte_carlo_zone_model(PLAN_24, 50_000, seed=2)
         assert all(v >= 0.0 for v in model.analytic_areas_m2)
