@@ -88,7 +88,12 @@ class OpticalParams:
         # Over a noise power in [1e-30, 1e30] A^2 and squared signals of at most 1e60, every SINR is finite.
         check_fields(self, "positive, with N0 B in [1e-30, 1e30] A^2 (a finite SINR)",
                      lambda n0: 1e-30 <= n0 * self.bandwidth_Hz <= 1e30, "noise_psd_A2_per_Hz")
-        check_fields(self, "in (0, 90] degrees", lambda v: 0.0 < v <= 90.0, "fov_semi_angle_deg")
+        # The concentrator gain n^2 / sin^2(FOV) is finite: n^2 does not overflow, nor sin^2(FOV) underflow to 0.
+        check_fields(self, "at most 1e150 (a finite n^2 in the concentrator gain)", lambda n: n <= 1e150,
+                     "refractive_index")
+        check_fields(self, "in (0, 90] degrees, with a finite concentrator gain n^2 / sin^2(FOV)",
+                     lambda v: 0.0 < v <= 90.0 and math.sin(math.radians(v)) ** 2 > 0.0
+                     and concentrator_gain(self) < math.inf, "fov_semi_angle_deg")
         check_fields(self, *LAMBERTIAN_ANGLE, "half_intensity_angle_deg")
         check_fields(self, "positive, with R P H(0) at most 1e30 A (the squared signals and their sums stay finite)",
                      lambda p: self.responsivity_A_per_W * p * optical_channel_gain(0.0, self) <= 1e30, "tx_optical_power_W")
@@ -117,6 +122,11 @@ class RfParams:
                          lambda v: FINITE_POWER_DB[1](coefficient * math.log10(v)), name)
         check_fields(self, *NOISE_BANDWIDTH, "macro_bandwidth_Hz", "femto_bandwidth_Hz")
         check_fields(self, *FINITE_POWER_DB, "mbs_tx_dBm", "fap_tx_dBm", "noise_psd_dBm_per_Hz")
+        check_fields(self, "in [0, 300] dB (a loss, within the power domain)", lambda v: 0.0 <= v <= 300.0,
+                     "vehicle_wall_loss_dB")
+        # A negative N makes the loss fall with distance, to -inf dB (and a nan SINR) far enough away.
+        check_fields(self, "in [0, 100] (a loss that grows with distance; ITU-R P.1238 gives 22 to 33 indoors)",
+                     lambda v: 0.0 <= v <= 100.0, "femto_loss_coeff")
         check_fields(self, "such that the Hata term a(h_m) is in [-300, 300] dB (a finite path loss)",
                      lambda _: FINITE_POWER_DB[1](self.mobile_correction_dB()), "terminal_height_m")
 

@@ -1,13 +1,12 @@
 """Scenario configuration: defaults, strict YAML overrides and config digests.
 
 One YAML file configures everything; its sections mirror the module names
-(channel, zoning, selection, policy, engine, transport). Every key but the
-AHP matrix (``selection.pairwise_matrix``) is a field of its section's
-dataclass, and the dataclass defaults are the only place a default is
-written: ``DEFAULT_CONFIG`` is derived from them, so an empty file
-reproduces the baseline setup. A user file is merged over the defaults
-strictly and then resolved whole, whichever command reads it; a bad key or
-value raises ValueError naming its dotted path.
+(channel, zoning, selection, policy, engine, transport). Every key is a
+field of its section's dataclass, and the dataclass defaults are the only
+place a default is written: ``DEFAULT_CONFIG`` is derived from them, so an
+empty file reproduces the baseline setup. A user file is merged over the
+defaults strictly and then resolved whole, whichever command reads it; a
+bad key or value raises ValueError naming its dotted path.
 """
 
 from __future__ import annotations
@@ -22,29 +21,27 @@ from pathlib import Path
 
 import numpy as np
 
-from . import selection
 from .channel import OpticalParams, RfParams
 from .engine import (
     FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig, MobilityConfig, PolicyConfig, ScenarioConfig,
     TrafficConfig,
 )
+from .selection import SelectionConfig
 from .transport import CapacitySweep, CarFollowScenario, OutageSweep, VehicleLink
 from .zoning import RoomConfig
 
-# Every key but the AHP matrix is a field of its section's dataclass; no
-# dataclass has two sections. Two kinds of field are never keys, and
-# `resolve` passes them to `build`: those named in CONTEXT (the run seed,
-# the AHP weights derived from `selection`) and dataclass-valued ones
-# (room, mobility, ...).
-CONTEXT = ("seed", "ahp_weights")
+# Every key is a field of its section's dataclass; no dataclass has two sections. Two kinds of field are never keys,
+# and `resolve` passes them to `build`: the run seed, and each dataclass-valued field (room, mobility, ...), which
+# takes the section built from its type. So a section comes after every section its fields take.
 SECTIONS = {
     "channel.optical": OpticalParams,
     "channel.rf": RfParams,
     "zoning": RoomConfig,
     "policy": PolicyConfig,
-    "engine": ScenarioConfig,
+    "selection": SelectionConfig,
     "engine.mobility": MobilityConfig,
     "engine.traffic": TrafficConfig,
+    "engine": ScenarioConfig,
     "engine.fig16": IdleExperimentConfig,
     "engine.fig17": FemtoSinrConfig,
     "engine.fig18": HandoverSuccessConfig,
@@ -56,7 +53,7 @@ SECTIONS = {
 
 
 def _key_fields(cls):
-    return [f for f in fields(cls) if f.name not in CONTEXT and not is_dataclass(f.default)]
+    return [f for f in fields(cls) if f.name != "seed" and not is_dataclass(f.default)]
 
 
 def _section(config: dict, path: str) -> dict:
@@ -68,7 +65,6 @@ def _default_config() -> dict:
     for path, cls in SECTIONS.items():
         section = functools.reduce(lambda node, part: node.setdefault(part, {}), path.split("."), config)
         section.update((f.name, f.default) for f in _key_fields(cls))
-    config["selection"] = {"pairwise_matrix": [list(row) for row in selection.DEFAULT_MATRIX]}
     return config
 
 
@@ -86,7 +82,7 @@ def _leaf(path: str, default, value):
         if isinstance(value, float) and math.isfinite(value):
             return value
         raise ValueError(f"{path}: expected a finite number, got {value!r}")
-    if isinstance(default, list):
+    if isinstance(default, tuple):  # the AHP matrix, a list of rows in YAML
         if isinstance(value, list) and all(isinstance(row, list) for row in value):
             return [[_leaf(path, 0.0, v) for v in row] for row in value]
         raise ValueError(f"{path}: expected a list of rows, got {value!r}")
@@ -124,11 +120,9 @@ def deep_merge(base: dict, override: dict) -> dict:
 
 
 def build(config: dict, path: str, **context):
-    """The dataclass of section ``path`` from its keys plus ``context``.
+    """The dataclass of section ``path`` from its keys plus ``context``, the fields it does not carry.
 
-    Context (from ``resolve``) supplies fields the section does not carry; a
-    field in neither keeps its default. A value the dataclass rejects raises
-    ValueError naming the key or the section.
+    A value the dataclass rejects raises ValueError naming the key or the section.
     """
     cls, section = SECTIONS[path], _section(config, path)
     values = {f.name: section[f.name] for f in _key_fields(cls)}
@@ -159,29 +153,16 @@ def load_config(path: str | Path | None) -> dict:
 def resolve(config: dict, seed: int) -> dict[str, object]:
     """Every section of ``config`` built once with its real context, keyed by its ``SECTIONS`` path.
 
-    The context is the seed and values of other sections, so
-    ``engine.duration_s`` is checked against the configured tick, and the
-    AHP weights are derived here once. Every value check of the file runs
-    here, whatever the caller reads: the dataclass rules, and the AHP
-    matrix's rules in ``selection.derive_weights``.
+    The context of a section is the seed and the sections its dataclass-valued fields take, so
+    ``engine.duration_s`` is checked against the configured tick. Every value check of the file runs here,
+    whatever the caller reads.
     """
-    try:
-        weights, _cr = selection.derive_weights(config["selection"]["pairwise_matrix"])
-    except ValueError as exc:
-        raise ValueError(f"selection.pairwise_matrix: {exc}") from None
-
-    out = {path: build(config, path) for path in ("channel.optical", "channel.rf", "zoning", "policy",
-                                                  "engine.mobility", "engine.traffic", "transport.vehicle",
-                                                  "transport.fig19", "transport.fig20", "transport.fig21")}
-    room = out["zoning"]
-    out["engine"] = build(
-        config, "engine", seed=seed, room=room, mobility=out["engine.mobility"], traffic=out["engine.traffic"],
-        policy=out["policy"], optical=out["channel.optical"], rf=out["channel.rf"], ahp_weights=weights,
-    )
-    out["engine.fig16"] = build(config, "engine.fig16", room=room, policy=out["policy"], seed=seed)
-    out["engine.fig17"] = build(config, "engine.fig17", room=room, seed=seed)
-    out["engine.fig18"] = build(config, "engine.fig18", room=room, seed=seed)
-    return out
+    built: dict[type, object] = {}
+    for path, cls in SECTIONS.items():
+        keys = _key_fields(cls)
+        built[cls] = build(config, path, **{f.name: built[type(f.default)] if is_dataclass(f.default) else seed
+                                            for f in fields(cls) if f not in keys})
+    return dict(zip(SECTIONS, built.values()))
 
 
 def config_digest(config: dict) -> str:

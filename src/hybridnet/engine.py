@@ -35,6 +35,7 @@ from .channel import NON_NEGATIVE_FINITE, POSITIVE, POSITIVE_FINITE, OpticalPara
 from .policy import LIFI, STAY, TO_FAP, TO_LIFI, AdmissionDecision
 from .protocol import HandoverKind, run_handover
 from .rng import spawn_streams
+from .selection import SelectionConfig
 from .zoning import (_CLASSIFY_SLICE, MAX_MC_SAMPLES, RoomConfig, Zone, classify_points,
                      exact_zone_probabilities, plan_grid, sole_covers)
 
@@ -89,7 +90,7 @@ class PolicyConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One indoor run: the room, its terminals, duration and seed, and every model's parameters."""
+    """One indoor run: the room, its terminals, duration and seed, and every model's parameters and AHP weights."""
 
     room: RoomConfig = RoomConfig()
     user_count: int = 10
@@ -100,14 +101,15 @@ class ScenarioConfig:
     policy: PolicyConfig = PolicyConfig()
     optical: OpticalParams = OpticalParams()
     rf: RfParams = RfParams()
-    ahp_weights: tuple[float, ...] = selection.DEFAULT_WEIGHTS
+    selection: SelectionConfig = SelectionConfig()
 
     def __post_init__(self):
         check_fields(self, f"in [0, {2**14}] (a run spawns two generators per terminal before its first tick, "
                      f"about 1 s and 30 MB at {2**14})", lambda v: 0 <= v <= 2**14, "user_count")
         check_fields(self, *POSITIVE_FINITE, "duration_s")
-        check_fields(self, f"at least one tick_s ({self.mobility.tick_s!r}) once rounded to whole ticks",
-                     lambda v: round(v / self.mobility.tick_s) >= 1, "duration_s")
+        check_fields(self, f"at least one tick_s ({self.mobility.tick_s!r}) and at most 2**31 of them once rounded to "
+                     "whole ticks (the run steps through each tick, and keeps each tick's link samples)",
+                     lambda v: 1 <= round(min(v / self.mobility.tick_s, 2**32)) <= 2**31, "duration_s")
 
 
 ADMISSION_KEYS = tuple(d.value for d in AdmissionDecision)
@@ -451,7 +453,7 @@ class _IndoorSim:
             (_mean(capacity, count), max(_mean(sinr, count), 0.0), selection.MOBILITY[kind], loads[kind])
             for kind, (count, sinr, capacity) in enumerate(self.metrics.networks)
         )
-        self.metrics.ahp_rank = selection.rank_networks(values, self.cfg.ahp_weights)
+        self.metrics.ahp_rank = selection.rank_networks(values, self.cfg.selection.weights)
 
 
 def simulate_indoor(config: ScenarioConfig) -> Metrics:

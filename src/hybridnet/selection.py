@@ -10,6 +10,9 @@ choice for mobile users.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
+
 import numpy as np
 
 from .policy import FAP, LIFI
@@ -30,19 +33,19 @@ def derive_weights(pairwise_matrix) -> tuple[tuple[float, ...], float]:
 
     The matrix must be 4x4, positive and reciprocal with a unit diagonal, and
     its consistency ratio ``((lambda_max - 4) / 3) / RANDOM_INDEX`` at most
-    ``CONSISTENCY_LIMIT``, or ValueError. Power iteration runs to a relative
-    tolerance of 1e-10.
+    ``CONSISTENCY_LIMIT``, or ValueError naming ``pairwise_matrix``. Power
+    iteration runs to a relative tolerance of 1e-10.
     """
     n = len(CRITERIA)
     if len(pairwise_matrix) != n or any(len(row) != n for row in pairwise_matrix):
-        raise ValueError(f"expected {n}x{n}, one row and column per criterion ({', '.join(CRITERIA)})")
+        raise ValueError(f"pairwise_matrix: expected {n}x{n}, one row and column per criterion ({', '.join(CRITERIA)})")
     matrix = np.asarray(pairwise_matrix, dtype=float)
     if np.any(matrix <= 0):
-        raise ValueError("pairwise matrix entries must be positive")
+        raise ValueError("pairwise_matrix: entries must be positive")
     if not np.allclose(np.diag(matrix), 1.0, rtol=1e-9, atol=0):
-        raise ValueError("pairwise matrix diagonal must be 1")
+        raise ValueError("pairwise_matrix: diagonal must be 1")
     if not np.allclose(matrix * matrix.T, 1.0, rtol=1e-6, atol=0):
-        raise ValueError("pairwise matrix must be reciprocal: m[i][j]*m[j][i] == 1")
+        raise ValueError("pairwise_matrix: must be reciprocal: m[i][j]*m[j][i] == 1")
     w = np.full(n, 1.0 / n)
     for _ in range(10_000):
         w, prev = matrix @ w, w
@@ -52,7 +55,7 @@ def derive_weights(pairwise_matrix) -> tuple[tuple[float, ...], float]:
     lambda_max = float((matrix @ w / w).mean())
     cr = max(0.0, (lambda_max - n) / (n - 1)) / RANDOM_INDEX
     if cr > CONSISTENCY_LIMIT:
-        raise ValueError(f"consistency ratio {cr!r} exceeds {CONSISTENCY_LIMIT}")
+        raise ValueError(f"pairwise_matrix: consistency ratio {cr!r} exceeds {CONSISTENCY_LIMIT}")
     return tuple(float(x) for x in w), cr
 
 
@@ -62,7 +65,21 @@ DEFAULT_MATRIX = (
     (0.5, 1.0, 1.0, 2.0),
     (0.25, 0.5, 0.5, 1.0),
 )
-DEFAULT_WEIGHTS = derive_weights(DEFAULT_MATRIX)[0]
+
+
+@dataclass(frozen=True)
+class SelectionConfig:
+    """The pairwise-comparison matrix of the ``CRITERIA``, whose rules are :func:`derive_weights`, and its weights."""
+
+    pairwise_matrix: tuple[tuple[float, ...], ...] = DEFAULT_MATRIX
+
+    def __post_init__(self):
+        self.weights  # noqa: B018  derived here, once per instance, so a bad matrix fails to build
+
+    @functools.cached_property
+    def weights(self) -> tuple[float, ...]:
+        """The criterion weights of ``pairwise_matrix``."""
+        return derive_weights(self.pairwise_matrix)[0]
 
 
 def rank_networks(values, weights) -> tuple[float, float, str]:

@@ -57,7 +57,10 @@ class CapacitySweep:
     distance_count: int = 100
 
     def __post_init__(self):
-        channel.check_fields(self, *channel.POSITIVE, "distance_start_km", "distance_stop_km")  # so is every distance
+        # Under the channel.rf rules each dB term is within 300 dB, so the distance coefficient 44.9 - 6.55 log10 h_b
+        # is in [-97.29, 187.09] and the macro SNR at most 1430.45 + 187.09 |log10 d| dB: below 2930 dB here.
+        channel.check_fields(self, "in [1e-8, 1e8] km (a macro SNR below 2930 dB, finite once linear)",
+                             lambda v: 1e-8 <= v <= 1e8, "distance_start_km", "distance_stop_km")  # so is every distance
         channel.check_fields(self, *channel.SWEEP_COUNT, "distance_count")
 
 

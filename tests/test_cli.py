@@ -56,6 +56,12 @@ def golden(command: str) -> list:
     return [pytest.param(entry, id=entry["id"]) for entry in GOLDEN[command]]
 
 
+def leaves(node: dict, prefix: str = ""):
+    """(dotted key, value) of each leaf of a config mapping."""
+    for key, value in node.items():
+        yield from leaves(value, f"{prefix}{key}.") if isinstance(value, dict) else [(f"{prefix}{key}", value)]
+
+
 def run_golden(entry: dict, tmp_path: Path, capsys) -> bytes:
     """Run one golden.json entry in ``tmp_path`` and return the bytes of its output."""
     argv = [entry["command"], *entry["args"], "--seed", str(entry["seed"])]
@@ -540,17 +546,41 @@ class TestExperiments:
          "engine.fig16.user_count_max: must be in [0, 1048576]"),
         (["experiment", "fig16"], "engine: {fig16: {placements: 1000000000000}}\n",
          "engine.fig16.placements: must be in [1, 4294967296]"),
+        (["experiment", "fig19"], "channel: {optical: {fov_semi_angle_deg: 1.0e-300}}\n",
+         "channel.optical.fov_semi_angle_deg: must be in (0, 90] degrees, with a finite concentrator gain"),
+        (["experiment", "fig19"], "channel: {optical: {refractive_index: 1.0e200}}\n",
+         "channel.optical.refractive_index: must be at most 1e150"),
+        (["experiment", "fig19"], "engine: {duration_s: 1.0e308}\n",
+         "engine.duration_s: must be at least one tick_s (0.1) and at most 2**31 of them"),
+        (["experiment", "fig19"], "engine: {mobility: {tick_s: 1.0e-310}}\n",
+         "engine.duration_s: must be at least one tick_s (1e-310) and at most 2**31 of them"),
+        (["indoor-sim"], "engine: {mobility: {tick_s: 1.0e-9}}\n",
+         "engine.duration_s: must be at least one tick_s (1e-09) and at most 2**31 of them"),
+        (["experiment", "fig19"], "channel: {rf: {vehicle_wall_loss_dB: -1.0e300}}\n",
+         "channel.rf.vehicle_wall_loss_dB: must be in [0, 300] dB"),
+        (["experiment", "fig19"], "transport: {fig19: {distance_start_km: 1.0e-300}}\n",
+         "transport.fig19.distance_start_km: must be in [1e-8, 1e8] km"),
+        (["experiment", "fig19"], "channel: {rf: {mbs_height_m: 1.0e20}}\ntransport: {fig19: {distance_stop_km: 1.0e100}}\n",
+         "transport.fig19.distance_stop_km: must be in [1e-8, 1e8] km"),
+        (["experiment", "fig20"], "transport: {fig20: {distance_start_km: 1.0e-300}}\n",
+         "transport.fig20.distance_start_km: must be in [1e-8, 1e8] km"),
+        (["experiment", "fig17"], "channel: {rf: {femto_loss_coeff: -1.0e300}}\n",
+         "channel.rf.femto_loss_coeff: must be in [0, 100]"),
     ], ids=["fig19-terminal-height", "indoor-sim-optical-power", "fig19-mbs-height", "fig20-center-frequency",
             "indoor-sim-optical-bandwidth", "indoor-sim-optical-noise-power", "indoor-sim-ap-height",
             "fig19-access-distance", "indoor-sim-ap-height-1e-300", "fig19-ap-height-1e-170", "zones-radius-1e-9",
             "fig16-one-ap-past-the-bound", "indoor-sim-grid-beyond-the-float-range", "zones-room-beyond-the-float-range",
             "zones-samples-beyond-int64", "indoor-sim-ahp-entry-beyond-the-float-range", "fig16-user-count-max-1e9",
-            "fig16-placements-1e12"])
+            "fig16-placements-1e12", "fig19-fov-1e-300", "fig19-refractive-index-1e200", "fig19-duration-1e308",
+            "fig19-tick-1e-310", "indoor-sim-tick-1e-9", "fig19-wall-loss-minus-1e300", "fig19-start-1e-300",
+            "fig19-mbs-height-1e20-stop-1e100", "fig20-start-1e-300", "fig17-femto-loss-coeff-minus-1e300"])
     def test_value_beyond_its_finite_domain_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, text, key):
         # Each would overflow its model: fig19's direct link to an inf capacity, the LiFi signal power to inf, fig19's
         # and fig20's path loss to inf or -inf, the optical gain's 2 pi d^2 to inf; or underflow the optical noise
         # power to 0, and a zero-gain SINR to nan, or the AP height's h^2 to 0, which the gain below the AP divides by;
-        # or fig16's in-memory rows or chunk generators past what memory holds.
+        # or fig16's in-memory rows or chunk generators past what memory holds. Of the later cases, the concentrator
+        # gain (sin^2 underflows to 0, n^2 overflows) and the tick count (round(inf)) crashed validation itself; the
+        # wall loss, the macro distances and the femtocell loss coefficient wrote inf or nan to fig19's or fig17's CSV.
         path = tmp_path / "huge.yaml"
         path.write_text(text)
         assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -576,6 +606,15 @@ class TestExperiments:
         far.write_text(Path(small_config).read_text() + "channel: {optical: {ap_height_m: 1.0e150}}\n"
                        "transport: {vehicle: {access_horizontal_distance_m: 1.0e150}}\n")
         runs += [(["experiment", "fig19"], far), (["indoor-sim"], far)]
+        # The largest macro SNRs: the most power over the least noise, no wall loss, and the Hata term 13.82 log10(h_b)
+        # at -300 dB (the steepest distance coefficient, 187.09 dB per decade) at 1e-8 km, or at +300 dB (-97.29) at 1e8.
+        for sign, km in ((-1.0, 1.0e-8), (1.0, 1.0e8)):
+            ends = tmp_path / f"macro-{sign}.yaml"
+            sweep = f"{{distance_start_km: {km!r}, distance_stop_km: {km!r}, distance_count: 1}}"
+            ends.write_text(f"channel: {{rf: {{mbs_height_m: {10.0 ** (sign * 300.0 / 13.82) * (1 - sign * 1e-12)!r}, "
+                            "mbs_tx_dBm: 300.0, noise_psd_dBm_per_Hz: -300.0, macro_bandwidth_Hz: 1.0, "
+                            f"vehicle_wall_loss_dB: 0.0}}}}\ntransport: {{fig19: {sweep}, fig20: {sweep}}}\n")
+            runs += [(["experiment", "fig19"], ends), (["experiment", "fig20"], ends)]
         for argv, config in runs:
             assert cli.main([*argv, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
             name = "indoor_sim.csv" if argv == ["indoor-sim"] else f"{argv[1]}.csv"
@@ -889,7 +928,7 @@ class TestConfig:
         )
         merged = load_config(str(path))
         scenario = resolve(merged, seed=1)["engine"]
-        assert scenario.ahp_weights == selection.derive_weights(merged["selection"]["pairwise_matrix"])[0]
+        assert scenario.selection.weights == selection.derive_weights(merged["selection"]["pairwise_matrix"])[0]
 
     def test_every_resolved_policy_is_the_configured_one(self, tmp_path, capsys):
         path = tmp_path / "policy.yaml"
@@ -940,14 +979,10 @@ class TestConfig:
         # Each dataclass's keys live in one section, so no field has a second path.
         assert len(set(cfgmod.SECTIONS.values())) == len(cfgmod.SECTIONS)
 
-    def test_every_key_but_the_ahp_matrix_is_a_field_of_its_section(self):
+    def test_every_key_is_a_field_of_its_section(self):
         # One schema: each leaf of DEFAULT_CONFIG is a key field of its section's dataclass, and each key field a leaf.
-        def leaves(node, prefix=""):
-            for key, value in node.items():
-                yield from leaves(value, f"{prefix}{key}.") if isinstance(value, dict) else [f"{prefix}{key}"]
-
         fields = {f"{path}.{f.name}" for path, cls in cfgmod.SECTIONS.items() for f in cfgmod._key_fields(cls)}
-        assert set(leaves(DEFAULT_CONFIG)) - {"selection.pairwise_matrix"} == fields
+        assert set(dict(leaves(DEFAULT_CONFIG))) == fields
 
     def test_removed_wall_loss_key_is_unknown(self, tmp_path, capsys):
         # channel.rf.building_wall_loss_dB moved no command's output, so it is no key: a file that sets it exits 2.
@@ -1050,6 +1085,30 @@ class TestConfig:
         for beyond in (10**309, -(10**309)):  # a float key holds a finite float
             with pytest.raises(ValueError, match="^zoning.room_x_m: expected a finite number"):
                 deep_merge(DEFAULT_CONFIG, {"zoning": {"room_x_m": beyond}})
+
+    @pytest.mark.filterwarnings("error")
+    def test_every_numeric_key_resolves_or_fails_naming_a_key(self):
+        # Each numeric key alone at zero, -1, the float or int64 extremes and a few magnitudes between: the file
+        # resolves, or validation raises a ValueError that starts with a key, which the CLI reports with exit 2. A
+        # value its rules let through but that overflows a rule's own arithmetic would raise another error here.
+        probes = {float: (0.0, -1.0, 5e-324, 1e-300, 1e-9, 1e6, 1e150, 1e300, 1.7e308, -1.7e308),
+                  int: (0, -1, 1, 2, 2**31, 2**62, -2**62)}
+        keys, failures, resolves = dict(leaves(DEFAULT_CONFIG)), [], 0
+        for key, default in keys.items():
+            for value in probes.get(type(default), ()):
+                *sections, name = key.split(".")
+                override = {name: value}
+                for section in reversed(sections):
+                    override = {section: override}
+                resolves += 1
+                try:
+                    resolve(deep_merge(DEFAULT_CONFIG, override), seed=0)
+                except ValueError as exc:
+                    if str(exc).split(":")[0] not in keys:
+                        failures.append(f"{key}: {value!r}: {exc}")
+                except Exception as exc:
+                    failures.append(f"{key}: {value!r}: {type(exc).__name__}: {exc}")
+        assert resolves == 675 and not failures, failures
 
     def test_deep_merge_overrides_leaves(self):
         merged = deep_merge(DEFAULT_CONFIG, {"zoning": {"room_x_m": 30.0}})

@@ -81,7 +81,7 @@ class TestDeriveWeights:
         path.write_text(json.dumps({"selection": {"pairwise_matrix": consistent.tolist()}}))
         merged = load_config(path)
         assert merged["selection"]["pairwise_matrix"] == consistent.tolist()
-        assert resolve(merged, seed=0)["engine"].ahp_weights == derive_weights(consistent)[0]
+        assert resolve(merged, seed=0)["engine"].selection.weights == derive_weights(consistent)[0]
 
 
 class TestRankNetworks:
