@@ -54,6 +54,11 @@ OPTICAL_DISTANCE = ("at most 1e150 m (a finite 2 pi (l^2 + h^2) in the optical g
 SWEEP_COUNT = (f"in [1, {2**20}] (the figure builds its CSV rows, one per value, in memory)", lambda v: 1 <= v <= 2**20)
 
 
+def sweep(start: float, stop: float, count: int) -> list[float]:
+    """A figure's swept values: ``count`` evenly spaced from ``start`` to ``stop``, both included."""
+    return np.linspace(start, stop, count).tolist()
+
+
 def db_to_linear(x_db):
     return np.power(10.0, np.asarray(x_db, dtype=float) / 10.0)
 
@@ -95,6 +100,17 @@ class OpticalParams:
                      lambda v: 0.0 < v <= 90.0 and math.sin(math.radians(v)) ** 2 > 0.0
                      and concentrator_gain(self) < math.inf, "fov_semi_angle_deg")
         check_fields(self, *LAMBERTIAN_ANGLE, "half_intensity_angle_deg")
+        # H(0) = (m+1) A / (2 pi h^2) n^2 / sin^2(FOV) g stays at most 1e300, so no step computing it overflows. Each key
+        # is checked on the product of the factors up to its own, in that order: the key that takes it past is named.
+        log_gain = math.log10((lambertian_index(self) + 1.0) / (2.0 * math.pi))
+        for name, log_factor in (("pd_area_m2", math.log10(self.pd_area_m2)),
+                                 ("ap_height_m", -2.0 * math.log10(self.ap_height_m)),
+                                 ("refractive_index", 2.0 * math.log10(self.refractive_index)),
+                                 ("fov_semi_angle_deg", -2.0 * math.log10(math.sin(math.radians(self.fov_semi_angle_deg)))),
+                                 ("filter_gain", math.log10(self.filter_gain))):
+            log_gain += log_factor
+            check_fields(self, "such that the optical gain H(0), multiplied out up to its factor, is at most 1e300",
+                         lambda _: log_gain <= 300.0, name)
         check_fields(self, "positive, with R P H(0) at most 1e30 A (the squared signals and their sums stay finite)",
                      lambda p: self.responsivity_A_per_W * p * optical_channel_gain(0.0, self) <= 1e30, "tx_optical_power_W")
 

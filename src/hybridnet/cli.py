@@ -41,7 +41,20 @@ from .protocol import TRACE_CSV_HEADER, HandoverKind
 
 EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME = 0, 2, 3
 
-EXPERIMENTS = ("fig16", "fig17", "fig18", "fig19", "fig20", "fig21")
+# Each figure: the config section it takes, its rows from that section, and its CSV header. An entry looks its function
+# up in the module at each call, so a function that is swapped there afterwards (say, wrapped) is the one called.
+EXPERIMENTS = {
+    "fig16": ("engine.fig16", lambda c: engine.idle_probability_experiment(c),
+              ("active_users", "empirical_idle_prob", "eq_idle_prob")),
+    "fig17": ("engine.fig17", lambda c: engine.femto_sinr_experiment(c),
+              ("scheme", "frf", "mean_sinr_db", "p5_sinr_db", "p50_sinr_db", "p95_sinr_db")),
+    "fig18": ("engine.fig18", lambda c: engine.handover_success_experiment(c),
+              ("ap_distance_m", "lifi_only_success", "hybrid_success")),
+    "fig19": ("transport.fig19", lambda c: transport.capacity_sweep(c), ("mbs_distance_km", "direct_bps", "relayed_bps")),
+    "fig20": ("transport.fig20", lambda c: transport.outage_sweep(c), ("mbs_distance_km", "p_out_direct", "p_out_relayed")),
+    "fig21": ("transport.fig21", lambda c: transport.reliability_sweep(c),
+              ("inter_vehicle_distance_m", "rf_only", "owc_only", "hybrid")),
+}
 
 TRACE_KINDS = {kind.value.replace("_", "-"): kind for kind in HandoverKind}
 
@@ -203,42 +216,11 @@ def cmd_zones(args, config: dict, sections: dict) -> None:
     _write(args, config, started, "zones", Path(args.out) if args.out else None, text)
 
 
-def _experiment_rows(name: str, sections: dict):
-    if name == "fig16":
-        fig16 = sections["engine.fig16"]
-        rows = engine.idle_probability_experiment(fig16, list(range(fig16.user_count_max + 1)))
-        return ("active_users", "empirical_idle_prob", "eq_idle_prob"), rows
-    if name == "fig17":
-        rows = engine.femto_sinr_experiment(sections["engine.fig17"], sections["channel.rf"])
-        return ("scheme", "frf", "mean_sinr_db", "p5_sinr_db", "p50_sinr_db", "p95_sinr_db"), rows
-    if name == "fig18":
-        fig18 = sections["engine.fig18"]
-        spacings = cfgmod.sweep(fig18.spacing_start_m, fig18.spacing_stop_m, fig18.spacing_count)
-        rows = engine.handover_success_experiment(fig18, spacings)
-        return ("ap_distance_m", "lifi_only_success", "hybrid_success"), rows
-    if name == "fig19":
-        fig19 = sections["transport.fig19"]
-        distances = cfgmod.sweep(fig19.distance_start_km, fig19.distance_stop_km, fig19.distance_count)
-        rows = transport.capacity_sweep(distances, sections["transport.vehicle"], sections["channel.optical"],
-                                        sections["channel.rf"])
-        return ("mbs_distance_km", "direct_bps", "relayed_bps"), rows
-    if name == "fig20":
-        fig20 = sections["transport.fig20"]
-        distances = cfgmod.sweep(fig20.distance_start_km, fig20.distance_stop_km, fig20.distance_count)
-        rows = transport.outage_sweep(distances, sections["transport.vehicle"], sections["channel.rf"])
-        return ("mbs_distance_km", "p_out_direct", "p_out_relayed"), rows
-    if name == "fig21":
-        fig21 = sections["transport.fig21"]
-        distances = cfgmod.sweep(fig21.distance_start_m, fig21.distance_stop_m, fig21.distance_count)
-        rows = transport.reliability_sweep(distances, fig21)
-        return ("inter_vehicle_distance_m", "rf_only", "owc_only", "hybrid"), rows
-
-
 def cmd_experiment(args, config: dict, sections: dict) -> None:
     started = time.monotonic()
-    header, rows = _experiment_rows(args.name, sections)
+    section, rows, header = EXPERIMENTS[args.name]
     path = Path(args.out or Path.cwd()) / f"{args.name}.csv"
-    _write(args, config, started, f"experiment {args.name}", path, _csv_text(header, rows))
+    _write(args, config, started, f"experiment {args.name}", path, _csv_text(header, rows(sections[section])))
 
 
 def cmd_trace(args, config: dict, sections: dict) -> None:

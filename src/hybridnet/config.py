@@ -19,8 +19,6 @@ import math
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .channel import OpticalParams, RfParams
 from .engine import (
     FemtoSinrConfig, HandoverSuccessConfig, IdleExperimentConfig, MobilityConfig, PolicyConfig, ScenarioConfig,
@@ -169,8 +167,3 @@ def config_digest(config: dict) -> str:
     """Deterministic sha256 over the merged configuration."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def sweep(start: float, stop: float, count: int) -> list[float]:
-    """``count`` evenly spaced values from ``start`` to ``stop``, both included."""
-    return [float(v) for v in np.linspace(start, stop, count)]

@@ -511,28 +511,26 @@ def lifi_assignment_idle(locate, placements: int, users: int, ap_count: int, lif
     return np.array(idle + [0] * (users + 1 - len(idle)))
 
 
-def idle_probability_experiment(config: IdleExperimentConfig, user_counts: list[int]) -> list[tuple[int, float, float]]:
-    """Rows of (user count, empirical idle probability, closed-form value).
+def idle_probability_experiment(config: IdleExperimentConfig) -> list[tuple[int, float, float]]:
+    """Rows of (user count, empirical idle probability, closed-form value) for 0..``user_count_max`` users.
 
     The empirical column places users uniformly at random and applies the admission and idle-mode rules, locating
     a user only in the placements still idle (each point is located on its own, so every located point gets the
     sole covering AP it gets among all of them); the closed-form column evaluates the two-term binomial bound on the
     exact zone probabilities. Common random numbers: each of the zone model's chunks (``_MC_CHUNK`` placements at any
     AP count) draws users 0, 1, ... in turn from its own generator, user u only for the placements still idle; p users
-    are the first p, so the empirical column is non-increasing in p, and no row depends on the other counts.
+    are the first p, so the empirical column is non-increasing in p, and no row depends on ``user_count_max``.
     """
-    if not user_counts or min(user_counts) < 0:
-        raise ValueError("user_counts must be non-empty and >= 0")
     plan = plan_grid(config.room).buffered()
     zone_probs = exact_zone_probabilities(plan)
-    p_max, chunk = max(user_counts), zoning._MC_CHUNK  # chunk sizes fix which generator draws what
+    p_max, chunk = config.user_count_max, zoning._MC_CHUNK  # chunk sizes fix which generator draws what
     idle_counts, placement = np.zeros(p_max + 1, dtype=np.int64), spawn_streams(config.seed)["placement"]
     for start in range(0, config.placements, chunk):  # spawn(1) per chunk gives spawn(n)'s streams, one at a time
         gen, size = placement.spawn(1)[0], min(chunk, config.placements - start)
         idle_counts += lifi_assignment_idle(lambda _, rows: sole_covers(plan, gen, len(rows)), size, p_max,
                                             plan.ap_count, config.policy.lifi_slots)
     return [(p, int(idle_counts[p]) / config.placements, policy.fap_idle_probability(p, zone_probs))
-            for p in user_counts]
+            for p in range(p_max + 1)]
 
 
 def _percentile(ordered: np.ndarray, q: float) -> float:
@@ -545,7 +543,7 @@ def _percentile(ordered: np.ndarray, q: float) -> float:
 
 @dataclass(frozen=True)
 class FemtoSinrConfig:
-    """fig17: the interferers' layout and walls, the reference user's distance, the idle thinning and the drops."""
+    """fig17: the interferers' layout and walls, the reference user's distance, the idle thinning, the drops and RF."""
 
     fap_count: int = 50
     deployment_radius_m: float = 100.0
@@ -556,6 +554,7 @@ class FemtoSinrConfig:
     min_link_distance_m: float = 1.0
     room: RoomConfig = RoomConfig()
     seed: int = 0
+    rf: RfParams = RfParams()
 
     def __post_init__(self):
         check_fields(self, *at_least(0), "fap_count", "interferer_wall_count", "hybrid_users_per_home")
@@ -563,9 +562,16 @@ class FemtoSinrConfig:
                      "fap_count) float arrays in memory)", lambda v: 1 <= v * max(self.fap_count, 1) <= 2**22, "drops")
         check_fields(self, *POSITIVE_FINITE, "user_distance_m", "min_link_distance_m")
         check_fields(self, *NON_NEGATIVE_FINITE, "deployment_radius_m")
+        # Every link is user_distance_m, or min_link_distance_m to deployment_radius_m + user_distance_m long: the
+        # femtocell loss term N log10 d of each stays in the power domain, so no received power overflows.
+        in_power = lambda d: channel.FINITE_POWER_DB[1](self.rf.femto_loss_coeff * math.log10(d))
+        check_fields(self, "such that femto_loss_coeff * log10 of it is in [-300, 300] dB (a finite received power)",
+                     in_power, "user_distance_m", "min_link_distance_m")
+        check_fields(self, "such that femto_loss_coeff * log10(deployment_radius_m + user_distance_m) is in [-300, 300] dB "
+                     "(a finite received power)", lambda r: in_power(r + self.user_distance_m), "deployment_radius_m")
 
 
-def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams):
+def femto_sinr_experiment(config: FemtoSinrConfig):
     """Rows of (scheme, frf, mean, p5, p50, p95 SINR in dB) for pure and hybrid operation at FRF 1 and 4.
 
     One reference user sits at a fixed distance from its serving femtocell;
@@ -577,7 +583,7 @@ def femto_sinr_experiment(config: FemtoSinrConfig, rf: RfParams):
     fall below pure on any drop.
     """
     p_idle = policy.fap_idle_probability(config.hybrid_users_per_home, exact_zone_probabilities(plan_grid(config.room)))
-    gen = spawn_streams(config.seed)["drops"]
+    gen, rf = spawn_streams(config.seed)["drops"], config.rf
 
     n, k = config.drops, config.fap_count
     radii = config.deployment_radius_m * np.sqrt(gen.random((n, k)))
@@ -642,23 +648,21 @@ def lifi_crossing_success_exact(ap_distance_m: float, coverage_radius_m: float) 
     return math.sqrt(r * r - (ap_distance_m / 2.0) ** 2) / r
 
 
-def handover_success_experiment(config: HandoverSuccessConfig, spacings: list[float]):
-    """Rows of (AP spacing, LiFi-only Monte Carlo success, hybrid success).
+def handover_success_experiment(config: HandoverSuccessConfig):
+    """Rows of (AP spacing, LiFi-only Monte Carlo success, hybrid success) at each swept spacing.
 
     LiFi-only success samples straight-line crossings with a uniform
     lateral offset; the hybrid column is identically 1 because the
     femtocell bridges any coverage hole.
     """
-    if not spacings or any(d < 0 for d in spacings):
-        raise ValueError("spacings must be non-empty and non-negative")
     gen = spawn_streams(config.seed)["crossings"]
     r = config.room.coverage_radius_m
     rows = []
-    for d_apart in spacings:
+    for d_apart in channel.sweep(config.spacing_start_m, config.spacing_stop_m, config.spacing_count):
         offsets = gen.uniform(-r, r, size=config.crossings)
         if d_apart >= 2.0 * r:
             success = np.zeros_like(offsets, dtype=bool)
         else:
             success = offsets**2 <= r * r - (d_apart / 2.0) ** 2
-        rows.append((float(d_apart), float(success.mean()), 1.0))
+        rows.append((d_apart, float(success.mean()), 1.0))
     return rows

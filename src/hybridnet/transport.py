@@ -42,19 +42,26 @@ class VehicleLink:
 
     def __post_init__(self):
         channel.check_fields(self, "'lifi' or 'fap'", lambda v: v in ("lifi", "fap"), "in_vehicle_access")
-        channel.check_fields(self, *channel.POSITIVE, "shadowing_sigma_dB")
+        # Under the channel.rf and sweep rules the macro SNR lies within 3700 dB of 0, so with the thresholds within
+        # 300 dB a threshold is within 4000 dB of the SNR, and (threshold - SNR) / sigma stays below 4e303: finite.
+        channel.check_fields(self, "at least 1e-300 dB (a finite (threshold - SNR) / sigma in the outage)",
+                             lambda v: v >= 1e-300, "shadowing_sigma_dB")
+        channel.check_fields(self, "in [-300, 300] dB (a finite (threshold - SNR) / sigma in the outage)",
+                             lambda v: -300.0 <= v <= 300.0, "sinr_threshold_user_dB", "sinr_threshold_relay_dB")
         channel.check_fields(self, *channel.NON_NEGATIVE_FINITE, "access_horizontal_distance_m")
         channel.check_fields(self, *channel.OPTICAL_DISTANCE, "access_horizontal_distance_m")
         channel.check_fields(self, *channel.POSITIVE_FINITE, "access_femto_distance_m")
 
 
 @dataclass(frozen=True)
-class CapacitySweep:
-    """fig19: the macro-link distances, ``distance_count`` values from ``distance_start_km`` to ``distance_stop_km``."""
+class OutageSweep:
+    """fig20: the macro-link distances, ``distance_count`` values from ``distance_start_km`` to ``distance_stop_km``."""
 
     distance_start_km: float = 0.1
     distance_stop_km: float = 1.0
     distance_count: int = 100
+    link: VehicleLink = VehicleLink()
+    rf: RfParams = RfParams()
 
     def __post_init__(self):
         # Under the channel.rf rules each dB term is within 300 dB, so the distance coefficient 44.9 - 6.55 log10 h_b
@@ -65,8 +72,10 @@ class CapacitySweep:
 
 
 @dataclass(frozen=True)
-class OutageSweep(CapacitySweep):
-    """fig20: the macro-link distances, swept as fig19's."""
+class CapacitySweep(OutageSweep):
+    """fig19: the macro-link distances, swept as fig20's, and the optical constants of a LiFi access hop."""
+
+    optical: OpticalParams = OpticalParams()
 
 
 @dataclass(frozen=True)
@@ -117,24 +126,25 @@ def _normal_cdf(x: float) -> float:
 # reliability a few Python float operations per distance.
 
 
-def capacity_sweep(distances_km, link: VehicleLink, optical: OpticalParams, rf: RfParams):
-    """Rows of (distance_km, direct_bps, relayed_bps) for one in-vehicle user at each distance from the MBS.
+def capacity_sweep(config: CapacitySweep):
+    """Rows of (distance_km, direct_bps, relayed_bps) for one in-vehicle user at each swept distance from the MBS.
 
     Direct connectivity pays the vehicle-wall penetration loss; the relayed
     path removes it on the backhaul and is bounded by the in-vehicle access
     hop, which does not depend on the distance: ``relayed = min(backhaul, access)``.
     """
-    d = np.asarray(distances_km, dtype=float)
+    d = np.array(channel.sweep(config.distance_start_km, config.distance_stop_km, config.distance_count))
+    rf = config.rf
     direct_snr = macro_snr_dB(d, rf, rf.vehicle_wall_loss_dB)
     backhaul_snr = macro_snr_dB(d, rf, 0.0)
     direct = channel.shannon_capacity(channel.db_to_linear(direct_snr), rf.macro_bandwidth_Hz)
     backhaul = channel.shannon_capacity(channel.db_to_linear(backhaul_snr), rf.macro_bandwidth_Hz)
-    relayed = np.minimum(backhaul, access_capacity_bps(link, optical, rf))
+    relayed = np.minimum(backhaul, access_capacity_bps(config.link, config.optical, rf))
     return list(zip(d.tolist(), direct.tolist(), relayed.tolist()))
 
 
-def outage_sweep(distances_km, link: VehicleLink, rf: RfParams):
-    """Rows of (distance_km, p_out_direct, p_out_relayed) at each distance from the MBS.
+def outage_sweep(config: OutageSweep):
+    """Rows of (distance_km, p_out_direct, p_out_relayed) at each swept distance from the MBS.
 
     Log-normal shadowing with the configured sigma rides on the macro
     link; outage is the probability that the shadowed SNR falls below the
@@ -142,7 +152,8 @@ def outage_sweep(distances_km, link: VehicleLink, rf: RfParams):
     and pays the wall loss; the relayed path uses the relay threshold and
     does not.
     """
-    d = np.asarray(distances_km, dtype=float)
+    d = np.array(channel.sweep(config.distance_start_km, config.distance_stop_km, config.distance_count))
+    link, rf = config.link, config.rf
     sigma = link.shadowing_sigma_dB
     z_direct = (link.sinr_threshold_user_dB - macro_snr_dB(d, rf, rf.vehicle_wall_loss_dB)) / sigma
     z_relayed = (link.sinr_threshold_relay_dB - macro_snr_dB(d, rf, 0.0)) / sigma
@@ -150,8 +161,8 @@ def outage_sweep(distances_km, link: VehicleLink, rf: RfParams):
     return [(di, _normal_cdf(zd), _normal_cdf(zr)) for di, zd, zr in rows]
 
 
-def reliability_sweep(distances_m, scenario: CarFollowScenario):
-    """Rows of (inter_vehicle_distance_m, rf_only, owc_only, hybrid) up-time fractions over the window.
+def reliability_sweep(scenario: CarFollowScenario):
+    """Rows of (inter_vehicle_distance_m, rf_only, owc_only, hybrid) up-time fractions over the window at each swept gap.
 
     The leader turns 180 degrees in T = pi R / v from ``uturn_start_s``, the
     follower tau = d / v later: s seconds into the leader's turn their
@@ -166,10 +177,7 @@ def reliability_sweep(distances_m, scenario: CarFollowScenario):
     edge_s = scenario.owc_fov_semi_angle_deg / 180.0 * turn_s  # fT: the heading gap reaches the FOV
     start_s, window_s = scenario.uturn_start_s, scenario.window_s
     rows = []
-    for d in distances_m:
-        d = float(d)
-        if d <= 0:
-            raise ValueError("inter-vehicle distance must be positive")
+    for d in channel.sweep(scenario.distance_start_m, scenario.distance_stop_m, scenario.distance_count):
         delay_s = d / speed_mps
         down_s = 0.0
         if min(delay_s, turn_s) > edge_s:

@@ -24,7 +24,7 @@ from hybridnet.engine import (
 from hybridnet.policy import fap_idle_probability
 from hybridnet.protocol import HandoverKind, MessageKind, canonical_sequence, run_handover
 from hybridnet.transport import (
-    CarFollowScenario, VehicleLink, macro_snr_dB, outage_sweep, reliability_sweep,
+    CarFollowScenario, OutageSweep, macro_snr_dB, outage_sweep, reliability_sweep,
 )
 from hybridnet.zoning import (
     RoomConfig, analytic_zone_areas, exact_zone_probabilities, monte_carlo_zone_model, occupancy_probability, plan_grid,
@@ -119,9 +119,8 @@ def test_criterion_3_zone_partition():
 
 def test_criterion_4_idle_mode():
     start = time.perf_counter()
-    config = IdleExperimentConfig(placements=100_000, seed=9)
-    user_counts = list(range(1, 21))
-    rows = idle_probability_experiment(config, user_counts)
+    config = IdleExperimentConfig(placements=100_000, seed=9, user_count_max=20)
+    rows = idle_probability_experiment(config)
     zone_probs = exact_zone_probabilities(plan_grid(config.room))
 
     closed = [fap_idle_probability(p, zone_probs) for p in range(0, 22)]
@@ -143,8 +142,8 @@ def test_criterion_5_femto_sinr_orderings():
     start = time.perf_counter()
     for seed in range(5):
         cfg = FemtoSinrConfig(fap_count=50, deployment_radius_m=100.0, user_distance_m=8.0,
-                              drops=1000, seed=seed)
-        means = {(scheme, frf): mean_db for scheme, frf, mean_db, *_ in femto_sinr_experiment(cfg, RF)}
+                              drops=1000, seed=seed, rf=RF)
+        means = {(scheme, frf): mean_db for scheme, frf, mean_db, *_ in femto_sinr_experiment(cfg)}
         assert means[("hybrid", 1)] >= means[("pure", 1)], f"seed {seed}"
         assert means[("hybrid", 4)] >= means[("pure", 4)], f"seed {seed}"
         assert means[("pure", 4)] >= means[("pure", 1)], f"seed {seed}"
@@ -154,8 +153,9 @@ def test_criterion_5_femto_sinr_orderings():
 
 def test_criterion_6_handover_success():
     start = time.perf_counter()
-    spacings = [0.0, 1.0, 2.5, 4.0, 5.0, 6.0, 7.5, 8.0, 9.0, 9.5, 10.0, 11.0, 12.0]
-    rows = handover_success_experiment(HandoverSuccessConfig(crossings=100_000, seed=13), spacings)
+    # The default sweep, 25 spacings from 0 to 12 m, is every multiple of 0.5 m up to 12 m.
+    rows = handover_success_experiment(HandoverSuccessConfig(crossings=100_000, seed=13))
+    assert [d for d, _, _ in rows] == [0.5 * i for i in range(25)]
     for d, lifi_mc, hybrid in rows:
         assert hybrid == 1.0
         exact = lifi_crossing_success_exact(d, 5.0)
@@ -201,9 +201,9 @@ def test_criterion_8_transport_orderings():
     for d in distances:
         gap = macro_snr_dB(d, RF, 0.0) - macro_snr_dB(d, RF, RF.vehicle_wall_loss_dB)
         assert abs(gap - 10.0) <= 1e-12
-    for _, p_direct, p_relayed in outage_sweep(distances, VehicleLink(), RF):
+    for _, p_direct, p_relayed in outage_sweep(OutageSweep(0.05, 3.02, 100)):
         assert p_relayed <= p_direct
-    sweep = reliability_sweep([5.0 + 0.45 * i for i in range(100)], CarFollowScenario())
+    sweep = reliability_sweep(CarFollowScenario(distance_start_m=5.0, distance_stop_m=49.55, distance_count=100))
     assert len(sweep) == 100
     for _, rf_only, owc_only, hybrid in sweep:
         assert hybrid >= max(rf_only, owc_only)

@@ -566,6 +566,15 @@ class TestExperiments:
          "transport.fig20.distance_start_km: must be in [1e-8, 1e8] km"),
         (["experiment", "fig17"], "channel: {rf: {femto_loss_coeff: -1.0e300}}\n",
          "channel.rf.femto_loss_coeff: must be in [0, 100]"),
+        (["experiment", "fig17"], "channel: {rf: {femto_loss_coeff: 100.0}}\nengine: {fig17: {min_link_distance_m: 1.0e-300, "
+         "user_distance_m: 1.0e-300, deployment_radius_m: 0.0}}\n",
+         "engine.fig17.user_distance_m: must be such that femto_loss_coeff * log10 of it is in [-300, 300] dB"),
+        (["experiment", "fig20"], "transport: {vehicle: {shadowing_sigma_dB: 5.0e-324}}\n",
+         "transport.vehicle.shadowing_sigma_dB: must be at least 1e-300 dB"),
+        (["experiment", "fig19"], "channel: {optical: {pd_area_m2: 1.0e300, ap_height_m: 1.0e-150}}\n",
+         "channel.optical.ap_height_m: must be such that the optical gain H(0)"),
+        (["experiment", "fig19"], "channel: {optical: {filter_gain: 1.0e300, fov_semi_angle_deg: 1.0e-150}}\n",
+         "channel.optical.filter_gain: must be such that the optical gain H(0)"),
     ], ids=["fig19-terminal-height", "indoor-sim-optical-power", "fig19-mbs-height", "fig20-center-frequency",
             "indoor-sim-optical-bandwidth", "indoor-sim-optical-noise-power", "indoor-sim-ap-height",
             "fig19-access-distance", "indoor-sim-ap-height-1e-300", "fig19-ap-height-1e-170", "zones-radius-1e-9",
@@ -573,14 +582,19 @@ class TestExperiments:
             "zones-samples-beyond-int64", "indoor-sim-ahp-entry-beyond-the-float-range", "fig16-user-count-max-1e9",
             "fig16-placements-1e12", "fig19-fov-1e-300", "fig19-refractive-index-1e200", "fig19-duration-1e308",
             "fig19-tick-1e-310", "indoor-sim-tick-1e-9", "fig19-wall-loss-minus-1e300", "fig19-start-1e-300",
-            "fig19-mbs-height-1e20-stop-1e100", "fig20-start-1e-300", "fig17-femto-loss-coeff-minus-1e300"])
+            "fig19-mbs-height-1e20-stop-1e100", "fig20-start-1e-300", "fig17-femto-loss-coeff-minus-1e300",
+            "fig17-loss-coeff-100-links-1e-300", "fig20-shadowing-sigma-5e-324", "fig19-pd-area-1e300-ap-height-1e-150",
+            "fig19-filter-gain-1e300-fov-1e-150"])
+    @pytest.mark.filterwarnings("error")
     def test_value_beyond_its_finite_domain_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, text, key):
         # Each would overflow its model: fig19's direct link to an inf capacity, the LiFi signal power to inf, fig19's
         # and fig20's path loss to inf or -inf, the optical gain's 2 pi d^2 to inf; or underflow the optical noise
         # power to 0, and a zero-gain SINR to nan, or the AP height's h^2 to 0, which the gain below the AP divides by;
         # or fig16's in-memory rows or chunk generators past what memory holds. Of the later cases, the concentrator
-        # gain (sin^2 underflows to 0, n^2 overflows) and the tick count (round(inf)) crashed validation itself; the
-        # wall loss, the macro distances and the femtocell loss coefficient wrote inf or nan to fig19's or fig17's CSV.
+        # gain (sin^2 underflows to 0, n^2 overflows), the tick count (round(inf)) and the optical gain H(0) of two keys
+        # crashed validation itself; the wall loss, the macro distances and the femtocell loss coefficient or link
+        # lengths wrote inf or nan to fig19's or fig17's CSV, and a tiny shadowing sigma overflowed fig20's outage.
+        # Every warning is an error here, so a rule's own arithmetic may not overflow either.
         path = tmp_path / "huge.yaml"
         path.write_text(text)
         assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -608,13 +622,25 @@ class TestExperiments:
         runs += [(["experiment", "fig19"], far), (["indoor-sim"], far)]
         # The largest macro SNRs: the most power over the least noise, no wall loss, and the Hata term 13.82 log10(h_b)
         # at -300 dB (the steepest distance coefficient, 187.09 dB per decade) at 1e-8 km, or at +300 dB (-97.29) at 1e8.
+        # fig20 divides their distance from the farthest threshold by the least shadowing sigma.
+        outage = "vehicle: {shadowing_sigma_dB: 1.0e-300, sinr_threshold_user_dB: %r, sinr_threshold_relay_dB: %r}"
         for sign, km in ((-1.0, 1.0e-8), (1.0, 1.0e8)):
             ends = tmp_path / f"macro-{sign}.yaml"
             sweep = f"{{distance_start_km: {km!r}, distance_stop_km: {km!r}, distance_count: 1}}"
             ends.write_text(f"channel: {{rf: {{mbs_height_m: {10.0 ** (sign * 300.0 / 13.82) * (1 - sign * 1e-12)!r}, "
                             "mbs_tx_dBm: 300.0, noise_psd_dBm_per_Hz: -300.0, macro_bandwidth_Hz: 1.0, "
-                            f"vehicle_wall_loss_dB: 0.0}}}}\ntransport: {{fig19: {sweep}, fig20: {sweep}}}\n")
+                            f"vehicle_wall_loss_dB: 0.0}}}}\ntransport: {{fig19: {sweep}, fig20: {sweep}, "
+                            f"{outage % (-300.0, -300.0)}}}\n")
             runs += [(["experiment", "fig19"], ends), (["experiment", "fig20"], ends)]
+        # A small macro SNR, about -3371 dB: the least power over the most noise through the most wall, both Hata terms
+        # at +300 dB and the steepest distance coefficient at 1e8 km, against the farthest thresholds.
+        least = tmp_path / "macro-least.yaml"
+        least.write_text(f"channel: {{rf: {{mbs_height_m: {10.0 ** (-300.0 / 13.82) * (1 + 1e-12)!r}, "
+                         f"center_freq_MHz: {10.0 ** (300.0 / 26.16) * (1 - 1e-12)!r}, mbs_tx_dBm: -300.0, "
+                         "noise_psd_dBm_per_Hz: 300.0, macro_bandwidth_Hz: 1.0e30, vehicle_wall_loss_dB: 300.0}}\n"
+                         "transport: {fig20: {distance_start_km: 1.0e8, distance_stop_km: 1.0e8, distance_count: 1}, "
+                         f"{outage % (300.0, 300.0)}}}\n")
+        runs += [(["experiment", "fig20"], least)]
         for argv, config in runs:
             assert cli.main([*argv, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
             name = "indoor_sim.csv" if argv == ["indoor-sim"] else f"{argv[1]}.csv"

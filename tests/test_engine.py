@@ -571,31 +571,25 @@ class TestIdleProbabilityExperiment:
     THREE_CHUNKS = 17_331
 
     def test_zero_users_is_certain_idle(self):
-        rows = idle_probability_experiment(self.CFG, [0])
-        assert rows[0] == (0, 1.0, 1.0)
+        assert idle_probability_experiment(replace(self.CFG, user_count_max=0)) == [(0, 1.0, 1.0)]
 
     def test_columns_monotone_non_increasing(self):
         # Every user count reads the same placements, so the empirical
         # column is monotone exactly, not just within sampling noise.
-        rows = idle_probability_experiment(self.CFG, list(range(21)))
+        rows = idle_probability_experiment(self.CFG)
         empirical = [r[1] for r in rows]
         closed = [r[2] for r in rows]
         assert all(a >= b for a, b in zip(empirical, empirical[1:]))
         assert all(a >= b for a, b in zip(closed, closed[1:]))
         assert empirical[0] == 1.0 and empirical[-1] < empirical[1]
 
-    def test_row_does_not_depend_on_the_other_counts(self):
-        cfg = self.WIDE
-        rows = {}
-        for counts in ([3], [1, 3, 6, 12], list(range(21))):
-            got = idle_probability_experiment(cfg, counts)
-            rows[tuple(counts)] = {p: (empirical, bound) for p, empirical, bound in got}
-        assert rows[(3,)][3] == rows[(1, 3, 6, 12)][3] == rows[tuple(range(21))][3]
-        for p in (1, 6, 12):
-            assert rows[(1, 3, 6, 12)][p] == rows[tuple(range(21))][p]
+    def test_row_does_not_depend_on_user_count_max(self):
+        rows = idle_probability_experiment(self.WIDE)
+        for most in (0, 3, 12):
+            assert idle_probability_experiment(replace(self.WIDE, user_count_max=most)) == rows[:most + 1]
 
     def test_empirical_below_closed_form_bound(self):
-        rows = idle_probability_experiment(self.CFG, [1, 3, 6, 12])
+        rows = idle_probability_experiment(replace(self.CFG, user_count_max=12))
         for p, empirical, bound in rows:
             sigma = math.sqrt(max(empirical * (1 - empirical), 1e-12) / self.CFG.placements)
             assert empirical <= bound + 3 * sigma
@@ -659,7 +653,7 @@ class TestIdleProbabilityExperiment:
 
     def test_fig16_classifies_in_cache_sized_slices(self, monkeypatch):
         cfg = self.WIDE
-        expected = idle_probability_experiment(cfg, list(range(21)))
+        expected = idle_probability_experiment(cfg)
         sizes = []
 
         def counting_window(plan, points, width=2):
@@ -668,7 +662,7 @@ class TestIdleProbabilityExperiment:
 
         sq_distances = zoning.GridPlan.sq_distances
         monkeypatch.setattr(zoning.GridPlan, "sq_distances", counting_window)
-        got = idle_probability_experiment(cfg, list(range(21)))
+        got = idle_probability_experiment(cfg)
         # User p is located only where users 0..p-1 left the placement idle.
         located = sum(round(empirical * cfg.placements) for _, empirical, _ in got[:20])
         assert max(sizes) <= zoning._CLASSIFY_SLICE and sum(sizes) == located < 20 * 45_000
@@ -704,7 +698,7 @@ class TestIdleProbabilityExperiment:
 
         monkeypatch.setattr(engine, "lifi_assignment_idle", recording_idle)
         monkeypatch.setattr(zoning, "_MC_CHUNK", self.THREE_CHUNKS)
-        got = idle_probability_experiment(cfg, list(range(21)))
+        got = idle_probability_experiment(cfg)
         assert runs == [(17_331, 121), (17_331, 121), (10_338, 121)]
         assert all(placements <= zoning._MC_CHUNK for placements, _ in runs)
         assert located.tolist() == [round(empirical * cfg.placements) for _, empirical, _ in got[:20]]
@@ -718,14 +712,14 @@ class TestIdleProbabilityExperiment:
             return np.zeros(users + 1, dtype=np.int64)
 
         monkeypatch.setattr(engine, "lifi_assignment_idle", recording_idle)
-        idle_probability_experiment(IdleExperimentConfig(), list(range(21)))
+        idle_probability_experiment(IdleExperimentConfig())
         assert runs == [(100_000, 9)]
 
     def test_many_users_stop_where_no_placement_is_idle(self):
         # Placements stop idling long before 10,000 users: the run keeps no (placements, users) array.
         tracemalloc.start()
         try:
-            rows = idle_probability_experiment(IdleExperimentConfig(placements=2000), list(range(10_001)))
+            rows = idle_probability_experiment(IdleExperimentConfig(placements=2000, user_count_max=10_000))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -733,7 +727,7 @@ class TestIdleProbabilityExperiment:
         empirical = [e for _, e, _ in rows]
         last = max(p for p, e in enumerate(empirical) if e > 0)
         assert 0 < last < 100 and all(e == 0.0 for e in empirical[last + 1:])
-        assert rows[:21] == idle_probability_experiment(IdleExperimentConfig(placements=2000), list(range(21)))
+        assert rows[:21] == idle_probability_experiment(IdleExperimentConfig(placements=2000))
 
     def test_each_chunk_draws_two_doubles_per_located_point(self, monkeypatch):
         # User u is drawn only for the placements still idle, users in order: each chunk's generator
@@ -752,7 +746,7 @@ class TestIdleProbabilityExperiment:
         monkeypatch.setattr(zoning, "_MC_CHUNK", self.THREE_CHUNKS)
         sq_distances = zoning.GridPlan.sq_distances
         monkeypatch.setattr(zoning.GridPlan, "sq_distances", recording_window)
-        idle_probability_experiment(cfg, list(range(21)))
+        idle_probability_experiment(cfg)
         assert len(children) == len(chunks) == 3
         fresh = spawn_streams(cfg.seed)["placement"].spawn(3)
         for used, child, points in zip(children, fresh, chunks):
@@ -779,7 +773,7 @@ class TestIdleProbabilityExperiment:
 
         monkeypatch.setattr(engine, "exact_zone_probabilities", lambda plan: (0.25,) * 4)
         monkeypatch.setattr(engine, "lifi_assignment_idle", recording_idle)
-        rows = idle_probability_experiment(IdleExperimentConfig(room=room, placements=2**18 + 1), [0, 1])
+        rows = idle_probability_experiment(IdleExperimentConfig(room=room, placements=2**18 + 1, user_count_max=1))
         assert runs == [(2**18, ap_count), (1, ap_count)] and len(children) == 2
         assert rows[0][1] == 1.0 and 0.0 < rows[1][1] < 1.0
 
@@ -790,9 +784,9 @@ class TestIdleProbabilityExperiment:
             direct = (probs[1] + probs[2]) ** p  # all users in Zone 2 or 3
             assert enumerated == pytest.approx(direct, abs=1e-12)
 
-    def test_empty_user_counts_rejected(self):
-        with pytest.raises(ValueError):
-            idle_probability_experiment(self.CFG, [])
+    def test_negative_user_count_max_rejected(self):
+        with pytest.raises(ValueError, match="user_count_max"):
+            replace(self.CFG, user_count_max=-1)
 
     def test_memory_does_not_grow_with_the_chunk_count(self, monkeypatch):
         # One placement per chunk: each chunk's generator is spawned as it starts.
@@ -801,7 +795,7 @@ class TestIdleProbabilityExperiment:
         def peak(chunks):
             tracemalloc.start()
             try:
-                idle_probability_experiment(IdleExperimentConfig(placements=chunks), [0])
+                idle_probability_experiment(IdleExperimentConfig(placements=chunks, user_count_max=0))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -812,15 +806,15 @@ class TestIdleProbabilityExperiment:
     def test_chunked_run_keeps_its_streams(self, monkeypatch):
         # 25 chunks of 40 placements: chunk k draws from the k-th of the placement stream's children.
         monkeypatch.setattr(zoning, "_MC_CHUNK", 40)
-        rows = idle_probability_experiment(IdleExperimentConfig(placements=1000, seed=1), list(range(8)))
+        rows = idle_probability_experiment(IdleExperimentConfig(placements=1000, seed=1, user_count_max=7))
         assert [empirical for _, empirical, _ in rows] == [1.0, 0.799, 0.648, 0.532, 0.429, 0.345, 0.267, 0.206]
 
 
 class TestFemtoSinrExperiment:
     def test_no_interferers_reduces_to_snr(self):
         cfg = FemtoSinrConfig(fap_count=0, drops=16, seed=2)
-        rf = RfParams()
-        results = femto_sinr_experiment(cfg, rf)
+        rf = cfg.rf
+        results = femto_sinr_experiment(cfg)
         snr_frf1 = rf.fap_tx_dBm - femto_path_loss(8.0, rf, wall_count=0) - rf.noise_dBm(rf.femto_bandwidth_Hz)
         for _scheme, frf, mean_db, *_percentiles in results:
             expected = snr_frf1 + 10 * math.log10(frf)  # narrower band, less noise
@@ -829,7 +823,7 @@ class TestFemtoSinrExperiment:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_orderings_hold_per_seed(self, seed):
         cfg = FemtoSinrConfig(drops=1000, seed=seed)
-        results = {(scheme, frf): mean_db for scheme, frf, mean_db, *_ in femto_sinr_experiment(cfg, RfParams())}
+        results = {(scheme, frf): mean_db for scheme, frf, mean_db, *_ in femto_sinr_experiment(cfg)}
         assert results[("hybrid", 1)] >= results[("pure", 1)]
         assert results[("hybrid", 4)] >= results[("pure", 4)]
         assert results[("pure", 4)] >= results[("pure", 1)]
@@ -846,11 +840,20 @@ class TestFemtoSinrExperiment:
 
     def test_determinism(self):
         cfg = FemtoSinrConfig(drops=200, seed=4)
-        assert femto_sinr_experiment(cfg, RfParams()) == femto_sinr_experiment(cfg, RfParams())
+        assert femto_sinr_experiment(cfg) == femto_sinr_experiment(cfg)
 
     def test_drop_floor(self):
-        with pytest.raises(ValueError):
-            femto_sinr_experiment(FemtoSinrConfig(drops=0), RfParams())
+        with pytest.raises(ValueError, match="drops"):
+            FemtoSinrConfig(drops=0)
+
+    def test_loss_term_stays_in_the_power_domain(self):
+        # N log10 d of every link within [-300, 300] dB: at N = 100, links down to 1e-3 m run finite, shorter ones fail.
+        rf, edge = RfParams(femto_loss_coeff=100.0), 1e-3 * (1 + 1e-12)
+        cfg = FemtoSinrConfig(drops=20, user_distance_m=edge, min_link_distance_m=edge, deployment_radius_m=0.0, rf=rf)
+        assert all(math.isfinite(v) for row in femto_sinr_experiment(cfg) for v in row[2:])
+        for field, value in (("user_distance_m", 1e-300), ("min_link_distance_m", 9e-4), ("deployment_radius_m", 1e3)):
+            with pytest.raises(ValueError, match=field):
+                replace(cfg, **{field: value})
 
     def test_percentiles_equal_numpy_percentile(self):
         # fig17's p5/p50/p95 come from one sort by np.percentile's linear rule; the ends and random q check the rule.
@@ -859,6 +862,11 @@ class TestFemtoSinrExperiment:
             values = gen.normal(size=n) * 10.0 ** gen.integers(-3, 4)
             qs = (0, 5, 50, 95, 100, *(gen.random(3) * 100.0).tolist())
             assert [engine._percentile(np.sort(values), q) for q in qs] == [float(np.percentile(values, q)) for q in qs], n
+
+
+def at_spacing(config: HandoverSuccessConfig, spacing_m: float) -> HandoverSuccessConfig:
+    """``config`` swept over the one spacing ``spacing_m``."""
+    return replace(config, spacing_start_m=spacing_m, spacing_stop_m=spacing_m, spacing_count=1)
 
 
 class TestHandoverSuccessExperiment:
@@ -871,21 +879,20 @@ class TestHandoverSuccessExperiment:
         assert lifi_crossing_success_exact(6.0, 5.0) == pytest.approx(math.sqrt(25 - 9) / 5, rel=1e-12)
 
     def test_monte_carlo_matches_closed_form(self):
-        spacings = [0.0, 2.0, 5.0, 8.0, 9.9, 10.0, 12.0]
-        rows = handover_success_experiment(self.CFG, spacings)
-        for d, mc, hybrid in rows:
+        for d in (0.0, 2.0, 5.0, 8.0, 9.9, 10.0, 12.0):
+            [(_, mc, hybrid)] = handover_success_experiment(at_spacing(self.CFG, d))
             assert hybrid == 1.0
             assert mc == pytest.approx(lifi_crossing_success_exact(d, 5.0), abs=0.01)
 
     def test_coincident_aps_always_succeed(self):
-        rows = handover_success_experiment(self.CFG, [0.0])
-        assert rows[0][1] == 1.0
+        assert handover_success_experiment(at_spacing(self.CFG, 0.0)) == [(0.0, 1.0, 1.0)]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            handover_success_experiment(self.CFG, [])
-        with pytest.raises(ValueError):
-            handover_success_experiment(self.CFG, [-1.0])
+        for field in ("spacing_start_m", "spacing_stop_m"):  # a negative spacing, at either end of the sweep
+            with pytest.raises(ValueError, match=field):
+                replace(self.CFG, **{field: -1.0})
+        with pytest.raises(ValueError, match="spacing_count"):
+            replace(self.CFG, spacing_count=0)
         with pytest.raises(ValueError):
             lifi_crossing_success_exact(1.0, 0.0)
 
@@ -897,8 +904,8 @@ class TestMonteCarloConvergence:
         estimates_n = []
         estimates_2n = []
         for seed in range(40):
-            small = handover_success_experiment(HandoverSuccessConfig(crossings=500, seed=seed), [d])
-            big = handover_success_experiment(HandoverSuccessConfig(crossings=1000, seed=1000 + seed), [d])
+            small = handover_success_experiment(at_spacing(HandoverSuccessConfig(crossings=500, seed=seed), d))
+            big = handover_success_experiment(at_spacing(HandoverSuccessConfig(crossings=1000, seed=1000 + seed), d))
             estimates_n.append(small[0][1])
             estimates_2n.append(big[0][1])
         ratio = np.std(estimates_2n) / np.std(estimates_n)
