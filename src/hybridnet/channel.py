@@ -21,7 +21,7 @@ linear ratio, a float or an array, and ``linear_to_db`` converts it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,20 +38,26 @@ def at_least(minimum) -> tuple:
     return f"at least {minimum}", lambda v: v >= minimum
 
 
-POSITIVE = ("positive", lambda v: v > 0)
-POSITIVE_FINITE = ("positive and finite", lambda v: 0.0 < v < math.inf)
-NON_NEGATIVE_FINITE = ("non-negative and finite", lambda v: 0.0 <= v < math.inf)
-# The Lambertian order ln 2 / ln(1 / cos) is finite only while the cosine of the angle rounds below 1.0.
-LAMBERTIAN_ANGLE = ("in (0, 90) degrees with a cosine below 1.0 (a finite Lambertian order)",
-                    lambda v: 0.0 < v < 90.0 and math.cos(math.radians(v)) < 1.0)
-# A dBm power (or dBm/Hz density) in [-300, 300] is a linear power within 1e+-30 mW: the sums it feeds stay finite.
-FINITE_POWER_DB = ("in [-300, 300] dB (a linear power within 1e+-30)", lambda v: -300.0 <= v <= 300.0)
-# A bandwidth in [1, 1e30] Hz adds 10 log10 B in [0, 300] dB to a noise density, so the noise power is within 1e-30..1e60 mW.
-NOISE_BANDWIDTH = ("in [1, 1e30] Hz (10 log10 B within [0, 300] dB)", lambda v: 1.0 <= v <= 1e30)
-# An optical distance of at most 1e150 m keeps the gain's 2 pi (l^2 + h^2) below about 1.3e301, inside the float range.
-OPTICAL_DISTANCE = ("at most 1e150 m (a finite 2 pi (l^2 + h^2) in the optical gain)", lambda v: v <= 1e150)
-# A figure's sweep count: the figure builds its CSV rows, one per swept value, in memory.
-SWEEP_COUNT = (f"in [1, {2**20}] (the figure builds its CSV rows, one per value, in memory)", lambda v: 1 <= v <= 2**20)
+def key(default, low, high, unit: str = "", why: str = ""):
+    """A config key's field: its default and the closed interval [low, high], in ``unit``, that holds every value.
+
+    ``why`` states what a memory or time bound protects; a physical bound states only its unit.
+    """
+    rule = f"in [{low}, {high}]{f' {unit}' if unit else ''}{f' ({why})' if why else ''}"
+    return field(default=default, metadata={"domain": (low, high), "unit": unit, "rule": rule})
+
+
+def check_domains(params) -> None:
+    """Raise ValueError, naming the field, if a field of ``params`` lies outside the interval it declares."""
+    for f in fields(params):
+        if "domain" in f.metadata:
+            low, high = f.metadata["domain"]
+            check_fields(params, f.metadata["rule"], lambda v: low <= v <= high, f.name)
+
+
+def sweep_count(default: int):
+    """The field of a figure's sweep count."""
+    return key(default, 1, 2**20, why="the figure builds its CSV rows, one per value, in memory")
 
 
 def sweep(start: float, stop: float, count: int) -> list[float]:
@@ -72,79 +78,38 @@ class OpticalParams:
     separation), 6 W of optical power and a 20 MHz modulated band.
     """
 
-    half_intensity_angle_deg: float = 60.0
-    fov_semi_angle_deg: float = 90.0
-    pd_area_m2: float = 1e-4
-    filter_gain: float = 1.0
-    refractive_index: float = 1.5
-    tx_optical_power_W: float = 6.0
-    responsivity_A_per_W: float = 0.53
-    noise_psd_A2_per_Hz: float = 1e-21
-    bandwidth_Hz: float = 20e6
-    ap_height_m: float = 2.0
+    half_intensity_angle_deg: float = key(60.0, 1.0, 89.0, "deg")
+    fov_semi_angle_deg: float = key(90.0, 1.0, 90.0, "deg")
+    pd_area_m2: float = key(1e-4, 1e-8, 1e-2, "m^2")
+    filter_gain: float = key(1.0, 1e-3, 1.0)
+    refractive_index: float = key(1.5, 1.0, 3.0)
+    tx_optical_power_W: float = key(6.0, 1e-3, 100.0, "W")
+    responsivity_A_per_W: float = key(0.53, 0.01, 1.0, "A/W")
+    noise_psd_A2_per_Hz: float = key(1e-21, 1e-30, 1e-15, "A^2/Hz")
+    bandwidth_Hz: float = key(20e6, 1.0, 1e12, "Hz")
+    ap_height_m: float = key(2.0, 0.01, 100.0, "m")
 
     def __post_init__(self):
-        check_fields(self, *POSITIVE, "pd_area_m2", "filter_gain", "refractive_index",
-                     "tx_optical_power_W", "responsivity_A_per_W", "noise_psd_A2_per_Hz", "bandwidth_Hz")
-        check_fields(self, *NOISE_BANDWIDTH, "bandwidth_Hz")
-        # A height of at least 1e-150 m keeps h^2 at least 1e-300: it cannot underflow to 0, which H(0) would divide by.
-        check_fields(self, "at least 1e-150 m (a nonzero h^2 in the optical gain)", lambda h: h >= 1e-150, "ap_height_m")
-        check_fields(self, *OPTICAL_DISTANCE, "ap_height_m")
-        # Over a noise power in [1e-30, 1e30] A^2 and squared signals of at most 1e60, every SINR is finite.
-        check_fields(self, "positive, with N0 B in [1e-30, 1e30] A^2 (a finite SINR)",
-                     lambda n0: 1e-30 <= n0 * self.bandwidth_Hz <= 1e30, "noise_psd_A2_per_Hz")
-        # The concentrator gain n^2 / sin^2(FOV) is finite: n^2 does not overflow, nor sin^2(FOV) underflow to 0.
-        check_fields(self, "at most 1e150 (a finite n^2 in the concentrator gain)", lambda n: n <= 1e150,
-                     "refractive_index")
-        check_fields(self, "in (0, 90] degrees, with a finite concentrator gain n^2 / sin^2(FOV)",
-                     lambda v: 0.0 < v <= 90.0 and math.sin(math.radians(v)) ** 2 > 0.0
-                     and concentrator_gain(self) < math.inf, "fov_semi_angle_deg")
-        check_fields(self, *LAMBERTIAN_ANGLE, "half_intensity_angle_deg")
-        # H(0) = (m+1) A / (2 pi h^2) n^2 / sin^2(FOV) g stays at most 1e300, so no step computing it overflows. Each key
-        # is checked on the product of the factors up to its own, in that order: the key that takes it past is named.
-        log_gain = math.log10((lambertian_index(self) + 1.0) / (2.0 * math.pi))
-        for name, log_factor in (("pd_area_m2", math.log10(self.pd_area_m2)),
-                                 ("ap_height_m", -2.0 * math.log10(self.ap_height_m)),
-                                 ("refractive_index", 2.0 * math.log10(self.refractive_index)),
-                                 ("fov_semi_angle_deg", -2.0 * math.log10(math.sin(math.radians(self.fov_semi_angle_deg)))),
-                                 ("filter_gain", math.log10(self.filter_gain))):
-            log_gain += log_factor
-            check_fields(self, "such that the optical gain H(0), multiplied out up to its factor, is at most 1e300",
-                         lambda _: log_gain <= 300.0, name)
-        check_fields(self, "positive, with R P H(0) at most 1e30 A (the squared signals and their sums stay finite)",
-                     lambda p: self.responsivity_A_per_W * p * optical_channel_gain(0.0, self) <= 1e30, "tx_optical_power_W")
+        check_domains(self)
 
 
 @dataclass(frozen=True)
 class RfParams:
     """Macrocell and femtocell RF constants (powers in dBm, f in MHz)."""
 
-    center_freq_MHz: float = 1800.0
-    mbs_height_m: float = 50.0
-    terminal_height_m: float = 1.0
-    mbs_tx_dBm: float = 46.0
-    fap_tx_dBm: float = 7.0
-    vehicle_wall_loss_dB: float = 10.0
-    femto_loss_coeff: float = 28.0
-    noise_psd_dBm_per_Hz: float = -174.0
-    macro_bandwidth_Hz: float = 10e6
-    femto_bandwidth_Hz: float = 10e6
+    center_freq_MHz: float = key(1800.0, 1.0, 1e5, "MHz")
+    mbs_height_m: float = key(50.0, 1.0, 1e3, "m")
+    terminal_height_m: float = key(1.0, 0.1, 10.0, "m")
+    mbs_tx_dBm: float = key(46.0, -100.0, 100.0, "dBm")
+    fap_tx_dBm: float = key(7.0, -100.0, 100.0, "dBm")
+    vehicle_wall_loss_dB: float = key(10.0, 0.0, 100.0, "dB")
+    femto_loss_coeff: float = key(28.0, 0.0, 100.0, "dB/decade")  # ITU-R P.1238 gives 22 to 33 indoors
+    noise_psd_dBm_per_Hz: float = key(-174.0, -200.0, -100.0, "dBm/Hz")
+    macro_bandwidth_Hz: float = key(10e6, 1.0, 1e12, "Hz")
+    femto_bandwidth_Hz: float = key(10e6, 1.0, 1e12, "Hz")
 
     def __post_init__(self):
-        check_fields(self, *POSITIVE, "center_freq_MHz", "mbs_height_m", "terminal_height_m")
-        # The Hata terms 26.16 log10 f (and the femtocell's 20 log10 f) and 13.82 log10 h_b stay in [-300, 300] dB.
-        for name, coefficient in (("center_freq_MHz", 26.16), ("mbs_height_m", 13.82)):
-            check_fields(self, f"such that the Hata term {coefficient} log10({name}) is in [-300, 300] dB (a finite path loss)",
-                         lambda v: FINITE_POWER_DB[1](coefficient * math.log10(v)), name)
-        check_fields(self, *NOISE_BANDWIDTH, "macro_bandwidth_Hz", "femto_bandwidth_Hz")
-        check_fields(self, *FINITE_POWER_DB, "mbs_tx_dBm", "fap_tx_dBm", "noise_psd_dBm_per_Hz")
-        check_fields(self, "in [0, 300] dB (a loss, within the power domain)", lambda v: 0.0 <= v <= 300.0,
-                     "vehicle_wall_loss_dB")
-        # A negative N makes the loss fall with distance, to -inf dB (and a nan SINR) far enough away.
-        check_fields(self, "in [0, 100] (a loss that grows with distance; ITU-R P.1238 gives 22 to 33 indoors)",
-                     lambda v: 0.0 <= v <= 100.0, "femto_loss_coeff")
-        check_fields(self, "such that the Hata term a(h_m) is in [-300, 300] dB (a finite path loss)",
-                     lambda _: FINITE_POWER_DB[1](self.mobile_correction_dB()), "terminal_height_m")
+        check_domains(self)
 
     def mobile_correction_dB(self) -> float:
         """The Okumura-Hata mobile-antenna correction a(h_m) of ``terminal_height_m``."""

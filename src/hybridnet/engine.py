@@ -31,7 +31,7 @@ from itertools import chain
 import numpy as np
 
 from . import channel, policy, selection, zoning
-from .channel import NON_NEGATIVE_FINITE, POSITIVE, POSITIVE_FINITE, OpticalParams, RfParams, at_least, check_fields
+from .channel import OpticalParams, RfParams, at_least, check_domains, check_fields, key
 from .policy import LIFI, STAY, TO_FAP, TO_LIFI, AdmissionDecision
 from .protocol import HandoverKind, run_handover
 from .rng import spawn_streams
@@ -44,17 +44,15 @@ from .zoning import (_CLASSIFY_SLICE, MAX_MC_SAMPLES, RoomConfig, Zone, classify
 class MobilityConfig:
     """Random-waypoint mobility: walking speeds, pause lengths and the tick every terminal moves by."""
 
-    speed_min_mps: float = 0.5
-    speed_max_mps: float = 1.5
-    pause_min_s: float = 0.0
-    pause_max_s: float = 5.0
-    tick_s: float = 0.1
+    speed_min_mps: float = key(0.5, 0.0, 100.0, "m/s")
+    speed_max_mps: float = key(1.5, 0.0, 100.0, "m/s")
+    pause_min_s: float = key(0.0, 0.0, 3600.0, "s")
+    pause_max_s: float = key(5.0, 0.0, 3600.0, "s")
+    tick_s: float = key(0.1, 1e-3, 10.0, "s")
 
     def __post_init__(self):
-        check_fields(self, *POSITIVE, "tick_s")
-        check_fields(self, *at_least(0), "speed_min_mps", "pause_min_s")
+        check_domains(self)
         check_fields(self, *at_least(self.speed_min_mps), "speed_max_mps")
-        check_fields(self, "such that speed_max_mps * tick_s is finite", lambda v: v * self.tick_s < math.inf, "speed_max_mps")
         check_fields(self, *at_least(self.pause_min_s), "pause_max_s")
 
 
@@ -62,30 +60,26 @@ class MobilityConfig:
 class TrafficConfig:
     """Poisson call arrivals per terminal, exponential holding times and the share of voice calls."""
 
-    arrival_rate_per_min: float = 0.5
-    mean_holding_s: float = 120.0
-    voice_fraction: float = 0.3
+    arrival_rate_per_min: float = key(0.5, 0.0, 1e3, "1/min")
+    mean_holding_s: float = key(120.0, 1e-3, 1e9, "s")
+    voice_fraction: float = key(0.3, 0.0, 1.0)
 
     def __post_init__(self):
-        check_fields(self, *at_least(0), "arrival_rate_per_min")
-        check_fields(self, *POSITIVE, "mean_holding_s")
-        check_fields(self, "in [0, 1]", lambda v: 0.0 <= v <= 1.0, "voice_fraction")
+        check_domains(self)
 
 
 @dataclass(frozen=True)
 class PolicyConfig:
     """Dwell thresholds, slots per femtocell and per LiFi AP, and the per-hop latency of a handover flow."""
 
-    t_h_s: float = 2.0
-    t_h1_s: float = 2.0
-    fap_slots: int = 8
-    lifi_slots: int = 10
-    per_hop_latency_s: float = 0.005
+    t_h_s: float = key(2.0, 1e-3, 3600.0, "s")
+    t_h1_s: float = key(2.0, 1e-3, 3600.0, "s")
+    fap_slots: int = key(8, 1, 10**5)
+    lifi_slots: int = key(10, 1, 10**5)
+    per_hop_latency_s: float = key(0.005, 0.0, 1.0, "s")
 
     def __post_init__(self):
-        check_fields(self, *at_least(1), "fap_slots", "lifi_slots")
-        check_fields(self, *POSITIVE, "t_h_s", "t_h1_s")
-        check_fields(self, *NON_NEGATIVE_FINITE, "per_hop_latency_s")
+        check_domains(self)
 
 
 @dataclass(frozen=True)
@@ -93,8 +87,9 @@ class ScenarioConfig:
     """One indoor run: the room, its terminals, duration and seed, and every model's parameters and AHP weights."""
 
     room: RoomConfig = RoomConfig()
-    user_count: int = 10
-    duration_s: float = 120.0
+    user_count: int = key(10, 0, 2**14, why="a run spawns two generators per terminal before its first tick, "
+                                            f"about 1 s and 30 MB at {2**14}")
+    duration_s: float = key(120.0, 1e-3, 1e6, "s")
     seed: int = 0
     mobility: MobilityConfig = MobilityConfig()
     traffic: TrafficConfig = TrafficConfig()
@@ -104,12 +99,9 @@ class ScenarioConfig:
     selection: SelectionConfig = SelectionConfig()
 
     def __post_init__(self):
-        check_fields(self, f"in [0, {2**14}] (a run spawns two generators per terminal before its first tick, "
-                     f"about 1 s and 30 MB at {2**14})", lambda v: 0 <= v <= 2**14, "user_count")
-        check_fields(self, *POSITIVE_FINITE, "duration_s")
-        check_fields(self, f"at least one tick_s ({self.mobility.tick_s!r}) and at most 2**31 of them once rounded to "
-                     "whole ticks (the run steps through each tick, and keeps each tick's link samples)",
-                     lambda v: 1 <= round(min(v / self.mobility.tick_s, 2**32)) <= 2**31, "duration_s")
+        check_domains(self)
+        check_fields(self, f"at least one tick_s ({self.mobility.tick_s!r}) once rounded to whole ticks",
+                     lambda v: round(v / self.mobility.tick_s) >= 1, "duration_s")
 
 
 ADMISSION_KEYS = tuple(d.value for d in AdmissionDecision)
@@ -444,7 +436,8 @@ class _IndoorSim:
         return m
 
     def _rank_networks(self) -> None:
-        """Score the two networks from run aggregates and rank them with the scenario's AHP weights."""
+        """Rank the two networks with the scenario's AHP weights: capacity and SINR by their run means, load by the
+        slot ledger at the run's end."""
         if not self.metrics.link_samples:
             return
         *lifi, fap = ((capacity - free) / capacity for capacity, free in zip(self._capacity, self._free))
@@ -470,15 +463,13 @@ class IdleExperimentConfig:
 
     room: RoomConfig = RoomConfig()
     policy: PolicyConfig = PolicyConfig()
-    placements: int = 100_000
+    placements: int = key(100_000, 1, MAX_MC_SAMPLES,
+                          why="as zoning.mc_samples, a generator per chunk of 2**18 placements")
     seed: int = 0
-    user_count_max: int = 20
+    user_count_max: int = key(20, 0, 2**20, why="fig16 builds its CSV rows, one per user count, in memory")
 
     def __post_init__(self):
-        check_fields(self, f"in [1, {MAX_MC_SAMPLES}], as zoning.mc_samples (a generator per chunk of 2**18 placements)",
-                     lambda v: 1 <= v <= MAX_MC_SAMPLES, "placements")
-        check_fields(self, f"in [0, {2**20}] (fig16 builds its CSV rows, one per user count, in memory)",
-                     lambda v: 0 <= v <= 2**20, "user_count_max")
+        check_domains(self)
         aps = math.prod(zoning._ap_lines(self.room))  # a walk stops by user lifi_slots * aps + 1: none idles past it
         record = min(self.placements, zoning._MC_CHUNK) * np.min_scalar_type(aps - 1).itemsize  # one AP per placement
         check_fields(self, f"at most {2**28 // record} (fig16 keeps a {record}-byte AP record per user it walks, "
@@ -541,34 +532,28 @@ def _percentile(ordered: np.ndarray, q: float) -> float:
     return lo + (hi - lo) * t if t < 0.5 else hi - (hi - lo) * (1 - t)
 
 
+FIG17_ARRAYS = "fig17 holds several (drops, fap_count) float arrays in memory"
+
+
 @dataclass(frozen=True)
 class FemtoSinrConfig:
     """fig17: the interferers' layout and walls, the reference user's distance, the idle thinning, the drops and RF."""
 
-    fap_count: int = 50
-    deployment_radius_m: float = 100.0
-    user_distance_m: float = 8.0
-    drops: int = 2000
-    interferer_wall_count: int = 1
-    hybrid_users_per_home: int = 5
-    min_link_distance_m: float = 1.0
+    fap_count: int = key(50, 0, 2**22, why=FIG17_ARRAYS)
+    deployment_radius_m: float = key(100.0, 0.0, 1e4, "m")
+    user_distance_m: float = key(8.0, 1e-3, 1e4, "m")
+    drops: int = key(2000, 1, 2**22, why=FIG17_ARRAYS)
+    interferer_wall_count: int = key(1, 0, 20)
+    hybrid_users_per_home: int = key(5, 0, 100)
+    min_link_distance_m: float = key(1.0, 1e-3, 1e4, "m")
     room: RoomConfig = RoomConfig()
     seed: int = 0
     rf: RfParams = RfParams()
 
     def __post_init__(self):
-        check_fields(self, *at_least(0), "fap_count", "interferer_wall_count", "hybrid_users_per_home")
-        check_fields(self, f"at least 1, with drops * max(fap_count, 1) at most {2**22} (fig17 holds several (drops, "
-                     "fap_count) float arrays in memory)", lambda v: 1 <= v * max(self.fap_count, 1) <= 2**22, "drops")
-        check_fields(self, *POSITIVE_FINITE, "user_distance_m", "min_link_distance_m")
-        check_fields(self, *NON_NEGATIVE_FINITE, "deployment_radius_m")
-        # Every link is user_distance_m, or min_link_distance_m to deployment_radius_m + user_distance_m long: the
-        # femtocell loss term N log10 d of each stays in the power domain, so no received power overflows.
-        in_power = lambda d: channel.FINITE_POWER_DB[1](self.rf.femto_loss_coeff * math.log10(d))
-        check_fields(self, "such that femto_loss_coeff * log10 of it is in [-300, 300] dB (a finite received power)",
-                     in_power, "user_distance_m", "min_link_distance_m")
-        check_fields(self, "such that femto_loss_coeff * log10(deployment_radius_m + user_distance_m) is in [-300, 300] dB "
-                     "(a finite received power)", lambda r: in_power(r + self.user_distance_m), "deployment_radius_m")
+        check_domains(self)
+        check_fields(self, f"such that drops * max(fap_count, 1) is at most {2**22} ({FIG17_ARRAYS})",
+                     lambda v: v * max(self.fap_count, 1) <= 2**22, "drops")
 
 
 def femto_sinr_experiment(config: FemtoSinrConfig):
@@ -617,17 +602,14 @@ class HandoverSuccessConfig:
     """fig18: the room whose coverage radius the crossings use, the crossings per AP spacing, and the spacings swept."""
 
     room: RoomConfig = RoomConfig()
-    crossings: int = 20_000
+    crossings: int = key(20_000, 1, 2**22, why="fig18 draws each spacing's crossings as one array")
     seed: int = 0
-    spacing_start_m: float = 0.0
-    spacing_stop_m: float = 12.0
-    spacing_count: int = 25
+    spacing_start_m: float = key(0.0, 0.0, 1e4, "m")
+    spacing_stop_m: float = key(12.0, 0.0, 1e4, "m")
+    spacing_count: int = channel.sweep_count(25)
 
     def __post_init__(self):
-        check_fields(self, f"in [1, {2**22}] (fig18 draws each spacing's crossings as one array)",
-                     lambda v: 1 <= v <= 2**22, "crossings")
-        check_fields(self, *at_least(0.0), "spacing_start_m", "spacing_stop_m")  # so is every spacing between them
-        check_fields(self, *channel.SWEEP_COUNT, "spacing_count")
+        check_domains(self)
         check_fields(self, f"at most 2**27 // crossings = {2**27 // self.crossings} (fig18 draws spacing_count * "
                      "crossings offsets, 2**27 in about a second)", lambda v: v * self.crossings <= 2**27,
                      "spacing_count")

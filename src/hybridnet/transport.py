@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .channel import OpticalParams, RfParams
+from .channel import OpticalParams, RfParams, key
 
 
 @dataclass(frozen=True)
@@ -34,41 +34,29 @@ class VehicleLink:
     """The vehicle's in-vehicle access hop, macro-link shadowing, and the user's and relay's SINR thresholds."""
 
     in_vehicle_access: str = "lifi"  # "lifi" (an in-vehicle LiFi AP) or "fap" (a femtocell)
-    shadowing_sigma_dB: float = 8.0
-    sinr_threshold_user_dB: float = 9.0
-    sinr_threshold_relay_dB: float = 5.0
-    access_horizontal_distance_m: float = 0.0
-    access_femto_distance_m: float = 2.0
+    shadowing_sigma_dB: float = key(8.0, 1e-9, 100.0, "dB")
+    sinr_threshold_user_dB: float = key(9.0, -100.0, 100.0, "dB")
+    sinr_threshold_relay_dB: float = key(5.0, -100.0, 100.0, "dB")
+    access_horizontal_distance_m: float = key(0.0, 0.0, 1e4, "m")
+    access_femto_distance_m: float = key(2.0, 1e-3, 1e4, "m")
 
     def __post_init__(self):
+        channel.check_domains(self)
         channel.check_fields(self, "'lifi' or 'fap'", lambda v: v in ("lifi", "fap"), "in_vehicle_access")
-        # Under the channel.rf and sweep rules the macro SNR lies within 3700 dB of 0, so with the thresholds within
-        # 300 dB a threshold is within 4000 dB of the SNR, and (threshold - SNR) / sigma stays below 4e303: finite.
-        channel.check_fields(self, "at least 1e-300 dB (a finite (threshold - SNR) / sigma in the outage)",
-                             lambda v: v >= 1e-300, "shadowing_sigma_dB")
-        channel.check_fields(self, "in [-300, 300] dB (a finite (threshold - SNR) / sigma in the outage)",
-                             lambda v: -300.0 <= v <= 300.0, "sinr_threshold_user_dB", "sinr_threshold_relay_dB")
-        channel.check_fields(self, *channel.NON_NEGATIVE_FINITE, "access_horizontal_distance_m")
-        channel.check_fields(self, *channel.OPTICAL_DISTANCE, "access_horizontal_distance_m")
-        channel.check_fields(self, *channel.POSITIVE_FINITE, "access_femto_distance_m")
 
 
 @dataclass(frozen=True)
 class OutageSweep:
     """fig20: the macro-link distances, ``distance_count`` values from ``distance_start_km`` to ``distance_stop_km``."""
 
-    distance_start_km: float = 0.1
-    distance_stop_km: float = 1.0
-    distance_count: int = 100
+    distance_start_km: float = key(0.1, 1e-3, 1e3, "km")
+    distance_stop_km: float = key(1.0, 1e-3, 1e3, "km")
+    distance_count: int = channel.sweep_count(100)
     link: VehicleLink = VehicleLink()
     rf: RfParams = RfParams()
 
     def __post_init__(self):
-        # Under the channel.rf rules each dB term is within 300 dB, so the distance coefficient 44.9 - 6.55 log10 h_b
-        # is in [-97.29, 187.09] and the macro SNR at most 1430.45 + 187.09 |log10 d| dB: below 2930 dB here.
-        channel.check_fields(self, "in [1e-8, 1e8] km (a macro SNR below 2930 dB, finite once linear)",
-                             lambda v: 1e-8 <= v <= 1e8, "distance_start_km", "distance_stop_km")  # so is every distance
-        channel.check_fields(self, *channel.SWEEP_COUNT, "distance_count")
+        channel.check_domains(self)
 
 
 @dataclass(frozen=True)
@@ -82,23 +70,18 @@ class CapacitySweep(OutageSweep):
 class CarFollowScenario:
     """fig21: the car pair's RF range, optical field of view, speed and U-turn, its time window, and the gaps swept."""
 
-    rf_range_m: float = 30.0
-    uturn_radius_m: float = 10.0
-    speed_kmh: float = 40.0
-    owc_fov_semi_angle_deg: float = 30.0
-    window_s: float = 30.0
-    uturn_start_s: float = 10.0
-    distance_start_m: float = 5.0
-    distance_stop_m: float = 50.0
-    distance_count: int = 100
+    rf_range_m: float = key(30.0, 1e-3, 1e4, "m")
+    uturn_radius_m: float = key(10.0, 1.0, 1e3, "m")
+    speed_kmh: float = key(40.0, 1.0, 500.0, "km/h")
+    owc_fov_semi_angle_deg: float = key(30.0, 1.0, 180.0, "deg")
+    window_s: float = key(30.0, 1e-4, 1e7, "s")
+    uturn_start_s: float = key(10.0, -1e7, 1e7, "s")
+    distance_start_m: float = key(5.0, 1e-3, 1e4, "m")
+    distance_stop_m: float = key(50.0, 1e-3, 1e4, "m")
+    distance_count: int = channel.sweep_count(100)
 
     def __post_init__(self):
-        channel.check_fields(self, *channel.POSITIVE, "rf_range_m", "uturn_radius_m", "speed_kmh",
-                             "owc_fov_semi_angle_deg")
-        channel.check_fields(self, *channel.POSITIVE_FINITE, "window_s")
-        channel.check_fields(self, "finite", math.isfinite, "uturn_start_s")
-        channel.check_fields(self, *channel.POSITIVE, "distance_start_m", "distance_stop_m")  # so is every gap
-        channel.check_fields(self, *channel.SWEEP_COUNT, "distance_count")
+        channel.check_domains(self)
 
 
 def macro_snr_dB(distance_km, rf: RfParams, wall_loss_dB: float):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import POSITIVE_FINITE, check_fields
+from .channel import check_domains, check_fields, key
 from .rng import spawn_streams
 
 _MC_CHUNK = 1 << 18  # points per chunk of the zone model and of fig16; a chunk spawns its generator as it starts
@@ -153,25 +153,20 @@ class GridPlan:
 class RoomConfig:
     """An ``a x b`` room, its LiFi APs' coverage radius ``r`` and its zone model's samples; see :func:`plan_grid`."""
 
-    room_x_m: float = 24.0
-    room_y_m: float = 24.0
-    coverage_radius_m: float = 5.0
-    mc_samples: int = 1 << 20
+    room_x_m: float = key(24.0, 1e-3, 1e4, "m")
+    room_y_m: float = key(24.0, 1e-3, 1e4, "m")
+    coverage_radius_m: float = key(5.0, 1e-3, 1e4, "m")
+    mc_samples: int = key(1 << 20, MIN_MC_SAMPLES, MAX_MC_SAMPLES)
 
     def __post_init__(self):
-        check_fields(self, *POSITIVE_FINITE, "room_x_m", "room_y_m", "coverage_radius_m")
+        check_domains(self)
         check_fields(self, f"large enough for a grid of at most {MAX_AP_COUNT} APs",
                      lambda _: math.prod(_ap_lines(self)) <= MAX_AP_COUNT, "coverage_radius_m")
-        check_fields(self, "at most 1e150 m (each squared offset in the lattice window below 1e300)",
-                     lambda v: v <= 1e150, "room_x_m", "room_y_m", "coverage_radius_m")
-        check_fields(self, f"in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]",
-                     lambda v: MIN_MC_SAMPLES <= v <= MAX_MC_SAMPLES, "mc_samples")
 
 
 def _ap_lines(room: RoomConfig) -> tuple[int, int]:
-    """APs per axis, ``floor(side/2r + 1)``, capped past ``MAX_AP_COUNT`` so that a ratio beyond the float range floors."""
-    return tuple(math.floor(min(side / (2.0 * room.coverage_radius_m) + 1.0, MAX_AP_COUNT + 1.0))
-                 for side in (room.room_x_m, room.room_y_m))
+    """APs per axis, ``floor(side/2r + 1)``."""
+    return tuple(math.floor(side / (2.0 * room.coverage_radius_m) + 1.0) for side in (room.room_x_m, room.room_y_m))
 
 
 def plan_grid(room: RoomConfig) -> GridPlan:

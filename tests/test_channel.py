@@ -1,7 +1,10 @@
 """Link-budget formula tests against independently evaluated oracles."""
 
+import itertools
 import math
 import tracemalloc
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +13,19 @@ from hypothesis import strategies as st
 
 from hybridnet.channel import (
     OpticalParams, RfParams,
-    concentrator_gain, femto_path_loss, lambertian_index, linear_to_db, macro_path_loss,
+    concentrator_gain, db_to_linear, femto_path_loss, lambertian_index, linear_to_db, macro_path_loss,
     optical_channel_gain, optical_sinr, rf_sinr, shannon_capacity,
 )
+from hybridnet.config import load_config, resolve
+from hybridnet.engine import FemtoSinrConfig
+from hybridnet.transport import OutageSweep, VehicleLink, macro_snr_dB
 
 from oracles import optical_channel_gain_reference
 
 TABLE = OpticalParams()
 RF = RfParams()
+# The two corners of the link-budget keys' box that the commands run at: every SINR and SNR at its largest, or least.
+CORNERS = {name: Path(__file__).with_name(f"{name}.yaml") for name in ("snr_max", "snr_min")}
 
 
 class TestLambertianIndex:
@@ -35,7 +43,7 @@ class TestLambertianIndex:
     @pytest.mark.parametrize("angle", [0.0, 90.0, -5.0, 120.0, 1e-9, 6e-7])
     def test_out_of_range_angles_rejected(self, angle):
         # Below about 6e-7 degrees the cosine rounds to 1.0: the order would divide by ln(1) = 0.
-        with pytest.raises(ValueError, match="^half_intensity_angle_deg: must be .* cosine below 1.0"):
+        with pytest.raises(ValueError, match=r"^half_intensity_angle_deg: must be in \[1.0, 89.0\] deg"):
             OpticalParams(half_intensity_angle_deg=angle)
 
     @given(st.floats(min_value=1.0, max_value=89.0))
@@ -356,22 +364,24 @@ class TestParamValidation:
             OpticalParams(half_intensity_angle_deg=90.0)
         with pytest.raises(ValueError, match="half_intensity_angle_deg"):  # cos rounds to 1.0: ln(1 / cos) = 0
             OpticalParams(half_intensity_angle_deg=1e-9)
-        assert math.isfinite(lambertian_index(OpticalParams(half_intensity_angle_deg=6.1e-7)))
+        assert math.isfinite(lambertian_index(OpticalParams(half_intensity_angle_deg=1.0)))
 
     def test_rf_invariants(self):
         with pytest.raises(ValueError):
             RfParams(mbs_height_m=0.0)
-        for name in ("mbs_tx_dBm", "fap_tx_dBm", "noise_psd_dBm_per_Hz"):  # +-300 dB: linear powers within 1e+-30
-            for value in (-300.000001, 300.000001, 1.0e6, math.nan):
-                with pytest.raises(ValueError, match=f"^{name}: must be in \\[-300, 300\\] dB"):
+        for name, low, high, unit in (("mbs_tx_dBm", -100.0, 100.0, "dBm"), ("fap_tx_dBm", -100.0, 100.0, "dBm"),
+                                      ("noise_psd_dBm_per_Hz", -200.0, -100.0, "dBm/Hz")):
+            for value in (-300.000001, 300.000001, 1.0e6, math.nan, math.nextafter(low, -math.inf),
+                          math.nextafter(high, math.inf)):
+                with pytest.raises(ValueError, match=rf"^{name}: must be in \[{low}, {high}\] {unit}"):
                     RfParams(**{name: value})
-            for value in (-300.0, 300.0):
+            for value in (low, high):
                 assert getattr(RfParams(**{name: value}), name) == value
-        for name in ("macro_bandwidth_Hz", "femto_bandwidth_Hz"):  # 10 log10 B within [0, 300] dB
-            for value in (-1.0, 0.0, 0.999, 1.000001e30, 1.0e300, math.inf, math.nan):
-                with pytest.raises(ValueError, match=f"^{name}: must be in \\[1, 1e30\\] Hz"):
+        for name in ("macro_bandwidth_Hz", "femto_bandwidth_Hz"):
+            for value in (-1.0, 0.0, 0.999, 1.000001e30, 1.0e300, math.inf, math.nan, math.nextafter(1e12, math.inf)):
+                with pytest.raises(ValueError, match=rf"^{name}: must be in \[1.0, 1000000000000.0\] Hz"):
                     RfParams(**{name: value})
-            for value in (1.0, 1.0e30):
+            for value in (1.0, 1.0e12):
                 assert getattr(RfParams(**{name: value}), name) == value
 
     def test_geometry_invariants(self):
@@ -379,3 +389,70 @@ class TestParamValidation:
             optical_channel_gain(-1.0, TABLE)
         with pytest.raises(ValueError):
             optical_channel_gain(np.array([[1.0, -0.5]]), TABLE)
+
+
+def domain(cls, name: str) -> tuple:
+    """The declared interval of the key field ``name`` of ``cls``."""
+    return next(f.metadata["domain"] for f in fields(cls) if f.name == name)
+
+
+def corners(cls, *names: str):
+    """``cls`` at each corner of the box that the intervals of its keys ``names`` span, other keys at their defaults."""
+    for values in itertools.product(*(domain(cls, name) for name in names)):
+        yield cls(**dict(zip(names, values)))
+
+
+def span(values) -> tuple:
+    return min(values), max(values)
+
+
+@pytest.mark.filterwarnings("error")
+class TestDomainCorners:
+    def test_every_formula_is_finite_at_every_corner_of_its_box(self):
+        # Each formula is monotone in each key it reads, or multilinear in their logs (Hata's a(h_m) and distance
+        # terms, N log10 z), so its extremes over the box of the keys' intervals lie at the box's corners: finite at
+        # every corner, it is finite on the whole box. A formula that reads another's result takes that result's
+        # extremes as one more key, so none reads more than six.
+        gains = span([optical_channel_gain(0.0, p) for p in corners(
+            OpticalParams, "half_intensity_angle_deg", "fov_semi_angle_deg", "pd_area_m2", "filter_gain",
+            "refractive_index", "ap_height_m")])
+        assert 0.0 < gains[0] and gains[1] < math.inf
+        for p in corners(OpticalParams, "responsivity_A_per_W", "tx_optical_power_W", "noise_psd_A2_per_Hz",
+                         "bandwidth_Hz"):
+            for serving, interferer in itertools.product(gains, (0.0, gains[1])):
+                sinr = optical_sinr(serving, [interferer], p)
+                assert 0.0 < sinr < math.inf and math.isfinite(linear_to_db(sinr))
+                assert math.isfinite(shannon_capacity(sinr, p.bandwidth_Hz))
+
+        hata = span([macro_path_loss(km, rf, wall_dB)
+                     for rf in corners(RfParams, "center_freq_MHz", "mbs_height_m", "terminal_height_m")
+                     for km in domain(OutageSweep, "distance_start_km")
+                     for wall_dB in domain(RfParams, "vehicle_wall_loss_dB")])
+        snrs = span([rf.mbs_tx_dBm - loss - rf.noise_dBm(rf.macro_bandwidth_Hz) for loss in hata
+                     for rf in corners(RfParams, "mbs_tx_dBm", "noise_psd_dBm_per_Hz", "macro_bandwidth_Hz")])
+        for snr_dB, rf in itertools.product(snrs, corners(RfParams, "macro_bandwidth_Hz")):
+            assert 0.0 < db_to_linear(snr_dB) < math.inf
+            assert math.isfinite(shannon_capacity(float(db_to_linear(snr_dB)), rf.macro_bandwidth_Hz))
+        for threshold_dB, snr_dB, sigma_dB in itertools.product(
+                domain(VehicleLink, "sinr_threshold_user_dB"), snrs, domain(VehicleLink, "shadowing_sigma_dB")):
+            assert math.isfinite((threshold_dB - snr_dB) / sigma_dB)  # fig20's outage quotient
+
+        # A femtocell link is at least the shortest distance key long, and at most fig17's deployment radius plus
+        # its user's distance, which is longer than the diagonal of the largest room.
+        longest = domain(FemtoSinrConfig, "deployment_radius_m")[1] + domain(FemtoSinrConfig, "user_distance_m")[1]
+        femto = span([femto_path_loss(z, rf, walls)
+                      for rf in corners(RfParams, "center_freq_MHz", "femto_loss_coeff")
+                      for z in (domain(FemtoSinrConfig, "min_link_distance_m")[0], longest)
+                      for walls in domain(FemtoSinrConfig, "interferer_wall_count")])
+        for rf, loss in itertools.product(corners(RfParams, "fap_tx_dBm", "noise_psd_dBm_per_Hz", "femto_bandwidth_Hz"),
+                                          femto):
+            rx_mw, noise_mw = db_to_linear(rf.fap_tx_dBm - loss), db_to_linear(rf.noise_dBm(rf.femto_bandwidth_Hz / 4))
+            assert 0.0 < rx_mw * domain(FemtoSinrConfig, "fap_count")[1] < math.inf and 0.0 < noise_mw < math.inf
+            assert math.isfinite(rf_sinr(rf.fap_tx_dBm - loss, rf.noise_dBm(rf.femto_bandwidth_Hz)))
+
+        # The corner configs that the commands run at hold the extremes of H(0) and of the macro SNR.
+        for path, end in ((CORNERS["snr_min"], 0), (CORNERS["snr_max"], 1)):
+            sections = resolve(load_config(path), seed=0)
+            rf, sweep = sections["channel.rf"], sections["transport.fig20"]
+            assert optical_channel_gain(0.0, sections["channel.optical"]) == gains[end]
+            assert macro_snr_dB(sweep.distance_start_km, rf, rf.vehicle_wall_loss_dB) == snrs[end]

@@ -380,7 +380,7 @@ class TestSimulateIndoor:
             MobilityConfig(tick_s=0.0)
         with pytest.raises(ValueError):
             PolicyConfig(fap_slots=0)
-        with pytest.raises(ValueError, match="^speed_max_mps: "):  # a step of inf metres
+        with pytest.raises(ValueError, match="^speed_min_mps: "):  # far past any walking speed
             MobilityConfig(speed_min_mps=1e308, speed_max_mps=1e308, tick_s=2.0)
         for side in (0.0, -1.0, math.inf, math.nan):
             for name in ("room_x_m", "room_y_m", "coverage_radius_m"):
@@ -847,11 +847,16 @@ class TestFemtoSinrExperiment:
             FemtoSinrConfig(drops=0)
 
     def test_loss_term_stays_in_the_power_domain(self):
-        # N log10 d of every link within [-300, 300] dB: at N = 100, links down to 1e-3 m run finite, shorter ones fail.
-        rf, edge = RfParams(femto_loss_coeff=100.0), 1e-3 * (1 + 1e-12)
-        cfg = FemtoSinrConfig(drops=20, user_distance_m=edge, min_link_distance_m=edge, deployment_radius_m=0.0, rf=rf)
-        assert all(math.isfinite(v) for row in femto_sinr_experiment(cfg) for v in row[2:])
-        for field, value in (("user_distance_m", 1e-300), ("min_link_distance_m", 9e-4), ("deployment_radius_m", 1e3)):
+        # At N = 100, links from 1e-3 m, the shortest a distance key holds, to 2e4 m, the longest, run finite; a
+        # distance one ulp outside its key's interval fails.
+        rf = RfParams(femto_loss_coeff=100.0)
+        for user_m, radius_m in ((1e-3, 0.0), (1e-3, 1e4), (1e4, 1e4)):
+            cfg = FemtoSinrConfig(drops=20, user_distance_m=user_m, min_link_distance_m=1e-3, deployment_radius_m=radius_m,
+                                  rf=rf)
+            assert all(math.isfinite(v) for row in femto_sinr_experiment(cfg) for v in row[2:])
+        for field, value in (("user_distance_m", math.nextafter(1e-3, 0.0)),
+                             ("min_link_distance_m", math.nextafter(1e-3, 0.0)),
+                             ("deployment_radius_m", math.nextafter(1e4, math.inf))):
             with pytest.raises(ValueError, match=field):
                 replace(cfg, **{field: value})
 

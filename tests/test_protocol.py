@@ -118,7 +118,7 @@ class TestRunHandover:
 
     @pytest.mark.parametrize("per_hop_s", [-1.0, math.nan, math.inf])
     def test_negative_per_hop_rejected(self, per_hop_s):
-        with pytest.raises(ValueError, match="^per_hop_latency_s: must be non-negative and finite"):
+        with pytest.raises(ValueError, match=r"^per_hop_latency_s: must be in \[0.0, 1.0\] s"):
             PolicyConfig(per_hop_latency_s=per_hop_s)
 
     def test_fault_free_traces_validate(self):

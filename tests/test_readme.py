@@ -2,7 +2,10 @@
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from hybridnet.config import SECTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,16 +55,32 @@ def dead_citations(readme: Path, tests: Path) -> list[str]:
     return dead
 
 
+def readme_sections() -> dict[str, str]:
+    """The README's ``##`` sections by title."""
+    return {part.split("\n", 1)[0]: part for part in (ROOT / "README.md").read_text().split("\n## ")}
+
+
+def test_key_domain_table_is_the_declared_one():
+    # "Key domains" lists each int and float key with the interval and unit its field declares, and no other key.
+    table = readme_sections()["Configuration"].split("\n### Key domains\n")[1]
+    rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in table.splitlines() if line.startswith("| `")]
+    listed = {key.strip("`"): (tuple(float(v) for v in interval.strip("[]").split(", ")), unit)
+              for key, interval, unit in rows}
+    declared = {f"{path}.{f.name}": (f.metadata["domain"], f.metadata["unit"])
+                for path, cls in SECTIONS.items() for f in fields(cls) if "domain" in f.metadata}
+    assert listed == declared
+
+
 def test_every_cited_test_exists():
     assert len(citations((ROOT / "README.md").read_text())) > 100
     assert dead_citations(ROOT / "README.md", ROOT / "tests") == []
 
 
 def test_every_guarantee_names_a_test():
-    # Each paragraph of "Determinism" and each row of the domain table in "Configuration" cites a test.
-    sections = {part.split("\n", 1)[0]: part for part in (ROOT / "README.md").read_text().split("\n## ")}
+    # Each paragraph of "Determinism" and each row of the rule table in "Configuration" cites a test.
+    sections = readme_sections()
     paragraphs = [p for p in sections["Determinism"].split("\n\n")[1:] if p.strip()]
-    rows = [line for line in sections["Configuration"].splitlines() if line.startswith("| `")]
+    rows = [line for line in sections["Configuration"].split("\n### ")[0].splitlines() if line.startswith("| `")]
     assert len(paragraphs) >= 10 and len(rows) >= 10
     assert [p for p in paragraphs + rows if not citations(p)] == []
 

@@ -190,7 +190,7 @@ class TestCarLinkReliability:
 
     @settings(max_examples=50, deadline=None)
     @given(gap_m=st.floats(0.5, 100.0), speed_kmh=st.floats(5.0, 150.0), radius_m=st.floats(1.0, 50.0),
-           fov_deg=st.floats(1.0, 270.0), start_s=st.floats(-60.0, 60.0), window_s=st.floats(1.0, 60.0))
+           fov_deg=st.floats(1.0, 180.0), start_s=st.floats(-60.0, 60.0), window_s=st.floats(1.0, 60.0))
     def test_sweep_matches_a_sampled_oracle(self, gap_m, speed_kmh, radius_m, fov_deg, start_s, window_s):
         scenario = CarFollowScenario(uturn_radius_m=radius_m, speed_kmh=speed_kmh, owc_fov_semi_angle_deg=fov_deg,
                                      window_s=window_s, uturn_start_s=start_s, distance_start_m=gap_m,

@@ -62,7 +62,7 @@ class TestPlanGrid:
     @pytest.mark.parametrize("a,b,r", [(math.inf, 24, 5), (math.nan, 24, 5), (24, math.inf, 5), (24, 24, math.inf),
                                        (24, 24, math.nan)])
     def test_non_finite_sizes_rejected(self, a, b, r):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=r"must be in \[0.001, 10000.0\] m"):
             RoomConfig(a, b, r)
 
     @given(
@@ -83,28 +83,29 @@ class TestPlanGrid:
 
 class TestRoomConfig:
     def test_grid_of_at_most_max_ap_count_aps(self):
-        # a = 2**21 - 1 and r = 0.5 give floor(a/2r + 1) = 2**21 lines on x, and b = 0.5 one line on y
-        assert RoomConfig(2097151.0, 0.5, 0.5)
+        # r = 0.5 gives floor(a/2r + 1) = 2**11 lines on x at a = 2047 and 2**10 on y at b = 1023: 2**21 APs
+        assert plan_grid(RoomConfig(2047.0, 1023.0, 0.5)).ap_count == MAX_AP_COUNT
         with pytest.raises(ValueError, match=f"^coverage_radius_m: must be .* a grid of at most {MAX_AP_COUNT} APs"):
-            RoomConfig(2097152.0, 0.5, 0.5)
+            RoomConfig(2047.0, 1024.0, 0.5)
 
-    @pytest.mark.parametrize("a,b,r", [(24.0, 24.0, 1e-9), (1.7e308, 1.7e308, 5e-324), (1.7e308, 0.5, 0.5)])
-    def test_a_grid_beyond_the_float_range_is_rejected(self, a, b, r):
-        with pytest.raises(ValueError, match="^coverage_radius_m: must be large enough"):
+    @pytest.mark.parametrize("a,b,r,key", [(24.0, 24.0, 1e-9, "coverage_radius_m"), (1.7e308, 1.7e308, 5e-324, "room_x_m"),
+                                           (1.7e308, 0.5, 0.5, "room_x_m")])
+    def test_a_grid_beyond_the_float_range_is_rejected(self, a, b, r, key):
+        with pytest.raises(ValueError, match=rf"^{key}: must be in \[0.001, 10000.0\] m"):
             RoomConfig(a, b, r)
 
     @pytest.mark.filterwarnings("error")
-    def test_lengths_of_at_most_1e150_m_keep_the_window_finite(self):
-        plan = plan_grid(RoomConfig(1e150, 1e150, 1e149))  # 6 x 6 APs; default window width 2
-        pts = np.array([[0.0, 0.0], [1e150, 1e150], [0.0, 1e150], [5e149, 5e149]])
+    def test_lengths_at_the_top_of_their_domain_keep_the_window_finite(self):
+        plan = plan_grid(RoomConfig(1e4, 1e4, 1e3))  # 6 x 6 APs; default window width 2
+        pts = np.array([[0.0, 0.0], [1e4, 1e4], [0.0, 1e4], [5e3, 5e3]])
         for width in (2, 3, 6):
             dx2, dy2, _, _ = plan.sq_distances(pts, width)
             assert np.isfinite(dy2[:, None, :] + dx2[None, :, :]).all()
         assert classify_points(plan, pts).tolist() == classify_against_every_ap(plan, pts)[0].tolist()
-        beyond = np.nextafter(1e150, np.inf)
-        for sides, key in (((beyond, 1.0, 1e149), "room_x_m"), ((1.0, beyond, 1e149), "room_y_m"),
+        beyond = math.nextafter(1e4, math.inf)
+        for sides, key in (((beyond, 1.0, 1e3), "room_x_m"), ((1.0, beyond, 1e3), "room_y_m"),
                            ((1.0, 1.0, beyond), "coverage_radius_m")):
-            with pytest.raises(ValueError, match=f"^{key}: must be at most 1e150 m"):
+            with pytest.raises(ValueError, match=rf"^{key}: must be in \[0.001, 10000.0\] m"):
                 RoomConfig(*sides)
 
     def test_dense_and_wide_rooms_are_accepted(self):
