@@ -34,7 +34,7 @@ from . import channel, policy, selection, zoning
 from .channel import OpticalParams, RfParams, at_least, check_domains, check_fields, key
 from .policy import LIFI, STAY, TO_FAP, TO_LIFI, AdmissionDecision
 from .protocol import HandoverKind, run_handover
-from .rng import spawn_streams
+from .rng import draw_exponential, spawn_streams
 from .selection import SelectionConfig
 from .zoning import (_CLASSIFY_SLICE, MAX_MC_SAMPLES, RoomConfig, Zone, classify_points,
                      exact_zone_probabilities, plan_grid, sole_covers)
@@ -42,7 +42,7 @@ from .zoning import (_CLASSIFY_SLICE, MAX_MC_SAMPLES, RoomConfig, Zone, classify
 
 @dataclass(frozen=True)
 class MobilityConfig:
-    """Random-waypoint mobility: walking speeds, pause lengths and the tick every terminal moves by."""
+    """Random-waypoint mobility: walking speeds, pause lengths and the tick on which the run reads positions."""
 
     speed_min_mps: float = key(0.5, 0.0, 100.0, "m/s")
     speed_max_mps: float = key(1.5, 0.0, 100.0, "m/s")
@@ -164,19 +164,19 @@ _NO_CALL = -1  # the serving AP index of a terminal between calls
 class _IndoorSim:
     """Single-run state; use :func:`simulate_indoor`.
 
-    Terminal i is row i of every per-terminal array. Mobility: ``_xy``, the ``_waypoint`` it walks to at
-    ``_speed``, and ``_pause_until`` (inf while it walks); it runs up to a block of ticks ahead of the calls,
-    which read the block's rows. Calls: ``_ap`` (the serving AP's index in the slot ledger, or ``_NO_CALL``),
-    ``_voice``, ``_next_event`` (the call's end during a call, else the next call's arrival), ``_zone`` (the
-    zone code) and ``_last_handover``; per (tick, terminal) row of the block, ``_zone_entries``, the handover
-    ``_decisions`` and their Zone 4 ``_targets``; and ``_redecide``, the terminals to decide again. The slot
-    ledger is ``_free``, the free slots of LiFi AP j at index j and of the femtocell at index ``_femto``, the
-    last; ``_capacity`` beside it and ``_fap_idle``, the femtocell's idle mode.
+    Terminal i is row i of every per-terminal array. Mobility, leg by leg: a terminal leaves ``_origin`` at
+    ``_leg_start`` with ``_velocity``, stands on ``_waypoint`` (first its placement) from ``_arrival`` and starts its
+    next leg at ``_pause_end`` (first 0 s). The time rule: a tick's position is the model's position at its time, so a
+    pause starts at the exact arrival time and a leg at the exact pause end. Mobility runs a block ahead of the calls:
+    ``_ap`` (the serving AP's index in the slot ledger, or ``_NO_CALL``), ``_voice``, ``_next_event`` (the call's end
+    during a call, else the next call's arrival), ``_zone`` and ``_last_handover``; per (tick, terminal) row of the
+    block, ``_zone_entries``, the handover ``_decisions`` and their Zone 4 ``_targets``; and ``_redecide``, the
+    terminals to decide again. The slot ledger is ``_free``, the free slots of LiFi AP j at index j and of the
+    femtocell at index ``_femto``, the last; ``_capacity`` beside it and ``_fap_idle``, the femtocell's idle mode.
 
-    A tick scans ``_pause_until`` and ``_next_event`` only once their kept minima, ``_first_pause_end`` and
-    ``_first_event``, have come. Each is -inf (unknown) until first taken; it is taken again at each block start and
-    after the loop that ends pauses or handles due calls, and a pause that begins folds into it. Idle mode looks for
-    the femtocell's users only while the ledger shows it holding one call.
+    A tick scans ``_next_event`` only once its kept minimum, ``_first_event``, has come: -inf (unknown) until first
+    taken, then taken again at each block start and after due calls. The ledger is checked after each tick that wrote
+    it (``_written``). Idle mode looks for the femtocell's users only while the ledger shows it holding one call.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -185,53 +185,53 @@ class _IndoorSim:
         streams, n, room = spawn_streams(config.seed), config.user_count, config.room
         self._femto = self.plan.ap_count
         self._capacity = [config.policy.lifi_slots] * self._femto + [config.policy.fap_slots]
-        self._free, self._fap_idle = list(self._capacity), True
+        self._free, self._fap_idle, self._written = list(self._capacity), True, False
         self.metrics = Metrics()
         self._samples = ([], []), ([], [])  # per network code: each block's SINR dB and capacity bps sample arrays
         # A fault-free flow's latency depends on its kind and the per-hop delay alone.
         self._handover_latency_s = {k: run_handover(k, config.policy).latency_s for k in HandoverKind}
         # One mobility and one traffic stream per terminal: its draws do not depend on the other terminals.
         self._mobility, self._traffic = streams["mobility"].spawn(n), streams["traffic"].spawn(n)
-        self._xy = streams["placement"].uniform(0.0, (room.room_x_m, room.room_y_m), size=(n, 2))
-        self._waypoint, self._speed, self._pause_until = np.zeros((n, 2)), np.zeros(n), np.zeros(n)
+        self._waypoint = streams["placement"].uniform(0.0, (room.room_x_m, room.room_y_m), size=(n, 2))
+        self._origin, self._velocity, self._leg_start, self._arrival, self._pause_end = *np.zeros((2, n, 2)), *np.zeros((3, n))
         self._ap = np.full(n, _NO_CALL, dtype=np.intp)
         self._voice, self._next_event = np.zeros(n, bool), np.array([self._draw_interarrival(i) for i in range(n)])
         self._zone, self._zone_entries = np.full(n, Zone.Z1.value, dtype=np.int8), np.zeros((1, n))
-        self._last_handover, self._redecide = np.full(n, -math.inf), set()
-        self._first_pause_end = self._first_event = -math.inf  # unknown: the next tick scans
+        self._last_handover, self._redecide, self._first_event = np.full(n, -math.inf), set(), -math.inf
 
     def _draw_interarrival(self, i: int) -> float:
         rate = self.cfg.traffic.arrival_rate_per_min / 60.0
-        return self._traffic[i].exponential(1.0 / rate) if rate > 0 else math.inf
+        return draw_exponential(self._traffic[i], 1.0 / rate) if rate > 0 else math.inf
 
     # Mobility and location ----------------------------------------------
 
-    def _move(self, now: float) -> None:
-        """Move every terminal one tick in one unmasked vector step; only a terminal that draws runs Python."""
-        cfg, room, waypoint, pause_until = self.cfg.mobility, self.cfg.room, self._waypoint, self._pause_until
-        if self._first_pause_end <= now:
-            for i in (pause_until <= now).nonzero()[0].tolist():  # a pause ends: draw a waypoint and a speed, and walk
-                gen = self._mobility[i]
-                waypoint[i] = gen.uniform(0.0, room.room_x_m), gen.uniform(0.0, room.room_y_m)
-                self._speed[i], pause_until[i] = gen.uniform(cfg.speed_min_mps, cfg.speed_max_mps), math.inf
-            self._first_pause_end = pause_until.min(initial=math.inf)
-        step, d, walking = self._speed * cfg.tick_s, waypoint - self._xy, pause_until == math.inf
-        dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])  # correctly rounded ops, unlike libm's hypot
-        arrive = walking & (dist <= step)
-        dist[~walking | arrive] = math.inf  # d / inf * step is a signed zero (step is finite), and x + ±0.0 is x
-        self._xy += d / dist[:, None] * step[:, None]  # a walker's x + dx / dist * step
-        np.copyto(self._xy, waypoint, where=arrive[:, None])
-        for i in arrive.nonzero()[0].tolist():
-            pause_until[i] = end = now + self._mobility[i].uniform(cfg.pause_min_s, cfg.pause_max_s)
-            self._first_pause_end = min(self._first_pause_end, end)
+    def _draw_leg(self, i: int) -> None:
+        """Terminal i leaves its waypoint at its pause end: it draws a waypoint, a speed and the pause it takes there."""
+        gen, cfg, room = self._mobility[i], self.cfg.mobility, self.cfg.room
+        (ox, oy), wx, wy = self._waypoint[i].tolist(), gen.uniform(0.0, room.room_x_m), gen.uniform(0.0, room.room_y_m)
+        speed, pause = gen.uniform(cfg.speed_min_mps, cfg.speed_max_mps), gen.uniform(cfg.pause_min_s, cfg.pause_max_s)
+        dx, dy, t0 = wx - ox, wy - oy, self._pause_end[i].item()
+        length = math.sqrt(dx * dx + dy * dy)  # correctly rounded ops, unlike libm's hypot
+        # Python floats, so no 0 / 0: a zero-length leg arrives as it starts, and a walker of speed 0 never arrives.
+        arrival = t0 + length / speed if speed else (math.inf if length else t0)
+        self._velocity[i] = (dx / length * speed, dy / length * speed) if length else (0.0, 0.0)
+        self._origin[i], self._waypoint[i], self._leg_start[i], self._arrival[i] = (ox, oy), (wx, wy), t0, arrival
+        self._pause_end[i] = arrival + pause
+
+    def _on_legs(self, t: np.ndarray, i=slice(None)) -> np.ndarray:
+        """Terminals ``i`` at (ticks, 1) times ``t`` on their current legs: origin + (t - t0) velocity, then the waypoint."""
+        moving, elapsed = (t < self._arrival[i])[..., None], (t - self._leg_start[i])[..., None]
+        return np.where(moving, self._origin[i] + elapsed * self._velocity[i], self._waypoint[i])
 
     def _move_block(self, steps: range) -> np.ndarray:
-        """Move every terminal through the block's ticks; the (ticks, N, 2) positions."""
-        self._first_pause_end = self._pause_until.min(initial=math.inf)
-        positions = np.empty((len(steps), len(self._xy), 2))
-        for row, step in zip(positions, steps):
-            self._move(step * self.cfg.mobility.tick_s)
-            row[...] = self._xy
+        """The (ticks, N, 2) positions on the block's ticks; only a terminal whose pause ends in the block runs Python."""
+        times = (np.array(steps) * self.cfg.mobility.tick_s)[:, None]
+        positions = self._on_legs(times)
+        while len(ended := (self._pause_end <= times[-1]).nonzero()[0]):  # a round draws one leg for each of them
+            for i in ended.tolist():
+                self._draw_leg(i)
+            later = (times >= self._leg_start[ended])[..., None]  # a new leg rewrites its rows from its start on
+            positions[:, ended] = np.where(later, self._on_legs(times, ended), positions[:, ended])
         return positions
 
     def _locate(self, positions: np.ndarray) -> None:
@@ -291,7 +291,7 @@ class _IndoorSim:
     def _occupy(self, i: int, ap: int) -> None:
         """Terminal i takes a slot of AP ``ap``, waking the femtocell if it idles; its rows are decided again."""
         self._free[ap] -= 1
-        self._ap[i] = ap
+        self._ap[i], self._written = ap, True
         self._redecide.add(i)
         if ap == self._femto:
             self._fap_idle = False
@@ -305,11 +305,11 @@ class _IndoorSim:
             self._next_event[i] = now + self._draw_interarrival(i)
             return
         self._occupy(i, ap)
-        self._voice[i], self._next_event[i] = voice, now + gen.exponential(traffic.mean_holding_s)
+        self._voice[i], self._next_event[i] = voice, now + draw_exponential(gen, traffic.mean_holding_s)
 
     def _release_call(self, i: int, now: float) -> None:
         self._free[self._ap[i]] += 1
-        self._ap[i] = _NO_CALL
+        self._ap[i], self._written = _NO_CALL, True
         self._redecide.add(i)
         self.metrics.calls_released += 1
         self._next_event[i] = now + self._draw_interarrival(i)
@@ -354,8 +354,8 @@ class _IndoorSim:
             on_fap = (self._ap == femto).nonzero()[0]
             for i in policy.fap_mode_update(list(zip(on_fap.tolist(), self._zone[on_fap].tolist()))):
                 self._to_covering_lifi(i, now)
-        if self._free[femto] == self._capacity[femto]:
-            self._fap_idle = True
+        if self._free[femto] == self._capacity[femto] and not self._fap_idle:
+            self._fap_idle = self._written = True
 
     def _sample_link_quality(self, aps: np.ndarray) -> None:
         """Keep the SINR (dB) and capacity of a block's links per network, for the run totals.
@@ -411,10 +411,12 @@ class _IndoorSim:
             self._first_event = self._next_event.min(initial=math.inf)
         self._evaluate_handovers(now)
         self._apply_idle_mode(now)
-        self._check_slot_balance()
+        if self._written:  # every write of the ledger is checked on its own tick
+            self._check_slot_balance()
+            self._written = False
 
     def run(self) -> Metrics:
-        cfg, n = self.cfg, len(self._xy)
+        cfg, n = self.cfg, len(self._waypoint)
         ticks = int(round(cfg.duration_s / cfg.mobility.tick_s))
         block = _block_ticks(n, self.plan.ap_count)
         idle_ticks = 0

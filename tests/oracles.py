@@ -32,7 +32,7 @@ from hybridnet import channel, engine, policy
 from hybridnet.channel import OpticalParams, concentrator_gain, lambertian_index
 from hybridnet.engine import Metrics, PolicyConfig
 from hybridnet.protocol import run_handover
-from hybridnet.rng import spawn_streams
+from hybridnet.rng import draw_exponential, spawn_streams
 from hybridnet.policy import FAP, LIFI, STAY, TO_FAP, TO_LIFI, TO_TARGET_LIFI, AdmissionDecision
 from hybridnet.protocol import TRACE_CSV_HEADER, HandoverKind, HandoverTrace, MessageKind, ProtocolMessage
 from hybridnet.zoning import _CLASSIFY_SLICE, _MC_CHUNK, GridPlan, Zone, classify_points, plan_grid
@@ -310,7 +310,9 @@ def indoor_run_reference(config, sample_order: str = "tick-major") -> Metrics:
     """``engine.simulate_indoor`` one tick and one terminal at a time, each link sampled on its own.
 
     The batched run must equal it bit for bit: the same per-terminal
-    streams, the scalar move (``sqrt(dx*dx + dy*dy)``), a zone and covering
+    streams, each terminal's position on each tick from its leg's closed
+    form (``sqrt(dx*dx + dy*dy)`` long, ``origin + (now - start) * velocity``
+    before its arrival, the waypoint after), a zone and covering
     APs from the distances to every AP, the rule-by-rule admission and
     handover decisions and per-link channel calls. Each network's samples
     are kept in a list and summed once at the end with ``math.fsum``, in
@@ -329,10 +331,26 @@ def indoor_run_reference(config, sample_order: str = "tick-major") -> Metrics:
     rate = cfg.traffic.arrival_rate_per_min / 60.0
 
     def interarrival(i):
-        return float(traffic[i].exponential(1.0 / rate)) if rate > 0 else math.inf
+        return draw_exponential(traffic[i], 1.0 / rate) if rate > 0 else math.inf
+
+    def next_leg(i, u):
+        """Terminal i leaves its waypoint as its pause ends; the pause it takes there is drawn with the leg."""
+        gen, start, (ox, oy) = mobility[i], u["pause_end"], u["waypoint"]
+        wx, wy = float(gen.uniform(0.0, room.room_x_m)), float(gen.uniform(0.0, room.room_y_m))
+        speed = float(gen.uniform(move.speed_min_mps, move.speed_max_mps))
+        pause = float(gen.uniform(move.pause_min_s, move.pause_max_s))
+        dx, dy = wx - ox, wy - oy
+        length = math.sqrt(dx * dx + dy * dy)
+        if length == 0.0:
+            reach, velocity = start, (0.0, 0.0)
+        elif speed == 0.0:
+            reach, velocity = math.inf, (0.0, 0.0)
+        else:
+            reach, velocity = start + length / speed, (dx / length * speed, dy / length * speed)
+        u.update(origin=(ox, oy), start=start, velocity=velocity, reach=reach, waypoint=(wx, wy), pause_end=reach + pause)
 
     xy = streams["placement"].uniform(0.0, (room.room_x_m, room.room_y_m), size=(n, 2)).tolist()
-    t = [dict(x=x, y=y, waypoint=None, speed=0.0, pause_until=0.0, zone=None, entry=0.0, serving=None, voice=False,
+    t = [dict(waypoint=(x, y), pause_end=0.0, zone=None, entry=0.0, serving=None, voice=False,
               end=0.0, arrival=interarrival(i), last=-math.inf) for i, (x, y) in enumerate(xy)]
 
     def hand_over(u, now, kind, target):
@@ -351,18 +369,13 @@ def indoor_run_reference(config, sample_order: str = "tick-major") -> Metrics:
     for step in range(ticks):
         now = step * move.tick_s
         for i, u in enumerate(t):
-            if u["waypoint"] is None and not now < u["pause_until"]:
-                gen = mobility[i]
-                u["waypoint"] = (float(gen.uniform(0.0, room.room_x_m)), float(gen.uniform(0.0, room.room_y_m)))
-                u["speed"] = float(gen.uniform(move.speed_min_mps, move.speed_max_mps))
-            if u["waypoint"] is not None:
-                dx, dy, length = u["waypoint"][0] - u["x"], u["waypoint"][1] - u["y"], u["speed"] * move.tick_s
-                dist = math.sqrt(dx * dx + dy * dy)
-                if dist <= length:
-                    (u["x"], u["y"]), u["waypoint"] = u["waypoint"], None
-                    u["pause_until"] = now + float(mobility[i].uniform(move.pause_min_s, move.pause_max_s))
-                elif length > 0.0:
-                    u["x"], u["y"] = u["x"] + dx / dist * length, u["y"] + dy / dist * length
+            while u["pause_end"] <= now:
+                next_leg(i, u)
+            if now < u["reach"]:  # on its way; it stands on its waypoint from reach to pause_end
+                (ox, oy), (vx, vy) = u["origin"], u["velocity"]
+                u["x"], u["y"] = ox + (now - u["start"]) * vx, oy + (now - u["start"]) * vy
+            else:
+                u["x"], u["y"] = u["waypoint"]
             d2 = sq_distances_to_every_ap(plan, [(u["x"], u["y"])])[0]
             dist = np.sqrt(d2)
             u["gain"] = channel.optical_channel_gain(dist, cfg.optical).tolist()
@@ -386,7 +399,7 @@ def indoor_run_reference(config, sample_order: str = "tick-major") -> Metrics:
                 else:
                     free[ap] -= 1
                     fap_idle = fap_idle and ap != fap
-                    u["serving"], u["end"] = ap, now + float(traffic[i].exponential(cfg.traffic.mean_holding_s))
+                    u["serving"], u["end"] = ap, now + draw_exponential(traffic[i], cfg.traffic.mean_holding_s)
         in_call = [u for u in t if u["serving"] is not None]
         for u in in_call:
             serving = u["serving"]

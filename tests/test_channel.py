@@ -1,5 +1,6 @@
 """Link-budget formula tests against independently evaluated oracles."""
 
+import copy
 import itertools
 import math
 import tracemalloc
@@ -18,6 +19,7 @@ from hybridnet.channel import (
 )
 from hybridnet.config import load_config, resolve
 from hybridnet.engine import FemtoSinrConfig
+from hybridnet.rng import draw_exponential, spawn_streams
 from hybridnet.transport import OutageSweep, VehicleLink, macro_snr_dB
 
 from oracles import optical_channel_gain_reference
@@ -204,7 +206,7 @@ class TestBatchedSinr:
 
 
 class TestFloatRules:
-    """Platform assumptions the batched link sampler relies on to keep its bytes.
+    """Platform assumptions the batched link sampler and the call draws rely on to keep their bytes.
 
     A numpy build that breaks one of them moves ``indoor_sim.csv``; these
     tests name the rule that broke.
@@ -231,6 +233,14 @@ class TestFloatRules:
     def test_vector_log2_is_scalar_log2(self):
         x = np.random.default_rng(8).uniform(0.0, 1e6, size=20_000)
         assert shannon_capacity(x, 20e6).tolist() == [shannon_capacity(v, 20e6) for v in x.tolist()]
+
+    def test_raw_uniform_is_generator_random(self):
+        # rng.draw_exponential inverts (raw >> 11) * 2**-53 of one raw value: Generator.random's double on this numpy.
+        gen = spawn_streams(3)["traffic"]
+        twin = copy.deepcopy(gen)
+        assert [draw_exponential(gen, 2.0) for _ in range(20_000)] == [-2.0 * math.log1p(-twin.random())
+                                                                       for _ in range(20_000)]
+        assert gen.bit_generator.state == twin.bit_generator.state  # one raw value per draw
 
 
 class TestShannonCapacity:

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import select
 import shutil
 import subprocess
@@ -47,7 +48,9 @@ transport:
 
 
 # The sha256 pins of every command's output, one section per command; each test_golden_digest reads its own.
+# "recorded_with" names the Python and numpy versions the pins were last recorded under.
 GOLDEN = json.loads((Path(__file__).with_name("golden.json")).read_text())
+RECORDED_WITH = GOLDEN.pop("recorded_with")
 GOLDEN_FIELDS = {"id", "command", "args", "config", "seed", "output", "sha256"}
 _READ_SECTIONS = set()
 
@@ -84,10 +87,17 @@ def run_golden(entry: dict, tmp_path: Path, capsys) -> bytes:
     return out.read_bytes()
 
 
+def assert_golden(entry: dict, tmp_path: Path, capsys) -> None:
+    """Run one golden.json entry; a digest that differs from its pin names the recorded and the running versions."""
+    assert hashlib.sha256(run_golden(entry, tmp_path, capsys)).hexdigest() == entry["sha256"], (
+        f"pinned under Python {RECORDED_WITH['python']} and numpy {RECORDED_WITH['numpy']}, "
+        f"run under Python {platform.python_version()} and numpy {np.__version__}")
+
+
 def test_every_golden_entry_is_read():
     # Each section is read whole by the test that asks golden() for it, so an
     # entry is read when its section is and it holds the fields run_golden reads.
-    assert set(GOLDEN) == _READ_SECTIONS
+    assert set(GOLDEN) == _READ_SECTIONS and set(RECORDED_WITH) == {"python", "numpy"}
     for command, entries in GOLDEN.items():
         assert len({entry["id"] for entry in entries}) == len(entries), command
         for entry in entries:
@@ -284,7 +294,7 @@ class TestZones:
     # a point's APs, never which zone a point lands in.
     @pytest.mark.parametrize("entry", golden("zones"))
     def test_golden_digest(self, tmp_path, capsys, entry):
-        assert hashlib.sha256(run_golden(entry, tmp_path, capsys)).hexdigest() == entry["sha256"]
+        assert_golden(entry, tmp_path, capsys)
 
 
 class TestExperiments:
@@ -372,7 +382,7 @@ class TestExperiments:
     # fig18 draws crossings and fig19-fig21 sweep the vehicle distance.
     @pytest.mark.parametrize("entry", golden("experiment"))
     def test_golden_digest(self, tmp_path, capsys, entry):
-        assert hashlib.sha256(run_golden(entry, tmp_path, capsys)).hexdigest() == entry["sha256"]
+        assert_golden(entry, tmp_path, capsys)
 
     def test_unknown_name_exits_nonzero(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -847,7 +857,7 @@ class TestTrace:
     # sha256 of `trace <kind>` stdout; pins every row of each step table.
     @pytest.mark.parametrize("entry", golden("trace"))
     def test_golden_digest(self, tmp_path, capsys, entry):
-        assert hashlib.sha256(run_golden(entry, tmp_path, capsys)).hexdigest() == entry["sha256"]
+        assert_golden(entry, tmp_path, capsys)
 
     def test_drop_step_recorded_in_manifest(self, tmp_path):
         out = tmp_path / "t"
@@ -902,7 +912,7 @@ class TestIndoorSim:
     # made a float sum() compensated, so rounding every all-float sum()
     # exactly in its place must leave the bytes as they are. loaded-120s-seed0
     # is the bench's whole indoor-loaded run: 1,200 ticks, many tick blocks.
-    # slot-starved-30s-seed0 redirects 6 calls, blocks 30, rejects 443
+    # slot-starved-30s-seed0 redirects 9 calls, blocks 28, rejects 493
     # handover ticks and runs all three handover kinds. In fov30-zero-sinr-seed0
     # a 30 degree FOV leaves LiFi links with a zero SINR: sinr_mean_db is -inf.
     @pytest.mark.parametrize("exact_float_sum", [False, True], ids=["builtin-sum", "exact-sum"])
@@ -918,7 +928,7 @@ class TestIndoorSim:
                 return plain_sum(items, start)
 
             monkeypatch.setattr(builtins, "sum", exact_sum)
-        assert hashlib.sha256(run_golden(entry, tmp_path, capsys)).hexdigest() == entry["sha256"]
+        assert_golden(entry, tmp_path, capsys)
 
     def test_duration_is_checked_against_the_configured_tick(self, tmp_path, capsys):
         path = tmp_path / "short-tick.yaml"
@@ -1038,7 +1048,8 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     def test_per_hop_latency_under_policy_runs_as_under_protocol(self, tmp_path, capsys):
-        # The pins were recorded with `protocol: {per_hop_latency_s: 0.003}`, before the key moved into `policy`.
+        # The trace pin was recorded with `protocol: {per_hop_latency_s: 0.003}`, before the key moved into `policy`;
+        # the indoor-sim pin, too, and recorded again when walkers moved to closed-form legs.
         path = tmp_path / "policy.yaml"
         path.write_text("policy: {per_hop_latency_s: 0.003}\nengine:\n  user_count: 20\n  duration_s: 30.0\n"
                         "  traffic: {arrival_rate_per_min: 6.0, mean_holding_s: 20.0}\n")
@@ -1049,7 +1060,7 @@ class TestConfig:
             "dc5e2ecd753de6f38d8b058e2721c7265aa3ed7d018bf03670d6c3c893793d74")
         assert cli.main(["indoor-sim", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert hashlib.sha256((tmp_path / "out" / "indoor_sim.csv").read_bytes()).hexdigest() == (
-            "251a4525e77e6b2c320ebcad02e696bd75333cb9dc686fc663253e6b2f7c83e4")
+            "a75e372e36cb6e4e6cfdaf4a79528bcdb52f61161477f9a9826be50fa584a313")
 
     def test_user_count_is_at_most_2_to_the_14(self):
         # Checked by validation alone: no run of that many terminals is started.

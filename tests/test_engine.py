@@ -87,7 +87,7 @@ class TestSimulateIndoor:
             traffic=TrafficConfig(arrival_rate_per_min=0.0001, mean_holding_s=1e9, voice_fraction=0.0),
         )
         sim = _IndoorSim(config)
-        sim._xy[0] = 4.0, 0.5  # Zone 2 of the 24x24 plan
+        sim._waypoint[0] = 4.0, 0.5  # it stands here until its first leg, of speed 0: Zone 2 of the 24x24 plan
         sim._next_event[0] = 0.0  # a data call arrives on the first tick
         metrics = sim.run()
         assert sim._positions[-1].tolist() == [[4.0, 0.5]]  # the last tick's row of the last block
@@ -99,28 +99,28 @@ class TestSimulateIndoor:
         assert metrics.fap_idle_fraction == 1.0
 
     def test_events_set_before_the_run_fire_on_their_ticks(self, monkeypatch):
-        # A tick scans for due calls and ended pauses only from their kept minima, which each block start takes again.
+        # A tick scans for due calls only from their kept minimum, which each block start takes again; a leg starts
+        # at its pause end's exact time, in whichever block holds it.
         monkeypatch.setattr(engine, "_block_ticks", lambda terminal_count, ap_count: 4)
         config = ScenarioConfig(user_count=3, duration_s=2.0, seed=3,
                                 traffic=TrafficConfig(arrival_rate_per_min=0.0001, mean_holding_s=1e9))
-        sim, calls, pause_ends = _IndoorSim(config), [], []
+        sim, calls, leg_starts = _IndoorSim(config), [], []
         sim._next_event[...] = 0.0, 0.15, 0.95  # ticks 0 and 2 of block 0, and tick 2 of block 2
-        sim._pause_until[...] = 0.1, 0.25, 1.55  # ticks 1 and 3 of block 0, and block 4's first; each stands until then
-        start_call, move = sim._try_start_call, sim._move
+        sim._pause_end[...] = 0.1, 0.25, 1.55  # in block 0 twice, and between blocks 3 and 4; each stands until then
+        start_call, draw_leg = sim._try_start_call, sim._draw_leg
 
         def recording_start_call(i, now):
             calls.append((i, round(now / 0.1)))
             start_call(i, now)
 
-        def recording_move(now):
-            waypoint = sim._waypoint.copy()
-            move(now)
-            pause_ends.extend((i, round(now / 0.1)) for i in (sim._waypoint != waypoint).any(axis=1).nonzero()[0])
+        def recording_draw_leg(i):
+            leg_starts.append((i, sim._pause_end[i].item()))
+            return draw_leg(i)
 
-        sim._try_start_call, sim._move = recording_start_call, recording_move
+        sim._try_start_call, sim._draw_leg = recording_start_call, recording_draw_leg
         sim.run()
         assert calls == [(0, 0), (1, 2), (2, 10)]
-        assert pause_ends == [(0, 1), (1, 3), (2, 16)]
+        assert leg_starts == [(0, 0.1), (1, 0.25), (2, 1.55)]
 
     def test_fap_idles_once_its_last_slot_is_freed(self):
         sim = _IndoorSim(ScenarioConfig(user_count=1, seed=3))
@@ -208,6 +208,28 @@ class TestSimulateIndoor:
         with pytest.raises(RuntimeError, match="slot leak"):
             sim._check_slot_balance()
 
+    @pytest.mark.parametrize("write", ["_occupy", "_release_call"])
+    def test_a_ledger_write_is_checked_on_its_own_tick(self, monkeypatch, write):
+        # The ledger is checked only after a tick that wrote it, so a write that leaks a slot fails on its own tick.
+        sim = _IndoorSim(ScenarioConfig(user_count=1, seed=3, traffic=TrafficConfig(mean_holding_s=1e9)))
+        sim._next_event[0] = 0.0 if write == "_release_call" else 0.2  # a call starts at 0 s, or arrives at 0.2 s
+        sim._start_block(np.array([[[4.0, 0.5]]] * 3), range(3))  # Zone 2: LiFi AP 0 serves it, the femtocell idles
+        sim._step(0, 0.0)
+        if write == "_release_call":
+            assert sim._ap.tolist() == [0]
+            sim._next_event[0], sim._first_event = 0.2, -math.inf  # the call ends at 0.2 s
+        sim._step(1, 0.1)  # writes nothing
+        original = getattr(sim, write)
+
+        def leaking(i, *args):  # LiFi AP 1 loses a slot that no call holds
+            original(i, *args)
+            sim._free[1] -= 1
+
+        monkeypatch.setattr(sim, write, leaking)
+        with pytest.raises(RuntimeError, match="slot leak"):
+            sim._step(2, 0.2)
+        assert sim._ap.tolist() == ([0] if write == "_occupy" else [engine._NO_CALL]) and sim._fap_idle
+
     def test_bit_identical_reruns(self):
         m1 = simulate_indoor(BUSY)
         m2 = simulate_indoor(BUSY)
@@ -232,7 +254,7 @@ class TestSimulateIndoor:
         sim = _IndoorSim(BUSY)
         sim.run()
         pts = sim._positions[-1]  # the last tick's row of the last block
-        assert pts.tolist() == sim._xy.tolist()
+        assert pts.tolist() == sim._on_legs(sim._times[-1:, None])[0].tolist()  # the legs the run ends on
         codes = classify_points(sim.plan, pts).tolist()
         assert sim._codes[-1].tolist() == codes
         assert sim._zone.tolist() == codes
@@ -241,7 +263,7 @@ class TestSimulateIndoor:
         # Handover evaluation and link sampling both read the block's (ticks, N, K) gains.
         sim = _IndoorSim(BUSY)
         sim.run()
-        gains = optical_channel_gain(np.sqrt(sq_distances_to_every_ap(sim.plan, sim._xy)), BUSY.optical)
+        gains = optical_channel_gain(np.sqrt(sq_distances_to_every_ap(sim.plan, sim._positions[-1])), BUSY.optical)
         assert sim._gain.shape[1:] == (BUSY.user_count, sim.plan.ap_count)
         assert sim._gain[-1].tolist() == gains.tolist()
 
@@ -258,7 +280,7 @@ class TestSimulateIndoor:
         sim.run()
         ticks = np.concatenate(blocks)  # (ticks, N, 2): every terminal's position on every tick
         assert ticks.shape == (round(BUSY.duration_s / BUSY.mobility.tick_s), BUSY.user_count, 2)
-        assert ticks[-1].tolist() == sim._xy.tolist()
+        assert ticks[-1].tolist() == sim._positions[-1].tolist()
         for x, y in ticks.reshape(-1, 2).tolist():
             assert 0.0 <= x <= 24.0 and 0.0 <= y <= 24.0
 
@@ -295,7 +317,7 @@ class TestSimulateIndoor:
         assert first_arrival[0] == first_arrival[1] < base.duration_s
 
     @pytest.mark.parametrize("config", [BUSY, replace(MOBILE, duration_s=60.0), SLOT_STARVED, MIXED, replace(
-        ScenarioConfig(optical=OpticalParams(fov_semi_angle_deg=30.0)), duration_s=30.0),
+        ScenarioConfig(optical=OpticalParams(fov_semi_angle_deg=30.0)), duration_s=60.0),
         replace(LOADED, room=RoomConfig(100.0, 100.0), user_count=10, duration_s=10.0)],
         ids=["busy", "mobile", "slot-starved", "mixed", "fov30-zero-sinr", "loaded-121-aps"])
     def test_batched_run_equals_the_per_terminal_loop(self, config):
@@ -393,62 +415,110 @@ class TestSimulateIndoor:
                 ScenarioConfig(duration_s=duration)
 
 
-def sim_at(xy, waypoint, speed, pause_until) -> _IndoorSim:
-    """A simulator whose terminals stand at ``xy`` and walk to ``waypoint`` at ``speed`` or pause until ``pause_until``."""
-    sim = _IndoorSim(ScenarioConfig(user_count=len(xy), seed=2))
-    sim._xy[...], sim._waypoint[...], sim._speed[...], sim._pause_until[...] = xy, waypoint, speed, pause_until
+def sim_on_legs(origin, velocity, arrival, waypoint, pause_end, **mobility) -> _IndoorSim:
+    """A simulator whose terminals left ``origin`` at 0 s with ``velocity``, reach ``waypoint`` at ``arrival`` and stand
+    there until ``pause_end``, under ``MobilityConfig(**mobility)``."""
+    sim = _IndoorSim(ScenarioConfig(user_count=len(origin), seed=2, mobility=MobilityConfig(**mobility)))
+    sim._origin[...], sim._velocity[...], sim._arrival[...] = origin, velocity, arrival
+    sim._waypoint[...], sim._pause_end[...] = waypoint, pause_end
     return sim
 
 
-class TestUnmaskedStep:
-    # Every terminal takes x + d / dist * step; one that does not walk on the tick has dist = inf.
+def next_leg_draws(sim: _IndoorSim, i: int) -> tuple[float, float, float, float]:
+    """The waypoint x and y, speed and pause that terminal i draws for its next leg, from a copy of its stream."""
+    gen, mobility, room = copy.deepcopy(sim._mobility[i]), sim.cfg.mobility, sim.cfg.room
+    return (gen.uniform(0.0, room.room_x_m), gen.uniform(0.0, room.room_y_m),
+            gen.uniform(mobility.speed_min_mps, mobility.speed_max_mps), gen.uniform(mobility.pause_min_s, mobility.pause_max_s))
+
+
+class TestLegs:
+    # A terminal is at origin + (t - t0) * velocity before its arrival and on its waypoint from then to its pause end.
 
     def test_paused_terminal_keeps_its_bits_and_sign(self):
-        # Its waypoints lie on both sides, so d / inf * step is -0.0 on some axes and +0.0 on others;
-        # the bytes hold the sign, so x = 0.0 must stay +0.0.
-        sim = sim_at([[0.0, 0.0], [0.1, 23.9]], [[-3.0, 2.0], [5.0, -1.0]], [1.5, 1.5], [100.0, 100.0])
-        before = sim._xy.tobytes()
-        for tick in range(5):
-            sim._move(tick * 0.1)
-            assert sim._xy.tobytes() == before
+        # Its last legs ran towards negative x and y; a paused terminal's rows are its waypoint's bytes whatever
+        # its velocity, so x = 0.0 must stay +0.0.
+        waypoint = [[0.0, 0.0], [0.1, 23.9]]
+        sim = sim_on_legs([[3.0, 2.0], [5.0, 1.0]], [[-30.0, -20.0], [-49.0, 229.0]], [0.1, 0.1], waypoint, [100.0] * 2)
+        positions = sim._move_block(range(1, 6))
+        assert positions.tobytes() == np.array([waypoint] * 5).tobytes()
 
-    def test_walker_with_speed_zero_keeps_its_bits(self):
-        sim = sim_at([[0.3, 7.7]], [[20.0, 1.0]], [0.0], [math.inf])
-        before = sim._xy.tobytes()
-        for tick in range(5):
-            sim._move(tick * 0.1)
-        assert sim._xy.tobytes() == before and sim._pause_until.tolist() == [math.inf]
+    def test_walker_with_speed_zero_never_arrives_and_keeps_its_bits(self):
+        sim = sim_on_legs([[0.3, 7.7]], [[0.0, 0.0]], [0.0], [[0.3, 7.7]], [0.0], speed_min_mps=0.0, speed_max_mps=0.0)
+        wx, wy, _, _ = next_leg_draws(sim, 0)
+        with np.errstate(all="raise"):  # it divides neither by its speed nor by a zero length
+            positions = sim._move_block(range(5))
+        assert positions.tobytes() == np.array([[[0.3, 7.7]]] * 5).tobytes()
+        assert sim._waypoint.tolist() == [[wx, wy]] and sim._arrival.tolist() == sim._pause_end.tolist() == [math.inf]
 
-    def test_walker_whose_distance_equals_its_step_lands_on_its_waypoint(self):
-        # (1, 1) to (4, 5) is exactly 5 m, and 50 m/s over one 0.1 s tick is exactly 5 m.
-        sim = sim_at([[1.0, 1.0]], [[4.0, 5.0]], [50.0], [math.inf])
-        assert 50.0 * sim.cfg.mobility.tick_s == 5.0
-        mobility, gen = sim.cfg.mobility, copy.deepcopy(sim._mobility[0])
-        sim._move(0.3)
-        assert sim._xy.tolist() == [[4.0, 5.0]]
-        assert sim._pause_until.tolist() == [0.3 + gen.uniform(mobility.pause_min_s, mobility.pause_max_s)]
+    def test_a_zero_length_leg_arrives_as_it_starts(self):
+        # The terminal stands on the very waypoint it draws next: its leg arrives at its start, and its pause runs.
+        sim = sim_on_legs([[1.0, 1.0]], [[0.0, 0.0]], [0.0], [[1.0, 1.0]], [0.2], pause_min_s=1.0)
+        wx, wy, _, pause = next_leg_draws(sim, 0)
+        sim._waypoint[0] = wx, wy
+        with np.errstate(all="raise"):
+            positions = sim._move_block(range(5))
+        assert positions.tobytes() == np.array([[[wx, wy]]] * 5).tobytes()
+        assert sim._leg_start.tolist() == sim._arrival.tolist() == [0.2] and sim._velocity.tolist() == [[0.0, 0.0]]
+        assert sim._pause_end.tolist() == [0.2 + pause]
 
-    def test_a_pause_set_from_outside_ends_on_the_next_step(self):
-        # No kept minimum hides it: there is none before the first step, and each block start takes it again.
-        sim = sim_at([[1.0, 1.0]], [[1.0, 1.0]], [0.0], [0.2])
-        mobility, room = sim.cfg.mobility, sim.cfg.room
-        for step in (lambda: sim._move(0.2), lambda: sim._move_block(range(5, 6))):  # at 0.2 s, then a block at 0.5 s
-            gen = copy.deepcopy(sim._mobility[0])
-            step()
-            assert sim._waypoint.tolist() == [[gen.uniform(0.0, room.room_x_m), gen.uniform(0.0, room.room_y_m)]]
-            assert sim._speed.tolist() == [gen.uniform(mobility.speed_min_mps, mobility.speed_max_mps)]
-            assert sim._pause_until.tolist() == [math.inf]
-            sim._pause_until[0] = 0.5  # paused again after the step took its minimum
+    def test_a_pause_starts_at_the_exact_arrival_time(self):
+        # At 2 m/s the leg ends between ticks, and the pause drawn with it runs from that instant, not from a tick.
+        sim = sim_on_legs([[1.0, 1.0]], [[0.0, 0.0]], [0.0], [[1.0, 1.0]], [0.0], speed_min_mps=2.0, speed_max_mps=2.0,
+                          pause_min_s=100.0, pause_max_s=100.0)
+        wx, wy, speed, pause = next_leg_draws(sim, 0)
+        positions, times = sim._move_block(range(200)), np.arange(200) * 0.1
+        dx, dy = wx - 1.0, wy - 1.0
+        arrival = math.sqrt(dx * dx + dy * dy) / speed
+        assert sim._arrival.tolist() == [arrival] and sim._pause_end.tolist() == [arrival + pause]
+        assert round(arrival / 0.1) * 0.1 != arrival < times[-1]
+        arrived = times >= arrival
+        assert (positions[arrived, 0] == (wx, wy)).all() and not (positions[~arrived, 0] == (wx, wy)).all(axis=1).any()
 
-    def test_walker_matches_the_scalar_step_bit_for_bit(self):
+    def test_a_pause_set_from_outside_ends_at_its_time(self):
+        # No kept minimum hides it: every block compares every pause end with its last tick.
+        sim = sim_on_legs([[1.0, 1.0]], [[0.0, 0.0]], [0.0], [[1.0, 1.0]], [0.2])
+        for steps, pause_end in ((range(5), 0.2), (range(5, 10), 0.75)):
+            wx, wy, speed, _ = next_leg_draws(sim, 0)
+            start = sim._waypoint[0].tolist()
+            positions = sim._move_block(steps)
+            assert sim._leg_start.tolist() == [pause_end] and sim._origin.tolist() == [start]
+            assert sim._waypoint.tolist() == [[wx, wy]] and math.hypot(*sim._velocity[0]) == pytest.approx(speed)
+            standing = np.array(steps) * 0.1 <= pause_end
+            assert (positions[standing, 0] == start).all() and not (positions[~standing, 0] == start).all(axis=1).any()
+            sim._arrival[0], sim._pause_end[0] = 0.0, 0.75  # it stands again, on its waypoint, until 0.75 s
+
+    def test_block_positions_equal_the_scalar_closed_form(self):
         rng = np.random.default_rng(4)
-        xy, waypoint, speed = rng.uniform(0.0, 24.0, (50, 2)), rng.uniform(0.0, 24.0, (50, 2)), rng.uniform(0.5, 1.5, 50)
-        sim = sim_at(xy, waypoint, speed, np.full(50, math.inf))
-        sim._move(0.0)
-        for (x, y), (wx, wy), v, got in zip(xy.tolist(), waypoint.tolist(), speed.tolist(), sim._xy.tolist()):
-            dx, dy, step = wx - x, wy - y, v * sim.cfg.mobility.tick_s
+        origin, waypoint, speed = rng.uniform(0.0, 24.0, (50, 2)), rng.uniform(0.0, 24.0, (50, 2)), rng.uniform(0.5, 1.5, 50)
+        legs = []
+        for (x, y), (wx, wy), v in zip(origin.tolist(), waypoint.tolist(), speed.tolist()):
+            dx, dy = wx - x, wy - y
             dist = math.sqrt(dx * dx + dy * dy)
-            assert dist > step and got == [x + dx / dist * step, y + dy / dist * step]
+            legs.append(((x, y), (dx / dist * v, dy / dist * v), dist / v, (wx, wy)))
+        origins, velocity, arrival, waypoints = map(list, zip(*legs))
+        sim = sim_on_legs(origins, velocity, arrival, waypoints, [math.inf] * 50)
+        positions = sim._move_block(range(0, 400, 7))  # 0 to 39.9 s: every leg ends on the way
+        for tick, row in zip(range(0, 400, 7), positions.tolist()):
+            t = tick * 0.1
+            assert row == [[x + t * vx, y + t * vy] if t < end else list(w)
+                           for (x, y), (vx, vy), end, w in legs], f"at {t} s"
+        assert (positions[-1] == waypoint).all()
+
+    def test_positions_at_shared_instants_do_not_depend_on_the_tick(self, monkeypatch):
+        # A leg starts at the exact pause end, so with the same draws a tick of tick_s / 2 passes through the same
+        # positions at every instant the two ticks share, and nowhere rounds a leg to whole ticks.
+        blocks, locate = [], _IndoorSim._locate
+        monkeypatch.setattr(_IndoorSim, "_locate", lambda sim, positions: blocks.append(positions) or locate(sim, positions))
+        runs = []
+        for tick_s in (0.1, 0.05):
+            config = replace(MOBILE, duration_s=60.0, mobility=replace(MOBILE.mobility, tick_s=tick_s))
+            simulate_indoor(config)
+            runs.append(np.concatenate(blocks))
+            blocks.clear()
+        coarse, fine = runs
+        assert fine.shape == (2 * len(coarse), MOBILE.user_count, 2)
+        assert coarse.tobytes() == fine[::2].tobytes()
+        assert len(np.unique(coarse[:, 0], axis=0)) > 300  # terminal 0 walks
 
 
 class TestCoveringOrder:
