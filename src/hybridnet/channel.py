@@ -191,13 +191,13 @@ def optical_sinr(serving_gain, interferer_gains, params: OpticalParams):
     if np.any(serving < 0) or np.any(interferers < 0):
         raise ValueError("channel gains must be >= 0")
     scale = params.responsivity_A_per_W * params.tx_optical_power_W
-    # float_power(x, 2.0) is libm's pow, as Python's x**2 is; np.square is x*x and can differ in the last bit.
-    # The terms are added column by column, left to right, so a batch equals per-link calls bit for bit: numpy's
+    # A square is x * x, IEEE's correctly rounded square; libm's pow, as in Python's x**2, misrounds some. The terms
+    # are added in place, column by column, left to right, so a batch equals per-link calls bit for bit: numpy's
     # pairwise ``sum`` reorders eight or more terms, and a float ``sum()`` is compensated from Python 3.12.
-    interference = np.zeros(serving.shape)
-    for term in np.moveaxis(np.float_power(scale * interferers, 2.0), -1, 0):
-        interference = interference + term
-    linear = np.float_power(scale * serving, 2.0) / (params.noise_psd_A2_per_Hz * params.bandwidth_Hz + interference)
+    signal, currents, interference = scale * serving, scale * interferers, np.zeros(serving.shape)
+    for term in np.moveaxis(np.multiply(currents, currents, out=currents), -1, 0):
+        interference += term
+    linear = signal * signal / (params.noise_psd_A2_per_Hz * params.bandwidth_Hz + interference)
     return linear if np.ndim(linear) else float(linear)
 
 

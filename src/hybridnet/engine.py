@@ -34,7 +34,7 @@ from . import channel, policy, selection, zoning
 from .channel import OpticalParams, RfParams, at_least, check_domains, check_fields, key
 from .policy import LIFI, STAY, TO_FAP, TO_LIFI, AdmissionDecision
 from .protocol import HandoverKind, run_handover
-from .rng import draw_exponential, spawn_streams
+from .rng import draw_exponential, draw_uniforms, spawn_streams
 from .selection import SelectionConfig
 from .zoning import (_CLASSIFY_SLICE, MAX_MC_SAMPLES, RoomConfig, Zone, classify_points,
                      exact_zone_probabilities, plan_grid, sole_covers)
@@ -182,7 +182,7 @@ class _IndoorSim:
     def __init__(self, config: ScenarioConfig):
         self.cfg = config
         self.plan = plan_grid(config.room)
-        streams, n, room = spawn_streams(config.seed), config.user_count, config.room
+        streams, n, room, mobility = spawn_streams(config.seed), config.user_count, config.room, config.mobility
         self._femto = self.plan.ap_count
         self._capacity = [config.policy.lifi_slots] * self._femto + [config.policy.fap_slots]
         self._free, self._fap_idle, self._written = list(self._capacity), True, False
@@ -192,7 +192,9 @@ class _IndoorSim:
         self._handover_latency_s = {k: run_handover(k, config.policy).latency_s for k in HandoverKind}
         # One mobility and one traffic stream per terminal: its draws do not depend on the other terminals.
         self._mobility, self._traffic = streams["mobility"].spawn(n), streams["traffic"].spawn(n)
-        self._waypoint = streams["placement"].uniform(0.0, (room.room_x_m, room.room_y_m), size=(n, 2))
+        self._leg_bounds = ((0.0, room.room_x_m), (0.0, room.room_y_m), (mobility.speed_min_mps, mobility.speed_max_mps),
+                            (mobility.pause_min_s, mobility.pause_max_s))  # a leg's waypoint x and y, speed and pause
+        self._waypoint = np.reshape(draw_uniforms(streams["placement"], self._leg_bounds[:2] * n), (n, 2))
         self._origin, self._velocity, self._leg_start, self._arrival, self._pause_end = *np.zeros((2, n, 2)), *np.zeros((3, n))
         self._ap = np.full(n, _NO_CALL, dtype=np.intp)
         self._voice, self._next_event = np.zeros(n, bool), np.array([self._draw_interarrival(i) for i in range(n)])
@@ -207,9 +209,7 @@ class _IndoorSim:
 
     def _draw_leg(self, i: int) -> None:
         """Terminal i leaves its waypoint at its pause end: it draws a waypoint, a speed and the pause it takes there."""
-        gen, cfg, room = self._mobility[i], self.cfg.mobility, self.cfg.room
-        (ox, oy), wx, wy = self._waypoint[i].tolist(), gen.uniform(0.0, room.room_x_m), gen.uniform(0.0, room.room_y_m)
-        speed, pause = gen.uniform(cfg.speed_min_mps, cfg.speed_max_mps), gen.uniform(cfg.pause_min_s, cfg.pause_max_s)
+        (ox, oy), (wx, wy, speed, pause) = self._waypoint[i].tolist(), draw_uniforms(self._mobility[i], self._leg_bounds)
         dx, dy, t0 = wx - ox, wy - oy, self._pause_end[i].item()
         length = math.sqrt(dx * dx + dy * dy)  # correctly rounded ops, unlike libm's hypot
         # Python floats, so no 0 / 0: a zero-length leg arrives as it starts, and a walker of speed 0 never arrives.
@@ -298,7 +298,7 @@ class _IndoorSim:
 
     def _try_start_call(self, i: int, now: float) -> None:
         gen, traffic = self._traffic[i], self.cfg.traffic
-        voice = gen.random() < traffic.voice_fraction
+        voice = draw_uniforms(gen, ((0.0, 1.0),))[0] < traffic.voice_fraction  # 0.0 + 1.0 * u: Generator.random's u
         decision, ap = policy.admit_new_call(self._zone[i], voice, self._fap_idle, self._free, self._covering(i))
         self.metrics.admissions[decision.value] += 1
         if decision is AdmissionDecision.BLOCKED:

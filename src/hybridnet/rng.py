@@ -24,10 +24,14 @@ def spawn_streams(seed: int) -> dict[str, np.random.Generator]:
     return {label: np.random.Generator(np.random.PCG64(child)) for label, child in zip(STREAM_LABELS, children)}
 
 
-def draw_exponential(gen: np.random.Generator, mean: float) -> float:
-    """An exponential draw of ``mean`` by inversion, ``-mean * log1p(-u)``, from one raw 64-bit value of ``gen``.
+def draw_uniforms(gen: np.random.Generator, bounds) -> list[float]:
+    """One draw on ``[lo, hi)`` per ``(lo, hi)`` of ``bounds``, in order, ``lo + (hi - lo) * ((raw >> 11) * 2**-53)`` of
+    one raw 64-bit value each: ``Generator.uniform``'s draws of the same values, and its stream state after them."""
+    raw = gen.bit_generator.random_raw(len(bounds)).tolist()
+    return [lo + (hi - lo) * ((r >> 11) * 2.0**-53) for (lo, hi), r in zip(bounds, raw)]
 
-    ``u = (raw >> 11) * 2**-53`` is the uniform double that ``Generator.random`` makes of the same value, so the
-    draw depends on numpy's stable bit stream and on ``math.log1p``, not on numpy's exponential algorithm.
-    """
+
+def draw_exponential(gen: np.random.Generator, mean: float) -> float:
+    """An exponential draw of ``mean`` by inversion, ``-mean * log1p(-u)``, ``u`` a ``draw_uniforms`` draw on [0, 1),
+    so it rests on numpy's stable bit stream and ``math.log1p``, not on numpy's exponential algorithm."""
     return -mean * math.log1p(-(int(gen.bit_generator.random_raw()) >> 11) * 2.0**-53)

@@ -18,7 +18,7 @@ from hybridnet.engine import (
 )
 from hybridnet.channel import OpticalParams, RfParams, femto_path_loss, optical_channel_gain
 from hybridnet.protocol import HandoverKind, run_handover
-from hybridnet.rng import spawn_streams
+from hybridnet.rng import draw_uniforms, spawn_streams
 from hybridnet.zoning import RoomConfig, Zone, classify_points, exact_zone_probabilities, plan_grid
 from oracles import (
     classify_against_every_ap, enumerate_idle_probability, indoor_run_reference, lifi_assignment_idle_one_hot,
@@ -519,6 +519,52 @@ class TestLegs:
         assert fine.shape == (2 * len(coarse), MOBILE.user_count, 2)
         assert coarse.tobytes() == fine[::2].tobytes()
         assert len(np.unique(coarse[:, 0], axis=0)) > 300  # terminal 0 walks
+
+
+def spy_draws(monkeypatch) -> list:
+    """(a copy of the generator before, the draws, the state after) of each engine ``draw_uniforms`` call from now."""
+    calls = []
+
+    def spying(gen, bounds):
+        before = copy.deepcopy(gen)
+        draws = draw_uniforms(gen, bounds)
+        calls.append((before, draws, gen.bit_generator.state))
+        return draws
+
+    monkeypatch.setattr(engine, "draw_uniforms", spying)
+    return calls
+
+
+class TestIndoorDraws:
+    # Each indoor draw is rng.draw_uniforms of raw values. A twin generator's Generator calls give the same values
+    # and leave the same stream state, so no draw of a pinned run moved and every later draw stays where it was.
+
+    def test_placements_equal_one_broadcast_uniform_call(self, monkeypatch):
+        calls, config = spy_draws(monkeypatch), ScenarioConfig(user_count=7, seed=4)
+        sim = _IndoorSim(config)
+        (twin, _, state), = calls
+        expected = twin.uniform(0.0, (config.room.room_x_m, config.room.room_y_m), size=(7, 2))
+        assert sim._waypoint.tobytes() == expected.tobytes() and state == twin.bit_generator.state
+
+    def test_a_legs_draws_equal_four_uniform_calls(self, monkeypatch):
+        mobility = MobilityConfig(speed_min_mps=0.5, speed_max_mps=1.5, pause_min_s=1.0, pause_max_s=9.0)
+        sim, calls = _IndoorSim(ScenarioConfig(user_count=5, seed=8, mobility=mobility)), spy_draws(monkeypatch)
+        room = sim.cfg.room
+        for i in range(5):
+            sim._draw_leg(i)
+            twin, draws, state = calls[-1]
+            assert draws == [twin.uniform(0.0, room.room_x_m), twin.uniform(0.0, room.room_y_m), twin.uniform(0.5, 1.5),
+                             twin.uniform(1.0, 9.0)]
+            assert sim._waypoint[i].tolist() == draws[:2] and state == twin.bit_generator.state
+        assert len(calls) == 5
+
+    def test_voice_draws_equal_generator_random(self, monkeypatch):
+        calls = spy_draws(monkeypatch)
+        metrics = simulate_indoor(BUSY)
+        voice = [(twin, draws, state) for twin, draws, state in calls if len(draws) == 1]
+        assert len(voice) == sum(metrics.admissions.values()) > 10  # every call attempt draws its voice flag
+        for twin, draws, state in voice:
+            assert draws == [twin.random()] and state == twin.bit_generator.state
 
 
 class TestCoveringOrder:

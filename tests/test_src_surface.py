@@ -37,6 +37,8 @@ import textwrap
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
+
 from hybridnet.config import SECTIONS, _key_fields
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hybridnet"
@@ -86,6 +88,16 @@ def test_every_definition_is_referenced_in_src():
             if name not in EXEMPT and not references[name] - own:
                 unreferenced.append(f"{module}:{name}")
     assert not unreferenced, f"nothing in src/ references: {unreferenced}"
+
+
+def test_indoor_sim_calls_no_generator_distribution_method():
+    # numpy keeps a seeded bit stream stable across versions but not Generator's distribution algorithms (NEP 19), so
+    # the tick loop draws through rng's raw transforms. fig16, fig17, fig18 and zones keep their bulk array draws.
+    distributions = {name for name in dir(np.random.Generator) if not name.startswith("_")} - {"bit_generator", "spawn"}
+    indoor = next(node for node in _parse(SRC)["engine.py"].body if getattr(node, "name", None) == "_IndoorSim")
+    called = {node.func.attr for node in ast.walk(indoor)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert not called & distributions, f"engine._IndoorSim calls Generator methods: {sorted(called & distributions)}"
 
 
 def test_every_key_field_is_read_outside_its_rules():
